@@ -379,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("hessian", help="twist-basis Hessian and eigenvalues")
     q.add_argument("config")
-    q.add_argument("--basis", choices=["auto"], default="auto")
     q.add_argument("--normalized", action="store_true")
     q.add_argument("--csv")
     q.set_defaults(func=cmd_hessian)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,12 +102,20 @@ class PlanarConfig:
         return PlanarConfig(np.asarray(positions, dtype=float).reshape(-1), self.masses)
 
 
+@lru_cache(maxsize=64)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays (i, j) of the pairs i < j among n bodies."""
+    iu = np.triu_indices(n, 1)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
 def _reject_coincident(points: np.ndarray) -> None:
     d = points[:, None, :] - points[None, :, :]
     r = np.hypot(d[..., 0], d[..., 1])
     diam = float(r.max())
-    n = points.shape[0]
-    iu = np.triu_indices(n, 1)
+    iu = _pair_indices(points.shape[0])
     rmin_idx = int(np.argmin(r[iu]))
     i, j = iu[0][rmin_idx], iu[1][rmin_idx]
     if r[i, j] <= COINCIDENT_RTOL * diam or diam == 0.0:
@@ -180,7 +189,7 @@ def potential_u(config: PlanarConfig, params: PotentialParams) -> float:
     params.require_f_domain()
     p = config.points
     m = config.masses
-    iu = np.triu_indices(config.n, 1)
+    iu = _pair_indices(config.n)
     d = p[iu[0]] - p[iu[1]]
     r = np.hypot(d[:, 0], d[:, 1])
     return float((m[iu[0]] * m[iu[1]] * r ** (2.0 - params.A)).sum())

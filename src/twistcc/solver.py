@@ -1,22 +1,24 @@
-"""Twist-vector flows and moment-of-inertia-preserving descent.
+"""Twist-vector flows and gradient descent over twist bases.
 
 Because every twist vector is tangent to the level sets of I and of the
 center of mass, flows generated by fixed combinations of twists conserve
-both (up to integrator error), and gradient descent projected on a twist
-basis searches for central configurations at fixed size.  The size itself
-is fixed afterwards by a single rescale enforcing U = M*I.
+both (up to integrator error).  Gradient descent projected on a twist
+basis searches for central configurations; its finite steps keep I only
+to first order.  The size itself is fixed afterwards by a single rescale
+enforcing U = M*I.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (COINCIDENT_RTOL, PlanarConfig, PotentialParams,
-                       center_of_mass, f_value, moment_of_inertia, potential_u)
-from .twist import COLLINEAR_RTOL, TwistPair, canon_pair, twist_span_basis
+from .geometry import (GeometryError, PlanarConfig, PotentialParams, build_pair_table,
+                       cartesian_gradient_f, center_of_mass, f_value, moment_of_inertia,
+                       potential_u)
+from .twist import (COLLINEAR_RTOL, TwistPair, canon_pair, max_laura_andoyer,
+                    twist_span_basis, twist_vector)
 
 # Backtracking line-search constants.
 ETA0_FRACTION = 1e-2     # initial step length as a fraction of the diameter
@@ -33,7 +35,6 @@ class FlowSpec:
     terms: tuple[tuple[float, TwistPair], ...]
     dt: float
     steps: int
-    method: str = "rk4"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -42,8 +43,6 @@ class FlowSpec:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not any(c != 0.0 for c, _ in self.terms):
             raise ValueError("flow needs at least one nonzero coefficient")
-        if self.method != "rk4":
-            raise ValueError(f"unsupported integrator {self.method!r}")
 
 
 def _field(pos: np.ndarray, m: np.ndarray, terms) -> np.ndarray:
@@ -58,34 +57,23 @@ def _field(pos: np.ndarray, m: np.ndarray, terms) -> np.ndarray:
     return v
 
 
-def _min_separation(pos: np.ndarray, n: int) -> tuple[float, float]:
-    p = pos.reshape(n, 2)
-    d = p[:, None, :] - p[None, :, :]
-    r = np.hypot(d[..., 0], d[..., 1])
-    iu = np.triu_indices(n, 1)
-    return float(r[iu].min()), float(r.max())
-
-
 def flow_fixed_combo(config: PlanarConfig, params: PotentialParams,
                      spec: FlowSpec) -> list[PlanarConfig]:
-    """Integrate q' = sum c_k v_{pair_k}(q); aborts early on near-collision."""
+    """Integrate q' = sum c_k v_{pair_k}(q); stops early when two bodies coincide."""
     terms = tuple((float(c), canon_pair(config.n, p)) for c, p in spec.terms)
     m = config.masses
-    n = config.n
     dt = spec.dt
-    pos = config.positions.copy()
     traj = [config]
     for _ in range(spec.steps):
+        pos = traj[-1].positions
         k1 = _field(pos, m, terms)
         k2 = _field(pos + 0.5 * dt * k1, m, terms)
         k3 = _field(pos + 0.5 * dt * k2, m, terms)
         k4 = _field(pos + dt * k3, m, terms)
-        nxt = pos + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rmin, diam = _min_separation(nxt, n)
-        if rmin <= COINCIDENT_RTOL * diam:
+        try:
+            traj.append(PlanarConfig(pos + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), m))
+        except GeometryError:
             break
-        pos = nxt
-        traj.append(PlanarConfig(pos.copy(), m))
     return traj
 
 
@@ -114,100 +102,65 @@ class DescentReport:
     history: tuple = field(default=(), repr=False)
 
 
-def _tables(pos: np.ndarray, n: int, A: float):
-    p = pos.reshape(n, 2)
-    d = p[:, None, :] - p[None, :, :]
-    dx, dy = d[..., 0], d[..., 1]
-    r = np.hypot(dx, dy)
-    rs = r + np.eye(n)
-    R = rs ** (-A)
-    np.fill_diagonal(R, 0.0)
-    return dx, dy, r, R
-
-
-def _f_raw(pos: np.ndarray, m: np.ndarray, A: float) -> float:
-    n = m.size
-    p = pos.reshape(n, 2)
-    M = m.sum()
-    c = (m[:, None] * p).sum(axis=0) / M
-    I = (m * ((p - c) ** 2).sum(axis=1)).sum()
-    iu = np.triu_indices(n, 1)
-    d = p[iu[0]] - p[iu[1]]
-    r = np.hypot(d[:, 0], d[:, 1])
-    U = (m[iu[0]] * m[iu[1]] * r ** (2.0 - A)).sum()
-    return float(M * I / 2.0 + U / (A - 2.0))
-
-
-def _grad_raw(pos: np.ndarray, m: np.ndarray, A: float) -> np.ndarray:
-    n = m.size
-    dx, dy, r, R = _tables(pos, n, A)
-    S = R - 1.0
-    np.fill_diagonal(S, 0.0)
-    w = (m[:, None] * m[None, :]) * S
-    g = np.empty_like(pos)
-    g[0::2] = -(w * dx).sum(axis=1)
-    g[1::2] = -(w * dy).sum(axis=1)
-    return g
-
-
-def _max_la_raw(pos: np.ndarray, m: np.ndarray, A: float) -> float:
-    n = m.size
-    dx, dy, r, R = _tables(pos, n, A)
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            lam = dx[i, j] * dy[i] - dx[i] * dy[i, j]
-            worst = max(worst, abs(m[i] * m[j] * np.dot(m * (R[i] - R[j]), lam)))
-    norm = float(m.sum()) ** 2 * float(r.max()) ** 2
-    return worst / norm
+def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
+                 eta: float, fcur: float, slope: float) -> tuple[PlanarConfig, float] | None:
+    """Backtrack along -d from step eta; (config, f) of the first Armijo point, or None."""
+    for _ in range(MAX_BACKTRACKS):
+        try:
+            trial = cfg.with_positions(cfg.positions - eta * d)
+        except GeometryError:
+            pass  # the step brought two bodies together
+        else:
+            ftrial = f_value(trial, params)
+            if ftrial <= fcur - ARMIJO_C * eta * slope:
+                return trial, ftrial
+        eta *= SHRINK
+    return None
 
 
 def descend(config: PlanarConfig, params: PotentialParams, *,
             tol: float = 1e-10, max_iter: int = 50000,
-            basis_selector=None, step_rule=None,
             collinearity_tol: float = COLLINEAR_RTOL,
             record: bool = False) -> DescentReport:
-    """Projected gradient descent over a twist basis, at (nearly) fixed I.
+    """Projected gradient descent of f over a twist basis.
 
-    Each iteration re-selects an independent twist set V, forms the
-    descent direction d = sum (grad f . u_k) u_k over the unit twists u_k,
-    and takes an Armijo backtracking step along -d.  Terminates when the
-    scale-normalized Laura-Andoyer residual drops below `tol`.  A run of
-    rank-deficient twist spans is reported as a suspected collinear
-    collapse, not an error.
+    Each iteration re-selects an independent twist set, forms the descent
+    direction d = sum (grad f . u_k) u_k over the unit twists u_k, and
+    takes an Armijo backtracking step along -d.  Twists are tangent to the
+    level sets of I, so a step keeps I only to first order: there is no
+    retraction, and I drifts over long runs.
+
+    `converged` means the Laura-Andoyer residual, normalized as in
+    `cc_residual` and evaluated at the size U = M*I that
+    `rescale_to_cc_size` gives, is below `tol`.  Albouy-Chenciner
+    residuals are not checked.  A run of rank-deficient twist spans is
+    reported as a suspected collinear collapse, not an error.
     """
     params.require_f_domain()
-    A = params.A
-    m = config.masses.copy()
-    n = config.n
-    pos = config.positions.copy()
-    select = basis_selector or (lambda cfg: twist_span_basis(cfg, collinearity_tol))
+    M = float(config.masses.sum())
+    full_dim = 2 * config.n - 3
+
+    def residuals(cfg: PlanarConfig) -> tuple[float, float]:
+        # The normalized residual is amplified by MI/U under the final
+        # rescale to U = M*I, so converge on the post-rescale value.
+        resid = max_laura_andoyer(build_pair_table(cfg, params), cfg.masses)
+        ratio = M * moment_of_inertia(cfg) / potential_u(cfg, params)
+        return resid, resid * max(1.0, ratio)
 
     history = []
     collapse = False
     degenerate_run = 0
     iterations = 0
-    converged = False
-
-    def effective_residual(p: np.ndarray) -> float:
-        # The normalized residual is amplified by MI/U under the final
-        # rescale to U = M*I, so converge on the post-rescale value too.
-        resid = _max_la_raw(p, m, A)
-        cfg = PlanarConfig(p.copy(), m)
-        ratio = float(m.sum()) * moment_of_inertia(cfg) / potential_u(cfg, params)
-        return resid, resid * max(1.0, ratio)
-
+    cfg = config
+    fcur = f_value(cfg, params)
     for it in range(max_iter):
-        resid, resid_cc = effective_residual(pos)
-        fcur = _f_raw(pos, m, A)
+        resid, resid_cc = residuals(cfg)
         if record:
-            history.append((it, pos.copy(), fcur, resid))
+            history.append((it, cfg.positions, fcur, resid))
         if resid_cc < tol:
-            converged = True
             break
-        cfg = PlanarConfig(pos.copy(), m)
-        basis, dim = select(cfg)
-        if dim < 2 * n - 3:
+        basis, dim = twist_span_basis(cfg, collinearity_tol)
+        if dim < full_dim:
             degenerate_run += 1
             if degenerate_run >= COLLAPSE_RUN:
                 collapse = True
@@ -215,53 +168,26 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
         else:
             degenerate_run = 0
 
-        g = _grad_raw(pos, m, A)
-        d = np.zeros_like(pos)
+        g = cartesian_gradient_f(cfg, params)
+        d = np.zeros_like(g)
         for pair in basis:
-            i, j = pair
-            v = np.zeros_like(pos)
-            dxij = pos[2 * i] - pos[2 * j]
-            dyij = pos[2 * i + 1] - pos[2 * j + 1]
-            v[2 * i] = m[j] * dyij
-            v[2 * i + 1] = -m[j] * dxij
-            v[2 * j] = -m[i] * dyij
-            v[2 * j + 1] = m[i] * dxij
-            v /= np.linalg.norm(v)
-            d += (g @ v) * v
+            u = twist_vector(cfg, pair)
+            u /= np.linalg.norm(u)
+            d += (g @ u) * u
         slope = float(g @ d)
         dn = float(np.linalg.norm(d))
         if dn == 0.0 or slope <= 0.0:
             break
-        _, diam = _min_separation(pos, n)
-
-        if step_rule is not None:
-            eta = step_rule(it, pos, d, slope)
-            cand = pos - eta * d
-            accepted = True
-        else:
-            eta = ETA0_FRACTION * diam / dn
-            accepted = False
-            cand = pos
-            for _ in range(MAX_BACKTRACKS):
-                trial = pos - eta * d
-                rmin, dia = _min_separation(trial, n)
-                if rmin > COINCIDENT_RTOL * dia:
-                    if _f_raw(trial, m, A) <= fcur - ARMIJO_C * eta * slope:
-                        cand = trial
-                        accepted = True
-                        break
-                eta *= SHRINK
-            if not accepted:
-                break
-        pos = cand
+        step = _armijo_step(cfg, params, d, ETA0_FRACTION * cfg.diameter() / dn, fcur, slope)
+        if step is None:
+            break
+        cfg, fcur = step
         iterations = it + 1
 
-    final = PlanarConfig(pos.copy(), m)
-    resid = _max_la_raw(pos, m, A)
-    converged = converged or resid < tol
+    resid, resid_cc = residuals(cfg)
     # Laura-Andoyer residuals vanish identically on collinear configurations,
     # so a rank-deficient final span is a collapse even when "converged".
-    _, final_dim = select(final)
-    collapse = collapse or final_dim < 2 * n - 3
-    return DescentReport(final, iterations, resid, _f_raw(pos, m, A),
-                         converged, collapse, tuple(history))
+    _, final_dim = twist_span_basis(cfg, collinearity_tol)
+    collapse = collapse or final_dim < full_dim
+    return DescentReport(cfg, iterations, resid, fcur, resid_cc < tol,
+                         collapse, tuple(history))

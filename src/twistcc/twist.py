@@ -115,6 +115,19 @@ def laura_andoyer(table: PairTable, masses, pair) -> float:
     return float(m[i] * m[j] * np.dot(m * (table.R[i] - table.R[j]), lam))
 
 
+def _residual_norm(table: PairTable, masses: np.ndarray) -> float:
+    return float(masses.sum()) ** 2 * float(table.r.max()) ** 2
+
+
+def max_laura_andoyer(table: PairTable, masses) -> float:
+    """Largest |Laura-Andoyer residual| over all pairs, normalized by
+    (sum m)^2 * diameter^2 like `CCResidual.max_la`."""
+    m = np.asarray(masses, dtype=float)
+    worst = max((abs(laura_andoyer(table, m, pair))
+                 for pair in combinations(range(table.n), 2)), default=0.0)
+    return worst / _residual_norm(table, m)
+
+
 def albouy_chenciner_asym(table: PairTable, masses, i: int, j: int) -> float:
     """b_ij = sum_{k != i} m_k S_ik A_ijk; vanishes at central configurations."""
     if i == j:
@@ -142,16 +155,8 @@ def cc_residual(config: PlanarConfig, params: PotentialParams,
                 tol: float = 1e-10) -> CCResidual:
     table = build_pair_table(config, params)
     m = config.masses
-    norm = float(m.sum()) ** 2 * config.diameter() ** 2
-    max_la = 0.0
-    max_ac = 0.0
-    for i in range(config.n):
-        for j in range(config.n):
-            if i == j:
-                continue
-            if i < j:
-                max_la = max(max_la, abs(laura_andoyer(table, m, (i, j))))
-            max_ac = max(max_ac, abs(albouy_chenciner_asym(table, m, i, j)))
-    max_la /= norm
-    max_ac /= norm
+    max_la = max_laura_andoyer(table, m)
+    max_ac = max(abs(albouy_chenciner_asym(table, m, i, j))
+                 for i in range(config.n) for j in range(config.n) if i != j)
+    max_ac /= _residual_norm(table, m)
     return CCResidual(max_la, max_ac, bool(max_la < tol and max_ac < tol))

@@ -106,3 +106,20 @@ def test_descend_collinear_start_flags_collapse(newton):
     cfg = PlanarConfig.from_points([(-1.0, 0.0), (0.2, 0.0), (1.1, 0.0)], (1, 2, 3))
     report = descend(cfg, newton, tol=1e-30, max_iter=50)
     assert report.collinear_collapse
+
+
+def test_descend_converged_means_cc_at_rescaled_size(newton):
+    # the `twistcc descend --random 4 --seed 8` start: the descent stops on
+    # its line search with the residual below tol before the rescale but
+    # above it after, so it must not claim convergence
+    rng = np.random.default_rng(8)
+    while True:
+        pts = rng.uniform(-1, 1, (4, 2))
+        d = pts[:, None, :] - pts[None, :, :]
+        if np.hypot(d[..., 0], d[..., 1])[np.triu_indices(4, 1)].min() > 0.2:
+            break
+    report = descend(PlanarConfig.from_points(pts, np.ones(4)), newton, tol=1e-10)
+    assert report.max_la_residual < 1e-10
+    fixed = rescale_to_cc_size(report.config, newton)
+    assert cc_residual(fixed, newton, tol=1e-10).max_la > 1e-10
+    assert not report.converged

@@ -3,8 +3,8 @@
 All quantities are enclosed with outward-rounded interval arithmetic, so
 a decided certificate holds for *every* shape in the input box:
 
-  * the Dziobek scale is enclosed by interval bisection with verified
-    sign changes of the residual at the bracket endpoints;
+  * the Dziobek scale is enclosed by a bracket with verified sign
+    changes of the residual at its endpoints, narrowed at quarter points;
   * the 2x2 block H_s is enclosed through its explicit closed-form
     entries and its index decided from the signs of det and trace;
   * the 3x3 block H_a always carries the rotational zero eigenvalue, so
@@ -14,8 +14,10 @@ a decided certificate holds for *every* shape in the input box:
     perturbation, leaving two eigenvalue enclosures to sign-check
     (interval entries of the 2x2 compression, widened by rho).
 
-`None`-valued certificates mean Unknown; Unknown is always a sound
-answer and the expected one on boxes straddling a bifurcation.
+`certify_box` evaluates the scale enclosure and the interval kite
+quantities once per box and hands them to both blocks.  `None`-valued
+certificates mean Unknown; Unknown is always a sound answer and the
+expected one on boxes straddling a bifurcation.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 from .geometry import PotentialParams
 from .hessian import _norm_diag, _norm_disjoint, _norm_share
 from .intervals import Interval, IntervalDomainError, IntervalError, _up
-from .kite import (KiteError, KiteQuantities, KiteShape, build_kite,
-                   hs_explicit, kite_blocks, kite_scale, mass_ratio_terms)
+from .kite import (KiteError, KiteQuantities, KiteShape, build_kite, dziso_residual,
+                   hs_explicit, kite_blocks, kite_scale, mass_ratio_terms, side_powers)
 
 SQRT3_I = Interval(3.0).sqrt()
 
@@ -72,26 +74,18 @@ def box_admissible(z3: Interval, z4: Interval) -> str | None:
     return None
 
 
-def _dziso_interval(z3: Interval, z4: Interval, x2: Interval, A: float) -> Interval:
-    r12 = 2.0 * x2
-    r13 = x2 * (1.0 + z3.sq()).sqrt()
-    r14 = x2 * (1.0 + z4.sq()).sqrt()
-    r34 = x2 * (z3 - z4)
-    S12 = r12.pow_real(-A) - 1.0
-    S13 = r13.pow_real(-A) - 1.0
-    S14 = r14.pow_real(-A) - 1.0
-    S34 = r34.pow_real(-A) - 1.0
-    return S12 * S34 - S13 * S14
-
-
 def certify_kite_scale(z3: Interval, z4: Interval, params: PotentialParams,
                        *, max_bisect: int = 200) -> Interval | None:
     """Enclosure of the Dziobek scale valid for every shape in the box.
 
     Brackets the residual with verified constant signs at both endpoints,
-    then bisects while the midpoint sign stays decidable.  Returns None
-    when no verified bracket exists (e.g. a box straddling the symmetric
-    shape, where the residual is identically zero).
+    widening a relative bracket around the float scale at the box midpoint
+    until the signs differ.  Then it probes the bracket's quarter points
+    and moves an endpoint to each probe whose sign is decided, until the
+    bracket is 1e-14 relative wide or no probe decides.  The result is
+    intersected with the closed form x2 = (D/N)^(1/A).  Returns None when
+    no verified bracket exists (e.g. a box straddling the symmetric shape,
+    where the residual is identically zero).
     """
     params.require_f_domain()
     A = params.A
@@ -104,7 +98,7 @@ def certify_kite_scale(z3: Interval, z4: Interval, params: PotentialParams,
 
     def sign_at(x: float) -> int:
         try:
-            g = _dziso_interval(z3, z4, Interval(x), A)
+            g = dziso_residual(z3, z4, Interval(x), A)
         except (IntervalError, IntervalDomainError):
             return 0
         if g.is_positive():
@@ -160,14 +154,10 @@ def certify_kite_scale(z3: Interval, z4: Interval, params: PotentialParams,
     # x2 = (D/N)^(1/A); its direct interval evaluation is a second valid
     # enclosure, so intersecting can only tighten the bracket.
     try:
-        p2 = 2.0 ** -A
-        pd = (z3 - z4) ** -A
-        p3 = (1.0 + z3 * z3) ** (-A / 2.0)
-        p4 = (1.0 + z4 * z4) ** (-A / 2.0)
+        p2, pd, p3, p4 = side_powers(z3, z4, A)
         D = p2 * pd - p3 * p4
         N = p2 + pd - p3 - p4
-        closed = (D / N) ** (1.0 / A)
-        enclosure = enclosure.intersect(closed)
+        enclosure = enclosure.intersect((D / N) ** (1.0 / A))
     except (IntervalError, IntervalDomainError):
         pass
     return enclosure
@@ -181,32 +171,16 @@ def interval_kite_quantities(z3: Interval, z4: Interval, x2: Interval,
     exactly), which keeps their enclosures free of the scale enclosure's
     width.
     """
-    A = params.A
-    y3, y4 = z3 * x2, z4 * x2
-    r12 = 2.0 * x2
-    r13 = x2 * (1.0 + z3.sq()).sqrt()
-    r14 = x2 * (1.0 + z4.sq()).sqrt()
-    r34 = x2 * (z3 - z4)
-    R12, R13 = r12.pow_real(-A), r13.pow_real(-A)
-    R14, R34 = r14.pow_real(-A), r34.pow_real(-A)
-    mu31, mu41 = mass_ratio_terms(z3, z4, A)
+    mu31, mu41 = mass_ratio_terms(z3, z4, params.A)
     if not (mu31.is_positive() and mu41.is_positive()):
         raise IntervalDomainError("mass-ratio enclosures not strictly positive")
-    return KiteQuantities(A, x2, y3, y4, r12, r13, r14, r34,
-                          R12, R13, R14, R34,
-                          R12 - 1.0, R13 - 1.0, R14 - 1.0, R34 - 1.0, mu31, mu41)
+    return KiteQuantities.at(z3, z4, x2, mu31, mu41, params.A)
 
 
-def certify_hs_index(z3: Interval, z4: Interval,
-                     params: PotentialParams) -> CertifiedIndex:
-    """Index of H_s over the box, decided by the signs of det and trace."""
-    if box_admissible(z3, z4) is None:
-        return CertifiedIndex(None, "box not verified inside one admissible class")
-    x2 = certify_kite_scale(z3, z4, params)
-    if x2 is None:
-        return CertifiedIndex(None, "no verified scale enclosure")
+def certify_hs_index(q: KiteQuantities) -> CertifiedIndex:
+    """Index of H_s over a box with interval quantities q, decided by the
+    signs of det and trace."""
     try:
-        q = interval_kite_quantities(z3, z4, x2, params)
         h11, h22, h12 = hs_explicit(q)
     except (IntervalError, IntervalDomainError) as exc:
         return CertifiedIndex(None, f"interval evaluation failed: {exc}")
@@ -284,16 +258,11 @@ def _interval_matmul(A_, B_):
              for j in range(n)] for i in range(n)]
 
 
-def certify_ha_index(z3: Interval, z4: Interval,
+def certify_ha_index(q: KiteQuantities, z3: Interval, z4: Interval,
                      params: PotentialParams) -> CertifiedIndex:
-    """Deflated index of H_a over the box (rotational zero excluded)."""
-    if box_admissible(z3, z4) is None:
-        return CertifiedIndex(None, "box not verified inside one admissible class")
-    x2 = certify_kite_scale(z3, z4, params)
-    if x2 is None:
-        return CertifiedIndex(None, "no verified scale enclosure")
+    """Deflated index of H_a (rotational zero excluded) over the box
+    z3 x z4 with interval quantities q."""
     try:
-        q = interval_kite_quantities(z3, z4, x2, params)
         H = interval_ha_matrix(q)
     except (IntervalError, IntervalDomainError) as exc:
         return CertifiedIndex(None, f"interval evaluation failed: {exc}")
@@ -345,6 +314,22 @@ def certify_ha_index(z3: Interval, z4: Interval,
 
 
 def certify_box(z3: Interval, z4: Interval, params: PotentialParams) -> BoxCertificate:
-    return BoxCertificate(z3, z4,
-                          certify_hs_index(z3, z4, params),
-                          certify_ha_index(z3, z4, params))
+    """Certified H_s and H_a indices over the box z3 x z4.
+
+    Admissibility, the scale enclosure and the interval quantities are
+    evaluated once and shared by both blocks.
+    """
+    def unknown(reason: str) -> BoxCertificate:
+        cert = CertifiedIndex(None, reason)
+        return BoxCertificate(z3, z4, cert, cert)
+
+    if box_admissible(z3, z4) is None:
+        return unknown("box not verified inside one admissible class")
+    x2 = certify_kite_scale(z3, z4, params)
+    if x2 is None:
+        return unknown("no verified scale enclosure")
+    try:
+        q = interval_kite_quantities(z3, z4, x2, params)
+    except (IntervalError, IntervalDomainError) as exc:
+        return unknown(f"interval evaluation failed: {exc}")
+    return BoxCertificate(z3, z4, certify_hs_index(q), certify_ha_index(q, z3, z4, params))

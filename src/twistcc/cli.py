@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -110,7 +111,7 @@ def _parse_range(text: str):
     try:
         lo, hi, count = text.split(":")
         lo, hi, count = float(lo), float(hi), int(count)
-        if not (hi > lo and count > 0):
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo and count > 0):
             raise ValueError
         return lo, hi, count
     except ValueError:
@@ -120,6 +121,8 @@ def _parse_range(text: str):
 def _parse_interval(text: str) -> Interval:
     try:
         a, b = (float(v) for v in text.split(","))
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError
         return Interval(min(a, b), max(a, b))
     except Exception:
         raise SystemExitError(f"bad interval {text!r}, expected a,b")
@@ -174,9 +177,11 @@ def cmd_descend(args) -> int:
     if args.config:
         config, params = _load(args.config)
         inputs = [args.config]
-    elif args.random:
-        rng = np.random.default_rng(args.seed)
+    elif args.random is not None:
         n = args.random
+        if n < 2:
+            raise SystemExitError(f"descend --random needs N >= 2, got {n}")
+        rng = np.random.default_rng(args.seed)
         while True:
             pts = rng.uniform(-1, 1, (n, 2))
             d = pts[:, None, :] - pts[None, :, :]
@@ -275,8 +280,9 @@ def cmd_certify(args) -> int:
     params = PotentialParams(args.A)
     z3 = _parse_interval(args.z3)
     z4 = _parse_interval(args.z4)
-    k = max(0, args.subdivide)
-    parts = 2 ** k
+    if args.subdivide < 0:
+        raise SystemExitError(f"certify --subdivide needs k >= 0, got {args.subdivide}")
+    parts = 2 ** args.subdivide
     rows = []
     decided = 0
     total = 0
@@ -315,7 +321,6 @@ def cmd_lagrange(args) -> int:
     if len(masses) != 3 or min(masses) <= 0:
         raise SystemExitError("--masses needs three positive values m1,m2,m3")
     params = PotentialParams(args.A)
-    import math
     pts = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)]
     config = PlanarConfig.from_points(pts, masses)
     tm = assemble_twist_hessian(config, params, [(0, 1), (0, 2), (1, 2)],

@@ -6,6 +6,12 @@ done with math.nextafter: one ulp for correctly rounded primitives
 (+, -, *, /, sqrt), two ulps for libm-backed powers, which are only
 faithfully rounded.  No hardware rounding-mode control is needed, so the
 arithmetic is portable and thread-safe.
+
+`x ** p` follows the type of the exponent: an int p multiplies
+repeatedly (any interval; a negative p divides into 1), a float p is
+`x.pow_real(p)` (strictly positive intervals only, even when p is
+integral, e.g. `x ** -3.0`).  Scalar-generic formulas can thus write
+`r ** -A` for floats and intervals alike.
 """
 
 from __future__ import annotations
@@ -138,7 +144,7 @@ class Interval:
         return Interval(_down(lo * lo), _up(hi * hi))
 
     def __pow__(self, n) -> "Interval":
-        if isinstance(n, float) and not n.is_integer():
+        if isinstance(n, float):
             return self.pow_real(n)
         n = int(n)
         if n == 0:

@@ -72,11 +72,23 @@ def circumcenter_z4(z3: float) -> float:
     return 0.5 * z3 - 0.5 / z3
 
 
-def _side_powers(shape: KiteShape, A: float):
-    d = shape.z3 - shape.z4
-    a3 = math.hypot(1.0, shape.z3)
-    a4 = math.hypot(1.0, shape.z4)
-    return 2.0 ** -A, d ** -A, a3 ** -A, a4 ** -A
+def side_powers(z3, z4, A: float):
+    """(2^-A, d^-A, (1+z3^2)^(-A/2), (1+z4^2)^(-A/2)) with d = z3 - z4.
+
+    These are the side lengths r12, r34, r13, r14 over x2, raised to -A.
+    Generic over the scalar type (floats or intervals).
+    """
+    return (2.0 ** -A, (z3 - z4) ** -A,
+            (1.0 + z3 * z3) ** (-A / 2.0), (1.0 + z4 * z4) ** (-A / 2.0))
+
+
+def kite_distances(z3, z4, x2):
+    """(r12, r13, r14, r34) of the kite with shape (z3, z4) at scale x2.
+
+    Generic over the scalar type (floats or intervals).
+    """
+    return (2.0 * x2, x2 * (1.0 + z3 * z3) ** 0.5, x2 * (1.0 + z4 * z4) ** 0.5,
+            x2 * (z3 - z4))
 
 
 def kite_scale(shape: KiteShape, params: PotentialParams) -> float:
@@ -89,7 +101,7 @@ def kite_scale(shape: KiteShape, params: PotentialParams) -> float:
     root exists.
     """
     params.require_f_domain()
-    p2, pd, p3, p4 = _side_powers(shape, params.A)
+    p2, pd, p3, p4 = side_powers(shape.z3, shape.z4, params.A)
     D = p2 * pd - p3 * p4
     N = p2 + pd - p3 - p4
     if abs(D) <= 1e-13 * (p2 * pd + p3 * p4) and abs(N) <= 1e-13 * (p2 + pd + p3 + p4):
@@ -101,17 +113,12 @@ def kite_scale(shape: KiteShape, params: PotentialParams) -> float:
     return (N / D) ** (-1.0 / params.A)
 
 
-def dziso_residual(shape: KiteShape, x2: float, params: PotentialParams) -> float:
-    """S12*S34 - S13*S14 at the given scale; zero at the Dziobek scale."""
-    A = params.A
-    r12 = 2.0 * x2
-    r13 = x2 * math.hypot(1.0, shape.z3)
-    r14 = x2 * math.hypot(1.0, shape.z4)
-    r34 = x2 * (shape.z3 - shape.z4)
-    S12 = r12 ** -A - 1.0
-    S13 = r13 ** -A - 1.0
-    S14 = r14 ** -A - 1.0
-    S34 = r34 ** -A - 1.0
+def dziso_residual(z3, z4, x2, A: float):
+    """S12*S34 - S13*S14 at scale x2; zero at the Dziobek scale.
+
+    Generic over the scalar type (floats or intervals).
+    """
+    S12, S13, S14, S34 = (r ** -A - 1.0 for r in kite_distances(z3, z4, x2))
     return S12 * S34 - S13 * S14
 
 
@@ -165,33 +172,24 @@ def mass_ratio_terms(z3, z4, A: float):
     Generic over the scalar type (floats or intervals).
     """
     d = z3 - z4
-    p2 = 2.0 ** -A
-    p3 = (1.0 + z3 * z3) ** (-A / 2.0)
-    p4 = (1.0 + z4 * z4) ** (-A / 2.0)
-    pd = d ** -A
+    p2, pd, p3, p4 = side_powers(z3, z4, A)
     mu31 = (2.0 * z4 / d) * (p4 - p2) / (pd - p3)
     mu41 = (2.0 * z3 / d) * (p3 - p2) / (p4 - pd)
     return mu31, mu41
 
 
-def kite_masses(shape: KiteShape, x2: float, params: PotentialParams) -> tuple[float, float]:
+def kite_masses(shape: KiteShape, params: PotentialParams) -> tuple[float, float]:
     """(mu31, mu41) solving the first-order conditions along v13 and v14.
 
-    The ratios are scale-free: x2 cancels algebraically, so the scale
-    argument only documents which configuration the caller is building.
+    The ratios are scale-free: x2 cancels algebraically.
     """
-    A = params.A
-    d = shape.z3 - shape.z4
-    p2 = 2.0 ** -A
-    pd = d ** -A
-    p3 = (1.0 + shape.z3 ** 2) ** (-A / 2.0)
-    p4 = (1.0 + shape.z4 ** 2) ** (-A / 2.0)
+    _, pd, p3, p4 = side_powers(shape.z3, shape.z4, params.A)
     if abs(pd - p3) <= 1e-13 * (pd + p3):
         raise MassBoundaryError(f"mu31 denominator vanishes at ({shape.z3}, {shape.z4})")
     if abs(p4 - pd) <= 1e-13 * (p4 + pd):
         raise MassBoundaryError(
             f"mu41 denominator vanishes at ({shape.z3}, {shape.z4}) (circumcenter curve)")
-    return mass_ratio_terms(shape.z3, shape.z4, A)
+    return mass_ratio_terms(shape.z3, shape.z4, params.A)
 
 
 def classify_shape(shape: KiteShape, params: PotentialParams,
@@ -227,7 +225,7 @@ class KiteConfig:
 
 def build_kite(shape: KiteShape, params: PotentialParams) -> KiteConfig:
     x2 = kite_scale(shape, params)
-    mu31, mu41 = kite_masses(shape, x2, params)
+    mu31, mu41 = kite_masses(shape, params)
     if mu31 <= 0.0 or mu41 <= 0.0:
         raise MassBoundaryError(
             f"nonpositive mass ratios ({mu31:.4g}, {mu41:.4g}) at "
@@ -279,8 +277,8 @@ def kite_blocks(kite: KiteConfig, params: PotentialParams,
 class KiteQuantities:
     """Scalar bundle for the explicit H_s entry formulas.
 
-    Fields may be floats or intervals; the formulas below only use field
-    arithmetic, so the same code serves both evaluations.
+    Fields may be floats or intervals; `at` and the formulas below only use
+    field arithmetic and powers, so the same code serves both evaluations.
     """
 
     A: float
@@ -303,20 +301,17 @@ class KiteQuantities:
     mu41: object
 
     @classmethod
-    def from_kite(cls, kite: KiteConfig, params: PotentialParams) -> "KiteQuantities":
-        A = params.A
-        x2 = kite.x2
-        z3, z4 = kite.shape.z3, kite.shape.z4
-        y3, y4 = z3 * x2, z4 * x2
-        r12 = 2.0 * x2
-        r13 = x2 * math.hypot(1.0, z3)
-        r14 = x2 * math.hypot(1.0, z4)
-        r34 = y3 - y4
+    def at(cls, z3, z4, x2, mu31, mu41, A: float) -> "KiteQuantities":
+        """Quantities of the kite with shape (z3, z4), scale x2 and mass ratios."""
+        r12, r13, r14, r34 = kite_distances(z3, z4, x2)
         R12, R13, R14, R34 = r12 ** -A, r13 ** -A, r14 ** -A, r34 ** -A
-        return cls(A, x2, y3, y4, r12, r13, r14, r34,
+        return cls(A, x2, z3 * x2, z4 * x2, r12, r13, r14, r34,
                    R12, R13, R14, R34,
-                   R12 - 1.0, R13 - 1.0, R14 - 1.0, R34 - 1.0,
-                   kite.mu31, kite.mu41)
+                   R12 - 1.0, R13 - 1.0, R14 - 1.0, R34 - 1.0, mu31, mu41)
+
+    @classmethod
+    def from_kite(cls, kite: KiteConfig, params: PotentialParams) -> "KiteQuantities":
+        return cls.at(kite.shape.z3, kite.shape.z4, kite.x2, kite.mu31, kite.mu41, params.A)
 
 
 def hs_explicit(q: KiteQuantities):

@@ -60,12 +60,12 @@ def bisect_dziso(shape, params: PotentialParams, lo: float = 1e-4,
                  hi: float = 1.0, max_expand: int = 60) -> float:
     """Blind bisection root of S12*S34 - S13*S14 in x2."""
     from twistcc.kite import dziso_residual
-    glo = dziso_residual(shape, lo, params)
-    ghi = dziso_residual(shape, hi, params)
+    glo = dziso_residual(shape.z3, shape.z4, lo, params.A)
+    ghi = dziso_residual(shape.z3, shape.z4, hi, params.A)
     n_exp = 0
     while glo * ghi > 0 and n_exp < max_expand:
         hi *= 2.0
-        ghi = dziso_residual(shape, hi, params)
+        ghi = dziso_residual(shape.z3, shape.z4, hi, params.A)
         n_exp += 1
     if glo * ghi > 0:
         raise ValueError(f"no bracket for shape {shape}")
@@ -73,7 +73,7 @@ def bisect_dziso(shape, params: PotentialParams, lo: float = 1e-4,
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        gm = dziso_residual(shape, mid, params)
+        gm = dziso_residual(shape.z3, shape.z4, mid, params.A)
         if gm == 0.0:
             return mid
         if (gm > 0) == (glo > 0):

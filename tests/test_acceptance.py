@@ -12,7 +12,7 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from twistcc.certify import certify_hs_index, certify_kite_scale
+from twistcc.certify import certify_box, certify_kite_scale
 from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
                               cartesian_gradient_f, euler_residual,
                               moment_of_inertia)
@@ -319,7 +319,7 @@ def test_criterion_10_certification(rng, newton):
         checked = 0
         matched = 0
         for shape in sample_admissible_shapes(rng, 110):
-            cert = certify_hs_index(Interval(shape.z3), Interval(shape.z4), newton)
+            cert = certify_box(Interval(shape.z3), Interval(shape.z4), newton).hs
             if not cert.known:
                 continue
             blocks = kite_blocks(build_kite(shape, newton), newton)
@@ -344,6 +344,6 @@ def test_criterion_10_certification(rng, newton):
                 break
             prev = (z4v, idx)
         assert crossing is not None
-        cert = certify_hs_index(Interval(z3v - 1e-4, z3v + 1e-4),
-                                Interval(*crossing), newton)
+        cert = certify_box(Interval(z3v - 1e-4, z3v + 1e-4),
+                           Interval(*crossing), newton).hs
         assert not cert.known

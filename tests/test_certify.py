@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from twistcc.certify import (box_admissible, certify_box, certify_ha_index,
-                             certify_hs_index, certify_kite_scale,
+from twistcc.certify import (box_admissible, certify_box, certify_kite_scale,
                              interval_kite_quantities)
 from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
 from twistcc.intervals import Interval
 from twistcc.kite import (KiteQuantities, KiteShape, build_kite, circumcenter_z4,
-                          hs_explicit, kite_blocks, kite_scale)
+                          dziso_residual, hs_explicit, kite_blocks, kite_scale,
+                          side_powers)
 
 from oracles import bisect_dziso
 
@@ -93,6 +93,15 @@ def test_interval_quantities_contain_floats(newton):
     h11, h22, h12 = hs_explicit(qi)
     f11, f22, f12 = hs_explicit(qf)
     assert h11.contains(f11) and h22.contains(f22) and h12.contains(f12)
+    # the shared shape algebra on a point box encloses its float values
+    pz3, pz4, px2 = Interval(shape.z3), Interval(shape.z4), Interval(kite.x2)
+    p2, *powers = side_powers(pz3, pz4, newton.A)
+    f2, *fpowers = side_powers(shape.z3, shape.z4, newton.A)
+    assert p2 == f2
+    powers.append(dziso_residual(pz3, pz4, px2, newton.A))
+    fpowers.append(dziso_residual(shape.z3, shape.z4, kite.x2, newton.A))
+    for iv, fl in zip(powers, fpowers):
+        assert iv.contains(fl), (iv, fl)
 
 
 # --- H_s certification -------------------------------------------------------------
@@ -103,7 +112,7 @@ def test_hs_certificates_match_float(rng, newton):
     checked = 0
     for shape in sample_admissible_shapes(rng, 30):
         z3, z4 = point_box(shape.z3, shape.z4, 1e-12)
-        cert = certify_hs_index(z3, z4, newton)
+        cert = certify_box(z3, z4, newton).hs
         if not cert.known:
             continue  # legitimately near a bifurcation
         idx_hs, _ = float_indices(shape, newton)
@@ -115,7 +124,7 @@ def test_hs_certificates_match_float(rng, newton):
 def test_certified_box_containment_spot_check(rng, newton):
     # a decided box is never contradicted by float evaluation at member shapes
     z3, z4 = point_box(2.0, 0.8, 1e-4)
-    cert = certify_hs_index(z3, z4, newton)
+    cert = certify_box(z3, z4, newton).hs
     assert cert.known
     for _ in range(1000):
         shape = KiteShape(rng.uniform(z3.lo, z3.hi), rng.uniform(z4.lo, z4.hi))
@@ -125,14 +134,14 @@ def test_certified_box_containment_spot_check(rng, newton):
 
 def test_certified_signs_in_known_regions(newton):
     # interior of the index-0 region: both deflated H_a eigenvalues positive
-    assert certify_ha_index(*point_box(1.78, 0.70, 1e-6), newton).value == 0
-    assert certify_hs_index(*point_box(1.78, 0.70, 1e-6), newton).value == 0
+    assert certify_box(*point_box(1.78, 0.70, 1e-6), newton).ha.value == 0
+    assert certify_box(*point_box(1.78, 0.70, 1e-6), newton).hs.value == 0
     # one negative eigenvalue from H_a while H_s stays positive definite
-    assert certify_ha_index(*point_box(2.0, 0.8, 1e-6), newton).value == 1
-    assert certify_hs_index(*point_box(2.0, 0.8, 1e-6), newton).value == 0
+    assert certify_box(*point_box(2.0, 0.8, 1e-6), newton).ha.value == 1
+    assert certify_box(*point_box(2.0, 0.8, 1e-6), newton).hs.value == 0
     # index-2 interior: one negative from each block
-    assert certify_ha_index(*point_box(1.92975, 0.71275, 1e-6), newton).value == 1
-    assert certify_hs_index(*point_box(1.92975, 0.71275, 1e-6), newton).value == 1
+    assert certify_box(*point_box(1.92975, 0.71275, 1e-6), newton).ha.value == 1
+    assert certify_box(*point_box(1.92975, 0.71275, 1e-6), newton).hs.value == 1
 
 
 def test_hs_unknown_across_boundary(newton):
@@ -151,7 +160,7 @@ def test_hs_unknown_across_boundary(newton):
         prev = (z4v, idx_hs)
     assert crossing is not None
     z3, z4 = Interval(z3v - 1e-4, z3v + 1e-4), Interval(*crossing)
-    cert = certify_hs_index(z3, z4, newton)
+    cert = certify_box(z3, z4, newton).hs
     assert not cert.known
 
 
@@ -162,7 +171,7 @@ def test_ha_certificates_match_float(rng, newton):
     checked = 0
     for shape in sample_admissible_shapes(rng, 20):
         z3, z4 = point_box(shape.z3, shape.z4, 1e-9)
-        cert = certify_ha_index(z3, z4, newton)
+        cert = certify_box(z3, z4, newton).ha
         if not cert.known:
             continue
         _, idx_ha = float_indices(shape, newton)
@@ -174,7 +183,7 @@ def test_ha_certificates_match_float(rng, newton):
 def test_ha_unknown_near_symmetric_point(newton):
     z3 = Interval(SQRT3 - 1e-2, SQRT3 + 1e-2)
     z4 = Interval(1 / SQRT3 - 1e-2, 1 / SQRT3 + 1e-2)
-    cert = certify_ha_index(z3, z4, newton)
+    cert = certify_box(z3, z4, newton).ha
     assert not cert.known
 
 
@@ -184,6 +193,21 @@ def test_certify_box_total(newton):
     assert box.hs.known and box.ha.known
     idx_hs, idx_ha = float_indices(KiteShape(2.0, 0.8), newton)
     assert box.total == idx_hs + idx_ha
+
+
+def test_certify_box_one_scale_enclosure(monkeypatch, newton):
+    # H_s and H_a share one scale enclosure; inadmissible boxes need none
+    import twistcc.certify as certify
+    calls = []
+    scale = certify.certify_kite_scale
+    monkeypatch.setattr(certify, "certify_kite_scale",
+                        lambda *a, **kw: calls.append(a) or scale(*a, **kw))
+    box = certify_box(*point_box(2.0, 0.8, 1e-6), newton)
+    assert box.hs.known and box.ha.known
+    assert len(calls) == 1
+    box = certify_box(*point_box(2.0, 0.75, 1e-3), newton)
+    assert not box.hs.known and not box.ha.known
+    assert len(calls) == 1
 
 
 def test_split_consistency(rng, newton):

@@ -78,6 +78,12 @@ def test_descend_random_seeded(tmp_path):
     assert main(["descend"]) == 2  # neither config nor --random
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-2"])
+def test_descend_random_needs_two_bodies(n, capsys):
+    assert main(["descend", "--random", n]) == 2
+    assert "N >= 2" in capsys.readouterr().err
+
+
 def test_flow_cli(square_file, tmp_path):
     traj = tmp_path / "flow.csv"
     assert main(["flow", square_file, "--pairs", "1-2:1.0,1-3:1.0,1-4:1.0",
@@ -132,6 +138,20 @@ def test_certify_cli(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "z3_lo,z3_hi,z4_lo,z4_hi,idx_Hs,cert_Hs,idx_Ha,cert_Ha,idx_total"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--z3", "1.99,2.01", "--z4", "0.79,0.81", "--subdivide", "-3"],
+     "--subdivide"),
+    (["certify", "--z3", "1.99,inf", "--z4", "0.79,0.81"], "bad interval"),
+    (["kite-map", "--z3", "1:inf:3", "--z4", "0.1:0.2:2"], "bad range"),
+    (["kite-map", "--z3", "1:2:3", "--z4=-inf:0.2:2"], "bad range"),
+])
+def test_certify_kite_map_reject_bad_windows(argv, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--csv", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lagrange_cli(tmp_path, capsys):

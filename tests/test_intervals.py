@@ -61,6 +61,19 @@ def test_pow_domain():
     assert p.contains(2.0)
 
 
+def test_pow_exponent_type():
+    # a float exponent is a real power, even when integral
+    with pytest.raises(IntervalDomainError):
+        Interval(-2, -1) ** -3.0
+    x = Interval(1.5, 2.5)
+    p, q = x ** 3.0, x.pow_real(3.0)
+    assert (p.lo, p.hi) == (q.lo, q.hi)
+    # an int exponent multiplies, so negative intervals are fine
+    c = Interval(-2, -1) ** -3
+    assert c.contains(-1.0) and c.contains(-0.125) and c.is_negative()
+    assert (Interval(-2, -1) ** 2).contains(4.0)
+
+
 def test_sqrt():
     with pytest.raises(IntervalDomainError):
         Interval(-2, -1).sqrt()

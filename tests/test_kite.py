@@ -120,8 +120,7 @@ def test_mass_blowup_near_circumcenter(newton):
     far = build_kite(KiteShape(z3, yc + 0.05), newton)
     assert near.mu41 > 100 * far.mu41
     with pytest.raises(MassBoundaryError):
-        x2 = kite_scale(KiteShape(z3, yc), newton)
-        kite_masses(KiteShape(z3, yc), x2, newton)
+        kite_masses(KiteShape(z3, yc), newton)
 
 
 # --- classification -----------------------------------------------------------

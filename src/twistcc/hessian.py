@@ -10,9 +10,10 @@ kept *signed* so that this holds for every orientation.
 
 The entry evaluators are generic over the scalar type: they only use
 +, -, *, /, ** on values pulled from a table object exposing r, R, S, T
-indexed by [i, j] plus lam(i,j,k) and dot(i,j,k,l).  The same code paths
-therefore serve both the float PairTable and the interval tables used for
-rigorous certification.
+indexed by [i, j] plus lam(i,j,k) and dot(i,j,k,l).  They serve interval
+certification, the float entry functions and the tests; float matrices
+over twist directions are V^T H V instead, H the Cartesian Hessian and V
+the twist vectors as columns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PairTable, PlanarConfig, PotentialParams, build_pair_table
-from .twist import TwistPair, canon_pair
+from .twist import TwistPair, canon_pair, normalized_twist, twist_vector
 
 __all__ = [
     "cartesian_hessian", "twist_hessian_diag", "twist_hessian_share",
@@ -235,32 +236,19 @@ def _as_direction(d) -> TwistDirection:
 
 def assemble_twist_hessian(config: PlanarConfig, params: PotentialParams,
                            directions, normalized: bool = False) -> TwistMatrix:
-    """Bilinear expansion of the Hessian over (combinations of) twist pairs."""
+    """V^T H V, H the Cartesian Hessian and the columns of V the (raw or
+    normalized) twist vectors combined as in `directions`; made exactly
+    symmetric.  Equals the closed-form entries' expansion up to rounding."""
     params.require_f_domain()
     dirs = tuple(_as_direction(d) for d in directions)
-    table = build_pair_table(config, params)
-    m = config.masses
-    A = params.A
-    cache: dict[tuple[TwistPair, TwistPair], float] = {}
-
-    def entry(p: TwistPair, q: TwistPair) -> float:
-        key = (p, q) if p <= q else (q, p)
-        if key not in cache:
-            cache[key] = float(generic_entry(table, m, A, key[0], key[1], normalized))
-        return cache[key]
-
-    size = len(dirs)
-    M = np.zeros((size, size))
-    for a in range(size):
-        for b in range(a, size):
-            acc = 0.0
-            for ca, pa in dirs[a].terms:
-                pa = canon_pair(config.n, pa)
-                for cb, pb in dirs[b].terms:
-                    pb = canon_pair(config.n, pb)
-                    acc += ca * cb * entry(pa, pb)
-            M[a, b] = M[b, a] = acc
-    return TwistMatrix(M, dirs, normalized)
+    table = build_pair_table(config, params) if normalized else None
+    V = np.zeros((2 * config.n, len(dirs)))
+    for a, d in enumerate(dirs):
+        for c, p in d.terms:
+            V[:, a] += c * (normalized_twist(config, table, p) if normalized
+                            else twist_vector(config, p))
+    M = V.T @ cartesian_hessian(config, params) @ V
+    return TwistMatrix(0.5 * (M + M.T), dirs, normalized)
 
 
 def lagrange_char_poly_coeffs(masses) -> tuple[float, float, float]:

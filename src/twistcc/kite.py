@@ -53,6 +53,10 @@ class SymmetryLeakError(KiteError):
     """Cross-block Hessian entries exceed tolerance; kite symmetry broken."""
 
 
+class NonFiniteHessianError(KiteError):
+    """The assembled kite Hessian has non-finite entries (overflow at large A)."""
+
+
 class InapplicableShapeError(KiteError):
     """A shape-specific identity does not apply (vanishing denominator)."""
 
@@ -260,8 +264,11 @@ class KiteBlocks:
 def kite_blocks(kite: KiteConfig, params: PotentialParams,
                 leak_tol: float = BLOCK_LEAK_RTOL) -> KiteBlocks:
     """Assemble the 5x5 normalized twist Hessian and split it into blocks."""
-    tm = assemble_twist_hessian(kite.config, params, KITE_BASIS, normalized=True)
-    M = tm.matrix
+    with np.errstate(all="ignore"):  # overflow is reported just below
+        M = assemble_twist_hessian(kite.config, params, KITE_BASIS, normalized=True).matrix
+    if not np.isfinite(M).all():
+        raise NonFiniteHessianError(
+            f"twist Hessian not finite at shape ({kite.shape.z3}, {kite.shape.z4})")
     h_a = M[:3, :3].copy()
     h_s = M[3:, 3:].copy()
     cross = float(np.abs(M[:3, 3:]).max())

@@ -37,10 +37,12 @@ class FlowSpec:
     steps: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not np.isfinite([c for c, _ in self.terms]).all():
+            raise ValueError("flow coefficients must be finite")
         if not any(c != 0.0 for c, _ in self.terms):
             raise ValueError("flow needs at least one nonzero coefficient")
 

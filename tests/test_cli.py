@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -152,6 +153,44 @@ def test_certify_kite_map_reject_bad_windows(argv, message, tmp_path, capsys):
     assert main(argv + ["--csv", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_kite_map_overflow_cells_are_errors(tmp_path):
+    # at A = 700 the mass ratios of some wide kites reach 1e-160, and the
+    # normalized Hessian overflows; those cells are errors, not a crash
+    out = tmp_path / "map.csv"
+    assert main(["kite-map", "--z3", "1.0:2.2:40", "--z4", "0.01:0.87:40", "--A", "700",
+                 "--csv", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    bad = [r for r in rows if r["error"].startswith("NonFiniteHessianError")]
+    assert bad and all(r["idx_total"] == "" for r in bad)
+
+
+def test_certify_overflow_midpoint_is_unknown(tmp_path):
+    out = tmp_path / "cert.csv"
+    assert main(["certify", "--z3", "1.04,1.06", "--z4", "0.01,0.03", "--A", "1000",
+                 "--subdivide", "1", "--csv", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for r in rows:
+        assert r["idx_Ha"] == "Unknown"
+        assert r["cert_Ha"].startswith("midpoint evaluation failed")
+
+
+@pytest.mark.parametrize("dt, pairs", [
+    ("nan", "1-2:1.0"),
+    ("inf", "1-2:1.0"),
+    ("1e-3", "1-2:nan"),
+    ("1e-3", "1-2:1.0,1-3:inf"),
+])
+def test_flow_rejects_non_finite(dt, pairs, square_file, tmp_path, capsys):
+    traj = tmp_path / "flow.csv"
+    assert main(["flow", square_file, "--pairs", pairs, "--dt", dt, "--steps", "10",
+                 "--traj", str(traj)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not traj.exists()
 
 
 def test_lagrange_cli(tmp_path, capsys):

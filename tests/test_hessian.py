@@ -171,17 +171,27 @@ def test_lagrange_diag_value(newton):
 
 def test_assemble_with_combined_directions(rng, newton):
     cfg = random_config(rng, 4)
+    t = build_pair_table(cfg, newton)
+    H = cartesian_hessian(cfg, newton)
     s = 1 / math.sqrt(2)
     dirs = [
         TwistDirection("d1", ((s, (0, 1)), (s, (2, 3)))),
         TwistDirection("d2", ((1.0, (0, 2)), (-0.5, (1, 3)))),
+        TwistDirection("d3", ((1.0, (2, 1)), (0.3, (0, 3)), (-2.0, (0, 1)))),
     ]
-    tm = assemble_twist_hessian(cfg, newton, dirs, normalized=False)
-    H = cartesian_hessian(cfg, newton)
-    v1 = s * (twist_vector(cfg, (0, 1)) + twist_vector(cfg, (2, 3)))
-    v2 = twist_vector(cfg, (0, 2)) - 0.5 * twist_vector(cfg, (1, 3))
-    want = np.array([[v1 @ H @ v1, v1 @ H @ v2], [v2 @ H @ v1, v2 @ H @ v2]])
-    assert np.abs(tm.matrix - want).max() <= 1e-10 * np.abs(want).max()
+    for normalized in (False, True):
+        tm = assemble_twist_hessian(cfg, newton, dirs, normalized=normalized)
+        assert np.array_equal(tm.matrix, tm.matrix.T)
+        V = [sum(c * (normalized_twist(cfg, t, p) if normalized else twist_vector(cfg, p))
+                 for c, p in d.terms) for d in dirs]
+        sandwiched = np.array([[va @ H @ vb for vb in V] for va in V])
+        # independent reference: bilinear expansion of the closed-form entries
+        closed = np.array([[sum(ca * cb * twist_hessian_entry(t, cfg.masses, newton, pa, pb,
+                                                              normalized)
+                                for ca, pa in da.terms for cb, pb in db.terms)
+                            for db in dirs] for da in dirs])
+        for want in (sandwiched, closed):
+            assert np.abs(tm.matrix - want).max() <= 1e-10 * np.abs(want).max(), normalized
 
 
 # --- characteristic polynomial and index counting ---------------------------------

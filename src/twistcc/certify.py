@@ -12,7 +12,9 @@ a decided certificate holds for *every* shape in the input box:
     orthogonal Householder reflector built from a floating-point
     approximate kernel vector: the off-pivot column norm rho bounds the
     perturbation, leaving two eigenvalue enclosures to sign-check
-    (interval entries of the 2x2 compression, widened by rho).
+    (interval entries of the 2x2 compression, widened by rho).  Its
+    interval entries come from `kite.ha_explicit`, the closed forms the
+    float kite map uses.
 
 `certify_box` evaluates the scale enclosure and the interval kite
 quantities once per box and hands them to both blocks.  `None`-valued
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PotentialParams
-from .hessian import _norm_diag, _norm_disjoint, _norm_share
 from .intervals import Interval, IntervalDomainError, IntervalError, _up
 from .kite import (KiteError, KiteQuantities, KiteShape, build_kite, dziso_residual,
-                   hs_explicit, kite_blocks, kite_scale, mass_ratio_terms, side_powers)
+                   ha_explicit, hs_explicit, kite_blocks, kite_scale, mass_ratio_terms,
+                   side_powers)
 
 SQRT3_I = Interval(3.0).sqrt()
 
@@ -195,60 +197,10 @@ def certify_hs_index(q: KiteQuantities) -> CertifiedIndex:
     return CertifiedIndex(None, "sign of det/tr undecided over the box")
 
 
-class _IntervalKiteTable:
-    """Pair-table protocol over intervals for the generic twist entries."""
-
-    def __init__(self, q: KiteQuantities):
-        z = Interval(0.0)
-        self.qx = [-q.x2, q.x2, z, z]
-        self.qy = [z, z, q.y3, q.y4]
-        self.zero = z
-        A = q.A
-        self.r = {}
-        self.R = {}
-        self.S = {}
-        self.T = {}
-        dist = {(0, 1): q.r12, (0, 2): q.r13, (1, 2): q.r13,
-                (0, 3): q.r14, (1, 3): q.r14, (2, 3): q.r34}
-        for (i, j), r in dist.items():
-            R = {(0, 1): q.R12, (0, 2): q.R13, (1, 2): q.R13,
-                 (0, 3): q.R14, (1, 3): q.R14, (2, 3): q.R34}[(i, j)]
-            T = r.pow_real(-A - 2.0)
-            for key in ((i, j), (j, i)):
-                self.r[key] = r
-                self.R[key] = R
-                self.S[key] = R - 1.0
-                self.T[key] = T
-
-    def lam(self, i, j, k):
-        dxij = self.qx[i] - self.qx[j]
-        dyij = self.qy[i] - self.qy[j]
-        dxik = self.qx[i] - self.qx[k]
-        dyik = self.qy[i] - self.qy[k]
-        return dxij * dyik - dxik * dyij
-
-    def dot(self, i, j, k, l):
-        return ((self.qx[i] - self.qx[j]) * (self.qx[k] - self.qx[l])
-                + (self.qy[i] - self.qy[j]) * (self.qy[k] - self.qy[l]))
-
-
 def interval_ha_matrix(q: KiteQuantities) -> list[list[Interval]]:
-    """Entries of H_a over the symmetry-adapted basis (a3, a4, t34).
-
-    The reduced combinations use the kite's reflection symmetry
-    (v23^T H v24 = v13^T H v14 etc.), which holds exactly for the
-    mirror-symmetric interval coordinates.
-    """
-    t = _IntervalKiteTable(q)
-    m = [Interval(1.0), Interval(1.0), q.mu31, q.mu41]
-    A = q.A
-    sqrt2 = Interval(2.0).sqrt()
-    a11 = _norm_diag(t, m, A, 0, 2) + _norm_share(t, m, A, 2, 0, 1)
-    a22 = _norm_diag(t, m, A, 0, 3) + _norm_share(t, m, A, 3, 0, 1)
-    a33 = _norm_diag(t, m, A, 2, 3)
-    a12 = _norm_share(t, m, A, 0, 2, 3) + _norm_disjoint(t, m, A, 0, 2, 1, 3)
-    a13 = sqrt2 * _norm_share(t, m, A, 2, 0, 3)
-    a23 = sqrt2 * _norm_share(t, m, A, 3, 0, 2)
+    """Entries of H_a over the symmetry-adapted basis (a3, a4, t34), from
+    the closed forms of `kite.ha_explicit` on interval quantities."""
+    a11, a22, a33, a12, a13, a23 = ha_explicit(q)
     return [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
 
 

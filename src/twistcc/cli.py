@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -66,13 +67,21 @@ class RunManifest:
     seed: int | None = None
     version: str = __version__
     timestamp_utc: str = ""
+    wall_s: float | None = None
+    counts: dict = field(default_factory=dict)
 
     def write(self) -> None:
         if not self.outputs:
             return
         self.timestamp_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         path = self.outputs[0] + ".manifest.json"
-        write_atomic(path, json.dumps(asdict(self), indent=2) + "\n")
+        # wall_s in fixed-width exponent form, so the manifest of a rerun
+        # has the same size (a float's repr varies in length)
+        doc = asdict(self)
+        doc["wall_s"] = "<wall_s>"
+        wall = "null" if self.wall_s is None else f"{self.wall_s:.6e}"
+        text = json.dumps(doc, indent=2).replace('"<wall_s>"', wall, 1)
+        write_atomic(path, text + "\n")
 
 
 def _load(path: str) -> tuple[PlanarConfig, PotentialParams]:
@@ -257,6 +266,7 @@ def cmd_hessian(args) -> int:
 
 
 def cmd_kite_map(args) -> int:
+    t0 = time.perf_counter()
     z3_lo, z3_hi, n3 = _parse_range(args.z3)
     z4_lo, z4_hi, n4 = _parse_range(args.z4)
     params = PotentialParams(args.A)
@@ -271,8 +281,17 @@ def cmd_kite_map(args) -> int:
     totals = sorted({c.idx_total for c in computed})
     print(f"cells = {len(cells)}, admissible_computed = {len(computed)}")
     print(f"observed_total_indices = {totals}")
+    admissible = [c for c in cells if c.klass in ("tall", "wide")]
+    counts = {
+        "cells": len(cells),
+        "admissible": len(admissible),
+        "computed": len(computed),
+        "degenerate": sum(1 for c in admissible if c.degenerate and not c.error),
+        "errors": dict(sorted(Counter(c.error.partition(":")[0]
+                                      for c in admissible if c.error).items())),
+    }
     RunManifest("kite-map", {"z3": args.z3, "z4": args.z4, "A": args.A},
-                [], outputs).write()
+                [], outputs, wall_s=time.perf_counter() - t0, counts=counts).write()
     return 0
 
 

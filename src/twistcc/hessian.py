@@ -10,10 +10,11 @@ kept *signed* so that this holds for every orientation.
 
 The entry evaluators are generic over the scalar type: they only use
 +, -, *, /, ** on values pulled from a table object exposing r, R, S, T
-indexed by [i, j] plus lam(i,j,k) and dot(i,j,k,l).  They serve interval
-certification, the float entry functions and the tests; float matrices
-over twist directions are V^T H V instead, H the Cartesian Hessian and V
-the twist vectors as columns.
+indexed by [i, j] plus lam(i,j,k) and dot(i,j,k,l) (the normalized forms
+read no T).  They serve the kite's H_a block (`kite.ha_explicit`, on
+floats, numpy arrays and intervals), the float entry functions and the
+tests; float matrices over twist directions are V^T H V instead, H the
+Cartesian Hessian and V the twist vectors as columns.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ def cartesian_hessian(config: PlanarConfig, params: PotentialParams) -> np.ndarr
     kernel exact by construction.
     """
     params.require_f_domain()
-    t = build_pair_table(config, params)
-    m = config.masses
-    A = params.A
-    n = config.n
+    return _cartesian_hessian(build_pair_table(config, params), config.masses)
+
+
+def _cartesian_hessian(t: PairTable, m: np.ndarray) -> np.ndarray:
+    A = t.A
+    n = t.n
     mm = m[:, None] * m[None, :]
     hxx = mm * (t.S - A * t.dx ** 2 * t.T)
     hyy = mm * (t.S - A * t.dy ** 2 * t.T)
@@ -241,13 +244,13 @@ def assemble_twist_hessian(config: PlanarConfig, params: PotentialParams,
     symmetric.  Equals the closed-form entries' expansion up to rounding."""
     params.require_f_domain()
     dirs = tuple(_as_direction(d) for d in directions)
-    table = build_pair_table(config, params) if normalized else None
+    table = build_pair_table(config, params)
     V = np.zeros((2 * config.n, len(dirs)))
     for a, d in enumerate(dirs):
         for c, p in d.terms:
             V[:, a] += c * (normalized_twist(config, table, p) if normalized
                             else twist_vector(config, p))
-    M = V.T @ cartesian_hessian(config, params) @ V
+    M = V.T @ _cartesian_hessian(table, config.masses) @ V
     return TwistMatrix(0.5 * (M + M.T), dirs, normalized)
 
 

@@ -9,17 +9,28 @@ from the two nontrivial first-order conditions.  The reflection symmetry
 block-diagonalizes the normalized twist Hessian into a 3x3 block H_a
 (containing the rotational zero) and a 2x2 block H_s, whose signs define
 the Morse-index map over shape space.
+
+The shape algebra (`side_powers`, `mass_ratio_terms`, `KiteQuantities.at`,
+`KiteTable`, `hs_explicit`, `ha_explicit`) uses field arithmetic and
+powers only, so one copy serves Python floats, numpy arrays and
+intervals.  `kite_index_map` evaluates it on arrays of cell centres, with
+the classification, scale and mass checks as masks shared with the scalar
+`classify_shape`, `kite_scale`, `kite_masses` and `build_kite`.
+`kite_blocks` (the 5x5 `V^T H V` assembly) is the independent float
+cross-check of the closed-form blocks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .geometry import PlanarConfig, PotentialParams
-from .hessian import TwistDirection, assemble_twist_hessian
+from .hessian import (TwistDirection, _norm_diag, _norm_disjoint, _norm_share,
+                      assemble_twist_hessian)
 
 SQRT3 = math.sqrt(3.0)
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -29,6 +40,10 @@ ADMISSIBLE_MARGIN = 1e-9
 # the rotational H_a eigenvalue must be this small, relative to the
 # spectral radius, for index deflation to be trusted
 ROTATION_ZERO_RTOL = 1e-6
+# a map cell is degenerate when its smallest H_s or deflated H_a eigenvalue
+# is this small relative to the twist Hessian's spectral radius (the zero
+# tolerance of `hessian.morse_index`): its sign is rounding noise
+INDEX_NOISE_RTOL = 1e-8
 # cross-block leakage allowed before the symmetry is considered broken
 BLOCK_LEAK_RTOL = 1e-10
 
@@ -80,7 +95,7 @@ def side_powers(z3, z4, A: float):
     """(2^-A, d^-A, (1+z3^2)^(-A/2), (1+z4^2)^(-A/2)) with d = z3 - z4.
 
     These are the side lengths r12, r34, r13, r14 over x2, raised to -A.
-    Generic over the scalar type (floats or intervals).
+    Generic over the scalar type (floats, numpy arrays or intervals).
     """
     return (2.0 ** -A, (z3 - z4) ** -A,
             (1.0 + z3 * z3) ** (-A / 2.0), (1.0 + z4 * z4) ** (-A / 2.0))
@@ -89,38 +104,117 @@ def side_powers(z3, z4, A: float):
 def kite_distances(z3, z4, x2):
     """(r12, r13, r14, r34) of the kite with shape (z3, z4) at scale x2.
 
-    Generic over the scalar type (floats or intervals).
+    Generic over the scalar type (floats, numpy arrays or intervals).
     """
     return (2.0 * x2, x2 * (1.0 + z3 * z3) ** 0.5, x2 * (1.0 + z4 * z4) ** 0.5,
             x2 * (z3 - z4))
 
 
+# The checks a kite shape must pass, in the order build_kite and then
+# kite_blocks apply them: name -> (error class, message template).
+_CHECKS = {
+    "indeterminate": (IndeterminateScaleError,
+                      "Dziobek equation degenerates at shape ({z3}, {z4})"),
+    "infeasible": (InfeasibleShapeError, "no positive Dziobek root at shape ({z3}, {z4})"),
+    "mu31_boundary": (MassBoundaryError, "mu31 denominator vanishes at ({z3}, {z4})"),
+    "mu41_boundary": (MassBoundaryError,
+                      "mu41 denominator vanishes at ({z3}, {z4}) (circumcenter curve)"),
+    "nonpositive": (MassBoundaryError,
+                    "nonpositive mass ratios ({mu31:.4g}, {mu41:.4g}) at ({z3}, {z4}); "
+                    "shape outside the admissible classes"),
+    "non_finite": (NonFiniteHessianError, "twist Hessian not finite at shape ({z3}, {z4})"),
+}
+
+
+def _kite_error(check: str, z3: float, z4: float,
+                mu31: float = math.nan, mu41: float = math.nan) -> KiteError:
+    cls, text = _CHECKS[check]
+    return cls(text.format(z3=z3, z4=z4, mu31=mu31, mu41=mu41))
+
+
+# The scale and mass checks below take numpy scalars or arrays.  Numpy's
+# vectorized power can differ from libm's (which numpy scalars use) in the
+# last ulp, so every power runs on arrays: `_one` computes a single shape's
+# side powers on one-element arrays and `_root` takes the final root on an
+# array.  The other operations round the same either way, so a scalar call
+# agrees bit for bit with the index map's cell.
+
+def _scale_terms(powers):
+    """(t, failed) from the side powers: t = x2^(-A) at the Dziobek scale.
+
+    `failed` maps each scale check of `_CHECKS` to its mask.  Substituting
+    t = x2^(-A) makes the Dziobek equation linear in t, so the root
+    t = N/D is exact up to rounding.  At the fully symmetric shape
+    (sqrt 3, 1/sqrt 3) the equation holds identically (indeterminate);
+    when N/D <= 0 no positive root exists (infeasible).
+    """
+    p2, pd, p3, p4 = powers
+    D = p2 * pd - p3 * p4
+    N = p2 + pd - p3 - p4
+    t = N / D
+    return t, {
+        "indeterminate": ((np.abs(D) <= 1e-13 * (p2 * pd + p3 * p4))
+                          & (np.abs(N) <= 1e-13 * (p2 + pd + p3 + p4))),
+        "infeasible": (D == 0.0) | (t <= 0.0),
+    }
+
+
+def _root(t, A: float) -> np.ndarray:
+    """x2 = t^(-1/A), as an array."""
+    return np.atleast_1d(t) ** (-1.0 / A)
+
+
+def _mass_terms(z3, z4, powers):
+    """(mu31, mu41, failed) from the side powers; `failed` maps each mass
+    check of `_CHECKS` to its mask."""
+    _, pd, p3, p4 = powers
+    mu31, mu41 = _mass_ratios(z3, z4, powers)
+    return mu31, mu41, {
+        "mu31_boundary": np.abs(pd - p3) <= 1e-13 * (pd + p3),
+        "mu41_boundary": np.abs(p4 - pd) <= 1e-13 * (p4 + pd),
+        "nonpositive": (mu31 <= 0.0) | (mu41 <= 0.0),
+    }
+
+
+def _kite_terms(z3, z4, powers, A: float):
+    """(x2, mu31, mu41, failed) with the masks of every check `build_kite`
+    applies, in its order."""
+    t, failed = _scale_terms(powers)
+    mu31, mu41, mass_failed = _mass_terms(z3, z4, powers)
+    return _root(t, A), mu31, mu41, {**failed, **mass_failed}
+
+
+def _one(shape: KiteShape, A: float):
+    """(z3, z4, side powers) of one shape as numpy scalars."""
+    z3, z4 = np.array([shape.z3]), np.array([shape.z4])
+    p2, pd, p3, p4 = side_powers(z3, z4, A)
+    return z3[0], z4[0], (p2, pd[0], p3[0], p4[0])
+
+
+def _raise_failed(shape: KiteShape, failed: dict, checks, mu31=math.nan, mu41=math.nan):
+    """Raise the first of `checks` that `failed` flags for this shape."""
+    for check in checks:
+        if failed[check]:
+            raise _kite_error(check, shape.z3, shape.z4, mu31, mu41)
+
+
 def kite_scale(shape: KiteShape, params: PotentialParams) -> float:
     """Positive x2 solving S12*S34 = S13*S14 for this shape.
 
-    Substituting t = x2^(-A) makes the equation linear in t, so the root
-    t = N/D is exact up to rounding.  Degenerate cases: at the fully
-    symmetric shape (z3, z4) = (sqrt 3, 1/sqrt 3) the equation holds
-    identically and the scale is indeterminate; when N/D <= 0 no positive
-    root exists.
+    Raises IndeterminateScaleError at the fully symmetric shape and
+    InfeasibleShapeError where no positive root exists.
     """
     params.require_f_domain()
-    p2, pd, p3, p4 = side_powers(shape.z3, shape.z4, params.A)
-    D = p2 * pd - p3 * p4
-    N = p2 + pd - p3 - p4
-    if abs(D) <= 1e-13 * (p2 * pd + p3 * p4) and abs(N) <= 1e-13 * (p2 + pd + p3 + p4):
-        raise IndeterminateScaleError(
-            f"Dziobek equation degenerates at shape ({shape.z3}, {shape.z4})")
-    if D == 0.0 or N / D <= 0.0:
-        raise InfeasibleShapeError(
-            f"no positive Dziobek root at shape ({shape.z3}, {shape.z4})")
-    return (N / D) ** (-1.0 / params.A)
+    with np.errstate(all="ignore"):
+        t, failed = _scale_terms(_one(shape, params.A)[2])
+        _raise_failed(shape, failed, failed)
+        return float(_root(t, params.A)[0])
 
 
 def dziso_residual(z3, z4, x2, A: float):
     """S12*S34 - S13*S14 at scale x2; zero at the Dziobek scale.
 
-    Generic over the scalar type (floats or intervals).
+    Generic over the scalar type (floats, numpy arrays or intervals).
     """
     S12, S13, S14, S34 = (r ** -A - 1.0 for r in kite_distances(z3, z4, x2))
     return S12 * S34 - S13 * S14
@@ -173,27 +267,41 @@ def mass_ratio_terms(z3, z4, A: float):
     and d = z3 - z4,
         mu31 = (2 z4/d) (p(z4) - 2^-A) / (d^-A - p(z3)),
         mu41 = (2 z3/d) (p(z3) - 2^-A) / (p(z4) - d^-A).
-    Generic over the scalar type (floats or intervals).
+    Generic over the scalar type (floats, numpy arrays or intervals).
     """
+    return _mass_ratios(z3, z4, side_powers(z3, z4, A))
+
+
+def _mass_ratios(z3, z4, powers):
+    """mass_ratio_terms from the side powers of (z3, z4)."""
+    p2, pd, p3, p4 = powers
     d = z3 - z4
-    p2, pd, p3, p4 = side_powers(z3, z4, A)
-    mu31 = (2.0 * z4 / d) * (p4 - p2) / (pd - p3)
-    mu41 = (2.0 * z3 / d) * (p3 - p2) / (p4 - pd)
-    return mu31, mu41
+    return ((2.0 * z4 / d) * (p4 - p2) / (pd - p3),
+            (2.0 * z3 / d) * (p3 - p2) / (p4 - pd))
 
 
 def kite_masses(shape: KiteShape, params: PotentialParams) -> tuple[float, float]:
     """(mu31, mu41) solving the first-order conditions along v13 and v14.
 
-    The ratios are scale-free: x2 cancels algebraically.
+    The ratios are scale-free: x2 cancels algebraically.  Raises
+    MassBoundaryError where a denominator vanishes.
     """
-    _, pd, p3, p4 = side_powers(shape.z3, shape.z4, params.A)
-    if abs(pd - p3) <= 1e-13 * (pd + p3):
-        raise MassBoundaryError(f"mu31 denominator vanishes at ({shape.z3}, {shape.z4})")
-    if abs(p4 - pd) <= 1e-13 * (p4 + pd):
-        raise MassBoundaryError(
-            f"mu41 denominator vanishes at ({shape.z3}, {shape.z4}) (circumcenter curve)")
-    return mass_ratio_terms(shape.z3, shape.z4, params.A)
+    with np.errstate(all="ignore"):
+        mu31, mu41, failed = _mass_terms(*_one(shape, params.A))
+    _raise_failed(shape, failed, ("mu31_boundary", "mu41_boundary"))
+    return float(mu31), float(mu41)
+
+
+KITE_CLASSES = ("inadmissible", "tall", "wide", "circumcenter-boundary")
+
+
+def _class_codes(z3: np.ndarray, z4: np.ndarray, margin: float) -> np.ndarray:
+    """Indices into KITE_CLASSES for arrays of shapes (see classify_shape)."""
+    with np.errstate(all="ignore"):
+        yc = circumcenter_z4(z3)
+        tall = (z3 > SQRT3 + margin) & (yc + margin < z4) & (z4 < 0.5 * SQRT3 - margin)
+        wide = (z3 < SQRT3 - margin) & (margin < z4) & (z4 < yc - margin)
+        return np.select([np.abs(z4 - yc) <= margin, tall, wide], [3, 1, 2], 0)
 
 
 def classify_shape(shape: KiteShape, params: PotentialParams,
@@ -205,15 +313,8 @@ def classify_shape(shape: KiteShape, params: PotentialParams,
     and sqrt(3)/2; wide kites have z3 < sqrt 3 and the inner body
     strictly below the circumcenter.
     """
-    z3, z4 = shape.z3, shape.z4
-    yc = circumcenter_z4(z3)
-    if abs(z4 - yc) <= margin:
-        return "circumcenter-boundary"
-    if z3 > SQRT3 + margin and yc + margin < z4 < 0.5 * SQRT3 - margin:
-        return "tall"
-    if z3 < SQRT3 - margin and margin < z4 < yc - margin:
-        return "wide"
-    return "inadmissible"
+    code = _class_codes(np.array([shape.z3]), np.array([shape.z4]), margin)[0]
+    return KITE_CLASSES[int(code)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,12 +329,11 @@ class KiteConfig:
 
 
 def build_kite(shape: KiteShape, params: PotentialParams) -> KiteConfig:
-    x2 = kite_scale(shape, params)
-    mu31, mu41 = kite_masses(shape, params)
-    if mu31 <= 0.0 or mu41 <= 0.0:
-        raise MassBoundaryError(
-            f"nonpositive mass ratios ({mu31:.4g}, {mu41:.4g}) at "
-            f"({shape.z3}, {shape.z4}); shape outside the admissible classes")
+    params.require_f_domain()
+    with np.errstate(all="ignore"):
+        x2, mu31, mu41, failed = _kite_terms(*_one(shape, params.A), params.A)
+    x2, mu31, mu41 = float(x2[0]), float(mu31), float(mu41)
+    _raise_failed(shape, failed, failed, mu31, mu41)
     y3, y4 = shape.z3 * x2, shape.z4 * x2
     cfg = PlanarConfig(
         np.array([-x2, 0.0, x2, 0.0, 0.0, y3, 0.0, y4]),
@@ -267,8 +367,7 @@ def kite_blocks(kite: KiteConfig, params: PotentialParams,
     with np.errstate(all="ignore"):  # overflow is reported just below
         M = assemble_twist_hessian(kite.config, params, KITE_BASIS, normalized=True).matrix
     if not np.isfinite(M).all():
-        raise NonFiniteHessianError(
-            f"twist Hessian not finite at shape ({kite.shape.z3}, {kite.shape.z4})")
+        raise _kite_error("non_finite", kite.shape.z3, kite.shape.z4)
     h_a = M[:3, :3].copy()
     h_s = M[3:, 3:].copy()
     cross = float(np.abs(M[:3, 3:]).max())
@@ -282,10 +381,11 @@ def kite_blocks(kite: KiteConfig, params: PotentialParams,
 
 @dataclass(frozen=True)
 class KiteQuantities:
-    """Scalar bundle for the explicit H_s entry formulas.
+    """Scalar bundle for the explicit H_s and H_a entry formulas.
 
-    Fields may be floats or intervals; `at` and the formulas below only use
-    field arithmetic and powers, so the same code serves both evaluations.
+    Fields may be floats, numpy arrays or intervals; `at` and the formulas
+    below only use field arithmetic and powers, so the same code serves
+    every evaluation.
     """
 
     A: float
@@ -364,6 +464,58 @@ def v13_h_v24_explicit(q: KiteQuantities):
                    - q.R34 * q.r12 ** 2 / (4 * q.r13 * q.r14)))
 
 
+class KiteTable:
+    """Pair-table protocol of `hessian`'s normalized entries on a kite.
+
+    Exposes r, R, S indexed by body pairs [i, j], lam(i, j, k), dot(i, j,
+    k, l) and zero, built from q by field arithmetic only, so it holds
+    floats, numpy arrays or intervals alike.
+    """
+
+    def __init__(self, q: KiteQuantities):
+        zero = q.x2 * 0.0
+        self.zero = zero
+        self.qx = (-q.x2, q.x2, zero, zero)
+        self.qy = (zero, zero, q.y3, q.y4)
+        self.r, self.R, self.S = {}, {}, {}
+        pairs = {(0, 1): (q.r12, q.R12, q.S12), (0, 2): (q.r13, q.R13, q.S13),
+                 (1, 2): (q.r13, q.R13, q.S13), (0, 3): (q.r14, q.R14, q.S14),
+                 (1, 3): (q.r14, q.R14, q.S14), (2, 3): (q.r34, q.R34, q.S34)}
+        for (i, j), (r, R, S) in pairs.items():
+            for key in ((i, j), (j, i)):
+                self.r[key], self.R[key], self.S[key] = r, R, S
+
+    def lam(self, i, j, k):
+        return ((self.qx[i] - self.qx[j]) * (self.qy[i] - self.qy[k])
+                - (self.qx[i] - self.qx[k]) * (self.qy[i] - self.qy[j]))
+
+    def dot(self, i, j, k, l):
+        return ((self.qx[i] - self.qx[j]) * (self.qx[k] - self.qx[l])
+                + (self.qy[i] - self.qy[j]) * (self.qy[k] - self.qy[l]))
+
+
+def ha_explicit(q: KiteQuantities):
+    """Closed-form entries (a11, a22, a33, a12, a13, a23) of the 3x3 block
+    over the KITE_BASIS directions (a3, a4, t34).
+
+    The reduced combinations use the kite's reflection symmetry
+    (v23^T H v24 = v13^T H v14 etc.), which holds exactly for the
+    mirror-symmetric coordinates.  sqrt 2 is computed in q's scalar type,
+    so for intervals it is an enclosure.
+    """
+    t = KiteTable(q)
+    m = (1.0, 1.0, q.mu31, q.mu41)
+    A = q.A
+    sqrt2 = (t.zero + 2.0) ** 0.5
+    a11 = _norm_diag(t, m, A, 0, 2) + _norm_share(t, m, A, 2, 0, 1)
+    a22 = _norm_diag(t, m, A, 0, 3) + _norm_share(t, m, A, 3, 0, 1)
+    a33 = _norm_diag(t, m, A, 2, 3)
+    a12 = _norm_share(t, m, A, 0, 2, 3) + _norm_disjoint(t, m, A, 0, 2, 1, 3)
+    a13 = sqrt2 * _norm_share(t, m, A, 2, 0, 3)
+    a23 = sqrt2 * _norm_share(t, m, A, 3, 0, 2)
+    return a11, a22, a33, a12, a13, a23
+
+
 def euler_precursor(q: KiteQuantities):
     """(U - M*I)/m1^2 in kite quantities; zero at the Dziobek scale."""
     return (q.r12 ** 2 * q.S12 + 2 * q.mu31 * q.r13 ** 2 * q.S13
@@ -411,74 +563,122 @@ class IndexMapCell:
         return self.klass in ("tall", "wide") and not self.error and not self.degenerate
 
 
-def _cell_indices(kite: KiteConfig, params: PotentialParams,
-                  rot_tol: float = ROTATION_ZERO_RTOL) -> tuple[int, int, bool]:
-    blocks = kite_blocks(kite, params)
-    ws = np.linalg.eigvalsh(blocks.h_s)
-    wa = np.linalg.eigvalsh(blocks.h_a)
-    idx_hs = int((ws < 0.0).sum())
-    spectral = float(np.abs(wa).max())
-    rot = int(np.argmin(np.abs(wa)))
-    degenerate = bool(abs(wa[rot]) >= rot_tol * spectral)
-    idx_ha = int(sum(1 for t, w in enumerate(wa) if t != rot and w < 0.0))
-    return idx_hs, idx_ha, degenerate
-
-
 def kite_index_map(z3_lo: float, z3_hi: float, n3: int,
                    z4_lo: float, z4_hi: float, n4: int,
                    params: PotentialParams, *,
                    margin: float = ADMISSIBLE_MARGIN,
                    rot_tol: float = ROTATION_ZERO_RTOL) -> list[IndexMapCell]:
     """Morse indices per grid cell (evaluated at cell centers), row-major in
-    (iz4, iz3).  Per-cell failures are recorded, never raised."""
-    dz3 = (z3_hi - z3_lo) / n3
-    dz4 = (z4_hi - z4_lo) / n4
-    cells: list[IndexMapCell] = []
-    for iz4 in range(n4):
-        z4 = z4_lo + (iz4 + 0.5) * dz4
-        for iz3 in range(n3):
-            z3 = z3_lo + (iz3 + 0.5) * dz3
-            if z3 <= z4 or z4 <= 0.0:
-                cells.append(IndexMapCell(iz3, iz4, z3, z4, "inadmissible"))
-                continue
-            shape = KiteShape(z3, z4)
-            klass = classify_shape(shape, params, margin)
-            cell = IndexMapCell(iz3, iz4, z3, z4, klass)
-            if klass in ("tall", "wide"):
-                try:
-                    kite = build_kite(shape, params)
-                    cell.mu31, cell.mu41, cell.x2 = kite.mu31, kite.mu41, kite.x2
-                    idx_hs, idx_ha, degenerate = _cell_indices(kite, params, rot_tol)
-                    cell.idx_hs, cell.idx_ha = idx_hs, idx_ha
-                    cell.idx_total = idx_hs + idx_ha
-                    cell.degenerate = degenerate
-                except KiteError as exc:
-                    cell.error = f"{type(exc).__name__}: {exc}"
-            cells.append(cell)
-    _annotate_boundaries(cells, n3, n4)
+    (iz4, iz3).  Per-cell failures are recorded, never raised.
+
+    All cells are evaluated at once: the checks of `build_kite` and a
+    finiteness check run as masks, the closed-form blocks on arrays, and
+    each block's eigenvalues in one stacked `eigvalsh`.  A cell is
+    degenerate when its rotational H_a eigenvalue is not below rot_tol
+    times H_a's spectral radius, or when its smallest H_s or deflated H_a
+    eigenvalue is below INDEX_NOISE_RTOL times the spectral radius of
+    both blocks.
+    """
+    z3s = z3_lo + (np.arange(n3) + 0.5) * ((z3_hi - z3_lo) / n3)
+    z4s = z4_lo + (np.arange(n4) + 0.5) * ((z4_hi - z4_lo) / n4)
+    z3, z4 = z3s[None, :], z4s[:, None]     # broadcast to the (n4, n3) grid
+    with np.errstate(all="ignore"):
+        klass = np.where((z3 > z4) & (z4 > 0.0), _class_codes(z3, z4, margin), 0).ravel()
+    adm = np.flatnonzero((klass == 1) | (klass == 2))
+    if adm.size:
+        params.require_f_domain()
+    x2, mu31, mu41, first, idx_hs, idx_ha, degenerate = _admissible_cells(
+        z3s[adm % n3], z4s[adm // n3], params.A, rot_tol)
+    ok = first == len(_CHECKS)
+
+    z3_at, z4_at = z3s.tolist(), z4s.tolist()
+    cells = [IndexMapCell(k % n3, k // n3, z3_at[k % n3], z4_at[k // n3], KITE_CLASSES[c])
+             for k, c in enumerate(klass.tolist())]
+    names = list(_CHECKS)   # the last one, "non_finite", is kite_blocks' check
+    adm_cells = [cells[k] for k in adm.tolist()]
+    for cell, check, m31, m41, x in zip(adm_cells, first.tolist(), mu31.tolist(),
+                                        mu41.tolist(), x2.tolist()):
+        if check >= len(names) - 1:     # build_kite succeeds
+            cell.mu31, cell.mu41, cell.x2 = m31, m41, x
+        if check < len(names):
+            exc = _kite_error(names[check], cell.z3, cell.z4, m31, m41)
+            cell.error = f"{type(exc).__name__}: {exc}"
+    for cell, hs, ha, deg in zip(compress(adm_cells, ok.tolist()), idx_hs.tolist(),
+                                 idx_ha.tolist(), degenerate.tolist()):
+        cell.idx_hs, cell.idx_ha, cell.idx_total, cell.degenerate = hs, ha, hs + ha, deg
+
+    computed, hs_grid, ha_grid = (np.zeros(klass.size, dtype=t) for t in (bool, int, int))
+    computed[adm[ok][~degenerate]] = True
+    hs_grid[adm[ok]], ha_grid[adm[ok]] = idx_hs, idx_ha
+    changes = _block_changes(computed.reshape(n4, n3), hs_grid.reshape(n4, n3),
+                             ha_grid.reshape(n4, n3)).ravel()
+    for k in np.flatnonzero(changes).tolist():
+        cells[k].which_block_changed = _BLOCK_LABELS[changes[k]]
     return cells
 
 
-def _annotate_boundaries(cells: list[IndexMapCell], n3: int, n4: int) -> None:
-    def at(iz3, iz4):
-        return cells[iz4 * n3 + iz3]
+def _admissible_cells(z3: np.ndarray, z4: np.ndarray, A: float, rot_tol: float):
+    """(x2, mu31, mu41, first, idx_Hs, idx_Ha, degenerate) for arrays of
+    admissible shapes.
 
-    for c in cells:
-        if not c.computed:
-            continue
-        blocks = set()
-        for d3, d4 in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            j3, j4 = c.iz3 + d3, c.iz4 + d4
-            if not (0 <= j3 < n3 and 0 <= j4 < n4):
-                continue
-            o = at(j3, j4)
-            if not o.computed or o.idx_total == c.idx_total:
-                continue
-            if o.idx_hs != c.idx_hs:
-                blocks.add("Hs")
-            if o.idx_ha != c.idx_ha:
-                blocks.add("Ha")
-        c.which_block_changed = "+".join(sorted(blocks))
+    `first` indexes each shape's first failed check in `_CHECKS`
+    (len(_CHECKS) if none); the indices and flags are those of the shapes
+    that pass every check, from their stacked closed-form blocks.
+    """
+    with np.errstate(all="ignore"):
+        x2, mu31, mu41, failed = _kite_terms(z3, z4, side_powers(z3, z4, A), A)
+        q = KiteQuantities.at(z3, z4, x2, mu31, mu41, A)
+        hs11, hs22, hs12 = hs_explicit(q)
+        a11, a22, a33, a12, a13, a23 = ha_explicit(q)
+    h_s = np.stack([hs11, hs12, hs12, hs22], axis=-1).reshape(-1, 2, 2)
+    h_a = np.stack([a11, a12, a13, a12, a22, a23, a13, a23, a33], axis=-1).reshape(-1, 3, 3)
+    failed["non_finite"] = ~(np.isfinite(h_s).all(axis=(1, 2))
+                             & np.isfinite(h_a).all(axis=(1, 2)))
+    first = np.full(z3.size, len(_CHECKS))
+    for k, check in reversed(list(enumerate(_CHECKS))):
+        first[failed[check]] = k
+    ok = first == len(_CHECKS)
+    return (x2, mu31, mu41, first) + _block_indices(h_s[ok], h_a[ok], rot_tol)
+
+
+def _block_indices(h_s: np.ndarray, h_a: np.ndarray, rot_tol: float):
+    """(idx_Hs, deflated idx_Ha, degenerate) of stacked finite blocks."""
+    ws = np.linalg.eigvalsh(h_s)
+    wa = np.linalg.eigvalsh(h_a)
+    aw = np.abs(wa)
+    rot = aw.argmin(axis=1)
+    rows = np.arange(rot.size)
+    neg_a = wa < 0.0
+    neg_a[rows, rot] = False
+    spectral = np.maximum(aw.max(axis=1), np.abs(ws).max(axis=1))
+    smallest = np.minimum(np.abs(ws).min(axis=1), np.sort(aw, axis=1)[:, 1])
+    degenerate = ((aw[rows, rot] >= rot_tol * aw.max(axis=1))
+                  | (smallest < INDEX_NOISE_RTOL * spectral))
+    return (ws < 0.0).sum(axis=1), neg_a.sum(axis=1), degenerate
+
+
+# which_block_changed labels, indexed by (H_s changed) + 2 * (H_a changed)
+_BLOCK_LABELS = ("", "Hs", "Ha", "Ha+Hs")
+
+
+def _block_changes(computed: np.ndarray, idx_hs: np.ndarray,
+                   idx_ha: np.ndarray) -> np.ndarray:
+    """Indices into _BLOCK_LABELS over a (n4, n3) grid of cells.
+
+    A computed cell whose computed 4-neighbour has a different total index
+    is labelled with the blocks whose index differs there.
+    """
+    hs_changed = np.zeros_like(computed)
+    ha_changed = np.zeros_like(computed)
+    idx_total = idx_hs + idx_ha
+    for a, b in (((slice(None), slice(None, -1)), (slice(None), slice(1, None))),
+                 ((slice(None, -1), slice(None)), (slice(1, None), slice(None)))):
+        differ = computed[a] & computed[b] & (idx_total[a] != idx_total[b])
+        for changed, idx in ((hs_changed, idx_hs), (ha_changed, idx_ha)):
+            d = differ & (idx[a] != idx[b])
+            changed[a] |= d
+            changed[b] |= d
+    return hs_changed + 2 * ha_changed.astype(int)
 
 
 def write_pgm(cells: list[IndexMapCell], n3: int, n4: int, path) -> None:

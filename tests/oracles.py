@@ -113,3 +113,30 @@ def square_config(masses=(1.0, 1.0, 3.0, 5.0), side: float = 1.0) -> PlanarConfi
     h = side / 2.0
     pts = [(-h, -h), (h, -h), (h, h), (-h, h)]
     return PlanarConfig.from_points(pts, masses)
+
+
+def index_map_cell(z3: float, z4: float, params: PotentialParams, margin: float):
+    """(class, idx_Hs, idx_Ha, degenerate, error) of one map cell, from the
+    5x5 V^T H V assembly of `kite_blocks` and per-cell `eigvalsh`."""
+    from twistcc.kite import (INDEX_NOISE_RTOL, ROTATION_ZERO_RTOL, KiteError, KiteShape,
+                              build_kite, classify_shape, kite_blocks)
+    if z3 <= z4 or z4 <= 0.0:
+        return "inadmissible", -1, -1, False, ""
+    shape = KiteShape(z3, z4)
+    klass = classify_shape(shape, params, margin)
+    if klass not in ("tall", "wide"):
+        return klass, -1, -1, False, ""
+    try:
+        blocks = kite_blocks(build_kite(shape, params), params)
+    except KiteError as exc:
+        return klass, -1, -1, False, f"{type(exc).__name__}: {exc}"
+    ws = np.linalg.eigvalsh(blocks.h_s)
+    wa = np.linalg.eigvalsh(blocks.h_a)
+    aw = np.abs(wa)
+    rot = int(np.argmin(aw))
+    idx_ha = sum(1 for t, w in enumerate(wa) if t != rot and w < 0.0)
+    spectral = max(aw.max(), np.abs(ws).max())
+    smallest = min(np.abs(ws).min(), min(a for t, a in enumerate(aw) if t != rot))
+    degenerate = (aw[rot] >= ROTATION_ZERO_RTOL * aw.max()
+                  or smallest < INDEX_NOISE_RTOL * spectral)
+    return klass, int((ws < 0.0).sum()), idx_ha, bool(degenerate), ""

@@ -9,7 +9,7 @@ from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
 from twistcc.intervals import Interval
 from twistcc.kite import (KiteQuantities, KiteShape, build_kite, circumcenter_z4,
-                          dziso_residual, hs_explicit, kite_blocks, kite_scale,
+                          dziso_residual, ha_explicit, hs_explicit, kite_blocks, kite_scale,
                           side_powers)
 
 from oracles import bisect_dziso
@@ -93,6 +93,8 @@ def test_interval_quantities_contain_floats(newton):
     h11, h22, h12 = hs_explicit(qi)
     f11, f22, f12 = hs_explicit(qf)
     assert h11.contains(f11) and h22.contains(f22) and h12.contains(f12)
+    for iv, fl in zip(ha_explicit(qi), ha_explicit(qf)):
+        assert iv.contains(fl), (iv, fl)
     # the shared shape algebra on a point box encloses its float values
     pz3, pz4, px2 = Interval(shape.z3), Interval(shape.z4), Interval(kite.x2)
     p2, *powers = side_powers(pz3, pz4, newton.A)
@@ -100,6 +102,9 @@ def test_interval_quantities_contain_floats(newton):
     assert p2 == f2
     powers.append(dziso_residual(pz3, pz4, px2, newton.A))
     fpowers.append(dziso_residual(shape.z3, shape.z4, kite.x2, newton.A))
+    qp = KiteQuantities.at(pz3, pz4, px2, Interval(kite.mu31), Interval(kite.mu41), newton.A)
+    powers.extend(ha_explicit(qp))
+    fpowers.extend(ha_explicit(qf))
     for iv, fl in zip(powers, fpowers):
         assert iv.contains(fl), (iv, fl)
 

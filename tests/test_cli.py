@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -159,12 +161,36 @@ def test_kite_map_overflow_cells_are_errors(tmp_path):
     # at A = 700 the mass ratios of some wide kites reach 1e-160, and the
     # normalized Hessian overflows; those cells are errors, not a crash
     out = tmp_path / "map.csv"
-    assert main(["kite-map", "--z3", "1.0:2.2:40", "--z4", "0.01:0.87:40", "--A", "700",
-                 "--csv", str(out)]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["kite-map", "--z3", "1.0:2.2:40", "--z4", "0.01:0.87:40",
+                     "--A", "700", "--csv", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     bad = [r for r in rows if r["error"].startswith("NonFiniteHessianError")]
     assert bad and all(r["idx_total"] == "" for r in bad)
+
+
+@pytest.mark.parametrize("A", ["3", "15", "700"])
+def test_kite_map_manifest_counts(A, tmp_path):
+    out = tmp_path / "map.csv"
+    assert main(["kite-map", "--z3", "1.0:2.2:30", "--z4", "0.01:0.87:30", "--A", A,
+                 "--csv", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    manifest = json.loads((tmp_path / "map.csv.manifest.json").read_text())
+    admissible = [r for r in rows if r["class"] in ("tall", "wide")]
+    assert manifest["counts"] == {
+        "cells": len(rows),
+        "admissible": len(admissible),
+        "computed": sum(1 for r in admissible
+                        if not r["error"] and r["degenerate_flag"] == "0"),
+        "degenerate": sum(1 for r in admissible
+                          if not r["error"] and r["degenerate_flag"] == "1"),
+        "errors": dict(Counter(r["error"].split(":")[0] for r in admissible if r["error"])),
+    }
+    assert manifest["wall_s"] > 0.0
 
 
 def test_certify_overflow_midpoint_is_unknown(tmp_path):

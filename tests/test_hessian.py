@@ -194,6 +194,19 @@ def test_assemble_with_combined_directions(rng, newton):
             assert np.abs(tm.matrix - want).max() <= 1e-10 * np.abs(want).max(), normalized
 
 
+def test_assembly_builds_one_pair_table(monkeypatch, rng, newton):
+    from twistcc import hessian
+    calls = []
+    build = hessian.build_pair_table
+    monkeypatch.setattr(hessian, "build_pair_table",
+                        lambda config, params: calls.append(1) or build(config, params))
+    cfg = random_config(rng, 5)
+    for normalized in (False, True):
+        calls.clear()
+        assemble_twist_hessian(cfg, newton, [(0, 1), (1, 2), (3, 4)], normalized=normalized)
+        assert len(calls) == 1, normalized
+
+
 # --- characteristic polynomial and index counting ---------------------------------
 
 def test_char_poly_coeffs():

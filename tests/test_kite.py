@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,15 +7,15 @@ import pytest
 from twistcc.geometry import (PotentialParams, build_pair_table, euler_residual,
                               moment_of_inertia)
 from twistcc.hessian import cartesian_hessian
-from twistcc.kite import (IndeterminateScaleError, InfeasibleShapeError, KiteError,
-                          KiteQuantities, KiteShape, MassBoundaryError, build_kite,
-                          circumcenter_z4, classify_shape, coorbital_identity_check,
-                          dzsub_report, euler_precursor, hs_explicit, kite_blocks,
-                          kite_index_map, kite_masses, kite_scale,
-                          v13_h_v24_explicit, write_pgm)
+from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, InfeasibleShapeError,
+                          KiteError, KiteQuantities, KiteShape, MassBoundaryError,
+                          build_kite, circumcenter_z4, classify_shape,
+                          coorbital_identity_check, dzsub_report, euler_precursor,
+                          ha_explicit, hs_explicit, kite_blocks, kite_index_map,
+                          kite_masses, kite_scale, v13_h_v24_explicit, write_pgm)
 from twistcc.twist import cc_residual, laura_andoyer, normalized_twist
 
-from oracles import bisect_dziso
+from oracles import bisect_dziso, index_map_cell
 
 SQRT3 = math.sqrt(3.0)
 
@@ -165,6 +166,10 @@ def test_hs_explicit_matches_assembly(rng, newton):
         assert h11 == pytest.approx(blocks.h_s[0, 0], rel=1e-10, abs=1e-10 * scale)
         assert h22 == pytest.approx(blocks.h_s[1, 1], rel=1e-10, abs=1e-10 * scale)
         assert h12 == pytest.approx(blocks.h_s[0, 1], rel=1e-10, abs=1e-10 * scale)
+        # H_a in the same (a3, a4, t34) basis as the assembled block
+        a11, a22, a33, a12, a13, a23 = ha_explicit(q)
+        h_a = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
+        assert np.abs(h_a - blocks.h_a).max() <= 1e-10 * np.linalg.norm(blocks.full, 2)
 
 
 def test_v13_h_v24_explicit_matches_sandwich(rng, newton):
@@ -227,6 +232,74 @@ def test_index_map_small(newton):
     boundary = [c for c in computed if c.which_block_changed]
     assert boundary
     assert all(set(c.which_block_changed.split("+")) <= {"Hs", "Ha"} for c in boundary)
+
+
+def _reference_block_changes(cells, n3, n4):
+    """which_block_changed of each cell, neighbour by neighbour."""
+    labels = []
+    for c in cells:
+        blocks = set()
+        for d3, d4 in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            j3, j4 = c.iz3 + d3, c.iz4 + d4
+            if not (c.computed and 0 <= j3 < n3 and 0 <= j4 < n4):
+                continue
+            o = cells[j4 * n3 + j3]
+            if not o.computed or o.idx_total == c.idx_total:
+                continue
+            if o.idx_hs != c.idx_hs:
+                blocks.add("Hs")
+            if o.idx_ha != c.idx_ha:
+                blocks.add("Ha")
+        labels.append("+".join(sorted(blocks)))
+    return labels
+
+
+@pytest.mark.parametrize("A", [2.5, 3.0, 4.0])
+def test_index_map_matches_per_cell_reference(A):
+    # the batched map against build_kite -> kite_blocks -> eigvalsh per cell
+    params = PotentialParams(A)
+    windows = [
+        ((1.0, 2.2, 16, 0.01, 0.87, 16), ADMISSIBLE_MARGIN),      # both classes
+        ((1.75, 2.05, 12, 0.76, 0.86, 12), ADMISSIBLE_MARGIN),    # index boundaries
+        ((0.2, 1.0, 6, -0.3, 0.9, 6), ADMISSIBLE_MARGIN),         # all inadmissible
+        ((SQRT3 - 3e-14, SQRT3 - 1e-14, 2,                         # symmetric point
+          1 / SQRT3 - 3e-14, 1 / SQRT3 - 1e-14, 2), 0.0),
+        ((1.99, 2.01, 3, 0.75 - 3e-9, 0.75 + 3e-9, 7), ADMISSIBLE_MARGIN),  # circumcenter band
+        ((1.5, 2.5, 1, 0.75 - 1e-15, 0.75 + 1e-15, 9), 0.0),      # on the circumcenter curve
+    ]
+    seen = Counter()
+    for (z3_lo, z3_hi, n3, z4_lo, z4_hi, n4), margin in windows:
+        cells = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params, margin=margin)
+        assert len(cells) == n3 * n4
+        for k, c in enumerate(cells):
+            assert (c.iz3, c.iz4) == (k % n3, k // n3)
+            assert c.z3 == z3_lo + (c.iz3 + 0.5) * ((z3_hi - z3_lo) / n3)
+            assert c.z4 == z4_lo + (c.iz4 + 0.5) * ((z4_hi - z4_lo) / n4)
+            want = index_map_cell(c.z3, c.z4, params, margin)
+            assert (c.klass, c.idx_hs, c.idx_ha, c.degenerate, c.error) == want, (c.z3, c.z4)
+            if c.idx_hs >= 0:
+                assert c.idx_total == c.idx_hs + c.idx_ha
+            if not math.isnan(c.x2):    # the scalar functions agree bit for bit
+                kite = build_kite(KiteShape(c.z3, c.z4), params)
+                assert (c.x2, c.mu31, c.mu41) == (kite.x2, kite.mu31, kite.mu41)
+                assert c.x2 == kite_scale(KiteShape(c.z3, c.z4), params)
+            seen[c.klass] += 1
+            seen[c.error.partition(":")[0]] += 1
+        assert [c.which_block_changed for c in cells] == _reference_block_changes(cells, n3, n4)
+        seen["boundary labels"] += sum(1 for c in cells if c.which_block_changed)
+    for key in ("tall", "wide", "inadmissible", "circumcenter-boundary", "boundary labels",
+                "IndeterminateScaleError", "MassBoundaryError"):
+        assert seen[key] > 0, key
+
+
+def test_index_map_noise_cells_are_degenerate():
+    # at A = 50 the deflated H_a eigenvalues fall below the rounding level
+    # of |H|, so no cell's index is trustworthy
+    cells = kite_index_map(1.0, 2.2, 20, 0.01, 0.87, 20, PotentialParams(50.0))
+    admissible = [c for c in cells if c.klass in ("tall", "wide")]
+    assert admissible
+    assert not any(c.computed for c in cells)
+    assert all(c.degenerate for c in admissible if not c.error)
 
 
 def test_index_map_refinement_consistency(newton):

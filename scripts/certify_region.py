@@ -12,9 +12,9 @@ def main() -> int:
     ap.add_argument("--z3", default="1.99,2.01")
     ap.add_argument("--z4", default="0.79,0.81")
     ap.add_argument("--A", type=float, default=3.0)
-    ap.add_argument("--subdivide", type=int, default=6,
-                    help="H_a decides at box widths of a few 1e-4; "
-                         "6 levels fully certify the default window")
+    ap.add_argument("--subdivide", type=int, default=5,
+                    help="both blocks decide at box widths of about 6e-4; "
+                         "5 levels fully certify the default window")
     ap.add_argument("--csv", default="certified_boxes.csv")
     args = ap.parse_args()
     return cli_main([

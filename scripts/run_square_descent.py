@@ -3,6 +3,7 @@
 configuration and write the trajectory plus the final rescaled CC."""
 
 import argparse
+import os
 import tempfile
 
 from twistcc.cli import main as cli_main
@@ -20,10 +21,10 @@ def main() -> int:
     masses = [float(v) for v in args.masses.split(",")]
     square = PlanarConfig.from_points(
         [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)], masses)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        start = fh.name
-    save_config(start, square, PotentialParams(args.A))
-    return cli_main(["descend", start, "--traj", args.traj, "--final", args.final])
+    with tempfile.TemporaryDirectory() as tmp:
+        start = os.path.join(tmp, "square_start.json")
+        save_config(start, square, PotentialParams(args.A))
+        return cli_main(["descend", start, "--traj", args.traj, "--final", args.final])
 
 
 if __name__ == "__main__":

@@ -7,12 +7,12 @@ a decided certificate holds for *every* shape in the input box:
     changes of the residual at its endpoints, narrowed at quarter points;
   * the 2x2 block H_s is enclosed through its explicit closed-form
     entries and its index decided from the signs of det and trace;
-  * the 3x3 block H_a always carries the rotational zero eigenvalue, so
-    its deflated index is decided by conjugating with an exactly
-    orthogonal Householder reflector built from a floating-point
-    approximate kernel vector: the off-pivot column norm rho bounds the
-    perturbation, leaving two eigenvalue enclosures to sign-check
-    (interval entries of the 2x2 compression, widened by rho).  Its
+  * the 3x3 block H_a carries the rotational zero eigenvalue exactly at
+    every kite CC (H_a u = 0 for the rotation's coordinates u), so its
+    deflated index is the index of any 2x2 principal minor whose det is
+    certified nonzero: then (u, e_i, e_j) is a basis in which H_a is
+    diag(0, minor), and Sylvester's law of inertia applies.  The three
+    minors are tried in turn with the same det/trace test as H_s.  The
     interval entries come from `kite.ha_explicit`, the closed forms the
     float kite map uses.
 
@@ -24,16 +24,14 @@ expected one on boxes straddling a bifurcation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import PotentialParams
-from .intervals import Interval, IntervalDomainError, IntervalError, _up
-from .kite import (KiteError, KiteQuantities, KiteShape, build_kite, dziso_residual,
-                   ha_explicit, hs_explicit, kite_blocks, kite_scale, mass_ratio_terms,
-                   side_powers)
+from .intervals import Interval, IntervalDomainError, IntervalError
+from .kite import (KiteError, KiteQuantities, KiteShape, dziso_residual, ha_explicit,
+                   hs_explicit, kite_scale, mass_ratio_terms, side_powers)
+# unused here; perfbench/tracing.py install() looks both names up on this module
+from .kite import build_kite, kite_blocks  # noqa: F401
 
 SQRT3_I = Interval(3.0).sqrt()
 
@@ -179,22 +177,29 @@ def interval_kite_quantities(z3: Interval, z4: Interval, x2: Interval,
     return KiteQuantities.at(z3, z4, x2, mu31, mu41, params.A)
 
 
+def _decide_2x2(h11: Interval, h22: Interval, h12: Interval,
+                name: str) -> CertifiedIndex | None:
+    """Index of every symmetric matrix [[h11, h12], [h12, h22]] with entries
+    in the intervals, from the signs of det and trace; None if undecided."""
+    det = h11 * h22 - h12.sq()
+    tr = h11 + h22
+    if det.is_positive() and tr.is_positive():
+        return CertifiedIndex(0, f"det({name}) > 0 and tr({name}) > 0")
+    if det.is_positive() and tr.is_negative():
+        return CertifiedIndex(2, f"det({name}) > 0 and tr({name}) < 0")
+    if det.is_negative():
+        return CertifiedIndex(1, f"det({name}) < 0")
+    return None
+
+
 def certify_hs_index(q: KiteQuantities) -> CertifiedIndex:
     """Index of H_s over a box with interval quantities q, decided by the
     signs of det and trace."""
     try:
-        h11, h22, h12 = hs_explicit(q)
+        decided = _decide_2x2(*hs_explicit(q), "Hs")
     except (IntervalError, IntervalDomainError) as exc:
         return CertifiedIndex(None, f"interval evaluation failed: {exc}")
-    det = h11 * h22 - h12.sq()
-    tr = h11 + h22
-    if det.is_positive() and tr.is_positive():
-        return CertifiedIndex(0, "det(Hs) > 0 and tr(Hs) > 0")
-    if det.is_positive() and tr.is_negative():
-        return CertifiedIndex(2, "det(Hs) > 0 and tr(Hs) < 0")
-    if det.is_negative():
-        return CertifiedIndex(1, "det(Hs) < 0")
-    return CertifiedIndex(None, "sign of det/tr undecided over the box")
+    return decided or CertifiedIndex(None, "sign of det/tr undecided over the box")
 
 
 def interval_ha_matrix(q: KiteQuantities) -> list[list[Interval]]:
@@ -204,65 +209,28 @@ def interval_ha_matrix(q: KiteQuantities) -> list[list[Interval]]:
     return [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
 
 
-def _interval_matmul(A_, B_):
-    n = len(A_)
-    return [[sum((A_[i][k] * B_[k][j] for k in range(n)), Interval(0.0))
-             for j in range(n)] for i in range(n)]
+_HA_MINORS = ((0, 1, "Ha[a3|a4]"), (0, 2, "Ha[a3|t34]"), (1, 2, "Ha[a4|t34]"))
 
 
-def certify_ha_index(q: KiteQuantities, z3: Interval, z4: Interval,
-                     params: PotentialParams) -> CertifiedIndex:
-    """Deflated index of H_a (rotational zero excluded) over the box
-    z3 x z4 with interval quantities q."""
+def certify_ha_index(q: KiteQuantities) -> CertifiedIndex:
+    """Deflated index of H_a (rotational zero excluded) over a box with
+    interval quantities q, from the first decided 2x2 principal minor.
+
+    At every shape in the box H_a u = 0 exactly for the rotation's
+    coordinates u.  If the minor on {i, j} has det != 0 over the box, then
+    u_k != 0 for the third index k, so (u, e_i, e_j) is a basis in which
+    H_a is diag(0, H_a[{i, j}]); by Sylvester's law of inertia the
+    deflated index is the index of that minor.
+    """
     try:
         H = interval_ha_matrix(q)
+        for i, j, name in _HA_MINORS:
+            decided = _decide_2x2(H[i][i], H[j][j], H[i][j], name)
+            if decided is not None:
+                return decided
     except (IntervalError, IntervalDomainError) as exc:
         return CertifiedIndex(None, f"interval evaluation failed: {exc}")
-
-    # approximate kernel direction from a float evaluation at the midpoint
-    try:
-        kite_mid = build_kite(KiteShape(z3.mid, z4.mid), params)
-        ha_mid = kite_blocks(kite_mid, params).h_a
-    except KiteError as exc:
-        return CertifiedIndex(None, f"midpoint evaluation failed: {exc}")
-    w, vecs = np.linalg.eigh(ha_mid)
-    u = vecs[:, int(np.argmin(np.abs(w)))]
-
-    # exactly orthogonal Householder reflector from float data: Q e1 ~ +-u
-    v = u.copy()
-    v[0] += math.copysign(np.linalg.norm(u), u[0] if u[0] != 0.0 else 1.0)
-    vi = [Interval(float(c)) for c in v]
-    vtv = vi[0].sq() + vi[1].sq() + vi[2].sq()
-    Q = [[(1.0 if a == b else 0.0) - 2.0 * vi[a] * vi[b] / vtv
-          for b in range(3)] for a in range(3)]
-    Qt = [[Q[b][a] for b in range(3)] for a in range(3)]
-    M = _interval_matmul(Qt, _interval_matmul(H, Q))
-
-    b1 = M[1][0].intersect(M[0][1])
-    b2 = M[2][0].intersect(M[0][2])
-    rho_sq = b1.sq() + b2.sq()
-    rho = _up(math.sqrt(rho_sq.hi))
-    rot = M[0][0].widened(rho)
-    if not rot.contains_zero():
-        return CertifiedIndex(None, "pivot enclosure does not contain the rotational zero")
-
-    c11, c22 = M[1][1], M[2][2]
-    c12 = M[1][2].intersect(M[2][1])
-    disc = (c11 - c22).sq() + 4.0 * c12.sq()
-    disc = Interval(max(disc.lo, 0.0), disc.hi)
-    root = disc.sqrt()
-    lam_hi = ((c11 + c22 + root) * 0.5).widened(rho)
-    lam_lo = ((c11 + c22 - root) * 0.5).widened(rho)
-    decided = []
-    for lam in (lam_lo, lam_hi):
-        if lam.is_negative():
-            decided.append(-1)
-        elif lam.is_positive():
-            decided.append(1)
-        else:
-            return CertifiedIndex(None, "deflated eigenvalue enclosure straddles zero")
-    idx = sum(1 for s in decided if s < 0)
-    return CertifiedIndex(idx, f"deflated eigenvalues signs {decided}, rho = {rho:.3e}")
+    return CertifiedIndex(None, "no 2x2 principal minor of H_a decided over the box")
 
 
 def certify_box(z3: Interval, z4: Interval, params: PotentialParams) -> BoxCertificate:
@@ -284,4 +252,4 @@ def certify_box(z3: Interval, z4: Interval, params: PotentialParams) -> BoxCerti
         q = interval_kite_quantities(z3, z4, x2, params)
     except (IntervalError, IntervalDomainError) as exc:
         return unknown(f"interval evaluation failed: {exc}")
-    return BoxCertificate(z3, z4, certify_hs_index(q), certify_ha_index(q, z3, z4, params))
+    return BoxCertificate(z3, z4, certify_hs_index(q), certify_ha_index(q))

@@ -296,6 +296,7 @@ def cmd_kite_map(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    t0 = time.perf_counter()
     params = PotentialParams(args.A)
     z3 = _parse_interval(args.z3)
     z4 = _parse_interval(args.z4)
@@ -305,6 +306,8 @@ def cmd_certify(args) -> int:
     rows = []
     decided = 0
     total = 0
+    known = Counter()
+    unknown = {"Hs": Counter(), "Ha": Counter()}
 
     def split(iv: Interval, t: int):
         w = (iv.hi - iv.lo) / parts
@@ -317,6 +320,11 @@ def cmd_certify(args) -> int:
             total += 1
             if cert.total is not None:
                 decided += 1
+            for block, c in (("Hs", cert.hs), ("Ha", cert.ha)):
+                if c.known:
+                    known[block] += 1
+                else:
+                    unknown[block][c.certificate.partition(":")[0]] += 1
             rows.append([fmt(box3.lo), fmt(box3.hi), fmt(box4.lo), fmt(box4.hi),
                          "Unknown" if cert.hs.value is None else cert.hs.value,
                          cert.hs.certificate,
@@ -327,8 +335,14 @@ def cmd_certify(args) -> int:
                      ["z3_lo", "z3_hi", "z4_lo", "z4_hi", "idx_Hs", "cert_Hs",
                       "idx_Ha", "cert_Ha", "idx_total"], rows)
     print(f"boxes = {total}, certified = {decided}, coverage = {decided / total:.3f}")
+    counts = {
+        "boxes": total,
+        "decided": {block: known[block] for block in unknown},
+        "unknown": {k: dict(sorted(v.items())) for k, v in unknown.items()},
+    }
     RunManifest("certify", {"z3": args.z3, "z4": args.z4, "A": args.A,
-                            "subdivide": args.subdivide}, [], [args.csv]).write()
+                            "subdivide": args.subdivide}, [], [args.csv],
+                wall_s=time.perf_counter() - t0, counts=counts).write()
     return 0
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from twistcc.certify import (box_admissible, certify_box, certify_kite_scale,
-                             interval_kite_quantities)
+import twistcc.certify as certify
+from twistcc.certify import (_decide_2x2, box_admissible, certify_box, certify_ha_index,
+                             certify_kite_scale, interval_kite_quantities)
 from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
 from twistcc.intervals import Interval
@@ -202,7 +203,6 @@ def test_certify_box_total(newton):
 
 def test_certify_box_one_scale_enclosure(monkeypatch, newton):
     # H_s and H_a share one scale enclosure; inadmissible boxes need none
-    import twistcc.certify as certify
     calls = []
     scale = certify.certify_kite_scale
     monkeypatch.setattr(certify, "certify_kite_scale",
@@ -241,15 +241,8 @@ def test_hs_decision_soundness(rng):
         h11 = Interval(a - w, a + w)
         h22 = Interval(b - w, b + w)
         h12 = Interval(c - w, c + w)
-        det = h11 * h22 - h12.sq()
-        tr = h11 + h22
-        if det.is_positive() and tr.is_positive():
-            idx = 0
-        elif det.is_positive() and tr.is_negative():
-            idx = 2
-        elif det.is_negative():
-            idx = 1
-        else:
+        cert = _decide_2x2(h11, h22, h12, "H")
+        if cert is None:
             continue
         decided += 1
         for _ in range(20):
@@ -257,5 +250,47 @@ def test_hs_decision_soundness(rng):
             m22 = rng.uniform(h22.lo, h22.hi)
             m12 = rng.uniform(h12.lo, h12.hi)
             ev = np.linalg.eigvalsh(np.array([[m11, m12], [m12, m22]]))
-            assert int((ev < 0).sum()) == idx
+            assert int((ev < 0).sum()) == cert.value
     assert decided > 100
+
+
+def test_ha_minor_decision_soundness(rng, monkeypatch):
+    # random symmetric P diag(0, a, b) P^T with the known kernel vector
+    # u = P e1, widened to intervals: whenever a principal minor decides,
+    # its index is the deflated negative count of every sampled member
+    # matrix of the box that keeps the kernel u
+    decided = 0
+    for _ in range(400):
+        P, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        a, b = rng.uniform(-2, 2, 2)
+        H = P @ np.diag([0.0, a, b]) @ P.T
+        w = 10.0 ** rng.uniform(-6, -1)
+        box = [[Interval(H[i, j] - w, H[i, j] + w) for j in range(3)] for i in range(3)]
+        monkeypatch.setattr(certify, "interval_ha_matrix", lambda q: box)
+        cert = certify_ha_index(None)
+        minors = [_decide_2x2(box[i][i], box[j][j], box[i][j], "H")
+                  for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert {m.value for m in minors if m is not None} <= {cert.value}
+        if not cert.known:
+            assert cert.certificate.startswith("no 2x2 principal minor")
+            continue
+        decided += 1
+        Q = P[:, 1:]
+        for _ in range(20):
+            S = rng.uniform(-1, 1, (2, 2))
+            E = Q @ (S + S.T) @ Q.T
+            M = H + rng.uniform(0, 0.99) * w / np.abs(E).max() * E
+            assert all(box[i][j].contains(M[i, j]) for i in range(3) for j in range(3))
+            ev = np.linalg.eigvalsh(M)
+            rot = int(np.argmin(np.abs(ev)))
+            assert sum(1 for t, e in enumerate(ev) if t != rot and e < 0) == cert.value
+    assert decided > 100
+
+
+def test_ha_decides_at_box_half_width_6p25e_4(newton):
+    # boxes as wide as the default certify window's subdivide-5 boxes
+    # decide H_a, in the index-1 and the index-0 region
+    for (c3, c4), idx in (((2.0, 0.8), 1), ((1.8, 0.7), 0)):
+        box = certify_box(*point_box(c3, c4, 6.25e-4), newton)
+        assert box.ha.value == idx, box.ha
+        assert box.ha.value == float_indices(KiteShape(c3, c4), newton)[1]

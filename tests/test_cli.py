@@ -202,7 +202,27 @@ def test_certify_overflow_midpoint_is_unknown(tmp_path):
     assert len(rows) == 4
     for r in rows:
         assert r["idx_Ha"] == "Unknown"
-        assert r["cert_Ha"].startswith("midpoint evaluation failed")
+        assert r["cert_Ha"].startswith("no 2x2 principal minor of H_a decided")
+
+
+def test_certify_manifest_counts(tmp_path):
+    out = tmp_path / "cert.csv"
+    # straddles z3 = sqrt3, so the boxes mix decided, inadmissible and undecided
+    assert main(["certify", "--z3", "1.725,1.745", "--z4", "0.695,0.705",
+                 "--subdivide", "3", "--csv", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    manifest = json.loads((tmp_path / "cert.csv.manifest.json").read_text())
+    assert manifest["counts"] == {
+        "boxes": len(rows),
+        "decided": {b: sum(1 for r in rows if r[f"idx_{b}"] != "Unknown")
+                    for b in ("Hs", "Ha")},
+        "unknown": {b: dict(Counter(r[f"cert_{b}"].split(":")[0]
+                                    for r in rows if r[f"idx_{b}"] == "Unknown"))
+                    for b in ("Hs", "Ha")},
+    }
+    assert 0 < manifest["counts"]["decided"]["Ha"] < len(rows)
+    assert manifest["wall_s"] > 0.0
 
 
 @pytest.mark.parametrize("dt, pairs", [

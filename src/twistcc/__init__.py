@@ -22,7 +22,7 @@ from .geometry import (CoincidentPointsError, ExponentRangeError, GeometryError,
 from .twist import (CCResidual, albouy_chenciner_asym, albouy_chenciner_sym,
                     cc_residual, laura_andoyer, normalized_twist, twist_span_basis,
                     twist_vector)
-from .hessian import (AngleTable, TwistDirection, TwistMatrix, assemble_twist_hessian,
+from .hessian import (TwistDirection, TwistMatrix, assemble_twist_hessian,
                       cartesian_hessian, lagrange_char_poly_coeffs, morse_index,
                       normalized_twist_hessian, twist_hessian_diag,
                       twist_hessian_disjoint, twist_hessian_entry, twist_hessian_share)

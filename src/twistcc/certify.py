@@ -28,12 +28,14 @@ from dataclasses import dataclass
 
 from .geometry import PotentialParams
 from .intervals import Interval, IntervalDomainError, IntervalError
-from .kite import (KiteError, KiteQuantities, KiteShape, dziso_residual, ha_explicit,
-                   hs_explicit, kite_scale, mass_ratio_terms, side_powers)
+from .kite import (KiteError, KiteQuantities, KiteShape, dziobek_coefficients,
+                   ha_explicit, hs_explicit, kite_scale, mass_ratio_terms, side_powers)
 # unused here; perfbench/tracing.py install() looks both names up on this module
 from .kite import build_kite, kite_blocks  # noqa: F401
 
 SQRT3_I = Interval(3.0).sqrt()
+# cap on the quarter-point probing rounds of `certify_kite_scale`
+MAX_PROBE_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -74,16 +76,17 @@ def box_admissible(z3: Interval, z4: Interval) -> str | None:
     return None
 
 
-def certify_kite_scale(z3: Interval, z4: Interval, params: PotentialParams,
-                       *, max_bisect: int = 200) -> Interval | None:
+def certify_kite_scale(z3: Interval, z4: Interval, params: PotentialParams) -> Interval | None:
     """Enclosure of the Dziobek scale valid for every shape in the box.
 
     Brackets the residual with verified constant signs at both endpoints,
     widening a relative bracket around the float scale at the box midpoint
     until the signs differ.  Then it probes the bracket's quarter points
     and moves an endpoint to each probe whose sign is decided, until the
-    bracket is 1e-14 relative wide or no probe decides.  The result is
-    intersected with the closed form x2 = (D/N)^(1/A).  Returns None when
+    bracket is 1e-14 relative wide, no probe decides, or MAX_PROBE_ROUNDS
+    rounds have run.  The box's side powers are enclosed once, for every
+    probe (the residual in t = x^(-A)) and for the closed form
+    x2 = (D/N)^(1/A) the result is intersected with.  Returns None when
     no verified bracket exists (e.g. a box straddling the symmetric shape,
     where the residual is identically zero).
     """
@@ -93,12 +96,15 @@ def certify_kite_scale(z3: Interval, z4: Interval, params: PotentialParams,
         return None
     try:
         x2c = kite_scale(KiteShape(z3.mid, z4.mid), params)
-    except KiteError:
+        powers = side_powers(z3, z4, A)
+    except (KiteError, IntervalError, IntervalDomainError):
         return None
+    p2, pd, p3, p4 = powers
 
     def sign_at(x: float) -> int:
         try:
-            g = dziso_residual(z3, z4, Interval(x), A)
+            t = Interval(x) ** -A
+            g = (t * p2 - 1.0) * (t * pd - 1.0) - (t * p3 - 1.0) * (t * p4 - 1.0)
         except (IntervalError, IntervalDomainError):
             return 0
         if g.is_positive():
@@ -123,7 +129,7 @@ def certify_kite_scale(z3: Interval, z4: Interval, params: PotentialParams,
     # Quarter-point probing instead of midpoint bisection: the sign right at
     # the root is never decidable, but both bracket ends can still close in
     # until the undecidable core (a few ulps wide) is reached.
-    for _ in range(max_bisect):
+    for _ in range(MAX_PROBE_ROUNDS):
         width = hi - lo
         if width <= 1e-14 * lo:
             break
@@ -154,9 +160,7 @@ def certify_kite_scale(z3: Interval, z4: Interval, params: PotentialParams,
     # x2 = (D/N)^(1/A); its direct interval evaluation is a second valid
     # enclosure, so intersecting can only tighten the bracket.
     try:
-        p2, pd, p3, p4 = side_powers(z3, z4, A)
-        D = p2 * pd - p3 * p4
-        N = p2 + pd - p3 - p4
+        D, N = dziobek_coefficients(powers)
         enclosure = enclosure.intersect((D / N) ** (1.0 / A))
     except (IntervalError, IntervalDomainError):
         pass

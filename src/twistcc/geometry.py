@@ -134,10 +134,14 @@ class PairTable:
       T  — r^(-A-2)
       dx, dy — coordinate differences x_i - x_j, y_i - y_j
 
-    Triple/quadruple accessors:
-      lam(i, j, k)    — q_ij ^ q_ik, twice the signed area of (q_i, q_j, q_k)
-      a_triple(i,j,k) — r_ij^2 + r_ik^2 - r_jk^2
-      dot(i, j, k, l) — q_ij . q_kl
+    Triple/quadruple accessors, in field arithmetic on dx, dy and r, so
+    `kite.KiteTable` runs them on numpy arrays and intervals too:
+      lam(i, j, k)     — q_ij ^ q_ik, twice the signed area of (q_i, q_j, q_k)
+      a_triple(i,j,k)  — r_ij^2 + r_ik^2 - r_jk^2
+      dot(i, j, k, l)  — q_ij . q_kl
+      sin3(i, j, k)    — lam_ijk/(r_ij*r_ik), signed sine of the angle at q_i
+      cos3(i, j, k)    — q_ij . q_ik/(r_ij*r_ik), its cosine
+      cos4(i, j, k, l) — q_ij . q_kl/(r_ij*r_kl)
     """
 
     __slots__ = ("n", "A", "dx", "dy", "r", "R", "S", "T", "zero")
@@ -168,6 +172,15 @@ class PairTable:
 
     def dot(self, i: int, j: int, k: int, l: int) -> float:
         return self.dx[i, j] * self.dx[k, l] + self.dy[i, j] * self.dy[k, l]
+
+    def sin3(self, i: int, j: int, k: int) -> float:
+        return self.lam(i, j, k) / (self.r[i, j] * self.r[i, k])
+
+    def cos3(self, i: int, j: int, k: int) -> float:
+        return self.dot(i, j, i, k) / (self.r[i, j] * self.r[i, k])
+
+    def cos4(self, i: int, j: int, k: int, l: int) -> float:
+        return self.dot(i, j, k, l) / (self.r[i, j] * self.r[k, l])
 
 
 def build_pair_table(config: PlanarConfig, params: PotentialParams) -> PairTable:

@@ -9,12 +9,14 @@ rescalings of the raw ones; the sine-like factors lam_abc/(r_ab*r_ac) are
 kept *signed* so that this holds for every orientation.
 
 The entry evaluators are generic over the scalar type: they only use
-+, -, *, /, ** on values pulled from a table object exposing r, R, S, T
-indexed by [i, j] plus lam(i,j,k) and dot(i,j,k,l) (the normalized forms
-read no T).  They serve the kite's H_a block (`kite.ha_explicit`, on
-floats, numpy arrays and intervals), the float entry functions and the
-tests; float matrices over twist directions are V^T H V instead, H the
-Cartesian Hessian and V the twist vectors as columns.
++, -, *, /, ** on values pulled from a `geometry.PairTable`, whose
+r, R, S, T are indexed by [i, j] and whose lam, dot, sin3, cos3 and cos4
+are written once on dx, dy and r.  The normalized forms read no T, so
+`kite.KiteTable`, a PairTable holding a kite's floats, numpy arrays or
+intervals, feeds them too.  They serve the kite's H_a block
+(`kite.ha_explicit`), the float entry functions and the tests; float
+matrices over twist directions are V^T H V instead, H the Cartesian
+Hessian and V the twist vectors as columns.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ import numpy as np
 from .geometry import PairTable, PlanarConfig, PotentialParams, build_pair_table
 from .twist import TwistPair, canon_pair, normalized_twist, twist_vector
 
+# Eigenvalues below this fraction of the spectral radius count as zero.
+MORSE_ZERO_RTOL = 1e-8
+
 __all__ = [
     "cartesian_hessian", "twist_hessian_diag", "twist_hessian_share",
     "twist_hessian_disjoint", "normalized_twist_hessian", "twist_hessian_entry",
     "TwistDirection", "TwistMatrix", "assemble_twist_hessian",
-    "lagrange_char_poly_coeffs", "morse_index", "AngleTable",
+    "lagrange_char_poly_coeffs", "morse_index",
 ]
 
 
@@ -102,19 +107,14 @@ def _raw_disjoint(t, m, A, i, j, k, l):
     return m[i] * m[j] * m[k] * m[l] * acc
 
 
-def _sin(t, a, b, c):
-    # signed sine of the angle at vertex a between q_ab and q_ac
-    return t.lam(a, b, c) / (t.r[a, b] * t.r[a, c])
-
-
 def _norm_diag(t, m, A, i, j):
     acc = -(2 + m[i] / m[j] + m[j] / m[i]) * t.S[i, j]
     for k in range(len(m)):
         if k == i or k == j:
             continue
         acc = acc + (-(m[k] / m[i]) * t.S[i, k] - (m[k] / m[j]) * t.S[j, k]
-                     + A * ((m[k] / m[i]) * t.R[i, k] * _sin(t, i, j, k) ** 2
-                            + (m[k] / m[j]) * t.R[j, k] * _sin(t, j, i, k) ** 2))
+                     + A * ((m[k] / m[i]) * t.R[i, k] * t.sin3(i, j, k) ** 2
+                            + (m[k] / m[j]) * t.R[j, k] * t.sin3(j, i, k) ** 2))
     return acc
 
 
@@ -124,23 +124,21 @@ def _norm_share(t, m, A, i, j, k):
     for l in range(n):
         if l != i:
             ssum = ssum + (m[l] / m[i]) * t.S[i, l]
-    cos_i = t.dot(i, j, i, k) / (t.r[i, j] * t.r[i, k])
-    acc = cos_i * (t.S[k, j] - t.S[i, j] - t.S[i, k] - ssum)
-    acc = acc - A * t.R[j, k] * _sin(t, j, i, k) * _sin(t, k, j, i)
+    acc = t.cos3(i, j, k) * (t.S[k, j] - t.S[i, j] - t.S[i, k] - ssum)
+    acc = acc - A * t.R[j, k] * t.sin3(j, i, k) * t.sin3(k, j, i)
     for l in range(n):
         if l in (i, j, k):
             continue
-        acc = acc + A * (m[l] / m[i]) * t.R[i, l] * _sin(t, i, j, l) * _sin(t, i, k, l)
+        acc = acc + A * (m[l] / m[i]) * t.R[i, l] * t.sin3(i, j, l) * t.sin3(i, k, l)
     return acc
 
 
 def _norm_disjoint(t, m, A, i, j, k, l):
-    acc = -A * (t.R[i, k] * _sin(t, i, k, j) * _sin(t, k, l, i)
-                + t.R[j, k] * _sin(t, j, k, i) * _sin(t, k, l, j)
-                + t.R[i, l] * _sin(t, i, l, j) * _sin(t, l, k, i)
-                + t.R[j, l] * _sin(t, j, l, i) * _sin(t, l, k, j))
-    cos4 = t.dot(i, j, k, l) / (t.r[i, j] * t.r[k, l])
-    return acc + cos4 * (t.R[i, k] + t.R[j, l] - t.R[j, k] - t.R[i, l])
+    acc = -A * (t.R[i, k] * t.sin3(i, k, j) * t.sin3(k, l, i)
+                + t.R[j, k] * t.sin3(j, k, i) * t.sin3(k, l, j)
+                + t.R[i, l] * t.sin3(i, l, j) * t.sin3(l, k, i)
+                + t.R[j, l] * t.sin3(j, l, i) * t.sin3(l, k, j))
+    return acc + t.cos4(i, j, k, l) * (t.R[i, k] + t.R[j, l] - t.R[j, k] - t.R[i, l])
 
 
 def generic_entry(t, m, A, p: TwistPair, q: TwistPair, normalized: bool):
@@ -276,38 +274,18 @@ def lagrange_char_poly_coeffs(masses) -> tuple[float, float, float]:
     return (float(a0), a1, a2)
 
 
-def morse_index(matrix, zero_tol: float = 1e-8) -> tuple[int, int, int]:
+def morse_index(matrix) -> tuple[int, int, int]:
     """(n_neg, n_zero, n_pos) eigenvalue counts of a symmetric matrix.
 
-    Eigenvalues with |lam| < zero_tol * max|lam| count as zero.
+    Eigenvalues with |lam| < MORSE_ZERO_RTOL * max|lam| count as zero.
     """
     M = matrix.matrix if isinstance(matrix, TwistMatrix) else np.asarray(matrix, dtype=float)
     w = np.linalg.eigvalsh(M)
     top = float(np.abs(w).max()) if w.size else 0.0
     if top == 0.0:
         return (0, int(w.size), 0)
-    thr = zero_tol * top
+    thr = MORSE_ZERO_RTOL * top
     n_zero = int((np.abs(w) < thr).sum())
     n_neg = int((w <= -thr).sum())
     return (n_neg, n_zero, int(w.size) - n_neg - n_zero)
 
-
-class AngleTable:
-    """Signed sines/cosines of the inter-pair angles of a configuration.
-
-    sin3(i,j,k) is lam_ijk/(r_ij*r_ik), the signed sine of the angle at
-    vertex i between q_ij and q_ik; cos3 is the matching cosine from the
-    dot product, and cos4(i,j,k,l) the cosine between q_ij and q_kl.
-    """
-
-    def __init__(self, table: PairTable):
-        self.t = table
-
-    def sin3(self, i, j, k) -> float:
-        return float(self.t.lam(i, j, k) / (self.t.r[i, j] * self.t.r[i, k]))
-
-    def cos3(self, i, j, k) -> float:
-        return float(self.t.dot(i, j, i, k) / (self.t.r[i, j] * self.t.r[i, k]))
-
-    def cos4(self, i, j, k, l) -> float:
-        return float(self.t.dot(i, j, k, l) / (self.t.r[i, j] * self.t.r[k, l]))

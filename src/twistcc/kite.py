@@ -28,7 +28,7 @@ from itertools import compress
 
 import numpy as np
 
-from .geometry import PlanarConfig, PotentialParams
+from .geometry import PairTable, PlanarConfig, PotentialParams
 from .hessian import (TwistDirection, _norm_diag, _norm_disjoint, _norm_share,
                       assemble_twist_hessian)
 
@@ -42,10 +42,12 @@ ADMISSIBLE_MARGIN = 1e-9
 ROTATION_ZERO_RTOL = 1e-6
 # a map cell is degenerate when its smallest H_s or deflated H_a eigenvalue
 # is this small relative to the twist Hessian's spectral radius (the zero
-# tolerance of `hessian.morse_index`): its sign is rounding noise
+# tolerance `hessian.MORSE_ZERO_RTOL`): its sign is rounding noise
 INDEX_NOISE_RTOL = 1e-8
 # cross-block leakage allowed before the symmetry is considered broken
 BLOCK_LEAK_RTOL = 1e-10
+# `dzsub_report` counts a closed-form scale within this of the root as agreeing
+DZSUB_AGREE_RTOL = 1e-8
 
 
 class KiteError(ValueError):
@@ -110,6 +112,14 @@ def kite_distances(z3, z4, x2):
             x2 * (z3 - z4))
 
 
+def dziobek_coefficients(powers):
+    """(D, N) from the side powers: in t = x2^(-A) the Dziobek residual is
+    (t*p2 - 1)(t*pd - 1) - (t*p3 - 1)(t*p4 - 1) = t*(t*D - N), so x2 = (D/N)^(1/A).
+    Generic over the scalar type (floats, numpy arrays or intervals)."""
+    p2, pd, p3, p4 = powers
+    return p2 * pd - p3 * p4, p2 + pd - p3 - p4
+
+
 # The checks a kite shape must pass, in the order build_kite and then
 # kite_blocks apply them: name -> (error class, message template).
 _CHECKS = {
@@ -149,8 +159,7 @@ def _scale_terms(powers):
     when N/D <= 0 no positive root exists (infeasible).
     """
     p2, pd, p3, p4 = powers
-    D = p2 * pd - p3 * p4
-    N = p2 + pd - p3 - p4
+    D, N = dziobek_coefficients(powers)
     t = N / D
     return t, {
         "indeterminate": ((np.abs(D) <= 1e-13 * (p2 * pd + p3 * p4))
@@ -249,13 +258,13 @@ def dzsub_x2(shape: KiteShape, params: PotentialParams, half_exponent: bool = Fa
     return 0.5 * (num / den) ** (1.0 / A)
 
 
-def dzsub_report(shape: KiteShape, params: PotentialParams, rtol: float = 1e-8) -> DzsubReport:
+def dzsub_report(shape: KiteShape, params: PotentialParams) -> DzsubReport:
     x2 = kite_scale(shape, params)
     v = dzsub_x2(shape, params, half_exponent=False)
     h = dzsub_x2(shape, params, half_exponent=True)
 
     def agrees(val: float) -> bool:
-        return math.isfinite(val) and abs(val - x2) <= rtol * x2
+        return math.isfinite(val) and abs(val - x2) <= DZSUB_AGREE_RTOL * x2
 
     return DzsubReport(x2, v, h, agrees(v), agrees(h))
 
@@ -361,8 +370,7 @@ class KiteBlocks:
     full: np.ndarray
 
 
-def kite_blocks(kite: KiteConfig, params: PotentialParams,
-                leak_tol: float = BLOCK_LEAK_RTOL) -> KiteBlocks:
+def kite_blocks(kite: KiteConfig, params: PotentialParams) -> KiteBlocks:
     """Assemble the 5x5 normalized twist Hessian and split it into blocks."""
     with np.errstate(all="ignore"):  # overflow is reported just below
         M = assemble_twist_hessian(kite.config, params, KITE_BASIS, normalized=True).matrix
@@ -372,10 +380,10 @@ def kite_blocks(kite: KiteConfig, params: PotentialParams,
     h_s = M[3:, 3:].copy()
     cross = float(np.abs(M[:3, 3:]).max())
     hnorm = float(np.linalg.norm(M, 2))
-    if cross > leak_tol * hnorm:
+    if cross > BLOCK_LEAK_RTOL * hnorm:
         raise SymmetryLeakError(
-            f"cross-block leakage {cross:.3e} exceeds {leak_tol:.1e} * |H| = "
-            f"{leak_tol * hnorm:.3e}")
+            f"cross-block leakage {cross:.3e} exceeds {BLOCK_LEAK_RTOL:.1e} * |H| = "
+            f"{BLOCK_LEAK_RTOL * hnorm:.3e}")
     return KiteBlocks(h_a, h_s, cross, M)
 
 
@@ -464,34 +472,29 @@ def v13_h_v24_explicit(q: KiteQuantities):
                    - q.R34 * q.r12 ** 2 / (4 * q.r13 * q.r14)))
 
 
-class KiteTable:
-    """Pair-table protocol of `hessian`'s normalized entries on a kite.
+class KiteTable(PairTable):
+    """`geometry.PairTable` of a kite, built from q by field arithmetic only.
 
-    Exposes r, R, S indexed by body pairs [i, j], lam(i, j, k), dot(i, j,
-    k, l) and zero, built from q by field arithmetic only, so it holds
-    floats, numpy arrays or intervals alike.
+    dx, dy, r, R and S are dicts over body pairs [i, j], i != j, holding
+    floats, numpy arrays or intervals alike; the angle accessors are
+    inherited.  There is no T: the normalized entries read none.
     """
+
+    __slots__ = ()
 
     def __init__(self, q: KiteQuantities):
         zero = q.x2 * 0.0
+        qx = (-q.x2, q.x2, zero, zero)
+        qy = (zero, zero, q.y3, q.y4)
         self.zero = zero
-        self.qx = (-q.x2, q.x2, zero, zero)
-        self.qy = (zero, zero, q.y3, q.y4)
-        self.r, self.R, self.S = {}, {}, {}
+        self.dx, self.dy, self.r, self.R, self.S = {}, {}, {}, {}, {}
         pairs = {(0, 1): (q.r12, q.R12, q.S12), (0, 2): (q.r13, q.R13, q.S13),
                  (1, 2): (q.r13, q.R13, q.S13), (0, 3): (q.r14, q.R14, q.S14),
                  (1, 3): (q.r14, q.R14, q.S14), (2, 3): (q.r34, q.R34, q.S34)}
         for (i, j), (r, R, S) in pairs.items():
-            for key in ((i, j), (j, i)):
-                self.r[key], self.R[key], self.S[key] = r, R, S
-
-    def lam(self, i, j, k):
-        return ((self.qx[i] - self.qx[j]) * (self.qy[i] - self.qy[k])
-                - (self.qx[i] - self.qx[k]) * (self.qy[i] - self.qy[j]))
-
-    def dot(self, i, j, k, l):
-        return ((self.qx[i] - self.qx[j]) * (self.qx[k] - self.qx[l])
-                + (self.qy[i] - self.qy[j]) * (self.qy[k] - self.qy[l]))
+            for a, b in ((i, j), (j, i)):
+                self.dx[a, b], self.dy[a, b] = qx[a] - qx[b], qy[a] - qy[b]
+                self.r[a, b], self.R[a, b], self.S[a, b] = r, R, S
 
 
 def ha_explicit(q: KiteQuantities):
@@ -566,18 +569,17 @@ class IndexMapCell:
 def kite_index_map(z3_lo: float, z3_hi: float, n3: int,
                    z4_lo: float, z4_hi: float, n4: int,
                    params: PotentialParams, *,
-                   margin: float = ADMISSIBLE_MARGIN,
-                   rot_tol: float = ROTATION_ZERO_RTOL) -> list[IndexMapCell]:
+                   margin: float = ADMISSIBLE_MARGIN) -> list[IndexMapCell]:
     """Morse indices per grid cell (evaluated at cell centers), row-major in
     (iz4, iz3).  Per-cell failures are recorded, never raised.
 
     All cells are evaluated at once: the checks of `build_kite` and a
     finiteness check run as masks, the closed-form blocks on arrays, and
     each block's eigenvalues in one stacked `eigvalsh`.  A cell is
-    degenerate when its rotational H_a eigenvalue is not below rot_tol
-    times H_a's spectral radius, or when its smallest H_s or deflated H_a
-    eigenvalue is below INDEX_NOISE_RTOL times the spectral radius of
-    both blocks.
+    degenerate when its rotational H_a eigenvalue is not below
+    ROTATION_ZERO_RTOL times H_a's spectral radius, or when its smallest
+    H_s or deflated H_a eigenvalue is below INDEX_NOISE_RTOL times the
+    spectral radius of both blocks.
     """
     z3s = z3_lo + (np.arange(n3) + 0.5) * ((z3_hi - z3_lo) / n3)
     z4s = z4_lo + (np.arange(n4) + 0.5) * ((z4_hi - z4_lo) / n4)
@@ -588,7 +590,7 @@ def kite_index_map(z3_lo: float, z3_hi: float, n3: int,
     if adm.size:
         params.require_f_domain()
     x2, mu31, mu41, first, idx_hs, idx_ha, degenerate = _admissible_cells(
-        z3s[adm % n3], z4s[adm // n3], params.A, rot_tol)
+        z3s[adm % n3], z4s[adm // n3], params.A)
     ok = first == len(_CHECKS)
 
     z3_at, z4_at = z3s.tolist(), z4s.tolist()
@@ -617,7 +619,7 @@ def kite_index_map(z3_lo: float, z3_hi: float, n3: int,
     return cells
 
 
-def _admissible_cells(z3: np.ndarray, z4: np.ndarray, A: float, rot_tol: float):
+def _admissible_cells(z3: np.ndarray, z4: np.ndarray, A: float):
     """(x2, mu31, mu41, first, idx_Hs, idx_Ha, degenerate) for arrays of
     admissible shapes.
 
@@ -638,10 +640,10 @@ def _admissible_cells(z3: np.ndarray, z4: np.ndarray, A: float, rot_tol: float):
     for k, check in reversed(list(enumerate(_CHECKS))):
         first[failed[check]] = k
     ok = first == len(_CHECKS)
-    return (x2, mu31, mu41, first) + _block_indices(h_s[ok], h_a[ok], rot_tol)
+    return (x2, mu31, mu41, first) + _block_indices(h_s[ok], h_a[ok])
 
 
-def _block_indices(h_s: np.ndarray, h_a: np.ndarray, rot_tol: float):
+def _block_indices(h_s: np.ndarray, h_a: np.ndarray):
     """(idx_Hs, deflated idx_Ha, degenerate) of stacked finite blocks."""
     ws = np.linalg.eigvalsh(h_s)
     wa = np.linalg.eigvalsh(h_a)
@@ -652,7 +654,7 @@ def _block_indices(h_s: np.ndarray, h_a: np.ndarray, rot_tol: float):
     neg_a[rows, rot] = False
     spectral = np.maximum(aw.max(axis=1), np.abs(ws).max(axis=1))
     smallest = np.minimum(np.abs(ws).min(axis=1), np.sort(aw, axis=1)[:, 1])
-    degenerate = ((aw[rows, rot] >= rot_tol * aw.max(axis=1))
+    degenerate = ((aw[rows, rot] >= ROTATION_ZERO_RTOL * aw.max(axis=1))
                   | (smallest < INDEX_NOISE_RTOL * spectral))
     return (ws < 0.0).sum(axis=1), neg_a.sum(axis=1), degenerate
 

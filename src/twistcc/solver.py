@@ -17,8 +17,8 @@ import numpy as np
 from .geometry import (GeometryError, PlanarConfig, PotentialParams, build_pair_table,
                        cartesian_gradient_f, center_of_mass, f_value, moment_of_inertia,
                        potential_u)
-from .twist import (COLLINEAR_RTOL, TwistPair, canon_pair, max_laura_andoyer,
-                    twist_span_basis, twist_vector)
+from .twist import (TwistPair, canon_pair, max_laura_andoyer, twist_span_basis,
+                    twist_vector)
 
 # Backtracking line-search constants.
 ETA0_FRACTION = 1e-2     # initial step length as a fraction of the diameter
@@ -122,7 +122,6 @@ def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
 
 def descend(config: PlanarConfig, params: PotentialParams, *,
             tol: float = 1e-10, max_iter: int = 50000,
-            collinearity_tol: float = COLLINEAR_RTOL,
             record: bool = False) -> DescentReport:
     """Projected gradient descent of f over a twist basis.
 
@@ -161,7 +160,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
             history.append((it, cfg.positions, fcur, resid))
         if resid_cc < tol:
             break
-        basis, dim = twist_span_basis(cfg, collinearity_tol)
+        basis, dim = twist_span_basis(cfg)
         if dim < full_dim:
             degenerate_run += 1
             if degenerate_run >= COLLAPSE_RUN:
@@ -189,7 +188,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     resid, resid_cc = residuals(cfg)
     # Laura-Andoyer residuals vanish identically on collinear configurations,
     # so a rank-deficient final span is a collapse even when "converged".
-    _, final_dim = twist_span_basis(cfg, collinearity_tol)
+    _, final_dim = twist_span_basis(cfg)
     collapse = collapse or final_dim < full_dim
     return DescentReport(cfg, iterations, resid, fcur, resid_cc < tol,
                          collapse, tuple(history))

@@ -64,8 +64,7 @@ def _lam_points(p: np.ndarray, i: int, j: int, k: int) -> float:
             - (p[i, 0] - p[k, 0]) * (p[i, 1] - p[j, 1]))
 
 
-def twist_span_basis(config: PlanarConfig,
-                     collinearity_tol: float = COLLINEAR_RTOL) -> tuple[list[TwistPair], int]:
+def twist_span_basis(config: PlanarConfig) -> tuple[list[TwistPair], int]:
     """Independent twist pairs spanning the full twist space.
 
     Seeds the three pairs of the least-collinear triple, then adds two
@@ -75,7 +74,7 @@ def twist_span_basis(config: PlanarConfig,
     """
     p = config.points
     n = config.n
-    thresh = collinearity_tol * config.diameter() ** 2
+    thresh = COLLINEAR_RTOL * config.diameter() ** 2
 
     best = None
     best_lam = -1.0

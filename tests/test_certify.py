@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ def test_scale_enclosure_refinement(newton):
     for s3 in (z3.lo, z3.mid, z3.hi):
         for s4 in (z4.lo, z4.mid, z4.hi):
             assert enc.contains(kite_scale(KiteShape(s3, s4), newton))
+
+
+def test_scale_enclosure_encloses_side_powers_once(monkeypatch, newton):
+    # the probes reuse one enclosure of the box's side powers instead of
+    # re-enclosing the kite's distances through dziso_residual
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *a: calls.update([name]) or fn(*a)
+
+    monkeypatch.setattr(certify, "side_powers", counted("side_powers", side_powers))
+    monkeypatch.setattr(certify, "dziso_residual", counted("dziso_residual", dziso_residual),
+                        raising=False)
+    assert certify_kite_scale(*point_box(2.0, 0.8, 1e-4), newton) is not None
+    assert calls == {"side_powers": 1}
 
 
 # --- quantity enclosures ----------------------------------------------------------

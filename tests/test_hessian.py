@@ -5,11 +5,11 @@ import pytest
 
 from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
                               center_of_mass)
-from twistcc.hessian import (AngleTable, TwistDirection, assemble_twist_hessian,
-                             cartesian_hessian, lagrange_char_poly_coeffs,
-                             morse_index, normalized_twist_hessian,
-                             twist_hessian_diag, twist_hessian_disjoint,
-                             twist_hessian_entry, twist_hessian_share)
+from twistcc.hessian import (TwistDirection, assemble_twist_hessian, cartesian_hessian,
+                             lagrange_char_poly_coeffs, morse_index,
+                             normalized_twist_hessian, twist_hessian_diag,
+                             twist_hessian_disjoint, twist_hessian_entry,
+                             twist_hessian_share)
 from twistcc.twist import normalized_twist, twist_vector
 
 from oracles import equilateral_config, fd_hessian, random_config
@@ -242,11 +242,10 @@ def test_morse_index_basics():
 def test_angle_table(rng, newton):
     cfg = random_config(rng, 4)
     t = build_pair_table(cfg, newton)
-    ang = AngleTable(t)
     for (i, j, k) in [(0, 1, 2), (2, 3, 1), (3, 0, 2)]:
-        s, c = ang.sin3(i, j, k), ang.cos3(i, j, k)
+        s, c = t.sin3(i, j, k), t.cos3(i, j, k)
         assert s * s + c * c == pytest.approx(1.0, abs=1e-14)
         assert abs(s) == pytest.approx(
             abs(t.lam(i, j, k)) / (t.r[i, j] * t.r[i, k]), rel=1e-14)
-    c4 = ang.cos4(0, 1, 2, 3)
+    c4 = t.cos4(0, 1, 2, 3)
     assert -1.0 - 1e-14 <= c4 <= 1.0 + 1e-14

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from twistcc.geometry import (PotentialParams, build_pair_table, euler_residual,
                               moment_of_inertia)
 from twistcc.hessian import cartesian_hessian
+from twistcc.intervals import Interval
 from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, InfeasibleShapeError,
-                          KiteError, KiteQuantities, KiteShape, MassBoundaryError,
+                          KiteError, KiteQuantities, KiteShape, KiteTable, MassBoundaryError,
                           build_kite, circumcenter_z4, classify_shape,
                           coorbital_identity_check, dzsub_report, euler_precursor,
                           ha_explicit, hs_explicit, kite_blocks, kite_index_map,
@@ -170,6 +172,28 @@ def test_hs_explicit_matches_assembly(rng, newton):
         a11, a22, a33, a12, a13, a23 = ha_explicit(q)
         h_a = np.array([[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]])
         assert np.abs(h_a - blocks.h_a).max() <= 1e-10 * np.linalg.norm(blocks.full, 2)
+
+
+def test_kite_table_matches_pair_table(rng, newton):
+    # KiteTable inherits PairTable's geometry; on a float kite it agrees with
+    # the kite's own pair table, and on a point box its intervals enclose it
+    triples = list(permutations(range(4), 3))
+    pairs = list(permutations(range(4), 2))
+    quads = [p + q for p in pairs for q in pairs]
+    for shape in sample_admissible_shapes(rng, 10):
+        kite = build_kite(shape, newton)
+        q = KiteQuantities.from_kite(kite, newton)
+        kt, pt = KiteTable(q), build_pair_table(kite.config, newton)
+        qi = KiteQuantities.at(Interval(shape.z3), Interval(shape.z4), Interval(kite.x2),
+                               Interval(kite.mu31), Interval(kite.mu41), newton.A)
+        it = KiteTable(qi)
+        for name, tuples in (("lam", triples), ("sin3", triples), ("cos3", triples),
+                             ("dot", quads), ("cos4", quads)):
+            for idx in tuples:
+                got = getattr(kt, name)(*idx)
+                assert got == pytest.approx(getattr(pt, name)(*idx), rel=1e-13, abs=0.0), \
+                    (name, idx)
+                assert getattr(it, name)(*idx).contains(got), (name, idx)
 
 
 def test_v13_h_v24_explicit_matches_sandwich(rng, newton):

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .certify import certify_box
+# build_pair_table is not called here; perfbench/tracing.py wraps it by name
 from .geometry import (GeometryError, PlanarConfig, PotentialParams,
                        build_pair_table, config_to_json, euler_residual, f_value,
                        load_config, moment_of_inertia, potential_u)
@@ -32,8 +33,7 @@ from .intervals import Interval
 from .kite import (MAP_CSV_COLUMNS, KiteError, cell_csv_row, kite_index_map,
                    write_pgm)
 from .solver import FlowSpec, descend, flow_fixed_combo, rescale_to_cc_size
-from .twist import (albouy_chenciner_asym, cc_residual, laura_andoyer,
-                    twist_span_basis)
+from .twist import cc_residual, twist_span_basis
 
 
 def fmt(x: float) -> str:
@@ -141,16 +141,9 @@ def _parse_interval(text: str) -> Interval:
 
 def cmd_eval(args) -> int:
     config, params = _load(args.config)
-    table = build_pair_table(config, params)
-    m = config.masses
     res = cc_residual(config, params, tol=args.tol)
-    rows = []
-    for i in range(config.n):
-        for j in range(i + 1, config.n):
-            rows.append([i + 1, j + 1,
-                         fmt(laura_andoyer(table, m, (i, j))),
-                         fmt(albouy_chenciner_asym(table, m, i, j)),
-                         fmt(albouy_chenciner_asym(table, m, j, i))])
+    rows = [[i + 1, j + 1, fmt(la), fmt(res.b[i, j]), fmt(res.b[j, i])]
+            for i, j, la in zip(*np.triu_indices(config.n, 1), res.la)]
     U = potential_u(config, params)
     I = moment_of_inertia(config)
     print(f"f = {fmt(f_value(config, params))}")

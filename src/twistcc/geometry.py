@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -57,10 +57,16 @@ class PotentialParams:
 
 @dataclass(frozen=True, eq=False)
 class PlanarConfig:
-    """n bodies in the plane: flat coordinates (x1, y1, ..., xn, yn) and masses."""
+    """n bodies in the plane: flat coordinates (x1, y1, ..., xn, yn) and masses.
+
+    `pair_distances` holds the distances r_ij of the pairs i < j in
+    `np.triu_indices(n, 1)` order, computed once by the coincidence check
+    and read-only like the positions.
+    """
 
     positions: np.ndarray
     masses: np.ndarray
+    pair_distances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pos = np.array(self.positions, dtype=float).reshape(-1)
@@ -74,11 +80,19 @@ class PlanarConfig:
             raise GeometryError("positions and masses must be finite")
         if np.any(m <= 0.0):
             raise GeometryError("all masses must be positive")
-        _reject_coincident(pos.reshape(-1, 2))
-        pos.setflags(write=False)
-        m.setflags(write=False)
+        r = _pair_distances(pos.reshape(1, -1, 2))
+        if _coincident(r)[0]:
+            k = int(np.argmin(r[0]))
+            iu = _pair_indices(m.size)
+            raise CoincidentPointsError(
+                f"bodies {iu[0][k]} and {iu[1][k]} coincide (separation {r[0, k]:.3e}, "
+                f"diameter {r[0].max():.3e}); indices are 0-based")
+        r = r[0]
+        for a in (pos, m, r):
+            a.setflags(write=False)
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "masses", m)
+        object.__setattr__(self, "pair_distances", r)
 
     @classmethod
     def from_points(cls, points, masses) -> "PlanarConfig":
@@ -94,9 +108,7 @@ class PlanarConfig:
         return self.positions.reshape(-1, 2)
 
     def diameter(self) -> float:
-        p = self.points
-        d = p[:, None, :] - p[None, :, :]
-        return float(np.hypot(d[..., 0], d[..., 1]).max())
+        return float(self.pair_distances.max())
 
     def with_positions(self, positions) -> "PlanarConfig":
         return PlanarConfig(np.asarray(positions, dtype=float).reshape(-1), self.masses)
@@ -111,17 +123,68 @@ def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def _reject_coincident(points: np.ndarray) -> None:
-    d = points[:, None, :] - points[None, :, :]
-    r = np.hypot(d[..., 0], d[..., 1])
-    diam = float(r.max())
-    iu = _pair_indices(points.shape[0])
-    rmin_idx = int(np.argmin(r[iu]))
-    i, j = iu[0][rmin_idx], iu[1][rmin_idx]
-    if r[i, j] <= COINCIDENT_RTOL * diam or diam == 0.0:
-        raise CoincidentPointsError(
-            f"bodies {i} and {j} coincide (separation {r[i, j]:.3e}, "
-            f"diameter {diam:.3e}); indices are 0-based")
+# --- stacked rows -------------------------------------------------------------
+#
+# The helpers below take K stacked point sets of shape (K, n, 2), or their pair
+# distances of shape (K, P), and return one value per row.  A configuration is
+# the case K = 1, so `PlanarConfig` validation, `f_value` and the solver's
+# batched line search run the same arithmetic.  Every sum runs over the last
+# axis of a C-contiguous array, where numpy sums each row in the order in
+# which it sums that row alone.
+
+def _pair_distances(points: np.ndarray) -> np.ndarray:
+    """(K, P) distances of the pairs i < j."""
+    i, j = _pair_indices(points.shape[1])
+    d = points[:, i] - points[:, j]
+    # hypot of the fancy-indexed differences comes out F-ordered
+    return np.ascontiguousarray(np.hypot(d[..., 0], d[..., 1]))
+
+
+def _coincident(pair_r: np.ndarray) -> np.ndarray:
+    """Rows whose closest pair is within COINCIDENT_RTOL of their diameter."""
+    diam = pair_r.max(axis=1)
+    return (pair_r.min(axis=1) <= COINCIDENT_RTOL * diam) | (diam == 0.0)
+
+
+def _center(points: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    return (masses[:, None] * points).sum(axis=1) / masses.sum()
+
+
+def _inertia(points: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    q = points - _center(points, masses)[:, None, :]
+    return (masses * (q ** 2).sum(axis=2)).sum(axis=1)
+
+
+def _potential(pair_r: np.ndarray, masses: np.ndarray, A: float) -> np.ndarray:
+    i, j = _pair_indices(masses.size)
+    return (masses[i] * masses[j] * pair_r ** (2.0 - A)).sum(axis=1)
+
+
+def _f(points: np.ndarray, pair_r: np.ndarray, masses: np.ndarray, A: float) -> np.ndarray:
+    M = float(masses.sum())
+    return M * _inertia(points, masses) / 2.0 + _potential(pair_r, masses, A) / (A - 2.0)
+
+
+def f_rows(positions: np.ndarray, masses: np.ndarray,
+           params: PotentialParams) -> tuple[np.ndarray, np.ndarray]:
+    """(valid, f) for K stacked rows of flat positions, shape (K, 2n).
+
+    A row is valid when it would make a `PlanarConfig`: finite, with no
+    coincident pair.  The f of a valid row equals `f_value` of that
+    configuration bit for bit; the f of an invalid row is meaningless.
+    """
+    params.require_f_domain()
+    points = positions.reshape(positions.shape[0], -1, 2)
+    with np.errstate(all="ignore"):
+        pair_r = _pair_distances(points)
+        valid = np.isfinite(positions).all(axis=1) & ~_coincident(pair_r)
+        f = _f(points, pair_r, masses, params.A)
+    return valid, f
+
+
+def _lam(dx, dy, i, j, k):
+    """q_ij ^ q_ik from the coordinate differences dx[i, j] = x_i - x_j and dy."""
+    return dx[i, j] * dy[i, k] - dx[i, k] * dy[i, j]
 
 
 class PairTable:
@@ -151,8 +214,7 @@ class PairTable:
         n = config.n
         d = p[:, None, :] - p[None, :, :]
         dx, dy = d[..., 0], d[..., 1]
-        r = np.hypot(dx, dy)
-        _reject_coincident(p)
+        r = np.hypot(dx, dy)  # no coincident pair: `PlanarConfig` rejected those
         rs = r + np.eye(n)  # keep the diagonal out of the power's domain
         R = rs ** (-params.A)
         T = rs ** (-params.A - 2.0)
@@ -165,7 +227,7 @@ class PairTable:
         self.zero = 0.0
 
     def lam(self, i: int, j: int, k: int) -> float:
-        return self.dx[i, j] * self.dy[i, k] - self.dx[i, k] * self.dy[i, j]
+        return _lam(self.dx, self.dy, i, j, k)
 
     def a_triple(self, i: int, j: int, k: int) -> float:
         return self.r[i, j] ** 2 + self.r[i, k] ** 2 - self.r[j, k] ** 2
@@ -188,30 +250,22 @@ def build_pair_table(config: PlanarConfig, params: PotentialParams) -> PairTable
 
 
 def center_of_mass(config: PlanarConfig) -> np.ndarray:
-    m = config.masses
-    return (m[:, None] * config.points).sum(axis=0) / m.sum()
+    return _center(config.points[None], config.masses)[0]
 
 
 def moment_of_inertia(config: PlanarConfig) -> float:
-    m = config.masses
-    q = config.points - center_of_mass(config)
-    return float((m * (q ** 2).sum(axis=1)).sum())
+    return float(_inertia(config.points[None], config.masses)[0])
 
 
 def potential_u(config: PlanarConfig, params: PotentialParams) -> float:
     params.require_f_domain()
-    p = config.points
-    m = config.masses
-    iu = _pair_indices(config.n)
-    d = p[iu[0]] - p[iu[1]]
-    r = np.hypot(d[:, 0], d[:, 1])
-    return float((m[iu[0]] * m[iu[1]] * r ** (2.0 - params.A)).sum())
+    return float(_potential(config.pair_distances[None], config.masses, params.A)[0])
 
 
 def f_value(config: PlanarConfig, params: PotentialParams) -> float:
     params.require_f_domain()
-    M = float(config.masses.sum())
-    return M * moment_of_inertia(config) / 2.0 + potential_u(config, params) / (params.A - 2.0)
+    return float(_f(config.points[None], config.pair_distances[None], config.masses,
+                    params.A)[0])
 
 
 def euler_residual(config: PlanarConfig, params: PotentialParams) -> float:
@@ -223,12 +277,15 @@ def euler_residual(config: PlanarConfig, params: PotentialParams) -> float:
 def cartesian_gradient_f(config: PlanarConfig, params: PotentialParams) -> np.ndarray:
     """Gradient of f in flat coordinates: block i is -m_i * sum_k m_k S_ik q_ik."""
     params.require_f_domain()
-    t = build_pair_table(config, params)
-    m = config.masses
-    w = (m[:, None] * m[None, :]) * t.S
-    g = np.empty(2 * config.n)
-    g[0::2] = -(w * t.dx).sum(axis=1)
-    g[1::2] = -(w * t.dy).sum(axis=1)
+    return _gradient_f(build_pair_table(config, params), config.masses)
+
+
+def _gradient_f(table: PairTable, masses: np.ndarray) -> np.ndarray:
+    """`cartesian_gradient_f` from a pair table the caller already has."""
+    w = (masses[:, None] * masses[None, :]) * table.S
+    g = np.empty(2 * table.n)
+    g[0::2] = -(w * table.dx).sum(axis=1)
+    g[1::2] = -(w * table.dy).sum(axis=1)
     return g
 
 

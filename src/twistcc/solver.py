@@ -6,6 +6,11 @@ both (up to integrator error).  Gradient descent projected on a twist
 basis searches for central configurations; its finite steps keep I only
 to first order.  The size itself is fixed afterwards by a single rescale
 enforcing U = M*I.
+
+A descent iteration is a few array passes over one pair table: the
+residual, the gradient and the unit twist directions all read it, and the
+backtracking line search evaluates all of its candidate steps at once,
+accepting the same step as backtracking one trial at a time would.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (GeometryError, PlanarConfig, PotentialParams, build_pair_table,
-                       cartesian_gradient_f, center_of_mass, f_value, moment_of_inertia,
-                       potential_u)
-from .twist import (TwistPair, canon_pair, max_laura_andoyer, twist_span_basis,
-                    twist_vector)
+from .geometry import (GeometryError, PairTable, PlanarConfig, PotentialParams,
+                       _gradient_f, build_pair_table, center_of_mass, f_rows, f_value,
+                       moment_of_inertia, potential_u)
+from .twist import (TwistPair, _unit_twists, canon_pair, max_laura_andoyer,
+                    twist_span_basis)
 
 # Backtracking line-search constants.
 ETA0_FRACTION = 1e-2     # initial step length as a fraction of the diameter
@@ -104,20 +109,35 @@ class DescentReport:
     history: tuple = field(default=(), repr=False)
 
 
+def _descent_direction(table: PairTable, masses: np.ndarray,
+                       basis: list[TwistPair]) -> tuple[np.ndarray, np.ndarray]:
+    """(grad f, d) with d = sum_k (grad f . u_k) u_k over the unit twists of `basis`."""
+    g = _gradient_f(table, masses)
+    u = _unit_twists(table, masses, basis)
+    gu = np.matmul(u[:, None, :], g[:, None])[:, 0]  # each row summed as g @ u_k is
+    # accumulate adds the terms in basis order onto a zero row, as a loop does
+    d = np.add.accumulate(np.vstack([np.zeros_like(g), gu * u]))[-1]
+    return g, d
+
+
 def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
                  eta: float, fcur: float, slope: float) -> tuple[PlanarConfig, float] | None:
-    """Backtrack along -d from step eta; (config, f) of the first Armijo point, or None."""
-    for _ in range(MAX_BACKTRACKS):
-        try:
-            trial = cfg.with_positions(cfg.positions - eta * d)
-        except GeometryError:
-            pass  # the step brought two bodies together
-        else:
-            ftrial = f_value(trial, params)
-            if ftrial <= fcur - ARMIJO_C * eta * slope:
-                return trial, ftrial
-        eta *= SHRINK
-    return None
+    """Backtrack along -d from step eta; (config, f) of the first Armijo point, or None.
+
+    All MAX_BACKTRACKS steps eta*SHRINK^k are evaluated at once.  A step is
+    skipped when it brings two bodies together or leaves the finite range,
+    and the first remaining one that decreases f enough is accepted.
+    """
+    etas = np.full(MAX_BACKTRACKS, SHRINK)
+    etas[0] = eta
+    np.cumprod(etas, out=etas)  # repeats `eta *= SHRINK` exactly
+    trials = cfg.positions - etas[:, None] * d
+    valid, f = f_rows(trials, cfg.masses, params)
+    ok = valid & (f <= fcur - ARMIJO_C * etas * slope)
+    if not ok.any():
+        return None
+    k = int(np.argmax(ok))
+    return cfg.with_positions(trials[k]), float(f[k])
 
 
 def descend(config: PlanarConfig, params: PotentialParams, *,
@@ -127,9 +147,13 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
 
     Each iteration re-selects an independent twist set, forms the descent
     direction d = sum (grad f . u_k) u_k over the unit twists u_k, and
-    takes an Armijo backtracking step along -d.  Twists are tangent to the
-    level sets of I, so a step keeps I only to first order: there is no
-    retraction, and I drifts over long runs.
+    takes an Armijo backtracking step along -d.  All backtracking steps
+    are evaluated at once, and the first that is admissible and passes
+    the Armijo test is accepted, as in a one-at-a-time search.  The
+    residual, the gradient and the twists share one pair table per
+    iteration.  Twists are tangent to the level sets of I, so a step keeps
+    I only to first order: there is no retraction, and I drifts over long
+    runs.
 
     `converged` means the Laura-Andoyer residual, normalized as in
     `cc_residual` and evaluated at the size U = M*I that
@@ -141,10 +165,10 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     M = float(config.masses.sum())
     full_dim = 2 * config.n - 3
 
-    def residuals(cfg: PlanarConfig) -> tuple[float, float]:
+    def residuals(cfg: PlanarConfig, table: PairTable) -> tuple[float, float]:
         # The normalized residual is amplified by MI/U under the final
         # rescale to U = M*I, so converge on the post-rescale value.
-        resid = max_laura_andoyer(build_pair_table(cfg, params), cfg.masses)
+        resid = max_laura_andoyer(table, cfg.masses)
         ratio = M * moment_of_inertia(cfg) / potential_u(cfg, params)
         return resid, resid * max(1.0, ratio)
 
@@ -153,9 +177,10 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     degenerate_run = 0
     iterations = 0
     cfg = config
+    table = build_pair_table(cfg, params)
     fcur = f_value(cfg, params)
     for it in range(max_iter):
-        resid, resid_cc = residuals(cfg)
+        resid, resid_cc = residuals(cfg, table)
         if record:
             history.append((it, cfg.positions, fcur, resid))
         if resid_cc < tol:
@@ -169,12 +194,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
         else:
             degenerate_run = 0
 
-        g = cartesian_gradient_f(cfg, params)
-        d = np.zeros_like(g)
-        for pair in basis:
-            u = twist_vector(cfg, pair)
-            u /= np.linalg.norm(u)
-            d += (g @ u) * u
+        g, d = _descent_direction(table, cfg.masses, basis)
         slope = float(g @ d)
         dn = float(np.linalg.norm(d))
         if dn == 0.0 or slope <= 0.0:
@@ -183,9 +203,10 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
         if step is None:
             break
         cfg, fcur = step
+        table = build_pair_table(cfg, params)
         iterations = it + 1
 
-    resid, resid_cc = residuals(cfg)
+    resid, resid_cc = residuals(cfg, table)
     # Laura-Andoyer residuals vanish identically on collinear configurations,
     # so a rank-deficient final span is a collapse even when "converged".
     _, final_dim = twist_span_basis(cfg)

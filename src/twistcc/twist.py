@@ -16,12 +16,14 @@ Body indices are 0-based throughout the Python API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
-from .geometry import PairTable, PlanarConfig, PotentialParams, build_pair_table
+from .geometry import (PairTable, PlanarConfig, PotentialParams, _lam, _pair_indices,
+                       build_pair_table)
 
 # A triple is collinear when |lam| <= COLLINEAR_RTOL * diameter^2.
 COLLINEAR_RTOL = 1e-10
@@ -41,16 +43,30 @@ def canon_pair(n: int, pair) -> TwistPair:
 def twist_vector(config: PlanarConfig, pair) -> np.ndarray:
     """v_ij: rotates the pair (i, j) about its own center of mass."""
     i, j = canon_pair(config.n, pair)
-    m = config.masses
     p = config.points
-    dx = p[i, 0] - p[j, 0]
-    dy = p[i, 1] - p[j, 1]
-    v = np.zeros(2 * config.n)
-    v[2 * i] = m[j] * dy
-    v[2 * i + 1] = -m[j] * dx
-    v[2 * j] = -m[i] * dy
-    v[2 * j + 1] = m[i] * dx
+    return _twist_rows(config.masses, np.array([i]), np.array([j]),
+                       p[i, 0] - p[j, 0], p[i, 1] - p[j, 1])[0]
+
+
+def _twist_rows(masses: np.ndarray, i: np.ndarray, j: np.ndarray, dx, dy) -> np.ndarray:
+    """Twist vectors v_ij of the pairs (i[r], j[r]) as the rows of an array;
+    dx, dy are the pairs' coordinate differences x_i - x_j, y_i - y_j."""
+    m = masses
+    rows = np.arange(i.size)
+    v = np.zeros((i.size, 2 * m.size))
+    v[rows, 2 * i] = m[j] * dy
+    v[rows, 2 * i + 1] = -m[j] * dx
+    v[rows, 2 * j] = -m[i] * dy
+    v[rows, 2 * j + 1] = m[i] * dx
     return v
+
+
+def _unit_twists(table: PairTable, masses, pairs) -> np.ndarray:
+    """v_ij / |v_ij| for canonical `pairs`, one row each, from the table's differences."""
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    v = _twist_rows(np.asarray(masses, dtype=float), i, j, table.dx[i, j], table.dy[i, j])
+    # the stacked matmul sums each row as np.linalg.norm(v[r]) does
+    return v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0])
 
 
 def normalized_twist(config: PlanarConfig, table: PairTable, pair) -> np.ndarray:
@@ -59,9 +75,14 @@ def normalized_twist(config: PlanarConfig, table: PairTable, pair) -> np.ndarray
     return twist_vector(config, (i, j)) / (config.masses[i] * config.masses[j] * table.r[i, j])
 
 
-def _lam_points(p: np.ndarray, i: int, j: int, k: int) -> float:
-    return ((p[i, 0] - p[j, 0]) * (p[i, 1] - p[k, 1])
-            - (p[i, 0] - p[k, 0]) * (p[i, 1] - p[j, 1]))
+@lru_cache(maxsize=64)
+def _triple_indices(n: int) -> np.ndarray:
+    """Read-only (3, C(n,3)) index array of the triples a < b < c, in
+    `itertools.combinations` order."""
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), 3)), dtype=np.intp)
+    t = flat.reshape(-1, 3).T
+    t.setflags(write=False)
+    return t
 
 
 def twist_span_basis(config: PlanarConfig) -> tuple[list[TwistPair], int]:
@@ -75,43 +96,52 @@ def twist_span_basis(config: PlanarConfig) -> tuple[list[TwistPair], int]:
     p = config.points
     n = config.n
     thresh = COLLINEAR_RTOL * config.diameter() ** 2
+    d = p[:, None, :] - p[None, :, :]
+    dx, dy = d[..., 0], d[..., 1]
 
-    best = None
-    best_lam = -1.0
-    for a, b, c in combinations(range(n), 3):
-        val = abs(_lam_points(p, a, b, c))
-        if val > best_lam:
-            best_lam = val
-            best = (a, b, c)
-
-    if best is None or best_lam <= thresh:
+    triples = _triple_indices(n)
+    areas = np.abs(_lam(dx, dy, *triples))
+    # argmax takes the first largest area, in combinations order
+    best = int(np.argmax(areas)) if areas.size else -1
+    if best < 0 or areas[best] <= thresh:
         # all collinear (or n == 2): v_0j for j > 0 are independent
         return [(0, j) for j in range(1, n)], n - 1
 
-    a, b, c = best
+    a, b, c = (int(v) for v in triples[:, best])
     pairs: list[TwistPair] = [(a, b), (a, c), (b, c)]
-    pairs = [tuple(sorted(q)) for q in pairs]
-    for k in range(n):
-        if k in (a, b, c):
-            continue
-        pairs.append(tuple(sorted((a, k))))
-        if abs(_lam_points(p, a, b, k)) > thresh:
-            pairs.append(tuple(sorted((b, k))))
-        else:
-            pairs.append(tuple(sorted((c, k))))
+    others = np.ones(n, dtype=bool)
+    others[[a, b, c]] = False
+    ks = np.flatnonzero(others)
+    anchored = np.abs(_lam(dx, dy, a, b, ks)) > thresh
+    for k, ok in zip(ks.tolist(), anchored.tolist()):
+        pairs.append((min(a, k), max(a, k)))
+        other = b if ok else c
+        pairs.append((min(other, k), max(other, k)))
     return pairs, 2 * n - 3
+
+
+def _la_rows(table: PairTable, m: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    lam = table.lam(i[:, None], j[:, None], np.arange(table.n))  # lam_ijk, one row per pair
+    w = m * (table.R[i] - table.R[j])
+    # the stacked matmul sums each row as np.dot(w[r], lam[r]) does
+    return m[i] * m[j] * np.matmul(w[:, None, :], lam[:, :, None])[:, 0, 0]
+
+
+def laura_andoyer_pairs(table: PairTable, masses) -> np.ndarray:
+    """Laura-Andoyer residuals of every pair i < j, in `np.triu_indices(n, 1)` order."""
+    return _la_rows(table, np.asarray(masses, dtype=float), *_pair_indices(table.n))
 
 
 def laura_andoyer(table: PairTable, masses, pair) -> float:
     """Directional derivative of f along v_ij.
 
     Equals m_i*m_j * sum_k m_k (R_ik - R_jk) lam_ijk and vanishes exactly
-    at central configurations, at any scale.
+    at central configurations, at any scale.  The value is the pair's entry
+    of `laura_andoyer_pairs`, bit for bit.
     """
     i, j = canon_pair(table.n, pair)
-    m = np.asarray(masses, dtype=float)
-    lam = table.dx[i, j] * table.dy[i] - table.dx[i] * table.dy[i, j]
-    return float(m[i] * m[j] * np.dot(m * (table.R[i] - table.R[j]), lam))
+    return float(_la_rows(table, np.asarray(masses, dtype=float),
+                          np.array([i]), np.array([j]))[0])
 
 
 def _residual_norm(table: PairTable, masses: np.ndarray) -> float:
@@ -122,18 +152,36 @@ def max_laura_andoyer(table: PairTable, masses) -> float:
     """Largest |Laura-Andoyer residual| over all pairs, normalized by
     (sum m)^2 * diameter^2 like `CCResidual.max_la`."""
     m = np.asarray(masses, dtype=float)
-    worst = max((abs(laura_andoyer(table, m, pair))
-                 for pair in combinations(range(table.n), 2)), default=0.0)
-    return worst / _residual_norm(table, m)
+    return float(np.abs(laura_andoyer_pairs(table, m)).max()) / _residual_norm(table, m)
+
+
+def _ac_rows(table: PairTable, m: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    ri2 = table.r[i] ** 2
+    a = ri2[np.arange(i.size), j][:, None] + ri2 - table.r[j] ** 2  # A_ijk, a row per pair
+    w = m * table.S[i]
+    return np.matmul(w[:, None, :], a[:, :, None])[:, 0, 0]
+
+
+def albouy_chenciner_pairs(table: PairTable, masses) -> np.ndarray:
+    """n x n array of every b_ij (`albouy_chenciner_asym`), zero on the diagonal."""
+    m = np.asarray(masses, dtype=float)
+    n = table.n
+    j = np.arange(n)
+    # row by row, so the temporaries are n x n rather than n^2 x n
+    b = np.array([_ac_rows(table, m, np.full(n, i), j) for i in range(n)])
+    np.fill_diagonal(b, 0.0)
+    return b
 
 
 def albouy_chenciner_asym(table: PairTable, masses, i: int, j: int) -> float:
-    """b_ij = sum_{k != i} m_k S_ik A_ijk; vanishes at central configurations."""
+    """b_ij = sum_{k != i} m_k S_ik A_ijk; vanishes at central configurations.
+
+    The value is entry (i, j) of `albouy_chenciner_pairs`, bit for bit.
+    """
     if i == j:
         raise ValueError("asymmetric residual needs i != j")
-    m = np.asarray(masses, dtype=float)
-    a = table.r[i, j] ** 2 + table.r[i] ** 2 - table.r[j] ** 2
-    return float(np.dot(m * table.S[i], a))
+    return float(_ac_rows(table, np.asarray(masses, dtype=float),
+                          np.array([i]), np.array([j]))[0])
 
 
 def albouy_chenciner_sym(table: PairTable, masses, i: int, j: int) -> float:
@@ -143,19 +191,26 @@ def albouy_chenciner_sym(table: PairTable, masses, i: int, j: int) -> float:
 
 @dataclass(frozen=True)
 class CCResidual:
-    """Aggregate first-order residuals, normalized by (sum m)^2 * diameter^2."""
+    """Aggregate first-order residuals, normalized by (sum m)^2 * diameter^2.
+
+    `la` (`laura_andoyer_pairs`) and `b` (`albouy_chenciner_pairs`) are the
+    unnormalized per-pair values the maxima are taken over.
+    """
 
     max_la: float
     max_ac: float
     is_cc: bool
+    la: np.ndarray = field(repr=False, compare=False)
+    b: np.ndarray = field(repr=False, compare=False)
 
 
 def cc_residual(config: PlanarConfig, params: PotentialParams,
                 tol: float = 1e-10) -> CCResidual:
     table = build_pair_table(config, params)
     m = config.masses
-    max_la = max_laura_andoyer(table, m)
-    max_ac = max(abs(albouy_chenciner_asym(table, m, i, j))
-                 for i in range(config.n) for j in range(config.n) if i != j)
-    max_ac /= _residual_norm(table, m)
-    return CCResidual(max_la, max_ac, bool(max_la < tol and max_ac < tol))
+    la = laura_andoyer_pairs(table, m)
+    b = albouy_chenciner_pairs(table, m)
+    norm = _residual_norm(table, m)
+    max_la = float(np.abs(la).max()) / norm
+    max_ac = float(np.abs(b).max()) / norm
+    return CCResidual(max_la, max_ac, bool(max_la < tol and max_ac < tol), la, b)

@@ -140,3 +140,97 @@ def index_map_cell(z3: float, z4: float, params: PotentialParams, margin: float)
     degenerate = (aw[rot] >= ROTATION_ZERO_RTOL * aw.max()
                   or smallest < INDEX_NOISE_RTOL * spectral)
     return klass, int((ws < 0.0).sum()), idx_ha, bool(degenerate), ""
+
+
+# --- loop references for the array code paths --------------------------------
+#
+# One configuration, one pair or one trial at a time, written as the library
+# computed them before it evaluated stacks of rows.  The array code must
+# reproduce them bit for bit.
+
+def coincident_ref(points: np.ndarray) -> bool:
+    from twistcc.geometry import COINCIDENT_RTOL
+    d = points[:, None, :] - points[None, :, :]
+    r = np.hypot(d[..., 0], d[..., 1])
+    diam = float(r.max())
+    iu = np.triu_indices(points.shape[0], 1)
+    return bool(r[iu].min() <= COINCIDENT_RTOL * diam or diam == 0.0)
+
+
+def f_value_ref(points: np.ndarray, masses: np.ndarray, A: float) -> float:
+    m = masses
+    c = (m[:, None] * points).sum(axis=0) / m.sum()
+    q = points - c
+    inertia = float((m * (q ** 2).sum(axis=1)).sum())
+    iu = np.triu_indices(m.size, 1)
+    d = points[iu[0]] - points[iu[1]]
+    r = np.hypot(d[:, 0], d[:, 1])
+    u = float((m[iu[0]] * m[iu[1]] * r ** (2.0 - A)).sum())
+    return float(m.sum()) * inertia / 2.0 + u / (A - 2.0)
+
+
+def armijo_step_loop(config: PlanarConfig, params: PotentialParams, d: np.ndarray,
+                     eta: float, fcur: float, slope: float):
+    """Sequential backtracking: (positions, f) of the first Armijo trial, or None."""
+    from twistcc.solver import ARMIJO_C, MAX_BACKTRACKS, SHRINK
+    for _ in range(MAX_BACKTRACKS):
+        pos = config.positions - eta * d
+        pts = pos.reshape(-1, 2)
+        if np.isfinite(pos).all() and not coincident_ref(pts):
+            ftrial = f_value_ref(pts, config.masses, params.A)
+            if ftrial <= fcur - ARMIJO_C * eta * slope:
+                return pos, ftrial
+        eta *= SHRINK
+    return None
+
+
+def descent_direction_loop(config: PlanarConfig, g: np.ndarray) -> np.ndarray:
+    """d = sum (g . u) u over the unit twists of the span basis, one at a time."""
+    from twistcc.twist import twist_span_basis, twist_vector
+    d = np.zeros_like(g)
+    for pair in twist_span_basis(config)[0]:
+        u = twist_vector(config, pair)
+        u /= np.linalg.norm(u)
+        d += (g @ u) * u
+    return d
+
+
+def _lam_points(p, i, j, k):
+    return ((p[i, 0] - p[j, 0]) * (p[i, 1] - p[k, 1])
+            - (p[i, 0] - p[k, 0]) * (p[i, 1] - p[j, 1]))
+
+
+def twist_span_basis_loop(config: PlanarConfig):
+    """The span basis from a scan of all triples in combinations order."""
+    from itertools import combinations
+
+    from twistcc.twist import COLLINEAR_RTOL
+    p = config.points
+    n = config.n
+    thresh = COLLINEAR_RTOL * config.diameter() ** 2
+    best, best_lam = None, -1.0
+    for a, b, c in combinations(range(n), 3):
+        val = abs(_lam_points(p, a, b, c))
+        if val > best_lam:
+            best_lam, best = val, (a, b, c)
+    if best is None or best_lam <= thresh:
+        return [(0, j) for j in range(1, n)], n - 1
+    a, b, c = best
+    pairs = [(a, b), (a, c), (b, c)]
+    for k in range(n):
+        if k in (a, b, c):
+            continue
+        pairs.append(tuple(sorted((a, k))))
+        other = b if abs(_lam_points(p, a, b, k)) > thresh else c
+        pairs.append(tuple(sorted((other, k))))
+    return pairs, 2 * n - 3
+
+
+def laura_andoyer_loop(table, m: np.ndarray, i: int, j: int) -> float:
+    lam = table.dx[i, j] * table.dy[i] - table.dx[i] * table.dy[i, j]
+    return float(m[i] * m[j] * np.dot(m * (table.R[i] - table.R[j]), lam))
+
+
+def albouy_chenciner_loop(table, m: np.ndarray, i: int, j: int) -> float:
+    ri2 = table.r[i] ** 2
+    return float(np.dot(m * table.S[i], ri2[j] + ri2 - table.r[j] ** 2))

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from twistcc.geometry import (CoincidentPointsError, ExponentRangeError, GeometryError,
                               PlanarConfig, PotentialParams, build_pair_table,
                               cartesian_gradient_f, center_of_mass, config_from_json,
-                              config_to_json, euler_residual, f_value,
+                              config_to_json, euler_residual, f_rows, f_value,
                               moment_of_inertia, potential_u)
 
-from oracles import equilateral_config, fd_gradient, random_config
+from oracles import (coincident_ref, equilateral_config, f_value_ref, fd_gradient,
+                     random_config)
 
 
 def rotate(config, angle):
@@ -85,6 +86,40 @@ def test_invalid_configs():
         f_value(cfg, vort)
     with pytest.raises(ExponentRangeError):
         potential_u(cfg, vort)
+
+
+def test_f_rows_match_one_configuration_at_a_time(rng):
+    # stacked rows, some coincident or non-finite, against the one-configuration
+    # reference: same validity, and bit-identical f, diameter and U
+    for n in (2, 3, 4, 8, 20):
+        for A in (2.5, 3.0, 4.0):
+            params = PotentialParams(A)
+            cfg = random_config(rng, n)
+            m = cfg.masses
+            rows = cfg.positions + rng.normal(scale=0.05, size=(12, 2 * n))
+            rows[3, 0:2] = rows[3, 2:4]          # body 0 on body 1
+            rows[4, 2:4] = rows[4, 0:2] + 1e-15  # within COINCIDENT_RTOL when n > 2
+            rows[5, 1] = np.inf
+            rows[6, -1] = np.nan
+            rows[7] = 0.0                        # all bodies at one point
+            rows[8] *= 1e200                     # f overflows
+            valid, f = f_rows(rows, m, params)
+            assert valid[[4, 8]].tolist() == [n == 2, True] and not valid[[3, 5, 6, 7]].any()
+            for k, row in enumerate(rows):
+                pts = row.reshape(-1, 2)
+                with np.errstate(all="ignore"):
+                    ok = bool(np.isfinite(row).all()) and not coincident_ref(pts)
+                assert valid[k] == ok
+                if not ok:
+                    with pytest.raises(GeometryError):
+                        PlanarConfig(row, m)
+                    continue
+                c = PlanarConfig(row, m)
+                with np.errstate(all="ignore"):
+                    assert f[k] == f_value_ref(pts, m, A) == f_value(c, params)
+                d = pts[:, None, :] - pts[None, :, :]
+                assert c.diameter() == float(np.hypot(d[..., 0], d[..., 1]).max())
+                assert not c.pair_distances.flags.writeable
 
 
 # --- scalars ----------------------------------------------------------------

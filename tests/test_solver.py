@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from twistcc.geometry import (PlanarConfig, PotentialParams, center_of_mass,
-                              euler_residual, f_value, moment_of_inertia,
-                              potential_u)
-from twistcc.solver import (DescentReport, FlowSpec, descend, flow_fixed_combo,
-                            rescale_to_cc_size)
-from twistcc.twist import cc_residual
+from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
+                              cartesian_gradient_f, center_of_mass, euler_residual,
+                              f_value, moment_of_inertia, potential_u)
+from twistcc.solver import (DescentReport, FlowSpec, _armijo_step, _descent_direction,
+                            descend, flow_fixed_combo, rescale_to_cc_size)
+from twistcc.twist import cc_residual, twist_span_basis
 
-from oracles import equilateral_config, random_config, square_config
+from oracles import (armijo_step_loop, coincident_ref, descent_direction_loop,
+                     equilateral_config, random_config, square_config)
 
 
 def drift(traj):
@@ -123,3 +124,56 @@ def test_descend_converged_means_cc_at_rescaled_size(newton):
     fixed = rescale_to_cc_size(report.config, newton)
     assert cc_residual(fixed, newton, tol=1e-10).max_la > 1e-10
     assert not report.converged
+
+
+def test_armijo_step_matches_sequential_loop(rng, newton):
+    seen = set()
+    for n in (3, 4, 8, 20):
+        for _ in range(4):
+            cfg = random_config(rng, n)
+            g = cartesian_gradient_f(cfg, newton)
+            fcur = f_value(cfg, newton)
+            slope = float(g @ g)
+            collide = np.zeros(2 * n)
+            collide[0:2] = cfg.points[0] - cfg.points[1]  # at eta = 1 body 0 lands on body 1
+            huge = g * (1e300 / np.abs(g).max())
+            cases = [
+                ("descent", g, 1e-2 * cfg.diameter() / np.linalg.norm(g), slope),
+                ("long", g, 1e3, slope),
+                ("ascent", -g, 1e-2, slope),
+                ("collide", collide, 1.0, -1e6),
+                ("overflow", huge, 1e10, -np.inf),
+            ]
+            for name, d, eta, sl in cases:
+                with np.errstate(all="ignore"):
+                    ref = armijo_step_loop(cfg, newton, d, eta, fcur, sl)
+                    got = _armijo_step(cfg, newton, d, eta, fcur, sl)
+                assert (got is None) == (ref is None), name
+                if ref is not None:
+                    assert got[0].positions.tobytes() == ref[0].tobytes(), name
+                    assert got[1] == ref[1], name
+                    seen.add(name)
+            first = cfg.positions - collide
+            assert coincident_ref(first.reshape(-1, 2))
+    # the collision and overflow cases reject their first trials, then accept one
+    assert {"descent", "long", "collide", "overflow"} <= seen
+
+
+def test_descent_direction_matches_loop(rng, newton):
+    for n in (3, 4, 8, 20):
+        cfg = random_config(rng, n)
+        basis, _ = twist_span_basis(cfg)
+        g, d = _descent_direction(build_pair_table(cfg, newton), cfg.masses, basis)
+        assert g.tobytes() == cartesian_gradient_f(cfg, newton).tobytes()
+        assert d.tobytes() == descent_direction_loop(cfg, g).tobytes()
+
+
+def test_descend_iteration_builds_one_pair_table(monkeypatch, rng, newton):
+    from twistcc import geometry, solver, twist
+    calls = []
+    for mod in (geometry, solver, twist):
+        monkeypatch.setattr(mod, "build_pair_table",
+                            lambda c, p, build=mod.build_pair_table: calls.append(1) or build(c, p))
+    report = descend(random_config(rng, 5), newton, max_iter=6)
+    assert report.iterations == 6
+    assert len(calls) == report.iterations + 1  # the start, then one per accepted step

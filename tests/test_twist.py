@@ -3,11 +3,14 @@ import pytest
 
 from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
                               cartesian_gradient_f, center_of_mass)
-from twistcc.twist import (albouy_chenciner_asym, albouy_chenciner_sym, cc_residual,
-                           laura_andoyer, normalized_twist, twist_span_basis,
-                           twist_vector)
+from twistcc.twist import (albouy_chenciner_asym, albouy_chenciner_pairs,
+                           albouy_chenciner_sym, cc_residual, laura_andoyer,
+                           laura_andoyer_pairs, max_laura_andoyer, normalized_twist,
+                           twist_span_basis, twist_vector)
 
-from oracles import all_twist_rank, equilateral_config, random_config, square_config
+from oracles import (albouy_chenciner_loop, all_twist_rank, equilateral_config,
+                     laura_andoyer_loop, random_config, square_config,
+                     twist_span_basis_loop)
 
 
 def grad_center_fields(cfg):
@@ -106,6 +109,41 @@ def test_span_basis_three_bodies(rng):
     basis, dim = twist_span_basis(cfg)
     assert dim == 3
     assert sorted(basis) == [(0, 1), (0, 2), (1, 2)]
+
+
+def test_span_basis_matches_loop(rng):
+    t = np.arange(6) * np.pi / 3
+    hexagon = PlanarConfig.from_points(np.column_stack([np.cos(t), np.sin(t)]), np.ones(6))
+    cfgs = [square_config(), hexagon]  # exact and near ties among the triple areas
+    # bodies 3 and 4 lie on the line through the anchor pair (0, 1) of the best
+    # triple, so their second pair switches from body 1 to body 2
+    cfgs.append(PlanarConfig.from_points([(0, 0), (4, 0), (0, 3), (1, 0), (2, 0)],
+                                         np.ones(5)))
+    cfgs += [random_config(rng, n) for n in (2, 3, 4, 5, 8, 12) for _ in range(4)]
+    cfgs += [random_config(rng, n, collinear=True) for n in (2, 3, 4, 7)]
+    for cfg in cfgs:
+        assert twist_span_basis(cfg) == twist_span_basis_loop(cfg)
+
+
+def test_pair_residuals_match_loops(rng, newton):
+    for n in (2, 3, 5, 8, 20):
+        cfg = random_config(rng, n)
+        t = build_pair_table(cfg, newton)
+        m = cfg.masses
+        pairs = list(zip(*np.triu_indices(n, 1)))
+        la = [laura_andoyer_loop(t, m, i, j) for i, j in pairs]
+        b = np.array([[albouy_chenciner_loop(t, m, i, j) if i != j else 0.0
+                       for j in range(n)] for i in range(n)])
+        res = cc_residual(cfg, newton)
+        assert res.la.tolist() == la == laura_andoyer_pairs(t, m).tolist()
+        assert res.b.tobytes() == b.tobytes() == albouy_chenciner_pairs(t, m).tobytes()
+        norm = float(m.sum()) ** 2 * float(t.r.max()) ** 2
+        assert res.max_la == max_laura_andoyer(t, m) == max(abs(v) for v in la) / norm
+        assert res.max_ac == float(np.abs(b).max()) / norm
+        for k, (i, j) in enumerate(pairs):
+            assert laura_andoyer(t, m, (j, i)) == la[k]
+            assert albouy_chenciner_asym(t, m, i, j) == b[i, j]
+            assert albouy_chenciner_asym(t, m, j, i) == b[j, i]
 
 
 def test_laura_andoyer_equilateral(newton):

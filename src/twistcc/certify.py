@@ -16,26 +16,55 @@ a decided certificate holds for *every* shape in the input box:
     interval entries come from `kite.ha_explicit`, the closed forms the
     float kite map uses.
 
-`certify_box` evaluates the scale enclosure and the interval kite
-quantities once per box and hands them to both blocks.  `None`-valued
-certificates mean Unknown; Unknown is always a sound answer and the
-expected one on boxes straddling a bifurcation.
+`certify_boxes` certifies every box of a run at once, each box one lane
+of an `intervals.IntervalArray`, in batches of at most BATCH_LANES lanes
+(memory stays bounded however fine the subdivision).  Admissibility is
+one mask; only admissible lanes enter the scale enclosure, whose bracket
+search and quarter-point probing run in lockstep, each lane with its own
+bracket, signs and stop state; only lanes with a scale enter the
+interval kite quantities and the two blocks.  Every lane rounds exactly
+as scalar `Interval` arithmetic on that box alone would, so a box's
+enclosures and certificates do not depend on the other boxes of its
+batch.  `certify_box` is the one-lane call.
+
+`None`-valued certificates mean Unknown; Unknown is always a sound answer
+and the expected one on boxes straddling a bifurcation.  A box's reason
+is the first that applies, in this order:
+
+  1. "box not verified inside one admissible class";
+  2. "no verified scale enclosure";
+  3. "interval evaluation failed: mass-ratio enclosures not strictly
+     positive";
+  4. "interval evaluation failed: <stage>", where the lane's interval
+     arithmetic failed (a NaN lane, where `Interval` would raise): the
+     kite quantities, or per block "Hs", "Ha" (its entries) or the first
+     H_a minor reached that failed.  The text names that stage, not the
+     scalar exception and its endpoints.  Such boxes are rare: none of the
+     windows checked against per-box evaluation has one, but a large box
+     whose mu31 denominator encloses zero does;
+  5. the block's undecided text ("sign of det/tr undecided over the box",
+     "no 2x2 principal minor of H_a decided over the box").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .geometry import PotentialParams
-from .intervals import Interval, IntervalDomainError, IntervalError
-from .kite import (KiteError, KiteQuantities, KiteShape, dziobek_coefficients,
-                   ha_explicit, hs_explicit, kite_scale, mass_ratio_terms, side_powers)
+from .intervals import Interval, IntervalArray
+from .kite import (KiteQuantities, dziobek_coefficients, ha_explicit, hs_explicit,
+                   kite_scales, mass_ratio_terms, side_powers)
 # unused here; perfbench/tracing.py install() looks both names up on this module
 from .kite import build_kite, kite_blocks  # noqa: F401
 
 SQRT3_I = Interval(3.0).sqrt()
+HALF_SQRT3_I = SQRT3_I / 2.0
 # cap on the quarter-point probing rounds of `certify_kite_scale`
 MAX_PROBE_ROUNDS = 200
+# boxes certified together as the lanes of one batch
+BATCH_LANES = 4096
 
 
 @dataclass(frozen=True)
@@ -50,7 +79,7 @@ class CertifiedIndex:
         return self.value is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)     # a run holds one per box
 class BoxCertificate:
     z3: Interval
     z4: Interval
@@ -64,20 +93,41 @@ class BoxCertificate:
         return None
 
 
+def _failed(stage: str) -> CertifiedIndex:
+    return CertifiedIndex(None, f"interval evaluation failed: {stage}")
+
+
+NOT_ADMISSIBLE = CertifiedIndex(None, "box not verified inside one admissible class")
+NO_SCALE = CertifiedIndex(None, "no verified scale enclosure")
+MASSES_NOT_POSITIVE = _failed("mass-ratio enclosures not strictly positive")
+QUANTITIES_FAILED = _failed("kite quantities")
+HS_UNDECIDED = CertifiedIndex(None, "sign of det/tr undecided over the box")
+HA_UNDECIDED = CertifiedIndex(None, "no 2x2 principal minor of H_a decided over the box")
+
+
+def _lanes(*intervals: Interval) -> list[IntervalArray]:
+    """One one-lane IntervalArray per Interval."""
+    return [IntervalArray.from_intervals([iv]) for iv in intervals]
+
+
+def _admissible_classes(z3: IntervalArray, z4: IntervalArray) -> np.ndarray:
+    """Per lane 1 ('tall') or 2 ('wide') if the whole box is strictly
+    inside one class, else 0."""
+    with np.errstate(all="ignore"):
+        inside = (z4.lo > 0.0) & (z3.lo > z4.hi)
+        yc = 0.5 * z3 - 0.5 / z3
+        tall = inside & (z3.lo > SQRT3_I.hi) & (z4.lo > yc.hi) & (z4.hi < HALF_SQRT3_I.lo)
+        wide = inside & (z3.hi < SQRT3_I.lo) & (z4.hi < yc.lo)
+    return np.select([tall, wide], [1, 2], 0)
+
+
 def box_admissible(z3: Interval, z4: Interval) -> str | None:
     """'tall'/'wide' if the whole box is strictly inside one class, else None."""
-    if z4.lo <= 0.0 or z3.lo <= z4.hi:
-        return None
-    yc = 0.5 * z3 - 0.5 / z3
-    if z3.lo > SQRT3_I.hi and z4.lo > yc.hi and z4.hi < (SQRT3_I / 2.0).lo:
-        return "tall"
-    if z3.hi < SQRT3_I.lo and z4.hi < yc.lo:
-        return "wide"
-    return None
+    return (None, "tall", "wide")[int(_admissible_classes(*_lanes(z3, z4))[0])]
 
 
-def certify_kite_scale(z3: Interval, z4: Interval, params: PotentialParams) -> Interval | None:
-    """Enclosure of the Dziobek scale valid for every shape in the box.
+def certify_kite_scale(z3, z4, params: PotentialParams):
+    """Enclosures of the Dziobek scale valid for every shape in each box.
 
     Brackets the residual with verified constant signs at both endpoints,
     widening a relative bracket around the float scale at the box midpoint
@@ -86,127 +136,118 @@ def certify_kite_scale(z3: Interval, z4: Interval, params: PotentialParams) -> I
     bracket is 1e-14 relative wide, no probe decides, or MAX_PROBE_ROUNDS
     rounds have run.  The box's side powers are enclosed once, for every
     probe (the residual in t = x^(-A)) and for the closed form
-    x2 = (D/N)^(1/A) the result is intersected with.  Returns None when
+    x2 = (D/N)^(1/A) the result is intersected with.  A lane fails when
     no verified bracket exists (e.g. a box straddling the symmetric shape,
     where the residual is identically zero).
+
+    z3 and z4 are IntervalArray lanes, and so is the result; on Interval
+    arguments this is the one-lane call, returning an Interval or None.
     """
+    if isinstance(z3, Interval):
+        x2 = certify_kite_scale(*_lanes(z3, z4), params)
+        return None if x2.failed[0] else x2.lane(0)
     params.require_f_domain()
     A = params.A
-    if z3.lo <= z4.hi or z4.lo <= 0.0:
-        return None
-    try:
-        x2c = kite_scale(KiteShape(z3.mid, z4.mid), params)
+    with np.errstate(all="ignore"):
+        x2c, no_root = kite_scales(z3.mid, z4.mid, A)
         powers = side_powers(z3, z4, A)
-    except (KiteError, IntervalError, IntervalDomainError):
-        return None
-    p2, pd, p3, p4 = powers
+        p2, pd, p3, p4 = powers
+        ok = ((z3.lo > z4.hi) & (z4.lo > 0.0) & ~no_root
+              & ~(pd.failed | p3.failed | p4.failed))
 
-    def sign_at(x: float) -> int:
-        try:
-            t = Interval(x) ** -A
-            g = (t * p2 - 1.0) * (t * pd - 1.0) - (t * p3 - 1.0) * (t * p4 - 1.0)
-        except (IntervalError, IntervalDomainError):
-            return 0
-        if g.is_positive():
-            return 1
-        if g.is_negative():
-            return -1
-        return 0
+        def signs(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+            """Sign of the residual at scale x[k] over lane lanes[k]'s box, 0 if undecided."""
+            t = IntervalArray(x) ** -A
+            g = ((t * p2 - 1.0) * (t * pd[lanes] - 1.0)
+                 - (t * p3[lanes] - 1.0) * (t * p4[lanes] - 1.0))
+            return np.where(g.is_positive(), 1, np.where(g.is_negative(), -1, 0))
 
-    lo = hi = None
-    slo = shi = 0
-    w = 1e-8
-    while w < 0.8:
-        clo, chi = x2c * (1.0 - w), x2c * (1.0 + w)
-        slo, shi = sign_at(clo), sign_at(chi)
-        if slo != 0 and shi != 0 and slo != shi:
-            lo, hi = clo, chi
-            break
-        w *= 2.0
-    if lo is None:
-        return None
+        n = len(z3)
+        lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+        slo, shi = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        search = np.flatnonzero(ok)
+        w = 1e-8
+        while w < 0.8 and search.size:
+            clo, chi = x2c[search] * (1.0 - w), x2c[search] * (1.0 + w)
+            s = signs(np.concatenate([clo, chi]), np.concatenate([search, search]))
+            s_lo, s_hi = s[:search.size], s[search.size:]
+            found = (s_lo != 0) & (s_hi != 0) & (s_lo != s_hi)
+            got = search[found]
+            lo[got], hi[got], slo[got], shi[got] = clo[found], chi[found], s_lo[found], s_hi[found]
+            search = search[~found]
+            w *= 2.0
 
-    # Quarter-point probing instead of midpoint bisection: the sign right at
-    # the root is never decidable, but both bracket ends can still close in
-    # until the undecidable core (a few ulps wide) is reached.
-    for _ in range(MAX_PROBE_ROUNDS):
-        width = hi - lo
-        if width <= 1e-14 * lo:
-            break
-        m1 = lo + 0.25 * width
-        m2 = lo + 0.75 * width
-        if not (lo < m1 < m2 < hi):
-            break
-        progressed = False
-        s1 = sign_at(m1)
-        if s1 == slo:
-            lo = m1
-            progressed = True
-        elif s1 == shi:
-            hi = m1
-            progressed = True
-        if hi - lo > 1e-14 * lo and m2 < hi:
-            s2 = sign_at(m2)
-            if s2 == shi:
-                hi = m2
-                progressed = True
-            elif s2 == slo:
-                lo = m2
-                progressed = True
-        if not progressed:
-            break
-    enclosure = Interval(lo, hi)
-    # The substitution t = x2^(-A) solves the residual equation exactly:
-    # x2 = (D/N)^(1/A); its direct interval evaluation is a second valid
-    # enclosure, so intersecting can only tighten the bracket.
-    try:
+        # Quarter-point probing instead of midpoint bisection: the sign right at
+        # the root is never decidable, but both bracket ends can still close in
+        # until the undecidable core (a few ulps wide) is reached.
+        probe = np.flatnonzero(~np.isnan(lo))
+        for _ in range(MAX_PROBE_ROUNDS):
+            l, h = lo[probe], hi[probe]
+            width = h - l
+            m1 = l + 0.25 * width
+            m2 = l + 0.75 * width
+            go = (width > 1e-14 * l) & (l < m1) & (m1 < m2) & (m2 < h)
+            probe, l, h, m1, m2 = probe[go], l[go], h[go], m1[go], m2[go]
+            if not probe.size:
+                break
+            s = signs(np.concatenate([m1, m2]), np.concatenate([probe, probe]))
+            s1, s2 = s[:probe.size], s[probe.size:]
+            sl, sh = slo[probe], shi[probe]
+            lo1, hi1 = s1 == sl, s1 == sh
+            l, h = np.where(lo1, m1, l), np.where(hi1, m1, h)
+            second = (h - l > 1e-14 * l) & (m2 < h)
+            hi2, lo2 = second & (s2 == sh), second & (s2 == sl)
+            l, h = np.where(lo2, m2, l), np.where(hi2, m2, h)
+            lo[probe], hi[probe] = l, h
+            probe = probe[lo1 | hi1 | lo2 | hi2]
+        enclosure = IntervalArray(lo, hi)
+        # The substitution t = x2^(-A) solves the residual equation exactly:
+        # x2 = (D/N)^(1/A); its direct interval evaluation is a second valid
+        # enclosure, so intersecting can only tighten the bracket (lanes where
+        # it fails or the intersection is empty keep the bracket).
         D, N = dziobek_coefficients(powers)
-        enclosure = enclosure.intersect((D / N) ** (1.0 / A))
-    except (IntervalError, IntervalDomainError):
-        pass
-    return enclosure
+        tight = enclosure.intersect((D / N) ** (1.0 / A))
+    keep = tight.failed
+    return IntervalArray(np.where(keep, enclosure.lo, tight.lo),
+                         np.where(keep, enclosure.hi, tight.hi))
 
 
-def interval_kite_quantities(z3: Interval, z4: Interval, x2: Interval,
-                             params: PotentialParams) -> KiteQuantities:
-    """KiteQuantities with Interval fields, including mass-ratio enclosures.
+def interval_kite_quantities(z3, z4, x2, params: PotentialParams) -> KiteQuantities:
+    """KiteQuantities with interval fields, including mass-ratio enclosures.
 
     The mass ratios are evaluated in their shape-only form (x2 cancels
     exactly), which keeps their enclosures free of the scale enclosure's
-    width.
+    width.  Whether they are strictly positive is left to the caller.
     """
     mu31, mu41 = mass_ratio_terms(z3, z4, params.A)
-    if not (mu31.is_positive() and mu41.is_positive()):
-        raise IntervalDomainError("mass-ratio enclosures not strictly positive")
     return KiteQuantities.at(z3, z4, x2, mu31, mu41, params.A)
 
 
-def _decide_2x2(h11: Interval, h22: Interval, h12: Interval,
-                name: str) -> CertifiedIndex | None:
-    """Index of every symmetric matrix [[h11, h12], [h12, h22]] with entries
-    in the intervals, from the signs of det and trace; None if undecided."""
+def _decide_2x2(h11: IntervalArray, h22: IntervalArray, h12: IntervalArray,
+                name: str) -> list[CertifiedIndex | None]:
+    """Per lane, the index of every symmetric matrix [[h11, h12], [h12, h22]]
+    with entries in the lane's intervals, from the signs of det and trace:
+    None where undecided, an Unknown certificate where the arithmetic failed."""
     det = h11 * h22 - h12.sq()
     tr = h11 + h22
-    if det.is_positive() and tr.is_positive():
-        return CertifiedIndex(0, f"det({name}) > 0 and tr({name}) > 0")
-    if det.is_positive() and tr.is_negative():
-        return CertifiedIndex(2, f"det({name}) > 0 and tr({name}) < 0")
-    if det.is_negative():
-        return CertifiedIndex(1, f"det({name}) < 0")
-    return None
+    outcomes = (_failed(name),
+                CertifiedIndex(0, f"det({name}) > 0 and tr({name}) > 0"),
+                CertifiedIndex(2, f"det({name}) > 0 and tr({name}) < 0"),
+                CertifiedIndex(1, f"det({name}) < 0"),
+                None)
+    code = np.select([det.failed | tr.failed, det.is_positive() & tr.is_positive(),
+                      det.is_positive() & tr.is_negative(), det.is_negative()],
+                     [0, 1, 2, 3], 4)
+    return [outcomes[c] for c in code.tolist()]
 
 
-def certify_hs_index(q: KiteQuantities) -> CertifiedIndex:
-    """Index of H_s over a box with interval quantities q, decided by the
-    signs of det and trace."""
-    try:
-        decided = _decide_2x2(*hs_explicit(q), "Hs")
-    except (IntervalError, IntervalDomainError) as exc:
-        return CertifiedIndex(None, f"interval evaluation failed: {exc}")
-    return decided or CertifiedIndex(None, "sign of det/tr undecided over the box")
+def certify_hs_index(q: KiteQuantities) -> list[CertifiedIndex]:
+    """Index of H_s over each lane's box with interval quantities q,
+    decided by the signs of det and trace."""
+    return [d or HS_UNDECIDED for d in _decide_2x2(*hs_explicit(q), "Hs")]
 
 
-def interval_ha_matrix(q: KiteQuantities) -> list[list[Interval]]:
+def interval_ha_matrix(q: KiteQuantities) -> list[list[IntervalArray]]:
     """Entries of H_a over the symmetry-adapted basis (a3, a4, t34), from
     the closed forms of `kite.ha_explicit` on interval quantities."""
     a11, a22, a33, a12, a13, a23 = ha_explicit(q)
@@ -214,46 +255,82 @@ def interval_ha_matrix(q: KiteQuantities) -> list[list[Interval]]:
 
 
 _HA_MINORS = ((0, 1, "Ha[a3|a4]"), (0, 2, "Ha[a3|t34]"), (1, 2, "Ha[a4|t34]"))
+_HA_FAILED = _failed("Ha")
 
 
-def certify_ha_index(q: KiteQuantities) -> CertifiedIndex:
-    """Deflated index of H_a (rotational zero excluded) over a box with
-    interval quantities q, from the first decided 2x2 principal minor.
+def certify_ha_index(q: KiteQuantities) -> list[CertifiedIndex]:
+    """Deflated index of H_a (rotational zero excluded) over each lane's
+    box with interval quantities q, from the first decided 2x2 principal
+    minor.
 
     At every shape in the box H_a u = 0 exactly for the rotation's
     coordinates u.  If the minor on {i, j} has det != 0 over the box, then
     u_k != 0 for the third index k, so (u, e_i, e_j) is a basis in which
     H_a is diag(0, H_a[{i, j}]); by Sylvester's law of inertia the
-    deflated index is the index of that minor.
+    deflated index is the index of that minor.  A lane fails if any entry
+    failed, or if the first minor not undecided failed.
     """
-    try:
-        H = interval_ha_matrix(q)
-        for i, j, name in _HA_MINORS:
-            decided = _decide_2x2(H[i][i], H[j][j], H[i][j], name)
-            if decided is not None:
-                return decided
-    except (IntervalError, IntervalDomainError) as exc:
-        return CertifiedIndex(None, f"interval evaluation failed: {exc}")
-    return CertifiedIndex(None, "no 2x2 principal minor of H_a decided over the box")
+    H = interval_ha_matrix(q)
+    entries_failed = np.logical_or.reduce([H[i][j].failed for i in range(3) for j in range(i, 3)])
+    minors = [_decide_2x2(H[i][i], H[j][j], H[i][j], name) for i, j, name in _HA_MINORS]
+    return [_HA_FAILED if bad else next((d for d in ds if d is not None), HA_UNDECIDED)
+            for bad, *ds in zip(entries_failed.tolist(), *minors)]
+
+
+def certify_boxes(z3: IntervalArray, z4: IntervalArray,
+                  params: PotentialParams) -> list[BoxCertificate]:
+    """Certified H_s and H_a indices over the boxes z3[k] x z4[k].
+
+    The lanes are certified in batches of at most BATCH_LANES; within a
+    batch, admissibility, the scale enclosure and the interval quantities
+    are evaluated once per lane and shared by both blocks.
+    """
+    out = []
+    for start in range(0, len(z3), BATCH_LANES):
+        batch = slice(start, start + BATCH_LANES)
+        out.extend(_certify_batch(z3[batch], z4[batch], params))
+    return out
+
+
+def _certify_batch(z3: IntervalArray, z4: IntervalArray,
+                   params: PotentialParams) -> list[BoxCertificate]:
+    hs = [NOT_ADMISSIBLE] * len(z3)
+    ha = list(hs)
+    lanes = np.flatnonzero(_admissible_classes(z3, z4))
+    if lanes.size:
+        x2 = certify_kite_scale(z3[lanes], z4[lanes], params)
+        for k in lanes[x2.failed].tolist():
+            hs[k] = ha[k] = NO_SCALE
+        scaled = ~x2.failed
+        _certify_scaled(z3, z4, x2[scaled], lanes[scaled], params, hs, ha)
+    return [BoxCertificate(Interval(a, b), Interval(c, d), s, t)
+            for a, b, c, d, s, t in zip(z3.lo.tolist(), z3.hi.tolist(), z4.lo.tolist(),
+                                        z4.hi.tolist(), hs, ha)]
+
+
+def _certify_scaled(z3: IntervalArray, z4: IntervalArray, x2: IntervalArray,
+                    lanes: np.ndarray, params: PotentialParams, hs: list, ha: list) -> None:
+    """Fill hs[lane], ha[lane] for the lanes with scale enclosures x2."""
+    if not lanes.size:
+        return
+    with np.errstate(all="ignore"):
+        q = interval_kite_quantities(z3[lanes], z4[lanes], x2, params)
+        hs_q, ha_q = certify_hs_index(q), certify_ha_index(q)
+    # the order of the per-box evaluation: mass ratios, their signs, the rest
+    mass_failed = (q.mu31.failed | q.mu41.failed).tolist()
+    positive = (q.mu31.is_positive() & q.mu41.is_positive()).tolist()
+    q_failed = np.logical_or.reduce([getattr(q, f.name).failed for f in fields(q)
+                                     if f.name != "A"]).tolist()
+    for k, lane in enumerate(lanes.tolist()):
+        if mass_failed[k] or (positive[k] and q_failed[k]):
+            hs[lane] = ha[lane] = QUANTITIES_FAILED
+        elif not positive[k]:
+            hs[lane] = ha[lane] = MASSES_NOT_POSITIVE
+        else:
+            hs[lane], ha[lane] = hs_q[k], ha_q[k]
 
 
 def certify_box(z3: Interval, z4: Interval, params: PotentialParams) -> BoxCertificate:
-    """Certified H_s and H_a indices over the box z3 x z4.
-
-    Admissibility, the scale enclosure and the interval quantities are
-    evaluated once and shared by both blocks.
-    """
-    def unknown(reason: str) -> BoxCertificate:
-        cert = CertifiedIndex(None, reason)
-        return BoxCertificate(z3, z4, cert, cert)
-
-    if box_admissible(z3, z4) is None:
-        return unknown("box not verified inside one admissible class")
-    x2 = certify_kite_scale(z3, z4, params)
-    if x2 is None:
-        return unknown("no verified scale enclosure")
-    try:
-        q = interval_kite_quantities(z3, z4, x2, params)
-    except (IntervalError, IntervalDomainError) as exc:
-        return unknown(f"interval evaluation failed: {exc}")
-    return BoxCertificate(z3, z4, certify_hs_index(q), certify_ha_index(q))
+    """Certified H_s and H_a indices over the box z3 x z4: the one-lane
+    call of `certify_boxes`."""
+    return certify_boxes(*_lanes(z3, z4), params)[0]

@@ -202,12 +202,13 @@ class PairTable:
       lam(i, j, k)     — q_ij ^ q_ik, twice the signed area of (q_i, q_j, q_k)
       a_triple(i,j,k)  — r_ij^2 + r_ik^2 - r_jk^2
       dot(i, j, k, l)  — q_ij . q_kl
-      sin3(i, j, k)    — lam_ijk/(r_ij*r_ik), signed sine of the angle at q_i
+      sin3(i, j, k)    — lam_ijk/(r_ij*r_ik), signed sine of the angle at q_i,
+                         computed once per ordered triple and kept on the table
       cos3(i, j, k)    — q_ij . q_ik/(r_ij*r_ik), its cosine
       cos4(i, j, k, l) — q_ij . q_kl/(r_ij*r_kl)
     """
 
-    __slots__ = ("n", "A", "dx", "dy", "r", "R", "S", "T", "zero")
+    __slots__ = ("n", "A", "dx", "dy", "r", "R", "S", "T", "zero", "sines")
 
     def __init__(self, config: PlanarConfig, params: PotentialParams):
         p = config.points
@@ -225,6 +226,7 @@ class PairTable:
         self.A = params.A
         self.dx, self.dy, self.r, self.R, self.S, self.T = dx, dy, r, R, S, T
         self.zero = 0.0
+        self.sines = {}
 
     def lam(self, i: int, j: int, k: int) -> float:
         return _lam(self.dx, self.dy, i, j, k)
@@ -236,7 +238,10 @@ class PairTable:
         return self.dx[i, j] * self.dx[k, l] + self.dy[i, j] * self.dy[k, l]
 
     def sin3(self, i: int, j: int, k: int) -> float:
-        return self.lam(i, j, k) / (self.r[i, j] * self.r[i, k])
+        s = self.sines.get((i, j, k))
+        if s is None:
+            s = self.sines[i, j, k] = self.lam(i, j, k) / (self.r[i, j] * self.r[i, k])
+        return s
 
     def cos3(self, i: int, j: int, k: int) -> float:
         return self.dot(i, j, i, k) / (self.r[i, j] * self.r[i, k])

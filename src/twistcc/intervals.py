@@ -12,11 +12,24 @@ repeatedly (any interval; a negative p divides into 1), a float p is
 `x.pow_real(p)` (strictly positive intervals only, even when p is
 integral, e.g. `x ** -3.0`).  Scalar-generic formulas can thus write
 `r ** -A` for floats and intervals alike.
+
+`IntervalArray` holds many intervals ("lanes") as float64 arrays `lo`
+and `hi` and rounds every lane exactly as `Interval` does, with
+np.nextafter, so each lane is bit for bit the `Interval` result.  Powers
+go through libm per lane (`math.pow`, as `Interval.pow_real`), because
+numpy's vectorized power can differ from libm in the last ulp.  Where
+`Interval` raises (a zero-containing divisor, a real power of a
+non-positive interval, sqrt of a negative one, a NaN endpoint such as
+inf - inf, or a libm overflow) the lane becomes NaN instead, and NaN
+propagates through every later operation.  NaN compares false, so a
+failed lane is neither positive nor negative: it can never decide a sign.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _INF = math.inf
 
@@ -183,3 +196,220 @@ def hull(*vals: Interval) -> Interval:
     for v in vals[1:]:
         out = out.hull(v)
     return out
+
+
+# --- lanes of intervals ---------------------------------------------------------
+
+_LIBM_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def _adown(x):
+    return np.nextafter(x, -_INF)
+
+
+def _aup(x):
+    return np.nextafter(x, _INF)
+
+
+def _pow_or_nan(x: float, p: float) -> float:
+    try:
+        return math.pow(x, p)
+    except OverflowError:
+        return math.nan
+
+
+def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
+    """math.pow per element; NaN where libm overflows (Interval raises there)."""
+    try:
+        return _LIBM_POW(x, p).astype(np.float64)
+    except OverflowError:
+        vals = [_pow_or_nan(v, p) for v in x.ravel().tolist()]
+        return np.array(vals, dtype=np.float64).reshape(x.shape)
+
+
+def _py_min(first, *rest):
+    """Per lane, Python's min(first, *rest): ties keep the earliest operand,
+    and a NaN wins only in first position (later NaNs are skipped)."""
+    r = rest[0]
+    for x in rest[1:]:
+        r = np.fmin(r, x)
+    return np.where(r < first, r, first)
+
+
+def _py_max(first, *rest):
+    """Per lane, Python's max(first, *rest) (see _py_min)."""
+    r = rest[0]
+    for x in rest[1:]:
+        r = np.fmax(r, x)
+    return np.where(r > first, r, first)
+
+
+def _bounds(x):
+    """(lo, hi) of an operand: an IntervalArray, an Interval or a number."""
+    if isinstance(x, (IntervalArray, Interval)):
+        return x.lo, x.hi
+    x = float(x)
+    return x, x
+
+
+def _finite_nonzero(x) -> bool:
+    """x is a finite nonzero number (not an interval)."""
+    return isinstance(x, (int, float)) and math.isfinite(x) and x != 0
+
+
+class IntervalArray:
+    """Lanes of closed intervals: float64 arrays `lo` and `hi`.
+
+    Every operation rounds each lane exactly as the same `Interval`
+    operation would; a lane where `Interval` would raise is NaN in both
+    endpoints (a failed lane) and stays NaN.  Arrays are never modified in
+    place, so lanes may share them.
+    """
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None      # numpy scalars defer to the reflected operators
+
+    def __init__(self, lo, hi=None):
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = lo if hi is None else np.asarray(hi, dtype=np.float64)
+        ok = lo <= hi           # False for a NaN endpoint and for lo > hi
+        if not ok.all():
+            lo = np.where(ok, lo, math.nan)
+            hi = np.where(ok, hi, math.nan)
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def from_intervals(cls, intervals) -> "IntervalArray":
+        intervals = list(intervals)
+        return cls([iv.lo for iv in intervals], [iv.hi for iv in intervals])
+
+    # --- inspection -----------------------------------------------------------
+    def __len__(self) -> int:
+        return self.lo.shape[0]
+
+    def __getitem__(self, idx) -> "IntervalArray":
+        """The lanes selected by a slice, an index array or a mask."""
+        return IntervalArray(self.lo[idx], self.hi[idx])
+
+    def lane(self, k: int) -> Interval:
+        """Lane k as an Interval; IntervalError for a failed lane."""
+        return Interval(self.lo[k], self.hi[k])
+
+    @property
+    def failed(self) -> np.ndarray:
+        return np.isnan(self.lo)
+
+    @property
+    def mid(self) -> np.ndarray:
+        return 0.5 * (self.lo + self.hi)
+
+    def contains_zero(self) -> np.ndarray:
+        return (self.lo <= 0.0) & (0.0 <= self.hi)
+
+    def is_positive(self) -> np.ndarray:
+        return self.lo > 0.0
+
+    def is_negative(self) -> np.ndarray:
+        return self.hi < 0.0
+
+    def __repr__(self) -> str:
+        return f"IntervalArray(lo={self.lo!r}, hi={self.hi!r})"
+
+    # --- set operations -------------------------------------------------------
+    def intersect(self, other) -> "IntervalArray":
+        """Lane-wise intersection; a lane is failed where it is empty."""
+        olo, ohi = _bounds(other)
+        lo = np.where((olo > self.lo) | np.isnan(olo), olo, self.lo)
+        hi = np.where((ohi < self.hi) | np.isnan(ohi), ohi, self.hi)
+        return IntervalArray(lo, hi)
+
+    # --- arithmetic -------------------------------------------------------------
+    def __neg__(self) -> "IntervalArray":
+        return IntervalArray(-self.hi, -self.lo)
+
+    def __add__(self, other) -> "IntervalArray":
+        olo, ohi = _bounds(other)
+        return IntervalArray(_adown(self.lo + olo), _aup(self.hi + ohi))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "IntervalArray":
+        olo, ohi = _bounds(other)
+        return IntervalArray(_adown(self.lo - ohi), _aup(self.hi - olo))
+
+    def __rsub__(self, other) -> "IntervalArray":
+        olo, ohi = _bounds(other)
+        return IntervalArray(_adown(olo - self.hi), _aup(ohi - self.lo))
+
+    def __mul__(self, other) -> "IntervalArray":
+        if _finite_nonzero(other):
+            # the four products of Interval.__mul__ pair up; their min and
+            # max are the two below (equal values may differ only in the
+            # sign of a zero, which the outward rounding erases)
+            c = float(other)
+            a, b = self.lo * c, self.hi * c
+            return IntervalArray(_adown(a), _aup(b)) if c > 0 else \
+                IntervalArray(_adown(b), _aup(a))
+        olo, ohi = _bounds(other)
+        return _quad(self.lo * olo, self.lo * ohi, self.hi * olo, self.hi * ohi)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "IntervalArray":
+        if _finite_nonzero(other):
+            c = float(other)
+            a, b = self.lo / c, self.hi / c
+            return IntervalArray(_adown(a), _aup(b)) if c > 0 else \
+                IntervalArray(_adown(b), _aup(a))
+        return _divide(*_bounds(self), *_bounds(other))
+
+    def __rtruediv__(self, other) -> "IntervalArray":
+        return _divide(*_bounds(other), self.lo, self.hi)
+
+    def sq(self) -> "IntervalArray":
+        a, b = np.abs(self.lo), np.abs(self.hi)
+        lo = np.where(self.contains_zero(), 0.0, np.where(b < a, b, a))
+        hi = np.where(b > a, b, a)
+        return IntervalArray(_adown(lo * lo), _aup(hi * hi))
+
+    def __pow__(self, n) -> "IntervalArray":
+        if isinstance(n, float):
+            return self.pow_real(n)
+        n = int(n)
+        if n == 0:
+            return IntervalArray(np.where(self.failed, math.nan, 1.0))
+        if n < 0:
+            return 1.0 / self.__pow__(-n)
+        if n == 1:
+            # Interval computes self * [1, 1]: both endpoints rounded outward
+            return self * 1.0
+        if n % 2 == 0:
+            return self.__pow__(n // 2).sq()
+        return self * self.__pow__(n - 1)
+
+    def pow_real(self, p: float) -> "IntervalArray":
+        """x^p for real p; lanes that are not strictly positive fail."""
+        ok = self.lo > 0.0
+        a = _libm_pow(np.where(ok, self.lo, 1.0), p)
+        b = _libm_pow(np.where(ok, self.hi, 1.0), p)
+        lo, hi = (a, b) if p >= 0.0 else (b, a)
+        return IntervalArray(np.where(ok, _adown(_adown(lo)), math.nan), _aup(_aup(hi)))
+
+    def sqrt(self) -> "IntervalArray":
+        ok = self.lo >= 0.0
+        lo = np.where(ok, self.lo, math.nan)
+        return IntervalArray(_adown(np.sqrt(lo)), _aup(np.sqrt(np.where(ok, self.hi, 0.0))))
+
+
+def _quad(p0, p1, p2, p3) -> IntervalArray:
+    """Outward hull of four candidate products or quotients, as Interval's
+    min/max of the tuple (p0, p1, p2, p3)."""
+    return IntervalArray(_adown(_py_min(p0, p1, p2, p3)), _aup(_py_max(p0, p1, p2, p3)))
+
+
+def _divide(alo, ahi, blo, bhi) -> IntervalArray:
+    """[alo, ahi] / [blo, bhi] per lane; lanes whose divisor contains zero fail."""
+    zero = (blo <= 0.0) & (0.0 <= bhi)
+    blo = np.where(zero, math.nan, blo)
+    return _quad(alo / blo, alo / bhi, ahi / blo, ahi / bhi)

@@ -15,7 +15,8 @@ The shape algebra (`side_powers`, `mass_ratio_terms`, `KiteQuantities.at`,
 powers only, so one copy serves Python floats, numpy arrays and
 intervals.  `kite_index_map` evaluates it on arrays of cell centres, with
 the classification, scale and mass checks as masks shared with the scalar
-`classify_shape`, `kite_scale`, `kite_masses` and `build_kite`.
+`classify_shape`, `kite_scale`, `kite_masses` and `build_kite`;
+`kite_scales` gives `kite_scale` over arrays of shapes.
 `kite_blocks` (the 5x5 `V^T H V` assembly) is the independent float
 cross-check of the closed-form blocks.
 """
@@ -218,6 +219,15 @@ def kite_scale(shape: KiteShape, params: PotentialParams) -> float:
         t, failed = _scale_terms(_one(shape, params.A)[2])
         _raise_failed(shape, failed, failed)
         return float(_root(t, params.A)[0])
+
+
+def kite_scales(z3: np.ndarray, z4: np.ndarray, A: float):
+    """(x2, failed) for arrays of shapes z3 > z4 > 0: each shape's
+    `kite_scale` (bit for bit, from the same array code) and the mask of
+    shapes where `kite_scale` raises."""
+    with np.errstate(all="ignore"):
+        t, failed = _scale_terms(side_powers(z3, z4, A))
+        return _root(t, A), failed["indeterminate"] | failed["infeasible"]
 
 
 def dziso_residual(z3, z4, x2, A: float):
@@ -487,6 +497,7 @@ class KiteTable(PairTable):
         qx = (-q.x2, q.x2, zero, zero)
         qy = (zero, zero, q.y3, q.y4)
         self.zero = zero
+        self.sines = {}
         self.dx, self.dy, self.r, self.R, self.S = {}, {}, {}, {}, {}
         pairs = {(0, 1): (q.r12, q.R12, q.S12), (0, 2): (q.r13, q.R13, q.S13),
                  (1, 2): (q.r13, q.R13, q.S13), (0, 3): (q.r14, q.R14, q.S14),

@@ -234,3 +234,151 @@ def laura_andoyer_loop(table, m: np.ndarray, i: int, j: int) -> float:
 def albouy_chenciner_loop(table, m: np.ndarray, i: int, j: int) -> float:
     ri2 = table.r[i] ** 2
     return float(np.dot(m * table.S[i], ri2[j] + ri2 - table.r[j] ** 2))
+
+
+# --- per-box interval certification -------------------------------------------
+#
+# One box at a time on scalar `Interval` arithmetic, written as the library
+# certified boxes before it evaluated them as lanes of an IntervalArray.  Every
+# lane of the batched certification must reproduce it bit for bit.
+
+def box_admissible_ref(z3, z4):
+    from twistcc.certify import SQRT3_I
+    if z4.lo <= 0.0 or z3.lo <= z4.hi:
+        return None
+    yc = 0.5 * z3 - 0.5 / z3
+    if z3.lo > SQRT3_I.hi and z4.lo > yc.hi and z4.hi < (SQRT3_I / 2.0).lo:
+        return "tall"
+    if z3.hi < SQRT3_I.lo and z4.hi < yc.lo:
+        return "wide"
+    return None
+
+
+def certify_kite_scale_ref(z3, z4, params: PotentialParams):
+    """Scale enclosure of one box: an Interval, or None without a bracket."""
+    from twistcc.certify import MAX_PROBE_ROUNDS
+    from twistcc.intervals import Interval, IntervalDomainError, IntervalError
+    from twistcc.kite import KiteError, KiteShape, dziobek_coefficients, kite_scale, side_powers
+    params.require_f_domain()
+    A = params.A
+    if z3.lo <= z4.hi or z4.lo <= 0.0:
+        return None
+    try:
+        x2c = kite_scale(KiteShape(z3.mid, z4.mid), params)
+        powers = side_powers(z3, z4, A)
+    except (KiteError, IntervalError, IntervalDomainError):
+        return None
+    p2, pd, p3, p4 = powers
+
+    def sign_at(x: float) -> int:
+        try:
+            t = Interval(x) ** -A
+            g = (t * p2 - 1.0) * (t * pd - 1.0) - (t * p3 - 1.0) * (t * p4 - 1.0)
+        except (IntervalError, IntervalDomainError):
+            return 0
+        if g.is_positive():
+            return 1
+        if g.is_negative():
+            return -1
+        return 0
+
+    lo = hi = None
+    slo = shi = 0
+    w = 1e-8
+    while w < 0.8:
+        clo, chi = x2c * (1.0 - w), x2c * (1.0 + w)
+        slo, shi = sign_at(clo), sign_at(chi)
+        if slo != 0 and shi != 0 and slo != shi:
+            lo, hi = clo, chi
+            break
+        w *= 2.0
+    if lo is None:
+        return None
+    for _ in range(MAX_PROBE_ROUNDS):
+        width = hi - lo
+        if width <= 1e-14 * lo:
+            break
+        m1 = lo + 0.25 * width
+        m2 = lo + 0.75 * width
+        if not (lo < m1 < m2 < hi):
+            break
+        progressed = False
+        s1 = sign_at(m1)
+        if s1 == slo:
+            lo = m1
+            progressed = True
+        elif s1 == shi:
+            hi = m1
+            progressed = True
+        if hi - lo > 1e-14 * lo and m2 < hi:
+            s2 = sign_at(m2)
+            if s2 == shi:
+                hi = m2
+                progressed = True
+            elif s2 == slo:
+                lo = m2
+                progressed = True
+        if not progressed:
+            break
+    enclosure = Interval(lo, hi)
+    try:
+        D, N = dziobek_coefficients(powers)
+        enclosure = enclosure.intersect((D / N) ** (1.0 / A))
+    except (IntervalError, IntervalDomainError):
+        pass
+    return enclosure
+
+
+def _decide_2x2_ref(h11, h22, h12, name):
+    from twistcc.certify import CertifiedIndex
+    det = h11 * h22 - h12.sq()
+    tr = h11 + h22
+    if det.is_positive() and tr.is_positive():
+        return CertifiedIndex(0, f"det({name}) > 0 and tr({name}) > 0")
+    if det.is_positive() and tr.is_negative():
+        return CertifiedIndex(2, f"det({name}) > 0 and tr({name}) < 0")
+    if det.is_negative():
+        return CertifiedIndex(1, f"det({name}) < 0")
+    return None
+
+
+def certify_box_ref(z3, z4, params: PotentialParams):
+    """BoxCertificate of one box; a failed interval evaluation quotes the
+    scalar exception."""
+    from twistcc.certify import BoxCertificate, CertifiedIndex
+    from twistcc.intervals import IntervalDomainError, IntervalError
+    from twistcc.kite import KiteQuantities, ha_explicit, hs_explicit, mass_ratio_terms
+
+    def unknown(reason: str):
+        cert = CertifiedIndex(None, reason)
+        return BoxCertificate(z3, z4, cert, cert)
+
+    if box_admissible_ref(z3, z4) is None:
+        return unknown("box not verified inside one admissible class")
+    x2 = certify_kite_scale_ref(z3, z4, params)
+    if x2 is None:
+        return unknown("no verified scale enclosure")
+    try:
+        mu31, mu41 = mass_ratio_terms(z3, z4, params.A)
+        if not (mu31.is_positive() and mu41.is_positive()):
+            raise IntervalDomainError("mass-ratio enclosures not strictly positive")
+        q = KiteQuantities.at(z3, z4, x2, mu31, mu41, params.A)
+    except (IntervalError, IntervalDomainError) as exc:
+        return unknown(f"interval evaluation failed: {exc}")
+    try:
+        hs = (_decide_2x2_ref(*hs_explicit(q), "Hs")
+              or CertifiedIndex(None, "sign of det/tr undecided over the box"))
+    except (IntervalError, IntervalDomainError) as exc:
+        hs = CertifiedIndex(None, f"interval evaluation failed: {exc}")
+    try:
+        a11, a22, a33, a12, a13, a23 = ha_explicit(q)
+        H = [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
+        for i, j, name in ((0, 1, "Ha[a3|a4]"), (0, 2, "Ha[a3|t34]"), (1, 2, "Ha[a4|t34]")):
+            ha = _decide_2x2_ref(H[i][i], H[j][j], H[i][j], name)
+            if ha is not None:
+                break
+        else:
+            ha = CertifiedIndex(None, "no 2x2 principal minor of H_a decided over the box")
+    except (IntervalError, IntervalDomainError) as exc:
+        ha = CertifiedIndex(None, f"interval evaluation failed: {exc}")
+    return BoxCertificate(z3, z4, hs, ha)

@@ -1,20 +1,21 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import twistcc.certify as certify
-from twistcc.certify import (_decide_2x2, box_admissible, certify_box, certify_ha_index,
-                             certify_kite_scale, interval_kite_quantities)
+from twistcc.certify import (_decide_2x2, box_admissible, certify_box, certify_boxes,
+                             certify_ha_index, certify_kite_scale, interval_kite_quantities)
 from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
-from twistcc.intervals import Interval
+from twistcc.intervals import Interval, IntervalArray
 from twistcc.kite import (KiteQuantities, KiteShape, build_kite, circumcenter_z4,
                           dziso_residual, ha_explicit, hs_explicit, kite_blocks, kite_scale,
                           side_powers)
 
-from oracles import bisect_dziso
+from oracles import bisect_dziso, certify_box_ref, certify_kite_scale_ref
 
 SQRT3 = math.sqrt(3.0)
 
@@ -257,7 +258,8 @@ def test_hs_decision_soundness(rng):
         h11 = Interval(a - w, a + w)
         h22 = Interval(b - w, b + w)
         h12 = Interval(c - w, c + w)
-        cert = _decide_2x2(h11, h22, h12, "H")
+        cert = _decide_2x2(*(IntervalArray.from_intervals([h]) for h in (h11, h22, h12)),
+                           "H")[0]
         if cert is None:
             continue
         decided += 1
@@ -282,9 +284,10 @@ def test_ha_minor_decision_soundness(rng, monkeypatch):
         H = P @ np.diag([0.0, a, b]) @ P.T
         w = 10.0 ** rng.uniform(-6, -1)
         box = [[Interval(H[i, j] - w, H[i, j] + w) for j in range(3)] for i in range(3)]
-        monkeypatch.setattr(certify, "interval_ha_matrix", lambda q: box)
-        cert = certify_ha_index(None)
-        minors = [_decide_2x2(box[i][i], box[j][j], box[i][j], "H")
+        lanes = [[IntervalArray.from_intervals([iv]) for iv in row] for row in box]
+        monkeypatch.setattr(certify, "interval_ha_matrix", lambda q: lanes)
+        cert = certify_ha_index(None)[0]
+        minors = [_decide_2x2(lanes[i][i], lanes[j][j], lanes[i][j], "H")[0]
                   for i, j in ((0, 1), (0, 2), (1, 2))]
         assert {m.value for m in minors if m is not None} <= {cert.value}
         if not cert.known:
@@ -310,3 +313,200 @@ def test_ha_decides_at_box_half_width_6p25e_4(newton):
         box = certify_box(*point_box(c3, c4, 6.25e-4), newton)
         assert box.ha.value == idx, box.ha
         assert box.ha.value == float_indices(KiteShape(c3, c4), newton)[1]
+
+
+# --- batched lanes against the per-box reference -------------------------------------
+
+# (z3, z4, subdivide, A): decided and H_s-undecided boxes; decided, inadmissible and
+# undecided boxes straddling z3 = sqrt 3; mostly inadmissible boxes over the whole
+# map; large A; and one box whose mass-ratio denominator encloses zero
+WINDOWS = (
+    ((1.99, 2.01), (0.79, 0.81), 3, 3.0),
+    ((1.725, 1.745), (0.695, 0.705), 3, 3.0),
+    ((1.0, 2.2), (0.01, 0.87), 2, 3.0),
+    ((1.04, 1.06), (0.01, 0.03), 1, 1000.0),
+    ((1.3192941530759053, 1.666579768351941), (0.0010238204538190188, 0.17466662809183692),
+     0, 3.0),
+)
+
+
+def window_boxes(z3, z4, subdivide):
+    """The boxes `twistcc certify` makes of a window, in its row order."""
+    parts = 2 ** subdivide
+
+    def split(lo, hi, t):
+        w = (hi - lo) / parts
+        return Interval(lo + t * w, lo + (t + 1) * w)
+
+    return [(split(*z3, a), split(*z4, b)) for a in range(parts) for b in range(parts)]
+
+
+def box_lanes(boxes):
+    return (IntervalArray.from_intervals(b[0] for b in boxes),
+            IntervalArray.from_intervals(b[1] for b in boxes))
+
+
+def all_boxes():
+    return [(box, PotentialParams(A)) for z3, z4, k, A in WINDOWS
+            for box in window_boxes(z3, z4, k)]
+
+
+def assert_scales_match_reference(boxes, params):
+    """Each lane's enclosure is bit for bit the per-box enclosure, and a lane
+    fails exactly where the reference has none."""
+    x2 = certify_kite_scale(*box_lanes(boxes), params)
+    for k, box in enumerate(boxes):
+        want = certify_kite_scale_ref(*box, params)
+        if want is None:
+            assert x2.failed[k], (box, x2.lo[k], x2.hi[k])
+        else:
+            assert (x2.lo[k], x2.hi[k]) == (want.lo, want.hi), box
+
+
+@pytest.mark.parametrize("z3, z4, subdivide, A", WINDOWS)
+def test_batched_scale_matches_per_box_reference(z3, z4, subdivide, A):
+    # every box, admissible or not
+    assert_scales_match_reference(window_boxes(z3, z4, subdivide), PotentialParams(A))
+
+
+def test_batched_scale_matches_per_box_reference_on_point_boxes(rng, newton):
+    # narrow boxes probe down to the 1e-14 relative width, where a round's
+    # second probe is skipped
+    from test_kite import sample_admissible_shapes
+    assert_scales_match_reference([point_box(s.z3, s.z4, w)
+                                   for s in sample_admissible_shapes(rng, 40)
+                                   for w in (0.0, 1e-12, 1e-9)], newton)
+
+
+def assert_matches_reference(got, want):
+    assert (got.z3.lo, got.z3.hi, got.z4.lo, got.z4.hi) == \
+        (want.z3.lo, want.z3.hi, want.z4.lo, want.z4.hi)
+    for block in ("hs", "ha"):
+        g, w = getattr(got, block), getattr(want, block)
+        if w.certificate.startswith("interval evaluation failed: ") and \
+                w.certificate != certify.MASSES_NOT_POSITIVE.certificate:
+            # a failed lane names the failed stage, not the scalar exception
+            assert g.value is None and g.certificate.startswith("interval evaluation failed: ")
+        else:
+            assert g == w, (got, want)
+
+
+def test_batched_certificates_match_per_box_reference():
+    reasons = Counter()
+    for z3, z4, subdivide, A in WINDOWS:
+        params = PotentialParams(A)
+        boxes = window_boxes(z3, z4, subdivide)
+        for got, box in zip(certify_boxes(*box_lanes(boxes), params), boxes):
+            want = certify_box_ref(*box, params)
+            assert_matches_reference(got, want)
+            reasons.update(c.certificate.partition(":")[0] if c.value is None else "decided"
+                           for c in (got.hs, got.ha))
+    assert set(reasons) == {"decided", "box not verified inside one admissible class",
+                            "sign of det/tr undecided over the box",
+                            "no 2x2 principal minor of H_a decided over the box",
+                            "interval evaluation failed"}
+
+
+def test_batches_of_seven_lanes(monkeypatch):
+    # lanes straddling batch boundaries certify as in one batch and per box
+    boxes = window_boxes((1.725, 1.745), (0.695, 0.705), 3)
+    params = PotentialParams(3.0)
+    whole = certify_boxes(*box_lanes(boxes), params)
+    calls = []
+    batch = certify._certify_batch
+    monkeypatch.setattr(certify, "BATCH_LANES", 7)
+    monkeypatch.setattr(certify, "_certify_batch", lambda z3, z4, p: calls.append(len(z3))
+                        or batch(z3, z4, p))
+    assert outcomes(certify_boxes(*box_lanes(boxes), params)) == outcomes(whole)
+    assert calls == [7] * 9 + [1]
+    for got, box in zip(whole, boxes):
+        assert_matches_reference(got, certify_box_ref(*box, params))
+
+
+def outcomes(certs):
+    return [(c.z3.lo, c.z3.hi, c.z4.lo, c.z4.hi, c.hs, c.ha) for c in certs]
+
+
+def fail_lane(x: IntervalArray, k: int) -> IntervalArray:
+    """x with lane k failed."""
+    lo = x.lo.copy()
+    lo[k] = math.nan
+    return IntervalArray(lo, x.hi)
+
+
+def set_lane(x: IntervalArray, k: int, lo: float, hi: float) -> IntervalArray:
+    los, his = x.lo.copy(), x.hi.copy()
+    los[k], his[k] = lo, hi
+    return IntervalArray(los, his)
+
+
+def forced(name, change):
+    """certify.<name> with its output changed by `change` (a tuple as a list)."""
+    fn = getattr(certify, name)
+
+    def changed(*args):
+        out = fn(*args)
+        return change(list(out) if isinstance(out, tuple) else out)
+
+    return changed
+
+
+def _no_root(out):
+    x2c, no_root = out
+    no_root = no_root.copy()
+    no_root[1] = True
+    return [x2c, no_root]
+
+
+# (patched name, change, lane 1's expected (hs, ha) certificates, or None where a
+# block keeps its unforced certificate)
+FORCED = {
+    "no scale": ("kite_scales", _no_root, (certify.NO_SCALE, certify.NO_SCALE)),
+    "masses not positive": ("mass_ratio_terms",
+                            lambda o: [set_lane(o[0], 1, -o[0].hi[1], -o[0].lo[1]), o[1]],
+                            (certify.MASSES_NOT_POSITIVE, certify.MASSES_NOT_POSITIVE)),
+    "mass ratio failed": ("mass_ratio_terms", lambda o: [o[0], fail_lane(o[1], 1)],
+                          (certify.QUANTITIES_FAILED, certify.QUANTITIES_FAILED)),
+    # the signs of the mass ratios are checked before the other quantities
+    "masses not positive, r34 failed": (
+        "interval_kite_quantities",
+        lambda q: replace(q, mu31=set_lane(q.mu31, 1, -q.mu31.hi[1], -q.mu31.lo[1]),
+                          r34=fail_lane(q.r34, 1)),
+        (certify.MASSES_NOT_POSITIVE, certify.MASSES_NOT_POSITIVE)),
+    "r34 failed": ("interval_kite_quantities", lambda q: replace(q, r34=fail_lane(q.r34, 1)),
+                   (certify.QUANTITIES_FAILED, certify.QUANTITIES_FAILED)),
+    "Hs failed": ("hs_explicit", lambda o: [o[0], o[1], fail_lane(o[2], 1)],
+                  (certify._failed("Hs"), None)),
+    # a13 is in the second and third minors only: H_a fails before any minor
+    "Ha entry failed": ("ha_explicit", lambda o: o[:4] + [fail_lane(o[4], 1), o[5]],
+                        (None, certify._failed("Ha"))),
+    # entries (a11, a22, a33, a12, a13, a23); a11 = 0 and a22 = inf make the
+    # first minor's det 0 * inf
+    "Ha minor failed": ("ha_explicit",
+                        lambda o: [set_lane(o[0], 1, 0.0, 0.0),
+                                   set_lane(o[1], 1, math.inf, math.inf)] + o[2:],
+                        (None, certify._failed("Ha[a3|a4]"))),
+    # the first minor decides (det < 0), so the second, whose det is 0 * inf,
+    # is never reached
+    "Ha later minor failed": ("ha_explicit",
+                              lambda o: [set_lane(v, 1, *b) for v, b in zip(
+                                  o, ((0.0, 0.0), (1.0, 1.0), (math.inf, math.inf),
+                                      (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)))],
+                              (None, certify.CertifiedIndex(1, "det(Ha[a3|a4]) < 0"))),
+}
+
+
+@pytest.mark.parametrize("case", FORCED)
+def test_forced_lane_failure(case, monkeypatch, newton):
+    # lane 1 of four fails at one stage: it gets that stage's reason with
+    # today's precedence, and the other lanes keep their certificates
+    boxes = window_boxes((1.99, 2.01), (0.79, 0.81), 1)
+    lanes = box_lanes(boxes)
+    before = certify_boxes(*lanes, newton)
+    name, change, want = FORCED[case]
+    monkeypatch.setattr(certify, name, forced(name, change))
+    with np.errstate(all="ignore"):
+        after = certify_boxes(*lanes, newton)
+    assert outcomes(after[:1] + after[2:]) == outcomes(before[:1] + before[2:])
+    assert after[1].hs == (want[0] or before[1].hs)
+    assert after[1].ha == (want[1] or before[1].ha)

@@ -1,10 +1,13 @@
 import math
+import operator
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcc.intervals import Interval, IntervalDomainError, IntervalError, hull
+from twistcc.intervals import Interval, IntervalArray, IntervalDomainError, IntervalError, hull
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -120,3 +123,152 @@ def test_scalar_mixing(x, c, t):
     assert (c * x).contains(c * a)
     if not x.contains_zero() and x.mag > 1e-300:
         assert (c / x).contains(c / a)
+
+
+# --- IntervalArray: lanes that round as Interval does ---------------------------
+
+# any non-NaN endpoint, with the values where Interval raises or overflows
+# (zeros, infinities, the largest finite floats) drawn often
+endpoints = st.one_of(st.floats(allow_nan=False),
+                      st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf]))
+scalars = st.one_of(st.floats(allow_nan=False), st.integers(-3, 3))
+
+
+@st.composite
+def any_intervals(draw):
+    a, b = draw(endpoints), draw(endpoints)
+    return Interval(min(a, b), max(a, b))
+
+
+def lane_lists(size, element=None):
+    return st.lists(any_intervals() if element is None else element, min_size=size, max_size=size)
+
+
+lane_pairs = st.integers(1, 8).flatmap(lambda n: st.tuples(lane_lists(n), lane_lists(n)))
+
+BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def lanes(ivs):
+    return IntervalArray.from_intervals(ivs)
+
+
+def interval_or_none(fn, *args):
+    """fn on Intervals, or None where Interval raises."""
+    try:
+        return fn(*args)
+    except (IntervalError, OverflowError):
+        return None
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def assert_lanes(got: IntervalArray, want: list):
+    """Each lane is the Interval bit for bit, or failed (NaN) where Interval raised;
+    a failed lane is neither positive nor negative."""
+    assert len(got) == len(want)
+    for k, iv in enumerate(want):
+        if iv is None:
+            assert math.isnan(got.lo[k]) and math.isnan(got.hi[k]), (k, got)
+        else:
+            assert (bits(got.lo[k]), bits(got.hi[k])) == (bits(iv.lo), bits(iv.hi)), (k, got, iv)
+    failed = got.failed
+    assert not (got.is_positive()[failed].any() or got.is_negative()[failed].any())
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=lane_pairs, c=scalars)
+def test_array_binary_ops_match_interval(pair, c):
+    xs, ys = pair
+    X, Y = lanes(xs), lanes(ys)
+    with np.errstate(all="ignore"):
+        for op in BINARY:
+            assert_lanes(op(X, Y), [interval_or_none(op, x, y) for x, y in zip(xs, ys)])
+            assert_lanes(op(X, c), [interval_or_none(op, x, c) for x in xs])
+            assert_lanes(op(c, X), [interval_or_none(op, c, x) for x in xs])
+            assert_lanes(op(X, ys[0]), [interval_or_none(op, x, ys[0]) for x in xs])
+        assert_lanes(X.intersect(Y), [interval_or_none(Interval.intersect, x, y)
+                                      for x, y in zip(xs, ys)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.integers(1, 8).flatmap(lane_lists), n=st.integers(-4, 5),
+       p=st.one_of(st.floats(-5, 5), st.sampled_from([-3.0, -0.5, 0.0, 0.5, 2.0])))
+def test_array_unary_ops_match_interval(xs, n, p):
+    X = lanes(xs)
+    with np.errstate(all="ignore"):
+        assert_lanes(-X, [-x for x in xs])
+        assert_lanes(X.sq(), [x.sq() for x in xs])
+        assert_lanes(X.sqrt(), [interval_or_none(Interval.sqrt, x) for x in xs])
+        assert_lanes(X ** n, [interval_or_none(operator.pow, x, n) for x in xs])
+        assert_lanes(X ** p, [interval_or_none(operator.pow, x, p) for x in xs])
+        assert_lanes(X.pow_real(p), [interval_or_none(Interval.pow_real, x, p) for x in xs])
+        mid = X.mid
+    for k, x in enumerate(xs):
+        assert bits(mid[k]) == bits(x.mid)
+        assert X.is_positive()[k] == x.is_positive()
+        assert X.is_negative()[k] == x.is_negative()
+        assert X.contains_zero()[k] == x.contains_zero()
+        assert (X.lane(k).lo, X.lane(k).hi) == (x.lo, x.hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=lane_pairs, dead=st.lists(st.booleans(), min_size=8, max_size=8),
+       n=st.integers(-3, 4), p=st.floats(-5, 5))
+def test_array_failed_lanes_stay_failed(pair, dead, n, p):
+    xs, ys = pair
+    dead = np.array(dead[:len(xs)])
+    X, Y = lanes(xs), lanes(ys)
+    F = IntervalArray(np.where(dead, math.nan, X.lo), X.hi)
+    assert (F.failed == dead).all()
+    with np.errstate(all="ignore"):
+        results = [op(F, Y) for op in BINARY] + [op(Y, F) for op in BINARY]
+        results += [op(F, 2.0) for op in BINARY] + [op(2.0, F) for op in BINARY]
+        results += [-F, F.sq(), F.sqrt(), F ** n, F ** p, F.intersect(Y), Y.intersect(F)]
+    for out in results:
+        assert out.failed[dead].all()
+        assert not (out.is_positive()[dead].any() or out.is_negative()[dead].any())
+    if dead.any():
+        with pytest.raises(IntervalError):
+            F.lane(int(np.argmax(dead)))
+
+
+def test_array_products_skip_later_nans_as_interval_does():
+    # Interval takes Python's min and max of the four products or quotients:
+    # a NaN (0 * inf, inf / inf) decides only in first position
+    xs = [Interval(0.0, 1.0), Interval(1.0, math.inf), Interval(0.0), Interval(-math.inf, 0.0)]
+    ys = [Interval(1.0, math.inf), Interval(1.0, math.inf), Interval(math.inf), Interval(-2.0, -1.0)]
+    X, Y = lanes(xs), lanes(ys)
+    with np.errstate(all="ignore"):
+        for op in (operator.mul, operator.truediv):
+            want = [interval_or_none(op, x, y) for x, y in zip(xs, ys)]
+            assert_lanes(op(X, Y), want)
+    assert want[1] is not None      # inf / inf in last position is skipped
+    assert interval_or_none(operator.mul, xs[0], ys[0]) is not None
+
+
+finite_pairs = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(lane_lists(n, intervals()), lane_lists(n, intervals())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=finite_pairs, t=st.floats(0, 1), u=st.floats(0, 1), p=st.floats(-5, 5))
+def test_array_containment(pair, t, u, p):
+    xs, ys = pair
+    X, Y = lanes(xs), lanes(ys)
+    a = [member(t, x) for x in xs]
+    b = [member(u, y) for y in ys]
+    with np.errstate(all="ignore"):
+        checks = [(op(X, Y), [op(ak, bk) if op is not operator.truediv or bk != 0.0 else None
+                              for ak, bk in zip(a, b)]) for op in BINARY]
+        checks.append((X.sq(), [ak * ak for ak in a]))
+        checks.append((X ** 3, [ak * ak * ak for ak in a]))
+        checks.append((X.sqrt(), [math.sqrt(ak) if ak >= 0.0 else None for ak in a]))
+        checks.append((X.pow_real(p), [interval_or_none(math.pow, ak, p) if ak > 0.0 else None
+                                       for ak in a]))
+    for got, exact in checks:
+        for k, v in enumerate(exact):
+            if v is not None and not got.failed[k]:
+                assert got.lo[k] <= v <= got.hi[k], (k, got, v)

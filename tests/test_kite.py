@@ -5,7 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from twistcc.geometry import (PotentialParams, build_pair_table, euler_residual,
+from twistcc.geometry import (PairTable, PotentialParams, build_pair_table, euler_residual,
                               moment_of_inertia)
 from twistcc.hessian import cartesian_hessian
 from twistcc.intervals import Interval
@@ -14,7 +14,8 @@ from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, Infeasible
                           build_kite, circumcenter_z4, classify_shape,
                           coorbital_identity_check, dzsub_report, euler_precursor,
                           ha_explicit, hs_explicit, kite_blocks, kite_index_map,
-                          kite_masses, kite_scale, v13_h_v24_explicit, write_pgm)
+                          kite_masses, kite_scale, kite_scales, v13_h_v24_explicit,
+                          write_pgm)
 from twistcc.twist import cc_residual, laura_andoyer, normalized_twist
 
 from oracles import bisect_dziso, index_map_cell
@@ -62,6 +63,25 @@ def test_kite_scale_random_shapes(rng, newton):
         x2 = kite_scale(shape, newton)
         oracle = bisect_dziso(shape, newton)
         assert x2 == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("A", [2.5, 3.0, 1000.0])
+def test_kite_scales_is_kite_scale_per_shape(rng, A):
+    # the array scale of `certify`'s midpoints is each shape's kite_scale bit
+    # for bit, and fails exactly where kite_scale raises
+    params = PotentialParams(A)
+    z3 = np.concatenate([rng.uniform(1.0, 2.3, 2000), [SQRT3]])
+    z4 = np.concatenate([z3[:-1] * rng.uniform(0.01, 0.99, 2000), [1 / SQRT3]])
+    x2, failed = kite_scales(z3, z4, A)
+    assert failed[-1]
+    for k in range(z3.size):
+        try:
+            want = kite_scale(KiteShape(z3[k], z4[k]), params)
+        except KiteError:
+            assert failed[k]
+            continue
+        assert not failed[k]
+        assert x2[k] == want, (z3[k], z4[k])
 
 
 def test_dzsub_report(rng, newton):
@@ -194,6 +214,27 @@ def test_kite_table_matches_pair_table(rng, newton):
                 assert got == pytest.approx(getattr(pt, name)(*idx), rel=1e-13, abs=0.0), \
                     (name, idx)
                 assert getattr(it, name)(*idx).contains(got), (name, idx)
+
+
+def test_ha_explicit_computes_each_sin3_once(monkeypatch, newton):
+    # the table keeps sin3 per ordered triple: one ha_explicit makes 40 sin3
+    # calls on 21 distinct triples, and its entries equal an uncached run's
+    kite = build_kite(KiteShape(2.0, 0.8), newton)
+    qf = KiteQuantities.from_kite(kite, newton)
+    qi = KiteQuantities.at(Interval(2.0), Interval(0.8), Interval(kite.x2),
+                           Interval(kite.mu31), Interval(kite.mu41), newton.A)
+    calls = []
+    lam = PairTable.lam
+    monkeypatch.setattr(PairTable, "lam", lambda t, *idx: calls.append(idx) or lam(t, *idx))
+    cached = [ha_explicit(q) for q in (qf, qi)]
+    assert len(calls) == 2 * 21 and len(set(calls)) == 21
+    calls.clear()
+    monkeypatch.setattr(PairTable, "sin3",
+                        lambda t, i, j, k: t.lam(i, j, k) / (t.r[i, j] * t.r[i, k]))
+    uncached = [ha_explicit(q) for q in (qf, qi)]
+    assert len(calls) == 2 * 40
+    assert cached[0] == uncached[0]
+    assert [(v.lo, v.hi) for v in cached[1]] == [(v.lo, v.hi) for v in uncached[1]]
 
 
 def test_v13_h_v24_explicit_matches_sandwich(rng, newton):

@@ -205,6 +205,9 @@ def cmd_descend(args) -> int:
     print(f"max_la_residual = {fmt(report.max_la_residual)}")
     print(f"f = {fmt(report.f_value)}")
     print(f"collinear_collapse = {report.collinear_collapse}")
+    print(f"reason = {report.reason}")
+    print(f"newton_steps = {report.newton_steps}")
+    print(f"i_drift = {fmt(report.i_drift)}")
     outputs = []
     if args.traj:
         states = [PlanarConfig(pos, config.masses) for _, pos, _, _ in report.history]
@@ -219,7 +222,10 @@ def cmd_descend(args) -> int:
         RunManifest("descend", {"config": args.config, "random": args.random},
                     inputs, outputs,
                     {"tol": args.tol, "max_iter": args.max_iter},
-                    args.seed).write()
+                    args.seed, counts={"iterations": report.iterations,
+                                       "newton_steps": report.newton_steps,
+                                       "reason": report.reason,
+                                       "i_drift": report.i_drift}).write()
     return 0 if report.converged else 1
 
 

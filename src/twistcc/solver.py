@@ -11,6 +11,14 @@ A descent iteration is a few array passes over one pair table: the
 residual, the gradient and the unit twist directions all read it, and the
 backtracking line search evaluates all of its candidate steps at once,
 accepting the same step as backtracking one trial at a time would.
+
+Near a central configuration the descent switches to Newton steps in the
+twist span: the derivatives of f along the raw twists v_k of a span basis
+are the Laura-Andoyer residuals, and their Jacobian is the twist-basis
+Hessian V H V^T.  A Newton candidate is rescaled to U = M*I and kept only
+when it lowers both f and the residual; otherwise the iteration takes the
+first-order step.  Until the first Newton attempt the iterates are those
+of the first-order descent, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,8 +30,9 @@ import numpy as np
 from .geometry import (GeometryError, PairTable, PlanarConfig, PotentialParams,
                        _gradient_f, build_pair_table, center_of_mass, f_rows, f_value,
                        moment_of_inertia, potential_u)
-from .twist import (TwistPair, _unit_twists, canon_pair, max_laura_andoyer,
-                    twist_span_basis)
+from .hessian import _cartesian_hessian
+from .twist import (TwistPair, _twist_rows, _unit_twists, canon_pair, cc_residual,
+                    max_laura_andoyer, twist_span_basis)
 
 # Backtracking line-search constants.
 ETA0_FRACTION = 1e-2     # initial step length as a fraction of the diameter
@@ -31,6 +40,10 @@ ARMIJO_C = 1e-4
 SHRINK = 0.5
 MAX_BACKTRACKS = 40
 COLLAPSE_RUN = 3         # consecutive rank-deficient iterations before flagging
+# Newton polish: tried once the post-rescale residual is below NEWTON_SWITCH;
+# NEWTON_RCOND is the least-squares cutoff that absorbs the rotational zero.
+NEWTON_SWITCH = 1e-3
+NEWTON_RCOND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -100,12 +113,25 @@ def rescale_to_cc_size(config: PlanarConfig, params: PotentialParams) -> PlanarC
 
 @dataclass(frozen=True)
 class DescentReport:
+    """Outcome of `descend`.
+
+    `reason` says why the iteration stopped: "converged" (exactly when
+    `converged` is true), "collapse" (a run of rank-deficient spans),
+    "zero_direction" (no descent direction), "line_search_exhausted" or
+    "max_iter".  `newton_steps` counts the accepted Newton steps among
+    `iterations`; `i_drift` is |I/I0 - 1| of the final configuration
+    against the start, before any final rescale.
+    """
+
     config: PlanarConfig
     iterations: int
     max_la_residual: float
     f_value: float
     converged: bool
     collinear_collapse: bool
+    reason: str
+    newton_steps: int
+    i_drift: float
     history: tuple = field(default=(), repr=False)
 
 
@@ -140,26 +166,61 @@ def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
     return cfg.with_positions(trials[k]), float(f[k])
 
 
+def _newton_step(cfg: PlanarConfig, params: PotentialParams, table: PairTable,
+                 basis: list[TwistPair]) -> PlanarConfig | None:
+    """The twist-span Newton candidate, rescaled to U = M*I, or None.
+
+    Solves (V H V^T) c = -V grad f in least squares, V the raw twists of
+    `basis` as rows and H the Cartesian Hessian, and moves to x + V^T c.
+    """
+    m = cfg.masses
+    i, j = np.array(basis, dtype=np.intp).T
+    V = _twist_rows(m, i, j, table.dx[i, j], table.dy[i, j])
+    g = _gradient_f(table, m)
+    H = _cartesian_hessian(table, m)
+    try:
+        c = np.linalg.lstsq(V @ H @ V.T, -(V @ g), rcond=NEWTON_RCOND)[0]
+        return rescale_to_cc_size(cfg.with_positions(cfg.positions + V.T @ c), params)
+    except (GeometryError, np.linalg.LinAlgError):
+        return None
+
+
 def descend(config: PlanarConfig, params: PotentialParams, *,
             tol: float = 1e-10, max_iter: int = 50000,
             record: bool = False) -> DescentReport:
-    """Projected gradient descent of f over a twist basis.
+    """Projected gradient descent of f over a twist basis, Newton-polished.
 
-    Each iteration re-selects an independent twist set, forms the descent
-    direction d = sum (grad f . u_k) u_k over the unit twists u_k, and
-    takes an Armijo backtracking step along -d.  All backtracking steps
-    are evaluated at once, and the first that is admissible and passes
-    the Armijo test is accepted, as in a one-at-a-time search.  The
-    residual, the gradient and the twists share one pair table per
-    iteration.  Twists are tangent to the level sets of I, so a step keeps
-    I only to first order: there is no retraction, and I drifts over long
-    runs.
+    Each iteration re-selects an independent twist set.  Far from a central
+    configuration it forms the descent direction d = sum (grad f . u_k) u_k
+    over the unit twists u_k and takes an Armijo backtracking step along
+    -d.  All backtracking steps are evaluated at once, and the first that
+    is admissible and passes the Armijo test is accepted, as in a
+    one-at-a-time search.  Twists are tangent to the level sets of I, so a
+    step keeps I only to first order: there is no retraction, and I drifts
+    over long runs.
 
-    `converged` means the Laura-Andoyer residual, normalized as in
-    `cc_residual` and evaluated at the size U = M*I that
-    `rescale_to_cc_size` gives, is below `tol`.  Albouy-Chenciner
-    residuals are not checked.  A run of rank-deficient twist spans is
-    reported as a suspected collinear collapse, not an error.
+    Once the post-rescale residual is below NEWTON_SWITCH and the span has
+    full rank, the iteration first tries the twist-span Newton step of
+    `_newton_step`.  Its candidate is accepted, and counts as an iteration,
+    only if its post-rescale residual is below the current one and its f
+    is not above the current f, so f never increases; otherwise the
+    iteration takes the Armijo step.  Up to the first Newton attempt the
+    iterates are those of the first-order descent, bit for bit.
+
+    The residual, the gradient and the twists share one pair table per
+    iteration; a Newton candidate builds its own, which becomes the
+    iteration's table when the candidate is accepted (a rejected candidate
+    has built one too).
+
+    `converged` means what `eval`'s `is_cc` means: the Laura-Andoyer and
+    Albouy-Chenciner residuals of `cc_residual`, evaluated at the size
+    U = M*I that `rescale_to_cc_size` gives, are below `tol`.  That test
+    runs on every iterate whose Laura-Andoyer residual, normalized as in
+    `cc_residual` and amplified to its post-rescale value (never below
+    the rescaled residual), is below `tol`, and on the final
+    configuration after `max_iter` iterations.  A run of rank-deficient
+    twist spans is reported as a suspected collinear collapse, not an
+    error.
     """
     params.require_f_domain()
     M = float(config.masses.sum())
@@ -172,10 +233,16 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
         ratio = M * moment_of_inertia(cfg) / potential_u(cfg, params)
         return resid, resid * max(1.0, ratio)
 
+    def is_cc(cfg: PlanarConfig, resid_cc: float) -> bool:
+        # resid_cc bounds the rescaled LA residual, so only then run `eval`'s test
+        return resid_cc < tol and cc_residual(rescale_to_cc_size(cfg, params),
+                                              params, tol).is_cc
+
     history = []
     collapse = False
+    reason = "max_iter"
     degenerate_run = 0
-    iterations = 0
+    iterations = newton_steps = 0
     cfg = config
     table = build_pair_table(cfg, params)
     fcur = f_value(cfg, params)
@@ -183,33 +250,51 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
         resid, resid_cc = residuals(cfg, table)
         if record:
             history.append((it, cfg.positions, fcur, resid))
-        if resid_cc < tol:
+        if is_cc(cfg, resid_cc):
+            reason = "converged"
             break
         basis, dim = twist_span_basis(cfg)
         if dim < full_dim:
             degenerate_run += 1
             if degenerate_run >= COLLAPSE_RUN:
                 collapse = True
+                reason = "collapse"
                 break
         else:
             degenerate_run = 0
+
+        if resid_cc < NEWTON_SWITCH and dim == full_dim:
+            cand = _newton_step(cfg, params, table, basis)
+            if cand is not None:
+                cand_table = build_pair_table(cand, params)
+                fcand = f_value(cand, params)
+                if residuals(cand, cand_table)[1] < resid_cc and fcand <= fcur:
+                    cfg, table, fcur = cand, cand_table, fcand
+                    newton_steps += 1
+                    iterations = it + 1
+                    continue
 
         g, d = _descent_direction(table, cfg.masses, basis)
         slope = float(g @ d)
         dn = float(np.linalg.norm(d))
         if dn == 0.0 or slope <= 0.0:
+            reason = "zero_direction"
             break
         step = _armijo_step(cfg, params, d, ETA0_FRACTION * cfg.diameter() / dn, fcur, slope)
         if step is None:
+            reason = "line_search_exhausted"
             break
         cfg, fcur = step
         table = build_pair_table(cfg, params)
         iterations = it + 1
 
     resid, resid_cc = residuals(cfg, table)
+    if reason == "max_iter" and is_cc(cfg, resid_cc):  # the last step reached a CC
+        reason = "converged"
     # Laura-Andoyer residuals vanish identically on collinear configurations,
     # so a rank-deficient final span is a collapse even when "converged".
     _, final_dim = twist_span_basis(cfg)
     collapse = collapse or final_dim < full_dim
-    return DescentReport(cfg, iterations, resid, fcur, resid_cc < tol,
-                         collapse, tuple(history))
+    i_drift = abs(moment_of_inertia(cfg) / moment_of_inertia(config) - 1.0)
+    return DescentReport(cfg, iterations, resid, fcur, reason == "converged", collapse,
+                         reason, newton_steps, i_drift, tuple(history))

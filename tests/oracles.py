@@ -184,11 +184,12 @@ def armijo_step_loop(config: PlanarConfig, params: PotentialParams, d: np.ndarra
     return None
 
 
-def descent_direction_loop(config: PlanarConfig, g: np.ndarray) -> np.ndarray:
-    """d = sum (g . u) u over the unit twists of the span basis, one at a time."""
+def descent_direction_loop(config: PlanarConfig, g: np.ndarray, pairs=None) -> np.ndarray:
+    """d = sum (g . u) u over the unit twists of `pairs` (by default the
+    span basis), one at a time."""
     from twistcc.twist import twist_span_basis, twist_vector
     d = np.zeros_like(g)
-    for pair in twist_span_basis(config)[0]:
+    for pair in twist_span_basis(config)[0] if pairs is None else pairs:
         u = twist_vector(config, pair)
         u /= np.linalg.norm(u)
         d += (g @ u) * u
@@ -226,6 +227,46 @@ def twist_span_basis_loop(config: PlanarConfig):
     return pairs, 2 * n - 3
 
 
+def first_order_descent_ref(config: PlanarConfig, params: PotentialParams,
+                            max_iter: int) -> tuple[list[np.ndarray], bool]:
+    """(positions, switched) of the first-order twist descent, one trial at a time.
+
+    The iterates run until the post-rescale Laura-Andoyer residual drops
+    below `solver.NEWTON_SWITCH` (`switched`; that iterate, where `descend`
+    first tries a Newton step, is the last one listed), the span is
+    rank-deficient, the line search fails, or `max_iter` are listed.
+    """
+    from twistcc.geometry import build_pair_table, cartesian_gradient_f
+    from twistcc.solver import ETA0_FRACTION, NEWTON_SWITCH
+    m = config.masses
+    M = float(m.sum())
+    pairs_ij = [(i, j) for i in range(config.n) for j in range(i + 1, config.n)]
+    cfg = config
+    fcur = f_value(cfg, params)
+    out = []
+    for _ in range(max_iter):
+        out.append(cfg.positions)
+        table = build_pair_table(cfg, params)
+        la = max(abs(laura_andoyer_loop(table, m, i, j)) for i, j in pairs_ij)
+        u = sum(m[i] * m[j] * table.r[i, j] ** (2.0 - params.A) for i, j in pairs_ij)
+        c = (m[:, None] * cfg.points).sum(axis=0) / M
+        ratio = M * float((m * ((cfg.points - c) ** 2).sum(axis=1)).sum()) / u
+        if la / (M * cfg.diameter()) ** 2 * max(1.0, ratio) < NEWTON_SWITCH:
+            return out, True
+        pairs, dim = twist_span_basis_loop(cfg)
+        if dim < 2 * cfg.n - 3:
+            break
+        g = cartesian_gradient_f(cfg, params)
+        d = descent_direction_loop(cfg, g, pairs)
+        step = armijo_step_loop(cfg, params, d,
+                                ETA0_FRACTION * cfg.diameter() / float(np.linalg.norm(d)),
+                                fcur, float(g @ d))
+        if step is None:
+            break
+        cfg, fcur = cfg.with_positions(step[0]), step[1]
+    return out, False
+
+
 def laura_andoyer_loop(table, m: np.ndarray, i: int, j: int) -> float:
     lam = table.dx[i, j] * table.dy[i] - table.dx[i] * table.dy[i, j]
     return float(m[i] * m[j] * np.dot(m * (table.R[i] - table.R[j]), lam))
@@ -252,6 +293,15 @@ def box_admissible_ref(z3, z4):
     if z3.hi < SQRT3_I.lo and z4.hi < yc.lo:
         return "wide"
     return None
+
+
+def straddles_mass_boundary_ref(z3, z4, A: float) -> bool:
+    """Whether d^-A - p(z3) or p(z4) - d^-A, the denominators of mu31 and
+    mu41, encloses zero over the box (d = z3 - z4, p(z) = (1 + z^2)^(-A/2))."""
+    pd = (z3 - z4) ** -A
+    p3 = (1.0 + z3 * z3) ** (-A / 2.0)
+    p4 = (1.0 + z4 * z4) ** (-A / 2.0)
+    return (pd - p3).contains_zero() or (p4 - pd).contains_zero()
 
 
 def certify_kite_scale_ref(z3, z4, params: PotentialParams):
@@ -349,11 +399,14 @@ def certify_box_ref(z3, z4, params: PotentialParams):
     from twistcc.intervals import IntervalDomainError, IntervalError
     from twistcc.kite import KiteQuantities, ha_explicit, hs_explicit, mass_ratio_terms
 
+    # a scalar real power raises OverflowError where libm overflows
+    failures = (IntervalError, IntervalDomainError, OverflowError)
+
     def unknown(reason: str):
         cert = CertifiedIndex(None, reason)
         return BoxCertificate(z3, z4, cert, cert)
 
-    if box_admissible_ref(z3, z4) is None:
+    if box_admissible_ref(z3, z4) is None or straddles_mass_boundary_ref(z3, z4, params.A):
         return unknown("box not verified inside one admissible class")
     x2 = certify_kite_scale_ref(z3, z4, params)
     if x2 is None:
@@ -363,12 +416,12 @@ def certify_box_ref(z3, z4, params: PotentialParams):
         if not (mu31.is_positive() and mu41.is_positive()):
             raise IntervalDomainError("mass-ratio enclosures not strictly positive")
         q = KiteQuantities.at(z3, z4, x2, mu31, mu41, params.A)
-    except (IntervalError, IntervalDomainError) as exc:
+    except failures as exc:
         return unknown(f"interval evaluation failed: {exc}")
     try:
         hs = (_decide_2x2_ref(*hs_explicit(q), "Hs")
               or CertifiedIndex(None, "sign of det/tr undecided over the box"))
-    except (IntervalError, IntervalDomainError) as exc:
+    except failures as exc:
         hs = CertifiedIndex(None, f"interval evaluation failed: {exc}")
     try:
         a11, a22, a33, a12, a13, a23 = ha_explicit(q)
@@ -379,6 +432,6 @@ def certify_box_ref(z3, z4, params: PotentialParams):
                 break
         else:
             ha = CertifiedIndex(None, "no 2x2 principal minor of H_a decided over the box")
-    except (IntervalError, IntervalDomainError) as exc:
+    except failures as exc:
         ha = CertifiedIndex(None, f"interval evaluation failed: {exc}")
     return BoxCertificate(z3, z4, hs, ha)

@@ -12,13 +12,13 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from twistcc.certify import certify_box, certify_kite_scale
+from twistcc.certify import certify_box, certify_boxes, certify_kite_scale
 from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
                               cartesian_gradient_f, euler_residual,
                               moment_of_inertia)
 from twistcc.hessian import (assemble_twist_hessian, cartesian_hessian, morse_index,
                              twist_hessian_entry)
-from twistcc.intervals import Interval
+from twistcc.intervals import Interval, IntervalArray
 from twistcc.kite import (KiteQuantities, KiteShape, build_kite, circumcenter_z4,
                           coorbital_identity_check, kite_blocks, kite_index_map,
                           kite_scale)
@@ -318,8 +318,11 @@ def test_criterion_10_certification(rng, newton):
         # certified Hs indices match floating-point indices at interior points
         checked = 0
         matched = 0
-        for shape in sample_admissible_shapes(rng, 110):
-            cert = certify_box(Interval(shape.z3), Interval(shape.z4), newton).hs
+        shapes = sample_admissible_shapes(rng, 110)
+        certs = certify_boxes(IntervalArray([s.z3 for s in shapes]),
+                              IntervalArray([s.z4 for s in shapes]), newton)
+        for shape, box in zip(shapes, certs):
+            cert = box.hs
             if not cert.known:
                 continue
             blocks = kite_blocks(build_kite(shape, newton), newton)

@@ -43,6 +43,19 @@ def test_box_admissible():
     assert box_admissible(Interval(1.7, 1.8), Interval(0.78, 0.8)) is None  # straddles sqrt3
 
 
+def test_box_straddling_mu31_boundary_is_not_admissible(newton):
+    # inside the wide class, but d^-A - (1+z3^2)^(-A/2), the denominator of
+    # mu31, encloses zero: the box is outside the admissible region, not a
+    # failed interval evaluation
+    z3 = Interval(1.3192941530759053, 1.666579768351941)
+    z4 = Interval(0.0010238204538190188, 0.17466662809183692)
+    assert box_admissible(z3, z4) == "wide"
+    _, pd, p3, _ = side_powers(z3, z4, newton.A)
+    assert (pd - p3).contains_zero()
+    box = certify_box(z3, z4, newton)
+    assert box.hs == box.ha == certify.NOT_ADMISSIBLE
+
+
 # --- scale enclosure ------------------------------------------------------------
 
 def test_scale_enclosure_point_box(newton):
@@ -327,6 +340,9 @@ WINDOWS = (
     ((1.04, 1.06), (0.01, 0.03), 1, 1000.0),
     ((1.3192941530759053, 1.666579768351941), (0.0010238204538190188, 0.17466662809183692),
      0, 3.0),
+    # a box whose interval kite quantities fail
+    ((1.7406127072681559, 1.7509831295763238), (0.765636660675358, 0.7760070829835257),
+     0, 1000.0),
 )
 
 

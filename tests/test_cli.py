@@ -72,6 +72,17 @@ def test_descend_cli(square_file, tmp_path, capsys):
     assert traj.read_bytes() == first
 
 
+def test_descend_reports_stop_reason(tmp_path, capsys):
+    final = tmp_path / "d6.json"
+    assert main(["descend", "--random", "6", "--seed", "1", "--final", str(final)]) == 0
+    out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert list(out)[4:] == ["collinear_collapse", "reason", "newton_steps", "i_drift"]
+    assert out["reason"] == "converged" and out["newton_steps"] == "7"
+    counts = json.loads((tmp_path / "d6.json.manifest.json").read_text())["counts"]
+    assert counts == {"iterations": int(out["iterations"]), "newton_steps": 7,
+                      "reason": "converged", "i_drift": float(out["i_drift"])}
+
+
 def test_descend_random_seeded(tmp_path):
     traj1 = tmp_path / "r1.csv"
     traj2 = tmp_path / "r2.csv"

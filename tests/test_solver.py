@@ -1,15 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
                               cartesian_gradient_f, center_of_mass, euler_residual,
-                              f_value, moment_of_inertia, potential_u)
+                              f_value, load_config, moment_of_inertia, potential_u)
 from twistcc.solver import (DescentReport, FlowSpec, _armijo_step, _descent_direction,
                             descend, flow_fixed_combo, rescale_to_cc_size)
-from twistcc.twist import cc_residual, twist_span_basis
+from twistcc.twist import cc_residual, max_laura_andoyer, twist_span_basis
 
 from oracles import (armijo_step_loop, coincident_ref, descent_direction_loop,
-                     equilateral_config, random_config, square_config)
+                     equilateral_config, first_order_descent_ref, random_config,
+                     square_config)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+STOP_REASONS = {"converged", "collapse", "zero_direction", "line_search_exhausted",
+                "max_iter"}
 
 
 def drift(traj):
@@ -109,21 +116,110 @@ def test_descend_collinear_start_flags_collapse(newton):
     assert report.collinear_collapse
 
 
-def test_descend_converged_means_cc_at_rescaled_size(newton):
-    # the `twistcc descend --random 4 --seed 8` start: the descent stops on
-    # its line search with the residual below tol before the rescale but
-    # above it after, so it must not claim convergence
-    rng = np.random.default_rng(8)
+def cli_random_start(n: int, seed: int) -> PlanarConfig:
+    """The start of `twistcc descend --random n --seed seed`."""
+    rng = np.random.default_rng(seed)
     while True:
-        pts = rng.uniform(-1, 1, (4, 2))
+        pts = rng.uniform(-1, 1, (n, 2))
         d = pts[:, None, :] - pts[None, :, :]
-        if np.hypot(d[..., 0], d[..., 1])[np.triu_indices(4, 1)].min() > 0.2:
-            break
-    report = descend(PlanarConfig.from_points(pts, np.ones(4)), newton, tol=1e-10)
-    assert report.max_la_residual < 1e-10
-    fixed = rescale_to_cc_size(report.config, newton)
-    assert cc_residual(fixed, newton, tol=1e-10).max_la > 1e-10
-    assert not report.converged
+        if np.hypot(d[..., 0], d[..., 1])[np.triu_indices(n, 1)].min() > 0.2:
+            return PlanarConfig.from_points(pts, np.ones(n))
+
+
+# The random-start suite: n in {4, 5, 6, 8} x seeds 0-9, default cap.
+SUITE = [(n, s) for n in (4, 5, 6, 8) for s in range(10)]
+
+
+@pytest.fixture(scope="module")
+def suite_reports():
+    params = PotentialParams(3.0)
+    return {(n, s): descend(cli_random_start(n, s), params, record=True) for n, s in SUITE}
+
+
+def test_descend_start_suite_converges(suite_reports, newton):
+    converged = [k for k, r in suite_reports.items() if r.converged]
+    assert len(converged) >= 38
+    for k in converged:
+        fixed = rescale_to_cc_size(suite_reports[k].config, newton)
+        assert cc_residual(fixed, newton, tol=1e-10).is_cc, k
+    for r in suite_reports.values():
+        assert (r.reason == "converged") == r.converged
+        assert r.reason in STOP_REASONS
+        assert 0 <= r.newton_steps <= r.iterations
+        fs = [h[2] for h in r.history] + [r.f_value]
+        assert all(b <= a for a, b in zip(fs, fs[1:]))
+
+
+def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton):
+    from twistcc import solver
+    tried = []
+    newton_step = solver._newton_step
+
+    def recorded(cfg, *args):
+        cand = newton_step(cfg, *args)
+        tried.append((cfg, cand))
+        return cand
+
+    monkeypatch.setattr(solver, "_newton_step", recorded)
+
+    def resid_cc(cfg):
+        ratio = cfg.masses.sum() * moment_of_inertia(cfg) / potential_u(cfg, newton)
+        return max_laura_andoyer(build_pair_table(cfg, newton), cfg.masses) * max(1.0, ratio)
+
+    kinds = set()
+    for start in ((6, 4), (6, 7)):
+        tried.clear()
+        report = descend(cli_random_start(*start), newton, record=True)
+        assert report.converged
+        positions = [h[1].tobytes() for h in report.history] + [report.config.positions.tobytes()]
+        kept = 0
+        for cfg, cand in tried:
+            k = positions.index(cfg.positions.tobytes())
+            kind = (resid_cc(cand) < resid_cc(cfg), f_value(cand, newton) <= f_value(cfg, newton))
+            assert (positions[k + 1] == cand.positions.tobytes()) == all(kind), (start, k)
+            kinds.add(kind)
+            kept += all(kind)
+        assert report.newton_steps == kept
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_descend_converged_means_cc_at_rescaled_size(suite_reports, newton):
+    # `converged` is `eval`'s is_cc at the rescaled size, LA and AC residuals
+    # both, on every start of the suite.  The `--random 4 --seed 8` start used
+    # to stop on its line search with the LA residual below tol only before
+    # the rescale; the Newton polish now takes it to a CC.
+    for k, report in suite_reports.items():
+        fixed = rescale_to_cc_size(report.config, newton)
+        assert report.converged == cc_residual(fixed, newton, tol=1e-10).is_cc, k
+    assert suite_reports[4, 8].converged
+
+
+def test_newton_polish_from_perturbed_lagrange():
+    cfg, params = load_config(DATA / "lagrange_123.json")
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        start = rescale_to_cc_size(
+            cfg.with_positions(cfg.positions + 1e-4 * rng.standard_normal(6)), params)
+        report = descend(start, params, tol=1e-13, max_iter=4, record=True)
+        assert report.converged and report.reason == "converged"
+        assert report.newton_steps == report.iterations <= 4
+        fixed = rescale_to_cc_size(report.config, params)
+        assert cc_residual(fixed, params, tol=1e-13).max_la < 1e-13
+        resid = [h[3] for h in report.history]
+        assert all(b < a for a, b in zip(resid, resid[1:]))
+
+
+def test_descend_is_first_order_until_newton(newton):
+    # the 13 starts of the benchmark's descend workload, at its cap
+    starts = [load_config(DATA / "square_1135.json")[0]]
+    starts += [cli_random_start(n, s) for n in (4, 5, 6, 8) for s in (0, 1, 2)]
+    for cfg in starts:
+        report = descend(cfg, newton, max_iter=300, record=True)
+        ref, switched = first_order_descent_ref(cfg, newton, 300)
+        assert switched and report.newton_steps > 0
+        assert len(report.history) >= len(ref)
+        for (_, pos, _, _), want in zip(report.history, ref):
+            assert pos.tobytes() == want.tobytes()
 
 
 def test_armijo_step_matches_sequential_loop(rng, newton):

@@ -5,16 +5,20 @@ a decided certificate holds for *every* shape in the input box:
 
   * the Dziobek scale is enclosed by a bracket with verified sign
     changes of the residual at its endpoints, narrowed at quarter points;
-  * the 2x2 block H_s is enclosed through its explicit closed-form
-    entries and its index decided from the signs of det and trace;
+  * the 2x2 block H_s is enclosed through its closed-form entries,
+    `kite.hs_explicit`: the normalized twist entries on the interval
+    `kite.KiteTable`, whose angles are enclosed from the shape box alone
+    (the unit-scale kite) and whose powers R, S from the box and the
+    scale enclosure; its index is decided from the signs of det and
+    trace;
   * the 3x3 block H_a carries the rotational zero eigenvalue exactly at
     every kite CC (H_a u = 0 for the rotation's coordinates u), so its
     deflated index is the index of any 2x2 principal minor whose det is
     certified nonzero: then (u, e_i, e_j) is a basis in which H_a is
     diag(0, minor), and Sylvester's law of inertia applies.  The three
     minors are tried in turn with the same det/trace test as H_s.  The
-    interval entries come from `kite.ha_explicit`, the closed forms the
-    float kite map uses.
+    interval entries come from `kite.ha_explicit`, on the same table.
+    Both blocks use the closed forms the float kite map uses.
 
 `certify_boxes` certifies every box of a run at once, each box one lane
 of an `intervals.IntervalArray`, in batches of at most BATCH_LANES lanes

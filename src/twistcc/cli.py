@@ -243,19 +243,21 @@ def cmd_flow(args) -> int:
     return 0
 
 
+def _matrix_rows(tm, eigenvalues) -> list[list]:
+    """The "entry" rows of a twist matrix, then one "eigenvalue" row each."""
+    dirs = tm.directions
+    rows = [["entry", a, b, dirs[a].name, dirs[b].name, fmt(tm.matrix[a, b])]
+            for a in range(len(dirs)) for b in range(len(dirs))]
+    return rows + [["eigenvalue", k, "", "", "", fmt(v)] for k, v in enumerate(eigenvalues)]
+
+
 def cmd_hessian(args) -> int:
     config, params = _load(args.config)
     basis, dim = twist_span_basis(config)
     tm = assemble_twist_hessian(config, params, basis, normalized=args.normalized)
     w = np.linalg.eigvalsh(tm.matrix)
     neg, zero, pos = morse_index(tm)
-    rows = []
-    for a in range(dim):
-        for b in range(dim):
-            rows.append(["entry", a, b, tm.directions[a].name,
-                         tm.directions[b].name, fmt(tm.matrix[a, b])])
-    for k, val in enumerate(np.sort(w)):
-        rows.append(["eigenvalue", k, "", "", "", fmt(val)])
+    rows = _matrix_rows(tm, np.sort(w))
     print(f"span_dimension = {dim}")
     print(f"signature = ({neg} neg, {zero} zero, {pos} pos)")
     if args.csv:
@@ -368,13 +370,7 @@ def cmd_lagrange(args) -> int:
     print(f"signature = ({neg} neg, {zero} zero, {pos} pos)")
     print(f"eigenvalues = {', '.join(fmt(v) for v in w)}")
     print(f"char_poly_coeffs (a0, a1, a2) = {fmt(a0)}, {fmt(a1)}, {fmt(a2)}")
-    rows = []
-    for a in range(3):
-        for b in range(3):
-            rows.append(["entry", a, b, tm.directions[a].name,
-                         tm.directions[b].name, fmt(tm.matrix[a, b])])
-    for kk, val in enumerate(w):
-        rows.append(["eigenvalue", kk, "", "", "", fmt(val)])
+    rows = _matrix_rows(tm, w)
     for name, val in (("a0", a0), ("a1", a1), ("a2", a2)):
         rows.append(["charpoly", name, "", "", "", fmt(val)])
     if args.csv:

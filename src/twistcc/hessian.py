@@ -13,10 +13,12 @@ The entry evaluators are generic over the scalar type: they only use
 r, R, S, T are indexed by [i, j] and whose lam, dot, sin3, cos3 and cos4
 are written once on dx, dy and r.  The normalized forms read no T, so
 `kite.KiteTable`, a PairTable holding a kite's floats, numpy arrays or
-intervals, feeds them too.  They serve the kite's H_a block
-(`kite.ha_explicit`), the float entry functions and the tests; float
-matrices over twist directions are V^T H V instead, H the Cartesian
-Hessian and V the twist vectors as columns.
+intervals, feeds them too.  They are the only closed forms of both kite
+blocks (`kite.hs_explicit` for H_s, `kite.ha_explicit` for H_a), in the
+float kite map and in interval certification, and they serve the float
+entry functions and the tests; float matrices over twist directions are
+V^T H V instead, H the Cartesian Hessian and V the twist vectors as
+columns.
 """
 
 from __future__ import annotations

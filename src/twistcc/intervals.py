@@ -170,11 +170,15 @@ class Interval:
         return self * self.__pow__(n - 1)
 
     def pow_real(self, p: float) -> "Interval":
-        """x^p for real p; requires a strictly positive interval."""
+        """x^p for real p; requires a strictly positive interval and a
+        result libm can represent."""
         if self.lo <= 0.0:
             raise IntervalDomainError(f"real power of non-positive interval {self}")
-        a = math.pow(self.lo, p)
-        b = math.pow(self.hi, p)
+        try:
+            a = math.pow(self.lo, p)
+            b = math.pow(self.hi, p)
+        except OverflowError:
+            raise IntervalDomainError(f"real power {p!r} of {self} overflows") from None
         if p >= 0.0:
             return Interval(_down2(a), _up2(b))
         return Interval(_down2(b), _up2(a))

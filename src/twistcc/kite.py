@@ -13,10 +13,14 @@ the Morse-index map over shape space.
 The shape algebra (`side_powers`, `mass_ratio_terms`, `KiteQuantities.at`,
 `KiteTable`, `hs_explicit`, `ha_explicit`) uses field arithmetic and
 powers only, so one copy serves Python floats, numpy arrays and
-intervals.  `kite_index_map` evaluates it on arrays of cell centres, with
-the classification, scale and mass checks as masks shared with the scalar
-`classify_shape`, `kite_scale`, `kite_masses` and `build_kite`;
-`kite_scales` gives `kite_scale` over arrays of shapes.
+intervals.  Both blocks are the normalized twist entries of `hessian`,
+read from one `KiteTable` whose geometry is the kite at unit scale
+(x2 = 1): the angles those entries read do not depend on the scale, so
+they come from the shape alone, and only the powers R = r^-A and
+S = R - 1 carry x2.  `kite_index_map` evaluates the algebra on arrays of
+cell centres, with the classification, scale and mass checks as masks
+shared with the scalar `classify_shape`, `kite_scale`, `kite_masses` and
+`build_kite`; `kite_scales` gives `kite_scale` over arrays of shapes.
 `kite_blocks` (the 5x5 `V^T H V` assembly) is the independent float
 cross-check of the closed-form blocks.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -403,13 +408,15 @@ class KiteQuantities:
 
     Fields may be floats, numpy arrays or intervals; `at` and the formulas
     below only use field arithmetic and powers, so the same code serves
-    every evaluation.
+    every evaluation.  The distances r and the powers R = r^-A, S = R - 1
+    are at scale x2; `table` is the kite's KiteTable, built once and read
+    by both blocks.
     """
 
     A: float
     x2: object
-    y3: object
-    y4: object
+    z3: object
+    z4: object
     r12: object
     r13: object
     r14: object
@@ -430,7 +437,7 @@ class KiteQuantities:
         """Quantities of the kite with shape (z3, z4), scale x2 and mass ratios."""
         r12, r13, r14, r34 = kite_distances(z3, z4, x2)
         R12, R13, R14, R34 = r12 ** -A, r13 ** -A, r14 ** -A, r34 ** -A
-        return cls(A, x2, z3 * x2, z4 * x2, r12, r13, r14, r34,
+        return cls(A, x2, z3, z4, r12, r13, r14, r34,
                    R12, R13, R14, R34,
                    R12 - 1.0, R13 - 1.0, R14 - 1.0, R34 - 1.0, mu31, mu41)
 
@@ -438,48 +445,9 @@ class KiteQuantities:
     def from_kite(cls, kite: KiteConfig, params: PotentialParams) -> "KiteQuantities":
         return cls.at(kite.shape.z3, kite.shape.z4, kite.x2, kite.mu31, kite.mu41, params.A)
 
-
-def hs_explicit(q: KiteQuantities):
-    """Closed-form entries ((Hs)11, (Hs)22, (Hs)12) of the 2x2 block."""
-    A = q.A
-    mu31, mu41 = q.mu31, q.mu41
-    mu13, mu14 = 1 / mu31, 1 / mu41
-    mu43, mu34 = mu41 / mu31, mu31 / mu41
-    h11 = (-(2 + 2 * mu13 + mu31) * q.S13 - q.S12 - mu41 * q.S14 - mu43 * q.S34
-           - (1 - q.r12 ** 2 / (2 * q.r13 ** 2))
-           * (q.S12 - 2 * q.S13 - 2 * mu13 * q.S13 - mu43 * q.S34)
-           + A * (2 * q.y3 ** 2 * q.R12 / q.r13 ** 2
-                  + mu13 * q.r12 ** 2 * q.y3 ** 2 * q.R13 / q.r13 ** 4
-                  + mu41 * q.r12 ** 2 * q.r34 ** 2 * q.R14 / (4 * q.r13 ** 2 * q.r14 ** 2)
-                  + mu43 * q.r12 ** 2 * q.R34 / (2 * q.r13 ** 2)))
-    h22 = (-(2 + 2 * mu14 + mu41) * q.S14 - q.S12 - mu31 * q.S13 - mu34 * q.S34
-           - (1 - q.r12 ** 2 / (2 * q.r14 ** 2))
-           * (q.S12 - 2 * q.S14 - 2 * mu14 * q.S14 - mu34 * q.S34)
-           + A * (2 * q.y4 ** 2 * q.R12 / q.r14 ** 2
-                  + mu14 * q.r12 ** 2 * q.y4 ** 2 * q.R14 / q.r14 ** 4
-                  + mu31 * q.r12 ** 2 * q.r34 ** 2 * q.R13 / (4 * q.r13 ** 2 * q.r14 ** 2)
-                  + mu34 * q.r12 ** 2 * q.R34 / (2 * q.r14 ** 2)))
-    h12 = v13_h_v14_explicit(q) - v13_h_v24_explicit(q)
-    return h11, h22, h12
-
-
-def v13_h_v14_explicit(q: KiteQuantities):
-    """Closed form of the shared-vertex entry v13~^T H v14~ on the kite."""
-    A = q.A
-    bracket = (q.S34 - (1 + q.mu31) * q.S13 - (1 + q.mu41) * q.S14 - q.S12)
-    return (((q.r12 ** 2 / 4 + q.y3 * q.y4) / (q.r13 * q.r14)) * bracket
-            - A * (q.R34 * q.r12 ** 2 - 4 * q.R12 * q.y3 * q.y4) / (4 * q.r13 * q.r14))
-
-
-def v13_h_v24_explicit(q: KiteQuantities):
-    """Closed form of the disjoint entry v13~^T H v24~ on the kite."""
-    A = q.A
-    cos4 = (q.y3 * q.y4 - q.r12 ** 2 / 4) / (q.r13 * q.r14)
-    return (cos4 * (q.R12 + q.R34 - q.R13 - q.R14)
-            - A * (q.R12 * q.y3 * q.y4 / (q.r13 * q.r14)
-                   + q.R13 * q.r12 ** 2 * q.r34 * q.y3 / (2 * q.r13 ** 3 * q.r14)
-                   - q.R14 * q.r12 ** 2 * q.r34 * q.y4 / (2 * q.r13 * q.r14 ** 3)
-                   - q.R34 * q.r12 ** 2 / (4 * q.r13 * q.r14)))
+    @cached_property
+    def table(self) -> "KiteTable":
+        return KiteTable(self)
 
 
 class KiteTable(PairTable):
@@ -487,25 +455,43 @@ class KiteTable(PairTable):
 
     dx, dy, r, R and S are dicts over body pairs [i, j], i != j, holding
     floats, numpy arrays or intervals alike; the angle accessors are
-    inherited.  There is no T: the normalized entries read none.
+    inherited.  dx, dy and r are those of the unit-scale kite, with bodies
+    at (-1, 0), (1, 0), (0, z3), (0, z4): they depend on the shape alone,
+    so the angles sin3, cos3 and cos4, which do not depend on the scale,
+    carry none of an x2 enclosure's width, while lam and dot are the
+    kite's over x2^2.  Values from the fixed coordinates alone (r12 = 2,
+    dx = -2, 0, ...) are exact floats, also in an interval table.  R and S
+    are q's, at scale x2.  There is no T: the normalized entries read none.
     """
 
     __slots__ = ()
 
     def __init__(self, q: KiteQuantities):
-        zero = q.x2 * 0.0
-        qx = (-q.x2, q.x2, zero, zero)
-        qy = (zero, zero, q.y3, q.y4)
-        self.zero = zero
+        r12, r13, r14, r34 = kite_distances(q.z3, q.z4, 1.0)
+        qx = (-1.0, 1.0, 0.0, 0.0)
+        qy = (0.0, 0.0, q.z3, q.z4)
+        self.zero = q.z3 * 0.0
         self.sines = {}
         self.dx, self.dy, self.r, self.R, self.S = {}, {}, {}, {}, {}
-        pairs = {(0, 1): (q.r12, q.R12, q.S12), (0, 2): (q.r13, q.R13, q.S13),
-                 (1, 2): (q.r13, q.R13, q.S13), (0, 3): (q.r14, q.R14, q.S14),
-                 (1, 3): (q.r14, q.R14, q.S14), (2, 3): (q.r34, q.R34, q.S34)}
+        pairs = {(0, 1): (r12, q.R12, q.S12), (0, 2): (r13, q.R13, q.S13),
+                 (1, 2): (r13, q.R13, q.S13), (0, 3): (r14, q.R14, q.S14),
+                 (1, 3): (r14, q.R14, q.S14), (2, 3): (r34, q.R34, q.S34)}
         for (i, j), (r, R, S) in pairs.items():
             for a, b in ((i, j), (j, i)):
                 self.dx[a, b], self.dy[a, b] = qx[a] - qx[b], qy[a] - qy[b]
                 self.r[a, b], self.R[a, b], self.S[a, b] = r, R, S
+
+
+def hs_explicit(q: KiteQuantities):
+    """Closed-form entries ((Hs)11, (Hs)22, (Hs)12) of the 2x2 block over
+    the KITE_BASIS directions (s3, s4), from the normalized entries as in
+    `ha_explicit`."""
+    t = q.table
+    m = (1.0, 1.0, q.mu31, q.mu41)
+    A = q.A
+    return (_norm_diag(t, m, A, 0, 2) - _norm_share(t, m, A, 2, 0, 1),
+            _norm_diag(t, m, A, 0, 3) - _norm_share(t, m, A, 3, 0, 1),
+            _norm_share(t, m, A, 0, 2, 3) - _norm_disjoint(t, m, A, 0, 2, 1, 3))
 
 
 def ha_explicit(q: KiteQuantities):
@@ -517,7 +503,7 @@ def ha_explicit(q: KiteQuantities):
     mirror-symmetric coordinates.  sqrt 2 is computed in q's scalar type,
     so for intervals it is an enclosure.
     """
-    t = KiteTable(q)
+    t = q.table
     m = (1.0, 1.0, q.mu31, q.mu41)
     A = q.A
     sqrt2 = (t.zero + 2.0) ** 0.5

@@ -11,9 +11,9 @@ from twistcc.certify import (_decide_2x2, box_admissible, certify_box, certify_b
 from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
 from twistcc.intervals import Interval, IntervalArray
-from twistcc.kite import (KiteQuantities, KiteShape, build_kite, circumcenter_z4,
-                          dziso_residual, ha_explicit, hs_explicit, kite_blocks, kite_scale,
-                          side_powers)
+from twistcc.kite import (ROTATION_ZERO_RTOL, KiteQuantities, KiteShape, build_kite,
+                          circumcenter_z4, dziso_residual, ha_explicit, hs_explicit,
+                          kite_blocks, kite_scale, side_powers)
 
 from oracles import bisect_dziso, certify_box_ref, certify_kite_scale_ref
 
@@ -117,7 +117,7 @@ def test_interval_quantities_contain_floats(newton):
     qi = interval_kite_quantities(z3, z4, x2, newton)
     kite = build_kite(shape, newton)
     qf = KiteQuantities.from_kite(kite, newton)
-    for name in ("x2", "y3", "y4", "r12", "r13", "r14", "r34",
+    for name in ("x2", "z3", "z4", "r12", "r13", "r14", "r34",
                  "R12", "R13", "R14", "R34", "S12", "S13", "S14", "S34",
                  "mu31", "mu41"):
         assert getattr(qi, name).contains(getattr(qf, name)), name
@@ -437,6 +437,30 @@ def test_batches_of_seven_lanes(monkeypatch):
     assert calls == [7] * 9 + [1]
     for got, box in zip(whole, boxes):
         assert_matches_reference(got, certify_box_ref(*box, params))
+
+
+@pytest.mark.parametrize("z3, z4, hs_min, ha_min", (
+    ((1.79, 1.81), (0.69, 0.71), 1024, 1024),
+    ((1.3, 1.5), (0.1, 0.3), 949, 721),
+), ids=("tall", "wide"))
+def test_shape_only_angles_decide(z3, z4, hs_min, ha_min, newton):
+    # KiteTable's angles come from the shape alone, so the scale enclosure's
+    # width stays out of them: at subdivide 5 these windows decide at least
+    # this many boxes per block (all of them in the tall window), and every
+    # decided block is the float index at the box midpoint
+    certs = certify_boxes(*box_lanes(window_boxes(z3, z4, 5)), newton)
+    assert sum(c.hs.known for c in certs) >= hs_min
+    assert sum(c.ha.known for c in certs) >= ha_min
+    for c in certs:
+        if not (c.hs.known or c.ha.known):
+            continue
+        blocks = kite_blocks(build_kite(KiteShape(c.z3.mid, c.z4.mid), newton), newton)
+        ws, wa = np.linalg.eigvalsh(blocks.h_s), np.linalg.eigvalsh(blocks.h_a)
+        if c.hs.known:
+            assert c.hs.value == (ws < 0).sum(), c
+        rot = int(np.argmin(np.abs(wa)))
+        if c.ha.known and abs(wa[rot]) < ROTATION_ZERO_RTOL * np.abs(wa).max():
+            assert c.ha.value == np.delete(wa < 0, rot).sum(), c
 
 
 def outcomes(certs):

@@ -14,9 +14,8 @@ from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, Infeasible
                           build_kite, circumcenter_z4, classify_shape,
                           coorbital_identity_check, dzsub_report, euler_precursor,
                           ha_explicit, hs_explicit, kite_blocks, kite_index_map,
-                          kite_masses, kite_scale, kite_scales, v13_h_v24_explicit,
-                          write_pgm)
-from twistcc.twist import cc_residual, laura_andoyer, normalized_twist
+                          kite_masses, kite_scale, kite_scales, write_pgm)
+from twistcc.twist import cc_residual, laura_andoyer
 
 from oracles import bisect_dziso, index_map_cell
 
@@ -194,9 +193,16 @@ def test_hs_explicit_matches_assembly(rng, newton):
         assert np.abs(h_a - blocks.h_a).max() <= 1e-10 * np.linalg.norm(blocks.full, 2)
 
 
+def encloses(value, x: float) -> bool:
+    """An interval table's value contains x; its bodies sit at -1, 1 and 0
+    on the axis, so values from those coordinates alone are exact floats."""
+    return value.contains(x) if isinstance(value, Interval) else value == x
+
+
 def test_kite_table_matches_pair_table(rng, newton):
-    # KiteTable inherits PairTable's geometry; on a float kite it agrees with
-    # the kite's own pair table, and on a point box its intervals enclose it
+    # KiteTable inherits PairTable's geometry at unit scale: on a float kite
+    # its angles are the kite's own pair table's, lam and dot that table's
+    # over x2^2, and on a point box its intervals enclose the float table
     triples = list(permutations(range(4), 3))
     pairs = list(permutations(range(4), 2))
     quads = [p + q for p in pairs for q in pairs]
@@ -207,13 +213,19 @@ def test_kite_table_matches_pair_table(rng, newton):
         qi = KiteQuantities.at(Interval(shape.z3), Interval(shape.z4), Interval(kite.x2),
                                Interval(kite.mu31), Interval(kite.mu41), newton.A)
         it = KiteTable(qi)
-        for name, tuples in (("lam", triples), ("sin3", triples), ("cos3", triples),
-                             ("dot", quads), ("cos4", quads)):
+        for name, tuples, scale in (("lam", triples, kite.x2 ** 2), ("sin3", triples, 1.0),
+                                    ("cos3", triples, 1.0), ("dot", quads, kite.x2 ** 2),
+                                    ("cos4", quads, 1.0)):
             for idx in tuples:
                 got = getattr(kt, name)(*idx)
-                assert got == pytest.approx(getattr(pt, name)(*idx), rel=1e-13, abs=0.0), \
-                    (name, idx)
-                assert getattr(it, name)(*idx).contains(got), (name, idx)
+                assert got == pytest.approx(getattr(pt, name)(*idx) / scale, rel=1e-13,
+                                            abs=0.0), (name, idx)
+                assert encloses(getattr(it, name)(*idx), got), (name, idx)
+        for name in ("R", "S"):
+            for pair in pairs:
+                got = getattr(kt, name)[pair]
+                assert got == pytest.approx(getattr(pt, name)[pair], rel=1e-13), (name, pair)
+                assert getattr(it, name)[pair].contains(got), (name, pair)
 
 
 def test_ha_explicit_computes_each_sin3_once(monkeypatch, newton):
@@ -235,18 +247,6 @@ def test_ha_explicit_computes_each_sin3_once(monkeypatch, newton):
     assert len(calls) == 2 * 40
     assert cached[0] == uncached[0]
     assert [(v.lo, v.hi) for v in cached[1]] == [(v.lo, v.hi) for v in uncached[1]]
-
-
-def test_v13_h_v24_explicit_matches_sandwich(rng, newton):
-    for shape in sample_admissible_shapes(rng, 10):
-        kite = build_kite(shape, newton)
-        q = KiteQuantities.from_kite(kite, newton)
-        H = cartesian_hessian(kite.config, newton)
-        t = build_pair_table(kite.config, newton)
-        v13 = normalized_twist(kite.config, t, (0, 2))
-        v24 = normalized_twist(kite.config, t, (1, 3))
-        want = float(v13 @ H @ v24)
-        assert v13_h_v24_explicit(q) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 # --- coorbital identity -----------------------------------------------------------

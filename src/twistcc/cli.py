@@ -5,20 +5,26 @@ All file outputs are written atomically (write-then-rename), all numbers
 with 17 significant digits so they re-read losslessly, and every run that
 produces files also emits a JSON manifest next to its first output.
 Body and pair indices are 1-based on the command line.
+
+Each CSV row is built as one string (numbers from `.tolist()` values,
+formatted with `.17g`) and the table is written in one piece by
+`write_csv_atomic`.  Free-text fields (certificates, kite-map errors and
+labels) go through `csv_field`, which quotes them as the csv module's
+minimal quoting does, so any CSV reader parses them back.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -30,10 +36,12 @@ from .certify import certify_box  # noqa: F401
 from .geometry import (GeometryError, PlanarConfig, PotentialParams,
                        build_pair_table, config_to_json, euler_residual, f_value,
                        load_config, moment_of_inertia, potential_u)
-from .hessian import assemble_twist_hessian, lagrange_char_poly_coeffs, morse_index
+from .hessian import assemble_twist_hessian, lagrange_char_poly_coeffs, signature
+# unused here (the subcommands count their own eigenvalues); perfbench/tracing.py
+# looks the name up on this module
+from .hessian import morse_index  # noqa: F401
 from .intervals import Interval, IntervalArray
-from .kite import (MAP_CSV_COLUMNS, KiteError, cell_csv_row, kite_index_map,
-                   write_pgm)
+from .kite import IndexMapCell, KiteError, kite_index_map, write_pgm
 from .solver import FlowSpec, descend, flow_fixed_combo, rescale_to_cc_size
 from .twist import cc_residual, twist_span_basis
 
@@ -50,13 +58,22 @@ def write_atomic(path: str, data: str | bytes) -> None:
     os.replace(tmp, path)
 
 
-def write_csv_atomic(path: str, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    write_atomic(path, buf.getvalue())
+_NEEDS_QUOTES = re.compile('[,"\n\r]').search
+
+
+def csv_field(text: str) -> str:
+    """`text` as one CSV field: in double quotes with each quote doubled when
+    it holds a comma, a quote, a newline or a carriage return, else as is
+    (the csv module's minimal quoting)."""
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_csv_atomic(path: str, header, lines) -> None:
+    """Write the header fields and then `lines`, each a row already joined
+    with commas, one row per line."""
+    write_atomic(path, "\n".join([",".join(map(csv_field, header)), *lines, ""]))
 
 
 @dataclass
@@ -144,8 +161,10 @@ def _parse_interval(text: str) -> Interval:
 def cmd_eval(args) -> int:
     config, params = _load(args.config)
     res = cc_residual(config, params, tol=args.tol)
-    rows = [[i + 1, j + 1, fmt(la), fmt(res.b[i, j]), fmt(res.b[j, i])]
-            for i, j, la in zip(*np.triu_indices(config.n, 1), res.la)]
+    i, j = np.triu_indices(config.n, 1)
+    lines = [f"{a},{b},{la:.17g},{bij:.17g},{bji:.17g}"
+             for a, b, la, bij, bji in zip((i + 1).tolist(), (j + 1).tolist(), res.la.tolist(),
+                                           res.b[i, j].tolist(), res.b[j, i].tolist())]
     U = potential_u(config, params)
     I = moment_of_inertia(config)
     print(f"f = {fmt(f_value(config, params))}")
@@ -156,18 +175,16 @@ def cmd_eval(args) -> int:
     print(f"max_ac = {fmt(res.max_ac)}")
     print(f"is_cc = {res.is_cc} (tol = {fmt(args.tol)})")
     if args.csv:
-        write_csv_atomic(args.csv, ["i", "j", "la", "b_ij", "b_ji"], rows)
+        write_csv_atomic(args.csv, ["i", "j", "la", "b_ij", "b_ji"], lines)
         RunManifest("eval", {"config": args.config}, [args.config], [args.csv],
                     {"tol": args.tol}).write()
     return 0 if res.is_cc else 1
 
 
-def _trajectory_rows(states, params):
+def _trajectory_lines(states, params):
     for step, cfg in enumerate(states):
-        row = [step] + [fmt(v) for v in cfg.positions]
-        row.append(fmt(moment_of_inertia(cfg)))
-        row.append(fmt(f_value(cfg, params)))
-        yield row
+        values = cfg.positions.tolist() + [moment_of_inertia(cfg), f_value(cfg, params)]
+        yield ",".join([str(step), *map("{:.17g}".format, values)])
 
 
 def _trajectory_header(n):
@@ -213,7 +230,7 @@ def cmd_descend(args) -> int:
         states = [PlanarConfig(pos, config.masses) for _, pos, _, _ in report.history]
         states.append(report.config)
         write_csv_atomic(args.traj, _trajectory_header(config.n),
-                         _trajectory_rows(states, params))
+                         _trajectory_lines(states, params))
         outputs.append(args.traj)
     if args.final:
         write_atomic(args.final, config_to_json(final, params) + "\n")
@@ -235,7 +252,7 @@ def cmd_flow(args) -> int:
     spec = FlowSpec(terms=terms, dt=args.dt, steps=args.steps)
     traj = flow_fixed_combo(config, params, spec)
     write_csv_atomic(args.traj, _trajectory_header(config.n),
-                     _trajectory_rows(traj, params))
+                     _trajectory_lines(traj, params))
     RunManifest("flow", {"config": args.config, "pairs": args.pairs,
                          "dt": args.dt, "steps": args.steps},
                 [args.config], [args.traj]).write()
@@ -243,29 +260,48 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def _matrix_rows(tm, eigenvalues) -> list[list]:
+MATRIX_CSV_COLUMNS = ["kind", "row", "col", "dir_row", "dir_col", "value"]
+
+
+def _matrix_lines(tm, eigenvalues) -> list[str]:
     """The "entry" rows of a twist matrix, then one "eigenvalue" row each."""
-    dirs = tm.directions
-    rows = [["entry", a, b, dirs[a].name, dirs[b].name, fmt(tm.matrix[a, b])]
-            for a in range(len(dirs)) for b in range(len(dirs))]
-    return rows + [["eigenvalue", k, "", "", "", fmt(v)] for k, v in enumerate(eigenvalues)]
+    names = [csv_field(d.name) for d in tm.directions]
+    lines = [f"entry,{a},{b},{names[a]},{names[b]},{v:.17g}"
+             for a, row in enumerate(tm.matrix.tolist()) for b, v in enumerate(row)]
+    return lines + [f"eigenvalue,{k},,,,{v:.17g}" for k, v in enumerate(eigenvalues.tolist())]
 
 
 def cmd_hessian(args) -> int:
     config, params = _load(args.config)
     basis, dim = twist_span_basis(config)
     tm = assemble_twist_hessian(config, params, basis, normalized=args.normalized)
-    w = np.linalg.eigvalsh(tm.matrix)
-    neg, zero, pos = morse_index(tm)
-    rows = _matrix_rows(tm, np.sort(w))
+    w = np.linalg.eigvalsh(tm.matrix)     # ascending
+    neg, zero, pos = signature(w)
     print(f"span_dimension = {dim}")
     print(f"signature = ({neg} neg, {zero} zero, {pos} pos)")
     if args.csv:
-        write_csv_atomic(args.csv, ["kind", "row", "col", "dir_row", "dir_col", "value"],
-                         rows)
+        write_csv_atomic(args.csv, MATRIX_CSV_COLUMNS, _matrix_lines(tm, w))
         RunManifest("hessian", {"config": args.config, "normalized": args.normalized},
                     [args.config], [args.csv]).write()
     return 0
+
+
+MAP_CSV_COLUMNS = ["z3", "z4", "class", "mu31", "mu41", "x2", "idx_Hs", "idx_Ha",
+                   "idx_total", "degenerate_flag", "which_block_changed", "error"]
+
+
+def _num_or_empty(v: float) -> str:
+    return "" if v != v else f"{v:.17g}"
+
+
+def _map_line(c: IndexMapCell) -> str:
+    """A kite-map cell's CSV row; the indices are empty unless the cell is
+    admissible and error-free."""
+    idx = (f"{c.idx_hs},{c.idx_ha},{c.idx_total}"
+           if c.klass in ("tall", "wide") and not c.error else ",,")
+    return (f"{c.z3:.17g},{c.z4:.17g},{c.klass},{_num_or_empty(c.mu31)},"
+            f"{_num_or_empty(c.mu41)},{_num_or_empty(c.x2)},{idx},{int(c.degenerate)},"
+            f"{csv_field(c.which_block_changed)},{csv_field(c.error)}")
 
 
 def cmd_kite_map(args) -> int:
@@ -274,8 +310,7 @@ def cmd_kite_map(args) -> int:
     z4_lo, z4_hi, n4 = _parse_range(args.z4)
     params = PotentialParams(args.A)
     cells = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params)
-    write_csv_atomic(args.csv, list(MAP_CSV_COLUMNS),
-                     (cell_csv_row(c) for c in cells))
+    write_csv_atomic(args.csv, MAP_CSV_COLUMNS, map(_map_line, cells))
     outputs = [args.csv]
     if args.pgm:
         write_pgm(cells, n3, n4, args.pgm)
@@ -306,7 +341,7 @@ def cmd_certify(args) -> int:
     if args.subdivide < 0:
         raise SystemExitError(f"certify --subdivide needs k >= 0, got {args.subdivide}")
     parts = 2 ** args.subdivide
-    rows = []
+    lines = []
     decided = 0
     total = 0
     known = Counter()
@@ -331,15 +366,14 @@ def cmd_certify(args) -> int:
                 known[block] += 1
             else:
                 unknown[block][c.certificate.partition(":")[0]] += 1
-        rows.append([fmt(cert.z3.lo), fmt(cert.z3.hi), fmt(cert.z4.lo), fmt(cert.z4.hi),
-                     "Unknown" if cert.hs.value is None else cert.hs.value,
-                     cert.hs.certificate,
-                     "Unknown" if cert.ha.value is None else cert.ha.value,
-                     cert.ha.certificate,
-                     "Unknown" if cert.total is None else cert.total])
+        idx_hs, idx_ha, idx_total = ("Unknown" if v is None else v
+                                     for v in (cert.hs.value, cert.ha.value, cert.total))
+        lines.append(f"{cert.z3.lo:.17g},{cert.z3.hi:.17g},{cert.z4.lo:.17g},"
+                     f"{cert.z4.hi:.17g},{idx_hs},{csv_field(cert.hs.certificate)},"
+                     f"{idx_ha},{csv_field(cert.ha.certificate)},{idx_total}")
     write_csv_atomic(args.csv,
                      ["z3_lo", "z3_hi", "z4_lo", "z4_hi", "idx_Hs", "cert_Hs",
-                      "idx_Ha", "cert_Ha", "idx_total"], rows)
+                      "idx_Ha", "cert_Ha", "idx_total"], lines)
     print(f"boxes = {total}, certified = {decided}, coverage = {decided / total:.3f}")
     counts = {
         "boxes": total,
@@ -365,17 +399,16 @@ def cmd_lagrange(args) -> int:
     tm = assemble_twist_hessian(config, params, [(0, 1), (0, 2), (1, 2)],
                                 normalized=True)
     a0, a1, a2 = lagrange_char_poly_coeffs(masses)
-    w = np.sort(np.linalg.eigvalsh(tm.matrix))
-    neg, zero, pos = morse_index(tm)
+    w = np.linalg.eigvalsh(tm.matrix)     # ascending
+    neg, zero, pos = signature(w)
     print(f"signature = ({neg} neg, {zero} zero, {pos} pos)")
     print(f"eigenvalues = {', '.join(fmt(v) for v in w)}")
     print(f"char_poly_coeffs (a0, a1, a2) = {fmt(a0)}, {fmt(a1)}, {fmt(a2)}")
-    rows = _matrix_rows(tm, w)
-    for name, val in (("a0", a0), ("a1", a1), ("a2", a2)):
-        rows.append(["charpoly", name, "", "", "", fmt(val)])
+    lines = _matrix_lines(tm, w)
+    lines += [f"charpoly,{name},,,,{val:.17g}"
+              for name, val in (("a0", a0), ("a1", a1), ("a2", a2))]
     if args.csv:
-        write_csv_atomic(args.csv, ["kind", "row", "col", "dir_row", "dir_col", "value"],
-                         rows)
+        write_csv_atomic(args.csv, MATRIX_CSV_COLUMNS, lines)
         RunManifest("lagrange", {"masses": args.masses, "A": args.A},
                     [], [args.csv]).write()
     return 0
@@ -445,9 +478,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in a process: `parse_args` keeps no
+    state on it between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExitError as exc:

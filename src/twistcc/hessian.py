@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PairTable, PlanarConfig, PotentialParams, build_pair_table
-from .twist import TwistPair, canon_pair, normalized_twist, twist_vector
+from .twist import TwistPair, _twist_rows, canon_pair
 
 # Eigenvalues below this fraction of the spectral radius count as zero.
 MORSE_ZERO_RTOL = 1e-8
@@ -37,7 +37,7 @@ __all__ = [
     "cartesian_hessian", "twist_hessian_diag", "twist_hessian_share",
     "twist_hessian_disjoint", "normalized_twist_hessian", "twist_hessian_entry",
     "TwistDirection", "TwistMatrix", "assemble_twist_hessian",
-    "lagrange_char_poly_coeffs", "morse_index",
+    "lagrange_char_poly_coeffs", "morse_index", "signature",
 ]
 
 
@@ -241,16 +241,26 @@ def assemble_twist_hessian(config: PlanarConfig, params: PotentialParams,
                            directions, normalized: bool = False) -> TwistMatrix:
     """V^T H V, H the Cartesian Hessian and the columns of V the (raw or
     normalized) twist vectors combined as in `directions`; made exactly
-    symmetric.  Equals the closed-form entries' expansion up to rounding."""
+    symmetric.  Equals the closed-form entries' expansion up to rounding.
+
+    The twist vectors of every term are built at once, one row each; each
+    column of V sums its direction's terms in order."""
     params.require_f_domain()
     dirs = tuple(_as_direction(d) for d in directions)
     table = build_pair_table(config, params)
+    m = config.masses
+    terms = [(a, c, canon_pair(config.n, p)) for a, d in enumerate(dirs) for c, p in d.terms]
+    cols = np.array([a for a, _, _ in terms], dtype=np.intp)
+    coef = np.array([c for _, c, _ in terms], dtype=float)
+    i, j = np.array([p for _, _, p in terms], dtype=np.intp).reshape(-1, 2).T
+    rows = _twist_rows(m, i, j, table.dx[i, j], table.dy[i, j])
+    if normalized:
+        rows /= (m[i] * m[j] * table.r[i, j])[:, None]
+    # V must be C-ordered (2n, k): a (k, 2n) build, transposed, sends the product
+    # below down another BLAS path, which changes the last digits
     V = np.zeros((2 * config.n, len(dirs)))
-    for a, d in enumerate(dirs):
-        for c, p in d.terms:
-            V[:, a] += c * (normalized_twist(config, table, p) if normalized
-                            else twist_vector(config, p))
-    M = V.T @ _cartesian_hessian(table, config.masses) @ V
+    np.add.at(V.T, cols, coef[:, None] * rows)
+    M = V.T @ _cartesian_hessian(table, m) @ V
     return TwistMatrix(0.5 * (M + M.T), dirs, normalized)
 
 
@@ -276,13 +286,12 @@ def lagrange_char_poly_coeffs(masses) -> tuple[float, float, float]:
     return (float(a0), a1, a2)
 
 
-def morse_index(matrix) -> tuple[int, int, int]:
-    """(n_neg, n_zero, n_pos) eigenvalue counts of a symmetric matrix.
+def signature(w) -> tuple[int, int, int]:
+    """(n_neg, n_zero, n_pos) counts of the eigenvalues w of a symmetric matrix.
 
     Eigenvalues with |lam| < MORSE_ZERO_RTOL * max|lam| count as zero.
     """
-    M = matrix.matrix if isinstance(matrix, TwistMatrix) else np.asarray(matrix, dtype=float)
-    w = np.linalg.eigvalsh(M)
+    w = np.asarray(w, dtype=float)
     top = float(np.abs(w).max()) if w.size else 0.0
     if top == 0.0:
         return (0, int(w.size), 0)
@@ -291,3 +300,8 @@ def morse_index(matrix) -> tuple[int, int, int]:
     n_neg = int((w <= -thr).sum())
     return (n_neg, n_zero, int(w.size) - n_neg - n_zero)
 
+
+def morse_index(matrix) -> tuple[int, int, int]:
+    """`signature` of a symmetric matrix's eigenvalues."""
+    M = matrix.matrix if isinstance(matrix, TwistMatrix) else np.asarray(matrix, dtype=float)
+    return signature(np.linalg.eigvalsh(M))

@@ -409,8 +409,8 @@ class KiteQuantities:
     Fields may be floats, numpy arrays or intervals; `at` and the formulas
     below only use field arithmetic and powers, so the same code serves
     every evaluation.  The distances r and the powers R = r^-A, S = R - 1
-    are at scale x2; `table` is the kite's KiteTable, built once and read
-    by both blocks.
+    are at scale x2; `table` is the kite's KiteTable and `shared_entries`
+    the entries both blocks read, each built once.
     """
 
     A: float
@@ -449,6 +449,18 @@ class KiteQuantities:
     def table(self) -> "KiteTable":
         return KiteTable(self)
 
+    @cached_property
+    def shared_entries(self):
+        """The six normalized entries both blocks read, evaluated once:
+        diag(0,2), share(2,0,1), diag(0,3), share(3,0,1), share(0,2,3) and
+        disjoint(0,2,1,3).  H_s takes differences of them, H_a sums."""
+        t = self.table
+        m = (1.0, 1.0, self.mu31, self.mu41)
+        A = self.A
+        return (_norm_diag(t, m, A, 0, 2), _norm_share(t, m, A, 2, 0, 1),
+                _norm_diag(t, m, A, 0, 3), _norm_share(t, m, A, 3, 0, 1),
+                _norm_share(t, m, A, 0, 2, 3), _norm_disjoint(t, m, A, 0, 2, 1, 3))
+
 
 class KiteTable(PairTable):
     """`geometry.PairTable` of a kite, built from q by field arithmetic only.
@@ -486,12 +498,8 @@ def hs_explicit(q: KiteQuantities):
     """Closed-form entries ((Hs)11, (Hs)22, (Hs)12) of the 2x2 block over
     the KITE_BASIS directions (s3, s4), from the normalized entries as in
     `ha_explicit`."""
-    t = q.table
-    m = (1.0, 1.0, q.mu31, q.mu41)
-    A = q.A
-    return (_norm_diag(t, m, A, 0, 2) - _norm_share(t, m, A, 2, 0, 1),
-            _norm_diag(t, m, A, 0, 3) - _norm_share(t, m, A, 3, 0, 1),
-            _norm_share(t, m, A, 0, 2, 3) - _norm_disjoint(t, m, A, 0, 2, 1, 3))
+    d02, s201, d03, s301, s023, j0213 = q.shared_entries
+    return d02 - s201, d03 - s301, s023 - j0213
 
 
 def ha_explicit(q: KiteQuantities):
@@ -503,17 +511,13 @@ def ha_explicit(q: KiteQuantities):
     mirror-symmetric coordinates.  sqrt 2 is computed in q's scalar type,
     so for intervals it is an enclosure.
     """
+    d02, s201, d03, s301, s023, j0213 = q.shared_entries
     t = q.table
     m = (1.0, 1.0, q.mu31, q.mu41)
     A = q.A
     sqrt2 = (t.zero + 2.0) ** 0.5
-    a11 = _norm_diag(t, m, A, 0, 2) + _norm_share(t, m, A, 2, 0, 1)
-    a22 = _norm_diag(t, m, A, 0, 3) + _norm_share(t, m, A, 3, 0, 1)
-    a33 = _norm_diag(t, m, A, 2, 3)
-    a12 = _norm_share(t, m, A, 0, 2, 3) + _norm_disjoint(t, m, A, 0, 2, 1, 3)
-    a13 = sqrt2 * _norm_share(t, m, A, 2, 0, 3)
-    a23 = sqrt2 * _norm_share(t, m, A, 3, 0, 2)
-    return a11, a22, a33, a12, a13, a23
+    return (d02 + s201, d03 + s301, _norm_diag(t, m, A, 2, 3), s023 + j0213,
+            sqrt2 * _norm_share(t, m, A, 2, 0, 3), sqrt2 * _norm_share(t, m, A, 3, 0, 2))
 
 
 def euler_precursor(q: KiteQuantities):
@@ -701,25 +705,3 @@ def write_pgm(cells: list[IndexMapCell], n3: int, n4: int, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(img.tobytes())
-
-
-MAP_CSV_COLUMNS = ("z3", "z4", "class", "mu31", "mu41", "x2", "idx_Hs",
-                   "idx_Ha", "idx_total", "degenerate_flag",
-                   "which_block_changed", "error")
-
-
-def cell_csv_row(cell: IndexMapCell) -> list[str]:
-    def num(v):
-        return "" if (isinstance(v, float) and math.isnan(v)) else f"{v:.17g}"
-
-    computed = cell.klass in ("tall", "wide") and not cell.error
-    return [
-        f"{cell.z3:.17g}", f"{cell.z4:.17g}", cell.klass,
-        num(cell.mu31), num(cell.mu41), num(cell.x2),
-        str(cell.idx_hs) if computed else "",
-        str(cell.idx_ha) if computed else "",
-        str(cell.idx_total) if computed else "",
-        "1" if cell.degenerate else "0",
-        cell.which_block_changed,
-        cell.error,
-    ]

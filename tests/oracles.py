@@ -3,9 +3,12 @@
 These deliberately avoid the closed-form code paths they validate:
 finite differences for derivatives, dense matrix sandwiches for twist
 entries, blind bisection for the Dziobek scale, and SVD rank for span
-dimensions.
+dimensions.  The CSV tables are rebuilt from library values as lists of
+fields and written with `csv.writer`.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -434,3 +437,100 @@ def certify_box_ref(z3, z4, params: PotentialParams):
     except failures as exc:
         ha = CertifiedIndex(None, f"interval evaluation failed: {exc}")
     return BoxCertificate(z3, z4, hs, ha)
+
+
+def assemble_twist_hessian_loop(config: PlanarConfig, params: PotentialParams, directions,
+                                normalized: bool = False) -> np.ndarray:
+    """V^T H V with V filled one twist vector at a time, column by column."""
+    from twistcc.geometry import build_pair_table
+    from twistcc.hessian import TwistDirection, cartesian_hessian
+    from twistcc.twist import normalized_twist, twist_vector
+
+    table = build_pair_table(config, params)
+    dirs = [d if isinstance(d, TwistDirection) else TwistDirection.from_pair(tuple(d))
+            for d in directions]
+    V = np.zeros((2 * config.n, len(dirs)))
+    for a, d in enumerate(dirs):
+        for c, p in d.terms:
+            V[:, a] += c * (normalized_twist(config, table, p) if normalized
+                            else twist_vector(config, p))
+    M = V.T @ cartesian_hessian(config, params) @ V
+    return 0.5 * (M + M.T)
+
+
+# --- CSV tables through csv.writer ------------------------------------------------
+
+def _fmt(x) -> str:
+    return f"{float(x):.17g}"
+
+
+def csv_text_ref(header, rows) -> str:
+    """The table as `csv.writer` writes it, with newline line ends."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def eval_table_ref(config: PlanarConfig, params: PotentialParams):
+    """(header, rows) of `twistcc eval --csv`."""
+    from twistcc.twist import cc_residual
+    res = cc_residual(config, params)
+    rows = [[i + 1, j + 1, _fmt(la), _fmt(res.b[i, j]), _fmt(res.b[j, i])]
+            for i, j, la in zip(*np.triu_indices(config.n, 1), res.la)]
+    return ["i", "j", "la", "b_ij", "b_ji"], rows
+
+
+def matrix_table_ref(tm):
+    """(header, rows) of a twist matrix and its eigenvalues, as `twistcc
+    hessian --csv` and `twistcc lagrange --csv` start their tables."""
+    dirs = tm.directions
+    rows = [["entry", a, b, dirs[a].name, dirs[b].name, _fmt(tm.matrix[a, b])]
+            for a in range(len(dirs)) for b in range(len(dirs))]
+    rows += [["eigenvalue", k, "", "", "", _fmt(v)]
+             for k, v in enumerate(np.sort(np.linalg.eigvalsh(tm.matrix)))]
+    return ["kind", "row", "col", "dir_row", "dir_col", "value"], rows
+
+
+def trajectory_table_ref(states, params: PotentialParams):
+    """(header, rows) of a `--traj` CSV over the configurations `states`."""
+    from twistcc.geometry import moment_of_inertia
+    header = ["step"]
+    for i in range(1, states[0].n + 1):
+        header += [f"x{i}", f"y{i}"]
+    rows = [[step] + [_fmt(v) for v in cfg.positions]
+            + [_fmt(moment_of_inertia(cfg)), _fmt(f_value(cfg, params))]
+            for step, cfg in enumerate(states)]
+    return header + ["I", "f"], rows
+
+
+def kite_map_table_ref(cells):
+    """(header, rows) of `twistcc kite-map --csv` over index-map cells."""
+    def num(v):
+        return "" if math.isnan(v) else f"{v:.17g}"
+
+    rows = []
+    for c in cells:
+        computed = c.klass in ("tall", "wide") and not c.error
+        rows.append([f"{c.z3:.17g}", f"{c.z4:.17g}", c.klass,
+                     num(c.mu31), num(c.mu41), num(c.x2),
+                     *([str(c.idx_hs), str(c.idx_ha), str(c.idx_total)] if computed
+                       else ["", "", ""]),
+                     "1" if c.degenerate else "0", c.which_block_changed, c.error])
+    header = ["z3", "z4", "class", "mu31", "mu41", "x2", "idx_Hs", "idx_Ha", "idx_total",
+              "degenerate_flag", "which_block_changed", "error"]
+    return header, rows
+
+
+def certify_table_ref(certs):
+    """(header, rows) of `twistcc certify --csv` over box certificates."""
+    def idx(v):
+        return "Unknown" if v is None else v
+
+    rows = [[_fmt(c.z3.lo), _fmt(c.z3.hi), _fmt(c.z4.lo), _fmt(c.z4.hi),
+             idx(c.hs.value), c.hs.certificate, idx(c.ha.value), c.ha.certificate,
+             idx(c.total)] for c in certs]
+    header = ["z3_lo", "z3_hi", "z4_lo", "z4_hi", "idx_Hs", "cert_Hs", "idx_Ha", "cert_Ha",
+              "idx_total"]
+    return header, rows

@@ -1,16 +1,32 @@
 import csv
+import io
 import json
 import math
+import pathlib
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from twistcc.cli import main
-from twistcc.geometry import config_from_json, config_to_json, PlanarConfig, PotentialParams
+from twistcc import cli
+from twistcc.certify import certify_boxes
+from twistcc.cli import csv_field, main
+from twistcc.geometry import (config_from_json, config_to_json, load_config, PlanarConfig,
+                              PotentialParams)
+from twistcc.hessian import assemble_twist_hessian, lagrange_char_poly_coeffs
+from twistcc.kite import kite_index_map
+from twistcc.solver import FlowSpec, descend, flow_fixed_combo
+from twistcc.twist import twist_span_basis
 
-from oracles import equilateral_config, square_config
+from oracles import (certify_table_ref, csv_text_ref, equilateral_config, eval_table_ref,
+                     kite_map_table_ref, matrix_table_ref, square_config,
+                     trajectory_table_ref)
+from test_certify import WINDOWS, box_lanes, window_boxes
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture
@@ -263,11 +279,9 @@ def test_lagrange_cli(tmp_path, capsys):
 
 
 def test_bundled_examples(tmp_path):
-    import pathlib
-    data = pathlib.Path(__file__).resolve().parent.parent / "data"
-    assert main(["eval", str(data / "lagrange_123.json")]) == 0
+    assert main(["eval", str(DATA / "lagrange_123.json")]) == 0
     traj = tmp_path / "traj.csv"
-    assert main(["descend", str(data / "square_1135.json"),
+    assert main(["descend", str(DATA / "square_1135.json"),
                  "--traj", str(traj)]) == 0
     assert traj.exists()
 
@@ -278,3 +292,135 @@ def test_roundtrip_17_digits(tmp_path):
     from twistcc.cli import fmt
     for v in vals:
         assert float(fmt(v)) == v
+
+
+# --- one parser per process ---------------------------------------------------------
+
+def _outputs(argv, out_dir, capsys):
+    """(exit status, stdout, files) of one `main` call writing into out_dir;
+    manifests without their timestamp and wall time."""
+    for path in out_dir.iterdir():
+        path.unlink()
+    rc = main(argv)
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name.endswith(".manifest.json"):
+            doc = json.loads(path.read_text())
+            del doc["timestamp_utc"], doc["wall_s"]
+            files[path.name] = doc
+        else:
+            files[path.name] = path.read_bytes()
+    return rc, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("first, second", [
+    (["hessian", "{sq}", "--normalized", "--csv", "{out}/h.csv"],
+     ["hessian", "{sq}", "--csv", "{out}/h.csv"]),
+    (["descend", "--random", "4", "--seed", "3", "--max-iter", "5",
+      "--traj", "{out}/d.csv", "--final", "{out}/d.json"],
+     ["descend", "{sq}", "--max-iter", "5", "--traj", "{out}/d.csv", "--final", "{out}/d.json"]),
+    (["hessian", "{sq}", "--bogus"], ["hessian", "{sq}", "--csv", "{out}/h.csv"]),
+])
+def test_main_reuses_its_parser_without_leaks(first, second, tmp_path, capsys):
+    # a call after another in the same process gives the outputs of a fresh call
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+
+    def argv(args):
+        return [a.format(sq=DATA / "square_1135.json", out=out_dir) for a in args]
+
+    cli._parser.cache_clear()
+    fresh = _outputs(argv(second), out_dir, capsys)
+    cli._parser.cache_clear()
+    if "--bogus" in first:
+        with pytest.raises(SystemExit) as exc:
+            main(argv(first))
+        assert exc.value.code == 2
+    else:
+        main(argv(first))
+    capsys.readouterr()
+    parser = cli._parser()
+    assert _outputs(argv(second), out_dir, capsys) == fresh
+    assert cli._parser() is parser
+
+
+# --- CSV tables match csv.writer ----------------------------------------------------
+
+def assert_table(path, ref):
+    """The file holds exactly what csv.writer writes for the reference fields."""
+    text = path.read_bytes().decode()
+    assert text == csv_text_ref(*ref)
+    assert "\r" not in text        # csv.writer leaves \r unquoted; csv_field quotes it
+
+
+@pytest.mark.parametrize("name", ["square_1135.json", "lagrange_123.json"])
+def test_eval_and_hessian_tables_match_csv_writer(name, tmp_path):
+    config, params = load_config(DATA / name)
+    main(["eval", str(DATA / name), "--csv", str(tmp_path / "e.csv")])
+    assert_table(tmp_path / "e.csv", eval_table_ref(config, params))
+    basis, _ = twist_span_basis(config)
+    for normalized in (False, True):
+        main(["hessian", str(DATA / name), "--csv", str(tmp_path / "h.csv")]
+             + ["--normalized"] * normalized)
+        tm = assemble_twist_hessian(config, params, basis, normalized=normalized)
+        assert_table(tmp_path / "h.csv", matrix_table_ref(tm))
+
+
+def test_lagrange_table_matches_csv_writer(tmp_path):
+    assert main(["lagrange", "--masses", "1,2,3", "--csv", str(tmp_path / "l.csv")]) == 0
+    tm = assemble_twist_hessian(equilateral_config((1.0, 2.0, 3.0)), PotentialParams(3.0),
+                                [(0, 1), (0, 2), (1, 2)], normalized=True)
+    header, rows = matrix_table_ref(tm)
+    rows += [["charpoly", name, "", "", "", f"{v:.17g}"]
+             for name, v in zip(("a0", "a1", "a2"), lagrange_char_poly_coeffs((1, 2, 3)))]
+    assert_table(tmp_path / "l.csv", (header, rows))
+
+
+def test_trajectory_tables_match_csv_writer(tmp_path):
+    config, params = load_config(DATA / "square_1135.json")
+    main(["flow", str(DATA / "square_1135.json"), "--pairs", "1-2:1.0,2-4:-0.5",
+          "--steps", "40", "--traj", str(tmp_path / "f.csv")])
+    states = flow_fixed_combo(config, params,
+                              FlowSpec(((1.0, (0, 1)), (-0.5, (1, 3))), 1e-3, 40))
+    assert_table(tmp_path / "f.csv", trajectory_table_ref(states, params))
+    main(["descend", str(DATA / "square_1135.json"), "--max-iter", "30",
+          "--traj", str(tmp_path / "d.csv")])
+    report = descend(config, params, tol=1e-10, max_iter=30, record=True)
+    states = [PlanarConfig(pos, config.masses) for _, pos, _, _ in report.history]
+    assert_table(tmp_path / "d.csv", trajectory_table_ref(states + [report.config], params))
+
+
+@pytest.mark.parametrize("A", [3.0, 1000.0])
+def test_kite_map_table_matches_csv_writer(A, tmp_path):
+    out = tmp_path / "map.csv"
+    assert main(["kite-map", "--z3", "1.0:2.2:40", "--z4", "0.01:0.87:40", "--A", str(A),
+                 "--csv", str(out)]) == 0
+    cells = kite_index_map(1.0, 2.2, 40, 0.01, 0.87, 40, PotentialParams(A))
+    assert_table(out, kite_map_table_ref(cells))
+    if A == 1000.0:     # error texts with commas come back quoted
+        assert any("," in c.error for c in cells) and '"' in out.read_text()
+
+
+@pytest.mark.parametrize("z3, z4, subdivide, A", WINDOWS)
+def test_certify_table_matches_csv_writer(z3, z4, subdivide, A, tmp_path):
+    out = tmp_path / "cert.csv"
+    assert main(["certify", "--z3", f"{z3[0]!r},{z3[1]!r}", "--z4", f"{z4[0]!r},{z4[1]!r}",
+                 "--subdivide", str(subdivide), "--A", str(A), "--csv", str(out)]) == 0
+    certs = certify_boxes(*box_lanes(window_boxes(z3, z4, subdivide)), PotentialParams(A))
+    assert_table(out, certify_table_ref(certs))
+
+
+TEXT = st.text(alphabet=st.sampled_from('ab ,"\n\r'), max_size=8)
+
+
+@given(st.lists(TEXT, min_size=2, max_size=4))
+def test_csv_field_round_trips(fields):
+    line = ",".join(map(csv_field, fields))
+    assert next(csv.reader(io.StringIO(line + "\n"))) == fields
+    plain = [f.replace("\r", "") for f in fields]      # csv.writer leaves \r unquoted
+    assert ",".join(map(csv_field, plain)) + "\n" == csv_text_ref(plain, [])
+
+
+def test_csv_field_quotes_carriage_return():
+    assert csv_field("a\rb") == '"a\rb"'
+    assert csv_field("") == "" and csv_field("Ha+Hs") == "Ha+Hs"

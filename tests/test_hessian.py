@@ -7,12 +7,15 @@ from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
                               center_of_mass)
 from twistcc.hessian import (TwistDirection, assemble_twist_hessian, cartesian_hessian,
                              lagrange_char_poly_coeffs, morse_index,
-                             normalized_twist_hessian, twist_hessian_diag,
+                             normalized_twist_hessian, signature, twist_hessian_diag,
                              twist_hessian_disjoint, twist_hessian_entry,
                              twist_hessian_share)
-from twistcc.twist import normalized_twist, twist_vector
+from twistcc.kite import KITE_BASIS, build_kite
+from twistcc.twist import normalized_twist, twist_span_basis, twist_vector
 
-from oracles import equilateral_config, fd_hessian, random_config
+from oracles import (assemble_twist_hessian_loop, equilateral_config, fd_hessian,
+                     random_config)
+from test_kite import sample_admissible_shapes
 
 
 def all_pairs(n):
@@ -237,6 +240,44 @@ def test_morse_index_basics():
     assert morse_index(np.eye(2)) == (0, 0, 2)
     assert morse_index(np.diag([-1.0, 0.0, 5.0])) == (1, 1, 1)
     assert morse_index(np.zeros((3, 3))) == (0, 3, 0)
+
+
+def test_signature_is_morse_index_of_the_eigenvalues(rng):
+    mats = [np.eye(2), np.diag([-1.0, 0.0, 5.0]), np.zeros((3, 3)),
+            np.diag([-2.0, 1e-9, -1e-7, 3.0])]      # one eigenvalue on each side of the cut
+    for n in (1, 3, 5, 8):
+        a = rng.normal(size=(n, n))
+        mats.append(a + a.T)
+    for M in mats:
+        assert signature(np.linalg.eigvalsh(M)) == morse_index(M)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 10, 40])
+def test_assembly_matches_column_loop(rng, newton, n):
+    # every term's twist row built at once equals V filled column by column, bit for bit
+    for _ in range(3):
+        cfg = random_config(rng, n, min_sep=0.05)
+        basis, _ = twist_span_basis(cfg)
+        mixed = [TwistDirection("mixed", ((0.3, (2, 0)), (-1.7, (1, n - 1)), (0.5, (0, 2)))),
+                 (n - 1, 0)]
+        for dirs in (basis, mixed):
+            for normalized in (False, True):
+                assert_same_bits(assemble_twist_hessian(cfg, newton, dirs, normalized).matrix,
+                                 assemble_twist_hessian_loop(cfg, newton, dirs, normalized))
+
+
+def test_kite_assembly_matches_column_loop(rng, newton):
+    # KITE_BASIS combines two normalized twists in each of four directions
+    for shape in sample_admissible_shapes(rng, 20):
+        kite = build_kite(shape, newton)
+        for normalized in (False, True):
+            assert_same_bits(
+                assemble_twist_hessian(kite.config, newton, KITE_BASIS, normalized).matrix,
+                assemble_twist_hessian_loop(kite.config, newton, KITE_BASIS, normalized))
 
 
 def test_angle_table(rng, newton):

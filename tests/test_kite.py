@@ -232,18 +232,22 @@ def test_ha_explicit_computes_each_sin3_once(monkeypatch, newton):
     # the table keeps sin3 per ordered triple: one ha_explicit makes 40 sin3
     # calls on 21 distinct triples, and its entries equal an uncached run's
     kite = build_kite(KiteShape(2.0, 0.8), newton)
-    qf = KiteQuantities.from_kite(kite, newton)
-    qi = KiteQuantities.at(Interval(2.0), Interval(0.8), Interval(kite.x2),
-                           Interval(kite.mu31), Interval(kite.mu41), newton.A)
+
+    def quantities():
+        # fresh ones each time: a KiteQuantities keeps its table and shared entries
+        return (KiteQuantities.from_kite(kite, newton),
+                KiteQuantities.at(Interval(2.0), Interval(0.8), Interval(kite.x2),
+                                  Interval(kite.mu31), Interval(kite.mu41), newton.A))
+
     calls = []
     lam = PairTable.lam
     monkeypatch.setattr(PairTable, "lam", lambda t, *idx: calls.append(idx) or lam(t, *idx))
-    cached = [ha_explicit(q) for q in (qf, qi)]
+    cached = [ha_explicit(q) for q in quantities()]
     assert len(calls) == 2 * 21 and len(set(calls)) == 21
     calls.clear()
     monkeypatch.setattr(PairTable, "sin3",
                         lambda t, i, j, k: t.lam(i, j, k) / (t.r[i, j] * t.r[i, k]))
-    uncached = [ha_explicit(q) for q in (qf, qi)]
+    uncached = [ha_explicit(q) for q in quantities()]
     assert len(calls) == 2 * 40
     assert cached[0] == uncached[0]
     assert [(v.lo, v.hi) for v in cached[1]] == [(v.lo, v.hi) for v in uncached[1]]

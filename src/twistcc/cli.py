@@ -194,6 +194,31 @@ def _trajectory_header(n):
     return cols + ["I", "f"]
 
 
+# descend --random: bodies uniform in [-1, 1]^2, every pair farther apart than
+# RANDOM_MIN_SEP, drawn by rejection at most RANDOM_MAX_DRAWS times, in batches
+RANDOM_MIN_SEP = 0.2
+RANDOM_MAX_DRAWS = 100_000
+RANDOM_BATCH = 250
+
+
+def _random_start(n: int, seed) -> PlanarConfig:
+    rng = np.random.default_rng(seed)
+    i, j = np.triu_indices(n, 1)
+    for _ in range(RANDOM_MAX_DRAWS // RANDOM_BATCH):
+        # one batch draws the numbers of RANDOM_BATCH draws in turn
+        pts = rng.uniform(-1, 1, (RANDOM_BATCH, n, 2))
+        dx = pts[:, i, 0] - pts[:, j, 0]
+        dy = pts[:, i, 1] - pts[:, j, 1]
+        # the squared distances pass over the draws that cannot qualify
+        near = (dx * dx + dy * dy).min(axis=1) > (0.999 * RANDOM_MIN_SEP) ** 2
+        for k in np.flatnonzero(near).tolist():
+            if np.hypot(dx[k], dy[k]).min() > RANDOM_MIN_SEP:
+                return PlanarConfig.from_points(pts[k], np.ones(n))
+    raise SystemExitError(
+        f"descend --random {n}: no draw of {n} bodies in [-1, 1]^2 with every pair more "
+        f"than {RANDOM_MIN_SEP} apart within {RANDOM_MAX_DRAWS} draws")
+
+
 def cmd_descend(args) -> int:
     if args.config:
         config, params = _load(args.config)
@@ -202,14 +227,7 @@ def cmd_descend(args) -> int:
         n = args.random
         if n < 2:
             raise SystemExitError(f"descend --random needs N >= 2, got {n}")
-        rng = np.random.default_rng(args.seed)
-        while True:
-            pts = rng.uniform(-1, 1, (n, 2))
-            d = pts[:, None, :] - pts[None, :, :]
-            r = np.hypot(d[..., 0], d[..., 1])
-            if r[np.triu_indices(n, 1)].min() > 0.2:
-                break
-        config = PlanarConfig.from_points(pts, np.ones(n))
+        config = _random_start(n, args.seed)
         params = PotentialParams(args.A)
         inputs = []
     else:
@@ -241,6 +259,7 @@ def cmd_descend(args) -> int:
                     {"tol": args.tol, "max_iter": args.max_iter},
                     args.seed, counts={"iterations": report.iterations,
                                        "newton_steps": report.newton_steps,
+                                       "newton_rejected": report.newton_rejected,
                                        "reason": report.reason,
                                        "i_drift": report.i_drift}).write()
     return 0 if report.converged else 1
@@ -264,10 +283,19 @@ MATRIX_CSV_COLUMNS = ["kind", "row", "col", "dir_row", "dir_col", "value"]
 
 
 def _matrix_lines(tm, eigenvalues) -> list[str]:
-    """The "entry" rows of a twist matrix, then one "eigenvalue" row each."""
+    """The "entry" rows of a twist matrix, then one "eigenvalue" row each.
+
+    `assemble_twist_hessian` makes the matrix exactly symmetric, so each
+    entry of the upper triangle is formatted once and mirrored.
+    """
     names = [csv_field(d.name) for d in tm.directions]
-    lines = [f"entry,{a},{b},{names[a]},{names[b]},{v:.17g}"
-             for a, row in enumerate(tm.matrix.tolist()) for b, v in enumerate(row)]
+    k = len(names)
+    text = [[""] * k for _ in range(k)]
+    for a, row in enumerate(tm.matrix.tolist()):
+        for b in range(a, k):
+            text[a][b] = text[b][a] = f"{row[b]:.17g}"
+    lines = [f"entry,{a},{b},{names[a]},{names[b]},{text[a][b]}"
+             for a in range(k) for b in range(k)]
     return lines + [f"eigenvalue,{k},,,,{v:.17g}" for k, v in enumerate(eigenvalues.tolist())]
 
 

@@ -113,6 +113,31 @@ class PlanarConfig:
     def with_positions(self, positions) -> "PlanarConfig":
         return PlanarConfig(np.asarray(positions, dtype=float).reshape(-1), self.masses)
 
+    @classmethod
+    def _from_valid_row(cls, positions: np.ndarray, masses: np.ndarray,
+                        pair_r: np.ndarray) -> "PlanarConfig":
+        """The configuration of a row that `_row_pass` found valid, built
+        without running `__post_init__` again.
+
+        Only the solver calls this, on a row of `_row_pass` whose validity
+        mask is set, with that row's pair distances and the masses of an
+        already validated configuration.  That is safe because the mask is
+        `__post_init__`'s own check (finite positions, no pair within
+        COINCIDENT_RTOL of the diameter) on the same distances, and the
+        masses passed their checks when that configuration was built.
+        Positions and distances are stored as read-only contiguous copies,
+        so the result equals `PlanarConfig(positions, masses)` field for field.
+        """
+        self = object.__new__(cls)
+        pos = np.array(positions, dtype=float)
+        r = np.array(pair_r, dtype=float)
+        for a in (pos, r):
+            a.setflags(write=False)
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "pair_distances", r)
+        return self
+
 
 @lru_cache(maxsize=64)
 def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -160,9 +185,30 @@ def _potential(pair_r: np.ndarray, masses: np.ndarray, A: float) -> np.ndarray:
     return (masses[i] * masses[j] * pair_r ** (2.0 - A)).sum(axis=1)
 
 
-def _f(points: np.ndarray, pair_r: np.ndarray, masses: np.ndarray, A: float) -> np.ndarray:
-    M = float(masses.sum())
-    return M * _inertia(points, masses) / 2.0 + _potential(pair_r, masses, A) / (A - 2.0)
+def _f(inertia: np.ndarray, potential: np.ndarray, masses: np.ndarray,
+       A: float) -> np.ndarray:
+    """f from the rows' I and U."""
+    return float(masses.sum()) * inertia / 2.0 + potential / (A - 2.0)
+
+
+def _row_pass(positions: np.ndarray, masses: np.ndarray, params: PotentialParams):
+    """(valid, f, pair_r, I, U) for K stacked rows of flat positions, shape (K, 2n).
+
+    A row is valid when it would make a `PlanarConfig`: finite, with no
+    coincident pair.  For a valid row, f, the (K, P) pair distances, I and
+    U equal `f_value`, `pair_distances`, `moment_of_inertia` and
+    `potential_u` of that configuration bit for bit; for an invalid row
+    they are meaningless.
+    """
+    params.require_f_domain()
+    points = positions.reshape(positions.shape[0], -1, 2)
+    with np.errstate(all="ignore"):
+        pair_r = _pair_distances(points)
+        valid = np.isfinite(positions).all(axis=1) & ~_coincident(pair_r)
+        inertia = _inertia(points, masses)
+        potential = _potential(pair_r, masses, params.A)
+        f = _f(inertia, potential, masses, params.A)
+    return valid, f, pair_r, inertia, potential
 
 
 def f_rows(positions: np.ndarray, masses: np.ndarray,
@@ -173,18 +219,7 @@ def f_rows(positions: np.ndarray, masses: np.ndarray,
     coincident pair.  The f of a valid row equals `f_value` of that
     configuration bit for bit; the f of an invalid row is meaningless.
     """
-    params.require_f_domain()
-    points = positions.reshape(positions.shape[0], -1, 2)
-    with np.errstate(all="ignore"):
-        pair_r = _pair_distances(points)
-        valid = np.isfinite(positions).all(axis=1) & ~_coincident(pair_r)
-        f = _f(points, pair_r, masses, params.A)
-    return valid, f
-
-
-def _lam(dx, dy, i, j, k):
-    """q_ij ^ q_ik from the coordinate differences dx[i, j] = x_i - x_j and dy."""
-    return dx[i, j] * dy[i, k] - dx[i, k] * dy[i, j]
+    return _row_pass(positions, masses, params)[:2]
 
 
 class PairTable:
@@ -206,9 +241,15 @@ class PairTable:
                          computed once per ordered triple and kept on the table
       cos3(i, j, k)    — q_ij . q_ik/(r_ij*r_ik), its cosine
       cos4(i, j, k, l) — q_ij . q_kl/(r_ij*r_kl)
+
+    Per-pair array, built on first use and kept on the table:
+      pair_lams()      — the (P, n) array lam(i, j, k) of every pair i < j,
+                         in `np.triu_indices(n, 1)` order, and every k; the
+                         Laura-Andoyer residuals and the twist span basis
+                         both read it
     """
 
-    __slots__ = ("n", "A", "dx", "dy", "r", "R", "S", "T", "zero", "sines")
+    __slots__ = ("n", "A", "dx", "dy", "r", "R", "S", "T", "zero", "sines", "lams")
 
     def __init__(self, config: PlanarConfig, params: PotentialParams):
         p = config.points
@@ -227,9 +268,16 @@ class PairTable:
         self.dx, self.dy, self.r, self.R, self.S, self.T = dx, dy, r, R, S, T
         self.zero = 0.0
         self.sines = {}
+        self.lams = None
 
     def lam(self, i: int, j: int, k: int) -> float:
-        return _lam(self.dx, self.dy, i, j, k)
+        return self.dx[i, j] * self.dy[i, k] - self.dx[i, k] * self.dy[i, j]
+
+    def pair_lams(self) -> np.ndarray:
+        if self.lams is None:
+            i, j = _pair_indices(self.n)
+            self.lams = self.lam(i[:, None], j[:, None], np.arange(self.n))
+        return self.lams
 
     def a_triple(self, i: int, j: int, k: int) -> float:
         return self.r[i, j] ** 2 + self.r[i, k] ** 2 - self.r[j, k] ** 2
@@ -269,8 +317,9 @@ def potential_u(config: PlanarConfig, params: PotentialParams) -> float:
 
 def f_value(config: PlanarConfig, params: PotentialParams) -> float:
     params.require_f_domain()
-    return float(_f(config.points[None], config.pair_distances[None], config.masses,
-                    params.A)[0])
+    m = config.masses
+    return float(_f(_inertia(config.points[None], m),
+                    _potential(config.pair_distances[None], m, params.A), m, params.A)[0])
 
 
 def euler_residual(config: PlanarConfig, params: PotentialParams) -> float:

@@ -8,31 +8,40 @@ to first order.  The size itself is fixed afterwards by a single rescale
 enforcing U = M*I.
 
 A descent iteration is a few array passes over one pair table: the
-residual, the gradient and the unit twist directions all read it, and the
-backtracking line search evaluates all of its candidate steps at once,
-accepting the same step as backtracking one trial at a time would.
+residual, the span basis, the gradient and the unit twist directions all
+read it, the residual and the span basis through the table's one array of
+signed areas lam_ijk.  The backtracking line search evaluates all of its
+candidate steps in one row pass (`geometry._row_pass`), accepting the same
+step as backtracking one trial at a time would.  The accepted row carries
+its validity, f, I and U into the next iteration, so it is neither
+validated nor evaluated again.
 
 Near a central configuration the descent switches to Newton steps in the
 twist span: the derivatives of f along the raw twists v_k of a span basis
 are the Laura-Andoyer residuals, and their Jacobian is the twist-basis
-Hessian V H V^T.  A Newton candidate is rescaled to U = M*I and kept only
-when it lowers both f and the residual; otherwise the iteration takes the
-first-order step.  Until the first Newton attempt the iterates are those
-of the first-order descent, bit for bit.
+Hessian V H V^T.  A Newton candidate is rescaled to U = M*I, checked and
+evaluated in two row passes, and kept only when it lowers both f and the
+residual; otherwise the iteration takes the first-order step.  Until the
+first Newton attempt the iterates are those of the first-order descent,
+bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (GeometryError, PairTable, PlanarConfig, PotentialParams,
-                       _gradient_f, build_pair_table, center_of_mass, f_rows, f_value,
+from .geometry import (GeometryError, PairTable, PlanarConfig, PotentialParams, _center,
+                       _gradient_f, _row_pass, build_pair_table, f_value,
                        moment_of_inertia, potential_u)
 from .hessian import _cartesian_hessian
-from .twist import (TwistPair, _twist_rows, _unit_twists, canon_pair, cc_residual,
-                    max_laura_andoyer, twist_span_basis)
+from .twist import (TwistPair, _span_basis, _twist_rows, _unit_twists, canon_pair,
+                    cc_residual, max_laura_andoyer)
+# unused here (descend reads the span basis off its pair table); perfbench/tracing.py
+# looks the name up on this module
+from .twist import twist_span_basis  # noqa: F401
 
 # Backtracking line-search constants.
 ETA0_FRACTION = 1e-2     # initial step length as a fraction of the diameter
@@ -103,12 +112,17 @@ def rescale_to_cc_size(config: PlanarConfig, params: PotentialParams) -> PlanarC
     U scales as lam^(2-A) and M*I as lam^2, so lam = (U/(M*I))^(1/A).
     """
     params.require_f_domain()
-    U = potential_u(config, params)
-    MI = float(config.masses.sum()) * moment_of_inertia(config)
-    lam = (U / MI) ** (1.0 / params.A)
-    c = center_of_mass(config)
-    pts = c + lam * (config.points - c)
+    pts = _cc_size_points(config.points, config.masses, moment_of_inertia(config),
+                          potential_u(config, params), params.A)
     return PlanarConfig.from_points(pts, config.masses)
+
+
+def _cc_size_points(points: np.ndarray, masses: np.ndarray, inertia: float,
+                    potential: float, A: float) -> np.ndarray:
+    """`rescale_to_cc_size`'s points, from the configuration's I and U."""
+    lam = (potential / (float(masses.sum()) * inertia)) ** (1.0 / A)
+    c = _center(points[None], masses)[0]
+    return c + lam * (points - c)
 
 
 @dataclass(frozen=True)
@@ -119,7 +133,8 @@ class DescentReport:
     `converged` is true), "collapse" (a run of rank-deficient spans),
     "zero_direction" (no descent direction), "line_search_exhausted" or
     "max_iter".  `newton_steps` counts the accepted Newton steps among
-    `iterations`; `i_drift` is |I/I0 - 1| of the final configuration
+    `iterations`, and `newton_rejected` the Newton candidates that failed
+    or were refused; `i_drift` is |I/I0 - 1| of the final configuration
     against the start, before any final rescale.
     """
 
@@ -132,7 +147,24 @@ class DescentReport:
     reason: str
     newton_steps: int
     i_drift: float
+    newton_rejected: int
     history: tuple = field(default=(), repr=False)
+
+
+class _Iterate(NamedTuple):
+    """An accepted configuration with the f, I and U of its row pass."""
+
+    config: PlanarConfig
+    f: float
+    inertia: float
+    potential: float
+
+
+def _carried(rows: np.ndarray, k: int, masses: np.ndarray, passed) -> _Iterate:
+    """Row k of `rows`, valid in the `_row_pass` result `passed`, as an `_Iterate`."""
+    _, f, pair_r, inertia, potential = passed
+    return _Iterate(PlanarConfig._from_valid_row(rows[k], masses, pair_r[k]),
+                    float(f[k]), float(inertia[k]), float(potential[k]))
 
 
 def _descent_direction(table: PairTable, masses: np.ndarray,
@@ -147,31 +179,36 @@ def _descent_direction(table: PairTable, masses: np.ndarray,
 
 
 def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
-                 eta: float, fcur: float, slope: float) -> tuple[PlanarConfig, float] | None:
-    """Backtrack along -d from step eta; (config, f) of the first Armijo point, or None.
+                 eta: float, fcur: float, slope: float) -> _Iterate | None:
+    """Backtrack along -d from step eta; the first Armijo point, or None.
 
-    All MAX_BACKTRACKS steps eta*SHRINK^k are evaluated at once.  A step is
-    skipped when it brings two bodies together or leaves the finite range,
-    and the first remaining one that decreases f enough is accepted.
+    All MAX_BACKTRACKS steps eta*SHRINK^k are evaluated at once in one row
+    pass.  A step is skipped when it brings two bodies together or leaves
+    the finite range, and the first remaining one that decreases f enough
+    is accepted, carrying the f, I and U its row pass computed.
     """
     etas = np.full(MAX_BACKTRACKS, SHRINK)
     etas[0] = eta
     np.cumprod(etas, out=etas)  # repeats `eta *= SHRINK` exactly
     trials = cfg.positions - etas[:, None] * d
-    valid, f = f_rows(trials, cfg.masses, params)
+    passed = _row_pass(trials, cfg.masses, params)
+    valid, f = passed[:2]
     ok = valid & (f <= fcur - ARMIJO_C * etas * slope)
     if not ok.any():
         return None
-    k = int(np.argmax(ok))
-    return cfg.with_positions(trials[k]), float(f[k])
+    return _carried(trials, int(np.argmax(ok)), cfg.masses, passed)
 
 
 def _newton_step(cfg: PlanarConfig, params: PotentialParams, table: PairTable,
-                 basis: list[TwistPair]) -> PlanarConfig | None:
+                 basis: list[TwistPair]) -> _Iterate | None:
     """The twist-span Newton candidate, rescaled to U = M*I, or None.
 
     Solves (V H V^T) c = -V grad f in least squares, V the raw twists of
     `basis` as rows and H the Cartesian Hessian, and moves to x + V^T c.
+    One row pass on x + V^T c checks it and gives the I and U of the
+    rescale, a second one checks the rescaled row and gives its f, I and U:
+    the result is `rescale_to_cc_size(cfg.with_positions(x + V^T c))` and
+    its f, bit for bit, and None where either construction would raise.
     """
     m = cfg.masses
     i, j = np.array(basis, dtype=np.intp).T
@@ -180,9 +217,18 @@ def _newton_step(cfg: PlanarConfig, params: PotentialParams, table: PairTable,
     H = _cartesian_hessian(table, m)
     try:
         c = np.linalg.lstsq(V @ H @ V.T, -(V @ g), rcond=NEWTON_RCOND)[0]
-        return rescale_to_cc_size(cfg.with_positions(cfg.positions + V.T @ c), params)
-    except (GeometryError, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         return None
+    x = (cfg.positions + V.T @ c)[None]
+    valid, _, _, inertia, potential = _row_pass(x, m, params)
+    if not valid[0]:
+        return None
+    y = _cc_size_points(x.reshape(-1, 2), m, float(inertia[0]), float(potential[0]),
+                        params.A).reshape(1, -1)
+    passed = _row_pass(y, m, params)
+    if not passed[0][0]:
+        return None
+    return _carried(y, 0, m, passed)
 
 
 def descend(config: PlanarConfig, params: PotentialParams, *,
@@ -207,10 +253,13 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     iteration takes the Armijo step.  Up to the first Newton attempt the
     iterates are those of the first-order descent, bit for bit.
 
-    The residual, the gradient and the twists share one pair table per
-    iteration; a Newton candidate builds its own, which becomes the
-    iteration's table when the candidate is accepted (a rejected candidate
-    has built one too).
+    The residual, the span basis, the gradient and the twists share one
+    pair table per iteration, and the residual and the span basis read
+    its one lam array; a Newton candidate builds its own, which becomes
+    the iteration's table when the candidate is accepted (a rejected
+    candidate has built one too).  The accepted step's row carries its
+    validity, f, I and U from the row pass that found it, so no iterate
+    is validated or evaluated twice.
 
     `converged` means what `eval`'s `is_cc` means: the Laura-Andoyer and
     Albouy-Chenciner residuals of `cc_residual`, evaluated at the size
@@ -226,12 +275,11 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     M = float(config.masses.sum())
     full_dim = 2 * config.n - 3
 
-    def residuals(cfg: PlanarConfig, table: PairTable) -> tuple[float, float]:
+    def residuals(cur: _Iterate, table: PairTable) -> tuple[float, float]:
         # The normalized residual is amplified by MI/U under the final
         # rescale to U = M*I, so converge on the post-rescale value.
-        resid = max_laura_andoyer(table, cfg.masses)
-        ratio = M * moment_of_inertia(cfg) / potential_u(cfg, params)
-        return resid, resid * max(1.0, ratio)
+        resid = max_laura_andoyer(table, cur.config.masses)
+        return resid, resid * max(1.0, M * cur.inertia / cur.potential)
 
     def is_cc(cfg: PlanarConfig, resid_cc: float) -> bool:
         # resid_cc bounds the rescaled LA residual, so only then run `eval`'s test
@@ -242,18 +290,19 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     collapse = False
     reason = "max_iter"
     degenerate_run = 0
-    iterations = newton_steps = 0
-    cfg = config
-    table = build_pair_table(cfg, params)
-    fcur = f_value(cfg, params)
+    iterations = newton_steps = newton_rejected = 0
+    start = cur = _Iterate(config, f_value(config, params), moment_of_inertia(config),
+                           potential_u(config, params))
+    table = build_pair_table(config, params)
     for it in range(max_iter):
-        resid, resid_cc = residuals(cfg, table)
+        cfg = cur.config
+        resid, resid_cc = residuals(cur, table)
         if record:
-            history.append((it, cfg.positions, fcur, resid))
+            history.append((it, cfg.positions, cur.f, resid))
         if is_cc(cfg, resid_cc):
             reason = "converged"
             break
-        basis, dim = twist_span_basis(cfg)
+        basis, dim = _span_basis(table)
         if dim < full_dim:
             degenerate_run += 1
             if degenerate_run >= COLLAPSE_RUN:
@@ -266,13 +315,13 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
         if resid_cc < NEWTON_SWITCH and dim == full_dim:
             cand = _newton_step(cfg, params, table, basis)
             if cand is not None:
-                cand_table = build_pair_table(cand, params)
-                fcand = f_value(cand, params)
-                if residuals(cand, cand_table)[1] < resid_cc and fcand <= fcur:
-                    cfg, table, fcur = cand, cand_table, fcand
+                cand_table = build_pair_table(cand.config, params)
+                if residuals(cand, cand_table)[1] < resid_cc and cand.f <= cur.f:
+                    cur, table = cand, cand_table
                     newton_steps += 1
                     iterations = it + 1
                     continue
+            newton_rejected += 1
 
         g, d = _descent_direction(table, cfg.masses, basis)
         slope = float(g @ d)
@@ -280,21 +329,23 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
         if dn == 0.0 or slope <= 0.0:
             reason = "zero_direction"
             break
-        step = _armijo_step(cfg, params, d, ETA0_FRACTION * cfg.diameter() / dn, fcur, slope)
+        eta = ETA0_FRACTION * cfg.diameter() / dn
+        step = _armijo_step(cfg, params, d, eta, cur.f, slope)
         if step is None:
             reason = "line_search_exhausted"
             break
-        cfg, fcur = step
-        table = build_pair_table(cfg, params)
+        cur = step
+        table = build_pair_table(cur.config, params)
         iterations = it + 1
 
-    resid, resid_cc = residuals(cfg, table)
+    cfg = cur.config
+    resid, resid_cc = residuals(cur, table)
     if reason == "max_iter" and is_cc(cfg, resid_cc):  # the last step reached a CC
         reason = "converged"
     # Laura-Andoyer residuals vanish identically on collinear configurations,
     # so a rank-deficient final span is a collapse even when "converged".
-    _, final_dim = twist_span_basis(cfg)
+    _, final_dim = _span_basis(table)
     collapse = collapse or final_dim < full_dim
-    i_drift = abs(moment_of_inertia(cfg) / moment_of_inertia(config) - 1.0)
-    return DescentReport(cfg, iterations, resid, fcur, reason == "converged", collapse,
-                         reason, newton_steps, i_drift, tuple(history))
+    i_drift = abs(cur.inertia / start.inertia - 1.0)
+    return DescentReport(cfg, iterations, resid, cur.f, reason == "converged", collapse,
+                         reason, newton_steps, i_drift, newton_rejected, tuple(history))

@@ -22,7 +22,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .geometry import (PairTable, PlanarConfig, PotentialParams, _lam, _pair_indices,
+from .geometry import (PairTable, PlanarConfig, PotentialParams, _pair_indices,
                        build_pair_table)
 
 # A triple is collinear when |lam| <= COLLINEAR_RTOL * diameter^2.
@@ -85,6 +85,20 @@ def _triple_indices(n: int) -> np.ndarray:
     return t
 
 
+def _pair_row(n: int, i, j):
+    """Row of the pair i < j in `np.triu_indices(n, 1)` order."""
+    return i * (2 * n - i - 1) // 2 + j - i - 1
+
+
+@lru_cache(maxsize=64)
+def _triple_rows(n: int) -> np.ndarray:
+    """Read-only `pair_lams` rows of the pairs (a, b) of the triples a < b < c."""
+    a, b, _ = _triple_indices(n)
+    rows = _pair_row(n, a, b)
+    rows.setflags(write=False)
+    return rows
+
+
 def twist_span_basis(config: PlanarConfig) -> tuple[list[TwistPair], int]:
     """Independent twist pairs spanning the full twist space.
 
@@ -93,14 +107,21 @@ def twist_span_basis(config: PlanarConfig) -> tuple[list[TwistPair], int]:
     Returns (pairs, dimension) with dimension 2n - 3, or n - 1 with basis
     {(0, j)} when all bodies are collinear.
     """
-    p = config.points
-    n = config.n
-    thresh = COLLINEAR_RTOL * config.diameter() ** 2
-    d = p[:, None, :] - p[None, :, :]
-    dx, dy = d[..., 0], d[..., 1]
+    # only dx, dy and r are read, so any exponent builds the same basis
+    return _span_basis(PairTable(config, PotentialParams()))
 
+
+def _span_basis(table: PairTable) -> tuple[list[TwistPair], int]:
+    """`twist_span_basis` of the table's configuration.
+
+    The area of the triple a < b < c is |lam_abc|, the entry (pair (a, b),
+    c) of the table's `pair_lams`, and the anchor test reads the same row.
+    """
+    n = table.n
+    thresh = COLLINEAR_RTOL * float(table.r.max()) ** 2
+    lams = table.pair_lams()
     triples = _triple_indices(n)
-    areas = np.abs(_lam(dx, dy, *triples))
+    areas = np.abs(lams[_triple_rows(n), triples[2]])
     # argmax takes the first largest area, in combinations order
     best = int(np.argmax(areas)) if areas.size else -1
     if best < 0 or areas[best] <= thresh:
@@ -112,7 +133,7 @@ def twist_span_basis(config: PlanarConfig) -> tuple[list[TwistPair], int]:
     others = np.ones(n, dtype=bool)
     others[[a, b, c]] = False
     ks = np.flatnonzero(others)
-    anchored = np.abs(_lam(dx, dy, a, b, ks)) > thresh
+    anchored = np.abs(lams[_pair_row(n, a, b), ks]) > thresh
     for k, ok in zip(ks.tolist(), anchored.tolist()):
         pairs.append((min(a, k), max(a, k)))
         other = b if ok else c
@@ -120,8 +141,9 @@ def twist_span_basis(config: PlanarConfig) -> tuple[list[TwistPair], int]:
     return pairs, 2 * n - 3
 
 
-def _la_rows(table: PairTable, m: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    lam = table.lam(i[:, None], j[:, None], np.arange(table.n))  # lam_ijk, one row per pair
+def _la_rows(table: PairTable, m: np.ndarray, i: np.ndarray, j: np.ndarray,
+             lam: np.ndarray) -> np.ndarray:
+    """Laura-Andoyer residuals of the pairs (i[r], j[r]); row r of `lam` is lam_ijk."""
     w = m * (table.R[i] - table.R[j])
     # the stacked matmul sums each row as np.dot(w[r], lam[r]) does
     return m[i] * m[j] * np.matmul(w[:, None, :], lam[:, :, None])[:, 0, 0]
@@ -129,7 +151,8 @@ def _la_rows(table: PairTable, m: np.ndarray, i: np.ndarray, j: np.ndarray) -> n
 
 def laura_andoyer_pairs(table: PairTable, masses) -> np.ndarray:
     """Laura-Andoyer residuals of every pair i < j, in `np.triu_indices(n, 1)` order."""
-    return _la_rows(table, np.asarray(masses, dtype=float), *_pair_indices(table.n))
+    return _la_rows(table, np.asarray(masses, dtype=float), *_pair_indices(table.n),
+                    table.pair_lams())
 
 
 def laura_andoyer(table: PairTable, masses, pair) -> float:
@@ -140,8 +163,9 @@ def laura_andoyer(table: PairTable, masses, pair) -> float:
     of `laura_andoyer_pairs`, bit for bit.
     """
     i, j = canon_pair(table.n, pair)
-    return float(_la_rows(table, np.asarray(masses, dtype=float),
-                          np.array([i]), np.array([j]))[0])
+    row = _pair_row(table.n, i, j)
+    return float(_la_rows(table, np.asarray(masses, dtype=float), np.array([i]),
+                          np.array([j]), table.pair_lams()[row:row + 1])[0])
 
 
 def _residual_norm(table: PairTable, masses: np.ndarray) -> float:

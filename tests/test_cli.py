@@ -3,6 +3,7 @@ import io
 import json
 import math
 import pathlib
+import time
 import warnings
 from collections import Counter
 
@@ -22,7 +23,7 @@ from twistcc.solver import FlowSpec, descend, flow_fixed_combo
 from twistcc.twist import twist_span_basis
 
 from oracles import (certify_table_ref, csv_text_ref, equilateral_config, eval_table_ref,
-                     kite_map_table_ref, matrix_table_ref, square_config,
+                     kite_map_table_ref, matrix_table_ref, random_config, square_config,
                      trajectory_table_ref)
 from test_certify import WINDOWS, box_lanes, window_boxes
 
@@ -96,7 +97,30 @@ def test_descend_reports_stop_reason(tmp_path, capsys):
     assert out["reason"] == "converged" and out["newton_steps"] == "7"
     counts = json.loads((tmp_path / "d6.json.manifest.json").read_text())["counts"]
     assert counts == {"iterations": int(out["iterations"]), "newton_steps": 7,
-                      "reason": "converged", "i_drift": float(out["i_drift"])}
+                      "newton_rejected": 3, "reason": "converged",
+                      "i_drift": float(out["i_drift"])}
+
+
+def test_descend_random_start_is_the_rejection_draw(monkeypatch):
+    from test_solver import cli_random_start
+    starts = []
+    monkeypatch.setattr(cli, "descend", lambda config, params, **kw:
+                        starts.append(config) or descend(config, params, max_iter=0))
+    for n in (4, 5, 6, 8, 20):
+        for seed in range(10):
+            main(["descend", "--random", str(n), "--seed", str(seed)])
+            want = cli_random_start(n, seed).positions
+            assert starts[-1].positions.tobytes() == want.tobytes()
+    assert len(starts) == 50
+
+
+def test_descend_random_gives_up_after_bounded_draws(capsys):
+    # 40 bodies more than 0.2 apart in [-1, 1]^2 are practically never drawn
+    t0 = time.perf_counter()
+    assert main(["descend", "--random", "40", "--seed", "1", "--max-iter", "1"]) == 2
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert "--random 40" in err and "0.2" in err and str(cli.RANDOM_MAX_DRAWS) in err
 
 
 def test_descend_random_seeded(tmp_path):
@@ -374,6 +398,29 @@ def test_lagrange_table_matches_csv_writer(tmp_path):
     rows += [["charpoly", name, "", "", "", f"{v:.17g}"]
              for name, v in zip(("a0", "a1", "a2"), lagrange_char_poly_coeffs((1, 2, 3)))]
     assert_table(tmp_path / "l.csv", (header, rows))
+
+
+def test_written_twist_matrices_are_exactly_symmetric(monkeypatch, rng, tmp_path):
+    # `_matrix_lines` formats the upper triangle once and mirrors it
+    seen = []
+    lines = cli._matrix_lines
+    monkeypatch.setattr(cli, "_matrix_lines", lambda tm, w: seen.append(tm) or lines(tm, w))
+    files = [str(DATA / "square_1135.json"), str(DATA / "lagrange_123.json")]
+    for n in (5, 12):
+        files.append(str(tmp_path / f"r{n}.json"))
+        pathlib.Path(files[-1]).write_text(config_to_json(random_config(rng, n),
+                                                          PotentialParams(3.0)))
+    for path in files:
+        for normalized in (False, True):
+            assert main(["hessian", path, "--csv", str(tmp_path / "h.csv")]
+                        + ["--normalized"] * normalized) == 0
+    for masses in ("1,2,3", "0.3,5,1.7"):
+        assert main(["lagrange", "--masses", masses, "--csv", str(tmp_path / "l.csv")]) == 0
+    assert len(seen) == 2 * len(files) + 2
+    for tm in seen:
+        M = tm.matrix
+        assert np.array_equal(M, M.T)
+        assert M.tobytes() == np.ascontiguousarray(M.T).tobytes()  # signed zeros too
 
 
 def test_trajectory_tables_match_csv_writer(tmp_path):

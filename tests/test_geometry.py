@@ -9,7 +9,7 @@ from twistcc.geometry import (CoincidentPointsError, ExponentRangeError, Geometr
                               PlanarConfig, PotentialParams, build_pair_table,
                               cartesian_gradient_f, center_of_mass, config_from_json,
                               config_to_json, euler_residual, f_rows, f_value,
-                              moment_of_inertia, potential_u)
+                              moment_of_inertia, potential_u, _row_pass)
 
 from oracles import (coincident_ref, equilateral_config, f_value_ref, fd_gradient,
                      random_config)
@@ -88,9 +88,14 @@ def test_invalid_configs():
         potential_u(cfg, vort)
 
 
+def same_float(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 def test_f_rows_match_one_configuration_at_a_time(rng):
     # stacked rows, some coincident or non-finite, against the one-configuration
-    # reference: same validity, and bit-identical f, diameter and U
+    # reference: same validity, and bit-identical f, diameter, pair distances, I
+    # and U; a valid row carried by `_from_valid_row` is that configuration
     for n in (2, 3, 4, 8, 20):
         for A in (2.5, 3.0, 4.0):
             params = PotentialParams(A)
@@ -105,6 +110,10 @@ def test_f_rows_match_one_configuration_at_a_time(rng):
             rows[8] *= 1e200                     # f overflows
             valid, f = f_rows(rows, m, params)
             assert valid[[4, 8]].tolist() == [n == 2, True] and not valid[[3, 5, 6, 7]].any()
+            passed = _row_pass(rows, m, params)
+            assert passed[0].tobytes() == valid.tobytes()
+            assert passed[1].tobytes() == f.tobytes()
+            _, _, pair_r, inertia, potential = passed
             for k, row in enumerate(rows):
                 pts = row.reshape(-1, 2)
                 with np.errstate(all="ignore"):
@@ -120,6 +129,20 @@ def test_f_rows_match_one_configuration_at_a_time(rng):
                 d = pts[:, None, :] - pts[None, :, :]
                 assert c.diameter() == float(np.hypot(d[..., 0], d[..., 1]).max())
                 assert not c.pair_distances.flags.writeable
+                assert pair_r[k].tobytes() == c.pair_distances.tobytes()
+                with np.errstate(all="ignore"):
+                    assert same_float(inertia[k], moment_of_inertia(c))
+                    assert same_float(potential[k], potential_u(c, params))
+                    assert same_float(f[k], f_value(c, params))
+                carried = PlanarConfig._from_valid_row(rows[k], c.masses, pair_r[k])
+                for name in ("positions", "masses", "pair_distances"):
+                    got, want = getattr(carried, name), getattr(c, name)
+                    assert got.dtype == want.dtype and got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), name
+                    assert got.flags.c_contiguous and not got.flags.writeable, name
+                # copies, so later rows or passes cannot change the configuration
+                assert not np.shares_memory(carried.positions, rows)
+                assert not np.shares_memory(carried.pair_distances, pair_r)
 
 
 # --- scalars ----------------------------------------------------------------

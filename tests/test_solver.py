@@ -3,12 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
-                              cartesian_gradient_f, center_of_mass, euler_residual,
-                              f_value, load_config, moment_of_inertia, potential_u)
+from twistcc.geometry import (GeometryError, PlanarConfig, PotentialParams,
+                              build_pair_table, cartesian_gradient_f, center_of_mass,
+                              euler_residual, f_value, load_config, moment_of_inertia,
+                              potential_u)
 from twistcc.solver import (DescentReport, FlowSpec, _armijo_step, _descent_direction,
-                            descend, flow_fixed_combo, rescale_to_cc_size)
-from twistcc.twist import cc_residual, max_laura_andoyer, twist_span_basis
+                            _newton_step, descend, flow_fixed_combo, rescale_to_cc_size)
+from twistcc.twist import cc_residual, max_laura_andoyer, twist_span_basis, twist_vector
 
 from oracles import (armijo_step_loop, coincident_ref, descent_direction_loop,
                      equilateral_config, first_order_descent_ref, random_config,
@@ -131,9 +132,41 @@ SUITE = [(n, s) for n in (4, 5, 6, 8) for s in range(10)]
 
 
 @pytest.fixture(scope="module")
-def suite_reports():
+def suite_runs():
+    """{start: (report, number of `_newton_step` calls)} over the suite."""
+    from twistcc import solver
     params = PotentialParams(3.0)
-    return {(n, s): descend(cli_random_start(n, s), params, record=True) for n, s in SUITE}
+    runs = {}
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_step",
+                   lambda *args, step=solver._newton_step: calls.append(1) or step(*args))
+        for n, s in SUITE:
+            calls.clear()
+            report = descend(cli_random_start(n, s), params, record=True)
+            runs[n, s] = report, len(calls)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def suite_reports(suite_runs):
+    return {k: report for k, (report, _) in suite_runs.items()}
+
+
+def test_newton_rejected_counts_every_refused_candidate(monkeypatch, suite_runs, newton):
+    for k, (report, calls) in suite_runs.items():
+        assert report.newton_steps + report.newton_rejected == calls, k
+    # the start whose Newton candidates mostly lower the residual but raise f
+    assert suite_runs[6, 3][0].newton_rejected == 2573
+    # candidates that fail to build count too
+    newton_phase = descend(cli_random_start(6, 3), newton, max_iter=100).config
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond:
+                        (np.full(b.shape, 1e300),) + lstsq(a, b, rcond=rcond)[1:])
+    with np.errstate(all="ignore"):
+        report = descend(newton_phase, newton, max_iter=5)
+    assert report.iterations == 5
+    assert report.newton_steps == 0 and report.newton_rejected == 5
 
 
 def test_descend_start_suite_converges(suite_reports, newton):
@@ -157,7 +190,7 @@ def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton)
 
     def recorded(cfg, *args):
         cand = newton_step(cfg, *args)
-        tried.append((cfg, cand))
+        tried.append((cfg, cand.config))
         return cand
 
     monkeypatch.setattr(solver, "_newton_step", recorded)
@@ -248,6 +281,11 @@ def test_armijo_step_matches_sequential_loop(rng, newton):
                 if ref is not None:
                     assert got[0].positions.tobytes() == ref[0].tobytes(), name
                     assert got[1] == ref[1], name
+                    # the accepted row carries the I and U of its configuration
+                    with np.errstate(all="ignore"):
+                        carried = (moment_of_inertia(got.config),
+                                   potential_u(got.config, newton))
+                    assert np.array(carried).tobytes() == np.array(got[2:]).tobytes(), name
                     seen.add(name)
             first = cfg.positions - collide
             assert coincident_ref(first.reshape(-1, 2))
@@ -273,3 +311,73 @@ def test_descend_iteration_builds_one_pair_table(monkeypatch, rng, newton):
     report = descend(random_config(rng, 5), newton, max_iter=6)
     assert report.iterations == 6
     assert len(calls) == report.iterations + 1  # the start, then one per accepted step
+
+
+def newton_step_ref(cfg, params, basis, c):
+    """(candidate, f) of the Newton step x + V^T c through the public
+    constructors, or None where one of them raises."""
+    V = np.vstack([twist_vector(cfg, p) for p in basis])
+    try:
+        cand = rescale_to_cc_size(cfg.with_positions(cfg.positions + V.T @ c), params)
+    except GeometryError:
+        return None
+    return cand, f_value(cand, params)
+
+
+def test_newton_step_matches_public_constructors(monkeypatch, rng, newton):
+    lstsq = np.linalg.lstsq
+    lagrange, _ = load_config(DATA / "lagrange_123.json")
+    cfgs = [lagrange, square_config()] + [random_config(rng, n) for n in (3, 4, 5, 8)]
+    for cfg in cfgs:
+        basis, _ = twist_span_basis(cfg)
+        V = np.vstack([twist_vector(cfg, p) for p in basis])
+        # a step in the twist span that puts body 0 on body 1
+        q = cfg.points
+        onto = np.linalg.lstsq(V[:, 0:2].T - V[:, 2:4].T, q[1] - q[0], rcond=None)[0]
+        forced = [None, np.full(len(basis), 1e300), onto]
+        for c in forced:
+            used = []
+
+            def solve(a, b, rcond, c=c):
+                sol = lstsq(a, b, rcond=rcond)
+                sol = sol if c is None else (c,) + sol[1:]
+                used.append(sol[0])
+                return sol
+
+            monkeypatch.setattr(np.linalg, "lstsq", solve)
+            with np.errstate(all="ignore"):
+                got = _newton_step(cfg, newton, build_pair_table(cfg, newton), basis)
+            monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+            with np.errstate(all="ignore"):
+                ref = newton_step_ref(cfg, newton, basis, used[0])
+            assert (got is None) == (ref is None)
+            # the solved steps make candidates, the forced ones cannot
+            assert (got is None) == (c is not None)
+            if ref is None:
+                continue
+            cand, f = ref
+            for name in ("positions", "masses", "pair_distances"):
+                assert getattr(got.config, name).tobytes() == getattr(cand, name).tobytes()
+            assert not got.config.positions.flags.writeable
+            assert got.f == f
+            assert got.inertia == moment_of_inertia(cand)
+            assert got.potential == potential_u(cand, newton)
+
+
+def test_descend_validates_a_bounded_number_of_configurations(monkeypatch, newton):
+    # accepted steps and Newton candidates are carried from their row passes,
+    # so the number of validations does not grow with the iterations
+    newton_phase = descend(cli_random_start(6, 3), newton, max_iter=100).config
+    post_init = PlanarConfig.__post_init__
+    for start in (cli_random_start(4, 4), newton_phase):
+        counts = []
+        for max_iter in (6, 12):
+            calls = []
+            monkeypatch.setattr(PlanarConfig, "__post_init__",
+                                lambda self: calls.append(1) or post_init(self))
+            report = descend(start, newton, max_iter=max_iter)
+            monkeypatch.undo()
+            assert report.iterations == max_iter and not report.converged
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+    assert report.newton_rejected == 12  # the second start tried a candidate each time

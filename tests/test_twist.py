@@ -6,7 +6,7 @@ from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
 from twistcc.twist import (albouy_chenciner_asym, albouy_chenciner_pairs,
                            albouy_chenciner_sym, cc_residual, laura_andoyer,
                            laura_andoyer_pairs, max_laura_andoyer, normalized_twist,
-                           twist_span_basis, twist_vector)
+                           twist_span_basis, twist_vector, _span_basis)
 
 from oracles import (albouy_chenciner_loop, all_twist_rank, equilateral_config,
                      laura_andoyer_loop, random_config, square_config,
@@ -111,7 +111,7 @@ def test_span_basis_three_bodies(rng):
     assert sorted(basis) == [(0, 1), (0, 2), (1, 2)]
 
 
-def test_span_basis_matches_loop(rng):
+def span_basis_cases(rng) -> list[PlanarConfig]:
     t = np.arange(6) * np.pi / 3
     hexagon = PlanarConfig.from_points(np.column_stack([np.cos(t), np.sin(t)]), np.ones(6))
     cfgs = [square_config(), hexagon]  # exact and near ties among the triple areas
@@ -121,8 +121,33 @@ def test_span_basis_matches_loop(rng):
                                          np.ones(5)))
     cfgs += [random_config(rng, n) for n in (2, 3, 4, 5, 8, 12) for _ in range(4)]
     cfgs += [random_config(rng, n, collinear=True) for n in (2, 3, 4, 7)]
-    for cfg in cfgs:
+    return cfgs
+
+
+def test_span_basis_matches_loop(rng):
+    for cfg in span_basis_cases(rng):
         assert twist_span_basis(cfg) == twist_span_basis_loop(cfg)
+
+
+def test_span_basis_core_reads_one_lam_array(rng, newton):
+    # the core `descend` runs on its pair table: the basis of the loop, with the
+    # triple areas and the anchor test read off the table's one lam array
+    for cfg in span_basis_cases(rng):
+        table = build_pair_table(cfg, newton)
+        lams = table.pair_lams()
+        assert _span_basis(table) == twist_span_basis_loop(cfg)
+        assert table.pair_lams() is lams
+
+
+def test_pair_lams_are_the_table_lam(rng, newton):
+    for n in (2, 3, 5, 8):
+        t = build_pair_table(random_config(rng, n), newton)
+        lams = t.pair_lams()
+        pairs = list(zip(*np.triu_indices(n, 1)))
+        assert lams.shape == (len(pairs), n)
+        for row, (i, j) in enumerate(pairs):
+            for k in range(n):
+                assert lams[row, k].tobytes() == np.float64(t.lam(i, j, k)).tobytes()
 
 
 def test_pair_residuals_match_loops(rng, newton):

@@ -27,10 +27,10 @@ from .hessian import (TwistDirection, TwistMatrix, assemble_twist_hessian,
                       normalized_twist_hessian, signature, twist_hessian_diag,
                       twist_hessian_disjoint, twist_hessian_entry, twist_hessian_share)
 from .solver import DescentReport, FlowSpec, descend, flow_fixed_combo, rescale_to_cc_size
-from .kite import (IndexMapCell, KiteBlocks, KiteConfig, KiteError, KiteShape,
+from .kite import (IndexMap, KiteBlocks, KiteConfig, KiteError, KiteShape,
                    build_kite, circumcenter_z4, classify_shape,
                    coorbital_identity_check, kite_blocks, kite_index_map,
-                   kite_masses, kite_scale, write_pgm)
+                   kite_masses, kite_scale)
 from .intervals import Interval, IntervalDomainError, IntervalError
 from .certify import (BoxCertificate, CertifiedIndex, certify_box, certify_ha_index,
                       certify_hs_index, certify_kite_scale)

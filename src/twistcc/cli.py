@@ -3,7 +3,8 @@
 Subcommands: eval, descend, flow, hessian, kite-map, certify, lagrange.
 All file outputs are written atomically (write-then-rename), all numbers
 with 17 significant digits so they re-read losslessly, and every run that
-produces files also emits a JSON manifest next to its first output.
+produces files also emits a JSON manifest next to its first output.  An
+output that cannot be written is an error (exit status 2), like bad input.
 Body and pair indices are 1-based on the command line.
 
 Each CSV row is built as one string (numbers from `.tolist()` values,
@@ -16,6 +17,7 @@ minimal quoting does, so any CSV reader parses them back.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -41,7 +43,7 @@ from .hessian import assemble_twist_hessian, lagrange_char_poly_coeffs, signatur
 # looks the name up on this module
 from .hessian import morse_index  # noqa: F401
 from .intervals import Interval, IntervalArray
-from .kite import IndexMapCell, KiteError, kite_index_map, write_pgm
+from .kite import _BLOCK_LABELS, KITE_CLASSES, IndexMap, KiteError, kite_index_map
 from .solver import FlowSpec, descend, flow_fixed_combo, rescale_to_cc_size
 from .twist import cc_residual, twist_span_basis
 
@@ -51,11 +53,17 @@ def fmt(x: float) -> str:
 
 
 def write_atomic(path: str, data: str | bytes) -> None:
+    """Write `data` to `path.tmp` and rename it to `path`; a failure removes the `.tmp`."""
     mode = "wb" if isinstance(data, bytes) else "w"
     tmp = f"{path}.tmp"
-    with open(tmp, mode) as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode) as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 _NEEDS_QUOTES = re.compile('[,"\n\r]').search
@@ -322,14 +330,33 @@ def _num_or_empty(v: float) -> str:
     return "" if v != v else f"{v:.17g}"
 
 
-def _map_line(c: IndexMapCell) -> str:
-    """A kite-map cell's CSV row; the indices are empty unless the cell is
-    admissible and error-free."""
-    idx = (f"{c.idx_hs},{c.idx_ha},{c.idx_total}"
-           if c.klass in ("tall", "wide") and not c.error else ",,")
-    return (f"{c.z3:.17g},{c.z4:.17g},{c.klass},{_num_or_empty(c.mu31)},"
-            f"{_num_or_empty(c.mu41)},{_num_or_empty(c.x2)},{idx},{int(c.degenerate)},"
-            f"{csv_field(c.which_block_changed)},{csv_field(c.error)}")
+def _map_lines(m: IndexMap):
+    """The kite-map CSV rows, one per cell; the indices are empty unless the
+    cell passes every check."""
+    labels = [csv_field(label) for label in _BLOCK_LABELS]
+    for z3, z4, klass, mu31, mu41, x2, hs, ha, degenerate, changed, error in zip(
+            m.z3.tolist(), m.z4.tolist(), m.klass.tolist(), m.mu31.tolist(),
+            m.mu41.tolist(), m.x2.tolist(), m.idx_hs.tolist(), m.idx_ha.tolist(),
+            m.degenerate.tolist(), m.changed.tolist(), m.errors):
+        idx = f"{hs},{ha},{hs + ha}" if hs >= 0 else ",,"
+        yield (f"{z3:.17g},{z4:.17g},{KITE_CLASSES[klass]},{_num_or_empty(mu31)},"
+               f"{_num_or_empty(mu41)},{_num_or_empty(x2)},{idx},{int(degenerate)},"
+               f"{labels[changed]},{csv_field(error)}")
+
+
+def write_pgm(index_map: IndexMap, n3: int, n4: int, path) -> None:
+    """8-bit P5 raster of the index map: 255 for index 0, 128 for the next
+    observed index, 0 for higher ones, 64 for every cell not computed.
+    Top image row is the highest z4."""
+    computed = index_map.computed
+    total = index_map.idx_hs + index_map.idx_ha
+    observed = sorted(set(total[computed].tolist()))
+    higher = [v for v in observed if v != 0]
+    img = np.full(total.size, 64, dtype=np.uint8)
+    for v in observed:
+        img[computed & (total == v)] = 255 if v == 0 else 128 if v == higher[0] else 0
+    header = f"P5\n{n3} {n4}\n255\n".encode("ascii")
+    write_atomic(path, header + img.reshape(n4, n3)[::-1].tobytes())
 
 
 def cmd_kite_map(args) -> int:
@@ -337,24 +364,22 @@ def cmd_kite_map(args) -> int:
     z3_lo, z3_hi, n3 = _parse_range(args.z3)
     z4_lo, z4_hi, n4 = _parse_range(args.z4)
     params = PotentialParams(args.A)
-    cells = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params)
-    write_csv_atomic(args.csv, MAP_CSV_COLUMNS, map(_map_line, cells))
+    m = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params)
+    write_csv_atomic(args.csv, MAP_CSV_COLUMNS, _map_lines(m))
     outputs = [args.csv]
     if args.pgm:
-        write_pgm(cells, n3, n4, args.pgm)
+        write_pgm(m, n3, n4, args.pgm)
         outputs.append(args.pgm)
-    computed = [c for c in cells if c.computed]
-    totals = sorted({c.idx_total for c in computed})
-    print(f"cells = {len(cells)}, admissible_computed = {len(computed)}")
+    computed = int(m.computed.sum())
+    totals = sorted(set((m.idx_hs + m.idx_ha)[m.computed].tolist()))
+    print(f"cells = {m.klass.size}, admissible_computed = {computed}")
     print(f"observed_total_indices = {totals}")
-    admissible = [c for c in cells if c.klass in ("tall", "wide")]
     counts = {
-        "cells": len(cells),
-        "admissible": len(admissible),
-        "computed": len(computed),
-        "degenerate": sum(1 for c in admissible if c.degenerate and not c.error),
-        "errors": dict(sorted(Counter(c.error.partition(":")[0]
-                                      for c in admissible if c.error).items())),
+        "cells": m.klass.size,
+        "admissible": int(m.admissible.sum()),
+        "computed": computed,
+        "degenerate": int(m.degenerate.sum()),
+        "errors": dict(sorted(Counter(e.partition(":")[0] for e in m.errors if e).items())),
     }
     RunManifest("kite-map", {"z3": args.z3, "z4": args.z4, "A": args.A},
                 [], outputs, wall_s=time.perf_counter() - t0, counts=counts).write()
@@ -517,10 +542,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GeometryError, KiteError, ValueError) as exc:
+    except (SystemExitError, GeometryError, KiteError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

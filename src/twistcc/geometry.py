@@ -211,17 +211,6 @@ def _row_pass(positions: np.ndarray, masses: np.ndarray, params: PotentialParams
     return valid, f, pair_r, inertia, potential
 
 
-def f_rows(positions: np.ndarray, masses: np.ndarray,
-           params: PotentialParams) -> tuple[np.ndarray, np.ndarray]:
-    """(valid, f) for K stacked rows of flat positions, shape (K, 2n).
-
-    A row is valid when it would make a `PlanarConfig`: finite, with no
-    coincident pair.  The f of a valid row equals `f_value` of that
-    configuration bit for bit; the f of an invalid row is meaningless.
-    """
-    return _row_pass(positions, masses, params)[:2]
-
-
 class PairTable:
     """Cached pairwise data for one configuration and exponent.
 

@@ -20,7 +20,9 @@ they come from the shape alone, and only the powers R = r^-A and
 S = R - 1 carry x2.  `kite_index_map` evaluates the algebra on arrays of
 cell centres, with the classification, scale and mass checks as masks
 shared with the scalar `classify_shape`, `kite_scale`, `kite_masses` and
-`build_kite`; `kite_scales` gives `kite_scale` over arrays of shapes.
+`build_kite`, and returns the map as the flat per-cell arrays of an
+`IndexMap`; `cli` writes them as CSV rows and a PGM raster (`write_pgm`).
+`kite_scales` gives `kite_scale` over arrays of shapes.
 `kite_blocks` (the 5x5 `V^T H V` assembly) is the independent float
 cross-check of the closed-form blocks.
 """
@@ -30,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -545,34 +546,41 @@ def coorbital_identity_check(kite: KiteConfig, params: PotentialParams) -> float
 
 # --- Morse-index map over shape space ----------------------------------------
 
-@dataclass
-class IndexMapCell:
-    iz3: int
-    iz4: int
-    z3: float
-    z4: float
-    klass: str
-    mu31: float = math.nan
-    mu41: float = math.nan
-    x2: float = math.nan
-    idx_hs: int = -1
-    idx_ha: int = -1
-    idx_total: int = -1
-    degenerate: bool = False
-    error: str = ""
-    which_block_changed: str = ""
+@dataclass(frozen=True, eq=False)
+class IndexMap:
+    """`kite_index_map`'s flat per-cell arrays, row-major in (iz4, iz3).
+
+    klass indexes KITE_CLASSES and changed _BLOCK_LABELS; mu31, mu41 and x2
+    are NaN unless `build_kite` succeeds at the cell, idx_hs and idx_ha -1
+    unless it passes every check, and errors[k] "" unless it fails one.
+    A cell is computed when it passes every check and is not degenerate.
+    """
+
+    z3: np.ndarray
+    z4: np.ndarray
+    klass: np.ndarray
+    mu31: np.ndarray
+    mu41: np.ndarray
+    x2: np.ndarray
+    idx_hs: np.ndarray
+    idx_ha: np.ndarray
+    degenerate: np.ndarray
+    changed: np.ndarray
+    errors: list[str]
+    computed: np.ndarray
 
     @property
-    def computed(self) -> bool:
-        return self.klass in ("tall", "wide") and not self.error and not self.degenerate
+    def admissible(self) -> np.ndarray:
+        """Mask of the tall and wide cells."""
+        return (self.klass == 1) | (self.klass == 2)
 
 
 def kite_index_map(z3_lo: float, z3_hi: float, n3: int,
                    z4_lo: float, z4_hi: float, n4: int,
                    params: PotentialParams, *,
-                   margin: float = ADMISSIBLE_MARGIN) -> list[IndexMapCell]:
-    """Morse indices per grid cell (evaluated at cell centers), row-major in
-    (iz4, iz3).  Per-cell failures are recorded, never raised.
+                   margin: float = ADMISSIBLE_MARGIN) -> IndexMap:
+    """Morse indices per grid cell (evaluated at cell centers), as the
+    arrays of an `IndexMap`.  Per-cell failures are recorded, never raised.
 
     All cells are evaluated at once: the checks of `build_kite` and a
     finiteness check run as masks, the closed-form blocks on arrays, and
@@ -584,40 +592,42 @@ def kite_index_map(z3_lo: float, z3_hi: float, n3: int,
     """
     z3s = z3_lo + (np.arange(n3) + 0.5) * ((z3_hi - z3_lo) / n3)
     z4s = z4_lo + (np.arange(n4) + 0.5) * ((z4_hi - z4_lo) / n4)
-    z3, z4 = z3s[None, :], z4s[:, None]     # broadcast to the (n4, n3) grid
+    z3, z4 = np.tile(z3s, n4), np.repeat(z4s, n3)
     with np.errstate(all="ignore"):
-        klass = np.where((z3 > z4) & (z4 > 0.0), _class_codes(z3, z4, margin), 0).ravel()
+        klass = np.where((z3 > z4) & (z4 > 0.0), _class_codes(z3, z4, margin), 0)
     adm = np.flatnonzero((klass == 1) | (klass == 2))
     if adm.size:
         params.require_f_domain()
     x2, mu31, mu41, first, idx_hs, idx_ha, degenerate = _admissible_cells(
-        z3s[adm % n3], z4s[adm // n3], params.A)
-    ok = first == len(_CHECKS)
-
-    z3_at, z4_at = z3s.tolist(), z4s.tolist()
-    cells = [IndexMapCell(k % n3, k // n3, z3_at[k % n3], z4_at[k // n3], KITE_CLASSES[c])
-             for k, c in enumerate(klass.tolist())]
+        z3[adm], z4[adm], params.A)
     names = list(_CHECKS)   # the last one, "non_finite", is kite_blocks' check
-    adm_cells = [cells[k] for k in adm.tolist()]
-    for cell, check, m31, m41, x in zip(adm_cells, first.tolist(), mu31.tolist(),
-                                        mu41.tolist(), x2.tolist()):
-        if check >= len(names) - 1:     # build_kite succeeds
-            cell.mu31, cell.mu41, cell.x2 = m31, m41, x
-        if check < len(names):
-            exc = _kite_error(names[check], cell.z3, cell.z4, m31, m41)
-            cell.error = f"{type(exc).__name__}: {exc}"
-    for cell, hs, ha, deg in zip(compress(adm_cells, ok.tolist()), idx_hs.tolist(),
-                                 idx_ha.tolist(), degenerate.tolist()):
-        cell.idx_hs, cell.idx_ha, cell.idx_total, cell.degenerate = hs, ha, hs + ha, deg
+    ok = first == len(names)
+    built = first >= len(names) - 1     # build_kite succeeds
 
-    computed, hs_grid, ha_grid = (np.zeros(klass.size, dtype=t) for t in (bool, int, int))
-    computed[adm[ok][~degenerate]] = True
-    hs_grid[adm[ok]], ha_grid[adm[ok]] = idx_hs, idx_ha
-    changes = _block_changes(computed.reshape(n4, n3), hs_grid.reshape(n4, n3),
-                             ha_grid.reshape(n4, n3)).ravel()
-    for k in np.flatnonzero(changes).tolist():
-        cells[k].which_block_changed = _BLOCK_LABELS[changes[k]]
-    return cells
+    def spread(values, at, fill):
+        """A per-cell column: `values` at the cells `at`, `fill` elsewhere."""
+        column = np.full(klass.size, fill, dtype=values.dtype)
+        column[at] = values
+        return column
+
+    cell_x2, cell_mu31, cell_mu41 = (spread(v[built], adm[built], np.nan)
+                                     for v in (x2, mu31, mu41))
+    cell_hs, cell_ha, cell_degenerate = (spread(v, adm[ok], fill) for v, fill in
+                                         ((idx_hs, -1), (idx_ha, -1), (degenerate, False)))
+    computed = (cell_hs >= 0) & ~cell_degenerate
+    changed = _block_changes(computed.reshape(n4, n3), cell_hs.reshape(n4, n3),
+                             cell_ha.reshape(n4, n3)).ravel()
+
+    errors = [""] * klass.size
+    failing = np.flatnonzero(~ok)
+    at = adm[failing]
+    for k, check, a, b, m31, m41 in zip(at.tolist(), first[failing].tolist(),
+                                        z3[at].tolist(), z4[at].tolist(),
+                                        mu31[failing].tolist(), mu41[failing].tolist()):
+        exc = _kite_error(names[check], a, b, m31, m41)
+        errors[k] = f"{type(exc).__name__}: {exc}"
+    return IndexMap(z3, z4, klass, cell_mu31, cell_mu41, cell_x2, cell_hs, cell_ha,
+                    cell_degenerate, changed, errors, computed)
 
 
 def _admissible_cells(z3: np.ndarray, z4: np.ndarray, A: float):
@@ -683,25 +693,3 @@ def _block_changes(computed: np.ndarray, idx_hs: np.ndarray,
             changed[b] |= d
     return hs_changed + 2 * ha_changed.astype(int)
 
-
-def write_pgm(cells: list[IndexMapCell], n3: int, n4: int, path) -> None:
-    """8-bit P5 raster of the index map: 255 for index 0, then 128 and 0 for
-    the two higher observed indices, 64 for everything not computed.
-    Top image row is the highest z4."""
-    observed = sorted({c.idx_total for c in cells if c.computed})
-    shade = {}
-    higher = [v for v in observed if v != 0]
-    if 0 in observed:
-        shade[0] = 255
-    for level, v in zip((128, 0), higher):
-        shade[v] = level
-    for v in higher[2:]:
-        shade[v] = 0
-    img = np.full((n4, n3), 64, dtype=np.uint8)
-    for c in cells:
-        if c.computed:
-            img[n4 - 1 - c.iz4, c.iz3] = shade[c.idx_total]
-    header = f"P5\n{n3} {n4}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(img.tobytes())

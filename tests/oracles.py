@@ -505,22 +505,46 @@ def trajectory_table_ref(states, params: PotentialParams):
     return header + ["I", "f"], rows
 
 
-def kite_map_table_ref(cells):
-    """(header, rows) of `twistcc kite-map --csv` over index-map cells."""
+def kite_map_table_ref(m):
+    """(header, rows) of `twistcc kite-map --csv` over an `IndexMap`, cell by cell."""
+    from twistcc.kite import _BLOCK_LABELS, KITE_CLASSES
+
     def num(v):
         return "" if math.isnan(v) else f"{v:.17g}"
 
     rows = []
-    for c in cells:
-        computed = c.klass in ("tall", "wide") and not c.error
-        rows.append([f"{c.z3:.17g}", f"{c.z4:.17g}", c.klass,
-                     num(c.mu31), num(c.mu41), num(c.x2),
-                     *([str(c.idx_hs), str(c.idx_ha), str(c.idx_total)] if computed
-                       else ["", "", ""]),
-                     "1" if c.degenerate else "0", c.which_block_changed, c.error])
+    for k in range(m.z3.size):
+        klass, error = KITE_CLASSES[m.klass[k]], m.errors[k]
+        computed = klass in ("tall", "wide") and not error
+        hs, ha = int(m.idx_hs[k]), int(m.idx_ha[k])
+        rows.append([f"{m.z3[k]:.17g}", f"{m.z4[k]:.17g}", klass,
+                     num(m.mu31[k]), num(m.mu41[k]), num(m.x2[k]),
+                     *([str(hs), str(ha), str(hs + ha)] if computed else ["", "", ""]),
+                     "1" if m.degenerate[k] else "0", _BLOCK_LABELS[m.changed[k]], error])
     header = ["z3", "z4", "class", "mu31", "mu41", "x2", "idx_Hs", "idx_Ha", "idx_total",
               "degenerate_flag", "which_block_changed", "error"]
     return header, rows
+
+
+def pgm_pixels_ref(m, n3: int, n4: int) -> np.ndarray:
+    """The (n4, n3) pixels of `write_pgm` over an `IndexMap`, cell by cell:
+    255 for total index 0, 128 and then 0 for the higher observed indices,
+    64 for cells not computed, top row at the highest z4."""
+    totals = [int(m.idx_hs[k] + m.idx_ha[k]) for k in range(m.z3.size)]
+    observed = sorted({t for t, c in zip(totals, m.computed) if c})
+    shade = {}
+    higher = [v for v in observed if v != 0]
+    if 0 in observed:
+        shade[0] = 255
+    for level, v in zip((128, 0), higher):
+        shade[v] = level
+    for v in higher[2:]:
+        shade[v] = 0
+    img = np.full((n4, n3), 64, dtype=np.uint8)
+    for k, t in enumerate(totals):
+        if m.computed[k]:
+            img[n4 - 1 - k // n3, k % n3] = shade[t]
+    return img
 
 
 def certify_table_ref(certs):

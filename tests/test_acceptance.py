@@ -19,9 +19,9 @@ from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
 from twistcc.hessian import (assemble_twist_hessian, cartesian_hessian, morse_index,
                              twist_hessian_entry)
 from twistcc.intervals import Interval, IntervalArray
-from twistcc.kite import (KiteQuantities, KiteShape, build_kite, circumcenter_z4,
-                          coorbital_identity_check, kite_blocks, kite_index_map,
-                          kite_scale)
+from twistcc.kite import (_BLOCK_LABELS, KiteQuantities, KiteShape, build_kite,
+                          circumcenter_z4, coorbital_identity_check, kite_blocks,
+                          kite_index_map, kite_scale)
 from twistcc.solver import FlowSpec, descend, flow_fixed_combo, rescale_to_cc_size
 from twistcc.twist import (cc_residual, laura_andoyer, normalized_twist,
                            twist_span_basis, twist_vector)
@@ -189,12 +189,13 @@ def test_criterion_06_descent(newton):
 
 def test_criterion_07_kite_construction(newton):
     with criterion(7, "50x50 kite grid: CC residuals, blocks, coorbital identity", 60):
-        cells = kite_index_map(1.05, 2.2, 50, 0.02, 0.87, 50, newton)
-        admissible = [c for c in cells if c.klass in ("tall", "wide")]
+        m = kite_index_map(1.05, 2.2, 50, 0.02, 0.87, 50, newton)
+        admissible = np.flatnonzero(m.admissible).tolist()
         assert len(admissible) > 400
-        for cell in admissible:
-            assert not cell.error, (cell.z3, cell.z4, cell.error)
-            kite = build_kite(KiteShape(cell.z3, cell.z4), newton)
+        for k in admissible:
+            z3, z4, error = float(m.z3[k]), float(m.z4[k]), m.errors[k]
+            assert not error, (z3, z4, error)
+            kite = build_kite(KiteShape(z3, z4), newton)
             assert cc_residual(kite.config, newton, tol=1e-10).is_cc
             MI = kite.config.masses.sum() * moment_of_inertia(kite.config)
             assert abs(euler_residual(kite.config, newton)) < 1e-12 * MI
@@ -230,11 +231,11 @@ def _components(cellset, radius=1):
 def test_criterion_08_figure_structure(newton):
     with criterion(8, "index map: three connected regions, block switch recorded", 300):
         n = 200
-        cells = kite_index_map(1.05, 2.2, n, 0.02, 0.87, n, newton)
-        computed = [c for c in cells if c.computed]
-        totals = sorted({c.idx_total for c in computed})
+        m = kite_index_map(1.05, 2.2, n, 0.02, 0.87, n, newton)
+        total = m.idx_hs + m.idx_ha
+        totals = np.unique(total[m.computed]).tolist()
         print(f"    observed total indices: {totals}; "
-              f"counts {dict(Counter(c.idx_total for c in computed))}")
+              f"counts {dict(Counter(total[m.computed].tolist()))}")
         assert len(totals) == 3
         assert 0 in totals
 
@@ -245,10 +246,9 @@ def test_criterion_08_figure_structure(newton):
         # than a cell) are discarded before the connectivity check.
         min_size = 10
         for t in totals:
-            for side_sel, side in ((lambda c: c.z3 > SQRT3, "tall"),
-                                   (lambda c: c.z3 < SQRT3, "wide")):
-                cs = [(c.iz3, c.iz4) for c in computed
-                      if c.idx_total == t and side_sel(c)]
+            for side_sel, side in ((m.z3 > SQRT3, "tall"), (m.z3 < SQRT3, "wide")):
+                cs = [(k % n, k // n)
+                      for k in np.flatnonzero(m.computed & (total == t) & side_sel).tolist()]
                 comps = [c for c in _components(cs) if len(c) >= min_size]
                 assert len(comps) <= 1, (t, side, [len(c) for c in comps])
 
@@ -258,12 +258,9 @@ def test_criterion_08_figure_structure(newton):
         hi = max(totals)
         votes = {}
         for t in (0, hi):
-            for side_sel, side in ((lambda c: c.z3 > SQRT3, "tall"),
-                                   (lambda c: c.z3 < SQRT3, "wide")):
-                counter = Counter()
-                for c in computed:
-                    if c.idx_total == t and c.which_block_changed and side_sel(c):
-                        counter[c.which_block_changed] += 1
+            for side_sel, side in ((m.z3 > SQRT3, "tall"), (m.z3 < SQRT3, "wide")):
+                at = m.computed & (total == t) & (m.changed > 0) & side_sel
+                counter = Counter(_BLOCK_LABELS[c] for c in m.changed[at].tolist())
                 votes[(t, side)] = counter
                 print(f"    boundary blocks for total={t} {side}: {dict(counter)}")
         assert votes[(0, "tall")]["Ha"] > votes[(0, "tall")]["Hs"]

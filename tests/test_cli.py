@@ -66,6 +66,25 @@ def test_eval_csv_and_manifest(triangle_file, tmp_path, capsys):
     assert manifest["tolerances"]["tol"] == 1e-10
 
 
+def test_unwritable_output_exits_2(triangle_file, tmp_path, capsys):
+    # an output in a missing directory, or onto an existing directory, is an
+    # error report with exit 2 (not 1, which eval and descend give to results),
+    # without a traceback and without a leftover .tmp
+    missing = tmp_path / "missing" / "resid.csv"
+    assert main(["eval", triangle_file, "--csv", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+    taken = tmp_path / "map.pgm"
+    taken.mkdir()
+    assert main(["kite-map", "--z3", "1.75:2.05:4", "--z4", "0.76:0.86:4",
+                 "--csv", str(tmp_path / "map.csv"), "--pgm", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert taken.is_dir() and not list(taken.iterdir())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_eval_unknown_flag(triangle_file):
     with pytest.raises(SystemExit) as exc:
         main(["eval", triangle_file, "--bogus"])
@@ -442,10 +461,10 @@ def test_kite_map_table_matches_csv_writer(A, tmp_path):
     out = tmp_path / "map.csv"
     assert main(["kite-map", "--z3", "1.0:2.2:40", "--z4", "0.01:0.87:40", "--A", str(A),
                  "--csv", str(out)]) == 0
-    cells = kite_index_map(1.0, 2.2, 40, 0.01, 0.87, 40, PotentialParams(A))
-    assert_table(out, kite_map_table_ref(cells))
+    m = kite_index_map(1.0, 2.2, 40, 0.01, 0.87, 40, PotentialParams(A))
+    assert_table(out, kite_map_table_ref(m))
     if A == 1000.0:     # error texts with commas come back quoted
-        assert any("," in c.error for c in cells) and '"' in out.read_text()
+        assert any("," in e for e in m.errors) and '"' in out.read_text()
 
 
 @pytest.mark.parametrize("z3, z4, subdivide, A", WINDOWS)

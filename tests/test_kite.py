@@ -14,10 +14,11 @@ from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, Infeasible
                           build_kite, circumcenter_z4, classify_shape,
                           coorbital_identity_check, dzsub_report, euler_precursor,
                           ha_explicit, hs_explicit, kite_blocks, kite_index_map,
-                          kite_masses, kite_scale, kite_scales, write_pgm)
+                          kite_masses, kite_scale, kite_scales, _BLOCK_LABELS, KITE_CLASSES)
+from twistcc.cli import write_pgm
 from twistcc.twist import cc_residual, laura_andoyer
 
-from oracles import bisect_dziso, index_map_cell
+from oracles import bisect_dziso, index_map_cell, pgm_pixels_ref
 
 SQRT3 = math.sqrt(3.0)
 
@@ -287,37 +288,37 @@ def test_coorbital_limit_bounded(newton):
 # --- index map ---------------------------------------------------------------------
 
 def test_index_map_small(newton):
-    cells = kite_index_map(1.1, 2.18, 36, 0.02, 0.86, 36, newton)
-    assert len(cells) == 36 * 36
-    computed = [c for c in cells if c.computed]
-    assert len(computed) > 100
-    totals = sorted({c.idx_total for c in computed})
+    m = kite_index_map(1.1, 2.18, 36, 0.02, 0.86, 36, newton)
+    assert m.z3.size == 36 * 36
+    computed = m.computed
+    assert computed.sum() > 100
+    totals = sorted(set((m.idx_hs + m.idx_ha)[computed].tolist()))
     assert 0 in totals
     assert len(totals) == 3
     # no admissible cell sits on the circumcenter curve
-    for c in computed:
-        assert abs(c.z4 - circumcenter_z4(c.z3)) > 1e-9
+    assert (np.abs(m.z4[computed] - circumcenter_z4(m.z3[computed])) > 1e-9).all()
     # boundary cells carry the block attribution
-    boundary = [c for c in computed if c.which_block_changed]
+    boundary = m.changed[computed & (m.changed > 0)].tolist()
     assert boundary
-    assert all(set(c.which_block_changed.split("+")) <= {"Hs", "Ha"} for c in boundary)
+    assert all(set(_BLOCK_LABELS[c].split("+")) <= {"Hs", "Ha"} for c in boundary)
 
 
-def _reference_block_changes(cells, n3, n4):
+def _reference_block_changes(m, n3, n4):
     """which_block_changed of each cell, neighbour by neighbour."""
+    total = m.idx_hs + m.idx_ha
     labels = []
-    for c in cells:
+    for k in range(m.z3.size):
         blocks = set()
         for d3, d4 in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            j3, j4 = c.iz3 + d3, c.iz4 + d4
-            if not (c.computed and 0 <= j3 < n3 and 0 <= j4 < n4):
+            j3, j4 = k % n3 + d3, k // n3 + d4
+            if not (m.computed[k] and 0 <= j3 < n3 and 0 <= j4 < n4):
                 continue
-            o = cells[j4 * n3 + j3]
-            if not o.computed or o.idx_total == c.idx_total:
+            o = j4 * n3 + j3
+            if not m.computed[o] or total[o] == total[k]:
                 continue
-            if o.idx_hs != c.idx_hs:
+            if m.idx_hs[o] != m.idx_hs[k]:
                 blocks.add("Hs")
-            if o.idx_ha != c.idx_ha:
+            if m.idx_ha[o] != m.idx_ha[k]:
                 blocks.add("Ha")
         labels.append("+".join(sorted(blocks)))
     return labels
@@ -338,24 +339,25 @@ def test_index_map_matches_per_cell_reference(A):
     ]
     seen = Counter()
     for (z3_lo, z3_hi, n3, z4_lo, z4_hi, n4), margin in windows:
-        cells = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params, margin=margin)
-        assert len(cells) == n3 * n4
-        for k, c in enumerate(cells):
-            assert (c.iz3, c.iz4) == (k % n3, k // n3)
-            assert c.z3 == z3_lo + (c.iz3 + 0.5) * ((z3_hi - z3_lo) / n3)
-            assert c.z4 == z4_lo + (c.iz4 + 0.5) * ((z4_hi - z4_lo) / n4)
-            want = index_map_cell(c.z3, c.z4, params, margin)
-            assert (c.klass, c.idx_hs, c.idx_ha, c.degenerate, c.error) == want, (c.z3, c.z4)
-            if c.idx_hs >= 0:
-                assert c.idx_total == c.idx_hs + c.idx_ha
-            if not math.isnan(c.x2):    # the scalar functions agree bit for bit
-                kite = build_kite(KiteShape(c.z3, c.z4), params)
-                assert (c.x2, c.mu31, c.mu41) == (kite.x2, kite.mu31, kite.mu41)
-                assert c.x2 == kite_scale(KiteShape(c.z3, c.z4), params)
-            seen[c.klass] += 1
-            seen[c.error.partition(":")[0]] += 1
-        assert [c.which_block_changed for c in cells] == _reference_block_changes(cells, n3, n4)
-        seen["boundary labels"] += sum(1 for c in cells if c.which_block_changed)
+        m = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params, margin=margin)
+        assert m.z3.size == n3 * n4
+        for k in range(m.z3.size):
+            z3, z4, klass, error = m.z3[k], m.z4[k], KITE_CLASSES[m.klass[k]], m.errors[k]
+            hs, ha, degenerate = int(m.idx_hs[k]), int(m.idx_ha[k]), bool(m.degenerate[k])
+            assert z3 == z3_lo + (k % n3 + 0.5) * ((z3_hi - z3_lo) / n3)
+            assert z4 == z4_lo + (k // n3 + 0.5) * ((z4_hi - z4_lo) / n4)
+            want = index_map_cell(z3, z4, params, margin)
+            assert (klass, hs, ha, degenerate, error) == want, (z3, z4)
+            assert m.computed[k] == (hs >= 0 and not degenerate)
+            if not math.isnan(m.x2[k]):    # the scalar functions agree bit for bit
+                kite = build_kite(KiteShape(z3, z4), params)
+                assert (m.x2[k], m.mu31[k], m.mu41[k]) == (kite.x2, kite.mu31, kite.mu41)
+                assert m.x2[k] == kite_scale(KiteShape(z3, z4), params)
+            seen[klass] += 1
+            seen[error.partition(":")[0]] += 1
+        labels = [_BLOCK_LABELS[c] for c in m.changed.tolist()]
+        assert labels == _reference_block_changes(m, n3, n4)
+        seen["boundary labels"] += sum(1 for label in labels if label)
     for key in ("tall", "wide", "inadmissible", "circumcenter-boundary", "boundary labels",
                 "IndeterminateScaleError", "MassBoundaryError"):
         assert seen[key] > 0, key
@@ -364,42 +366,52 @@ def test_index_map_matches_per_cell_reference(A):
 def test_index_map_noise_cells_are_degenerate():
     # at A = 50 the deflated H_a eigenvalues fall below the rounding level
     # of |H|, so no cell's index is trustworthy
-    cells = kite_index_map(1.0, 2.2, 20, 0.01, 0.87, 20, PotentialParams(50.0))
-    admissible = [c for c in cells if c.klass in ("tall", "wide")]
-    assert admissible
-    assert not any(c.computed for c in cells)
-    assert all(c.degenerate for c in admissible if not c.error)
+    m = kite_index_map(1.0, 2.2, 20, 0.01, 0.87, 20, PotentialParams(50.0))
+    admissible = m.admissible
+    assert admissible.any()
+    assert not m.computed.any()
+    error_free = np.array([not e for e in m.errors])
+    assert m.degenerate[admissible & error_free].all()
 
 
 def test_index_map_refinement_consistency(newton):
     coarse = kite_index_map(1.75, 2.05, 12, 0.76, 0.86, 12, newton)
     fine = kite_index_map(1.75, 2.05, 24, 0.76, 0.86, 24, newton)
+    coarse_total = coarse.idx_hs + coarse.idx_ha
+    fine_total = fine.idx_hs + fine.idx_ha
 
-    def total_at(cells, n3, iz3, iz4):
-        return cells[iz4 * n3 + iz3]
-
-    boundary_coarse = set()
-    for c in coarse:
-        if c.computed and c.which_block_changed:
-            boundary_coarse.add((c.iz3, c.iz4))
-    for fc in fine:
-        if not fc.computed:
-            continue
-        cc = total_at(coarse, 12, fc.iz3 // 2, fc.iz4 // 2)
-        if not cc.computed or fc.idx_total == cc.idx_total:
+    boundary_coarse = {(k % 12, k // 12)
+                       for k in np.flatnonzero(coarse.computed & (coarse.changed > 0)).tolist()}
+    for k in np.flatnonzero(fine.computed).tolist():
+        c3, c4 = k % 24 // 2, k // 24 // 2
+        c = c4 * 12 + c3
+        if not coarse.computed[c] or fine_total[k] == coarse_total[c]:
             continue
         # disagreement allowed only next to an index boundary of the coarse map
-        near = any(abs(cc.iz3 - b3) <= 1 and abs(cc.iz4 - b4) <= 1
-                   for b3, b4 in boundary_coarse)
-        assert near, (fc.z3, fc.z4, fc.idx_total, cc.idx_total)
+        near = any(abs(c3 - b3) <= 1 and abs(c4 - b4) <= 1 for b3, b4 in boundary_coarse)
+        assert near, (fine.z3[k], fine.z4[k], fine_total[k], coarse_total[c])
 
 
-def test_write_pgm(tmp_path, newton):
-    cells = kite_index_map(1.75, 2.05, 8, 0.76, 0.86, 8, newton)
-    out = tmp_path / "map.pgm"
-    write_pgm(cells, 8, 8, out)
-    data = out.read_bytes()
-    assert data.startswith(b"P5\n8 8\n255\n")
-    pixels = data.split(b"255\n", 1)[1]
-    assert len(pixels) == 64
-    assert set(pixels) <= {0, 64, 128, 255}
+def test_write_pgm(tmp_path):
+    maps = [
+        ((1.0, 2.2, 30, 0.01, 0.87, 30), 3.0, {0, 64, 128, 255}),   # indices 0, 1, 2
+        ((1.5, 1.6, 10, 0.4, 0.5, 10), 3.0, {0, 64, 128}),          # indices 1, 2: no 0
+        ((1.0, 2.2, 20, 0.01, 0.87, 20), 50.0, {64}),               # nothing computed
+    ]
+    for window, A, shades in maps:
+        n3, n4 = window[2], window[5]
+        m = kite_index_map(*window, PotentialParams(A))
+        out = tmp_path / "map.pgm"
+        write_pgm(m, n3, n4, out)
+        data = out.read_bytes()
+        header = f"P5\n{n3} {n4}\n255\n".encode("ascii")
+        assert data.startswith(header)
+        pixels = np.frombuffer(data[len(header):], dtype=np.uint8)
+        assert pixels.size == n3 * n4
+        assert set(pixels.tolist()) == shades
+        # every pixel against the per-cell reference; the first two images are
+        # not mirror-symmetric, so a flipped raster fails too
+        want = pgm_pixels_ref(m, n3, n4)
+        assert pixels.tobytes() == want.tobytes()
+        if len(shades) > 1:
+            assert (want != want[::-1]).any()

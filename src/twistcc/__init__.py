@@ -24,8 +24,7 @@ from .twist import (CCResidual, albouy_chenciner_asym, albouy_chenciner_sym,
                     twist_vector)
 from .hessian import (TwistDirection, TwistMatrix, assemble_twist_hessian,
                       cartesian_hessian, lagrange_char_poly_coeffs, morse_index,
-                      normalized_twist_hessian, signature, twist_hessian_diag,
-                      twist_hessian_disjoint, twist_hessian_entry, twist_hessian_share)
+                      signature, twist_hessian_entry)
 from .solver import DescentReport, FlowSpec, descend, flow_fixed_combo, rescale_to_cc_size
 from .kite import (IndexMap, KiteBlocks, KiteConfig, KiteError, KiteShape,
                    build_kite, circumcenter_z4, classify_shape,

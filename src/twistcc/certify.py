@@ -111,11 +111,6 @@ HS_UNDECIDED = CertifiedIndex(None, "sign of det/tr undecided over the box")
 HA_UNDECIDED = CertifiedIndex(None, "no 2x2 principal minor of H_a decided over the box")
 
 
-def _lanes(*intervals: Interval) -> list[IntervalArray]:
-    """One one-lane IntervalArray per Interval."""
-    return [IntervalArray.from_intervals([iv]) for iv in intervals]
-
-
 def _admissible_classes(z3: IntervalArray, z4: IntervalArray) -> np.ndarray:
     """Per lane 1 ('tall') or 2 ('wide') if the whole box is strictly
     inside one class, else 0."""
@@ -135,12 +130,8 @@ def _straddles_mass_boundary(z3: IntervalArray, z4: IntervalArray, A: float) -> 
         return (pd - p3).contains_zero() | (p4 - pd).contains_zero()
 
 
-def box_admissible(z3: Interval, z4: Interval) -> str | None:
-    """'tall'/'wide' if the whole box is strictly inside one class, else None."""
-    return (None, "tall", "wide")[int(_admissible_classes(*_lanes(z3, z4))[0])]
-
-
-def certify_kite_scale(z3, z4, params: PotentialParams):
+def certify_kite_scale(z3: IntervalArray, z4: IntervalArray,
+                       params: PotentialParams) -> IntervalArray:
     """Enclosures of the Dziobek scale valid for every shape in each box.
 
     Brackets the residual with verified constant signs at both endpoints,
@@ -154,12 +145,9 @@ def certify_kite_scale(z3, z4, params: PotentialParams):
     no verified bracket exists (e.g. a box straddling the symmetric shape,
     where the residual is identically zero).
 
-    z3 and z4 are IntervalArray lanes, and so is the result; on Interval
-    arguments this is the one-lane call, returning an Interval or None.
+    z3 and z4 are IntervalArray lanes, and so is the result; a lane with
+    no enclosure is a failed lane.
     """
-    if isinstance(z3, Interval):
-        x2 = certify_kite_scale(*_lanes(z3, z4), params)
-        return None if x2.failed[0] else x2.lane(0)
     params.require_f_domain()
     A = params.A
     with np.errstate(all="ignore"):
@@ -348,4 +336,5 @@ def _certify_scaled(z3: IntervalArray, z4: IntervalArray, x2: IntervalArray,
 def certify_box(z3: Interval, z4: Interval, params: PotentialParams) -> BoxCertificate:
     """Certified H_s and H_a indices over the box z3 x z4: the one-lane
     call of `certify_boxes`."""
-    return certify_boxes(*_lanes(z3, z4), params)[0]
+    return certify_boxes(IntervalArray.from_intervals([z3]),
+                         IntervalArray.from_intervals([z4]), params)[0]

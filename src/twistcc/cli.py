@@ -4,7 +4,9 @@ Subcommands: eval, descend, flow, hessian, kite-map, certify, lagrange.
 All file outputs are written atomically (write-then-rename), all numbers
 with 17 significant digits so they re-read losslessly, and every run that
 produces files also emits a JSON manifest next to its first output.  An
-output that cannot be written is an error (exit status 2), like bad input.
+output that cannot be written is an error (exit status 2), like bad input,
+and takes back the run's outputs already written: none is left without its
+manifest.
 Body and pair indices are 1-based on the command line.
 
 Each CSV row is built as one string (numbers from `.tolist()` values,
@@ -53,16 +55,31 @@ def fmt(x: float) -> str:
 
 
 def write_atomic(path: str, data: str | bytes) -> None:
-    """Write `data` to `path.tmp` and rename it to `path`; a failure removes the `.tmp`."""
+    """Write `data` to `path.tmp` and rename it to `path`.  A failure removes
+    the `.tmp` and raises an OSError that names `path`."""
     mode = "wb" if isinstance(data, bytes) else "w"
     tmp = f"{path}.tmp"
     try:
         with open(tmp, mode) as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except OSError:
+    except OSError as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+@contextlib.contextmanager
+def removed_on_failure(outputs):
+    """On an OSError in the block, remove the files in `outputs` (those a run
+    already wrote) before it propagates: a failed run leaves no output
+    without its manifest."""
+    try:
+        yield
+    except OSError:
+        for path in outputs:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise
 
 
@@ -108,7 +125,8 @@ class RunManifest:
         doc["wall_s"] = "<wall_s>"
         wall = "null" if self.wall_s is None else f"{self.wall_s:.6e}"
         text = json.dumps(doc, indent=2).replace('"<wall_s>"', wall, 1)
-        write_atomic(path, text + "\n")
+        with removed_on_failure(self.outputs):
+            write_atomic(path, text + "\n")
 
 
 def _load(path: str) -> tuple[PlanarConfig, PotentialParams]:
@@ -259,7 +277,8 @@ def cmd_descend(args) -> int:
                          _trajectory_lines(states, params))
         outputs.append(args.traj)
     if args.final:
-        write_atomic(args.final, config_to_json(final, params) + "\n")
+        with removed_on_failure(outputs):
+            write_atomic(args.final, config_to_json(final, params) + "\n")
         outputs.append(args.final)
     if outputs:
         RunManifest("descend", {"config": args.config, "random": args.random},
@@ -368,7 +387,8 @@ def cmd_kite_map(args) -> int:
     write_csv_atomic(args.csv, MAP_CSV_COLUMNS, _map_lines(m))
     outputs = [args.csv]
     if args.pgm:
-        write_pgm(m, n3, n4, args.pgm)
+        with removed_on_failure(outputs):
+            write_pgm(m, n3, n4, args.pgm)
         outputs.append(args.pgm)
     computed = int(m.computed.sum())
     totals = sorted(set((m.idx_hs + m.idx_ha)[m.computed].tolist()))

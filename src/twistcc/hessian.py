@@ -3,22 +3,23 @@
 The twist-basis entries come in three kinds, depending on how many body
 indices the two pairs share: a diagonal entry v_ij^T H v_ij, a
 shared-vertex entry v_ij^T H v_ik, and a disjoint entry v_ij^T H v_kl.
-Each kind has a raw closed form and a normalized form for the rescaled
-vectors v_ij / (m_i m_j r_ij).  The normalized forms are exact algebraic
-rescalings of the raw ones; the sine-like factors lam_abc/(r_ab*r_ac) are
-kept *signed* so that this holds for every orientation.
+Each kind has one closed form, for the normalized vectors
+v_ij / (m_i m_j r_ij) (`_norm_diag`, `_norm_share`, `_norm_disjoint`),
+reached through `generic_entry`, which maps a pair of pairs to its kind
+and index order.  A raw entry, for the vectors v_ij themselves, is the
+normalized one times (m_i m_j r_ij)(m_k m_l r_kl) (`twist_hessian_entry`);
+the sine-like factors lam_abc/(r_ab*r_ac) are kept *signed* so that this
+holds for every orientation.
 
-The entry evaluators are generic over the scalar type: they only use
+The closed forms are generic over the scalar type: they only use
 +, -, *, /, ** on values pulled from a `geometry.PairTable`, whose
-r, R, S, T are indexed by [i, j] and whose lam, dot, sin3, cos3 and cos4
-are written once on dx, dy and r.  The normalized forms read no T, so
-`kite.KiteTable`, a PairTable holding a kite's floats, numpy arrays or
-intervals, feeds them too.  They are the only closed forms of both kite
-blocks (`kite.hs_explicit` for H_s, `kite.ha_explicit` for H_a), in the
-float kite map and in interval certification, and they serve the float
-entry functions and the tests; float matrices over twist directions are
-V^T H V instead, H the Cartesian Hessian and V the twist vectors as
-columns.
+r, R, S are indexed by [i, j] and whose sin3, cos3 and cos4 are written
+once on dx, dy and r; they read no T.  So `kite.KiteTable`, a PairTable
+holding a kite's floats, numpy arrays or intervals, feeds them too: they
+are the only closed forms of both kite blocks (`kite.hs_explicit` for
+H_s, `kite.ha_explicit` for H_a), in the float kite map and in interval
+certification.  Float matrices over twist directions are V^T H V
+instead, H the Cartesian Hessian and V the twist vectors as columns.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .twist import TwistPair, _twist_rows, canon_pair
 MORSE_ZERO_RTOL = 1e-8
 
 __all__ = [
-    "cartesian_hessian", "twist_hessian_diag", "twist_hessian_share",
-    "twist_hessian_disjoint", "normalized_twist_hessian", "twist_hessian_entry",
+    "cartesian_hessian", "twist_hessian_entry",
     "TwistDirection", "TwistMatrix", "assemble_twist_hessian",
     "lagrange_char_poly_coeffs", "morse_index", "signature",
 ]
@@ -72,43 +72,6 @@ def _cartesian_hessian(t: PairTable, m: np.ndarray) -> np.ndarray:
 
 # --- generic twist-basis entries ---------------------------------------------
 
-def _raw_diag(t, m, A, i, j):
-    rij2 = t.r[i, j] * t.r[i, j]
-    acc = ((m[i] + m[j]) ** 2) * rij2 * t.S[i, j]
-    for k in range(len(m)):
-        if k == i or k == j:
-            continue
-        lam2 = t.lam(i, j, k) ** 2
-        acc = acc + m[k] * (rij2 * (m[j] * t.S[i, k] + m[i] * t.S[j, k])
-                            - A * lam2 * (m[j] * t.T[i, k] + m[i] * t.T[j, k]))
-    return -(m[i] * m[j]) * acc
-
-
-def _raw_share(t, m, A, i, j, k):
-    # shared vertex i: v_ij^T H v_ik
-    n = len(m)
-    ssum = t.zero
-    for l in range(n):
-        if l != i:
-            ssum = ssum + m[l] * t.S[i, l]
-    acc = t.dot(i, j, i, k) * (m[i] * (t.S[k, j] - t.S[i, j] - t.S[i, k]) - ssum)
-    acc = acc - m[i] * A * t.T[j, k] * t.lam(i, j, k) ** 2
-    for l in range(n):
-        if l in (i, j, k):
-            continue
-        acc = acc + A * m[l] * t.T[i, l] * t.lam(i, j, l) * t.lam(i, k, l)
-    return m[i] * m[j] * m[k] * acc
-
-
-def _raw_disjoint(t, m, A, i, j, k, l):
-    acc = -A * (t.T[i, k] * t.lam(i, k, l) * t.lam(i, k, j)
-                + t.T[j, k] * t.lam(j, k, l) * t.lam(j, k, i)
-                + t.T[i, l] * t.lam(i, l, k) * t.lam(i, l, j)
-                + t.T[j, l] * t.lam(j, l, i) * t.lam(j, l, k))
-    acc = acc + t.dot(i, j, k, l) * (t.R[i, k] + t.R[j, l] - t.R[j, k] - t.R[i, l])
-    return m[i] * m[j] * m[k] * m[l] * acc
-
-
 def _norm_diag(t, m, A, i, j):
     acc = -(2 + m[i] / m[j] + m[j] / m[i]) * t.S[i, j]
     for k in range(len(m)):
@@ -143,68 +106,35 @@ def _norm_disjoint(t, m, A, i, j, k, l):
     return acc + t.cos4(i, j, k, l) * (t.R[i, k] + t.R[j, l] - t.R[j, k] - t.R[i, l])
 
 
-def generic_entry(t, m, A, p: TwistPair, q: TwistPair, normalized: bool):
-    """One twist-basis Hessian entry, dispatched on the shared index count."""
+def generic_entry(t, m, A, p: TwistPair, q: TwistPair):
+    """The normalized twist-basis Hessian entry of the pairs p and q: the
+    closed form of their kind (diagonal, shared vertex or disjoint), with the
+    shared body first in a shared-vertex entry."""
     i, j = p
     k, l = q
     shared = {i, j} & {k, l}
     if len(shared) == 2:
-        return _norm_diag(t, m, A, i, j) if normalized else _raw_diag(t, m, A, i, j)
+        return _norm_diag(t, m, A, i, j)
     if len(shared) == 1:
         s = shared.pop()
-        a = j if i == s else i
-        b = l if k == s else k
-        return _norm_share(t, m, A, s, a, b) if normalized else _raw_share(t, m, A, s, a, b)
-    return (_norm_disjoint(t, m, A, i, j, k, l) if normalized
-            else _raw_disjoint(t, m, A, i, j, k, l))
-
-
-# --- float-facing wrappers ----------------------------------------------------
-
-def twist_hessian_diag(table: PairTable, masses, params: PotentialParams, pair) -> float:
-    """v_ij^T H v_ij from the closed form."""
-    params.require_f_domain()
-    i, j = canon_pair(table.n, pair)
-    return float(_raw_diag(table, masses, params.A, i, j))
-
-
-def twist_hessian_share(table: PairTable, masses, params: PotentialParams,
-                        pair_ij, pair_ik) -> float:
-    """v_ij^T H v_ik for pairs sharing exactly one body."""
-    params.require_f_domain()
-    p = canon_pair(table.n, pair_ij)
-    q = canon_pair(table.n, pair_ik)
-    if len(set(p) & set(q)) != 1:
-        raise ValueError(f"pairs {p} and {q} must share exactly one body")
-    return float(generic_entry(table, masses, params.A, p, q, normalized=False))
-
-
-def twist_hessian_disjoint(table: PairTable, masses, params: PotentialParams,
-                           pair_ij, pair_kl) -> float:
-    """v_ij^T H v_kl for four distinct bodies."""
-    params.require_f_domain()
-    p = canon_pair(table.n, pair_ij)
-    q = canon_pair(table.n, pair_kl)
-    if set(p) & set(q):
-        raise ValueError(f"pairs {p} and {q} must be disjoint")
-    return float(generic_entry(table, masses, params.A, p, q, normalized=False))
-
-
-def normalized_twist_hessian(table: PairTable, masses, params: PotentialParams,
-                             pair1, pair2=None) -> float:
-    """Entry for the normalized vectors v_ij/(m_i m_j r_ij); any pair kind."""
-    params.require_f_domain()
-    p = canon_pair(table.n, pair1)
-    q = p if pair2 is None else canon_pair(table.n, pair2)
-    return float(generic_entry(table, masses, params.A, p, q, normalized=True))
+        return _norm_share(t, m, A, s, j if i == s else i, l if k == s else k)
+    return _norm_disjoint(t, m, A, i, j, k, l)
 
 
 def twist_hessian_entry(table: PairTable, masses, params: PotentialParams,
                         pair1, pair2, normalized: bool = False) -> float:
+    """v_p^T H v_q for the twist vectors of pair1 and pair2, or for the
+    normalized vectors v_ij / (m_i m_j r_ij); any pair kind.  The raw entry
+    is the normalized one times (m_i m_j r_ij)(m_k m_l r_kl)."""
     params.require_f_domain()
     p = canon_pair(table.n, pair1)
     q = canon_pair(table.n, pair2)
-    return float(generic_entry(table, masses, params.A, p, q, normalized))
+    value = generic_entry(table, masses, params.A, p, q)
+    if normalized:
+        return float(value)
+    (i, j), (k, l) = p, q
+    return float(value * (masses[i] * masses[j] * table.r[i, j])
+                 * (masses[k] * masses[l] * table.r[k, l]))
 
 
 # --- assembled matrices --------------------------------------------------------

@@ -36,8 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import PairTable, PlanarConfig, PotentialParams
-from .hessian import (TwistDirection, _norm_diag, _norm_disjoint, _norm_share,
-                      assemble_twist_hessian)
+from .hessian import TwistDirection, assemble_twist_hessian, generic_entry
 
 SQRT3 = math.sqrt(3.0)
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -234,15 +233,6 @@ def kite_scales(z3: np.ndarray, z4: np.ndarray, A: float):
     with np.errstate(all="ignore"):
         t, failed = _scale_terms(side_powers(z3, z4, A))
         return _root(t, A), failed["indeterminate"] | failed["infeasible"]
-
-
-def dziso_residual(z3, z4, x2, A: float):
-    """S12*S34 - S13*S14 at scale x2; zero at the Dziobek scale.
-
-    Generic over the scalar type (floats, numpy arrays or intervals).
-    """
-    S12, S13, S14, S34 = (r ** -A - 1.0 for r in kite_distances(z3, z4, x2))
-    return S12 * S34 - S13 * S14
 
 
 @dataclass(frozen=True)
@@ -450,17 +440,17 @@ class KiteQuantities:
     def table(self) -> "KiteTable":
         return KiteTable(self)
 
+    def entry(self, p, q):
+        """The normalized twist entry of the pairs p and q on the kite's table."""
+        return generic_entry(self.table, (1.0, 1.0, self.mu31, self.mu41), self.A, p, q)
+
     @cached_property
     def shared_entries(self):
-        """The six normalized entries both blocks read, evaluated once:
-        diag(0,2), share(2,0,1), diag(0,3), share(3,0,1), share(0,2,3) and
-        disjoint(0,2,1,3).  H_s takes differences of them, H_a sums."""
-        t = self.table
-        m = (1.0, 1.0, self.mu31, self.mu41)
-        A = self.A
-        return (_norm_diag(t, m, A, 0, 2), _norm_share(t, m, A, 2, 0, 1),
-                _norm_diag(t, m, A, 0, 3), _norm_share(t, m, A, 3, 0, 1),
-                _norm_share(t, m, A, 0, 2, 3), _norm_disjoint(t, m, A, 0, 2, 1, 3))
+        """The six normalized entries both blocks read, evaluated once.
+        H_s takes differences of them, H_a sums."""
+        return tuple(self.entry(p, q) for p, q in (
+            ((0, 2), (0, 2)), ((0, 2), (1, 2)), ((0, 3), (0, 3)),
+            ((0, 3), (1, 3)), ((0, 2), (0, 3)), ((0, 2), (1, 3))))
 
 
 class KiteTable(PairTable):
@@ -513,12 +503,9 @@ def ha_explicit(q: KiteQuantities):
     so for intervals it is an enclosure.
     """
     d02, s201, d03, s301, s023, j0213 = q.shared_entries
-    t = q.table
-    m = (1.0, 1.0, q.mu31, q.mu41)
-    A = q.A
-    sqrt2 = (t.zero + 2.0) ** 0.5
-    return (d02 + s201, d03 + s301, _norm_diag(t, m, A, 2, 3), s023 + j0213,
-            sqrt2 * _norm_share(t, m, A, 2, 0, 3), sqrt2 * _norm_share(t, m, A, 3, 0, 2))
+    sqrt2 = (q.table.zero + 2.0) ** 0.5
+    return (d02 + s201, d03 + s301, q.entry((2, 3), (2, 3)), s023 + j0213,
+            sqrt2 * q.entry((0, 2), (2, 3)), sqrt2 * q.entry((0, 3), (2, 3)))
 
 
 def euler_precursor(q: KiteQuantities):

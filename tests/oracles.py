@@ -59,10 +59,19 @@ def all_twist_rank(config: PlanarConfig, tol_factor: float = 1e-10) -> int:
     return int((s > tol_factor * s[0]).sum())
 
 
+def dziso_residual(z3, z4, x2, A: float):
+    """S12*S34 - S13*S14 at scale x2; zero at the Dziobek scale.
+
+    Generic over the scalar type (floats, numpy arrays or intervals).
+    """
+    from twistcc.kite import kite_distances
+    S12, S13, S14, S34 = (r ** -A - 1.0 for r in kite_distances(z3, z4, x2))
+    return S12 * S34 - S13 * S14
+
+
 def bisect_dziso(shape, params: PotentialParams, lo: float = 1e-4,
                  hi: float = 1.0, max_expand: int = 60) -> float:
     """Blind bisection root of S12*S34 - S13*S14 in x2."""
-    from twistcc.kite import dziso_residual
     glo = dziso_residual(shape.z3, shape.z4, lo, params.A)
     ghi = dziso_residual(shape.z3, shape.z4, hi, params.A)
     n_exp = 0
@@ -143,6 +152,63 @@ def index_map_cell(z3: float, z4: float, params: PotentialParams, margin: float)
     degenerate = (aw[rot] >= ROTATION_ZERO_RTOL * aw.max()
                   or smallest < INDEX_NOISE_RTOL * spectral)
     return klass, int((ws < 0.0).sum()), idx_ha, bool(degenerate), ""
+
+
+# --- raw twist-entry closed forms ------------------------------------------------
+#
+# v_p^T H v_q for the raw twist vectors, one closed form per entry kind, on the
+# pair table's T, lam and dot.  The library keeps only the normalized forms and
+# rescales them; these are the independent reference for that rescaling.
+
+def _raw_diag(t, m, A, i, j):
+    rij2 = t.r[i, j] * t.r[i, j]
+    acc = ((m[i] + m[j]) ** 2) * rij2 * t.S[i, j]
+    for k in range(len(m)):
+        if k == i or k == j:
+            continue
+        lam2 = t.lam(i, j, k) ** 2
+        acc = acc + m[k] * (rij2 * (m[j] * t.S[i, k] + m[i] * t.S[j, k])
+                            - A * lam2 * (m[j] * t.T[i, k] + m[i] * t.T[j, k]))
+    return -(m[i] * m[j]) * acc
+
+
+def _raw_share(t, m, A, i, j, k):
+    # shared vertex i: v_ij^T H v_ik
+    n = len(m)
+    ssum = t.zero
+    for l in range(n):
+        if l != i:
+            ssum = ssum + m[l] * t.S[i, l]
+    acc = t.dot(i, j, i, k) * (m[i] * (t.S[k, j] - t.S[i, j] - t.S[i, k]) - ssum)
+    acc = acc - m[i] * A * t.T[j, k] * t.lam(i, j, k) ** 2
+    for l in range(n):
+        if l in (i, j, k):
+            continue
+        acc = acc + A * m[l] * t.T[i, l] * t.lam(i, j, l) * t.lam(i, k, l)
+    return m[i] * m[j] * m[k] * acc
+
+
+def _raw_disjoint(t, m, A, i, j, k, l):
+    acc = -A * (t.T[i, k] * t.lam(i, k, l) * t.lam(i, k, j)
+                + t.T[j, k] * t.lam(j, k, l) * t.lam(j, k, i)
+                + t.T[i, l] * t.lam(i, l, k) * t.lam(i, l, j)
+                + t.T[j, l] * t.lam(j, l, i) * t.lam(j, l, k))
+    acc = acc + t.dot(i, j, k, l) * (t.R[i, k] + t.R[j, l] - t.R[j, k] - t.R[i, l])
+    return m[i] * m[j] * m[k] * m[l] * acc
+
+
+def raw_twist_entry(table, masses, params: PotentialParams, p, q) -> float:
+    """v_p^T H v_q for the raw twist vectors of the pairs p = (i, j) and
+    q = (k, l), i < j and k < l, from the raw closed form of their kind."""
+    (i, j), (k, l) = p, q
+    A = params.A
+    shared = {i, j} & {k, l}
+    if len(shared) == 2:
+        return float(_raw_diag(table, masses, A, i, j))
+    if len(shared) == 1:
+        s = shared.pop()
+        return float(_raw_share(table, masses, A, s, j if i == s else i, l if k == s else k))
+    return float(_raw_disjoint(table, masses, A, i, j, k, l))
 
 
 # --- loop references for the array code paths --------------------------------

@@ -275,8 +275,9 @@ def test_criterion_09_dziobek_scale(rng, newton):
         agree = Counter()
         for shape in sample_admissible_shapes(rng, 100):
             oracle = bisect_dziso(shape, newton)
-            enc = certify_kite_scale(Interval(shape.z3), Interval(shape.z4), newton)
-            assert enc is not None
+            x2 = certify_kite_scale(IntervalArray([shape.z3]), IntervalArray([shape.z4]), newton)
+            assert not x2.failed[0]
+            enc = x2.lane(0)
             assert abs(enc.mid - oracle) < 1e-10
             assert enc.lo - 1e-13 <= oracle <= enc.hi + 1e-13
             rep = dzsub_report(shape, newton)

@@ -6,22 +6,40 @@ import numpy as np
 import pytest
 
 import twistcc.certify as certify
-from twistcc.certify import (_decide_2x2, box_admissible, certify_box, certify_boxes,
+from twistcc.certify import (_admissible_classes, _decide_2x2, certify_box, certify_boxes,
                              certify_ha_index, certify_kite_scale, interval_kite_quantities)
 from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
 from twistcc.intervals import Interval, IntervalArray
 from twistcc.kite import (ROTATION_ZERO_RTOL, KiteQuantities, KiteShape, build_kite,
-                          circumcenter_z4, dziso_residual, ha_explicit, hs_explicit,
+                          circumcenter_z4, ha_explicit, hs_explicit,
                           kite_blocks, kite_scale, side_powers)
 
-from oracles import bisect_dziso, certify_box_ref, certify_kite_scale_ref
+from oracles import bisect_dziso, certify_box_ref, certify_kite_scale_ref, dziso_residual
 
 SQRT3 = math.sqrt(3.0)
 
 
 def point_box(z3, z4, w=0.0):
     return Interval(z3 - w, z3 + w), Interval(z4 - w, z4 + w)
+
+
+def box_lanes(boxes):
+    return (IntervalArray.from_intervals(b[0] for b in boxes),
+            IntervalArray.from_intervals(b[1] for b in boxes))
+
+
+def box_class(z3, z4):
+    """Class of the box z3 x z4 as one lane: 'tall' or 'wide' if it is
+    strictly inside one class, else None."""
+    return (None, "tall", "wide")[int(_admissible_classes(*box_lanes([(z3, z4)]))[0])]
+
+
+def box_scale(z3, z4, params):
+    """Scale enclosure of the box z3 x z4 as one lane: an Interval, or None
+    where the lane failed."""
+    x2 = certify_kite_scale(*box_lanes([(z3, z4)]), params)
+    return None if x2.failed[0] else x2.lane(0)
 
 
 def float_indices(shape, params):
@@ -37,10 +55,10 @@ def float_indices(shape, params):
 # --- admissibility -------------------------------------------------------------
 
 def test_box_admissible():
-    assert box_admissible(*point_box(2.0, 0.8, 1e-3)) == "tall"
-    assert box_admissible(*point_box(1.3, 0.1, 1e-3)) == "wide"
-    assert box_admissible(*point_box(2.0, 0.75, 1e-3)) is None        # on the curve
-    assert box_admissible(Interval(1.7, 1.8), Interval(0.78, 0.8)) is None  # straddles sqrt3
+    assert box_class(*point_box(2.0, 0.8, 1e-3)) == "tall"
+    assert box_class(*point_box(1.3, 0.1, 1e-3)) == "wide"
+    assert box_class(*point_box(2.0, 0.75, 1e-3)) is None        # on the curve
+    assert box_class(Interval(1.7, 1.8), Interval(0.78, 0.8)) is None  # straddles sqrt3
 
 
 def test_box_straddling_mu31_boundary_is_not_admissible(newton):
@@ -49,7 +67,7 @@ def test_box_straddling_mu31_boundary_is_not_admissible(newton):
     # failed interval evaluation
     z3 = Interval(1.3192941530759053, 1.666579768351941)
     z4 = Interval(0.0010238204538190188, 0.17466662809183692)
-    assert box_admissible(z3, z4) == "wide"
+    assert box_class(z3, z4) == "wide"
     _, pd, p3, _ = side_powers(z3, z4, newton.A)
     assert (pd - p3).contains_zero()
     box = certify_box(z3, z4, newton)
@@ -60,7 +78,7 @@ def test_box_straddling_mu31_boundary_is_not_admissible(newton):
 
 def test_scale_enclosure_point_box(newton):
     z3, z4 = point_box(2.0, 0.3)
-    enc = certify_kite_scale(z3, z4, newton)
+    enc = box_scale(z3, z4, newton)
     assert enc is not None
     assert enc.width < 1e-10
     x2 = kite_scale(KiteShape(2.0, 0.3), newton)
@@ -72,14 +90,14 @@ def test_scale_enclosure_point_box(newton):
 def test_scale_enclosure_symmetric_point(newton):
     z3 = Interval(SQRT3 - 1e-3, SQRT3 + 1e-3)
     z4 = Interval(1 / SQRT3 - 1e-3, 1 / SQRT3 + 1e-3)
-    assert certify_kite_scale(z3, z4, newton) is None
+    assert box_scale(z3, z4, newton) is None
 
 
 def test_scale_enclosure_refinement(newton):
     widths = []
     for w in (1e-2, 1e-3, 1e-4, 1e-6):
         z3, z4 = point_box(1.9, 0.8, w)
-        enc = certify_kite_scale(z3, z4, newton)
+        enc = box_scale(z3, z4, newton)
         assert enc is not None
         x2_mid = kite_scale(KiteShape(1.9, 0.8), newton)
         assert enc.contains(x2_mid)
@@ -87,7 +105,7 @@ def test_scale_enclosure_refinement(newton):
     assert all(b <= a * 1.001 for a, b in zip(widths, widths[1:]))
     # samples of the box have their roots inside the enclosure
     z3, z4 = point_box(1.9, 0.8, 1e-3)
-    enc = certify_kite_scale(z3, z4, newton)
+    enc = box_scale(z3, z4, newton)
     for s3 in (z3.lo, z3.mid, z3.hi):
         for s4 in (z4.lo, z4.mid, z4.hi):
             assert enc.contains(kite_scale(KiteShape(s3, s4), newton))
@@ -104,7 +122,7 @@ def test_scale_enclosure_encloses_side_powers_once(monkeypatch, newton):
     monkeypatch.setattr(certify, "side_powers", counted("side_powers", side_powers))
     monkeypatch.setattr(certify, "dziso_residual", counted("dziso_residual", dziso_residual),
                         raising=False)
-    assert certify_kite_scale(*point_box(2.0, 0.8, 1e-4), newton) is not None
+    assert box_scale(*point_box(2.0, 0.8, 1e-4), newton) is not None
     assert calls == {"side_powers": 1}
 
 
@@ -113,7 +131,7 @@ def test_scale_enclosure_encloses_side_powers_once(monkeypatch, newton):
 def test_interval_quantities_contain_floats(newton):
     shape = KiteShape(2.0, 0.8)
     z3, z4 = point_box(shape.z3, shape.z4, 1e-5)
-    x2 = certify_kite_scale(z3, z4, newton)
+    x2 = box_scale(z3, z4, newton)
     qi = interval_kite_quantities(z3, z4, x2, newton)
     kite = build_kite(shape, newton)
     qf = KiteQuantities.from_kite(kite, newton)
@@ -355,11 +373,6 @@ def window_boxes(z3, z4, subdivide):
         return Interval(lo + t * w, lo + (t + 1) * w)
 
     return [(split(*z3, a), split(*z4, b)) for a in range(parts) for b in range(parts)]
-
-
-def box_lanes(boxes):
-    return (IntervalArray.from_intervals(b[0] for b in boxes),
-            IntervalArray.from_intervals(b[1] for b in boxes))
 
 
 def all_boxes():

@@ -66,14 +66,19 @@ def test_eval_csv_and_manifest(triangle_file, tmp_path, capsys):
     assert manifest["tolerances"]["tol"] == 1e-10
 
 
-def test_unwritable_output_exits_2(triangle_file, tmp_path, capsys):
+def test_unwritable_output_exits_2(triangle_file, square_file, tmp_path, capsys):
     # an output in a missing directory, or onto an existing directory, is an
     # error report with exit 2 (not 1, which eval and descend give to results),
-    # without a traceback and without a leftover .tmp
+    # naming the path asked for, without a traceback, without a leftover .tmp
+    # and without an output of the failed run that has no manifest
+    def unmanifested(path):
+        return path.exists() and not path.with_name(path.name + ".manifest.json").exists()
+
     missing = tmp_path / "missing" / "resid.csv"
     assert main(["eval", triangle_file, "--csv", str(missing)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert f"'{missing}'" in err and ".tmp" not in err
     assert not (tmp_path / "missing").exists()
     taken = tmp_path / "map.pgm"
     taken.mkdir()
@@ -81,7 +86,20 @@ def test_unwritable_output_exits_2(triangle_file, tmp_path, capsys):
                  "--csv", str(tmp_path / "map.csv"), "--pgm", str(taken)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert f"'{taken}'" in err and ".tmp" not in err
     assert taken.is_dir() and not list(taken.iterdir())
+    assert not unmanifested(tmp_path / "map.csv")
+    # descend's second output, and eval's manifest
+    final = tmp_path / "final.json"
+    final.mkdir()
+    assert main(["descend", square_file, "--max-iter", "1",
+                 "--traj", str(tmp_path / "traj.csv"), "--final", str(final)]) == 2
+    assert f"'{final}'" in capsys.readouterr().err
+    assert not unmanifested(tmp_path / "traj.csv")
+    (tmp_path / "resid.csv.manifest.json").mkdir()
+    assert main(["eval", triangle_file, "--csv", str(tmp_path / "resid.csv")]) == 2
+    assert "resid.csv.manifest.json'" in capsys.readouterr().err
+    assert not (tmp_path / "resid.csv").exists()
     assert not list(tmp_path.glob("*.tmp"))
 
 

@@ -2,19 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
                               center_of_mass)
 from twistcc.hessian import (TwistDirection, assemble_twist_hessian, cartesian_hessian,
-                             lagrange_char_poly_coeffs, morse_index,
-                             normalized_twist_hessian, signature, twist_hessian_diag,
-                             twist_hessian_disjoint, twist_hessian_entry,
-                             twist_hessian_share)
+                             lagrange_char_poly_coeffs, morse_index, signature,
+                             twist_hessian_entry)
 from twistcc.kite import KITE_BASIS, build_kite
 from twistcc.twist import normalized_twist, twist_span_basis, twist_vector
 
 from oracles import (assemble_twist_hessian_loop, equilateral_config, fd_hessian,
-                     random_config)
+                     random_config, raw_twist_entry)
 from test_kite import sample_admissible_shapes
 
 
@@ -90,20 +90,51 @@ def test_entries_match_sandwich(rng):
                         check_entry(cfg, params, p, q, normalized)
 
 
-def test_raw_entry_wrappers(rng, newton):
+def test_raw_entries_by_kind(rng, newton):
+    # one raw entry of each kind; pairs are validated as for twist vectors
     cfg = random_config(rng, 5)
     t = build_pair_table(cfg, newton)
     m = cfg.masses
-    assert twist_hessian_diag(t, m, newton, (0, 3)) == pytest.approx(
-        sandwich(cfg, newton, (0, 3), (0, 3), False), rel=1e-10)
-    assert twist_hessian_share(t, m, newton, (0, 1), (0, 2)) == pytest.approx(
-        sandwich(cfg, newton, (0, 1), (0, 2), False), rel=1e-10)
-    assert twist_hessian_disjoint(t, m, newton, (0, 1), (2, 3)) == pytest.approx(
-        sandwich(cfg, newton, (0, 1), (2, 3), False), rel=1e-10)
+    for p, q in (((0, 3), (0, 3)), ((0, 1), (0, 2)), ((0, 1), (2, 3))):
+        got = twist_hessian_entry(t, m, newton, p, q)
+        assert got == pytest.approx(sandwich(cfg, newton, p, q, False), rel=1e-10)
+        assert got == pytest.approx(raw_twist_entry(t, m, newton, p, q), rel=1e-12)
     with pytest.raises(ValueError):
-        twist_hessian_share(t, m, newton, (0, 1), (2, 3))
+        twist_hessian_entry(t, m, newton, (1, 1), (2, 3))
     with pytest.raises(ValueError):
-        twist_hessian_disjoint(t, m, newton, (0, 1), (1, 3))
+        twist_hessian_entry(t, m, newton, (0, 1), (1, 5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), A=st.floats(2.0, 12.0, exclude_min=True),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_entries_match_sandwich_on_wide_inputs(n, A, seed):
+    # raw and normalized entries of every pair of pairs against V^T H V, with
+    # masses 10^-2 ... 10^2 and A up to 12, at the acceptance tolerance; the
+    # normalized entries also against the oracle's raw closed forms
+    rng = np.random.default_rng(seed)
+    cfg = random_config(rng, n)
+    cfg = PlanarConfig(cfg.positions, 10.0 ** rng.uniform(-2.0, 2.0, n))
+    params = PotentialParams(A)
+    t = build_pair_table(cfg, params)
+    m = cfg.masses
+    H = cartesian_hessian(cfg, params)
+    hnorm = np.linalg.norm(H)
+    pairs = all_pairs(n)
+    raw = {p: twist_vector(cfg, p) for p in pairs}
+    nrm = {p: normalized_twist(cfg, t, p) for p in pairs}
+    for p in pairs:
+        for q in pairs:
+            for normalized, v in ((False, raw), (True, nrm)):
+                want = float(v[p] @ H @ v[q])
+                got = twist_hessian_entry(t, m, params, p, q, normalized)
+                floor = 1e-12 * hnorm * np.linalg.norm(v[p]) * np.linalg.norm(v[q])
+                assert abs(got - want) < 1e-9 * max(abs(want), floor), (p, q, normalized)
+            scale = m[p[0]] * m[p[1]] * t.r[p] * m[q[0]] * m[q[1]] * t.r[q]
+            ref = raw_twist_entry(t, m, params, p, q) / scale
+            got = twist_hessian_entry(t, m, params, p, q, normalized=True)
+            floor = 1e-12 * hnorm * np.linalg.norm(nrm[p]) * np.linalg.norm(nrm[q])
+            assert abs(got - ref) < 1e-9 * max(abs(ref), floor), (p, q)
 
 
 def test_two_body_diag_sign(newton):
@@ -113,12 +144,14 @@ def test_two_body_diag_sign(newton):
     for r, expect_positive in ((1.25, True), (0.9, False)):
         cfg = PlanarConfig.from_points([(0, 0), (r, 0)], (1.0, 1.0))
         t = build_pair_table(cfg, newton)
-        val = twist_hessian_diag(t, cfg.masses, newton, (0, 1))
+        val = twist_hessian_entry(t, cfg.masses, newton, (0, 1), (0, 1))
         assert val == pytest.approx(sandwich(cfg, newton, (0, 1), (0, 1), False), rel=1e-10)
         assert (val > 0) == expect_positive
 
 
 def test_normalized_is_rescaled_raw(rng, newton):
+    # the library's normalized closed forms against the raw closed forms of
+    # the oracle, which read T, lam and dot instead of R and the angles
     for _ in range(5):
         cfg = random_config(rng, 5)
         t = build_pair_table(cfg, newton)
@@ -126,7 +159,7 @@ def test_normalized_is_rescaled_raw(rng, newton):
         pairs = all_pairs(5)
         for p in pairs:
             for q in pairs:
-                raw = twist_hessian_entry(t, m, newton, p, q, normalized=False)
+                raw = raw_twist_entry(t, m, newton, p, q)
                 nrm = twist_hessian_entry(t, m, newton, p, q, normalized=True)
                 scale = (m[p[0]] * m[p[1]] * t.r[p[0], p[1]]
                          * m[q[0]] * m[q[1]] * t.r[q[0], q[1]])
@@ -167,9 +200,10 @@ def test_lagrange_diag_value(newton):
     # normalized diagonal at equal masses, A = 3: (3A/4)(1 + 1) = 4.5
     cfg = equilateral_config()
     t = build_pair_table(cfg, newton)
-    assert normalized_twist_hessian(t, cfg.masses, newton, (0, 1)) == pytest.approx(4.5, rel=1e-13)
-    assert normalized_twist_hessian(t, cfg.masses, newton, (0, 1), (0, 2)) == pytest.approx(
-        -9 / 4, rel=1e-13)
+    assert twist_hessian_entry(t, cfg.masses, newton, (0, 1), (0, 1),
+                               normalized=True) == pytest.approx(4.5, rel=1e-13)
+    assert twist_hessian_entry(t, cfg.masses, newton, (0, 1), (0, 2),
+                               normalized=True) == pytest.approx(-9 / 4, rel=1e-13)
 
 
 def test_assemble_with_combined_directions(rng, newton):

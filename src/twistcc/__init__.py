@@ -31,5 +31,5 @@ from .kite import (IndexMap, KiteBlocks, KiteConfig, KiteError, KiteShape,
                    coorbital_identity_check, kite_blocks, kite_index_map,
                    kite_masses, kite_scale)
 from .intervals import Interval, IntervalDomainError, IntervalError
-from .certify import (BoxCertificate, CertifiedIndex, certify_box, certify_ha_index,
-                      certify_hs_index, certify_kite_scale)
+from .certify import (OUTCOMES, BoxCertificate, CertifiedIndex, certify_box,
+                      certify_ha_index, certify_hs_index, certify_kite_scale)

@@ -29,11 +29,11 @@ bracket, signs and stop state; only lanes with a scale enter the
 interval kite quantities and the two blocks.  Every lane rounds exactly
 as scalar `Interval` arithmetic on that box alone would, so a box's
 enclosures and certificates do not depend on the other boxes of its
-batch.  `certify_box` is the one-lane call.
-
-`None`-valued certificates mean Unknown; Unknown is always a sound answer
-and the expected one on boxes straddling a bifurcation.  A box's reason
-is the first that applies, in this order:
+batch.  The result is arrays (`Certificates`): per lane and block, a code
+into OUTCOMES, the closed table of every `CertifiedIndex` a block can get.
+`certify_box` is the one-lane call.  A `None` value means Unknown, always
+a sound answer and the expected one on boxes straddling a bifurcation.
+A box's reason is the first that applies, in this order:
 
   1. "box not verified inside one admissible class", also given to a box
      inside one class where a mass ratio's denominator (pd - p3 for
@@ -85,7 +85,7 @@ class CertifiedIndex:
         return self.value is not None
 
 
-@dataclass(frozen=True, slots=True)     # a run holds one per box
+@dataclass(frozen=True)
 class BoxCertificate:
     z3: Interval
     z4: Interval
@@ -103,12 +103,36 @@ def _failed(stage: str) -> CertifiedIndex:
     return CertifiedIndex(None, f"interval evaluation failed: {stage}")
 
 
+def _block_outcomes(name: str) -> tuple[CertifiedIndex, ...]:
+    """Block `name` failed, then decided by det and trace, in `_decide_2x2`'s order."""
+    return (_failed(name),
+            CertifiedIndex(0, f"det({name}) > 0 and tr({name}) > 0"),
+            CertifiedIndex(2, f"det({name}) > 0 and tr({name}) < 0"),
+            CertifiedIndex(1, f"det({name}) < 0"))
+
+
 NOT_ADMISSIBLE = CertifiedIndex(None, "box not verified inside one admissible class")
 NO_SCALE = CertifiedIndex(None, "no verified scale enclosure")
 MASSES_NOT_POSITIVE = _failed("mass-ratio enclosures not strictly positive")
 QUANTITIES_FAILED = _failed("kite quantities")
 HS_UNDECIDED = CertifiedIndex(None, "sign of det/tr undecided over the box")
 HA_UNDECIDED = CertifiedIndex(None, "no 2x2 principal minor of H_a decided over the box")
+_HA_MINORS = ((0, 1, "Ha[a3|a4]"), (0, 2, "Ha[a3|t34]"), (1, 2, "Ha[a4|t34]"))
+
+# every outcome of a block; a certified block is a code into this table
+OUTCOMES = (NOT_ADMISSIBLE, NO_SCALE, MASSES_NOT_POSITIVE, QUANTITIES_FAILED, HS_UNDECIDED,
+            HA_UNDECIDED, _failed("Ha"), *_block_outcomes("Hs"),
+            *(o for _, _, name in _HA_MINORS for o in _block_outcomes(name)))
+
+
+@dataclass(frozen=True, eq=False)
+class Certificates:
+    """Per lane k, the box z3[k] x z4[k] and the codes into OUTCOMES of H_s and H_a."""
+
+    z3: IntervalArray
+    z4: IntervalArray
+    hs: np.ndarray
+    ha: np.ndarray
 
 
 def _admissible_classes(z3: IntervalArray, z4: IntervalArray) -> np.ndarray:
@@ -226,27 +250,24 @@ def interval_kite_quantities(z3, z4, x2, params: PotentialParams) -> KiteQuantit
 
 
 def _decide_2x2(h11: IntervalArray, h22: IntervalArray, h12: IntervalArray,
-                name: str) -> list[CertifiedIndex | None]:
+                name: str) -> np.ndarray:
     """Per lane, the index of every symmetric matrix [[h11, h12], [h12, h22]]
     with entries in the lane's intervals, from the signs of det and trace:
-    None where undecided, an Unknown certificate where the arithmetic failed."""
+    a code into OUTCOMES of block `name`, its failed outcome where the
+    arithmetic failed, or -1 where undecided."""
     det = h11 * h22 - h12.sq()
     tr = h11 + h22
-    outcomes = (_failed(name),
-                CertifiedIndex(0, f"det({name}) > 0 and tr({name}) > 0"),
-                CertifiedIndex(2, f"det({name}) > 0 and tr({name}) < 0"),
-                CertifiedIndex(1, f"det({name}) < 0"),
-                None)
-    code = np.select([det.failed | tr.failed, det.is_positive() & tr.is_positive(),
+    failed = OUTCOMES.index(_failed(name))
+    return np.select([det.failed | tr.failed, det.is_positive() & tr.is_positive(),
                       det.is_positive() & tr.is_negative(), det.is_negative()],
-                     [0, 1, 2, 3], 4)
-    return [outcomes[c] for c in code.tolist()]
+                     [failed, failed + 1, failed + 2, failed + 3], -1)
 
 
-def certify_hs_index(q: KiteQuantities) -> list[CertifiedIndex]:
+def certify_hs_index(q: KiteQuantities) -> np.ndarray:
     """Index of H_s over each lane's box with interval quantities q,
-    decided by the signs of det and trace."""
-    return [d or HS_UNDECIDED for d in _decide_2x2(*hs_explicit(q), "Hs")]
+    decided by the signs of det and trace, as codes into OUTCOMES."""
+    code = _decide_2x2(*hs_explicit(q), "Hs")
+    return np.where(code < 0, OUTCOMES.index(HS_UNDECIDED), code)
 
 
 def interval_ha_matrix(q: KiteQuantities) -> list[list[IntervalArray]]:
@@ -256,14 +277,10 @@ def interval_ha_matrix(q: KiteQuantities) -> list[list[IntervalArray]]:
     return [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
 
 
-_HA_MINORS = ((0, 1, "Ha[a3|a4]"), (0, 2, "Ha[a3|t34]"), (1, 2, "Ha[a4|t34]"))
-_HA_FAILED = _failed("Ha")
-
-
-def certify_ha_index(q: KiteQuantities) -> list[CertifiedIndex]:
+def certify_ha_index(q: KiteQuantities) -> np.ndarray:
     """Deflated index of H_a (rotational zero excluded) over each lane's
     box with interval quantities q, from the first decided 2x2 principal
-    minor.
+    minor, as codes into OUTCOMES.
 
     At every shape in the box H_a u = 0 exactly for the rotation's
     coordinates u.  If the minor on {i, j} has det != 0 over the box, then
@@ -275,66 +292,53 @@ def certify_ha_index(q: KiteQuantities) -> list[CertifiedIndex]:
     H = interval_ha_matrix(q)
     entries_failed = np.logical_or.reduce([H[i][j].failed for i in range(3) for j in range(i, 3)])
     minors = [_decide_2x2(H[i][i], H[j][j], H[i][j], name) for i, j, name in _HA_MINORS]
-    return [_HA_FAILED if bad else next((d for d in ds if d is not None), HA_UNDECIDED)
-            for bad, *ds in zip(entries_failed.tolist(), *minors)]
+    return np.select([entries_failed, *(m >= 0 for m in minors)],
+                     [OUTCOMES.index(_failed("Ha")), *minors], OUTCOMES.index(HA_UNDECIDED))
 
 
 def certify_boxes(z3: IntervalArray, z4: IntervalArray,
-                  params: PotentialParams) -> list[BoxCertificate]:
+                  params: PotentialParams) -> Certificates:
     """Certified H_s and H_a indices over the boxes z3[k] x z4[k].
 
     The lanes are certified in batches of at most BATCH_LANES; within a
     batch, admissibility, the scale enclosure and the interval quantities
     are evaluated once per lane and shared by both blocks.
     """
-    out = []
+    hs, ha = np.empty(len(z3), dtype=int), np.empty(len(z3), dtype=int)
     for start in range(0, len(z3), BATCH_LANES):
         batch = slice(start, start + BATCH_LANES)
-        out.extend(_certify_batch(z3[batch], z4[batch], params))
-    return out
+        hs[batch], ha[batch] = _certify_batch(z3[batch], z4[batch], params)
+    return Certificates(z3, z4, hs, ha)
 
 
 def _certify_batch(z3: IntervalArray, z4: IntervalArray,
-                   params: PotentialParams) -> list[BoxCertificate]:
-    hs = [NOT_ADMISSIBLE] * len(z3)
-    ha = list(hs)
+                   params: PotentialParams) -> tuple[np.ndarray, np.ndarray]:
+    """Codes into OUTCOMES of H_s and H_a over one batch of lanes."""
+    hs = np.full(len(z3), OUTCOMES.index(NOT_ADMISSIBLE))
+    ha = hs.copy()
     lanes = np.flatnonzero(_admissible_classes(z3, z4))
     lanes = lanes[~_straddles_mass_boundary(z3[lanes], z4[lanes], params.A)]
     if lanes.size:
         x2 = certify_kite_scale(z3[lanes], z4[lanes], params)
-        for k in lanes[x2.failed].tolist():
-            hs[k] = ha[k] = NO_SCALE
-        scaled = ~x2.failed
-        _certify_scaled(z3, z4, x2[scaled], lanes[scaled], params, hs, ha)
-    return [BoxCertificate(Interval(a, b), Interval(c, d), s, t)
-            for a, b, c, d, s, t in zip(z3.lo.tolist(), z3.hi.tolist(), z4.lo.tolist(),
-                                        z4.hi.tolist(), hs, ha)]
-
-
-def _certify_scaled(z3: IntervalArray, z4: IntervalArray, x2: IntervalArray,
-                    lanes: np.ndarray, params: PotentialParams, hs: list, ha: list) -> None:
-    """Fill hs[lane], ha[lane] for the lanes with scale enclosures x2."""
-    if not lanes.size:
-        return
-    with np.errstate(all="ignore"):
-        q = interval_kite_quantities(z3[lanes], z4[lanes], x2, params)
-        hs_q, ha_q = certify_hs_index(q), certify_ha_index(q)
-    # the order of the per-box evaluation: mass ratios, their signs, the rest
-    mass_failed = (q.mu31.failed | q.mu41.failed).tolist()
-    positive = (q.mu31.is_positive() & q.mu41.is_positive()).tolist()
-    q_failed = np.logical_or.reduce([getattr(q, f.name).failed for f in fields(q)
-                                     if f.name != "A"]).tolist()
-    for k, lane in enumerate(lanes.tolist()):
-        if mass_failed[k] or (positive[k] and q_failed[k]):
-            hs[lane] = ha[lane] = QUANTITIES_FAILED
-        elif not positive[k]:
-            hs[lane] = ha[lane] = MASSES_NOT_POSITIVE
-        else:
-            hs[lane], ha[lane] = hs_q[k], ha_q[k]
+        hs[lanes[x2.failed]] = ha[lanes[x2.failed]] = OUTCOMES.index(NO_SCALE)
+        lanes, x2 = lanes[~x2.failed], x2[~x2.failed]
+    if lanes.size:
+        with np.errstate(all="ignore"):
+            q = interval_kite_quantities(z3[lanes], z4[lanes], x2, params)
+            hs_q, ha_q = certify_hs_index(q), certify_ha_index(q)
+        # the order of the per-box evaluation: mass ratios, their signs, the rest
+        positive = q.mu31.is_positive() & q.mu41.is_positive()
+        q_failed = np.logical_or.reduce([getattr(q, f.name).failed for f in fields(q)
+                                         if f.name != "A"])
+        reasons = [q.mu31.failed | q.mu41.failed | (positive & q_failed), ~positive]
+        codes = [OUTCOMES.index(QUANTITIES_FAILED), OUTCOMES.index(MASSES_NOT_POSITIVE)]
+        hs[lanes], ha[lanes] = np.select(reasons, codes, hs_q), np.select(reasons, codes, ha_q)
+    return hs, ha
 
 
 def certify_box(z3: Interval, z4: Interval, params: PotentialParams) -> BoxCertificate:
     """Certified H_s and H_a indices over the box z3 x z4: the one-lane
     call of `certify_boxes`."""
-    return certify_boxes(IntervalArray.from_intervals([z3]),
-                         IntervalArray.from_intervals([z4]), params)[0]
+    certs = certify_boxes(IntervalArray.from_intervals([z3]),
+                          IntervalArray.from_intervals([z4]), params)
+    return BoxCertificate(z3, z4, OUTCOMES[certs.hs[0]], OUTCOMES[certs.ha[0]])

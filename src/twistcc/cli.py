@@ -33,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .certify import certify_boxes
+from .certify import OUTCOMES, Certificates, certify_boxes
 # unused here; perfbench/tracing.py install() looks the name up on this module
 from .certify import certify_box  # noqa: F401
 # build_pair_table is not called here; perfbench/tracing.py wraps it by name
@@ -383,6 +383,7 @@ def cmd_kite_map(args) -> int:
     z3_lo, z3_hi, n3 = _parse_range(args.z3)
     z4_lo, z4_hi, n4 = _parse_range(args.z4)
     params = PotentialParams(args.A)
+    params.require_f_domain()
     m = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params)
     write_csv_atomic(args.csv, MAP_CSV_COLUMNS, _map_lines(m))
     outputs = [args.csv]
@@ -406,53 +407,46 @@ def cmd_kite_map(args) -> int:
     return 0
 
 
+def _certify_lines(certs: Certificates, total: np.ndarray):
+    """The certify CSV rows in lane order; total is -1 where a block is Unknown."""
+    cells = [f"{'Unknown' if o.value is None else o.value},{csv_field(o.certificate)}"
+             for o in OUTCOMES]
+    for a, b, c, d, s, t, v in zip(certs.z3.lo.tolist(), certs.z3.hi.tolist(),
+                                   certs.z4.lo.tolist(), certs.z4.hi.tolist(),
+                                   certs.hs.tolist(), certs.ha.tolist(), total.tolist()):
+        yield (f"{a:.17g},{b:.17g},{c:.17g},{d:.17g},{cells[s]},{cells[t]},"
+               f"{'Unknown' if v < 0 else v}")
+
+
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
     params = PotentialParams(args.A)
+    params.require_f_domain()
     z3 = _parse_interval(args.z3)
     z4 = _parse_interval(args.z4)
     if args.subdivide < 0:
         raise SystemExitError(f"certify --subdivide needs k >= 0, got {args.subdivide}")
     parts = 2 ** args.subdivide
-    lines = []
-    decided = 0
-    total = 0
-    known = Counter()
-    unknown = {"Hs": Counter(), "Ha": Counter()}
-    t = np.arange(parts)
-
-    def split(iv: Interval):
-        """(lo, hi) arrays of the parts of iv."""
-        w = (iv.hi - iv.lo) / parts
-        return iv.lo + t * w, iv.lo + (t + 1) * w
-
     # boxes in row order: z3 part a, then z4 part b, at lane a * parts + b
-    (lo3, hi3), (lo4, hi4) = split(z3), split(z4)
-    boxes3 = IntervalArray(np.repeat(lo3, parts), np.repeat(hi3, parts))
-    boxes4 = IntervalArray(np.tile(lo4, parts), np.tile(hi4, parts))
-    for cert in certify_boxes(boxes3, boxes4, params):
-        total += 1
-        if cert.total is not None:
-            decided += 1
-        for block, c in (("Hs", cert.hs), ("Ha", cert.ha)):
-            if c.known:
-                known[block] += 1
-            else:
-                unknown[block][c.certificate.partition(":")[0]] += 1
-        idx_hs, idx_ha, idx_total = ("Unknown" if v is None else v
-                                     for v in (cert.hs.value, cert.ha.value, cert.total))
-        lines.append(f"{cert.z3.lo:.17g},{cert.z3.hi:.17g},{cert.z4.lo:.17g},"
-                     f"{cert.z4.hi:.17g},{idx_hs},{csv_field(cert.hs.certificate)},"
-                     f"{idx_ha},{csv_field(cert.ha.certificate)},{idx_total}")
-    write_csv_atomic(args.csv,
-                     ["z3_lo", "z3_hi", "z4_lo", "z4_hi", "idx_Hs", "cert_Hs",
-                      "idx_Ha", "cert_Ha", "idx_total"], lines)
-    print(f"boxes = {total}, certified = {decided}, coverage = {decided / total:.3f}")
-    counts = {
-        "boxes": total,
-        "decided": {block: known[block] for block in unknown},
-        "unknown": {k: dict(sorted(v.items())) for k, v in unknown.items()},
-    }
+    e3, e4 = (iv.lo + np.arange(parts + 1) * ((iv.hi - iv.lo) / parts) for iv in (z3, z4))
+    certs = certify_boxes(IntervalArray(np.repeat(e3[:-1], parts), np.repeat(e3[1:], parts)),
+                          IntervalArray(np.tile(e4[:-1], parts), np.tile(e4[1:], parts)), params)
+    value = np.array([-1 if o.value is None else o.value for o in OUTCOMES])
+    hs, ha = value[certs.hs], value[certs.ha]
+    total = np.where((hs >= 0) & (ha >= 0), hs + ha, -1)
+    write_csv_atomic(args.csv, ["z3_lo", "z3_hi", "z4_lo", "z4_hi", "idx_Hs", "cert_Hs",
+                                "idx_Ha", "cert_Ha", "idx_total"], _certify_lines(certs, total))
+    decided = int((total >= 0).sum())
+    print(f"boxes = {total.size}, certified = {decided}, coverage = {decided / total.size:.3f}")
+    counts = {"boxes": total.size, "decided": {}, "unknown": {}}
+    for block, codes in (("Hs", certs.hs), ("Ha", certs.ha)):
+        n = np.bincount(codes, minlength=len(OUTCOMES))
+        unknown = Counter()
+        for o, k in zip(OUTCOMES, n.tolist()):
+            if k and not o.known:
+                unknown[o.certificate.partition(":")[0]] += k
+        counts["decided"][block] = int(n[value >= 0].sum())
+        counts["unknown"][block] = dict(sorted(unknown.items()))
     RunManifest("certify", {"z3": args.z3, "z4": args.z4, "A": args.A,
                             "subdivide": args.subdivide}, [], [args.csv],
                 wall_s=time.perf_counter() - t0, counts=counts).write()

@@ -12,7 +12,7 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from twistcc.certify import certify_box, certify_boxes, certify_kite_scale
+from twistcc.certify import OUTCOMES, certify_box, certify_boxes, certify_kite_scale
 from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
                               cartesian_gradient_f, euler_residual,
                               moment_of_inertia)
@@ -319,8 +319,8 @@ def test_criterion_10_certification(rng, newton):
         shapes = sample_admissible_shapes(rng, 110)
         certs = certify_boxes(IntervalArray([s.z3 for s in shapes]),
                               IntervalArray([s.z4 for s in shapes]), newton)
-        for shape, box in zip(shapes, certs):
-            cert = box.hs
+        for shape, code in zip(shapes, certs.hs.tolist()):
+            cert = OUTCOMES[code]
             if not cert.known:
                 continue
             blocks = kite_blocks(build_kite(shape, newton), newton)

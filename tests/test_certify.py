@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import twistcc.certify as certify
-from twistcc.certify import (_admissible_classes, _decide_2x2, certify_box, certify_boxes,
-                             certify_ha_index, certify_kite_scale, interval_kite_quantities)
+from twistcc.certify import (OUTCOMES, BoxCertificate, _admissible_classes, _decide_2x2,
+                             certify_box, certify_boxes, certify_ha_index, certify_kite_scale,
+                             interval_kite_quantities)
 from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
 from twistcc.intervals import Interval, IntervalArray
@@ -40,6 +41,15 @@ def box_scale(z3, z4, params):
     where the lane failed."""
     x2 = certify_kite_scale(*box_lanes([(z3, z4)]), params)
     return None if x2.failed[0] else x2.lane(0)
+
+
+def box_certificates(certs):
+    """The per-box view of `certify_boxes`' arrays: one BoxCertificate per
+    lane, its outcomes read through OUTCOMES."""
+    return [BoxCertificate(Interval(a, b), Interval(c, d), OUTCOMES[s], OUTCOMES[t])
+            for a, b, c, d, s, t in zip(certs.z3.lo.tolist(), certs.z3.hi.tolist(),
+                                        certs.z4.lo.tolist(), certs.z4.hi.tolist(),
+                                        certs.hs.tolist(), certs.ha.tolist())]
 
 
 def float_indices(shape, params):
@@ -289,10 +299,11 @@ def test_hs_decision_soundness(rng):
         h11 = Interval(a - w, a + w)
         h22 = Interval(b - w, b + w)
         h12 = Interval(c - w, c + w)
-        cert = _decide_2x2(*(IntervalArray.from_intervals([h]) for h in (h11, h22, h12)),
-                           "H")[0]
-        if cert is None:
+        code = _decide_2x2(*(IntervalArray.from_intervals([h]) for h in (h11, h22, h12)),
+                           "Hs")[0]
+        if code < 0:
             continue
+        cert = OUTCOMES[code]
         decided += 1
         for _ in range(20):
             m11 = rng.uniform(h11.lo, h11.hi)
@@ -317,10 +328,10 @@ def test_ha_minor_decision_soundness(rng, monkeypatch):
         box = [[Interval(H[i, j] - w, H[i, j] + w) for j in range(3)] for i in range(3)]
         lanes = [[IntervalArray.from_intervals([iv]) for iv in row] for row in box]
         monkeypatch.setattr(certify, "interval_ha_matrix", lambda q: lanes)
-        cert = certify_ha_index(None)[0]
-        minors = [_decide_2x2(lanes[i][i], lanes[j][j], lanes[i][j], "H")[0]
-                  for i, j in ((0, 1), (0, 2), (1, 2))]
-        assert {m.value for m in minors if m is not None} <= {cert.value}
+        cert = OUTCOMES[certify_ha_index(None)[0]]
+        minors = [_decide_2x2(lanes[i][i], lanes[j][j], lanes[i][j], name)[0]
+                  for i, j, name in certify._HA_MINORS]
+        assert {OUTCOMES[m].value for m in minors if m >= 0} <= {cert.value}
         if not cert.known:
             assert cert.certificate.startswith("no 2x2 principal minor")
             continue
@@ -425,7 +436,7 @@ def test_batched_certificates_match_per_box_reference():
     for z3, z4, subdivide, A in WINDOWS:
         params = PotentialParams(A)
         boxes = window_boxes(z3, z4, subdivide)
-        for got, box in zip(certify_boxes(*box_lanes(boxes), params), boxes):
+        for got, box in zip(box_certificates(certify_boxes(*box_lanes(boxes), params)), boxes):
             want = certify_box_ref(*box, params)
             assert_matches_reference(got, want)
             reasons.update(c.certificate.partition(":")[0] if c.value is None else "decided"
@@ -440,13 +451,14 @@ def test_batches_of_seven_lanes(monkeypatch):
     # lanes straddling batch boundaries certify as in one batch and per box
     boxes = window_boxes((1.725, 1.745), (0.695, 0.705), 3)
     params = PotentialParams(3.0)
-    whole = certify_boxes(*box_lanes(boxes), params)
+    whole = box_certificates(certify_boxes(*box_lanes(boxes), params))
     calls = []
     batch = certify._certify_batch
     monkeypatch.setattr(certify, "BATCH_LANES", 7)
     monkeypatch.setattr(certify, "_certify_batch", lambda z3, z4, p: calls.append(len(z3))
                         or batch(z3, z4, p))
-    assert outcomes(certify_boxes(*box_lanes(boxes), params)) == outcomes(whole)
+    assert outcomes(box_certificates(certify_boxes(*box_lanes(boxes), params))) == \
+        outcomes(whole)
     assert calls == [7] * 9 + [1]
     for got, box in zip(whole, boxes):
         assert_matches_reference(got, certify_box_ref(*box, params))
@@ -461,7 +473,7 @@ def test_shape_only_angles_decide(z3, z4, hs_min, ha_min, newton):
     # width stays out of them: at subdivide 5 these windows decide at least
     # this many boxes per block (all of them in the tall window), and every
     # decided block is the float index at the box midpoint
-    certs = certify_boxes(*box_lanes(window_boxes(z3, z4, 5)), newton)
+    certs = box_certificates(certify_boxes(*box_lanes(window_boxes(z3, z4, 5)), newton))
     assert sum(c.hs.known for c in certs) >= hs_min
     assert sum(c.ha.known for c in certs) >= ha_min
     for c in certs:
@@ -555,11 +567,32 @@ def test_forced_lane_failure(case, monkeypatch, newton):
     # today's precedence, and the other lanes keep their certificates
     boxes = window_boxes((1.99, 2.01), (0.79, 0.81), 1)
     lanes = box_lanes(boxes)
-    before = certify_boxes(*lanes, newton)
+    before = box_certificates(certify_boxes(*lanes, newton))
     name, change, want = FORCED[case]
     monkeypatch.setattr(certify, name, forced(name, change))
     with np.errstate(all="ignore"):
-        after = certify_boxes(*lanes, newton)
+        after = box_certificates(certify_boxes(*lanes, newton))
     assert outcomes(after[:1] + after[2:]) == outcomes(before[:1] + before[2:])
     assert after[1].hs == (want[0] or before[1].hs)
     assert after[1].ha == (want[1] or before[1].ha)
+
+
+def test_outcome_table_is_closed():
+    # OUTCOMES holds each outcome once, a value exactly for the decided
+    # ("det(...)") texts, every forced outcome, every outcome the per-box
+    # reference gives on WINDOWS (bar the failures it names by their scalar
+    # exception), and every code certify_boxes returns there
+    assert len(set(OUTCOMES)) == len(OUTCOMES) == 23
+    assert all((o.value is None) != o.certificate.startswith("det(") for o in OUTCOMES)
+    seen = {c for *_, want in FORCED.values() for c in want if c is not None}
+    for z3, z4, subdivide, A in WINDOWS:
+        params = PotentialParams(A)
+        boxes = window_boxes(z3, z4, subdivide)
+        for box in boxes:
+            ref = certify_box_ref(*box, params)
+            seen.update(c for c in (ref.hs, ref.ha)
+                        if c == certify.MASSES_NOT_POSITIVE
+                        or not c.certificate.startswith("interval evaluation failed: "))
+        certs = certify_boxes(*box_lanes(boxes), params)
+        assert set(certs.hs.tolist()) | set(certs.ha.tolist()) <= set(range(len(OUTCOMES)))
+    assert seen <= set(OUTCOMES)

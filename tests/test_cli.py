@@ -25,7 +25,7 @@ from twistcc.twist import twist_span_basis
 from oracles import (certify_table_ref, csv_text_ref, equilateral_config, eval_table_ref,
                      kite_map_table_ref, matrix_table_ref, random_config, square_config,
                      trajectory_table_ref)
-from test_certify import WINDOWS, box_lanes, window_boxes
+from test_certify import WINDOWS, box_certificates, box_lanes, window_boxes
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -237,6 +237,9 @@ def test_certify_cli(tmp_path):
     (["certify", "--z3", "1.99,inf", "--z4", "0.79,0.81"], "bad interval"),
     (["kite-map", "--z3", "1:inf:3", "--z4", "0.1:0.2:2"], "bad range"),
     (["kite-map", "--z3", "1:2:3", "--z4=-inf:0.2:2"], "bad range"),
+    # A <= 2 is refused up front, also where no box or cell is admissible
+    (["certify", "--z3", "0.2,0.3", "--z4", "0.8,0.81", "--A", "2"], "requires A > 2"),
+    (["kite-map", "--z3", "0.1:0.2:2", "--z4", "0.5:0.6:2", "--A", "2"], "requires A > 2"),
 ])
 def test_certify_kite_map_reject_bad_windows(argv, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -293,11 +296,12 @@ def test_certify_overflow_midpoint_is_unknown(tmp_path):
         assert r["cert_Ha"].startswith("no 2x2 principal minor of H_a decided")
 
 
-def test_certify_manifest_counts(tmp_path):
+@pytest.mark.parametrize("z3, z4, subdivide, A", WINDOWS)
+def test_certify_manifest_counts(z3, z4, subdivide, A, tmp_path):
+    # inadmissible, undecided, decided and failed boxes, at A = 3 and 1000
     out = tmp_path / "cert.csv"
-    # straddles z3 = sqrt3, so the boxes mix decided, inadmissible and undecided
-    assert main(["certify", "--z3", "1.725,1.745", "--z4", "0.695,0.705",
-                 "--subdivide", "3", "--csv", str(out)]) == 0
+    assert main(["certify", "--z3", f"{z3[0]!r},{z3[1]!r}", "--z4", f"{z4[0]!r},{z4[1]!r}",
+                 "--subdivide", str(subdivide), "--A", str(A), "--csv", str(out)]) == 0
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     manifest = json.loads((tmp_path / "cert.csv.manifest.json").read_text())
@@ -309,7 +313,9 @@ def test_certify_manifest_counts(tmp_path):
                                     for r in rows if r[f"idx_{b}"] == "Unknown"))
                     for b in ("Hs", "Ha")},
     }
-    assert 0 < manifest["counts"]["decided"]["Ha"] < len(rows)
+    if (z3, z4, subdivide) == ((1.725, 1.745), (0.695, 0.705), 3):
+        # straddles z3 = sqrt3, so the boxes mix decided, inadmissible and undecided
+        assert 0 < manifest["counts"]["decided"]["Ha"] < len(rows)
     assert manifest["wall_s"] > 0.0
 
 
@@ -491,7 +497,7 @@ def test_certify_table_matches_csv_writer(z3, z4, subdivide, A, tmp_path):
     assert main(["certify", "--z3", f"{z3[0]!r},{z3[1]!r}", "--z4", f"{z4[0]!r},{z4[1]!r}",
                  "--subdivide", str(subdivide), "--A", str(A), "--csv", str(out)]) == 0
     certs = certify_boxes(*box_lanes(window_boxes(z3, z4, subdivide)), PotentialParams(A))
-    assert_table(out, certify_table_ref(certs))
+    assert_table(out, certify_table_ref(box_certificates(certs)))
 
 
 TEXT = st.text(alphabet=st.sampled_from('ab ,"\n\r'), max_size=8)

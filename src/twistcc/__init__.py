@@ -18,7 +18,7 @@ from .geometry import (CoincidentPointsError, ExponentRangeError, GeometryError,
                        PairTable, PlanarConfig, PotentialParams, build_pair_table,
                        cartesian_gradient_f, center_of_mass, config_from_json,
                        config_to_json, euler_residual, f_value, load_config,
-                       moment_of_inertia, potential_u, save_config)
+                       moment_of_inertia, potential_u)
 from .twist import (CCResidual, albouy_chenciner_asym, albouy_chenciner_sym,
                     cc_residual, laura_andoyer, normalized_twist, twist_span_basis,
                     twist_vector)

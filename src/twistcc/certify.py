@@ -172,7 +172,6 @@ def certify_kite_scale(z3: IntervalArray, z4: IntervalArray,
     z3 and z4 are IntervalArray lanes, and so is the result; a lane with
     no enclosure is a failed lane.
     """
-    params.require_f_domain()
     A = params.A
     with np.errstate(all="ignore"):
         x2c, no_root = kite_scales(z3.mid, z4.mid, A)

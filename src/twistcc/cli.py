@@ -37,7 +37,7 @@ from .certify import OUTCOMES, Certificates, certify_boxes
 # unused here; perfbench/tracing.py install() looks the name up on this module
 from .certify import certify_box  # noqa: F401
 # build_pair_table is not called here; perfbench/tracing.py wraps it by name
-from .geometry import (GeometryError, PlanarConfig, PotentialParams,
+from .geometry import (ExponentRangeError, GeometryError, PlanarConfig, PotentialParams,
                        build_pair_table, config_to_json, euler_residual, f_value,
                        load_config, moment_of_inertia, potential_u)
 from .hessian import assemble_twist_hessian, lagrange_char_poly_coeffs, signature
@@ -137,7 +137,7 @@ def _load(path: str) -> tuple[PlanarConfig, PotentialParams]:
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except OSError as exc:
         raise SystemExitError(f"{path}: {exc}")
-    except GeometryError as exc:
+    except (GeometryError, ExponentRangeError) as exc:
         raise SystemExitError(f"{path}: {exc}")
 
 
@@ -253,8 +253,8 @@ def cmd_descend(args) -> int:
         n = args.random
         if n < 2:
             raise SystemExitError(f"descend --random needs N >= 2, got {n}")
-        config = _random_start(n, args.seed)
         params = PotentialParams(args.A)
+        config = _random_start(n, args.seed)
         inputs = []
     else:
         raise SystemExitError("descend needs a config file or --random N")
@@ -296,7 +296,7 @@ def cmd_flow(args) -> int:
     config, params = _load(args.config)
     terms = _parse_pairs(args.pairs, config.n)
     spec = FlowSpec(terms=terms, dt=args.dt, steps=args.steps)
-    traj = flow_fixed_combo(config, params, spec)
+    traj = flow_fixed_combo(config, spec)
     write_csv_atomic(args.traj, _trajectory_header(config.n),
                      _trajectory_lines(traj, params))
     RunManifest("flow", {"config": args.config, "pairs": args.pairs,
@@ -383,7 +383,6 @@ def cmd_kite_map(args) -> int:
     z3_lo, z3_hi, n3 = _parse_range(args.z3)
     z4_lo, z4_hi, n4 = _parse_range(args.z4)
     params = PotentialParams(args.A)
-    params.require_f_domain()
     m = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params)
     write_csv_atomic(args.csv, MAP_CSV_COLUMNS, _map_lines(m))
     outputs = [args.csv]
@@ -421,7 +420,6 @@ def _certify_lines(certs: Certificates, total: np.ndarray):
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
     params = PotentialParams(args.A)
-    params.require_f_domain()
     z3 = _parse_interval(args.z3)
     z4 = _parse_interval(args.z4)
     if args.subdivide < 0:

@@ -7,7 +7,9 @@ Everything downstream is built on the function
 where M is the total mass, I the moment of inertia about the center of
 mass, and U the pair potential sum(m_i*m_j*r_ij^(2-A), i<j).  Critical
 points of f are the planar central configurations, at the size
-normalization U = M*I.  Newtonian gravity is A = 3.
+normalization U = M*I.  Newtonian gravity is A = 3.  f exists only for
+A > 2, and `PotentialParams` admits no other exponent, so nothing built
+on it checks A again.
 """
 
 from __future__ import annotations
@@ -38,21 +40,19 @@ class ExponentRangeError(ValueError):
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """Homogeneity exponent A of the pair potential r^(2-A).
+    """Homogeneity exponent A of the pair potential r^(2-A): a finite A > 2.
 
-    Pair tables accept any A >= 2; every operation built on f requires
-    A > 2 strictly (the A = 2 logarithmic potential is out of scope).
+    f = M*I/2 + U/(A-2) needs A > 2 (the A = 2 logarithmic potential is
+    out of scope), so construction refuses any other A with an
+    ExponentRangeError.
     """
 
     A: float = 3.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.A) and self.A >= 2.0):
-            raise ExponentRangeError(f"exponent A must be a finite real >= 2, got {self.A!r}")
-
-    def require_f_domain(self) -> None:
-        if self.A <= 2.0:
-            raise ExponentRangeError(f"f = M*I/2 + U/(A-2) requires A > 2, got {self.A!r}")
+        if not (math.isfinite(self.A) and self.A > 2.0):
+            raise ExponentRangeError(
+                f"f = M*I/2 + U/(A-2) requires A > 2 and finite, got {self.A!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +200,6 @@ def _row_pass(positions: np.ndarray, masses: np.ndarray, params: PotentialParams
     `potential_u` of that configuration bit for bit; for an invalid row
     they are meaningless.
     """
-    params.require_f_domain()
     points = positions.reshape(positions.shape[0], -1, 2)
     with np.errstate(all="ignore"):
         pair_r = _pair_distances(points)
@@ -300,12 +299,10 @@ def moment_of_inertia(config: PlanarConfig) -> float:
 
 
 def potential_u(config: PlanarConfig, params: PotentialParams) -> float:
-    params.require_f_domain()
     return float(_potential(config.pair_distances[None], config.masses, params.A)[0])
 
 
 def f_value(config: PlanarConfig, params: PotentialParams) -> float:
-    params.require_f_domain()
     m = config.masses
     return float(_f(_inertia(config.points[None], m),
                     _potential(config.pair_distances[None], m, params.A), m, params.A)[0])
@@ -313,13 +310,11 @@ def f_value(config: PlanarConfig, params: PotentialParams) -> float:
 
 def euler_residual(config: PlanarConfig, params: PotentialParams) -> float:
     """U - M*I; vanishes exactly at critical points of f (Euler's relation)."""
-    params.require_f_domain()
     return potential_u(config, params) - float(config.masses.sum()) * moment_of_inertia(config)
 
 
 def cartesian_gradient_f(config: PlanarConfig, params: PotentialParams) -> np.ndarray:
     """Gradient of f in flat coordinates: block i is -m_i * sum_k m_k S_ik q_ik."""
-    params.require_f_domain()
     return _gradient_f(build_pair_table(config, params), config.masses)
 
 
@@ -364,8 +359,3 @@ def load_config(path) -> tuple[PlanarConfig, PotentialParams]:
     with open(path, "r", encoding="utf-8") as fh:
         return config_from_json(fh.read())
 
-
-def save_config(path, config: PlanarConfig, params: PotentialParams) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_json(config, params))
-        fh.write("\n")

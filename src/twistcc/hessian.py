@@ -48,7 +48,6 @@ def cartesian_hessian(config: PlanarConfig, params: PotentialParams) -> np.ndarr
     diagonal blocks are the negated row sums, which makes the translation
     kernel exact by construction.
     """
-    params.require_f_domain()
     return _cartesian_hessian(build_pair_table(config, params), config.masses)
 
 
@@ -121,15 +120,15 @@ def generic_entry(t, m, A, p: TwistPair, q: TwistPair):
     return _norm_disjoint(t, m, A, i, j, k, l)
 
 
-def twist_hessian_entry(table: PairTable, masses, params: PotentialParams,
-                        pair1, pair2, normalized: bool = False) -> float:
+def twist_hessian_entry(table: PairTable, masses, pair1, pair2,
+                        normalized: bool = False) -> float:
     """v_p^T H v_q for the twist vectors of pair1 and pair2, or for the
-    normalized vectors v_ij / (m_i m_j r_ij); any pair kind.  The raw entry
-    is the normalized one times (m_i m_j r_ij)(m_k m_l r_kl)."""
-    params.require_f_domain()
+    normalized vectors v_ij / (m_i m_j r_ij); any pair kind, at the table's
+    exponent.  The raw entry is the normalized one times
+    (m_i m_j r_ij)(m_k m_l r_kl)."""
     p = canon_pair(table.n, pair1)
     q = canon_pair(table.n, pair2)
-    value = generic_entry(table, masses, params.A, p, q)
+    value = generic_entry(table, masses, table.A, p, q)
     if normalized:
         return float(value)
     (i, j), (k, l) = p, q
@@ -175,7 +174,6 @@ def assemble_twist_hessian(config: PlanarConfig, params: PotentialParams,
 
     The twist vectors of every term are built at once, one row each; each
     column of V sums its direction's terms in order."""
-    params.require_f_domain()
     dirs = tuple(_as_direction(d) for d in directions)
     table = build_pair_table(config, params)
     m = config.masses

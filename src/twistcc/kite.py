@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import PairTable, PlanarConfig, PotentialParams
-from .hessian import TwistDirection, assemble_twist_hessian, generic_entry
+from .hessian import MORSE_ZERO_RTOL, TwistDirection, assemble_twist_hessian, generic_entry
 
 SQRT3 = math.sqrt(3.0)
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -46,10 +46,6 @@ ADMISSIBLE_MARGIN = 1e-9
 # the rotational H_a eigenvalue must be this small, relative to the
 # spectral radius, for index deflation to be trusted
 ROTATION_ZERO_RTOL = 1e-6
-# a map cell is degenerate when its smallest H_s or deflated H_a eigenvalue
-# is this small relative to the twist Hessian's spectral radius (the zero
-# tolerance `hessian.MORSE_ZERO_RTOL`): its sign is rounding noise
-INDEX_NOISE_RTOL = 1e-8
 # cross-block leakage allowed before the symmetry is considered broken
 BLOCK_LEAK_RTOL = 1e-10
 # `dzsub_report` counts a closed-form scale within this of the root as agreeing
@@ -219,7 +215,6 @@ def kite_scale(shape: KiteShape, params: PotentialParams) -> float:
     Raises IndeterminateScaleError at the fully symmetric shape and
     InfeasibleShapeError where no positive root exists.
     """
-    params.require_f_domain()
     with np.errstate(all="ignore"):
         t, failed = _scale_terms(_one(shape, params.A)[2])
         _raise_failed(shape, failed, failed)
@@ -319,8 +314,7 @@ def _class_codes(z3: np.ndarray, z4: np.ndarray, margin: float) -> np.ndarray:
         return np.select([np.abs(z4 - yc) <= margin, tall, wide], [3, 1, 2], 0)
 
 
-def classify_shape(shape: KiteShape, params: PotentialParams,
-                   margin: float = ADMISSIBLE_MARGIN) -> str:
+def classify_shape(shape: KiteShape, margin: float = ADMISSIBLE_MARGIN) -> str:
     """'tall' | 'wide' | 'circumcenter-boundary' | 'inadmissible'.
 
     Tall kites have the outer apex above the equilateral height
@@ -344,7 +338,6 @@ class KiteConfig:
 
 
 def build_kite(shape: KiteShape, params: PotentialParams) -> KiteConfig:
-    params.require_f_domain()
     with np.errstate(all="ignore"):
         x2, mu31, mu41, failed = _kite_terms(*_one(shape, params.A), params.A)
     x2, mu31, mu41 = float(x2[0]), float(mu31), float(mu41)
@@ -574,7 +567,7 @@ def kite_index_map(z3_lo: float, z3_hi: float, n3: int,
     each block's eigenvalues in one stacked `eigvalsh`.  A cell is
     degenerate when its rotational H_a eigenvalue is not below
     ROTATION_ZERO_RTOL times H_a's spectral radius, or when its smallest
-    H_s or deflated H_a eigenvalue is below INDEX_NOISE_RTOL times the
+    H_s or deflated H_a eigenvalue is below MORSE_ZERO_RTOL times the
     spectral radius of both blocks.
     """
     z3s = z3_lo + (np.arange(n3) + 0.5) * ((z3_hi - z3_lo) / n3)
@@ -583,8 +576,6 @@ def kite_index_map(z3_lo: float, z3_hi: float, n3: int,
     with np.errstate(all="ignore"):
         klass = np.where((z3 > z4) & (z4 > 0.0), _class_codes(z3, z4, margin), 0)
     adm = np.flatnonzero((klass == 1) | (klass == 2))
-    if adm.size:
-        params.require_f_domain()
     x2, mu31, mu41, first, idx_hs, idx_ha, degenerate = _admissible_cells(
         z3[adm], z4[adm], params.A)
     names = list(_CHECKS)   # the last one, "non_finite", is kite_blocks' check
@@ -653,7 +644,7 @@ def _block_indices(h_s: np.ndarray, h_a: np.ndarray):
     spectral = np.maximum(aw.max(axis=1), np.abs(ws).max(axis=1))
     smallest = np.minimum(np.abs(ws).min(axis=1), np.sort(aw, axis=1)[:, 1])
     degenerate = ((aw[rows, rot] >= ROTATION_ZERO_RTOL * aw.max(axis=1))
-                  | (smallest < INDEX_NOISE_RTOL * spectral))
+                  | (smallest < MORSE_ZERO_RTOL * spectral))
     return (ws < 0.0).sum(axis=1), neg_a.sum(axis=1), degenerate
 
 

@@ -86,8 +86,7 @@ def _field(pos: np.ndarray, m: np.ndarray, terms) -> np.ndarray:
     return v
 
 
-def flow_fixed_combo(config: PlanarConfig, params: PotentialParams,
-                     spec: FlowSpec) -> list[PlanarConfig]:
+def flow_fixed_combo(config: PlanarConfig, spec: FlowSpec) -> list[PlanarConfig]:
     """Integrate q' = sum c_k v_{pair_k}(q); stops early when two bodies coincide."""
     terms = tuple((float(c), canon_pair(config.n, p)) for c, p in spec.terms)
     m = config.masses
@@ -111,7 +110,6 @@ def rescale_to_cc_size(config: PlanarConfig, params: PotentialParams) -> PlanarC
 
     U scales as lam^(2-A) and M*I as lam^2, so lam = (U/(M*I))^(1/A).
     """
-    params.require_f_domain()
     pts = _cc_size_points(config.points, config.masses, moment_of_inertia(config),
                           potential_u(config, params), params.A)
     return PlanarConfig.from_points(pts, config.masses)
@@ -271,7 +269,6 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     twist spans is reported as a suspected collinear collapse, not an
     error.
     """
-    params.require_f_domain()
     M = float(config.masses.sum())
     full_dim = 2 * config.n - 3
 

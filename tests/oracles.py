@@ -130,12 +130,13 @@ def square_config(masses=(1.0, 1.0, 3.0, 5.0), side: float = 1.0) -> PlanarConfi
 def index_map_cell(z3: float, z4: float, params: PotentialParams, margin: float):
     """(class, idx_Hs, idx_Ha, degenerate, error) of one map cell, from the
     5x5 V^T H V assembly of `kite_blocks` and per-cell `eigvalsh`."""
-    from twistcc.kite import (INDEX_NOISE_RTOL, ROTATION_ZERO_RTOL, KiteError, KiteShape,
-                              build_kite, classify_shape, kite_blocks)
+    from twistcc.hessian import MORSE_ZERO_RTOL
+    from twistcc.kite import (ROTATION_ZERO_RTOL, KiteError, KiteShape, build_kite,
+                              classify_shape, kite_blocks)
     if z3 <= z4 or z4 <= 0.0:
         return "inadmissible", -1, -1, False, ""
     shape = KiteShape(z3, z4)
-    klass = classify_shape(shape, params, margin)
+    klass = classify_shape(shape, margin)
     if klass not in ("tall", "wide"):
         return klass, -1, -1, False, ""
     try:
@@ -150,7 +151,7 @@ def index_map_cell(z3: float, z4: float, params: PotentialParams, margin: float)
     spectral = max(aw.max(), np.abs(ws).max())
     smallest = min(np.abs(ws).min(), min(a for t, a in enumerate(aw) if t != rot))
     degenerate = (aw[rot] >= ROTATION_ZERO_RTOL * aw.max()
-                  or smallest < INDEX_NOISE_RTOL * spectral)
+                  or smallest < MORSE_ZERO_RTOL * spectral)
     return klass, int((ws < 0.0).sum()), idx_ha, bool(degenerate), ""
 
 
@@ -378,7 +379,6 @@ def certify_kite_scale_ref(z3, z4, params: PotentialParams):
     from twistcc.certify import MAX_PROBE_ROUNDS
     from twistcc.intervals import Interval, IntervalDomainError, IntervalError
     from twistcc.kite import KiteError, KiteShape, dziobek_coefficients, kite_scale, side_powers
-    params.require_f_domain()
     A = params.A
     if z3.lo <= z4.hi or z4.lo <= 0.0:
         return None

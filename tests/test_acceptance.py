@@ -115,8 +115,7 @@ def test_criterion_03_hessian_formula_equivalence(rng):
                             vp = twist_vector(cfg, p)
                             vq = twist_vector(cfg, q)
                         want = float(vp @ H @ vq)
-                        got = twist_hessian_entry(t, cfg.masses, params, p, q,
-                                                  normalized)
+                        got = twist_hessian_entry(t, cfg.masses, p, q, normalized)
                         floor = 1e-12 * hnorm * np.linalg.norm(vp) * np.linalg.norm(vq)
                         assert abs(got - want) < 1e-9 * max(abs(want), floor), \
                             (p, q, normalized, A)
@@ -156,13 +155,13 @@ def test_criterion_04_three_body_closed_form(rng):
         assert abs(w[2] - 27 / 4) < 1e-12 * (27 / 4)
 
 
-def test_criterion_05_conservation(newton):
+def test_criterion_05_conservation():
     with criterion(5, "flows conserve I and c; drift is 4th order in dt", 5):
         cfg = square_config()
         terms = ((1.0, (0, 1)), (1.0, (0, 2)), (1.0, (0, 3)))
 
         def drift(dt, steps):
-            traj = flow_fixed_combo(cfg, newton, FlowSpec(terms, dt=dt, steps=steps))
+            traj = flow_fixed_combo(cfg, FlowSpec(terms, dt=dt, steps=steps))
             I0 = moment_of_inertia(traj[0])
             dI = max(abs(moment_of_inertia(c) - I0) for c in traj) / I0
             from twistcc.geometry import center_of_mass

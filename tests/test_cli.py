@@ -248,6 +248,46 @@ def test_certify_kite_map_reject_bad_windows(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+# every subcommand, with its outputs named, on an exponent at or below 2: a
+# config file's "A" or the --A option (None puts the file's path in its place)
+EXPONENT_CASES = [
+    *[(argv, A) for A in (2, 1.5) for argv in (
+        ["eval", None, "--csv", "out.csv"],
+        ["hessian", None, "--csv", "out.csv"],
+        ["flow", None, "--pairs", "1-2", "--traj", "out.csv"],
+        ["descend", None, "--traj", "out.csv", "--final", "out.json"],
+    )],
+    (["descend", "--random", "4", "--A", "2", "--traj", "out.csv", "--final", "out.json"],
+     None),
+    (["kite-map", "--z3", "1.0:2.2:4", "--z4", "0.01:0.87:4", "--A", "2",
+      "--csv", "out.csv", "--pgm", "out.pgm"], None),
+    (["certify", "--z3", "1.99,2.01", "--z4", "0.79,0.81", "--A", "2", "--csv", "out.csv"],
+     None),
+    (["lagrange", "--masses", "1,2,3", "--A", "2", "--csv", "out.csv"], None),
+]
+
+
+@pytest.mark.parametrize("argv, A", EXPONENT_CASES, ids=[
+    f"{argv[0]}-file-A{A}" if A is not None else f"{argv[0]}-option" for argv, A in EXPONENT_CASES])
+def test_every_subcommand_refuses_A_at_or_below_2(argv, A, tmp_path, capsys, monkeypatch):
+    # refused where the exponent is read, before any computation or output
+    for name in ("cc_residual", "descend", "flow_fixed_combo", "assemble_twist_hessian",
+                 "kite_index_map", "certify_boxes", "_random_start"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: pytest.fail(name))
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    inputs = []
+    if A is not None:
+        doc = json.loads((DATA / "square_1135.json").read_text())
+        config.write_text(json.dumps({**doc, "A": A}))
+        inputs = [config.name]
+    assert main([str(config) if a is None else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "requires A > 2" in err
+    assert f"error: {config}: " in err or not inputs
+    assert [p.name for p in tmp_path.iterdir()] == inputs
+
+
 def test_kite_map_overflow_cells_are_errors(tmp_path):
     # at A = 700 the mass ratios of some wide kites reach 1e-160, and the
     # normalized Hessian overflows; those cells are errors, not a crash
@@ -470,8 +510,7 @@ def test_trajectory_tables_match_csv_writer(tmp_path):
     config, params = load_config(DATA / "square_1135.json")
     main(["flow", str(DATA / "square_1135.json"), "--pairs", "1-2:1.0,2-4:-0.5",
           "--steps", "40", "--traj", str(tmp_path / "f.csv")])
-    states = flow_fixed_combo(config, params,
-                              FlowSpec(((1.0, (0, 1)), (-0.5, (1, 3))), 1e-3, 40))
+    states = flow_fixed_combo(config, FlowSpec(((1.0, (0, 1)), (-0.5, (1, 3))), 1e-3, 40))
     assert_table(tmp_path / "f.csv", trajectory_table_ref(states, params))
     main(["descend", str(DATA / "square_1135.json"), "--max-iter", "30",
           "--traj", str(tmp_path / "d.csv")])

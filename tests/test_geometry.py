@@ -76,16 +76,10 @@ def test_invalid_configs():
         PlanarConfig.from_points([(0, 0), (1, 0)], (1.0, -2.0))
     with pytest.raises(GeometryError):
         PlanarConfig.from_points([(0, 0)], (1.0,))
-    with pytest.raises(ExponentRangeError):
-        PotentialParams(1.5)
-    # table construction tolerates A = 2, f does not
-    vort = PotentialParams(2.0)
-    cfg = PlanarConfig.from_points([(0, 0), (1, 0)], (1, 1))
-    build_pair_table(cfg, vort)
-    with pytest.raises(ExponentRangeError):
-        f_value(cfg, vort)
-    with pytest.raises(ExponentRangeError):
-        potential_u(cfg, vort)
+    # f = M*I/2 + U/(A-2) needs a finite A > 2: no other exponent is constructed
+    for A in (2.0, 1.5, math.inf, math.nan):
+        with pytest.raises(ExponentRangeError, match="requires A > 2"):
+            PotentialParams(A)
 
 
 def same_float(a, b) -> bool:

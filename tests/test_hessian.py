@@ -71,7 +71,7 @@ def sandwich(cfg, params, p, q, normalized):
 
 def check_entry(cfg, params, p, q, normalized):
     t = build_pair_table(cfg, params)
-    got = twist_hessian_entry(t, cfg.masses, params, p, q, normalized)
+    got = twist_hessian_entry(t, cfg.masses, p, q, normalized)
     want = sandwich(cfg, params, p, q, normalized)
     H = cartesian_hessian(cfg, params)
     floor = 1e-12 * np.linalg.norm(H)
@@ -96,13 +96,13 @@ def test_raw_entries_by_kind(rng, newton):
     t = build_pair_table(cfg, newton)
     m = cfg.masses
     for p, q in (((0, 3), (0, 3)), ((0, 1), (0, 2)), ((0, 1), (2, 3))):
-        got = twist_hessian_entry(t, m, newton, p, q)
+        got = twist_hessian_entry(t, m, p, q)
         assert got == pytest.approx(sandwich(cfg, newton, p, q, False), rel=1e-10)
         assert got == pytest.approx(raw_twist_entry(t, m, newton, p, q), rel=1e-12)
     with pytest.raises(ValueError):
-        twist_hessian_entry(t, m, newton, (1, 1), (2, 3))
+        twist_hessian_entry(t, m, (1, 1), (2, 3))
     with pytest.raises(ValueError):
-        twist_hessian_entry(t, m, newton, (0, 1), (1, 5))
+        twist_hessian_entry(t, m, (0, 1), (1, 5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -127,12 +127,12 @@ def test_entries_match_sandwich_on_wide_inputs(n, A, seed):
         for q in pairs:
             for normalized, v in ((False, raw), (True, nrm)):
                 want = float(v[p] @ H @ v[q])
-                got = twist_hessian_entry(t, m, params, p, q, normalized)
+                got = twist_hessian_entry(t, m, p, q, normalized)
                 floor = 1e-12 * hnorm * np.linalg.norm(v[p]) * np.linalg.norm(v[q])
                 assert abs(got - want) < 1e-9 * max(abs(want), floor), (p, q, normalized)
             scale = m[p[0]] * m[p[1]] * t.r[p] * m[q[0]] * m[q[1]] * t.r[q]
             ref = raw_twist_entry(t, m, params, p, q) / scale
-            got = twist_hessian_entry(t, m, params, p, q, normalized=True)
+            got = twist_hessian_entry(t, m, p, q, normalized=True)
             floor = 1e-12 * hnorm * np.linalg.norm(nrm[p]) * np.linalg.norm(nrm[q])
             assert abs(got - ref) < 1e-9 * max(abs(ref), floor), (p, q)
 
@@ -144,7 +144,7 @@ def test_two_body_diag_sign(newton):
     for r, expect_positive in ((1.25, True), (0.9, False)):
         cfg = PlanarConfig.from_points([(0, 0), (r, 0)], (1.0, 1.0))
         t = build_pair_table(cfg, newton)
-        val = twist_hessian_entry(t, cfg.masses, newton, (0, 1), (0, 1))
+        val = twist_hessian_entry(t, cfg.masses, (0, 1), (0, 1))
         assert val == pytest.approx(sandwich(cfg, newton, (0, 1), (0, 1), False), rel=1e-10)
         assert (val > 0) == expect_positive
 
@@ -160,7 +160,7 @@ def test_normalized_is_rescaled_raw(rng, newton):
         for p in pairs:
             for q in pairs:
                 raw = raw_twist_entry(t, m, newton, p, q)
-                nrm = twist_hessian_entry(t, m, newton, p, q, normalized=True)
+                nrm = twist_hessian_entry(t, m, p, q, normalized=True)
                 scale = (m[p[0]] * m[p[1]] * t.r[p[0], p[1]]
                          * m[q[0]] * m[q[1]] * t.r[q[0], q[1]])
                 assert nrm == pytest.approx(raw / scale, rel=1e-12, abs=1e-13)
@@ -200,9 +200,9 @@ def test_lagrange_diag_value(newton):
     # normalized diagonal at equal masses, A = 3: (3A/4)(1 + 1) = 4.5
     cfg = equilateral_config()
     t = build_pair_table(cfg, newton)
-    assert twist_hessian_entry(t, cfg.masses, newton, (0, 1), (0, 1),
+    assert twist_hessian_entry(t, cfg.masses, (0, 1), (0, 1),
                                normalized=True) == pytest.approx(4.5, rel=1e-13)
-    assert twist_hessian_entry(t, cfg.masses, newton, (0, 1), (0, 2),
+    assert twist_hessian_entry(t, cfg.masses, (0, 1), (0, 2),
                                normalized=True) == pytest.approx(-9 / 4, rel=1e-13)
 
 
@@ -223,8 +223,7 @@ def test_assemble_with_combined_directions(rng, newton):
                  for c, p in d.terms) for d in dirs]
         sandwiched = np.array([[va @ H @ vb for vb in V] for va in V])
         # independent reference: bilinear expansion of the closed-form entries
-        closed = np.array([[sum(ca * cb * twist_hessian_entry(t, cfg.masses, newton, pa, pb,
-                                                              normalized)
+        closed = np.array([[sum(ca * cb * twist_hessian_entry(t, cfg.masses, pa, pb, normalized)
                                 for ca, pa in da.terms for cb, pb in db.terms)
                             for db in dirs] for da in dirs])
         for want in (sandwiched, closed):

@@ -38,7 +38,7 @@ def sample_admissible_shapes(rng, count):
         pad = 0.1 * (hi - lo)
         z4 = rng.uniform(lo + pad, hi - pad)
         shape = KiteShape(z3, z4)
-        if classify_shape(shape, PotentialParams(3.0)) in ("tall", "wide"):
+        if classify_shape(shape) in ("tall", "wide"):
             shapes.append(shape)
     return shapes
 
@@ -148,20 +148,20 @@ def test_mass_blowup_near_circumcenter(newton):
 
 # --- classification -----------------------------------------------------------
 
-def test_classify_examples(newton):
+def test_classify_examples():
     # z3 = 2: admissible tall band is (0.75, sqrt(3)/2)
     assert circumcenter_z4(2.0) == pytest.approx(0.75, abs=1e-15)
-    assert classify_shape(KiteShape(2.0, 0.8), newton) == "tall"
-    assert classify_shape(KiteShape(2.0, 0.74), newton) == "inadmissible"
-    assert classify_shape(KiteShape(2.0, 0.87), newton) == "inadmissible"
-    assert classify_shape(KiteShape(2.0, 0.75), newton) == "circumcenter-boundary"
+    assert classify_shape(KiteShape(2.0, 0.8)) == "tall"
+    assert classify_shape(KiteShape(2.0, 0.74)) == "inadmissible"
+    assert classify_shape(KiteShape(2.0, 0.87)) == "inadmissible"
+    assert classify_shape(KiteShape(2.0, 0.75)) == "circumcenter-boundary"
     # (1.2, 0.2): circumcenter value 0.18333... < 0.2 -> not wide -> inadmissible
     assert circumcenter_z4(1.2) == pytest.approx(0.18333333333333332, abs=1e-15)
-    assert classify_shape(KiteShape(1.2, 0.2), newton) == "inadmissible"
-    assert classify_shape(KiteShape(1.2, 0.15), newton) == "wide"
+    assert classify_shape(KiteShape(1.2, 0.2)) == "inadmissible"
+    assert classify_shape(KiteShape(1.2, 0.15)) == "wide"
     # the classes meet at the equilateral outer triangle z3 = sqrt(3)
-    assert classify_shape(KiteShape(SQRT3, 1.0 / SQRT3 + 0.1), newton) == "inadmissible"
-    assert classify_shape(KiteShape(SQRT3 + 0.05, 0.8), newton) == "tall"
+    assert classify_shape(KiteShape(SQRT3, 1.0 / SQRT3 + 0.1)) == "inadmissible"
+    assert classify_shape(KiteShape(SQRT3 + 0.05, 0.8)) == "tall"
 
 
 # --- blocks ---------------------------------------------------------------------

@@ -35,21 +35,21 @@ def test_flow_spec_validation():
         FlowSpec(terms=((1.0, (0, 1)),), dt=-1e-3, steps=10)
 
 
-def test_flow_conserves_I_and_c(newton):
+def test_flow_conserves_I_and_c():
     cfg = square_config()
     spec = FlowSpec(terms=((1.0, (0, 1)), (1.0, (0, 2)), (1.0, (0, 3))),
                     dt=1e-3, steps=1000)
-    traj = flow_fixed_combo(cfg, newton, spec)
+    traj = flow_fixed_combo(cfg, spec)
     assert len(traj) == 1001
     dI, dc = drift(traj)
     assert dI < 1e-8
     assert dc < 1e-10 * cfg.diameter()
 
 
-def test_single_pair_flow_is_rigid_rotation(newton):
+def test_single_pair_flow_is_rigid_rotation():
     cfg = square_config()
     spec = FlowSpec(terms=((1.0, (0, 2)),), dt=1e-3, steps=500)
-    traj = flow_fixed_combo(cfg, newton, spec)
+    traj = flow_fixed_combo(cfg, spec)
     r0 = np.linalg.norm(traj[0].points[0] - traj[0].points[2])
     for c in traj[::50]:
         assert np.linalg.norm(c.points[0] - c.points[2]) == pytest.approx(r0, abs=1e-9)
@@ -58,23 +58,23 @@ def test_single_pair_flow_is_rigid_rotation(newton):
         assert np.allclose(c.points[3], traj[0].points[3])
 
 
-def test_flow_order_check(newton):
+def test_flow_order_check():
     # fourth-order integrator: halving dt over the same time span shrinks
     # the I-drift by at least 8x (run above the rounding floor)
     cfg = square_config()
     terms = ((1.0, (0, 1)), (1.0, (0, 2)), (1.0, (0, 3)))
-    coarse = flow_fixed_combo(cfg, newton, FlowSpec(terms, dt=0.04, steps=200))
-    fine = flow_fixed_combo(cfg, newton, FlowSpec(terms, dt=0.02, steps=400))
+    coarse = flow_fixed_combo(cfg, FlowSpec(terms, dt=0.04, steps=200))
+    fine = flow_fixed_combo(cfg, FlowSpec(terms, dt=0.02, steps=400))
     dI_c, _ = drift(coarse)
     dI_f, _ = drift(fine)
     assert dI_c / dI_f >= 8.0
 
 
-def test_flow_reproducible(newton):
+def test_flow_reproducible():
     cfg = square_config()
     spec = FlowSpec(terms=((1.0, (0, 1)), (0.5, (2, 3))), dt=1e-3, steps=100)
-    t1 = flow_fixed_combo(cfg, newton, spec)
-    t2 = flow_fixed_combo(cfg, newton, spec)
+    t1 = flow_fixed_combo(cfg, spec)
+    t2 = flow_fixed_combo(cfg, spec)
     assert all(np.array_equal(a.positions, b.positions) for a, b in zip(t1, t2))
 
 

@@ -26,7 +26,7 @@ of an `intervals.IntervalArray`, in batches of at most BATCH_LANES lanes
 one mask; only admissible lanes enter the scale enclosure, whose bracket
 search and quarter-point probing run in lockstep, each lane with its own
 bracket, signs and stop state; only lanes with a scale enter the
-interval kite quantities and the two blocks.  Every lane rounds exactly
+interval `KiteTable` and the two blocks.  Every lane rounds exactly
 as scalar `Interval` arithmetic on that box alone would, so a box's
 enclosures and certificates do not depend on the other boxes of its
 batch.  The result is arrays (`Certificates`): per lane and block, a code
@@ -54,13 +54,13 @@ A box's reason is the first that applies, in this order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PotentialParams
 from .intervals import Interval, IntervalArray
-from .kite import (KiteQuantities, dziobek_coefficients, ha_explicit, hs_explicit,
+from .kite import (KiteTable, dziobek_coefficients, ha_explicit, hs_explicit,
                    kite_scales, mass_ratio_terms, side_powers)
 # unused here; perfbench/tracing.py install() looks both names up on this module
 from .kite import build_kite, kite_blocks  # noqa: F401
@@ -237,15 +237,16 @@ def certify_kite_scale(z3: IntervalArray, z4: IntervalArray,
                          np.where(keep, enclosure.hi, tight.hi))
 
 
-def interval_kite_quantities(z3, z4, x2, params: PotentialParams) -> KiteQuantities:
-    """KiteQuantities with interval fields, including mass-ratio enclosures.
+def interval_kite_quantities(z3, z4, x2, params: PotentialParams) -> KiteTable:
+    """The interval KiteTable of the boxes z3 x z4 at scale x2, including
+    mass-ratio enclosures.
 
     The mass ratios are evaluated in their shape-only form (x2 cancels
     exactly), which keeps their enclosures free of the scale enclosure's
     width.  Whether they are strictly positive is left to the caller.
     """
     mu31, mu41 = mass_ratio_terms(z3, z4, params.A)
-    return KiteQuantities.at(z3, z4, x2, mu31, mu41, params.A)
+    return KiteTable(z3, z4, x2, mu31, mu41, params.A)
 
 
 def _decide_2x2(h11: IntervalArray, h22: IntervalArray, h12: IntervalArray,
@@ -262,23 +263,23 @@ def _decide_2x2(h11: IntervalArray, h22: IntervalArray, h12: IntervalArray,
                      [failed, failed + 1, failed + 2, failed + 3], -1)
 
 
-def certify_hs_index(q: KiteQuantities) -> np.ndarray:
-    """Index of H_s over each lane's box with interval quantities q,
+def certify_hs_index(t: KiteTable) -> np.ndarray:
+    """Index of H_s over each lane's box with interval table t,
     decided by the signs of det and trace, as codes into OUTCOMES."""
-    code = _decide_2x2(*hs_explicit(q), "Hs")
+    code = _decide_2x2(*hs_explicit(t), "Hs")
     return np.where(code < 0, OUTCOMES.index(HS_UNDECIDED), code)
 
 
-def interval_ha_matrix(q: KiteQuantities) -> list[list[IntervalArray]]:
+def interval_ha_matrix(t: KiteTable) -> list[list[IntervalArray]]:
     """Entries of H_a over the symmetry-adapted basis (a3, a4, t34), from
-    the closed forms of `kite.ha_explicit` on interval quantities."""
-    a11, a22, a33, a12, a13, a23 = ha_explicit(q)
+    the closed forms of `kite.ha_explicit` on an interval table."""
+    a11, a22, a33, a12, a13, a23 = ha_explicit(t)
     return [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
 
 
-def certify_ha_index(q: KiteQuantities) -> np.ndarray:
+def certify_ha_index(t: KiteTable) -> np.ndarray:
     """Deflated index of H_a (rotational zero excluded) over each lane's
-    box with interval quantities q, from the first decided 2x2 principal
+    box with interval table t, from the first decided 2x2 principal
     minor, as codes into OUTCOMES.
 
     At every shape in the box H_a u = 0 exactly for the rotation's
@@ -288,7 +289,7 @@ def certify_ha_index(q: KiteQuantities) -> np.ndarray:
     deflated index is the index of that minor.  A lane fails if any entry
     failed, or if the first minor not undecided failed.
     """
-    H = interval_ha_matrix(q)
+    H = interval_ha_matrix(t)
     entries_failed = np.logical_or.reduce([H[i][j].failed for i in range(3) for j in range(i, 3)])
     minors = [_decide_2x2(H[i][i], H[j][j], H[i][j], name) for i, j, name in _HA_MINORS]
     return np.select([entries_failed, *(m >= 0 for m in minors)],
@@ -300,7 +301,7 @@ def certify_boxes(z3: IntervalArray, z4: IntervalArray,
     """Certified H_s and H_a indices over the boxes z3[k] x z4[k].
 
     The lanes are certified in batches of at most BATCH_LANES; within a
-    batch, admissibility, the scale enclosure and the interval quantities
+    batch, admissibility, the scale enclosure and the interval kite table
     are evaluated once per lane and shared by both blocks.
     """
     hs, ha = np.empty(len(z3), dtype=int), np.empty(len(z3), dtype=int)
@@ -323,15 +324,16 @@ def _certify_batch(z3: IntervalArray, z4: IntervalArray,
         lanes, x2 = lanes[~x2.failed], x2[~x2.failed]
     if lanes.size:
         with np.errstate(all="ignore"):
-            q = interval_kite_quantities(z3[lanes], z4[lanes], x2, params)
-            hs_q, ha_q = certify_hs_index(q), certify_ha_index(q)
-        # the order of the per-box evaluation: mass ratios, their signs, the rest
-        positive = q.mu31.is_positive() & q.mu41.is_positive()
-        q_failed = np.logical_or.reduce([getattr(q, f.name).failed for f in fields(q)
-                                         if f.name != "A"])
-        reasons = [q.mu31.failed | q.mu41.failed | (positive & q_failed), ~positive]
+            t = interval_kite_quantities(z3[lanes], z4[lanes], x2, params)
+            hs_t, ha_t = certify_hs_index(t), certify_ha_index(t)
+        # the order of the per-box evaluation: mass ratios, their signs, the
+        # powers (a distance's failure fails its power too)
+        _, _, mu31, mu41 = t.masses
+        positive = mu31.is_positive() & mu41.is_positive()
+        powers_failed = np.logical_or.reduce([R.failed for R in t.R.values()])
+        reasons = [mu31.failed | mu41.failed | (positive & powers_failed), ~positive]
         codes = [OUTCOMES.index(QUANTITIES_FAILED), OUTCOMES.index(MASSES_NOT_POSITIVE)]
-        hs[lanes], ha[lanes] = np.select(reasons, codes, hs_q), np.select(reasons, codes, ha_q)
+        hs[lanes], ha[lanes] = np.select(reasons, codes, hs_t), np.select(reasons, codes, ha_t)
     return hs, ha
 
 

@@ -221,7 +221,10 @@ def _trajectory_header(n):
 
 
 # descend --random: bodies uniform in [-1, 1]^2, every pair farther apart than
-# RANDOM_MIN_SEP, drawn by rejection at most RANDOM_MAX_DRAWS times, in batches
+# RANDOM_MIN_SEP, drawn by rejection at most RANDOM_MAX_DRAWS times, in batches.
+# Such bodies centre disjoint disks of diameter RANDOM_MIN_SEP inside the square
+# of side 2 + RANDOM_MIN_SEP, so no draw of more bodies than their areas allow
+# can succeed, and none is attempted.
 RANDOM_MIN_SEP = 0.2
 RANDOM_MAX_DRAWS = 100_000
 RANDOM_BATCH = 250
@@ -253,6 +256,11 @@ def cmd_descend(args) -> int:
         n = args.random
         if n < 2:
             raise SystemExitError(f"descend --random needs N >= 2, got {n}")
+        if n * math.pi * (RANDOM_MIN_SEP / 2) ** 2 > (2 + RANDOM_MIN_SEP) ** 2:
+            raise SystemExitError(
+                f"descend --random {n}: {n} disjoint disks of diameter {RANDOM_MIN_SEP} "
+                f"do not fit in a square of side {2 + RANDOM_MIN_SEP}, so no draw of {n} "
+                f"bodies in [-1, 1]^2 has every pair more than {RANDOM_MIN_SEP} apart")
         params = PotentialParams(args.A)
         config = _random_start(n, args.seed)
         inputs = []

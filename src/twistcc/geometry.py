@@ -221,7 +221,8 @@ class PairTable:
       dx, dy — coordinate differences x_i - x_j, y_i - y_j
 
     Triple/quadruple accessors, in field arithmetic on dx, dy and r, so
-    `kite.KiteTable` runs them on numpy arrays and intervals too:
+    `kite.KiteTable`, whose dx, dy, r, R and S are dicts over the ordered
+    pairs, runs them on floats, numpy arrays and intervals too:
       lam(i, j, k)     — q_ij ^ q_ik, twice the signed area of (q_i, q_j, q_k)
       a_triple(i,j,k)  — r_ij^2 + r_ik^2 - r_jk^2
       dot(i, j, k, l)  — q_ij . q_kl

@@ -14,8 +14,9 @@ holds for every orientation.
 The closed forms are generic over the scalar type: they only use
 +, -, *, /, ** on values pulled from a `geometry.PairTable`, whose
 r, R, S are indexed by [i, j] and whose sin3, cos3 and cos4 are written
-once on dx, dy and r; they read no T.  So `kite.KiteTable`, a PairTable
-holding a kite's floats, numpy arrays or intervals, feeds them too: they
+once on dx, dy and r; they read no T.  So `kite.KiteTable`, the PairTable
+that is a kite's one record, in floats, numpy arrays or intervals, feeds
+them too: they
 are the only closed forms of both kite blocks (`kite.hs_explicit` for
 H_s, `kite.ha_explicit` for H_a), in the float kite map and in interval
 certification.  Float matrices over twist directions are V^T H V

@@ -10,11 +10,12 @@ block-diagonalizes the normalized twist Hessian into a 3x3 block H_a
 (containing the rotational zero) and a 2x2 block H_s, whose signs define
 the Morse-index map over shape space.
 
-The shape algebra (`side_powers`, `mass_ratio_terms`, `KiteQuantities.at`,
+The shape algebra (`side_powers`, `mass_ratio_terms`, `kite_distances`,
 `KiteTable`, `hs_explicit`, `ha_explicit`) uses field arithmetic and
 powers only, so one copy serves Python floats, numpy arrays and
-intervals.  Both blocks are the normalized twist entries of `hessian`,
-read from one `KiteTable` whose geometry is the kite at unit scale
+intervals.  `KiteTable(z3, z4, x2, mu31, mu41, A)` is the one record of
+a kite's quantities, and both blocks are the normalized twist entries of
+`hessian` read from it.  Its geometry is the kite at unit scale
 (x2 = 1): the angles those entries read do not depend on the scale, so
 they come from the shape alone, and only the powers R = r^-A and
 S = R - 1 carry x2.  `kite_index_map` evaluates the algebra on arrays of
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -386,68 +386,9 @@ def kite_blocks(kite: KiteConfig, params: PotentialParams) -> KiteBlocks:
     return KiteBlocks(h_a, h_s, cross, M)
 
 
-@dataclass(frozen=True)
-class KiteQuantities:
-    """Scalar bundle for the explicit H_s and H_a entry formulas.
-
-    Fields may be floats, numpy arrays or intervals; `at` and the formulas
-    below only use field arithmetic and powers, so the same code serves
-    every evaluation.  The distances r and the powers R = r^-A, S = R - 1
-    are at scale x2; `table` is the kite's KiteTable and `shared_entries`
-    the entries both blocks read, each built once.
-    """
-
-    A: float
-    x2: object
-    z3: object
-    z4: object
-    r12: object
-    r13: object
-    r14: object
-    r34: object
-    R12: object
-    R13: object
-    R14: object
-    R34: object
-    S12: object
-    S13: object
-    S14: object
-    S34: object
-    mu31: object
-    mu41: object
-
-    @classmethod
-    def at(cls, z3, z4, x2, mu31, mu41, A: float) -> "KiteQuantities":
-        """Quantities of the kite with shape (z3, z4), scale x2 and mass ratios."""
-        r12, r13, r14, r34 = kite_distances(z3, z4, x2)
-        R12, R13, R14, R34 = r12 ** -A, r13 ** -A, r14 ** -A, r34 ** -A
-        return cls(A, x2, z3, z4, r12, r13, r14, r34,
-                   R12, R13, R14, R34,
-                   R12 - 1.0, R13 - 1.0, R14 - 1.0, R34 - 1.0, mu31, mu41)
-
-    @classmethod
-    def from_kite(cls, kite: KiteConfig, params: PotentialParams) -> "KiteQuantities":
-        return cls.at(kite.shape.z3, kite.shape.z4, kite.x2, kite.mu31, kite.mu41, params.A)
-
-    @cached_property
-    def table(self) -> "KiteTable":
-        return KiteTable(self)
-
-    def entry(self, p, q):
-        """The normalized twist entry of the pairs p and q on the kite's table."""
-        return generic_entry(self.table, (1.0, 1.0, self.mu31, self.mu41), self.A, p, q)
-
-    @cached_property
-    def shared_entries(self):
-        """The six normalized entries both blocks read, evaluated once.
-        H_s takes differences of them, H_a sums."""
-        return tuple(self.entry(p, q) for p, q in (
-            ((0, 2), (0, 2)), ((0, 2), (1, 2)), ((0, 3), (0, 3)),
-            ((0, 3), (1, 3)), ((0, 2), (0, 3)), ((0, 2), (1, 3))))
-
-
 class KiteTable(PairTable):
-    """`geometry.PairTable` of a kite, built from q by field arithmetic only.
+    """The kite record: `geometry.PairTable` of the kite with shape (z3, z4),
+    scale x2 and mass ratios mu31, mu41, built by field arithmetic only.
 
     dx, dy, r, R and S are dicts over body pairs [i, j], i != j, holding
     floats, numpy arrays or intervals alike; the angle accessors are
@@ -456,56 +397,82 @@ class KiteTable(PairTable):
     so the angles sin3, cos3 and cos4, which do not depend on the scale,
     carry none of an x2 enclosure's width, while lam and dot are the
     kite's over x2^2.  Values from the fixed coordinates alone (r12 = 2,
-    dx = -2, 0, ...) are exact floats, also in an interval table.  R and S
-    are q's, at scale x2.  There is no T: the normalized entries read none.
+    dx = -2, 0, ...) are exact floats, also in an interval table.  The
+    powers R = r^-A and S = R - 1 are at scale x2.  There is no T: the
+    normalized entries read none.  `entry` gives a normalized twist entry
+    and `shared_entries` the six that both blocks read, evaluated once.
     """
 
-    __slots__ = ()
+    __slots__ = ("z3", "z4", "x2", "masses", "_shared")
 
-    def __init__(self, q: KiteQuantities):
-        r12, r13, r14, r34 = kite_distances(q.z3, q.z4, 1.0)
+    def __init__(self, z3, z4, x2, mu31, mu41, A: float):
+        r = kite_distances(z3, z4, 1.0)
+        R = tuple(d ** -A for d in kite_distances(z3, z4, x2))
+        S = tuple(v - 1.0 for v in R)
         qx = (-1.0, 1.0, 0.0, 0.0)
-        qy = (0.0, 0.0, q.z3, q.z4)
-        self.zero = q.z3 * 0.0
+        qy = (0.0, 0.0, z3, z4)
+        self.z3, self.z4, self.x2, self.A = z3, z4, x2, A
+        self.masses = (1.0, 1.0, mu31, mu41)
+        self.zero = z3 * 0.0
         self.sines = {}
+        self._shared = None
         self.dx, self.dy, self.r, self.R, self.S = {}, {}, {}, {}, {}
-        pairs = {(0, 1): (r12, q.R12, q.S12), (0, 2): (r13, q.R13, q.S13),
-                 (1, 2): (r13, q.R13, q.S13), (0, 3): (r14, q.R14, q.S14),
-                 (1, 3): (r14, q.R14, q.S14), (2, 3): (r34, q.R34, q.S34)}
-        for (i, j), (r, R, S) in pairs.items():
+        # kite_distances' order: r12, r13, r14, r34
+        for (i, j), k in (((0, 1), 0), ((0, 2), 1), ((1, 2), 1), ((0, 3), 2), ((1, 3), 2),
+                          ((2, 3), 3)):
             for a, b in ((i, j), (j, i)):
                 self.dx[a, b], self.dy[a, b] = qx[a] - qx[b], qy[a] - qy[b]
-                self.r[a, b], self.R[a, b], self.S[a, b] = r, R, S
+                self.r[a, b], self.R[a, b], self.S[a, b] = r[k], R[k], S[k]
+
+    @classmethod
+    def of(cls, kite: KiteConfig, params: PotentialParams) -> "KiteTable":
+        return cls(kite.shape.z3, kite.shape.z4, kite.x2, kite.mu31, kite.mu41, params.A)
+
+    def entry(self, p, q):
+        """The normalized twist entry of the pairs p and q."""
+        return generic_entry(self, self.masses, self.A, p, q)
+
+    @property
+    def shared_entries(self):
+        """The six normalized entries both blocks read, evaluated once.
+        H_s takes differences of them, H_a sums."""
+        if self._shared is None:
+            self._shared = tuple(self.entry(p, q) for p, q in (
+                ((0, 2), (0, 2)), ((0, 2), (1, 2)), ((0, 3), (0, 3)),
+                ((0, 3), (1, 3)), ((0, 2), (0, 3)), ((0, 2), (1, 3))))
+        return self._shared
 
 
-def hs_explicit(q: KiteQuantities):
+def hs_explicit(t: KiteTable):
     """Closed-form entries ((Hs)11, (Hs)22, (Hs)12) of the 2x2 block over
     the KITE_BASIS directions (s3, s4), from the normalized entries as in
     `ha_explicit`."""
-    d02, s201, d03, s301, s023, j0213 = q.shared_entries
+    d02, s201, d03, s301, s023, j0213 = t.shared_entries
     return d02 - s201, d03 - s301, s023 - j0213
 
 
-def ha_explicit(q: KiteQuantities):
+def ha_explicit(t: KiteTable):
     """Closed-form entries (a11, a22, a33, a12, a13, a23) of the 3x3 block
     over the KITE_BASIS directions (a3, a4, t34).
 
     The reduced combinations use the kite's reflection symmetry
     (v23^T H v24 = v13^T H v14 etc.), which holds exactly for the
-    mirror-symmetric coordinates.  sqrt 2 is computed in q's scalar type,
+    mirror-symmetric coordinates.  sqrt 2 is computed in t's scalar type,
     so for intervals it is an enclosure.
     """
-    d02, s201, d03, s301, s023, j0213 = q.shared_entries
-    sqrt2 = (q.table.zero + 2.0) ** 0.5
-    return (d02 + s201, d03 + s301, q.entry((2, 3), (2, 3)), s023 + j0213,
-            sqrt2 * q.entry((0, 2), (2, 3)), sqrt2 * q.entry((0, 3), (2, 3)))
+    d02, s201, d03, s301, s023, j0213 = t.shared_entries
+    sqrt2 = (t.zero + 2.0) ** 0.5
+    return (d02 + s201, d03 + s301, t.entry((2, 3), (2, 3)), s023 + j0213,
+            sqrt2 * t.entry((0, 2), (2, 3)), sqrt2 * t.entry((0, 3), (2, 3)))
 
 
-def euler_precursor(q: KiteQuantities):
+def euler_precursor(t: KiteTable):
     """(U - M*I)/m1^2 in kite quantities; zero at the Dziobek scale."""
-    return (q.r12 ** 2 * q.S12 + 2 * q.mu31 * q.r13 ** 2 * q.S13
-            + 2 * q.mu41 * q.r14 ** 2 * q.S14
-            + q.mu41 * q.mu31 * q.r34 ** 2 * q.S34)
+    r12, r13, r14, r34 = kite_distances(t.z3, t.z4, t.x2)
+    _, _, mu31, mu41 = t.masses
+    S = t.S
+    return (r12 ** 2 * S[0, 1] + 2 * mu31 * r13 ** 2 * S[0, 2]
+            + 2 * mu41 * r14 ** 2 * S[0, 3] + mu41 * mu31 * r34 ** 2 * S[2, 3])
 
 
 def coorbital_identity_check(kite: KiteConfig, params: PotentialParams) -> float:
@@ -515,12 +482,14 @@ def coorbital_identity_check(kite: KiteConfig, params: PotentialParams) -> float
     quantities that stay finite as the inner body approaches the
     circumcenter; the residual must vanish at every kite CC.
     """
-    q = KiteQuantities.from_kite(kite, params)
-    if abs(q.S12) < 1e-12 * (abs(q.R12) + 1.0):
+    t = KiteTable.of(kite, params)
+    S12, S13, S14 = t.S[0, 1], t.S[0, 2], t.S[0, 3]
+    if abs(S12) < 1e-12 * (abs(t.R[0, 1]) + 1.0):
         raise InapplicableShapeError("S12 vanishes; coorbital identity inapplicable")
-    direct = q.mu41 * q.S14
-    bounded = -(q.r12 ** 2 * q.S12 + 2 * q.mu31 * q.r13 ** 2 * q.S13) \
-        / (2 * q.r14 ** 2 + q.mu31 * q.r34 ** 2 * q.S13 / q.S12)
+    r12, r13, r14, r34 = kite_distances(kite.shape.z3, kite.shape.z4, kite.x2)
+    direct = kite.mu41 * S14
+    bounded = -(r12 ** 2 * S12 + 2 * kite.mu31 * r13 ** 2 * S13) \
+        / (2 * r14 ** 2 + kite.mu31 * r34 ** 2 * S13 / S12)
     return abs(direct - bounded)
 
 
@@ -618,9 +587,9 @@ def _admissible_cells(z3: np.ndarray, z4: np.ndarray, A: float):
     """
     with np.errstate(all="ignore"):
         x2, mu31, mu41, failed = _kite_terms(z3, z4, side_powers(z3, z4, A), A)
-        q = KiteQuantities.at(z3, z4, x2, mu31, mu41, A)
-        hs11, hs22, hs12 = hs_explicit(q)
-        a11, a22, a33, a12, a13, a23 = ha_explicit(q)
+        t = KiteTable(z3, z4, x2, mu31, mu41, A)
+        hs11, hs22, hs12 = hs_explicit(t)
+        a11, a22, a33, a12, a13, a23 = ha_explicit(t)
     h_s = np.stack([hs11, hs12, hs12, hs22], axis=-1).reshape(-1, 2, 2)
     h_a = np.stack([a11, a12, a13, a12, a22, a23, a13, a23, a33], axis=-1).reshape(-1, 3, 3)
     failed["non_finite"] = ~(np.isfinite(h_s).all(axis=(1, 2))

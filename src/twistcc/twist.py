@@ -141,18 +141,14 @@ def _span_basis(table: PairTable) -> tuple[list[TwistPair], int]:
     return pairs, 2 * n - 3
 
 
-def _la_rows(table: PairTable, m: np.ndarray, i: np.ndarray, j: np.ndarray,
-             lam: np.ndarray) -> np.ndarray:
-    """Laura-Andoyer residuals of the pairs (i[r], j[r]); row r of `lam` is lam_ijk."""
-    w = m * (table.R[i] - table.R[j])
-    # the stacked matmul sums each row as np.dot(w[r], lam[r]) does
-    return m[i] * m[j] * np.matmul(w[:, None, :], lam[:, :, None])[:, 0, 0]
-
-
 def laura_andoyer_pairs(table: PairTable, masses) -> np.ndarray:
     """Laura-Andoyer residuals of every pair i < j, in `np.triu_indices(n, 1)` order."""
-    return _la_rows(table, np.asarray(masses, dtype=float), *_pair_indices(table.n),
-                    table.pair_lams())
+    m = np.asarray(masses, dtype=float)
+    i, j = _pair_indices(table.n)
+    w = m * (table.R[i] - table.R[j])
+    # row r of pair_lams is lam_ijk; the stacked matmul sums each row as
+    # np.dot(w[r], lam[r]) does
+    return m[i] * m[j] * np.matmul(w[:, None, :], table.pair_lams()[:, :, None])[:, 0, 0]
 
 
 def laura_andoyer(table: PairTable, masses, pair) -> float:
@@ -160,12 +156,10 @@ def laura_andoyer(table: PairTable, masses, pair) -> float:
 
     Equals m_i*m_j * sum_k m_k (R_ik - R_jk) lam_ijk and vanishes exactly
     at central configurations, at any scale.  The value is the pair's entry
-    of `laura_andoyer_pairs`, bit for bit.
+    of `laura_andoyer_pairs`.
     """
     i, j = canon_pair(table.n, pair)
-    row = _pair_row(table.n, i, j)
-    return float(_la_rows(table, np.asarray(masses, dtype=float), np.array([i]),
-                          np.array([j]), table.pair_lams()[row:row + 1])[0])
+    return float(laura_andoyer_pairs(table, masses)[_pair_row(table.n, i, j)])
 
 
 def _residual_norm(table: PairTable, masses: np.ndarray) -> float:
@@ -179,20 +173,18 @@ def max_laura_andoyer(table: PairTable, masses) -> float:
     return float(np.abs(laura_andoyer_pairs(table, m)).max()) / _residual_norm(table, m)
 
 
-def _ac_rows(table: PairTable, m: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    ri2 = table.r[i] ** 2
-    a = ri2[np.arange(i.size), j][:, None] + ri2 - table.r[j] ** 2  # A_ijk, a row per pair
-    w = m * table.S[i]
-    return np.matmul(w[:, None, :], a[:, :, None])[:, 0, 0]
-
-
 def albouy_chenciner_pairs(table: PairTable, masses) -> np.ndarray:
     """n x n array of every b_ij (`albouy_chenciner_asym`), zero on the diagonal."""
     m = np.asarray(masses, dtype=float)
     n = table.n
-    j = np.arange(n)
-    # row by row, so the temporaries are n x n rather than n^2 x n
-    b = np.array([_ac_rows(table, m, np.full(n, i), j) for i in range(n)])
+    r2 = table.r ** 2
+    w = m * table.S
+    # row by row, so the temporaries are n x n rather than n^2 x n: row j of
+    # a is A_ijk, and w[i] is tiled so that the stacked matmul sums each row
+    # as np.dot does (a matrix-vector product may round differently)
+    b = np.array([np.matmul(np.tile(w[i], (n, 1))[:, None, :],
+                            (r2[i][:, None] + r2[i] - r2)[:, :, None])[:, 0, 0]
+                  for i in range(n)])
     np.fill_diagonal(b, 0.0)
     return b
 
@@ -200,12 +192,11 @@ def albouy_chenciner_pairs(table: PairTable, masses) -> np.ndarray:
 def albouy_chenciner_asym(table: PairTable, masses, i: int, j: int) -> float:
     """b_ij = sum_{k != i} m_k S_ik A_ijk; vanishes at central configurations.
 
-    The value is entry (i, j) of `albouy_chenciner_pairs`, bit for bit.
+    The value is entry (i, j) of `albouy_chenciner_pairs`.
     """
     if i == j:
         raise ValueError("asymmetric residual needs i != j")
-    return float(_ac_rows(table, np.asarray(masses, dtype=float),
-                          np.array([i]), np.array([j]))[0])
+    return float(albouy_chenciner_pairs(table, masses)[i, j])
 
 
 def albouy_chenciner_sym(table: PairTable, masses, i: int, j: int) -> float:

@@ -466,7 +466,7 @@ def certify_box_ref(z3, z4, params: PotentialParams):
     scalar exception."""
     from twistcc.certify import BoxCertificate, CertifiedIndex
     from twistcc.intervals import IntervalDomainError, IntervalError
-    from twistcc.kite import KiteQuantities, ha_explicit, hs_explicit, mass_ratio_terms
+    from twistcc.kite import KiteTable, ha_explicit, hs_explicit, mass_ratio_terms
 
     failures = (IntervalError, IntervalDomainError)
 
@@ -483,7 +483,7 @@ def certify_box_ref(z3, z4, params: PotentialParams):
         mu31, mu41 = mass_ratio_terms(z3, z4, params.A)
         if not (mu31.is_positive() and mu41.is_positive()):
             raise IntervalDomainError("mass-ratio enclosures not strictly positive")
-        q = KiteQuantities.at(z3, z4, x2, mu31, mu41, params.A)
+        q = KiteTable(z3, z4, x2, mu31, mu41, params.A)
     except failures as exc:
         return unknown(f"interval evaluation failed: {exc}")
     try:

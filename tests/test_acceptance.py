@@ -19,7 +19,7 @@ from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
 from twistcc.hessian import (assemble_twist_hessian, cartesian_hessian, morse_index,
                              twist_hessian_entry)
 from twistcc.intervals import Interval, IntervalArray
-from twistcc.kite import (_BLOCK_LABELS, KiteQuantities, KiteShape, build_kite,
+from twistcc.kite import (_BLOCK_LABELS, KiteShape, KiteTable, build_kite,
                           circumcenter_z4, coorbital_identity_check, kite_blocks,
                           kite_index_map, kite_scale)
 from twistcc.solver import FlowSpec, descend, flow_fixed_combo, rescale_to_cc_size
@@ -202,9 +202,9 @@ def test_criterion_07_kite_construction(newton):
             wa = np.sort(np.abs(np.linalg.eigvalsh(blocks.h_a)))
             assert wa[0] < 1e-6 * wa[-1]
             assert wa[1] >= 1e-6 * wa[-1]
-            q = KiteQuantities.from_kite(kite, newton)
+            q = KiteTable.of(kite, newton)
             resid = coorbital_identity_check(kite, newton)
-            assert resid < 1e-9 * abs(q.mu41 * q.S14) + 1e-14
+            assert resid < 1e-9 * abs(kite.mu41 * q.S[0, 3]) + 1e-14
 
 
 def _components(cellset, radius=1):

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from twistcc.certify import (OUTCOMES, BoxCertificate, _admissible_classes, _dec
 from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
 from twistcc.intervals import Interval, IntervalArray
-from twistcc.kite import (ROTATION_ZERO_RTOL, KiteQuantities, KiteShape, build_kite,
+from twistcc.kite import (ROTATION_ZERO_RTOL, KiteShape, KiteTable, build_kite,
                           circumcenter_z4, ha_explicit, hs_explicit,
                           kite_blocks, kite_scale, side_powers)
 
@@ -144,11 +143,17 @@ def test_interval_quantities_contain_floats(newton):
     x2 = box_scale(z3, z4, newton)
     qi = interval_kite_quantities(z3, z4, x2, newton)
     kite = build_kite(shape, newton)
-    qf = KiteQuantities.from_kite(kite, newton)
-    for name in ("x2", "z3", "z4", "r12", "r13", "r14", "r34",
-                 "R12", "R13", "R14", "R34", "S12", "S13", "S14", "S34",
-                 "mu31", "mu41"):
+    qf = KiteTable.of(kite, newton)
+    for name in ("z3", "z4", "x2"):
         assert getattr(qi, name).contains(getattr(qf, name)), name
+    assert qi.masses[:2] == qf.masses[:2] == (1.0, 1.0)
+    for iv, fl in zip(qi.masses[2:], qf.masses[2:]):
+        assert iv.contains(fl), (iv, fl)
+    # values from the fixed coordinates alone (dx = -2, 0, ...) are exact floats
+    for name in ("dx", "dy", "r", "R", "S"):
+        for pair, fl in getattr(qf, name).items():
+            iv = getattr(qi, name)[pair]
+            assert iv.contains(fl) if isinstance(iv, Interval) else iv == fl, (name, pair)
     h11, h22, h12 = hs_explicit(qi)
     f11, f22, f12 = hs_explicit(qf)
     assert h11.contains(f11) and h22.contains(f22) and h12.contains(f12)
@@ -161,7 +166,7 @@ def test_interval_quantities_contain_floats(newton):
     assert p2 == f2
     powers.append(dziso_residual(pz3, pz4, px2, newton.A))
     fpowers.append(dziso_residual(shape.z3, shape.z4, kite.x2, newton.A))
-    qp = KiteQuantities.at(pz3, pz4, px2, Interval(kite.mu31), Interval(kite.mu41), newton.A)
+    qp = KiteTable(pz3, pz4, px2, Interval(kite.mu31), Interval(kite.mu41), newton.A)
     powers.extend(ha_explicit(qp))
     fpowers.extend(ha_explicit(qf))
     for iv, fl in zip(powers, fpowers):
@@ -505,6 +510,19 @@ def set_lane(x: IntervalArray, k: int, lo: float, hi: float) -> IntervalArray:
     return IntervalArray(los, his)
 
 
+def fail_r34(t: KiteTable) -> KiteTable:
+    """The interval table t with lane 1 of its power R34 failed."""
+    t.R[2, 3] = t.R[3, 2] = fail_lane(t.R[2, 3], 1)
+    return t
+
+
+def negate_mu31(t: KiteTable) -> KiteTable:
+    """The interval table t with lane 1 of mu31 negated."""
+    m1, m2, mu31, mu41 = t.masses
+    t.masses = (m1, m2, set_lane(mu31, 1, -mu31.hi[1], -mu31.lo[1]), mu41)
+    return t
+
+
 def forced(name, change):
     """certify.<name> with its output changed by `change` (a tuple as a list)."""
     fn = getattr(certify, name)
@@ -535,10 +553,9 @@ FORCED = {
     # the signs of the mass ratios are checked before the other quantities
     "masses not positive, r34 failed": (
         "interval_kite_quantities",
-        lambda q: replace(q, mu31=set_lane(q.mu31, 1, -q.mu31.hi[1], -q.mu31.lo[1]),
-                          r34=fail_lane(q.r34, 1)),
+        lambda t: fail_r34(negate_mu31(t)),
         (certify.MASSES_NOT_POSITIVE, certify.MASSES_NOT_POSITIVE)),
-    "r34 failed": ("interval_kite_quantities", lambda q: replace(q, r34=fail_lane(q.r34, 1)),
+    "r34 failed": ("interval_kite_quantities", fail_r34,
                    (certify.QUANTITIES_FAILED, certify.QUANTITIES_FAILED)),
     "Hs failed": ("hs_explicit", lambda o: [o[0], o[1], fail_lane(o[2], 1)],
                   (certify._failed("Hs"), None)),

@@ -160,6 +160,16 @@ def test_descend_random_gives_up_after_bounded_draws(capsys):
     assert "--random 40" in err and "0.2" in err and str(cli.RANDOM_MAX_DRAWS) in err
 
 
+@pytest.mark.parametrize("n", ["155", "1000"])
+def test_descend_random_refuses_bodies_that_cannot_fit(n, capsys, monkeypatch):
+    # 155 disjoint disks of radius 0.1 need 155 * pi * 0.01 > 2.2^2 of area:
+    # refused before any draw (a draw at N = 1000 would need two 1 GB arrays)
+    monkeypatch.setattr(cli, "_random_start", lambda *a: pytest.fail("drew a start"))
+    assert main(["descend", "--random", n, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"--random {n}" in err and "0.2" in err
+
+
 def test_descend_random_seeded(tmp_path):
     traj1 = tmp_path / "r1.csv"
     traj2 = tmp_path / "r2.csv"

@@ -10,8 +10,8 @@ from twistcc.geometry import (PairTable, PotentialParams, build_pair_table, eule
 from twistcc.hessian import cartesian_hessian
 from twistcc.intervals import Interval
 from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, InfeasibleShapeError,
-                          KiteError, KiteQuantities, KiteShape, KiteTable, MassBoundaryError,
-                          build_kite, circumcenter_z4, classify_shape,
+                          InapplicableShapeError, KiteConfig, KiteError, KiteShape, KiteTable,
+                          MassBoundaryError, build_kite, circumcenter_z4, classify_shape,
                           coorbital_identity_check, dzsub_report, euler_precursor,
                           ha_explicit, hs_explicit, kite_blocks, kite_index_map,
                           kite_masses, kite_scale, kite_scales, _BLOCK_LABELS, KITE_CLASSES)
@@ -182,7 +182,7 @@ def test_hs_explicit_matches_assembly(rng, newton):
     for shape in sample_admissible_shapes(rng, 30):
         kite = build_kite(shape, newton)
         blocks = kite_blocks(kite, newton)
-        q = KiteQuantities.from_kite(kite, newton)
+        q = KiteTable.of(kite, newton)
         h11, h22, h12 = hs_explicit(q)
         scale = np.abs(blocks.h_s).max()
         assert h11 == pytest.approx(blocks.h_s[0, 0], rel=1e-10, abs=1e-10 * scale)
@@ -209,11 +209,9 @@ def test_kite_table_matches_pair_table(rng, newton):
     quads = [p + q for p in pairs for q in pairs]
     for shape in sample_admissible_shapes(rng, 10):
         kite = build_kite(shape, newton)
-        q = KiteQuantities.from_kite(kite, newton)
-        kt, pt = KiteTable(q), build_pair_table(kite.config, newton)
-        qi = KiteQuantities.at(Interval(shape.z3), Interval(shape.z4), Interval(kite.x2),
-                               Interval(kite.mu31), Interval(kite.mu41), newton.A)
-        it = KiteTable(qi)
+        kt, pt = KiteTable.of(kite, newton), build_pair_table(kite.config, newton)
+        it = KiteTable(Interval(shape.z3), Interval(shape.z4), Interval(kite.x2),
+                       Interval(kite.mu31), Interval(kite.mu41), newton.A)
         for name, tuples, scale in (("lam", triples, kite.x2 ** 2), ("sin3", triples, 1.0),
                                     ("cos3", triples, 1.0), ("dot", quads, kite.x2 ** 2),
                                     ("cos4", quads, 1.0)):
@@ -235,10 +233,10 @@ def test_ha_explicit_computes_each_sin3_once(monkeypatch, newton):
     kite = build_kite(KiteShape(2.0, 0.8), newton)
 
     def quantities():
-        # fresh ones each time: a KiteQuantities keeps its table and shared entries
-        return (KiteQuantities.from_kite(kite, newton),
-                KiteQuantities.at(Interval(2.0), Interval(0.8), Interval(kite.x2),
-                                  Interval(kite.mu31), Interval(kite.mu41), newton.A))
+        # fresh ones each time: a KiteTable keeps its sines and shared entries
+        return (KiteTable.of(kite, newton),
+                KiteTable(Interval(2.0), Interval(0.8), Interval(kite.x2),
+                          Interval(kite.mu31), Interval(kite.mu41), newton.A))
 
     calls = []
     lam = PairTable.lam
@@ -259,10 +257,10 @@ def test_ha_explicit_computes_each_sin3_once(monkeypatch, newton):
 def test_coorbital_identity(rng, newton):
     for shape in sample_admissible_shapes(rng, 20):
         kite = build_kite(shape, newton)
-        q = KiteQuantities.from_kite(kite, newton)
-        assert abs(euler_precursor(q)) < 1e-10 * max(1.0, abs(q.mu41))
+        q = KiteTable.of(kite, newton)
+        assert abs(euler_precursor(q)) < 1e-10 * max(1.0, abs(kite.mu41))
         resid = coorbital_identity_check(kite, newton)
-        assert resid < 1e-9 * abs(q.mu41 * q.S14) + 1e-14
+        assert resid < 1e-9 * abs(kite.mu41 * q.S[0, 3]) + 1e-14
 
 
 def test_coorbital_limit_bounded(newton):
@@ -273,16 +271,24 @@ def test_coorbital_limit_bounded(newton):
     mus = []
     for dz in (1e-2, 1e-4, 1e-6, 1e-8):
         kite = build_kite(KiteShape(z3, yc + dz), newton)
-        q = KiteQuantities.from_kite(kite, newton)
-        products.append(q.mu41 * q.S14)
-        mus.append(q.mu41)
+        product = kite.mu41 * KiteTable.of(kite, newton).S[0, 3]
+        products.append(product)
+        mus.append(kite.mu41)
         # rounding noise in the residual is amplified by mu41 itself
         assert coorbital_identity_check(kite, newton) < (
-            1e-9 * abs(q.mu41 * q.S14) + 1e-13 * q.mu41)
+            1e-9 * abs(product) + 1e-13 * kite.mu41)
     assert mus[-1] > 1e5 * mus[0]
     # the product converges to a finite limit while mu41 diverges
     assert all(math.isfinite(p) for p in products)
     assert abs(products[-1] - products[-2]) < 1e-2 * abs(products[-1])
+
+
+def test_coorbital_identity_inapplicable_where_s12_vanishes(newton):
+    # at x2 = 1/2, r12 = 1, so R12 = 1 and S12 = 0, which the bounded form divides by
+    kite = build_kite(KiteShape(2.0, 0.8), newton)
+    flat = KiteConfig(kite.shape, 0.5, kite.mu31, kite.mu41, kite.config)
+    with pytest.raises(InapplicableShapeError):
+        coorbital_identity_check(flat, newton)
 
 
 # --- index map ---------------------------------------------------------------------

@@ -36,10 +36,9 @@ from . import __version__
 from .certify import OUTCOMES, Certificates, certify_boxes
 # unused here; perfbench/tracing.py install() looks the name up on this module
 from .certify import certify_box  # noqa: F401
-# build_pair_table is not called here; perfbench/tracing.py wraps it by name
 from .geometry import (ExponentRangeError, GeometryError, PlanarConfig, PotentialParams,
-                       build_pair_table, config_to_json, euler_residual, f_value,
-                       load_config, moment_of_inertia, potential_u)
+                       _row_pass, build_pair_table, config_to_json, euler_residual,
+                       f_value, load_config, moment_of_inertia, potential_u)
 from .hessian import assemble_twist_hessian, lagrange_char_poly_coeffs, signature
 # unused here (the subcommands count their own eigenvalues); perfbench/tracing.py
 # looks the name up on this module
@@ -207,9 +206,10 @@ def cmd_eval(args) -> int:
     return 0 if res.is_cc else 1
 
 
-def _trajectory_lines(states, params):
-    for step, cfg in enumerate(states):
-        values = cfg.positions.tolist() + [moment_of_inertia(cfg), f_value(cfg, params)]
+def _trajectory_lines(positions, masses, params):
+    """Trajectory CSV rows of the (K, 2n) stacked positions, I and f from one row pass."""
+    _, f, _, inertia, _ = _row_pass(positions, masses, params.A)
+    for step, values in enumerate(np.column_stack([positions, inertia, f]).tolist()):
         yield ",".join([str(step), *map("{:.17g}".format, values)])
 
 
@@ -279,10 +279,9 @@ def cmd_descend(args) -> int:
     print(f"i_drift = {fmt(report.i_drift)}")
     outputs = []
     if args.traj:
-        states = [PlanarConfig(pos, config.masses) for _, pos, _, _ in report.history]
-        states.append(report.config)
+        positions = np.array([pos for _, pos, _, _ in report.history])
         write_csv_atomic(args.traj, _trajectory_header(config.n),
-                         _trajectory_lines(states, params))
+                         _trajectory_lines(positions, config.masses, params))
         outputs.append(args.traj)
     if args.final:
         with removed_on_failure(outputs):
@@ -305,8 +304,9 @@ def cmd_flow(args) -> int:
     terms = _parse_pairs(args.pairs, config.n)
     spec = FlowSpec(terms=terms, dt=args.dt, steps=args.steps)
     traj = flow_fixed_combo(config, spec)
+    positions = np.array([c.positions for c in traj])
     write_csv_atomic(args.traj, _trajectory_header(config.n),
-                     _trajectory_lines(traj, params))
+                     _trajectory_lines(positions, config.masses, params))
     RunManifest("flow", {"config": args.config, "pairs": args.pairs,
                          "dt": args.dt, "steps": args.steps},
                 [args.config], [args.traj]).write()
@@ -336,8 +336,9 @@ def _matrix_lines(tm, eigenvalues) -> list[str]:
 
 def cmd_hessian(args) -> int:
     config, params = _load(args.config)
-    basis, dim = twist_span_basis(config)
-    tm = assemble_twist_hessian(config, params, basis, normalized=args.normalized)
+    table = build_pair_table(config, params)
+    basis, dim = twist_span_basis(table)
+    tm = assemble_twist_hessian(table, basis, normalized=args.normalized)
     w = np.linalg.eigvalsh(tm.matrix)     # ascending
     neg, zero, pos = signature(w)
     print(f"span_dimension = {dim}")
@@ -469,7 +470,7 @@ def cmd_lagrange(args) -> int:
     params = PotentialParams(args.A)
     pts = [(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)]
     config = PlanarConfig.from_points(pts, masses)
-    tm = assemble_twist_hessian(config, params, [(0, 1), (0, 2), (1, 2)],
+    tm = assemble_twist_hessian(build_pair_table(config, params), [(0, 1), (0, 2), (1, 2)],
                                 normalized=True)
     a0, a1, a2 = lagrange_char_poly_coeffs(masses)
     w = np.linalg.eigvalsh(tm.matrix)     # ascending

@@ -9,7 +9,8 @@ mass, and U the pair potential sum(m_i*m_j*r_ij^(2-A), i<j).  Critical
 points of f are the planar central configurations, at the size
 normalization U = M*I.  Newtonian gravity is A = 3.  f exists only for
 A > 2, and `PotentialParams` admits no other exponent, so nothing built
-on it checks A again.
+on it checks A again.  A `PairTable` carries its configuration's masses
+and A, so every reader of pair data takes the table alone.
 """
 
 from __future__ import annotations
@@ -191,27 +192,27 @@ def _f(inertia: np.ndarray, potential: np.ndarray, masses: np.ndarray,
     return float(masses.sum()) * inertia / 2.0 + potential / (A - 2.0)
 
 
-def _row_pass(positions: np.ndarray, masses: np.ndarray, params: PotentialParams):
+def _row_pass(positions: np.ndarray, masses: np.ndarray, A: float):
     """(valid, f, pair_r, I, U) for K stacked rows of flat positions, shape (K, 2n).
 
     A row is valid when it would make a `PlanarConfig`: finite, with no
     coincident pair.  For a valid row, f, the (K, P) pair distances, I and
     U equal `f_value`, `pair_distances`, `moment_of_inertia` and
-    `potential_u` of that configuration bit for bit; for an invalid row
-    they are meaningless.
+    `potential_u` of that configuration at exponent A bit for bit; for an
+    invalid row they are meaningless.
     """
     points = positions.reshape(positions.shape[0], -1, 2)
     with np.errstate(all="ignore"):
         pair_r = _pair_distances(points)
         valid = np.isfinite(positions).all(axis=1) & ~_coincident(pair_r)
         inertia = _inertia(points, masses)
-        potential = _potential(pair_r, masses, params.A)
-        f = _f(inertia, potential, masses, params.A)
+        potential = _potential(pair_r, masses, A)
+        f = _f(inertia, potential, masses, A)
     return valid, f, pair_r, inertia, potential
 
 
 class PairTable:
-    """Cached pairwise data for one configuration and exponent.
+    """Cached pairwise data for one configuration, with its `masses` and exponent `A`.
 
     Arrays (all n x n, zero on the diagonal):
       r  — mutual distances
@@ -238,7 +239,7 @@ class PairTable:
                          both read it
     """
 
-    __slots__ = ("n", "A", "dx", "dy", "r", "R", "S", "T", "zero", "sines", "lams")
+    __slots__ = ("n", "A", "masses", "dx", "dy", "r", "R", "S", "T", "zero", "sines", "lams")
 
     def __init__(self, config: PlanarConfig, params: PotentialParams):
         p = config.points
@@ -254,6 +255,7 @@ class PairTable:
             np.fill_diagonal(a, 0.0)
         self.n = n
         self.A = params.A
+        self.masses = config.masses
         self.dx, self.dy, self.r, self.R, self.S, self.T = dx, dy, r, R, S, T
         self.zero = 0.0
         self.sines = {}
@@ -316,12 +318,13 @@ def euler_residual(config: PlanarConfig, params: PotentialParams) -> float:
 
 def cartesian_gradient_f(config: PlanarConfig, params: PotentialParams) -> np.ndarray:
     """Gradient of f in flat coordinates: block i is -m_i * sum_k m_k S_ik q_ik."""
-    return _gradient_f(build_pair_table(config, params), config.masses)
+    return _gradient_f(build_pair_table(config, params))
 
 
-def _gradient_f(table: PairTable, masses: np.ndarray) -> np.ndarray:
+def _gradient_f(table: PairTable) -> np.ndarray:
     """`cartesian_gradient_f` from a pair table the caller already has."""
-    w = (masses[:, None] * masses[None, :]) * table.S
+    m = table.masses
+    w = (m[:, None] * m[None, :]) * table.S
     g = np.empty(2 * table.n)
     g[0::2] = -(w * table.dx).sum(axis=1)
     g[1::2] = -(w * table.dy).sum(axis=1)

@@ -11,16 +11,17 @@ normalized one times (m_i m_j r_ij)(m_k m_l r_kl) (`twist_hessian_entry`);
 the sine-like factors lam_abc/(r_ab*r_ac) are kept *signed* so that this
 holds for every orientation.
 
-The closed forms are generic over the scalar type: they only use
-+, -, *, /, ** on values pulled from a `geometry.PairTable`, whose
-r, R, S are indexed by [i, j] and whose sin3, cos3 and cos4 are written
-once on dx, dy and r; they read no T.  So `kite.KiteTable`, the PairTable
-that is a kite's one record, in floats, numpy arrays or intervals, feeds
-them too: they
-are the only closed forms of both kite blocks (`kite.hs_explicit` for
-H_s, `kite.ha_explicit` for H_a), in the float kite map and in interval
-certification.  Float matrices over twist directions are V^T H V
-instead, H the Cartesian Hessian and V the twist vectors as columns.
+Every function here that reads pair data takes one `geometry.PairTable`,
+which carries the masses and A.  The closed forms are generic over the
+scalar type: they only use +, -, *, /, ** on values pulled from the table,
+whose r, R, S are indexed by [i, j] and whose sin3, cos3 and cos4 are
+written once on dx, dy and r; they read no T.  So `kite.KiteTable`, the
+PairTable that is a kite's one record, in floats, numpy arrays or
+intervals, feeds them too: they are the only closed forms of both kite
+blocks (`kite.hs_explicit` for H_s, `kite.ha_explicit` for H_a), in the
+float kite map and in interval certification.  Float matrices over twist
+directions are V^T H V instead, H the Cartesian Hessian and V the twist
+vectors as columns.
 """
 
 from __future__ import annotations
@@ -49,12 +50,13 @@ def cartesian_hessian(config: PlanarConfig, params: PotentialParams) -> np.ndarr
     diagonal blocks are the negated row sums, which makes the translation
     kernel exact by construction.
     """
-    return _cartesian_hessian(build_pair_table(config, params), config.masses)
+    return _cartesian_hessian(build_pair_table(config, params))
 
 
-def _cartesian_hessian(t: PairTable, m: np.ndarray) -> np.ndarray:
+def _cartesian_hessian(t: PairTable) -> np.ndarray:
     A = t.A
     n = t.n
+    m = t.masses
     mm = m[:, None] * m[None, :]
     hxx = mm * (t.S - A * t.dx ** 2 * t.T)
     hyy = mm * (t.S - A * t.dy ** 2 * t.T)
@@ -72,69 +74,70 @@ def _cartesian_hessian(t: PairTable, m: np.ndarray) -> np.ndarray:
 
 # --- generic twist-basis entries ---------------------------------------------
 
-def _norm_diag(t, m, A, i, j):
+def _norm_diag(t, i, j):
+    m = t.masses
     acc = -(2 + m[i] / m[j] + m[j] / m[i]) * t.S[i, j]
     for k in range(len(m)):
         if k == i or k == j:
             continue
         acc = acc + (-(m[k] / m[i]) * t.S[i, k] - (m[k] / m[j]) * t.S[j, k]
-                     + A * ((m[k] / m[i]) * t.R[i, k] * t.sin3(i, j, k) ** 2
+                     + t.A * ((m[k] / m[i]) * t.R[i, k] * t.sin3(i, j, k) ** 2
                             + (m[k] / m[j]) * t.R[j, k] * t.sin3(j, i, k) ** 2))
     return acc
 
 
-def _norm_share(t, m, A, i, j, k):
+def _norm_share(t, i, j, k):
+    m = t.masses
     n = len(m)
     ssum = t.zero
     for l in range(n):
         if l != i:
             ssum = ssum + (m[l] / m[i]) * t.S[i, l]
     acc = t.cos3(i, j, k) * (t.S[k, j] - t.S[i, j] - t.S[i, k] - ssum)
-    acc = acc - A * t.R[j, k] * t.sin3(j, i, k) * t.sin3(k, j, i)
+    acc = acc - t.A * t.R[j, k] * t.sin3(j, i, k) * t.sin3(k, j, i)
     for l in range(n):
         if l in (i, j, k):
             continue
-        acc = acc + A * (m[l] / m[i]) * t.R[i, l] * t.sin3(i, j, l) * t.sin3(i, k, l)
+        acc = acc + t.A * (m[l] / m[i]) * t.R[i, l] * t.sin3(i, j, l) * t.sin3(i, k, l)
     return acc
 
 
-def _norm_disjoint(t, m, A, i, j, k, l):
-    acc = -A * (t.R[i, k] * t.sin3(i, k, j) * t.sin3(k, l, i)
+def _norm_disjoint(t, i, j, k, l):
+    acc = -t.A * (t.R[i, k] * t.sin3(i, k, j) * t.sin3(k, l, i)
                 + t.R[j, k] * t.sin3(j, k, i) * t.sin3(k, l, j)
                 + t.R[i, l] * t.sin3(i, l, j) * t.sin3(l, k, i)
                 + t.R[j, l] * t.sin3(j, l, i) * t.sin3(l, k, j))
     return acc + t.cos4(i, j, k, l) * (t.R[i, k] + t.R[j, l] - t.R[j, k] - t.R[i, l])
 
 
-def generic_entry(t, m, A, p: TwistPair, q: TwistPair):
-    """The normalized twist-basis Hessian entry of the pairs p and q: the
-    closed form of their kind (diagonal, shared vertex or disjoint), with the
-    shared body first in a shared-vertex entry."""
+def generic_entry(t, p: TwistPair, q: TwistPair):
+    """The normalized twist-basis Hessian entry of the pairs p and q over the
+    table t: the closed form of their kind (diagonal, shared vertex or
+    disjoint), with the shared body first in a shared-vertex entry."""
     i, j = p
     k, l = q
     shared = {i, j} & {k, l}
     if len(shared) == 2:
-        return _norm_diag(t, m, A, i, j)
+        return _norm_diag(t, i, j)
     if len(shared) == 1:
         s = shared.pop()
-        return _norm_share(t, m, A, s, j if i == s else i, l if k == s else k)
-    return _norm_disjoint(t, m, A, i, j, k, l)
+        return _norm_share(t, s, j if i == s else i, l if k == s else k)
+    return _norm_disjoint(t, i, j, k, l)
 
 
-def twist_hessian_entry(table: PairTable, masses, pair1, pair2,
-                        normalized: bool = False) -> float:
+def twist_hessian_entry(table: PairTable, pair1, pair2, normalized: bool = False) -> float:
     """v_p^T H v_q for the twist vectors of pair1 and pair2, or for the
     normalized vectors v_ij / (m_i m_j r_ij); any pair kind, at the table's
-    exponent.  The raw entry is the normalized one times
+    masses and exponent.  The raw entry is the normalized one times
     (m_i m_j r_ij)(m_k m_l r_kl)."""
     p = canon_pair(table.n, pair1)
     q = canon_pair(table.n, pair2)
-    value = generic_entry(table, masses, table.A, p, q)
+    value = generic_entry(table, p, q)
     if normalized:
         return float(value)
     (i, j), (k, l) = p, q
-    return float(value * (masses[i] * masses[j] * table.r[i, j])
-                 * (masses[k] * masses[l] * table.r[k, l]))
+    m = table.masses
+    return float(value * (m[i] * m[j] * table.r[i, j]) * (m[k] * m[l] * table.r[k, l]))
 
 
 # --- assembled matrices --------------------------------------------------------
@@ -158,7 +161,6 @@ class TwistMatrix:
 
     matrix: np.ndarray
     directions: tuple[TwistDirection, ...]
-    normalized: bool
 
 
 def _as_direction(d) -> TwistDirection:
@@ -167,18 +169,17 @@ def _as_direction(d) -> TwistDirection:
     return TwistDirection.from_pair(tuple(d))
 
 
-def assemble_twist_hessian(config: PlanarConfig, params: PotentialParams,
-                           directions, normalized: bool = False) -> TwistMatrix:
-    """V^T H V, H the Cartesian Hessian and the columns of V the (raw or
-    normalized) twist vectors combined as in `directions`; made exactly
-    symmetric.  Equals the closed-form entries' expansion up to rounding.
+def assemble_twist_hessian(table: PairTable, directions,
+                           normalized: bool = False) -> TwistMatrix:
+    """V^T H V over the table, H the Cartesian Hessian and the columns of V
+    the (raw or normalized) twist vectors combined as in `directions`; made
+    exactly symmetric.  Equals the closed-form entries' expansion up to rounding.
 
     The twist vectors of every term are built at once, one row each; each
     column of V sums its direction's terms in order."""
     dirs = tuple(_as_direction(d) for d in directions)
-    table = build_pair_table(config, params)
-    m = config.masses
-    terms = [(a, c, canon_pair(config.n, p)) for a, d in enumerate(dirs) for c, p in d.terms]
+    m = table.masses
+    terms = [(a, c, canon_pair(table.n, p)) for a, d in enumerate(dirs) for c, p in d.terms]
     cols = np.array([a for a, _, _ in terms], dtype=np.intp)
     coef = np.array([c for _, c, _ in terms], dtype=float)
     i, j = np.array([p for _, _, p in terms], dtype=np.intp).reshape(-1, 2).T
@@ -187,10 +188,10 @@ def assemble_twist_hessian(config: PlanarConfig, params: PotentialParams,
         rows /= (m[i] * m[j] * table.r[i, j])[:, None]
     # V must be C-ordered (2n, k): a (k, 2n) build, transposed, sends the product
     # below down another BLAS path, which changes the last digits
-    V = np.zeros((2 * config.n, len(dirs)))
+    V = np.zeros((2 * table.n, len(dirs)))
     np.add.at(V.T, cols, coef[:, None] * rows)
-    M = V.T @ _cartesian_hessian(table, m) @ V
-    return TwistMatrix(0.5 * (M + M.T), dirs, normalized)
+    M = V.T @ _cartesian_hessian(table) @ V
+    return TwistMatrix(0.5 * (M + M.T), dirs)
 
 
 def lagrange_char_poly_coeffs(masses) -> tuple[float, float, float]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PairTable, PlanarConfig, PotentialParams
+from .geometry import PairTable, PlanarConfig, PotentialParams, build_pair_table
 from .hessian import MORSE_ZERO_RTOL, TwistDirection, assemble_twist_hessian, generic_entry
 
 SQRT3 = math.sqrt(3.0)
@@ -372,7 +372,8 @@ class KiteBlocks:
 def kite_blocks(kite: KiteConfig, params: PotentialParams) -> KiteBlocks:
     """Assemble the 5x5 normalized twist Hessian and split it into blocks."""
     with np.errstate(all="ignore"):  # overflow is reported just below
-        M = assemble_twist_hessian(kite.config, params, KITE_BASIS, normalized=True).matrix
+        M = assemble_twist_hessian(build_pair_table(kite.config, params), KITE_BASIS,
+                                   normalized=True).matrix
     if not np.isfinite(M).all():
         raise _kite_error("non_finite", kite.shape.z3, kite.shape.z4)
     h_a = M[:3, :3].copy()
@@ -399,11 +400,12 @@ class KiteTable(PairTable):
     kite's over x2^2.  Values from the fixed coordinates alone (r12 = 2,
     dx = -2, 0, ...) are exact floats, also in an interval table.  The
     powers R = r^-A and S = R - 1 are at scale x2.  There is no T: the
-    normalized entries read none.  `entry` gives a normalized twist entry
-    and `shared_entries` the six that both blocks read, evaluated once.
+    normalized entries read none.  The masses are (1, 1, mu31, mu41), and
+    `shared_entries` are the six normalized twist entries that both blocks
+    read, evaluated once.
     """
 
-    __slots__ = ("z3", "z4", "x2", "masses", "_shared")
+    __slots__ = ("z3", "z4", "x2", "_shared")
 
     def __init__(self, z3, z4, x2, mu31, mu41, A: float):
         r = kite_distances(z3, z4, 1.0)
@@ -428,16 +430,12 @@ class KiteTable(PairTable):
     def of(cls, kite: KiteConfig, params: PotentialParams) -> "KiteTable":
         return cls(kite.shape.z3, kite.shape.z4, kite.x2, kite.mu31, kite.mu41, params.A)
 
-    def entry(self, p, q):
-        """The normalized twist entry of the pairs p and q."""
-        return generic_entry(self, self.masses, self.A, p, q)
-
     @property
     def shared_entries(self):
         """The six normalized entries both blocks read, evaluated once.
         H_s takes differences of them, H_a sums."""
         if self._shared is None:
-            self._shared = tuple(self.entry(p, q) for p, q in (
+            self._shared = tuple(generic_entry(self, p, q) for p, q in (
                 ((0, 2), (0, 2)), ((0, 2), (1, 2)), ((0, 3), (0, 3)),
                 ((0, 3), (1, 3)), ((0, 2), (0, 3)), ((0, 2), (1, 3))))
         return self._shared
@@ -462,8 +460,8 @@ def ha_explicit(t: KiteTable):
     """
     d02, s201, d03, s301, s023, j0213 = t.shared_entries
     sqrt2 = (t.zero + 2.0) ** 0.5
-    return (d02 + s201, d03 + s301, t.entry((2, 3), (2, 3)), s023 + j0213,
-            sqrt2 * t.entry((0, 2), (2, 3)), sqrt2 * t.entry((0, 3), (2, 3)))
+    return (d02 + s201, d03 + s301, generic_entry(t, (2, 3), (2, 3)), s023 + j0213,
+            sqrt2 * generic_entry(t, (0, 2), (2, 3)), sqrt2 * generic_entry(t, (0, 3), (2, 3)))
 
 
 def euler_precursor(t: KiteTable):

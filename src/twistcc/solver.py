@@ -37,11 +37,8 @@ from .geometry import (GeometryError, PairTable, PlanarConfig, PotentialParams, 
                        _gradient_f, _row_pass, build_pair_table, f_value,
                        moment_of_inertia, potential_u)
 from .hessian import _cartesian_hessian
-from .twist import (TwistPair, _span_basis, _twist_rows, _unit_twists, canon_pair,
-                    cc_residual, max_laura_andoyer)
-# unused here (descend reads the span basis off its pair table); perfbench/tracing.py
-# looks the name up on this module
-from .twist import twist_span_basis  # noqa: F401
+from .twist import (TwistPair, _twist_rows, _unit_twists, canon_pair, cc_residual,
+                    max_laura_andoyer, twist_span_basis)
 
 # Backtracking line-search constants.
 ETA0_FRACTION = 1e-2     # initial step length as a fraction of the diameter
@@ -133,7 +130,9 @@ class DescentReport:
     "max_iter".  `newton_steps` counts the accepted Newton steps among
     `iterations`, and `newton_rejected` the Newton candidates that failed
     or were refused; `i_drift` is |I/I0 - 1| of the final configuration
-    against the start, before any final rescale.
+    against the start, before any final rescale.  With `record`, `history`
+    is the whole trajectory, start to `config`: one (step, positions, f,
+    Laura-Andoyer residual) row per configuration, `iterations + 1` rows.
     """
 
     config: PlanarConfig
@@ -165,11 +164,11 @@ def _carried(rows: np.ndarray, k: int, masses: np.ndarray, passed) -> _Iterate:
                     float(f[k]), float(inertia[k]), float(potential[k]))
 
 
-def _descent_direction(table: PairTable, masses: np.ndarray,
+def _descent_direction(table: PairTable,
                        basis: list[TwistPair]) -> tuple[np.ndarray, np.ndarray]:
     """(grad f, d) with d = sum_k (grad f . u_k) u_k over the unit twists of `basis`."""
-    g = _gradient_f(table, masses)
-    u = _unit_twists(table, masses, basis)
+    g = _gradient_f(table)
+    u = _unit_twists(table, basis)
     gu = np.matmul(u[:, None, :], g[:, None])[:, 0]  # each row summed as g @ u_k is
     # accumulate adds the terms in basis order onto a zero row, as a loop does
     d = np.add.accumulate(np.vstack([np.zeros_like(g), gu * u]))[-1]
@@ -189,7 +188,7 @@ def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
     etas[0] = eta
     np.cumprod(etas, out=etas)  # repeats `eta *= SHRINK` exactly
     trials = cfg.positions - etas[:, None] * d
-    passed = _row_pass(trials, cfg.masses, params)
+    passed = _row_pass(trials, cfg.masses, params.A)
     valid, f = passed[:2]
     ok = valid & (f <= fcur - ARMIJO_C * etas * slope)
     if not ok.any():
@@ -197,9 +196,10 @@ def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
     return _carried(trials, int(np.argmax(ok)), cfg.masses, passed)
 
 
-def _newton_step(cfg: PlanarConfig, params: PotentialParams, table: PairTable,
+def _newton_step(table: PairTable, x: np.ndarray,
                  basis: list[TwistPair]) -> _Iterate | None:
-    """The twist-span Newton candidate, rescaled to U = M*I, or None.
+    """The twist-span Newton candidate from the table's configuration cfg,
+    at flat positions x, rescaled to U = M*I, or None.
 
     Solves (V H V^T) c = -V grad f in least squares, V the raw twists of
     `basis` as rows and H the Cartesian Hessian, and moves to x + V^T c.
@@ -208,22 +208,22 @@ def _newton_step(cfg: PlanarConfig, params: PotentialParams, table: PairTable,
     the result is `rescale_to_cc_size(cfg.with_positions(x + V^T c))` and
     its f, bit for bit, and None where either construction would raise.
     """
-    m = cfg.masses
+    m, A = table.masses, table.A
     i, j = np.array(basis, dtype=np.intp).T
     V = _twist_rows(m, i, j, table.dx[i, j], table.dy[i, j])
-    g = _gradient_f(table, m)
-    H = _cartesian_hessian(table, m)
+    g = _gradient_f(table)
+    H = _cartesian_hessian(table)
     try:
         c = np.linalg.lstsq(V @ H @ V.T, -(V @ g), rcond=NEWTON_RCOND)[0]
     except np.linalg.LinAlgError:
         return None
-    x = (cfg.positions + V.T @ c)[None]
-    valid, _, _, inertia, potential = _row_pass(x, m, params)
+    moved = (x + V.T @ c)[None]
+    valid, _, _, inertia, potential = _row_pass(moved, m, A)
     if not valid[0]:
         return None
-    y = _cc_size_points(x.reshape(-1, 2), m, float(inertia[0]), float(potential[0]),
-                        params.A).reshape(1, -1)
-    passed = _row_pass(y, m, params)
+    y = _cc_size_points(moved.reshape(-1, 2), m, float(inertia[0]), float(potential[0]),
+                        A).reshape(1, -1)
+    passed = _row_pass(y, m, A)
     if not passed[0][0]:
         return None
     return _carried(y, 0, m, passed)
@@ -275,7 +275,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     def residuals(cur: _Iterate, table: PairTable) -> tuple[float, float]:
         # The normalized residual is amplified by MI/U under the final
         # rescale to U = M*I, so converge on the post-rescale value.
-        resid = max_laura_andoyer(table, cur.config.masses)
+        resid = max_laura_andoyer(table)
         return resid, resid * max(1.0, M * cur.inertia / cur.potential)
 
     def is_cc(cfg: PlanarConfig, resid_cc: float) -> bool:
@@ -299,7 +299,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
         if is_cc(cfg, resid_cc):
             reason = "converged"
             break
-        basis, dim = _span_basis(table)
+        basis, dim = twist_span_basis(table)
         if dim < full_dim:
             degenerate_run += 1
             if degenerate_run >= COLLAPSE_RUN:
@@ -310,7 +310,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
             degenerate_run = 0
 
         if resid_cc < NEWTON_SWITCH and dim == full_dim:
-            cand = _newton_step(cfg, params, table, basis)
+            cand = _newton_step(table, cfg.positions, basis)
             if cand is not None:
                 cand_table = build_pair_table(cand.config, params)
                 if residuals(cand, cand_table)[1] < resid_cc and cand.f <= cur.f:
@@ -320,7 +320,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
                     continue
             newton_rejected += 1
 
-        g, d = _descent_direction(table, cfg.masses, basis)
+        g, d = _descent_direction(table, basis)
         slope = float(g @ d)
         dn = float(np.linalg.norm(d))
         if dn == 0.0 or slope <= 0.0:
@@ -337,11 +337,13 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
 
     cfg = cur.config
     resid, resid_cc = residuals(cur, table)
+    if record and reason == "max_iter":  # the loop ran out: no iteration recorded cfg
+        history.append((iterations, cfg.positions, cur.f, resid))
     if reason == "max_iter" and is_cc(cfg, resid_cc):  # the last step reached a CC
         reason = "converged"
     # Laura-Andoyer residuals vanish identically on collinear configurations,
     # so a rank-deficient final span is a collapse even when "converged".
-    _, final_dim = _span_basis(table)
+    _, final_dim = twist_span_basis(table)
     collapse = collapse or final_dim < full_dim
     i_drift = abs(cur.inertia / start.inertia - 1.0)
     return DescentReport(cfg, iterations, resid, cur.f, reason == "converged", collapse,

@@ -61,18 +61,20 @@ def _twist_rows(masses: np.ndarray, i: np.ndarray, j: np.ndarray, dx, dy) -> np.
     return v
 
 
-def _unit_twists(table: PairTable, masses, pairs) -> np.ndarray:
+def _unit_twists(table: PairTable, pairs) -> np.ndarray:
     """v_ij / |v_ij| for canonical `pairs`, one row each, from the table's differences."""
     i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    v = _twist_rows(np.asarray(masses, dtype=float), i, j, table.dx[i, j], table.dy[i, j])
+    v = _twist_rows(table.masses, i, j, table.dx[i, j], table.dy[i, j])
     # the stacked matmul sums each row as np.linalg.norm(v[r]) does
     return v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0])
 
 
-def normalized_twist(config: PlanarConfig, table: PairTable, pair) -> np.ndarray:
+def normalized_twist(table: PairTable, pair) -> np.ndarray:
     """v_ij / (m_i * m_j * r_ij), the mass- and length-normalized twist."""
-    i, j = canon_pair(config.n, pair)
-    return twist_vector(config, (i, j)) / (config.masses[i] * config.masses[j] * table.r[i, j])
+    i, j = canon_pair(table.n, pair)
+    m = table.masses
+    v = _twist_rows(m, np.array([i]), np.array([j]), table.dx[i, j], table.dy[i, j])[0]
+    return v / (m[i] * m[j] * table.r[i, j])
 
 
 @lru_cache(maxsize=64)
@@ -99,23 +101,16 @@ def _triple_rows(n: int) -> np.ndarray:
     return rows
 
 
-def twist_span_basis(config: PlanarConfig) -> tuple[list[TwistPair], int]:
-    """Independent twist pairs spanning the full twist space.
+def twist_span_basis(table: PairTable) -> tuple[list[TwistPair], int]:
+    """Independent twist pairs spanning the full twist space of the table's
+    configuration.
 
     Seeds the three pairs of the least-collinear triple, then adds two
     pairs per remaining body, switching anchor when a triple degenerates.
     Returns (pairs, dimension) with dimension 2n - 3, or n - 1 with basis
-    {(0, j)} when all bodies are collinear.
-    """
-    # only dx, dy and r are read, so any exponent builds the same basis
-    return _span_basis(PairTable(config, PotentialParams()))
-
-
-def _span_basis(table: PairTable) -> tuple[list[TwistPair], int]:
-    """`twist_span_basis` of the table's configuration.
-
-    The area of the triple a < b < c is |lam_abc|, the entry (pair (a, b),
-    c) of the table's `pair_lams`, and the anchor test reads the same row.
+    {(0, j)} when all bodies are collinear.  The area of the triple
+    a < b < c is |lam_abc|, the entry (pair (a, b), c) of the table's
+    `pair_lams`, and the anchor test reads the same row.
     """
     n = table.n
     thresh = COLLINEAR_RTOL * float(table.r.max()) ** 2
@@ -141,9 +136,9 @@ def _span_basis(table: PairTable) -> tuple[list[TwistPair], int]:
     return pairs, 2 * n - 3
 
 
-def laura_andoyer_pairs(table: PairTable, masses) -> np.ndarray:
+def laura_andoyer_pairs(table: PairTable) -> np.ndarray:
     """Laura-Andoyer residuals of every pair i < j, in `np.triu_indices(n, 1)` order."""
-    m = np.asarray(masses, dtype=float)
+    m = table.masses
     i, j = _pair_indices(table.n)
     w = m * (table.R[i] - table.R[j])
     # row r of pair_lams is lam_ijk; the stacked matmul sums each row as
@@ -151,7 +146,7 @@ def laura_andoyer_pairs(table: PairTable, masses) -> np.ndarray:
     return m[i] * m[j] * np.matmul(w[:, None, :], table.pair_lams()[:, :, None])[:, 0, 0]
 
 
-def laura_andoyer(table: PairTable, masses, pair) -> float:
+def laura_andoyer(table: PairTable, pair) -> float:
     """Directional derivative of f along v_ij.
 
     Equals m_i*m_j * sum_k m_k (R_ik - R_jk) lam_ijk and vanishes exactly
@@ -159,26 +154,24 @@ def laura_andoyer(table: PairTable, masses, pair) -> float:
     of `laura_andoyer_pairs`.
     """
     i, j = canon_pair(table.n, pair)
-    return float(laura_andoyer_pairs(table, masses)[_pair_row(table.n, i, j)])
+    return float(laura_andoyer_pairs(table)[_pair_row(table.n, i, j)])
 
 
-def _residual_norm(table: PairTable, masses: np.ndarray) -> float:
-    return float(masses.sum()) ** 2 * float(table.r.max()) ** 2
+def _residual_norm(table: PairTable) -> float:
+    return float(table.masses.sum()) ** 2 * float(table.r.max()) ** 2
 
 
-def max_laura_andoyer(table: PairTable, masses) -> float:
+def max_laura_andoyer(table: PairTable) -> float:
     """Largest |Laura-Andoyer residual| over all pairs, normalized by
     (sum m)^2 * diameter^2 like `CCResidual.max_la`."""
-    m = np.asarray(masses, dtype=float)
-    return float(np.abs(laura_andoyer_pairs(table, m)).max()) / _residual_norm(table, m)
+    return float(np.abs(laura_andoyer_pairs(table)).max()) / _residual_norm(table)
 
 
-def albouy_chenciner_pairs(table: PairTable, masses) -> np.ndarray:
+def albouy_chenciner_pairs(table: PairTable) -> np.ndarray:
     """n x n array of every b_ij (`albouy_chenciner_asym`), zero on the diagonal."""
-    m = np.asarray(masses, dtype=float)
     n = table.n
     r2 = table.r ** 2
-    w = m * table.S
+    w = table.masses * table.S
     # row by row, so the temporaries are n x n rather than n^2 x n: row j of
     # a is A_ijk, and w[i] is tiled so that the stacked matmul sums each row
     # as np.dot does (a matrix-vector product may round differently)
@@ -189,19 +182,19 @@ def albouy_chenciner_pairs(table: PairTable, masses) -> np.ndarray:
     return b
 
 
-def albouy_chenciner_asym(table: PairTable, masses, i: int, j: int) -> float:
+def albouy_chenciner_asym(table: PairTable, i: int, j: int) -> float:
     """b_ij = sum_{k != i} m_k S_ik A_ijk; vanishes at central configurations.
 
     The value is entry (i, j) of `albouy_chenciner_pairs`.
     """
     if i == j:
         raise ValueError("asymmetric residual needs i != j")
-    return float(albouy_chenciner_pairs(table, masses)[i, j])
+    return float(albouy_chenciner_pairs(table)[i, j])
 
 
-def albouy_chenciner_sym(table: PairTable, masses, i: int, j: int) -> float:
+def albouy_chenciner_sym(table: PairTable, i: int, j: int) -> float:
     """g_ij = b_ij + b_ji, the symmetric Albouy-Chenciner residual."""
-    return albouy_chenciner_asym(table, masses, i, j) + albouy_chenciner_asym(table, masses, j, i)
+    return albouy_chenciner_asym(table, i, j) + albouy_chenciner_asym(table, j, i)
 
 
 @dataclass(frozen=True)
@@ -222,10 +215,9 @@ class CCResidual:
 def cc_residual(config: PlanarConfig, params: PotentialParams,
                 tol: float = 1e-10) -> CCResidual:
     table = build_pair_table(config, params)
-    m = config.masses
-    la = laura_andoyer_pairs(table, m)
-    b = albouy_chenciner_pairs(table, m)
-    norm = _residual_norm(table, m)
+    la = laura_andoyer_pairs(table)
+    b = albouy_chenciner_pairs(table)
+    norm = _residual_norm(table)
     max_la = float(np.abs(la).max()) / norm
     max_ac = float(np.abs(b).max()) / norm
     return CCResidual(max_la, max_ac, bool(max_la < tol and max_ac < tol), la, b)

@@ -257,9 +257,9 @@ def armijo_step_loop(config: PlanarConfig, params: PotentialParams, d: np.ndarra
 def descent_direction_loop(config: PlanarConfig, g: np.ndarray, pairs=None) -> np.ndarray:
     """d = sum (g . u) u over the unit twists of `pairs` (by default the
     span basis), one at a time."""
-    from twistcc.twist import twist_span_basis, twist_vector
+    from twistcc.twist import twist_vector
     d = np.zeros_like(g)
-    for pair in twist_span_basis(config)[0] if pairs is None else pairs:
+    for pair in twist_span_basis_loop(config)[0] if pairs is None else pairs:
         u = twist_vector(config, pair)
         u /= np.linalg.norm(u)
         d += (g @ u) * u
@@ -518,7 +518,7 @@ def assemble_twist_hessian_loop(config: PlanarConfig, params: PotentialParams, d
     V = np.zeros((2 * config.n, len(dirs)))
     for a, d in enumerate(dirs):
         for c, p in d.terms:
-            V[:, a] += c * (normalized_twist(config, table, p) if normalized
+            V[:, a] += c * (normalized_twist(table, p) if normalized
                             else twist_vector(config, p))
     M = V.T @ cartesian_hessian(config, params) @ V
     return 0.5 * (M + M.T)

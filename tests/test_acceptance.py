@@ -70,23 +70,23 @@ def test_criterion_01_gradient_identity(rng):
             t = build_pair_table(cfg, params)
             for i in range(n):
                 for j in range(i + 1, n):
-                    la = laura_andoyer(t, cfg.masses, (i, j))
+                    la = laura_andoyer(t, (i, j))
                     dd = float(g @ twist_vector(cfg, (i, j)))
                     assert abs(la - dd) < 1e-10 * max(abs(la), abs(dd), 1e-3)
 
 
-def test_criterion_02_span_theorem(rng):
+def test_criterion_02_span_theorem(rng, newton):
     with criterion(2, "twist span dimension 2n-3 generic / n-1 collinear", 5):
         for trial in range(100):
             n = int(rng.integers(3, 7))
             cfg = random_config(rng, n)
-            _, dim = twist_span_basis(cfg)
+            _, dim = twist_span_basis(build_pair_table(cfg, newton))
             assert dim == 2 * n - 3
             assert all_twist_rank(cfg) == dim
         for trial in range(100):
             n = int(rng.integers(3, 7))
             cfg = random_config(rng, n, collinear=True)
-            _, dim = twist_span_basis(cfg)
+            _, dim = twist_span_basis(build_pair_table(cfg, newton))
             assert dim == n - 1
             assert all_twist_rank(cfg) == dim
 
@@ -109,13 +109,13 @@ def test_criterion_03_hessian_formula_equivalence(rng):
                     kind = {2: "diag", 1: "share", 0: "disjoint"}[shared]
                     for normalized in (False, True):
                         if normalized:
-                            vp = normalized_twist(cfg, t, p)
-                            vq = normalized_twist(cfg, t, q)
+                            vp = normalized_twist(t, p)
+                            vq = normalized_twist(t, q)
                         else:
                             vp = twist_vector(cfg, p)
                             vq = twist_vector(cfg, q)
                         want = float(vp @ H @ vq)
-                        got = twist_hessian_entry(t, cfg.masses, p, q, normalized)
+                        got = twist_hessian_entry(t, p, q, normalized)
                         floor = 1e-12 * hnorm * np.linalg.norm(vp) * np.linalg.norm(vq)
                         assert abs(got - want) < 1e-9 * max(abs(want), floor), \
                             (p, q, normalized, A)
@@ -138,7 +138,7 @@ def test_criterion_04_three_body_closed_form(rng):
         for trial in range(100):
             masses = tuple(10.0 ** rng.uniform(-1, 1, 3))
             cfg = equilateral_config(masses)
-            tm = assemble_twist_hessian(cfg, params, [(0, 1), (0, 2), (1, 2)],
+            tm = assemble_twist_hessian(build_pair_table(cfg, params), [(0, 1), (0, 2), (1, 2)],
                                         normalized=True)
             m1, m2, m3 = masses
             want = (3 * A / 4) * np.array([
@@ -147,7 +147,7 @@ def test_criterion_04_three_body_closed_form(rng):
                 [-1, -1, m1 / m2 + m1 / m3]])
             assert np.abs(tm.matrix - want).max() <= 1e-12 * np.abs(want).max()
             assert morse_index(tm) == (0, 1, 2)
-        tm = assemble_twist_hessian(equilateral_config(), params,
+        tm = assemble_twist_hessian(build_pair_table(equilateral_config(), params),
                                     [(0, 1), (0, 2), (1, 2)], normalized=True)
         w = np.sort(np.linalg.eigvalsh(tm.matrix))
         assert abs(w[0]) < 1e-12

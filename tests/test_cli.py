@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from twistcc import cli
 from twistcc.certify import certify_boxes
 from twistcc.cli import csv_field, main
-from twistcc.geometry import (config_from_json, config_to_json, load_config, PlanarConfig,
-                              PotentialParams)
+from twistcc.geometry import (config_from_json, config_to_json, load_config, PairTable,
+                              PlanarConfig, PotentialParams, build_pair_table)
 from twistcc.hessian import assemble_twist_hessian, lagrange_char_poly_coeffs
 from twistcc.kite import kite_index_map
 from twistcc.solver import FlowSpec, descend, flow_fixed_combo
@@ -126,6 +126,22 @@ def test_descend_cli(square_file, tmp_path, capsys):
     assert traj.read_bytes() == first
 
 
+@pytest.mark.parametrize("max_iter", ["50000", "5"])
+def test_descend_trajectory_has_one_row_per_configuration(square_file, max_iter, tmp_path,
+                                                          capsys):
+    # a converged run and a --max-iter stop: the start and each iterate once
+    traj = tmp_path / "traj.csv"
+    converged = max_iter == "50000"
+    assert main(["descend", square_file, "--max-iter", max_iter, "--traj", str(traj)]) == (
+        0 if converged else 1)
+    out = capsys.readouterr().out
+    iterations = int(out.split("iterations = ")[1].split()[0])
+    assert ("reason = converged" if converged else "reason = max_iter") in out
+    rows = [r.split(",")[1:] for r in traj.read_text().splitlines()[1:]]
+    assert len(rows) == iterations + 1
+    assert all(a != b for a, b in zip(rows, rows[1:]))
+
+
 def test_descend_reports_stop_reason(tmp_path, capsys):
     final = tmp_path / "d6.json"
     assert main(["descend", "--random", "6", "--seed", "1", "--final", str(final)]) == 0
@@ -209,6 +225,16 @@ def test_hessian_cli_lagrange_structure(triangle_file, tmp_path, capsys):
         for b in range(3):
             if a != b:
                 assert entries[(str(a), str(b))] == pytest.approx(-3 * A / 4, rel=1e-12)
+
+
+def test_hessian_run_builds_one_pair_table(square_file, monkeypatch, capsys):
+    # the span basis and the assembled matrix read the same table
+    calls = []
+    init = PairTable.__init__
+    monkeypatch.setattr(PairTable, "__init__",
+                        lambda self, *args: calls.append(1) or init(self, *args))
+    assert main(["hessian", square_file]) == 0
+    assert len(calls) == 1
 
 
 def test_kite_map_cli(tmp_path):
@@ -475,17 +501,19 @@ def test_eval_and_hessian_tables_match_csv_writer(name, tmp_path):
     config, params = load_config(DATA / name)
     main(["eval", str(DATA / name), "--csv", str(tmp_path / "e.csv")])
     assert_table(tmp_path / "e.csv", eval_table_ref(config, params))
-    basis, _ = twist_span_basis(config)
+    table = build_pair_table(config, params)
+    basis, _ = twist_span_basis(table)
     for normalized in (False, True):
         main(["hessian", str(DATA / name), "--csv", str(tmp_path / "h.csv")]
              + ["--normalized"] * normalized)
-        tm = assemble_twist_hessian(config, params, basis, normalized=normalized)
+        tm = assemble_twist_hessian(table, basis, normalized=normalized)
         assert_table(tmp_path / "h.csv", matrix_table_ref(tm))
 
 
 def test_lagrange_table_matches_csv_writer(tmp_path):
     assert main(["lagrange", "--masses", "1,2,3", "--csv", str(tmp_path / "l.csv")]) == 0
-    tm = assemble_twist_hessian(equilateral_config((1.0, 2.0, 3.0)), PotentialParams(3.0),
+    tm = assemble_twist_hessian(build_pair_table(equilateral_config((1.0, 2.0, 3.0)),
+                                                 PotentialParams(3.0)),
                                 [(0, 1), (0, 2), (1, 2)], normalized=True)
     header, rows = matrix_table_ref(tm)
     rows += [["charpoly", name, "", "", "", f"{v:.17g}"]
@@ -526,7 +554,8 @@ def test_trajectory_tables_match_csv_writer(tmp_path):
           "--traj", str(tmp_path / "d.csv")])
     report = descend(config, params, tol=1e-10, max_iter=30, record=True)
     states = [PlanarConfig(pos, config.masses) for _, pos, _, _ in report.history]
-    assert_table(tmp_path / "d.csv", trajectory_table_ref(states + [report.config], params))
+    assert states[-1].positions.tobytes() == report.config.positions.tobytes()
+    assert_table(tmp_path / "d.csv", trajectory_table_ref(states, params))
 
 
 @pytest.mark.parametrize("A", [3.0, 1000.0])

@@ -102,7 +102,7 @@ def test_f_rows_match_one_configuration_at_a_time(rng):
             rows[6, -1] = np.nan
             rows[7] = 0.0                        # all bodies at one point
             rows[8] *= 1e200                     # f overflows
-            valid, f, pair_r, inertia, potential = _row_pass(rows, m, params)
+            valid, f, pair_r, inertia, potential = _row_pass(rows, m, A)
             assert valid[[4, 8]].tolist() == [n == 2, True] and not valid[[3, 5, 6, 7]].any()
             for k, row in enumerate(rows):
                 pts = row.reshape(-1, 2)

@@ -61,8 +61,8 @@ def sandwich(cfg, params, p, q, normalized):
     H = cartesian_hessian(cfg, params)
     t = build_pair_table(cfg, params)
     if normalized:
-        vp = normalized_twist(cfg, t, p)
-        vq = normalized_twist(cfg, t, q)
+        vp = normalized_twist(t, p)
+        vq = normalized_twist(t, q)
     else:
         vp = twist_vector(cfg, p)
         vq = twist_vector(cfg, q)
@@ -71,7 +71,7 @@ def sandwich(cfg, params, p, q, normalized):
 
 def check_entry(cfg, params, p, q, normalized):
     t = build_pair_table(cfg, params)
-    got = twist_hessian_entry(t, cfg.masses, p, q, normalized)
+    got = twist_hessian_entry(t, p, q, normalized)
     want = sandwich(cfg, params, p, q, normalized)
     H = cartesian_hessian(cfg, params)
     floor = 1e-12 * np.linalg.norm(H)
@@ -96,13 +96,13 @@ def test_raw_entries_by_kind(rng, newton):
     t = build_pair_table(cfg, newton)
     m = cfg.masses
     for p, q in (((0, 3), (0, 3)), ((0, 1), (0, 2)), ((0, 1), (2, 3))):
-        got = twist_hessian_entry(t, m, p, q)
+        got = twist_hessian_entry(t, p, q)
         assert got == pytest.approx(sandwich(cfg, newton, p, q, False), rel=1e-10)
         assert got == pytest.approx(raw_twist_entry(t, m, newton, p, q), rel=1e-12)
     with pytest.raises(ValueError):
-        twist_hessian_entry(t, m, (1, 1), (2, 3))
+        twist_hessian_entry(t, (1, 1), (2, 3))
     with pytest.raises(ValueError):
-        twist_hessian_entry(t, m, (0, 1), (1, 5))
+        twist_hessian_entry(t, (0, 1), (1, 5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -122,17 +122,17 @@ def test_entries_match_sandwich_on_wide_inputs(n, A, seed):
     hnorm = np.linalg.norm(H)
     pairs = all_pairs(n)
     raw = {p: twist_vector(cfg, p) for p in pairs}
-    nrm = {p: normalized_twist(cfg, t, p) for p in pairs}
+    nrm = {p: normalized_twist(t, p) for p in pairs}
     for p in pairs:
         for q in pairs:
             for normalized, v in ((False, raw), (True, nrm)):
                 want = float(v[p] @ H @ v[q])
-                got = twist_hessian_entry(t, m, p, q, normalized)
+                got = twist_hessian_entry(t, p, q, normalized)
                 floor = 1e-12 * hnorm * np.linalg.norm(v[p]) * np.linalg.norm(v[q])
                 assert abs(got - want) < 1e-9 * max(abs(want), floor), (p, q, normalized)
             scale = m[p[0]] * m[p[1]] * t.r[p] * m[q[0]] * m[q[1]] * t.r[q]
             ref = raw_twist_entry(t, m, params, p, q) / scale
-            got = twist_hessian_entry(t, m, p, q, normalized=True)
+            got = twist_hessian_entry(t, p, q, normalized=True)
             floor = 1e-12 * hnorm * np.linalg.norm(nrm[p]) * np.linalg.norm(nrm[q])
             assert abs(got - ref) < 1e-9 * max(abs(ref), floor), (p, q)
 
@@ -144,7 +144,7 @@ def test_two_body_diag_sign(newton):
     for r, expect_positive in ((1.25, True), (0.9, False)):
         cfg = PlanarConfig.from_points([(0, 0), (r, 0)], (1.0, 1.0))
         t = build_pair_table(cfg, newton)
-        val = twist_hessian_entry(t, cfg.masses, (0, 1), (0, 1))
+        val = twist_hessian_entry(t, (0, 1), (0, 1))
         assert val == pytest.approx(sandwich(cfg, newton, (0, 1), (0, 1), False), rel=1e-10)
         assert (val > 0) == expect_positive
 
@@ -160,7 +160,7 @@ def test_normalized_is_rescaled_raw(rng, newton):
         for p in pairs:
             for q in pairs:
                 raw = raw_twist_entry(t, m, newton, p, q)
-                nrm = twist_hessian_entry(t, m, p, q, normalized=True)
+                nrm = twist_hessian_entry(t, p, q, normalized=True)
                 scale = (m[p[0]] * m[p[1]] * t.r[p[0], p[1]]
                          * m[q[0]] * m[q[1]] * t.r[q[0], q[1]])
                 assert nrm == pytest.approx(raw / scale, rel=1e-12, abs=1e-13)
@@ -181,7 +181,8 @@ def test_lagrange_twist_hessian(rng, newton):
     for _ in range(20):
         masses = tuple(10.0 ** rng.uniform(-0.5, 0.5, 3))
         cfg = equilateral_config(masses)
-        tm = assemble_twist_hessian(cfg, newton, [(0, 1), (0, 2), (1, 2)], normalized=True)
+        tm = assemble_twist_hessian(build_pair_table(cfg, newton), [(0, 1), (0, 2), (1, 2)],
+                                    normalized=True)
         want = lagrange_matrix(masses, newton.A)
         assert np.abs(tm.matrix - want).max() <= 1e-12 * np.abs(want).max()
         assert morse_index(tm) == (0, 1, 2)
@@ -189,7 +190,8 @@ def test_lagrange_twist_hessian(rng, newton):
 
 def test_lagrange_equal_mass_eigenvalues(newton):
     cfg = equilateral_config((1.0, 1.0, 1.0))
-    tm = assemble_twist_hessian(cfg, newton, [(0, 1), (0, 2), (1, 2)], normalized=True)
+    tm = assemble_twist_hessian(build_pair_table(cfg, newton), [(0, 1), (0, 2), (1, 2)],
+                                normalized=True)
     w = np.sort(np.linalg.eigvalsh(tm.matrix))
     assert w[0] == pytest.approx(0.0, abs=1e-12)
     assert w[1] == pytest.approx(27 / 4, rel=1e-12)
@@ -200,9 +202,9 @@ def test_lagrange_diag_value(newton):
     # normalized diagonal at equal masses, A = 3: (3A/4)(1 + 1) = 4.5
     cfg = equilateral_config()
     t = build_pair_table(cfg, newton)
-    assert twist_hessian_entry(t, cfg.masses, (0, 1), (0, 1),
+    assert twist_hessian_entry(t, (0, 1), (0, 1),
                                normalized=True) == pytest.approx(4.5, rel=1e-13)
-    assert twist_hessian_entry(t, cfg.masses, (0, 1), (0, 2),
+    assert twist_hessian_entry(t, (0, 1), (0, 2),
                                normalized=True) == pytest.approx(-9 / 4, rel=1e-13)
 
 
@@ -217,30 +219,17 @@ def test_assemble_with_combined_directions(rng, newton):
         TwistDirection("d3", ((1.0, (2, 1)), (0.3, (0, 3)), (-2.0, (0, 1)))),
     ]
     for normalized in (False, True):
-        tm = assemble_twist_hessian(cfg, newton, dirs, normalized=normalized)
+        tm = assemble_twist_hessian(build_pair_table(cfg, newton), dirs, normalized=normalized)
         assert np.array_equal(tm.matrix, tm.matrix.T)
-        V = [sum(c * (normalized_twist(cfg, t, p) if normalized else twist_vector(cfg, p))
+        V = [sum(c * (normalized_twist(t, p) if normalized else twist_vector(cfg, p))
                  for c, p in d.terms) for d in dirs]
         sandwiched = np.array([[va @ H @ vb for vb in V] for va in V])
         # independent reference: bilinear expansion of the closed-form entries
-        closed = np.array([[sum(ca * cb * twist_hessian_entry(t, cfg.masses, pa, pb, normalized)
+        closed = np.array([[sum(ca * cb * twist_hessian_entry(t, pa, pb, normalized)
                                 for ca, pa in da.terms for cb, pb in db.terms)
                             for db in dirs] for da in dirs])
         for want in (sandwiched, closed):
             assert np.abs(tm.matrix - want).max() <= 1e-10 * np.abs(want).max(), normalized
-
-
-def test_assembly_builds_one_pair_table(monkeypatch, rng, newton):
-    from twistcc import hessian
-    calls = []
-    build = hessian.build_pair_table
-    monkeypatch.setattr(hessian, "build_pair_table",
-                        lambda config, params: calls.append(1) or build(config, params))
-    cfg = random_config(rng, 5)
-    for normalized in (False, True):
-        calls.clear()
-        assemble_twist_hessian(cfg, newton, [(0, 1), (1, 2), (3, 4)], normalized=normalized)
-        assert len(calls) == 1, normalized
 
 
 # --- characteristic polynomial and index counting ---------------------------------
@@ -263,7 +252,7 @@ def test_char_poly_roots_positive(rng):
         assert np.all(roots.real > 0)
         # roots must match the nonzero eigenvalues of the ratio matrix
         cfg = equilateral_config(masses)
-        tm = assemble_twist_hessian(cfg, PotentialParams(3.0),
+        tm = assemble_twist_hessian(build_pair_table(cfg, PotentialParams(3.0)),
                                     [(0, 1), (0, 2), (1, 2)], normalized=True)
         w = np.sort(np.linalg.eigvalsh(tm.matrix / (9 / 4)))
         assert np.sort(roots.real) == pytest.approx(w[1:], rel=1e-9)
@@ -294,12 +283,13 @@ def test_assembly_matches_column_loop(rng, newton, n):
     # every term's twist row built at once equals V filled column by column, bit for bit
     for _ in range(3):
         cfg = random_config(rng, n, min_sep=0.05)
-        basis, _ = twist_span_basis(cfg)
+        table = build_pair_table(cfg, newton)
+        basis, _ = twist_span_basis(table)
         mixed = [TwistDirection("mixed", ((0.3, (2, 0)), (-1.7, (1, n - 1)), (0.5, (0, 2)))),
                  (n - 1, 0)]
         for dirs in (basis, mixed):
             for normalized in (False, True):
-                assert_same_bits(assemble_twist_hessian(cfg, newton, dirs, normalized).matrix,
+                assert_same_bits(assemble_twist_hessian(table, dirs, normalized).matrix,
                                  assemble_twist_hessian_loop(cfg, newton, dirs, normalized))
 
 
@@ -309,7 +299,8 @@ def test_kite_assembly_matches_column_loop(rng, newton):
         kite = build_kite(shape, newton)
         for normalized in (False, True):
             assert_same_bits(
-                assemble_twist_hessian(kite.config, newton, KITE_BASIS, normalized).matrix,
+                assemble_twist_hessian(build_pair_table(kite.config, newton), KITE_BASIS,
+                                       normalized).matrix,
                 assemble_twist_hessian_loop(kite.config, newton, KITE_BASIS, normalized))
 
 

@@ -179,7 +179,8 @@ def test_descend_start_suite_converges(suite_reports, newton):
         assert (r.reason == "converged") == r.converged
         assert r.reason in STOP_REASONS
         assert 0 <= r.newton_steps <= r.iterations
-        fs = [h[2] for h in r.history] + [r.f_value]
+        fs = [h[2] for h in r.history]
+        assert len(fs) == r.iterations + 1 and fs[-1] == r.f_value
         assert all(b <= a for a, b in zip(fs, fs[1:]))
 
 
@@ -188,26 +189,27 @@ def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton)
     tried = []
     newton_step = solver._newton_step
 
-    def recorded(cfg, *args):
-        cand = newton_step(cfg, *args)
-        tried.append((cfg, cand.config))
+    def recorded(table, x, basis):
+        cand = newton_step(table, x, basis)
+        tried.append((x, cand.config))
         return cand
 
     monkeypatch.setattr(solver, "_newton_step", recorded)
 
     def resid_cc(cfg):
         ratio = cfg.masses.sum() * moment_of_inertia(cfg) / potential_u(cfg, newton)
-        return max_laura_andoyer(build_pair_table(cfg, newton), cfg.masses) * max(1.0, ratio)
+        return max_laura_andoyer(build_pair_table(cfg, newton)) * max(1.0, ratio)
 
     kinds = set()
     for start in ((6, 4), (6, 7)):
         tried.clear()
         report = descend(cli_random_start(*start), newton, record=True)
         assert report.converged
-        positions = [h[1].tobytes() for h in report.history] + [report.config.positions.tobytes()]
+        positions = [h[1].tobytes() for h in report.history]
         kept = 0
-        for cfg, cand in tried:
-            k = positions.index(cfg.positions.tobytes())
+        for x, cand in tried:
+            cfg = PlanarConfig(x, cand.masses)
+            k = positions.index(x.tobytes())
             kind = (resid_cc(cand) < resid_cc(cfg), f_value(cand, newton) <= f_value(cfg, newton))
             assert (positions[k + 1] == cand.positions.tobytes()) == all(kind), (start, k)
             kinds.add(kind)
@@ -296,8 +298,8 @@ def test_armijo_step_matches_sequential_loop(rng, newton):
 def test_descent_direction_matches_loop(rng, newton):
     for n in (3, 4, 8, 20):
         cfg = random_config(rng, n)
-        basis, _ = twist_span_basis(cfg)
-        g, d = _descent_direction(build_pair_table(cfg, newton), cfg.masses, basis)
+        table = build_pair_table(cfg, newton)
+        g, d = _descent_direction(table, twist_span_basis(table)[0])
         assert g.tobytes() == cartesian_gradient_f(cfg, newton).tobytes()
         assert d.tobytes() == descent_direction_loop(cfg, g).tobytes()
 
@@ -329,7 +331,8 @@ def test_newton_step_matches_public_constructors(monkeypatch, rng, newton):
     lagrange, _ = load_config(DATA / "lagrange_123.json")
     cfgs = [lagrange, square_config()] + [random_config(rng, n) for n in (3, 4, 5, 8)]
     for cfg in cfgs:
-        basis, _ = twist_span_basis(cfg)
+        table = build_pair_table(cfg, newton)
+        basis, _ = twist_span_basis(table)
         V = np.vstack([twist_vector(cfg, p) for p in basis])
         # a step in the twist span that puts body 0 on body 1
         q = cfg.points
@@ -346,7 +349,7 @@ def test_newton_step_matches_public_constructors(monkeypatch, rng, newton):
 
             monkeypatch.setattr(np.linalg, "lstsq", solve)
             with np.errstate(all="ignore"):
-                got = _newton_step(cfg, newton, build_pair_table(cfg, newton), basis)
+                got = _newton_step(table, cfg.positions, basis)
             monkeypatch.setattr(np.linalg, "lstsq", lstsq)
             with np.errstate(all="ignore"):
                 ref = newton_step_ref(cfg, newton, basis, used[0])

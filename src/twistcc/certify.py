@@ -60,8 +60,8 @@ import numpy as np
 
 from .geometry import PotentialParams
 from .intervals import Interval, IntervalArray
-from .kite import (KiteTable, dziobek_coefficients, ha_explicit, hs_explicit,
-                   kite_scales, mass_ratio_terms, side_powers)
+from .kite import (KiteTable, circumcenter_z4, dziobek_coefficients, ha_explicit,
+                   hs_explicit, kite_scales, mass_ratio_terms, side_powers)
 # unused here; perfbench/tracing.py install() looks both names up on this module
 from .kite import build_kite, kite_blocks  # noqa: F401
 
@@ -140,7 +140,7 @@ def _admissible_classes(z3: IntervalArray, z4: IntervalArray) -> np.ndarray:
     inside one class, else 0."""
     with np.errstate(all="ignore"):
         inside = (z4.lo > 0.0) & (z3.lo > z4.hi)
-        yc = 0.5 * z3 - 0.5 / z3
+        yc = circumcenter_z4(z3)
         tall = inside & (z3.lo > SQRT3_I.hi) & (z4.lo > yc.hi) & (z4.hi < HALF_SQRT3_I.lo)
         wide = inside & (z3.hi < SQRT3_I.lo) & (z4.hi < yc.lo)
     return np.select([tall, wide], [1, 2], 0)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -117,17 +118,16 @@ class PlanarConfig:
     @classmethod
     def _from_valid_row(cls, positions: np.ndarray, masses: np.ndarray,
                         pair_r: np.ndarray) -> "PlanarConfig":
-        """The configuration of a row that `_row_pass` found valid, built
+        """The configuration of a row that `_row_check` found valid, built
         without running `__post_init__` again.
 
-        Only the solver calls this, on a row of `_row_pass` whose validity
-        mask is set, with that row's pair distances and the masses of an
-        already validated configuration.  That is safe because the mask is
-        `__post_init__`'s own check (finite positions, no pair within
-        COINCIDENT_RTOL of the diameter) on the same distances, and the
-        masses passed their checks when that configuration was built.
-        Positions and distances are stored as read-only contiguous copies,
-        so the result equals `PlanarConfig(positions, masses)` field for field.
+        The solver calls this on descent's accepted rows and on every flow
+        step, with the row's pair distances and the masses of an already
+        validated configuration.  That is safe because the mask is
+        `__post_init__`'s own check on the same distances, and the masses
+        passed their checks when that configuration was built.  Positions
+        and distances are stored as read-only contiguous copies, so the
+        result equals `PlanarConfig(positions, masses)` field for field.
         """
         self = object.__new__(cls)
         pos = np.array(positions, dtype=float)
@@ -192,19 +192,29 @@ def _f(inertia: np.ndarray, potential: np.ndarray, masses: np.ndarray,
     return float(masses.sum()) * inertia / 2.0 + potential / (A - 2.0)
 
 
+def _row_check(positions: np.ndarray):
+    """(valid, pair_r) for K stacked rows of flat positions, shape (K, 2n).
+
+    A row is valid when it would make a `PlanarConfig`: finite, with no
+    coincident pair.  For a valid row the (K, P) pair distances are its
+    configuration's `pair_distances` bit for bit.
+    """
+    with np.errstate(all="ignore"):
+        pair_r = _pair_distances(positions.reshape(positions.shape[0], -1, 2))
+        return np.isfinite(positions).all(axis=1) & ~_coincident(pair_r), pair_r
+
+
 def _row_pass(positions: np.ndarray, masses: np.ndarray, A: float):
     """(valid, f, pair_r, I, U) for K stacked rows of flat positions, shape (K, 2n).
 
-    A row is valid when it would make a `PlanarConfig`: finite, with no
-    coincident pair.  For a valid row, f, the (K, P) pair distances, I and
-    U equal `f_value`, `pair_distances`, `moment_of_inertia` and
-    `potential_u` of that configuration at exponent A bit for bit; for an
-    invalid row they are meaningless.
+    `valid` and `pair_r` are `_row_check`'s.  For a valid row, f, I and U
+    equal `f_value`, `moment_of_inertia` and `potential_u` of that
+    configuration at exponent A bit for bit; for an invalid row they are
+    meaningless.
     """
     points = positions.reshape(positions.shape[0], -1, 2)
+    valid, pair_r = _row_check(positions)
     with np.errstate(all="ignore"):
-        pair_r = _pair_distances(points)
-        valid = np.isfinite(positions).all(axis=1) & ~_coincident(pair_r)
         inertia = _inertia(points, masses)
         potential = _potential(pair_r, masses, A)
         f = _f(inertia, potential, masses, A)
@@ -334,20 +344,31 @@ def _gradient_f(table: PairTable) -> np.ndarray:
 # --- configuration file format ----------------------------------------------
 #
 # JSON document {"A": number, "masses": [m1..mn], "positions": [[x1,y1],..]}.
-# Floats are written with repr, which round-trips IEEE-754 doubles exactly.
+# Every value must be a JSON number: a string, list or true/false is refused,
+# not converted.  Floats are written with repr, which round-trips IEEE-754
+# doubles exactly.
+
+def _numbers(v, length=None) -> bool:
+    """Whether v is a list of JSON numbers that fit a float, `length` of them
+    if given (json reads true and false as bool, a subclass of int)."""
+    return isinstance(v, list) and length in (None, len(v)) and all(
+        type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max) for x in v)
+
 
 def config_from_json(text: str) -> tuple[PlanarConfig, PotentialParams]:
     data = json.loads(text)
-    try:
-        A = float(data["A"])
-        masses = [float(v) for v in data["masses"]]
-        positions = [[float(x), float(y)] for (x, y) in data["positions"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GeometryError(f"malformed configuration document: {exc}") from exc
+    data = data if isinstance(data, dict) else {}
+    A, masses, positions = data.get("A"), data.get("masses"), data.get("positions")
+    for name, ok, want in (
+            ("A", _numbers([A]), "a number"),
+            ("masses", _numbers(masses), "a list of numbers"),
+            ("positions", isinstance(positions, list)
+             and all(_numbers(p, 2) for p in positions), "a list of [x, y] numbers")):
+        if not ok:
+            raise GeometryError(f"malformed configuration document: {name!r} must be {want}")
     if len(positions) != len(masses):
-        raise GeometryError(
-            f"{len(positions)} positions for {len(masses)} masses")
-    return PlanarConfig.from_points(positions, masses), PotentialParams(A)
+        raise GeometryError(f"{len(positions)} positions for {len(masses)} masses")
+    return PlanarConfig.from_points(positions, masses), PotentialParams(float(A))
 
 
 def config_to_json(config: PlanarConfig, params: PotentialParams) -> str:

@@ -18,12 +18,12 @@ a kite's quantities, and both blocks are the normalized twist entries of
 `hessian` read from it.  Its geometry is the kite at unit scale
 (x2 = 1): the angles those entries read do not depend on the scale, so
 they come from the shape alone, and only the powers R = r^-A and
-S = R - 1 carry x2.  `kite_index_map` evaluates the algebra on arrays of
-cell centres, with the classification, scale and mass checks as masks
-shared with the scalar `classify_shape`, `kite_scale`, `kite_masses` and
-`build_kite`, and returns the map as the flat per-cell arrays of an
+S = R - 1 carry x2.  `_kite_terms` makes one pass over arrays of shapes
+for the scale, the mass ratios and the masks of `build_kite`'s checks.
+`kite_scales` and `kite_index_map` read it on arrays, and `kite_scale`,
+`kite_masses` and `build_kite` on one-element arrays, so they agree bit
+for bit.  `kite_index_map` returns the flat per-cell arrays of an
 `IndexMap`; `cli` writes them as CSV rows and a PGM raster (`write_pgm`).
-`kite_scales` gives `kite_scale` over arrays of shapes.
 `kite_blocks` (the 5x5 `V^T H V` assembly) is the independent float
 cross-check of the closed-form blocks.
 """
@@ -91,7 +91,7 @@ class KiteShape:
 
 
 def circumcenter_z4(z3: float) -> float:
-    """z4 of the outer triangle's circumcenter: masses blow up on this curve."""
+    """z4 of the outer triangle's circumcenter (masses blow up there), for any scalar type."""
     return 0.5 * z3 - 0.5 / z3
 
 
@@ -144,69 +144,48 @@ def _kite_error(check: str, z3: float, z4: float,
     return cls(text.format(z3=z3, z4=z4, mu31=mu31, mu41=mu41))
 
 
-# The scale and mass checks below take numpy scalars or arrays.  Numpy's
-# vectorized power can differ from libm's (which numpy scalars use) in the
-# last ulp, so every power runs on arrays: `_one` computes a single shape's
-# side powers on one-element arrays and `_root` takes the final root on an
-# array.  The other operations round the same either way, so a scalar call
-# agrees bit for bit with the index map's cell.
+# `_kite_terms` takes arrays of shapes.  Numpy's vectorized power can
+# differ from libm's (which numpy scalars use) in the last ulp, so every
+# power runs on arrays: `_one` evaluates a single shape on one-element
+# arrays.  The other operations round the same either way, so a scalar
+# call agrees bit for bit with the index map's cell.
 
-def _scale_terms(powers):
-    """(t, failed) from the side powers: t = x2^(-A) at the Dziobek scale.
+def _kite_terms(z3, z4, A: float):
+    """(x2, mu31, mu41, failed) for arrays of shapes, from one set of side
+    powers; `failed` maps each check `build_kite` applies, in `_CHECKS`
+    order, to its mask.
 
-    `failed` maps each scale check of `_CHECKS` to its mask.  Substituting
-    t = x2^(-A) makes the Dziobek equation linear in t, so the root
-    t = N/D is exact up to rounding.  At the fully symmetric shape
-    (sqrt 3, 1/sqrt 3) the equation holds identically (indeterminate);
-    when N/D <= 0 no positive root exists (infeasible).
+    Substituting t = x2^(-A) makes the Dziobek equation linear in t, so
+    the root t = N/D is exact up to rounding and x2 = t^(-1/A).  At the
+    fully symmetric shape (sqrt 3, 1/sqrt 3) the equation holds
+    identically (indeterminate); when N/D <= 0 no positive root exists
+    (infeasible).  The mass ratios are `mass_ratio_terms`; each boundary
+    check flags a vanishing denominator.
     """
-    p2, pd, p3, p4 = powers
+    powers = p2, pd, p3, p4 = side_powers(z3, z4, A)
     D, N = dziobek_coefficients(powers)
     t = N / D
-    return t, {
+    mu31, mu41 = _mass_ratios(z3, z4, powers)
+    return t ** (-1.0 / A), mu31, mu41, {
         "indeterminate": ((np.abs(D) <= 1e-13 * (p2 * pd + p3 * p4))
                           & (np.abs(N) <= 1e-13 * (p2 + pd + p3 + p4))),
         "infeasible": (D == 0.0) | (t <= 0.0),
-    }
-
-
-def _root(t, A: float) -> np.ndarray:
-    """x2 = t^(-1/A), as an array."""
-    return np.atleast_1d(t) ** (-1.0 / A)
-
-
-def _mass_terms(z3, z4, powers):
-    """(mu31, mu41, failed) from the side powers; `failed` maps each mass
-    check of `_CHECKS` to its mask."""
-    _, pd, p3, p4 = powers
-    mu31, mu41 = _mass_ratios(z3, z4, powers)
-    return mu31, mu41, {
         "mu31_boundary": np.abs(pd - p3) <= 1e-13 * (pd + p3),
         "mu41_boundary": np.abs(p4 - pd) <= 1e-13 * (p4 + pd),
         "nonpositive": (mu31 <= 0.0) | (mu41 <= 0.0),
     }
 
 
-def _kite_terms(z3, z4, powers, A: float):
-    """(x2, mu31, mu41, failed) with the masks of every check `build_kite`
-    applies, in its order."""
-    t, failed = _scale_terms(powers)
-    mu31, mu41, mass_failed = _mass_terms(z3, z4, powers)
-    return _root(t, A), mu31, mu41, {**failed, **mass_failed}
-
-
-def _one(shape: KiteShape, A: float):
-    """(z3, z4, side powers) of one shape as numpy scalars."""
-    z3, z4 = np.array([shape.z3]), np.array([shape.z4])
-    p2, pd, p3, p4 = side_powers(z3, z4, A)
-    return z3[0], z4[0], (p2, pd[0], p3[0], p4[0])
-
-
-def _raise_failed(shape: KiteShape, failed: dict, checks, mu31=math.nan, mu41=math.nan):
-    """Raise the first of `checks` that `failed` flags for this shape."""
+def _one(shape: KiteShape, A: float, checks) -> tuple[float, float, float]:
+    """(x2, mu31, mu41) of one shape as floats; raises the first of
+    `checks` that the shape fails."""
+    with np.errstate(all="ignore"):
+        *values, failed = _kite_terms(np.array([shape.z3]), np.array([shape.z4]), A)
+    x2, mu31, mu41 = (float(v[0]) for v in values)
     for check in checks:
-        if failed[check]:
+        if failed[check][0]:
             raise _kite_error(check, shape.z3, shape.z4, mu31, mu41)
+    return x2, mu31, mu41
 
 
 def kite_scale(shape: KiteShape, params: PotentialParams) -> float:
@@ -215,10 +194,7 @@ def kite_scale(shape: KiteShape, params: PotentialParams) -> float:
     Raises IndeterminateScaleError at the fully symmetric shape and
     InfeasibleShapeError where no positive root exists.
     """
-    with np.errstate(all="ignore"):
-        t, failed = _scale_terms(_one(shape, params.A)[2])
-        _raise_failed(shape, failed, failed)
-        return float(_root(t, params.A)[0])
+    return _one(shape, params.A, ("indeterminate", "infeasible"))[0]
 
 
 def kite_scales(z3: np.ndarray, z4: np.ndarray, A: float):
@@ -226,8 +202,8 @@ def kite_scales(z3: np.ndarray, z4: np.ndarray, A: float):
     `kite_scale` (bit for bit, from the same array code) and the mask of
     shapes where `kite_scale` raises."""
     with np.errstate(all="ignore"):
-        t, failed = _scale_terms(side_powers(z3, z4, A))
-        return _root(t, A), failed["indeterminate"] | failed["infeasible"]
+        x2, _, _, failed = _kite_terms(z3, z4, A)
+    return x2, failed["indeterminate"] | failed["infeasible"]
 
 
 @dataclass(frozen=True)
@@ -296,10 +272,7 @@ def kite_masses(shape: KiteShape, params: PotentialParams) -> tuple[float, float
     The ratios are scale-free: x2 cancels algebraically.  Raises
     MassBoundaryError where a denominator vanishes.
     """
-    with np.errstate(all="ignore"):
-        mu31, mu41, failed = _mass_terms(*_one(shape, params.A))
-    _raise_failed(shape, failed, ("mu31_boundary", "mu41_boundary"))
-    return float(mu31), float(mu41)
+    return _one(shape, params.A, ("mu31_boundary", "mu41_boundary"))[1:]
 
 
 KITE_CLASSES = ("inadmissible", "tall", "wide", "circumcenter-boundary")
@@ -338,10 +311,7 @@ class KiteConfig:
 
 
 def build_kite(shape: KiteShape, params: PotentialParams) -> KiteConfig:
-    with np.errstate(all="ignore"):
-        x2, mu31, mu41, failed = _kite_terms(*_one(shape, params.A), params.A)
-    x2, mu31, mu41 = float(x2[0]), float(mu31), float(mu41)
-    _raise_failed(shape, failed, failed, mu31, mu41)
+    x2, mu31, mu41 = _one(shape, params.A, tuple(_CHECKS)[:-1])
     y3, y4 = shape.z3 * x2, shape.z4 * x2
     cfg = PlanarConfig(
         np.array([-x2, 0.0, x2, 0.0, 0.0, y3, 0.0, y4]),
@@ -584,7 +554,7 @@ def _admissible_cells(z3: np.ndarray, z4: np.ndarray, A: float):
     that pass every check, from their stacked closed-form blocks.
     """
     with np.errstate(all="ignore"):
-        x2, mu31, mu41, failed = _kite_terms(z3, z4, side_powers(z3, z4, A), A)
+        x2, mu31, mu41, failed = _kite_terms(z3, z4, A)
         t = KiteTable(z3, z4, x2, mu31, mu41, A)
         hs11, hs22, hs12 = hs_explicit(t)
         a11, a22, a33, a12, a13, a23 = ha_explicit(t)

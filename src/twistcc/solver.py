@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (GeometryError, PairTable, PlanarConfig, PotentialParams, _center,
-                       _gradient_f, _row_pass, build_pair_table, f_value,
+from .geometry import (PairTable, PlanarConfig, PotentialParams, _center,
+                       _gradient_f, _row_check, _row_pass, build_pair_table, f_value,
                        moment_of_inertia, potential_u)
 from .hessian import _cartesian_hessian
 from .twist import (TwistPair, _twist_rows, _unit_twists, canon_pair, cc_residual,
@@ -84,22 +84,27 @@ def _field(pos: np.ndarray, m: np.ndarray, terms) -> np.ndarray:
 
 
 def flow_fixed_combo(config: PlanarConfig, spec: FlowSpec) -> list[PlanarConfig]:
-    """Integrate q' = sum c_k v_{pair_k}(q); stops early when two bodies coincide."""
+    """Integrate q' = sum c_k v_{pair_k}(q) into one array of rows, checked in one
+    `geometry._row_check`; stops at the first step where two bodies coincide or a
+    position is not finite (the integration itself stops at a non-finite row)."""
     terms = tuple((float(c), canon_pair(config.n, p)) for c, p in spec.terms)
-    m = config.masses
-    dt = spec.dt
-    traj = [config]
-    for _ in range(spec.steps):
-        pos = traj[-1].positions
-        k1 = _field(pos, m, terms)
-        k2 = _field(pos + 0.5 * dt * k1, m, terms)
-        k3 = _field(pos + 0.5 * dt * k2, m, terms)
-        k4 = _field(pos + dt * k3, m, terms)
-        try:
-            traj.append(PlanarConfig(pos + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), m))
-        except GeometryError:
-            break
-    return traj
+    m, dt = config.masses, spec.dt
+    rows = np.full((spec.steps + 1, config.positions.size), np.nan)
+    rows[0] = config.positions
+    with np.errstate(all="ignore"):
+        for s in range(spec.steps):
+            pos = rows[s]
+            k1 = _field(pos, m, terms)
+            k2 = _field(pos + 0.5 * dt * k1, m, terms)
+            k3 = _field(pos + 0.5 * dt * k2, m, terms)
+            k4 = _field(pos + dt * k3, m, terms)
+            rows[s + 1] = pos + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(rows[s + 1]).all():
+                break
+    valid, pair_r = _row_check(rows)
+    stop = np.append(valid, False).argmin()     # the first invalid row
+    return [config] + [PlanarConfig._from_valid_row(rows[k], m, pair_r[k])
+                       for k in range(1, stop)]
 
 
 def rescale_to_cc_size(config: PlanarConfig, params: PotentialParams) -> PlanarConfig:

@@ -254,6 +254,29 @@ def armijo_step_loop(config: PlanarConfig, params: PotentialParams, d: np.ndarra
     return None
 
 
+def flow_loop(config: PlanarConfig, spec) -> list[PlanarConfig]:
+    """`flow_fixed_combo` one RK4 step at a time, each step built and
+    validated as a `PlanarConfig`, stopping at the first that is not one."""
+    from twistcc.geometry import GeometryError
+    from twistcc.solver import _field
+    from twistcc.twist import canon_pair
+    terms = tuple((float(c), canon_pair(config.n, p)) for c, p in spec.terms)
+    m, dt = config.masses, spec.dt
+    traj = [config]
+    with np.errstate(all="ignore"):
+        for _ in range(spec.steps):
+            pos = traj[-1].positions
+            k1 = _field(pos, m, terms)
+            k2 = _field(pos + 0.5 * dt * k1, m, terms)
+            k3 = _field(pos + 0.5 * dt * k2, m, terms)
+            k4 = _field(pos + dt * k3, m, terms)
+            try:
+                traj.append(PlanarConfig(pos + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), m))
+            except GeometryError:
+                break
+    return traj
+
+
 def descent_direction_loop(config: PlanarConfig, g: np.ndarray, pairs=None) -> np.ndarray:
     """d = sum (g . u) u over the unit twists of `pairs` (by default the
     span basis), one at a time."""

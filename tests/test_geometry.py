@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -240,3 +241,18 @@ def test_config_json_roundtrip(rng, newton):
 def test_config_json_malformed():
     with pytest.raises(GeometryError):
         config_from_json('{"A": 3.0, "masses": [1, 1]}')
+    # values that are not JSON numbers are refused, not converted: a string of
+    # digits is not a list of masses nor a point, and true is not 1.0
+    doc = {"A": 3.0, "masses": [1, 1, 3, 5],
+           "positions": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}
+    config_from_json(json.dumps(doc))
+    for name, value in (("masses", "1135"), ("masses", [1, 1, True, 5]),
+                        ("positions", ["01", "10", "11", "00"]),
+                        ("positions", {"01": 0, "10": 0, "11": 0, "00": 0}),
+                        ("positions", [[0, 0, 1]] * 4), ("A", True), ("A", "3.5"),
+                        ("A", 10 ** 400)):
+        with pytest.raises(GeometryError, match=f"malformed configuration document: '{name}'"):
+            config_from_json(json.dumps({**doc, name: value}))
+    for text in ("[1, 2]", '{"masses": [1, 1], "positions": [[0, 0], [1, 0]]}'):
+        with pytest.raises(GeometryError, match="malformed configuration document"):
+            config_from_json(text)

@@ -146,6 +146,26 @@ def test_mass_blowup_near_circumcenter(newton):
         kite_masses(KiteShape(z3, yc), newton)
 
 
+def test_scalar_calls_raise_only_their_own_checks(newton):
+    # kite_scale applies the scale checks, kite_masses the mass-boundary
+    # checks, and build_kite every check in order
+    on_curve = KiteShape(2.0, 0.75)     # circumcenter curve: mu41 blows up
+    assert kite_scale(on_curve, newton) > 0.0
+    for call in (kite_masses, build_kite):
+        with pytest.raises(MassBoundaryError, match="mu41 denominator"):
+            call(on_curve, newton)
+    outside = KiteShape(1.0, 0.9)       # finite ratios, mu41 negative
+    assert kite_masses(outside, newton)[1] < 0.0
+    with pytest.raises(MassBoundaryError, match="nonpositive"):
+        build_kite(outside, newton)
+    symmetric = KiteShape(SQRT3, 1.0 / SQRT3)   # also on the circumcenter curve
+    for call in (kite_scale, build_kite):
+        with pytest.raises(IndeterminateScaleError):
+            call(symmetric, newton)
+    with pytest.raises(MassBoundaryError, match="mu41 denominator"):
+        kite_masses(symmetric, newton)
+
+
 # --- classification -----------------------------------------------------------
 
 def test_classify_examples():
@@ -359,6 +379,7 @@ def test_index_map_matches_per_cell_reference(A):
                 kite = build_kite(KiteShape(z3, z4), params)
                 assert (m.x2[k], m.mu31[k], m.mu41[k]) == (kite.x2, kite.mu31, kite.mu41)
                 assert m.x2[k] == kite_scale(KiteShape(z3, z4), params)
+                assert (m.mu31[k], m.mu41[k]) == kite_masses(KiteShape(z3, z4), params)
             seen[klass] += 1
             seen[error.partition(":")[0]] += 1
         labels = [_BLOCK_LABELS[c] for c in m.changed.tolist()]

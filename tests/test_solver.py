@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from twistcc.solver import (DescentReport, FlowSpec, _armijo_step, _descent_dire
 from twistcc.twist import cc_residual, max_laura_andoyer, twist_span_basis, twist_vector
 
 from oracles import (armijo_step_loop, coincident_ref, descent_direction_loop,
-                     equilateral_config, first_order_descent_ref, random_config,
+                     equilateral_config, flow_loop, first_order_descent_ref, random_config,
                      square_config)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -384,3 +385,36 @@ def test_descend_validates_a_bounded_number_of_configurations(monkeypatch, newto
             counts.append(len(calls))
         assert counts[0] == counts[1]
     assert report.newton_rejected == 12  # the second start tried a candidate each time
+
+
+def test_flow_validates_its_steps_in_one_row_pass(monkeypatch):
+    # every step is checked in one row pass and none is built through
+    # __post_init__; the trajectory equals the per-step loop's, which stops
+    # at the first step that is not a PlanarConfig
+    square = load_config(DATA / "square_1135.json")[0]
+    orbit = FlowSpec(((1.0, (0, 1)),), 0.5, 3)
+    # body 2 sits where body 0 arrives after two steps (pair 0-1 moves only bodies 0, 1)
+    meet = flow_fixed_combo(PlanarConfig.from_points([[0, 0], [1, 0], [5, 5]], [1, 2, 1]),
+                            orbit)[2].points[0]
+    crossing = PlanarConfig.from_points([[0, 0], [1, 0], meet], [1, 2, 1])
+    post_init = PlanarConfig.__post_init__
+    for config, spec, completed in (
+            (square, FlowSpec(((1.0, (0, 1)), (1.0, (0, 2)), (1.0, (0, 3))), 1e-3, 1000), 1000),
+            (square, FlowSpec(((0.3, (0, 1)), (0.7, (2, 3)), (-1.1, (1, 2))), 1e-3, 1000), 1000),
+            (square, FlowSpec(((1e300, (0, 1)),), 1.0, 5), 0),   # overflows in step 1
+            (crossing, orbit, 1)):
+        calls = []
+        monkeypatch.setattr(PlanarConfig, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = flow_fixed_combo(config, spec)
+        monkeypatch.undo()
+        assert not calls
+        assert len(traj) == completed + 1
+        want = flow_loop(config, spec)
+        assert len(want) == len(traj)
+        for got, ref in zip(traj, want):
+            for name in ("positions", "masses", "pair_distances"):
+                assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+            assert not got.positions.flags.writeable

@@ -11,9 +11,12 @@ Body and pair indices are 1-based on the command line.
 
 Each CSV row is built as one string (numbers from `.tolist()` values,
 formatted with `.17g`) and the table is written in one piece by
-`write_csv_atomic`.  Free-text fields (certificates, kite-map errors and
-labels) go through `csv_field`, which quotes them as the csv module's
-minimal quoting does, so any CSV reader parses them back.
+`write_csv_atomic`.  Kite-map cell coordinates and certify box edges
+repeat across rows, so each distinct coordinate or box edge is formatted
+once (`_formatted`) and its rows paste the string.  Free-text fields
+(certificates, kite-map errors and labels) go through `csv_field`, which
+quotes them as the csv module's minimal quoting does, so any CSV reader
+parses them back.
 """
 
 from __future__ import annotations
@@ -51,6 +54,17 @@ from .twist import cc_residual, twist_span_basis
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _formatted(values) -> list[str]:
+    """`f"{v:.17g}"` of each element of the 1-D float array `values`, with
+    each distinct value formatted once.  Values are told apart by their
+    bits, so -0.0 and 0.0, and NaNs of different payloads, keep their own
+    text."""
+    bits = np.ascontiguousarray(values, np.float64).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([f"{v:.17g}" for v in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
 
 
 def write_atomic(path: str, data: str | bytes) -> None:
@@ -177,7 +191,7 @@ def _parse_interval(text: str) -> Interval:
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError
         return Interval(min(a, b), max(a, b))
-    except Exception:
+    except ValueError:
         raise SystemExitError(f"bad interval {text!r}, expected a,b")
 
 
@@ -350,6 +364,11 @@ def cmd_hessian(args) -> int:
     return 0
 
 
+# The most kite-map cells or certify boxes one run computes: 4^11, a 2048 x 2048
+# map or certify at --subdivide 11.  A larger request exits 2 before any
+# allocation, instead of failing in numpy once its arrays do not fit.
+MAX_CELLS = 4 ** 11
+
 MAP_CSV_COLUMNS = ["z3", "z4", "class", "mu31", "mu41", "x2", "idx_Hs", "idx_Ha",
                    "idx_total", "degenerate_flag", "which_block_changed", "error"]
 
@@ -363,11 +382,11 @@ def _map_lines(m: IndexMap):
     cell passes every check."""
     labels = [csv_field(label) for label in _BLOCK_LABELS]
     for z3, z4, klass, mu31, mu41, x2, hs, ha, degenerate, changed, error in zip(
-            m.z3.tolist(), m.z4.tolist(), m.klass.tolist(), m.mu31.tolist(),
+            _formatted(m.z3), _formatted(m.z4), m.klass.tolist(), m.mu31.tolist(),
             m.mu41.tolist(), m.x2.tolist(), m.idx_hs.tolist(), m.idx_ha.tolist(),
             m.degenerate.tolist(), m.changed.tolist(), m.errors):
         idx = f"{hs},{ha},{hs + ha}" if hs >= 0 else ",,"
-        yield (f"{z3:.17g},{z4:.17g},{KITE_CLASSES[klass]},{_num_or_empty(mu31)},"
+        yield (f"{z3},{z4},{KITE_CLASSES[klass]},{_num_or_empty(mu31)},"
                f"{_num_or_empty(mu41)},{_num_or_empty(x2)},{idx},{int(degenerate)},"
                f"{labels[changed]},{csv_field(error)}")
 
@@ -391,6 +410,10 @@ def cmd_kite_map(args) -> int:
     t0 = time.perf_counter()
     z3_lo, z3_hi, n3 = _parse_range(args.z3)
     z4_lo, z4_hi, n4 = _parse_range(args.z4)
+    if n3 * n4 > MAX_CELLS:
+        raise SystemExitError(
+            f"kite-map --z3 {args.z3} --z4 {args.z4}: {n3} x {n4} cells exceed the "
+            f"limit of {MAX_CELLS} per run")
     params = PotentialParams(args.A)
     m = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params)
     write_csv_atomic(args.csv, MAP_CSV_COLUMNS, _map_lines(m))
@@ -419,10 +442,10 @@ def _certify_lines(certs: Certificates, total: np.ndarray):
     """The certify CSV rows in lane order; total is -1 where a block is Unknown."""
     cells = [f"{'Unknown' if o.value is None else o.value},{csv_field(o.certificate)}"
              for o in OUTCOMES]
-    for a, b, c, d, s, t, v in zip(certs.z3.lo.tolist(), certs.z3.hi.tolist(),
-                                   certs.z4.lo.tolist(), certs.z4.hi.tolist(),
+    for a, b, c, d, s, t, v in zip(_formatted(certs.z3.lo), _formatted(certs.z3.hi),
+                                   _formatted(certs.z4.lo), _formatted(certs.z4.hi),
                                    certs.hs.tolist(), certs.ha.tolist(), total.tolist()):
-        yield (f"{a:.17g},{b:.17g},{c:.17g},{d:.17g},{cells[s]},{cells[t]},"
+        yield (f"{a},{b},{c},{d},{cells[s]},{cells[t]},"
                f"{'Unknown' if v < 0 else v}")
 
 
@@ -433,6 +456,11 @@ def cmd_certify(args) -> int:
     z4 = _parse_interval(args.z4)
     if args.subdivide < 0:
         raise SystemExitError(f"certify --subdivide needs k >= 0, got {args.subdivide}")
+    # k is capped before the power, so that a huge k builds no huge integer
+    if 4 ** min(args.subdivide, 32) > MAX_CELLS:
+        raise SystemExitError(
+            f"certify --subdivide {args.subdivide}: 4^{args.subdivide} boxes exceed the "
+            f"limit of {MAX_CELLS} per run")
     parts = 2 ** args.subdivide
     # boxes in row order: z3 part a, then z4 part b, at lane a * parts + b
     e3, e4 = (iv.lo + np.arange(parts + 1) * ((iv.hi - iv.lo) / parts) for iv in (z3, z4))

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -23,8 +24,8 @@ from twistcc.solver import FlowSpec, descend, flow_fixed_combo
 from twistcc.twist import twist_span_basis
 
 from oracles import (certify_table_ref, csv_text_ref, equilateral_config, eval_table_ref,
-                     kite_map_table_ref, matrix_table_ref, random_config, square_config,
-                     trajectory_table_ref)
+                     kite_map_table_ref, matrix_table_ref, pgm_pixels_ref, random_config,
+                     square_config, trajectory_table_ref)
 from test_certify import WINDOWS, box_certificates, box_lanes, window_boxes
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
@@ -276,12 +277,28 @@ def test_certify_cli(tmp_path):
     # A <= 2 is refused up front, also where no box or cell is admissible
     (["certify", "--z3", "0.2,0.3", "--z4", "0.8,0.81", "--A", "2"], "requires A > 2"),
     (["kite-map", "--z3", "0.1:0.2:2", "--z4", "0.5:0.6:2", "--A", "2"], "requires A > 2"),
+    # more than MAX_CELLS = 4^11 boxes or cells
+    (["certify", "--z3", "1.0,2.2", "--z4", "0.01,0.87", "--subdivide", "12"],
+     "--subdivide 12"),
+    (["certify", "--z3", "1.0,2.2", "--z4", "0.01,0.87", "--subdivide", "64"],
+     "--subdivide 64"),
+    (["kite-map", "--z3", "1.0:2.2:2049", "--z4", "0.01:0.87:2049"], "--z3 1.0:2.2:2049"),
 ])
-def test_certify_kite_map_reject_bad_windows(argv, message, tmp_path, capsys):
+def test_certify_kite_map_reject_bad_windows(argv, message, tmp_path, capsys, monkeypatch):
+    # refused before the map or the certificates are computed, with nothing
+    # allocated and no file written
+    for name in ("kite_index_map", "certify_boxes"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: pytest.fail(name))
     out = tmp_path / "out.csv"
-    assert main(argv + ["--csv", str(out)]) == 2
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--csv", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 # every subcommand, with its outputs named, on an exponent at or below 2: a
@@ -558,15 +575,36 @@ def test_trajectory_tables_match_csv_writer(tmp_path):
     assert_table(tmp_path / "d.csv", trajectory_table_ref(states, params))
 
 
-@pytest.mark.parametrize("A", [3.0, 1000.0])
-def test_kite_map_table_matches_csv_writer(A, tmp_path):
-    out = tmp_path / "map.csv"
-    assert main(["kite-map", "--z3", "1.0:2.2:40", "--z4", "0.01:0.87:40", "--A", str(A),
-                 "--csv", str(out)]) == 0
-    m = kite_index_map(1.0, 2.2, 40, 0.01, 0.87, 40, PotentialParams(A))
+@pytest.mark.parametrize("n3, n4, A", [
+    pytest.param(40, 40, 3.0, id="3.0"),
+    pytest.param(40, 40, 1000.0, id="1000.0"),
+    # not square, so a z3 and z4 column or raster axis swapped fails
+    pytest.param(37, 23, 3.0, id="37x23"),
+])
+def test_kite_map_table_matches_csv_writer(n3, n4, A, tmp_path):
+    out, pgm = tmp_path / "map.csv", tmp_path / "map.pgm"
+    assert main(["kite-map", "--z3", f"1.0:2.2:{n3}", "--z4", f"0.01:0.87:{n4}", "--A", str(A),
+                 "--csv", str(out), "--pgm", str(pgm)]) == 0
+    m = kite_index_map(1.0, 2.2, n3, 0.01, 0.87, n4, PotentialParams(A))
     assert_table(out, kite_map_table_ref(m))
+    header = f"P5\n{n3} {n4}\n255\n".encode("ascii")
+    assert pgm.read_bytes() == header + pgm_pixels_ref(m, n3, n4).tobytes()
     if A == 1000.0:     # error texts with commas come back quoted
         assert any("," in e for e in m.errors) and '"' in out.read_text()
+
+
+# a NaN with a payload other than the default quiet NaN's
+PAYLOAD_NAN = float(np.array([0x7FF8000000000001], np.uint64).view(np.float64)[0])
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, PAYLOAD_NAN, math.inf, -math.inf,
+                  5e-324, -2.2250738585072009e-308, 1.0, 0.1]
+
+
+@given(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), max_size=30))
+def test_formatted_matches_per_value_format(values):
+    a = np.array(values * 2, dtype=np.float64)      # every value repeated
+    column = np.column_stack([a, a[::-1]])[:, 0]     # a non-contiguous view
+    for v in (a, column):
+        assert cli._formatted(v) == [f"{x:.17g}" for x in v.tolist()]
 
 
 @pytest.mark.parametrize("z3, z4, subdivide, A", WINDOWS)

@@ -3,10 +3,13 @@
 Subcommands: eval, descend, flow, hessian, kite-map, certify, lagrange.
 All file outputs are written atomically (write-then-rename), all numbers
 with 17 significant digits so they re-read losslessly, and every run that
-produces files also emits a JSON manifest next to its first output.  An
-output that cannot be written is an error (exit status 2), like bad input,
-and takes back the run's outputs already written: none is left without its
-manifest.
+produces files also emits a JSON manifest next to its first output.
+`main` owns a run's outputs: each subparser declares its output flags in
+the order its command writes them, they and the manifest must name
+distinct files (else exit 2 before any work), and the manifest, written
+last, lists them with the run's `wall_s`.  An output that cannot be
+written is an error (exit status 2), like bad input, and takes back the
+run's outputs already written: none is left without its manifest.
 Body and pair indices are 1-based on the command line.
 
 Each CSV row is built as one string (numbers from `.tolist()` values,
@@ -82,20 +85,6 @@ def write_atomic(path: str, data: str | bytes) -> None:
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-@contextlib.contextmanager
-def removed_on_failure(outputs):
-    """On an OSError in the block, remove the files in `outputs` (those a run
-    already wrote) before it propagates: a failed run leaves no output
-    without its manifest."""
-    try:
-        yield
-    except OSError:
-        for path in outputs:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
-
-
 _NEEDS_QUOTES = re.compile('[,"\n\r]').search
 
 
@@ -124,22 +113,17 @@ class RunManifest:
     seed: int | None = None
     version: str = __version__
     timestamp_utc: str = ""
-    wall_s: float | None = None
+    wall_s: float = 0.0
     counts: dict = field(default_factory=dict)
 
-    def write(self) -> None:
-        if not self.outputs:
-            return
+    def write(self, path: str) -> None:
         self.timestamp_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        path = self.outputs[0] + ".manifest.json"
         # wall_s in fixed-width exponent form, so the manifest of a rerun
         # has the same size (a float's repr varies in length)
         doc = asdict(self)
         doc["wall_s"] = "<wall_s>"
-        wall = "null" if self.wall_s is None else f"{self.wall_s:.6e}"
-        text = json.dumps(doc, indent=2).replace('"<wall_s>"', wall, 1)
-        with removed_on_failure(self.outputs):
-            write_atomic(path, text + "\n")
+        text = json.dumps(doc, indent=2).replace('"<wall_s>"', f"{self.wall_s:.6e}", 1)
+        write_atomic(path, text + "\n")
 
 
 def _load(path: str) -> tuple[PlanarConfig, PotentialParams]:
@@ -197,7 +181,7 @@ def _parse_interval(text: str) -> Interval:
 
 # --- subcommands -----------------------------------------------------------------
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[int, RunManifest]:
     config, params = _load(args.config)
     res = cc_residual(config, params, tol=args.tol)
     i, j = np.triu_indices(config.n, 1)
@@ -215,9 +199,9 @@ def cmd_eval(args) -> int:
     print(f"is_cc = {res.is_cc} (tol = {fmt(args.tol)})")
     if args.csv:
         write_csv_atomic(args.csv, ["i", "j", "la", "b_ij", "b_ji"], lines)
-        RunManifest("eval", {"config": args.config}, [args.config], [args.csv],
-                    {"tol": args.tol}).write()
-    return 0 if res.is_cc else 1
+    manifest = RunManifest("eval", {"config": args.config}, [args.config],
+                           tolerances={"tol": args.tol})
+    return (0 if res.is_cc else 1), manifest
 
 
 def _trajectory_lines(positions, masses, params):
@@ -262,7 +246,9 @@ def _random_start(n: int, seed) -> PlanarConfig:
         f"than {RANDOM_MIN_SEP} apart within {RANDOM_MAX_DRAWS} draws")
 
 
-def cmd_descend(args) -> int:
+def cmd_descend(args) -> tuple[int, RunManifest]:
+    if args.config and args.random is not None:
+        raise SystemExitError("descend takes a config file or --random N, not both")
     if args.config:
         config, params = _load(args.config)
         inputs = [args.config]
@@ -291,41 +277,39 @@ def cmd_descend(args) -> int:
     print(f"reason = {report.reason}")
     print(f"newton_steps = {report.newton_steps}")
     print(f"i_drift = {fmt(report.i_drift)}")
-    outputs = []
     if args.traj:
         positions = np.array([pos for _, pos, _, _ in report.history])
         write_csv_atomic(args.traj, _trajectory_header(config.n),
                          _trajectory_lines(positions, config.masses, params))
-        outputs.append(args.traj)
     if args.final:
-        with removed_on_failure(outputs):
-            write_atomic(args.final, config_to_json(final, params) + "\n")
-        outputs.append(args.final)
-    if outputs:
-        RunManifest("descend", {"config": args.config, "random": args.random},
-                    inputs, outputs,
-                    {"tol": args.tol, "max_iter": args.max_iter},
-                    args.seed, counts={"iterations": report.iterations,
-                                       "newton_steps": report.newton_steps,
-                                       "newton_rejected": report.newton_rejected,
-                                       "reason": report.reason,
-                                       "i_drift": report.i_drift}).write()
-    return 0 if report.converged else 1
+        write_atomic(args.final, config_to_json(final, params) + "\n")
+    manifest = RunManifest("descend", {"config": args.config, "random": args.random}, inputs,
+                           tolerances={"tol": args.tol, "max_iter": args.max_iter},
+                           seed=None if args.random is None else args.seed,
+                           counts={"iterations": report.iterations,
+                                   "newton_steps": report.newton_steps,
+                                   "newton_rejected": report.newton_rejected,
+                                   "reason": report.reason,
+                                   "i_drift": report.i_drift})
+    return (0 if report.converged else 1), manifest
 
 
-def cmd_flow(args) -> int:
+def cmd_flow(args) -> tuple[int, RunManifest]:
     config, params = _load(args.config)
     terms = _parse_pairs(args.pairs, config.n)
+    if (args.steps + 1) * 2 * config.n > 8 * MAX_CELLS:
+        raise SystemExitError(f"flow --steps {args.steps}: {args.steps + 1} rows of {config.n} "
+                              f"bodies exceed the limit of {8 * MAX_CELLS} coordinates per run")
     spec = FlowSpec(terms=terms, dt=args.dt, steps=args.steps)
     traj = flow_fixed_combo(config, spec)
     positions = np.array([c.positions for c in traj])
     write_csv_atomic(args.traj, _trajectory_header(config.n),
                      _trajectory_lines(positions, config.masses, params))
-    RunManifest("flow", {"config": args.config, "pairs": args.pairs,
-                         "dt": args.dt, "steps": args.steps},
-                [args.config], [args.traj]).write()
-    print(f"steps_completed = {len(traj) - 1}")
-    return 0
+    completed = len(traj) - 1
+    print(f"steps_completed = {completed}")
+    return 0, RunManifest("flow", {"config": args.config, "pairs": args.pairs,
+                                   "dt": args.dt, "steps": args.steps},
+                          [args.config], counts={"steps_completed": completed})
 
 
 MATRIX_CSV_COLUMNS = ["kind", "row", "col", "dir_row", "dir_col", "value"]
@@ -348,7 +332,7 @@ def _matrix_lines(tm, eigenvalues) -> list[str]:
     return lines + [f"eigenvalue,{k},,,,{v:.17g}" for k, v in enumerate(eigenvalues.tolist())]
 
 
-def cmd_hessian(args) -> int:
+def cmd_hessian(args) -> tuple[int, RunManifest]:
     config, params = _load(args.config)
     table = build_pair_table(config, params)
     basis, dim = twist_span_basis(table)
@@ -359,14 +343,14 @@ def cmd_hessian(args) -> int:
     print(f"signature = ({neg} neg, {zero} zero, {pos} pos)")
     if args.csv:
         write_csv_atomic(args.csv, MATRIX_CSV_COLUMNS, _matrix_lines(tm, w))
-        RunManifest("hessian", {"config": args.config, "normalized": args.normalized},
-                    [args.config], [args.csv]).write()
-    return 0
+    return 0, RunManifest("hessian", {"config": args.config, "normalized": args.normalized},
+                          [args.config])
 
 
 # The most kite-map cells or certify boxes one run computes: 4^11, a 2048 x 2048
 # map or certify at --subdivide 11.  A larger request exits 2 before any
-# allocation, instead of failing in numpy once its arrays do not fit.
+# allocation, instead of failing in numpy once its arrays do not fit.  A flow's
+# trajectory holds at most 8 * MAX_CELLS coordinates, 4^11 rows of four bodies.
 MAX_CELLS = 4 ** 11
 
 MAP_CSV_COLUMNS = ["z3", "z4", "class", "mu31", "mu41", "x2", "idx_Hs", "idx_Ha",
@@ -406,8 +390,7 @@ def write_pgm(index_map: IndexMap, n3: int, n4: int, path) -> None:
     write_atomic(path, header + img.reshape(n4, n3)[::-1].tobytes())
 
 
-def cmd_kite_map(args) -> int:
-    t0 = time.perf_counter()
+def cmd_kite_map(args) -> tuple[int, RunManifest]:
     z3_lo, z3_hi, n3 = _parse_range(args.z3)
     z4_lo, z4_hi, n4 = _parse_range(args.z4)
     if n3 * n4 > MAX_CELLS:
@@ -417,11 +400,8 @@ def cmd_kite_map(args) -> int:
     params = PotentialParams(args.A)
     m = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params)
     write_csv_atomic(args.csv, MAP_CSV_COLUMNS, _map_lines(m))
-    outputs = [args.csv]
     if args.pgm:
-        with removed_on_failure(outputs):
-            write_pgm(m, n3, n4, args.pgm)
-        outputs.append(args.pgm)
+        write_pgm(m, n3, n4, args.pgm)
     computed = int(m.computed.sum())
     totals = sorted(set((m.idx_hs + m.idx_ha)[m.computed].tolist()))
     print(f"cells = {m.klass.size}, admissible_computed = {computed}")
@@ -433,9 +413,8 @@ def cmd_kite_map(args) -> int:
         "degenerate": int(m.degenerate.sum()),
         "errors": dict(sorted(Counter(e.partition(":")[0] for e in m.errors if e).items())),
     }
-    RunManifest("kite-map", {"z3": args.z3, "z4": args.z4, "A": args.A},
-                [], outputs, wall_s=time.perf_counter() - t0, counts=counts).write()
-    return 0
+    return 0, RunManifest("kite-map", {"z3": args.z3, "z4": args.z4, "A": args.A},
+                          counts=counts)
 
 
 def _certify_lines(certs: Certificates, total: np.ndarray):
@@ -449,8 +428,7 @@ def _certify_lines(certs: Certificates, total: np.ndarray):
                f"{'Unknown' if v < 0 else v}")
 
 
-def cmd_certify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_certify(args) -> tuple[int, RunManifest]:
     params = PotentialParams(args.A)
     z3 = _parse_interval(args.z3)
     z4 = _parse_interval(args.z4)
@@ -482,13 +460,11 @@ def cmd_certify(args) -> int:
                 unknown[o.certificate.partition(":")[0]] += k
         counts["decided"][block] = int(n[value >= 0].sum())
         counts["unknown"][block] = dict(sorted(unknown.items()))
-    RunManifest("certify", {"z3": args.z3, "z4": args.z4, "A": args.A,
-                            "subdivide": args.subdivide}, [], [args.csv],
-                wall_s=time.perf_counter() - t0, counts=counts).write()
-    return 0
+    return 0, RunManifest("certify", {"z3": args.z3, "z4": args.z4, "A": args.A,
+                                      "subdivide": args.subdivide}, counts=counts)
 
 
-def cmd_lagrange(args) -> int:
+def cmd_lagrange(args) -> tuple[int, RunManifest]:
     try:
         masses = tuple(float(v) for v in args.masses.split(","))
     except ValueError:
@@ -511,9 +487,7 @@ def cmd_lagrange(args) -> int:
               for name, val in (("a0", a0), ("a1", a1), ("a2", a2))]
     if args.csv:
         write_csv_atomic(args.csv, MATRIX_CSV_COLUMNS, lines)
-        RunManifest("lagrange", {"masses": args.masses, "A": args.A},
-                    [], [args.csv]).write()
-    return 0
+    return 0, RunManifest("lagrange", {"masses": args.masses, "A": args.A})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("config")
     q.add_argument("--tol", type=float, default=1e-10)
     q.add_argument("--csv")
-    q.set_defaults(func=cmd_eval)
+    q.set_defaults(func=cmd_eval, outputs=("csv",))
 
     q = sub.add_parser("descend", help="gradient descent to a central configuration")
     q.add_argument("config", nargs="?")
@@ -539,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-iter", type=int, default=50000)
     q.add_argument("--traj", help="trajectory CSV output")
     q.add_argument("--final", help="final rescaled configuration JSON")
-    q.set_defaults(func=cmd_descend)
+    q.set_defaults(func=cmd_descend, outputs=("traj", "final"))
 
     q = sub.add_parser("flow", help="integrate a fixed twist combination")
     q.add_argument("config")
@@ -548,13 +522,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dt", type=float, default=1e-3)
     q.add_argument("--steps", type=int, default=1000)
     q.add_argument("--traj", required=True)
-    q.set_defaults(func=cmd_flow)
+    q.set_defaults(func=cmd_flow, outputs=("traj",))
 
     q = sub.add_parser("hessian", help="twist-basis Hessian and eigenvalues")
     q.add_argument("config")
     q.add_argument("--normalized", action="store_true")
     q.add_argument("--csv")
-    q.set_defaults(func=cmd_hessian)
+    q.set_defaults(func=cmd_hessian, outputs=("csv",))
 
     q = sub.add_parser("kite-map", help="Morse-index map over kite shapes")
     q.add_argument("--z3", required=True, help="lo:hi:n")
@@ -562,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--A", type=float, default=3.0)
     q.add_argument("--csv", required=True)
     q.add_argument("--pgm")
-    q.set_defaults(func=cmd_kite_map)
+    q.set_defaults(func=cmd_kite_map, outputs=("csv", "pgm"))
 
     q = sub.add_parser("certify", help="rigorous index certification over a shape box")
     q.add_argument("--z3", required=True, help="a,b")
@@ -570,13 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--A", type=float, default=3.0)
     q.add_argument("--subdivide", type=int, default=0)
     q.add_argument("--csv", required=True)
-    q.set_defaults(func=cmd_certify)
+    q.set_defaults(func=cmd_certify, outputs=("csv",))
 
     q = sub.add_parser("lagrange", help="3-body equilateral Hessian analysis")
     q.add_argument("--masses", required=True, help="m1,m2,m3")
     q.add_argument("--A", type=float, default=3.0)
     q.add_argument("--csv")
-    q.set_defaults(func=cmd_lagrange)
+    q.set_defaults(func=cmd_lagrange, outputs=("csv",))
     return p
 
 
@@ -587,11 +561,35 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _run_files(args) -> list[str]:
+    """The run's given outputs in the order its command writes them, then the
+    manifest beside the first; an input error unless all name distinct files."""
+    files = [path for path in (getattr(args, name) for name in args.outputs) if path]
+    files += [files[0] + ".manifest.json"] if files else []
+    if len({os.path.realpath(path) for path in files}) < len(files):
+        raise SystemExitError(f"outputs must name distinct files: {', '.join(files)}")
+    return files
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    files = []
     try:
-        return args.func(args)
+        files = _run_files(args)
+        t0 = time.perf_counter()
+        status, manifest = args.func(args)
+        if files:
+            manifest.outputs = files[:-1]
+            manifest.wall_s = time.perf_counter() - t0
+            manifest.write(files[-1])
+        return status
     except (SystemExitError, GeometryError, KiteError, OSError, ValueError) as exc:
+        if isinstance(exc, OSError) and exc.filename in files:
+            # the files are written in order, so those before the one that
+            # failed are taken back: no output is left without its manifest
+            for path in files[:files.index(exc.filename)]:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,6 +104,60 @@ def test_unwritable_output_exits_2(triangle_file, square_file, tmp_path, capsys)
     assert not list(tmp_path.glob("*.tmp"))
 
 
+KITE_MAP_4 = ["kite-map", "--z3", "1.0:2.2:4", "--z4", "0.01:0.87:4"]
+
+# one run of every subcommand with each output it declares named, the flags
+# out of write order where there are two; then the outputs in write order
+MANIFEST_CASES = [
+    (["eval", "{sq}", "--csv", "e.csv"], ["e.csv"]),
+    (["descend", "{sq}", "--max-iter", "5", "--final", "d.json", "--traj", "d.csv"],
+     ["d.csv", "d.json"]),
+    (["flow", "{sq}", "--pairs", "1-2", "--steps", "10", "--traj", "f.csv"], ["f.csv"]),
+    (["hessian", "{sq}", "--csv", "h.csv"], ["h.csv"]),
+    (KITE_MAP_4 + ["--pgm", "m.pgm", "--csv", "m.csv"], ["m.csv", "m.pgm"]),
+    (["certify", "--z3", "1.99,2.01", "--z4", "0.79,0.81", "--csv", "c.csv"], ["c.csv"]),
+    (["lagrange", "--masses", "1,2,3", "--csv", "l.csv"], ["l.csv"]),
+]
+
+
+@pytest.mark.parametrize("argv, outputs", MANIFEST_CASES, ids=[a[0] for a, _ in MANIFEST_CASES])
+def test_every_manifest_lists_its_outputs_and_wall_time(argv, outputs, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([a.format(sq=DATA / "square_1135.json") for a in argv]) in (0, 1)
+    manifest = json.loads((tmp_path / f"{outputs[0]}.manifest.json").read_text())
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["outputs"] == outputs
+    assert isinstance(manifest["wall_s"], float) and manifest["wall_s"] > 0.0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [*outputs, f"{outputs[0]}.manifest.json"])
+    if argv[0] == "descend":        # a file run draws nothing
+        assert manifest["seed"] is None
+    if argv[0] == "flow":
+        assert manifest["counts"] == {"steps_completed": 10}
+
+
+@pytest.mark.parametrize("argv", [
+    KITE_MAP_4 + ["--csv", "x", "--pgm", "x"],
+    ["descend", "{sq}", "--traj", "x", "--final", "x"],
+    # an output onto the manifest of the first
+    KITE_MAP_4 + ["--csv", "a.csv", "--pgm", "a.csv.manifest.json"],
+    # one file by its relative and its absolute path, and through a link
+    KITE_MAP_4 + ["--csv", "a.csv", "--pgm", "{tmp}/a.csv"],
+    KITE_MAP_4 + ["--csv", "a.csv", "--pgm", "link/a.csv"],
+], ids=["kite-map", "descend", "kite-map-manifest", "kite-map-absolute", "kite-map-link"])
+def test_outputs_must_name_distinct_files(argv, tmp_path, capsys, monkeypatch):
+    # refused before any input is read or anything computed, with no file written
+    for name in ("_load", "descend", "kite_index_map", "_random_start"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: pytest.fail(name))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path)
+    assert main([a.format(sq=DATA / "square_1135.json", tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: outputs must name distinct files") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["link"]
+
+
 def test_eval_unknown_flag(triangle_file):
     with pytest.raises(SystemExit) as exc:
         main(["eval", triangle_file, "--bogus"])
@@ -149,10 +203,11 @@ def test_descend_reports_stop_reason(tmp_path, capsys):
     out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
     assert list(out)[4:] == ["collinear_collapse", "reason", "newton_steps", "i_drift"]
     assert out["reason"] == "converged" and out["newton_steps"] == "7"
-    counts = json.loads((tmp_path / "d6.json.manifest.json").read_text())["counts"]
-    assert counts == {"iterations": int(out["iterations"]), "newton_steps": 7,
-                      "newton_rejected": 3, "reason": "converged",
-                      "i_drift": float(out["i_drift"])}
+    manifest = json.loads((tmp_path / "d6.json.manifest.json").read_text())
+    assert manifest["seed"] == 1
+    assert manifest["counts"] == {"iterations": int(out["iterations"]), "newton_steps": 7,
+                                  "newton_rejected": 3, "reason": "converged",
+                                  "i_drift": float(out["i_drift"])}
 
 
 def test_descend_random_start_is_the_rejection_draw(monkeypatch):
@@ -187,6 +242,16 @@ def test_descend_random_refuses_bodies_that_cannot_fit(n, capsys, monkeypatch):
     assert err.startswith("error: ") and f"--random {n}" in err and "0.2" in err
 
 
+def test_descend_refuses_a_file_and_random(square_file, tmp_path, capsys, monkeypatch):
+    # refused before the file is read or a start drawn, with no file written
+    for name in ("_load", "descend", "_random_start"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: pytest.fail(name))
+    assert main(["descend", square_file, "--random", "5", "--seed", "3",
+                 "--final", str(tmp_path / "x.json")]) == 2
+    assert "--random N, not both" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["square.json"]
+
+
 def test_descend_random_seeded(tmp_path):
     traj1 = tmp_path / "r1.csv"
     traj2 = tmp_path / "r2.csv"
@@ -211,6 +276,37 @@ def test_flow_cli(square_file, tmp_path):
     first = rows[1].split(",")
     last = rows[-1].split(",")
     assert abs(float(last[-2]) - float(first[-2])) < 1e-8 * float(first[-2])  # I conserved
+
+
+def test_flow_stop_is_in_its_manifest(square_file, tmp_path, capsys):
+    # a flow that overflows in its first step stops after step 0
+    traj = tmp_path / "flow.csv"
+    assert main(["flow", square_file, "--pairs", "1-2:1e300", "--dt", "1", "--steps", "5",
+                 "--traj", str(traj)]) == 0
+    assert capsys.readouterr().out == "steps_completed = 0\n"
+    manifest = json.loads((tmp_path / "flow.csv.manifest.json").read_text())
+    assert manifest["counts"] == {"steps_completed": 0}
+
+
+@pytest.mark.parametrize("steps", [str(4 ** 11), "1000000000000"])
+def test_flow_refuses_trajectories_over_the_limit(steps, square_file, tmp_path, capsys,
+                                                 monkeypatch):
+    # four bodies: steps + 1 rows of 8 coordinates above 8 * MAX_CELLS, so 4^11
+    # steps is the fewest refused; refused before the flow runs, with nothing
+    # allocated and no file written
+    monkeypatch.setattr(cli, "flow_fixed_combo", lambda *a, **kw: pytest.fail("flowed"))
+    traj = tmp_path / "flow.csv"
+    tracemalloc.start()
+    try:
+        assert main(["flow", square_file, "--pairs", "1-2", "--steps", steps,
+                     "--traj", str(traj)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"--steps {steps}" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["square.json"]
 
 
 def test_hessian_cli_lagrange_structure(triangle_file, tmp_path, capsys):

@@ -23,21 +23,21 @@ a decided certificate holds for *every* shape in the input box:
 `certify_boxes` certifies every box of a run at once, each box one lane
 of an `intervals.IntervalArray`, in batches of at most BATCH_LANES lanes
 (memory stays bounded however fine the subdivision).  Admissibility is
-one mask; only admissible lanes enter the scale enclosure, whose bracket
-search and quarter-point probing run in lockstep, each lane with its own
+kite's rule on boxes (`kite._class_codes`, `kite._mass_boundaries`);
+only admissible lanes enter the scale enclosure, whose bracket search
+and quarter-point probing run in lockstep, each lane with its own
 bracket, signs and stop state; only lanes with a scale enter the
-interval `KiteTable` and the two blocks.  Every lane rounds exactly
-as scalar `Interval` arithmetic on that box alone would, so a box's
+interval `KiteTable` and the two blocks.  Every lane rounds exactly as
+scalar `Interval` arithmetic on that box alone would, so a box's
 enclosures and certificates do not depend on the other boxes of its
-batch.  The result is arrays (`Certificates`): per lane and block, a code
-into OUTCOMES, the closed table of every `CertifiedIndex` a block can get.
-`certify_box` is the one-lane call.  A `None` value means Unknown, always
-a sound answer and the expected one on boxes straddling a bifurcation.
-A box's reason is the first that applies, in this order:
+batch.  The result is arrays (`Certificates`): per lane and block, a
+code into OUTCOMES, the closed table of every `CertifiedIndex` a block
+can get.  `certify_box` is the one-lane call.  A `None` value means
+Unknown, always a sound answer and the expected one on boxes straddling
+a bifurcation.  A box's reason is the first that applies, in this order:
 
   1. "box not verified inside one admissible class", also given to a box
-     inside one class where a mass ratio's denominator (pd - p3 for
-     mu31, p4 - pd for mu41) encloses zero;
+     inside one class where a mass ratio's denominator encloses zero;
   2. "no verified scale enclosure";
   3. "interval evaluation failed: mass-ratio enclosures not strictly
      positive";
@@ -60,13 +60,11 @@ import numpy as np
 
 from .geometry import PotentialParams
 from .intervals import Interval, IntervalArray
-from .kite import (KiteTable, circumcenter_z4, dziobek_coefficients, ha_explicit,
-                   hs_explicit, kite_scales, mass_ratio_terms, side_powers)
+from .kite import (KiteTable, _class_codes, _mass_boundaries, dziobek_coefficients,
+                   ha_explicit, hs_explicit, kite_scales, mass_ratio_terms, side_powers)
 # unused here; perfbench/tracing.py install() looks both names up on this module
 from .kite import build_kite, kite_blocks  # noqa: F401
 
-SQRT3_I = Interval(3.0).sqrt()
-HALF_SQRT3_I = SQRT3_I / 2.0
 # cap on the quarter-point probing rounds of `certify_kite_scale`
 MAX_PROBE_ROUNDS = 200
 # boxes certified together as the lanes of one batch
@@ -94,9 +92,7 @@ class BoxCertificate:
 
     @property
     def total(self) -> int | None:
-        if self.hs.known and self.ha.known:
-            return self.hs.value + self.ha.value
-        return None
+        return self.hs.value + self.ha.value if self.hs.known and self.ha.known else None
 
 
 def _failed(stage: str) -> CertifiedIndex:
@@ -133,25 +129,6 @@ class Certificates:
     z4: IntervalArray
     hs: np.ndarray
     ha: np.ndarray
-
-
-def _admissible_classes(z3: IntervalArray, z4: IntervalArray) -> np.ndarray:
-    """Per lane 1 ('tall') or 2 ('wide') if the whole box is strictly
-    inside one class, else 0."""
-    with np.errstate(all="ignore"):
-        inside = (z4.lo > 0.0) & (z3.lo > z4.hi)
-        yc = circumcenter_z4(z3)
-        tall = inside & (z3.lo > SQRT3_I.hi) & (z4.lo > yc.hi) & (z4.hi < HALF_SQRT3_I.lo)
-        wide = inside & (z3.hi < SQRT3_I.lo) & (z4.hi < yc.lo)
-    return np.select([tall, wide], [1, 2], 0)
-
-
-def _straddles_mass_boundary(z3: IntervalArray, z4: IntervalArray, A: float) -> np.ndarray:
-    """Per lane, whether a mass-ratio denominator, pd - p3 (mu31) or
-    p4 - pd (mu41), encloses zero over the box."""
-    with np.errstate(all="ignore"):
-        _, pd, p3, p4 = side_powers(z3, z4, A)
-        return (pd - p3).contains_zero() | (p4 - pd).contains_zero()
 
 
 def certify_kite_scale(z3: IntervalArray, z4: IntervalArray,
@@ -316,8 +293,10 @@ def _certify_batch(z3: IntervalArray, z4: IntervalArray,
     """Codes into OUTCOMES of H_s and H_a over one batch of lanes."""
     hs = np.full(len(z3), OUTCOMES.index(NOT_ADMISSIBLE))
     ha = hs.copy()
-    lanes = np.flatnonzero(_admissible_classes(z3, z4))
-    lanes = lanes[~_straddles_mass_boundary(z3[lanes], z4[lanes], params.A)]
+    lanes = np.flatnonzero(np.isin(_class_codes(z3, z4, 0.0), (1, 2)))
+    with np.errstate(all="ignore"):
+        mu31_at, mu41_at = _mass_boundaries(side_powers(z3[lanes], z4[lanes], params.A), 0.0)
+    lanes = lanes[~(mu31_at | mu41_at)]
     if lanes.size:
         x2 = certify_kite_scale(z3[lanes], z4[lanes], params)
         hs[lanes[x2.failed]] = ha[lanes[x2.failed]] = OUTCOMES.index(NO_SCALE)

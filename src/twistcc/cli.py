@@ -6,20 +6,21 @@ with 17 significant digits so they re-read losslessly, and every run that
 produces files also emits a JSON manifest next to its first output.
 `main` owns a run's outputs: each subparser declares its output flags in
 the order its command writes them, they and the manifest must name
-distinct files (else exit 2 before any work), and the manifest, written
-last, lists them with the run's `wall_s`.  An output that cannot be
-written is an error (exit status 2), like bad input, and takes back the
-run's outputs already written: none is left without its manifest.
+distinct files, none the `.tmp` file another is written through (else
+exit 2 before any work), and the manifest, written last, lists them with
+the run's `wall_s`.  An output that cannot be written is an error (exit
+status 2), like bad input, and takes back the run's outputs already
+written: none is left without its manifest.
 Body and pair indices are 1-based on the command line.
 
 Each CSV row is built as one string (numbers from `.tolist()` values,
 formatted with `.17g`) and the table is written in one piece by
-`write_csv_atomic`.  Kite-map cell coordinates and certify box edges
-repeat across rows, so each distinct coordinate or box edge is formatted
-once (`_formatted`) and its rows paste the string.  Free-text fields
-(certificates, kite-map errors and labels) go through `csv_field`, which
-quotes them as the csv module's minimal quoting does, so any CSV reader
-parses them back.
+`write_csv_atomic`.  Kite-map cell coordinates, mass ratios and scales
+and certify box edges repeat across rows, so each distinct value is
+formatted once (`_formatted`, NaN as an empty field) and its rows paste
+the string.  Free-text fields (certificates, kite-map errors and labels)
+go through `csv_field`, which quotes them as the csv module's minimal
+quoting does, so any CSV reader parses them back.
 """
 
 from __future__ import annotations
@@ -61,12 +62,13 @@ def fmt(x: float) -> str:
 
 def _formatted(values) -> list[str]:
     """`f"{v:.17g}"` of each element of the 1-D float array `values`, with
-    each distinct value formatted once.  Values are told apart by their
-    bits, so -0.0 and 0.0, and NaNs of different payloads, keep their own
-    text."""
+    each distinct value formatted once, and "" for a NaN (an empty CSV
+    field).  Values are told apart by their bits, so -0.0 and 0.0 keep
+    their own text."""
     bits = np.ascontiguousarray(values, np.float64).view(np.uint64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([f"{v:.17g}" for v in distinct.view(np.float64).tolist()], dtype=object)
+    text = np.array([f"{v:.17g}" if v == v else "" for v in distinct.view(np.float64).tolist()],
+                    dtype=object)
     return text[inverse].tolist()
 
 
@@ -181,7 +183,13 @@ def _parse_interval(text: str) -> Interval:
 
 # --- subcommands -----------------------------------------------------------------
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise SystemExitError(f"--tol needs a finite value > 0, got {tol}")
+
+
 def cmd_eval(args) -> tuple[int, RunManifest]:
+    _check_tol(args.tol)
     config, params = _load(args.config)
     res = cc_residual(config, params, tol=args.tol)
     i, j = np.triu_indices(config.n, 1)
@@ -249,6 +257,11 @@ def _random_start(n: int, seed) -> PlanarConfig:
 def cmd_descend(args) -> tuple[int, RunManifest]:
     if args.config and args.random is not None:
         raise SystemExitError("descend takes a config file or --random N, not both")
+    _check_tol(args.tol)
+    if args.max_iter < 0:
+        raise SystemExitError(f"--max-iter needs a value >= 0, got {args.max_iter}")
+    if args.seed < 0:
+        raise SystemExitError(f"--seed needs a value >= 0, got {args.seed}")
     if args.config:
         config, params = _load(args.config)
         inputs = [args.config]
@@ -283,9 +296,11 @@ def cmd_descend(args) -> tuple[int, RunManifest]:
                          _trajectory_lines(positions, config.masses, params))
     if args.final:
         write_atomic(args.final, config_to_json(final, params) + "\n")
-    manifest = RunManifest("descend", {"config": args.config, "random": args.random}, inputs,
+    drawn = args.random is not None
+    manifest = RunManifest("descend", {"config": args.config, "random": args.random,
+                                       "A": args.A if drawn else None}, inputs,
                            tolerances={"tol": args.tol, "max_iter": args.max_iter},
-                           seed=None if args.random is None else args.seed,
+                           seed=args.seed if drawn else None,
                            counts={"iterations": report.iterations,
                                    "newton_steps": report.newton_steps,
                                    "newton_rejected": report.newton_rejected,
@@ -357,22 +372,17 @@ MAP_CSV_COLUMNS = ["z3", "z4", "class", "mu31", "mu41", "x2", "idx_Hs", "idx_Ha"
                    "idx_total", "degenerate_flag", "which_block_changed", "error"]
 
 
-def _num_or_empty(v: float) -> str:
-    return "" if v != v else f"{v:.17g}"
-
-
 def _map_lines(m: IndexMap):
-    """The kite-map CSV rows, one per cell; the indices are empty unless the
-    cell passes every check."""
+    """The kite-map CSV rows, one per cell; mu31, mu41 and x2 are empty where
+    NaN, and the indices unless the cell passes every check."""
     labels = [csv_field(label) for label in _BLOCK_LABELS]
     for z3, z4, klass, mu31, mu41, x2, hs, ha, degenerate, changed, error in zip(
-            _formatted(m.z3), _formatted(m.z4), m.klass.tolist(), m.mu31.tolist(),
-            m.mu41.tolist(), m.x2.tolist(), m.idx_hs.tolist(), m.idx_ha.tolist(),
-            m.degenerate.tolist(), m.changed.tolist(), m.errors):
+            _formatted(m.z3), _formatted(m.z4), m.klass.tolist(),
+            *(_formatted(v) for v in (m.mu31, m.mu41, m.x2)), m.idx_hs.tolist(),
+            m.idx_ha.tolist(), m.degenerate.tolist(), m.changed.tolist(), m.errors):
         idx = f"{hs},{ha},{hs + ha}" if hs >= 0 else ",,"
-        yield (f"{z3},{z4},{KITE_CLASSES[klass]},{_num_or_empty(mu31)},"
-               f"{_num_or_empty(mu41)},{_num_or_empty(x2)},{idx},{int(degenerate)},"
-               f"{labels[changed]},{csv_field(error)}")
+        yield (f"{z3},{z4},{KITE_CLASSES[klass]},{mu31},{mu41},{x2},{idx},{int(degenerate)},"
+               f"{labels[changed]},{error and csv_field(error)}")
 
 
 def write_pgm(index_map: IndexMap, n3: int, n4: int, path) -> None:
@@ -563,11 +573,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def _run_files(args) -> list[str]:
     """The run's given outputs in the order its command writes them, then the
-    manifest beside the first; an input error unless all name distinct files."""
+    manifest beside the first; an input error unless all name distinct files,
+    none the `.tmp` file that `write_atomic` writes another one through."""
     files = [path for path in (getattr(args, name) for name in args.outputs) if path]
     files += [files[0] + ".manifest.json"] if files else []
-    if len({os.path.realpath(path) for path in files}) < len(files):
-        raise SystemExitError(f"outputs must name distinct files: {', '.join(files)}")
+    real = {os.path.realpath(path) for path in files}
+    if len(real) < len(files) or real & {os.path.realpath(f"{path}.tmp") for path in files}:
+        raise SystemExitError("outputs must name distinct files, none another's .tmp file: "
+                              + ", ".join(files))
     return files
 
 

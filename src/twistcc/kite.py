@@ -25,7 +25,9 @@ for the scale, the mass ratios and the masks of `build_kite`'s checks.
 for bit.  `kite_index_map` returns the flat per-cell arrays of an
 `IndexMap`; `cli` writes them as CSV rows and a PGM raster (`write_pgm`).
 `kite_blocks` (the 5x5 `V^T H V` assembly) is the independent float
-cross-check of the closed-form blocks.
+cross-check of the closed-form blocks.  `_class_codes` and
+`_mass_boundaries` are the one admissibility rule, also for `certify`'s
+boxes.
 """
 
 from __future__ import annotations
@@ -170,10 +172,23 @@ def _kite_terms(z3, z4, A: float):
         "indeterminate": ((np.abs(D) <= 1e-13 * (p2 * pd + p3 * p4))
                           & (np.abs(N) <= 1e-13 * (p2 + pd + p3 + p4))),
         "infeasible": (D == 0.0) | (t <= 0.0),
-        "mu31_boundary": np.abs(pd - p3) <= 1e-13 * (pd + p3),
-        "mu41_boundary": np.abs(p4 - pd) <= 1e-13 * (p4 + pd),
+        **dict(zip(("mu31_boundary", "mu41_boundary"), _mass_boundaries(powers, 1e-13))),
         "nonpositive": (mu31 <= 0.0) | (mu41 <= 0.0),
     }
+
+
+def _ends(x):
+    """(lo, hi) of intervals; (x, x) for floats and numpy arrays."""
+    return getattr(x, "lo", x), getattr(x, "hi", x)
+
+
+def _mass_boundaries(powers, tol: float):
+    """Masks (mu31, mu41) where the denominator d = a - b, pd - p3 or p4 - pd,
+    has |d| <= tol * (a + b); on `IntervalArray` boxes, at some shape of the
+    box (at tol = 0: d's enclosure contains zero; never on a failed lane)."""
+    _, pd, p3, p4 = powers
+    ends = [(_ends(a - b), tol * (_ends(a)[1] + _ends(b)[1])) for a, b in ((pd, p3), (p4, pd))]
+    return [(lo <= bound) & (-bound <= hi) for (lo, hi), bound in ends]
 
 
 def _one(shape: KiteShape, A: float, checks) -> tuple[float, float, float]:
@@ -278,13 +293,20 @@ def kite_masses(shape: KiteShape, params: PotentialParams) -> tuple[float, float
 KITE_CLASSES = ("inadmissible", "tall", "wide", "circumcenter-boundary")
 
 
-def _class_codes(z3: np.ndarray, z4: np.ndarray, margin: float) -> np.ndarray:
-    """Indices into KITE_CLASSES for arrays of shapes (see classify_shape)."""
+def _class_codes(z3, z4, margin: float) -> np.ndarray:
+    """Indices into KITE_CLASSES for arrays of shapes (see classify_shape), 0
+    unless z3 > z4 > 0; on `IntervalArray` boxes, a class only where every
+    shape of the box has it, as each test compares a lower with an upper end.
+    SQRT3 and 0.5 * SQRT3 are sound box bounds, as a double above (below) a
+    real's correctly rounded value is above (below) it; enclosures of sqrt 3
+    and sqrt(3)/2 would only reject more boxes, with edges within two ulps."""
     with np.errstate(all="ignore"):
-        yc = circumcenter_z4(z3)
-        tall = (z3 > SQRT3 + margin) & (yc + margin < z4) & (z4 < 0.5 * SQRT3 - margin)
-        wide = (z3 < SQRT3 - margin) & (margin < z4) & (z4 < yc - margin)
-        return np.select([np.abs(z4 - yc) <= margin, tall, wide], [3, 1, 2], 0)
+        (lo3, hi3), (lo4, hi4), (loc, hic) = _ends(z3), _ends(z4), _ends(circumcenter_z4(z3))
+        inside = (lo4 > 0.0) & (lo3 > hi4)
+        on_curve = (lo4 - hic >= -margin) & (hi4 - loc <= margin)
+        tall = (lo3 > SQRT3 + margin) & (hic + margin < lo4) & (hi4 < 0.5 * SQRT3 - margin)
+        wide = (hi3 < SQRT3 - margin) & (margin < lo4) & (hi4 < loc - margin)
+        return np.select([~inside, on_curve, tall, wide], [0, 3, 1, 2], 0)
 
 
 def classify_shape(shape: KiteShape, margin: float = ADMISSIBLE_MARGIN) -> str:
@@ -510,8 +532,7 @@ def kite_index_map(z3_lo: float, z3_hi: float, n3: int,
     z3s = z3_lo + (np.arange(n3) + 0.5) * ((z3_hi - z3_lo) / n3)
     z4s = z4_lo + (np.arange(n4) + 0.5) * ((z4_hi - z4_lo) / n4)
     z3, z4 = np.tile(z3s, n4), np.repeat(z4s, n3)
-    with np.errstate(all="ignore"):
-        klass = np.where((z3 > z4) & (z4 > 0.0), _class_codes(z3, z4, margin), 0)
+    klass = _class_codes(z3, z4, margin)
     adm = np.flatnonzero((klass == 1) | (klass == 2))
     x2, mu31, mu41, first, idx_hs, idx_ha, degenerate = _admissible_cells(
         z3[adm], z4[adm], params.A)

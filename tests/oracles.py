@@ -377,7 +377,8 @@ def albouy_chenciner_loop(table, m: np.ndarray, i: int, j: int) -> float:
 # lane of the batched certification must reproduce it bit for bit.
 
 def box_admissible_ref(z3, z4):
-    from twistcc.certify import SQRT3_I
+    from twistcc.intervals import Interval
+    SQRT3_I = Interval(3.0).sqrt()
     if z4.lo <= 0.0 or z3.lo <= z4.hi:
         return None
     yc = 0.5 * z3 - 0.5 / z3

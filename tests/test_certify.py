@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 import twistcc.certify as certify
-from twistcc.certify import (OUTCOMES, BoxCertificate, _admissible_classes, _decide_2x2,
-                             certify_box, certify_boxes, certify_ha_index, certify_kite_scale,
+from twistcc.certify import (OUTCOMES, BoxCertificate, _decide_2x2, certify_box,
+                             certify_boxes, certify_ha_index, certify_kite_scale,
                              interval_kite_quantities)
 from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
 from twistcc.intervals import Interval, IntervalArray
-from twistcc.kite import (ROTATION_ZERO_RTOL, KiteShape, KiteTable, build_kite,
-                          circumcenter_z4, ha_explicit, hs_explicit,
-                          kite_blocks, kite_scale, side_powers)
+from twistcc.kite import (ROTATION_ZERO_RTOL, KiteShape, KiteTable, _class_codes,
+                          _mass_boundaries, build_kite, circumcenter_z4, ha_explicit,
+                          hs_explicit, kite_blocks, kite_scale, side_powers)
 
 from oracles import bisect_dziso, certify_box_ref, certify_kite_scale_ref, dziso_residual
 
@@ -32,7 +32,7 @@ def box_lanes(boxes):
 def box_class(z3, z4):
     """Class of the box z3 x z4 as one lane: 'tall' or 'wide' if it is
     strictly inside one class, else None."""
-    return (None, "tall", "wide")[int(_admissible_classes(*box_lanes([(z3, z4)]))[0])]
+    return (None, "tall", "wide", None)[int(_class_codes(*box_lanes([(z3, z4)]), 0.0)[0])]
 
 
 def box_scale(z3, z4, params):
@@ -81,6 +81,52 @@ def test_box_straddling_mu31_boundary_is_not_admissible(newton):
     assert (pd - p3).contains_zero()
     box = certify_box(z3, z4, newton)
     assert box.hs == box.ha == certify.NOT_ADMISSIBLE
+
+
+def test_box_class_holds_at_every_shape(rng):
+    # a box gets a class only when every shape in it has that class at margin
+    # 0: its four corners and twelve random inner shapes
+    n = 4000
+    lo3, lo4 = rng.uniform(0.5, 3.0, n), rng.uniform(-0.2, 1.2, n)
+    w3, w4 = 10.0 ** rng.uniform(-6.0, -0.5, (2, n))
+    codes = _class_codes(IntervalArray(lo3, lo3 + w3), IntervalArray(lo4, lo4 + w4), 0.0)
+    assert set(codes.tolist()) == {0, 1, 2}
+    t = rng.uniform(0.0, 1.0, (2, 16, n))
+    t[:, :4] = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])[:, :, None]
+    z3s, z4s = np.minimum(lo3 + t[0] * w3, lo3 + w3), np.minimum(lo4 + t[1] * w4, lo4 + w4)
+    decided = codes > 0
+    assert (_class_codes(z3s, z4s, 0.0)[:, decided] == codes[decided]).all()
+
+
+def test_box_class_bounds_are_the_float_constants():
+    # SQRT3 (sqrt 3 rounded to nearest) and SQRT3 / 2 bound boxes as they
+    # are: a double above (below) them is above (below) the real value
+    up, down = math.nextafter(SQRT3, 3.0), math.nextafter(SQRT3, 0.0)
+    z4 = Interval(0.8, 0.81)
+    assert box_class(Interval(up, 1.8), z4) == "tall"
+    assert box_class(Interval(SQRT3, 1.8), z4) is None
+    assert box_class(Interval(1.5, down), Interval(0.01, 0.02)) == "wide"
+    assert box_class(Interval(1.5, SQRT3), Interval(0.01, 0.02)) is None
+    half = SQRT3 / 2.0
+    assert box_class(Interval(1.8, 1.9), Interval(0.8, math.nextafter(half, 0.0))) == "tall"
+    assert box_class(Interval(1.8, 1.9), Interval(0.8, half)) is None
+
+
+@pytest.mark.parametrize("A", [3.0, 1000.0])
+def test_box_mass_boundary_is_denominator_containment(A, rng):
+    # on boxes, kite's mass-boundary rule at tolerance 0 flags exactly the
+    # lanes where pd - p3 (mu31) or p4 - pd (mu41) encloses zero; a failed
+    # lane encloses nothing and is never flagged
+    n = 20000
+    lo3, lo4 = rng.uniform(0.5, 3.0, n), rng.uniform(-0.2, 1.2, n)
+    w3, w4 = 10.0 ** rng.uniform(-8.0, -0.5, (2, n))
+    z3, z4 = IntervalArray(lo3, lo3 + w3), IntervalArray(lo4, lo4 + w4)
+    with np.errstate(all="ignore"):
+        _, pd, p3, p4 = powers = side_powers(z3, z4, A)
+        mu31_at, mu41_at = _mass_boundaries(powers, 0.0)
+    for at, d in ((mu31_at, pd - p3), (mu41_at, p4 - pd)):
+        assert at.any() and d.failed.any()
+        assert (at == d.contains_zero()).all()
 
 
 # --- scale enclosure ------------------------------------------------------------

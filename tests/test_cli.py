@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from twistcc import cli
+from twistcc import cli, solver
 from twistcc.certify import certify_boxes
 from twistcc.cli import csv_field, main
 from twistcc.geometry import (config_from_json, config_to_json, load_config, PairTable,
@@ -132,7 +132,7 @@ def test_every_manifest_lists_its_outputs_and_wall_time(argv, outputs, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [*outputs, f"{outputs[0]}.manifest.json"])
     if argv[0] == "descend":        # a file run draws nothing
-        assert manifest["seed"] is None
+        assert manifest["seed"] is None and manifest["arguments"]["A"] is None
     if argv[0] == "flow":
         assert manifest["counts"] == {"steps_completed": 10}
 
@@ -145,7 +145,12 @@ def test_every_manifest_lists_its_outputs_and_wall_time(argv, outputs, tmp_path,
     # one file by its relative and its absolute path, and through a link
     KITE_MAP_4 + ["--csv", "a.csv", "--pgm", "{tmp}/a.csv"],
     KITE_MAP_4 + ["--csv", "a.csv", "--pgm", "link/a.csv"],
-], ids=["kite-map", "descend", "kite-map-manifest", "kite-map-absolute", "kite-map-link"])
+    # an output onto the .tmp file another output or the manifest is written through
+    KITE_MAP_4 + ["--csv", "m.tmp", "--pgm", "m"],
+    ["descend", "{sq}", "--traj", "t.csv.tmp", "--final", "t.csv"],
+    KITE_MAP_4 + ["--csv", "a", "--pgm", "a.manifest.json.tmp"],
+], ids=["kite-map", "descend", "kite-map-manifest", "kite-map-absolute", "kite-map-link",
+        "kite-map-tmp", "descend-tmp", "kite-map-manifest-tmp"])
 def test_outputs_must_name_distinct_files(argv, tmp_path, capsys, monkeypatch):
     # refused before any input is read or anything computed, with no file written
     for name in ("_load", "descend", "kite_index_map", "_random_start"):
@@ -205,9 +210,77 @@ def test_descend_reports_stop_reason(tmp_path, capsys):
     assert out["reason"] == "converged" and out["newton_steps"] == "7"
     manifest = json.loads((tmp_path / "d6.json.manifest.json").read_text())
     assert manifest["seed"] == 1
+    assert manifest["arguments"] == {"config": None, "random": 6, "A": 3.0}
     assert manifest["counts"] == {"iterations": int(out["iterations"]), "newton_steps": 7,
                                   "newton_rejected": 3, "reason": "converged",
                                   "i_drift": float(out["i_drift"])}
+
+
+@pytest.mark.parametrize("stop", ["collapse", "line_search_exhausted"])
+def test_descend_reports_collapse_and_exhausted_line_search(stop, square_file, tmp_path,
+                                                            capsys, monkeypatch):
+    # a span basis one short of full rank at every iterate, or a line search
+    # that finds no step: the run stops with that reason, in its manifest too
+    if stop == "collapse":
+        monkeypatch.setattr(solver, "twist_span_basis",
+                            lambda table: (lambda b, dim: (b, dim - 1))(*twist_span_basis(table)))
+    else:
+        monkeypatch.setattr(solver, "_armijo_step", lambda *a: None)
+    final = tmp_path / "d.json"
+    assert main(["descend", square_file, "--final", str(final)]) == 1
+    out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert out["reason"] == stop and out["converged"] == "False"
+    assert out["collinear_collapse"] == str(stop == "collapse")
+    assert out["iterations"] == ("2" if stop == "collapse" else "0")
+    manifest = json.loads((tmp_path / "d.json.manifest.json").read_text())
+    assert manifest["counts"]["reason"] == stop
+    assert manifest["counts"]["iterations"] == int(out["iterations"])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "{sq}", "--tol", "nan"], "--tol"),
+    (["eval", "{sq}", "--tol", "0"], "--tol"),
+    (["eval", "{sq}", "--tol", "-1"], "--tol"),
+    (["descend", "{sq}", "--tol", "nan"], "--tol"),
+    (["descend", "--random", "4", "--tol", "0"], "--tol"),
+    (["descend", "--random", "4", "--tol", "-1"], "--tol"),
+    (["descend", "{sq}", "--max-iter", "-3"], "--max-iter"),
+    (["descend", "--random", "4", "--seed", "-1"], "--seed"),
+], ids=["eval-tol-nan", "eval-tol-0", "eval-tol-neg", "descend-tol-nan", "descend-tol-0",
+        "descend-tol-neg", "descend-max-iter-neg", "descend-seed-neg"])
+def test_eval_and_descend_refuse_meaningless_flags(argv, flag, tmp_path, capsys, monkeypatch):
+    # refused before the file is read or a start drawn, with no file written
+    for name in ("_load", "descend", "_random_start", "cc_residual"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: pytest.fail(name))
+    out = ["--csv" if argv[0] == "eval" else "--final", str(tmp_path / "out")]
+    assert main([a.format(sq=DATA / "square_1135.json") for a in argv] + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "{sq}", "--pairs", "1-9", "--traj", "{out}"], "'1-9'"),
+    (["flow", "{sq}", "--pairs", "a-b", "--traj", "{out}"], "'a-b'"),
+    (["flow", "{sq}", "--pairs", "1-2:x", "--traj", "{out}"], "'1-2:x'"),
+    (["eval", "{missing}", "--csv", "{out}"], "{missing}"),
+    (["lagrange", "--masses", "1,x,3", "--csv", "{out}"], "'1,x,3'"),
+    (["eval", "{three}", "--csv", "{out}"], "3 positions for 4 masses"),
+], ids=["flow-pair-range", "flow-pair-text", "flow-pair-coeff", "eval-missing",
+        "lagrange-masses", "positions-for-masses"])
+def test_input_errors_exit_2_without_output(argv, message, tmp_path, capsys):
+    doc = json.loads((DATA / "square_1135.json").read_text())
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "three.json").write_text(json.dumps({**doc, "positions": doc["positions"][:3]}))
+    names = {"sq": DATA / "square_1135.json", "missing": inputs / "missing.json",
+             "three": inputs / "three.json", "out": tmp_path / "out"}
+    assert main([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message.format(**names) in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
+    assert [p.name for p in inputs.iterdir()] == ["three.json"]
 
 
 def test_descend_random_start_is_the_rejection_draw(monkeypatch):
@@ -700,7 +773,7 @@ def test_formatted_matches_per_value_format(values):
     a = np.array(values * 2, dtype=np.float64)      # every value repeated
     column = np.column_stack([a, a[::-1]])[:, 0]     # a non-contiguous view
     for v in (a, column):
-        assert cli._formatted(v) == [f"{x:.17g}" for x in v.tolist()]
+        assert cli._formatted(v) == ["" if x != x else f"{x:.17g}" for x in v.tolist()]
 
 
 @pytest.mark.parametrize("z3, z4, subdivide, A", WINDOWS)

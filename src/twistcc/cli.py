@@ -257,11 +257,16 @@ def _random_start(n: int, seed) -> PlanarConfig:
 def cmd_descend(args) -> tuple[int, RunManifest]:
     if args.config and args.random is not None:
         raise SystemExitError("descend takes a config file or --random N, not both")
+    for flag, value in (("--A", args.A), ("--seed", args.seed)):
+        if args.config and value is not None:
+            raise SystemExitError(f"descend {flag} applies to --random starts only: a "
+                                  "configuration file carries its own A and draws nothing")
     _check_tol(args.tol)
     if args.max_iter < 0:
         raise SystemExitError(f"--max-iter needs a value >= 0, got {args.max_iter}")
-    if args.seed < 0:
-        raise SystemExitError(f"--seed needs a value >= 0, got {args.seed}")
+    seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise SystemExitError(f"--seed needs a value >= 0, got {seed}")
     if args.config:
         config, params = _load(args.config)
         inputs = [args.config]
@@ -274,8 +279,8 @@ def cmd_descend(args) -> tuple[int, RunManifest]:
                 f"descend --random {n}: {n} disjoint disks of diameter {RANDOM_MIN_SEP} "
                 f"do not fit in a square of side {2 + RANDOM_MIN_SEP}, so no draw of {n} "
                 f"bodies in [-1, 1]^2 has every pair more than {RANDOM_MIN_SEP} apart")
-        params = PotentialParams(args.A)
-        config = _random_start(n, args.seed)
+        params = PotentialParams() if args.A is None else PotentialParams(args.A)
+        config = _random_start(n, seed)
         inputs = []
     else:
         raise SystemExitError("descend needs a config file or --random N")
@@ -298,12 +303,13 @@ def cmd_descend(args) -> tuple[int, RunManifest]:
         write_atomic(args.final, config_to_json(final, params) + "\n")
     drawn = args.random is not None
     manifest = RunManifest("descend", {"config": args.config, "random": args.random,
-                                       "A": args.A if drawn else None}, inputs,
+                                       "A": params.A if drawn else None}, inputs,
                            tolerances={"tol": args.tol, "max_iter": args.max_iter},
-                           seed=args.seed if drawn else None,
+                           seed=seed if drawn else None,
                            counts={"iterations": report.iterations,
                                    "newton_steps": report.newton_steps,
                                    "newton_rejected": report.newton_rejected,
+                                   "first_order_steps": report.first_order_steps,
                                    "reason": report.reason,
                                    "i_drift": report.i_drift})
     return (0 if report.converged else 1), manifest
@@ -517,8 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("descend", help="gradient descent to a central configuration")
     q.add_argument("config", nargs="?")
     q.add_argument("--random", type=int, help="random start with N bodies")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--A", type=float, default=3.0)
+    # no defaults: a file run refuses both, so a given value must show
+    q.add_argument("--seed", type=int, help="seed of the --random draw (default 0)")
+    q.add_argument("--A", type=float, help="exponent of a --random start (default 3)")
     q.add_argument("--tol", type=float, default=1e-10)
     q.add_argument("--max-iter", type=int, default=50000)
     q.add_argument("--traj", help="trajectory CSV output")

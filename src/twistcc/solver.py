@@ -1,29 +1,35 @@
-"""Twist-vector flows and gradient descent over twist bases.
+"""Twist-vector flows and descent over twist bases.
 
 Because every twist vector is tangent to the level sets of I and of the
 center of mass, flows generated by fixed combinations of twists conserve
-both (up to integrator error).  Gradient descent projected on a twist
-basis searches for central configurations; its finite steps keep I only
-to first order.  The size itself is fixed afterwards by a single rescale
+both (up to integrator error).  Descent in the span of a twist basis
+searches for central configurations; its finite steps keep I only to
+first order.  The size itself is fixed afterwards by a single rescale
 enforcing U = M*I.
 
 A descent iteration is a few array passes over one pair table: the
-residual, the span basis, the gradient and the unit twist directions all
-read it, the residual and the span basis through the table's one array of
-signed areas lam_ijk.  The backtracking line search evaluates all of its
-candidate steps in one row pass (`geometry._row_pass`), accepting the same
-step as backtracking one trial at a time would.  The accepted row carries
-its validity, f, I and U into the next iteration, so it is neither
-validated nor evaluated again.
+residual, the span basis, the raw twists V of the basis, the gradient g
+and the Cartesian Hessian H all read it, the residual and the span basis
+through the table's one array of signed areas lam_ijk.  With a full-rank
+span the iteration takes a curvature-scaled Newton step in the twist
+span (`_curvature_step`): the Hessian projected on an orthonormal basis
+of the span, with each curvature replaced by its absolute value, the
+rotation's dropped and the others floored, so the step descends at any
+configuration, saddles included.  The first-order step along
+d = sum (g . u_k) u_k over the unit twists is the fallback, for
+rank-deficient spans and where the curvature step fails.  Each
+backtracking line search evaluates all of its candidate steps in one
+row pass (`geometry._row_pass`), accepting the same step as backtracking
+one trial at a time would.  The accepted row carries its validity, f, I
+and U into the next iteration, so it is neither validated nor evaluated
+again.
 
-Near a central configuration the descent switches to Newton steps in the
-twist span: the derivatives of f along the raw twists v_k of a span basis
+Near a central configuration the descent first tries a Newton polish
+from the same V, g and H: the derivatives of f along the raw twists v_k
 are the Laura-Andoyer residuals, and their Jacobian is the twist-basis
 Hessian V H V^T.  A Newton candidate is rescaled to U = M*I, checked and
 evaluated in two row passes, and kept only when it lowers both f and the
-residual; otherwise the iteration takes the first-order step.  Until the
-first Newton attempt the iterates are those of the first-order descent,
-bit for bit.
+residual; otherwise the iteration takes its curvature step.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 from .geometry import (PairTable, PlanarConfig, PotentialParams, _center,
                        _gradient_f, _row_check, _row_pass, build_pair_table, f_value,
                        moment_of_inertia, potential_u)
-from .hessian import _cartesian_hessian
+from .hessian import MORSE_ZERO_RTOL, _cartesian_hessian
 from .twist import (TwistPair, _twist_rows, _unit_twists, canon_pair, cc_residual,
                     max_laura_andoyer, twist_span_basis)
 
@@ -50,6 +56,10 @@ COLLAPSE_RUN = 3         # consecutive rank-deficient iterations before flagging
 # NEWTON_RCOND is the least-squares cutoff that absorbs the rotational zero.
 NEWTON_SWITCH = 1e-3
 NEWTON_RCOND = 1e-9
+# Curvature step: twist-span curvatures |lam| below MORSE_ZERO_RTOL * max|lam|
+# (the rotation) are dropped, the others raised to at least CURVATURE_FLOOR *
+# max|lam|, which bounds the step where f is nearly flat.
+CURVATURE_FLOOR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -133,8 +143,10 @@ class DescentReport:
     `converged` is true), "collapse" (a run of rank-deficient spans),
     "zero_direction" (no descent direction), "line_search_exhausted" or
     "max_iter".  `newton_steps` counts the accepted Newton steps among
-    `iterations`, and `newton_rejected` the Newton candidates that failed
-    or were refused; `i_drift` is |I/I0 - 1| of the final configuration
+    `iterations`, `newton_rejected` the Newton candidates that failed or
+    were refused, and `first_order_steps` the iterations that fell back to
+    the first-order step; every other iteration is a curvature step.
+    `i_drift` is |I/I0 - 1| of the final configuration
     against the start, before any final rescale.  With `record`, `history`
     is the whole trajectory, start to `config`: one (step, positions, f,
     Laura-Andoyer residual) row per configuration, `iterations + 1` rows.
@@ -150,6 +162,7 @@ class DescentReport:
     newton_steps: int
     i_drift: float
     newton_rejected: int
+    first_order_steps: int
     history: tuple = field(default=(), repr=False)
 
 
@@ -201,23 +214,54 @@ def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
     return _carried(trials, int(np.argmax(ok)), cfg.masses, passed)
 
 
-def _newton_step(table: PairTable, x: np.ndarray,
-                 basis: list[TwistPair]) -> _Iterate | None:
+def _span_derivatives(table: PairTable,
+                      basis: list[TwistPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, grad f, H): the raw twists of `basis` as rows and the Cartesian
+    gradient and Hessian of f, all from the one pair table."""
+    i, j = np.array(basis, dtype=np.intp).T
+    V = _twist_rows(table.masses, i, j, table.dx[i, j], table.dy[i, j])
+    return V, _gradient_f(table), _cartesian_hessian(table)
+
+
+def _curvature_step(V: np.ndarray, g: np.ndarray, H: np.ndarray) -> np.ndarray | None:
+    """The curvature-scaled Newton step p in the span of the rows of V, or
+    None; the full step moves x to x - p.
+
+    With Q an orthonormal basis of the span and Q^T H Q = E diag(lam) E^T,
+    p = Q E diag(1/|lam|) E^T Q^T g, where each |lam| at most
+    MORSE_ZERO_RTOL * max|lam| (the rotation) is dropped and every other one
+    raised to at least CURVATURE_FLOOR * max|lam|.  Taking |lam| makes the
+    scaling positive definite, so p is a descent direction at any
+    configuration: None where the decomposition is not finite or g . p <= 0.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            Q = np.linalg.qr(V.T)[0]
+            lam, E = np.linalg.eigh(Q.T @ H @ Q)
+        except np.linalg.LinAlgError:
+            return None
+        mag = np.abs(lam)
+        top = mag.max()
+        inv = np.where(mag > MORSE_ZERO_RTOL * top,
+                       1.0 / np.maximum(mag, CURVATURE_FLOOR * top), 0.0)
+        p = Q @ (E @ (inv * (E.T @ (Q.T @ g))))
+        descends = np.isfinite(p).all() and g @ p > 0.0
+    return p if descends else None
+
+
+def _newton_step(table: PairTable, x: np.ndarray, V: np.ndarray, g: np.ndarray,
+                 H: np.ndarray) -> _Iterate | None:
     """The twist-span Newton candidate from the table's configuration cfg,
     at flat positions x, rescaled to U = M*I, or None.
 
-    Solves (V H V^T) c = -V grad f in least squares, V the raw twists of
-    `basis` as rows and H the Cartesian Hessian, and moves to x + V^T c.
+    Solves (V H V^T) c = -V grad f in least squares, with V, grad f and H
+    from `_span_derivatives`, and moves to x + V^T c.
     One row pass on x + V^T c checks it and gives the I and U of the
     rescale, a second one checks the rescaled row and gives its f, I and U:
     the result is `rescale_to_cc_size(cfg.with_positions(x + V^T c))` and
     its f, bit for bit, and None where either construction would raise.
     """
     m, A = table.masses, table.A
-    i, j = np.array(basis, dtype=np.intp).T
-    V = _twist_rows(m, i, j, table.dx[i, j], table.dy[i, j])
-    g = _gradient_f(table)
-    H = _cartesian_hessian(table)
     try:
         c = np.linalg.lstsq(V @ H @ V.T, -(V @ g), rcond=NEWTON_RCOND)[0]
     except np.linalg.LinAlgError:
@@ -237,32 +281,41 @@ def _newton_step(table: PairTable, x: np.ndarray,
 def descend(config: PlanarConfig, params: PotentialParams, *,
             tol: float = 1e-10, max_iter: int = 50000,
             record: bool = False) -> DescentReport:
-    """Projected gradient descent of f over a twist basis, Newton-polished.
+    """Descent of f in the twist span by curvature-scaled Newton steps,
+    Newton-polished.
 
-    Each iteration re-selects an independent twist set.  Far from a central
-    configuration it forms the descent direction d = sum (grad f . u_k) u_k
-    over the unit twists u_k and takes an Armijo backtracking step along
-    -d.  All backtracking steps are evaluated at once, and the first that
-    is admissible and passes the Armijo test is accepted, as in a
-    one-at-a-time search.  Twists are tangent to the level sets of I, so a
-    step keeps I only to first order: there is no retraction, and I drifts
-    over long runs.
+    Each iteration re-selects an independent twist set.  When the span has
+    full rank, it takes the `_curvature_step` direction p, from the raw
+    twists V of the set, the gradient g and the Cartesian Hessian H, and
+    an Armijo backtracking step along -p whose first trial is the full
+    step.  Since p scales by the absolute curvatures, it is a descent
+    direction also where H is indefinite, and a start near a saddle of f
+    leaves it.  The
+    first-order step, Armijo backtracking along d = sum (g . u_k) u_k over
+    the unit twists u_k from 1e-2 * diameter / |d|, is taken when the span
+    is rank-deficient, when p is None (a decomposition that is not finite,
+    or g . p <= 0) or when the line search along p finds no step; such
+    iterations are counted in `first_order_steps`.  All backtracking steps
+    of a search are evaluated at once, and the first that is admissible
+    and passes the Armijo test is accepted, as in a one-at-a-time search.
+    Twists are tangent to the level sets of I, so a step keeps I only to
+    first order: there is no retraction, and I drifts, the more the
+    longer the step.
 
     Once the post-rescale residual is below NEWTON_SWITCH and the span has
     full rank, the iteration first tries the twist-span Newton step of
-    `_newton_step`.  Its candidate is accepted, and counts as an iteration,
-    only if its post-rescale residual is below the current one and its f
-    is not above the current f, so f never increases; otherwise the
-    iteration takes the Armijo step.  Up to the first Newton attempt the
-    iterates are those of the first-order descent, bit for bit.
+    `_newton_step` from the same V, g and H.  Its candidate is accepted,
+    and counts as an iteration, only if its post-rescale residual is below
+    the current one and its f is not above the current f, so f never
+    increases; otherwise the iteration takes the curvature step.
 
-    The residual, the span basis, the gradient and the twists share one
-    pair table per iteration, and the residual and the span basis read
-    its one lam array; a Newton candidate builds its own, which becomes
-    the iteration's table when the candidate is accepted (a rejected
-    candidate has built one too).  The accepted step's row carries its
-    validity, f, I and U from the row pass that found it, so no iterate
-    is validated or evaluated twice.
+    The residual, the span basis, V, g, H and the twists share one pair
+    table per iteration, and the residual and the span basis read its one
+    lam array; a Newton candidate builds its own, which becomes the
+    iteration's table when the candidate is accepted (a rejected candidate
+    has built one too).  The accepted step's row carries its validity, f,
+    I and U from the row pass that found it, so no iterate is validated or
+    evaluated twice.
 
     `converged` means what `eval`'s `is_cc` means: the Laura-Andoyer and
     Albouy-Chenciner residuals of `cc_residual`, evaluated at the size
@@ -292,7 +345,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     collapse = False
     reason = "max_iter"
     degenerate_run = 0
-    iterations = newton_steps = newton_rejected = 0
+    iterations = newton_steps = newton_rejected = first_order_steps = 0
     start = cur = _Iterate(config, f_value(config, params), moment_of_inertia(config),
                            potential_u(config, params))
     table = build_pair_table(config, params)
@@ -305,6 +358,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
             reason = "converged"
             break
         basis, dim = twist_span_basis(table)
+        step = None
         if dim < full_dim:
             degenerate_run += 1
             if degenerate_run >= COLLAPSE_RUN:
@@ -313,29 +367,34 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
                 break
         else:
             degenerate_run = 0
+            V, g, H = _span_derivatives(table, basis)
+            if resid_cc < NEWTON_SWITCH:
+                cand = _newton_step(table, cfg.positions, V, g, H)
+                if cand is not None:
+                    cand_table = build_pair_table(cand.config, params)
+                    if residuals(cand, cand_table)[1] < resid_cc and cand.f <= cur.f:
+                        cur, table = cand, cand_table
+                        newton_steps += 1
+                        iterations = it + 1
+                        continue
+                newton_rejected += 1
+            p = _curvature_step(V, g, H)
+            if p is not None:
+                step = _armijo_step(cfg, params, p, 1.0, cur.f, float(g @ p))
 
-        if resid_cc < NEWTON_SWITCH and dim == full_dim:
-            cand = _newton_step(table, cfg.positions, basis)
-            if cand is not None:
-                cand_table = build_pair_table(cand.config, params)
-                if residuals(cand, cand_table)[1] < resid_cc and cand.f <= cur.f:
-                    cur, table = cand, cand_table
-                    newton_steps += 1
-                    iterations = it + 1
-                    continue
-            newton_rejected += 1
-
-        g, d = _descent_direction(table, basis)
-        slope = float(g @ d)
-        dn = float(np.linalg.norm(d))
-        if dn == 0.0 or slope <= 0.0:
-            reason = "zero_direction"
-            break
-        eta = ETA0_FRACTION * cfg.diameter() / dn
-        step = _armijo_step(cfg, params, d, eta, cur.f, slope)
-        if step is None:
-            reason = "line_search_exhausted"
-            break
+        if step is None:    # the first-order fallback
+            g, d = _descent_direction(table, basis)
+            slope = float(g @ d)
+            dn = float(np.linalg.norm(d))
+            if dn == 0.0 or slope <= 0.0:
+                reason = "zero_direction"
+                break
+            eta = ETA0_FRACTION * cfg.diameter() / dn
+            step = _armijo_step(cfg, params, d, eta, cur.f, slope)
+            if step is None:
+                reason = "line_search_exhausted"
+                break
+            first_order_steps += 1
         cur = step
         table = build_pair_table(cur.config, params)
         iterations = it + 1
@@ -352,4 +411,5 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     collapse = collapse or final_dim < full_dim
     i_drift = abs(cur.inertia / start.inertia - 1.0)
     return DescentReport(cfg, iterations, resid, cur.f, reason == "converged", collapse,
-                         reason, newton_steps, i_drift, newton_rejected, tuple(history))
+                         reason, newton_steps, i_drift, newton_rejected, first_order_steps,
+                         tuple(history))

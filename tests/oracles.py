@@ -277,12 +277,11 @@ def flow_loop(config: PlanarConfig, spec) -> list[PlanarConfig]:
     return traj
 
 
-def descent_direction_loop(config: PlanarConfig, g: np.ndarray, pairs=None) -> np.ndarray:
-    """d = sum (g . u) u over the unit twists of `pairs` (by default the
-    span basis), one at a time."""
+def descent_direction_loop(config: PlanarConfig, g: np.ndarray) -> np.ndarray:
+    """d = sum (g . u) u over the unit twists of the span basis, one at a time."""
     from twistcc.twist import twist_vector
     d = np.zeros_like(g)
-    for pair in twist_span_basis_loop(config)[0] if pairs is None else pairs:
+    for pair in twist_span_basis_loop(config)[0]:
         u = twist_vector(config, pair)
         u /= np.linalg.norm(u)
         d += (g @ u) * u
@@ -320,44 +319,41 @@ def twist_span_basis_loop(config: PlanarConfig):
     return pairs, 2 * n - 3
 
 
-def first_order_descent_ref(config: PlanarConfig, params: PotentialParams,
-                            max_iter: int) -> tuple[list[np.ndarray], bool]:
-    """(positions, switched) of the first-order twist descent, one trial at a time.
+def curvature_step_loop(config: PlanarConfig, params: PotentialParams, pairs):
+    """(p, mags): the curvature-scaled Newton step over the span of the
+    twists of `pairs`, one twist and one eigenpair at a time, and the
+    curvature each eigenvector's term is divided by (0 where it is dropped).
 
-    The iterates run until the post-rescale Laura-Andoyer residual drops
-    below `solver.NEWTON_SWITCH` (`switched`; that iterate, where `descend`
-    first tries a Newton step, is the last one listed), the span is
-    rank-deficient, the line search fails, or `max_iter` are listed.
+    The span's orthonormal basis comes from Gram-Schmidt on the
+    `twist_vector`s, and the Hessian is `cartesian_hessian` projected on it.
+    A curvature |lam| at most MORSE_ZERO_RTOL * max|lam| is dropped, every
+    other one raised to at least CURVATURE_FLOOR * max|lam|.
     """
-    from twistcc.geometry import build_pair_table, cartesian_gradient_f
-    from twistcc.solver import ETA0_FRACTION, NEWTON_SWITCH
-    m = config.masses
-    M = float(m.sum())
-    pairs_ij = [(i, j) for i in range(config.n) for j in range(i + 1, config.n)]
-    cfg = config
-    fcur = f_value(cfg, params)
-    out = []
-    for _ in range(max_iter):
-        out.append(cfg.positions)
-        table = build_pair_table(cfg, params)
-        la = max(abs(laura_andoyer_loop(table, m, i, j)) for i, j in pairs_ij)
-        u = sum(m[i] * m[j] * table.r[i, j] ** (2.0 - params.A) for i, j in pairs_ij)
-        c = (m[:, None] * cfg.points).sum(axis=0) / M
-        ratio = M * float((m * ((cfg.points - c) ** 2).sum(axis=1)).sum()) / u
-        if la / (M * cfg.diameter()) ** 2 * max(1.0, ratio) < NEWTON_SWITCH:
-            return out, True
-        pairs, dim = twist_span_basis_loop(cfg)
-        if dim < 2 * cfg.n - 3:
-            break
-        g = cartesian_gradient_f(cfg, params)
-        d = descent_direction_loop(cfg, g, pairs)
-        step = armijo_step_loop(cfg, params, d,
-                                ETA0_FRACTION * cfg.diameter() / float(np.linalg.norm(d)),
-                                fcur, float(g @ d))
-        if step is None:
-            break
-        cfg, fcur = cfg.with_positions(step[0]), step[1]
-    return out, False
+    from twistcc.geometry import cartesian_gradient_f
+    from twistcc.hessian import MORSE_ZERO_RTOL, cartesian_hessian
+    from twistcc.solver import CURVATURE_FLOOR
+    from twistcc.twist import twist_vector
+    basis = []
+    for pair in pairs:
+        v = twist_vector(config, pair)
+        for _ in range(2):          # twice, so the columns are orthogonal to rounding
+            for q in basis:
+                v = v - (q @ v) * q
+        basis.append(v / np.linalg.norm(v))
+    Q = np.column_stack(basis)
+    g = cartesian_gradient_f(config, params)
+    lam, E = np.linalg.eigh(Q.T @ cartesian_hessian(config, params) @ Q)
+    top = max(abs(v) for v in lam)
+    p = np.zeros_like(g)
+    mags = []
+    for k, v in enumerate(lam):
+        if abs(v) <= MORSE_ZERO_RTOL * top:
+            mags.append(0.0)
+            continue
+        mags.append(max(abs(v), CURVATURE_FLOOR * top))
+        u = Q @ E[:, k]
+        p += (u @ g) / mags[-1] * u
+    return p, mags
 
 
 def laura_andoyer_loop(table, m: np.ndarray, i: int, j: int) -> float:

@@ -207,13 +207,13 @@ def test_descend_reports_stop_reason(tmp_path, capsys):
     assert main(["descend", "--random", "6", "--seed", "1", "--final", str(final)]) == 0
     out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
     assert list(out)[4:] == ["collinear_collapse", "reason", "newton_steps", "i_drift"]
-    assert out["reason"] == "converged" and out["newton_steps"] == "7"
+    assert out["reason"] == "converged" and out["newton_steps"] == "4"
     manifest = json.loads((tmp_path / "d6.json.manifest.json").read_text())
     assert manifest["seed"] == 1
     assert manifest["arguments"] == {"config": None, "random": 6, "A": 3.0}
-    assert manifest["counts"] == {"iterations": int(out["iterations"]), "newton_steps": 7,
-                                  "newton_rejected": 3, "reason": "converged",
-                                  "i_drift": float(out["i_drift"])}
+    assert manifest["counts"] == {"iterations": int(out["iterations"]), "newton_steps": 4,
+                                  "newton_rejected": 0, "first_order_steps": 0,
+                                  "reason": "converged", "i_drift": float(out["i_drift"])}
 
 
 @pytest.mark.parametrize("stop", ["collapse", "line_search_exhausted"])
@@ -235,6 +235,8 @@ def test_descend_reports_collapse_and_exhausted_line_search(stop, square_file, t
     manifest = json.loads((tmp_path / "d.json.manifest.json").read_text())
     assert manifest["counts"]["reason"] == stop
     assert manifest["counts"]["iterations"] == int(out["iterations"])
+    # a rank-deficient span falls back to the first-order step
+    assert manifest["counts"]["first_order_steps"] == int(out["iterations"])
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -246,8 +248,12 @@ def test_descend_reports_collapse_and_exhausted_line_search(stop, square_file, t
     (["descend", "--random", "4", "--tol", "-1"], "--tol"),
     (["descend", "{sq}", "--max-iter", "-3"], "--max-iter"),
     (["descend", "--random", "4", "--seed", "-1"], "--seed"),
+    # a file carries its own A and draws nothing, so both flags would be ignored
+    (["descend", "{sq}", "--A", "5"], "--A"),
+    (["descend", "{sq}", "--seed", "0"], "--seed"),
 ], ids=["eval-tol-nan", "eval-tol-0", "eval-tol-neg", "descend-tol-nan", "descend-tol-0",
-        "descend-tol-neg", "descend-max-iter-neg", "descend-seed-neg"])
+        "descend-tol-neg", "descend-max-iter-neg", "descend-seed-neg", "descend-file-A",
+        "descend-file-seed"])
 def test_eval_and_descend_refuse_meaningless_flags(argv, flag, tmp_path, capsys, monkeypatch):
     # refused before the file is read or a start drawn, with no file written
     for name in ("_load", "descend", "_random_start", "cc_residual"):

@@ -8,12 +8,15 @@ from twistcc.geometry import (GeometryError, PlanarConfig, PotentialParams,
                               build_pair_table, cartesian_gradient_f, center_of_mass,
                               euler_residual, f_value, load_config, moment_of_inertia,
                               potential_u)
-from twistcc.solver import (DescentReport, FlowSpec, _armijo_step, _descent_direction,
-                            _newton_step, descend, flow_fixed_combo, rescale_to_cc_size)
+from twistcc.hessian import assemble_twist_hessian
+from twistcc.solver import (CURVATURE_FLOOR, DescentReport, FlowSpec, _armijo_step,
+                            _curvature_step, _descent_direction, _newton_step,
+                            _span_derivatives, descend, flow_fixed_combo,
+                            rescale_to_cc_size)
 from twistcc.twist import cc_residual, max_laura_andoyer, twist_span_basis, twist_vector
 
-from oracles import (armijo_step_loop, coincident_ref, descent_direction_loop,
-                     equilateral_config, flow_loop, first_order_descent_ref, random_config,
+from oracles import (armijo_step_loop, coincident_ref, curvature_step_loop,
+                     descent_direction_loop, equilateral_config, flow_loop, random_config,
                      square_config)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -132,47 +135,93 @@ def cli_random_start(n: int, seed: int) -> PlanarConfig:
 SUITE = [(n, s) for n in (4, 5, 6, 8) for s in range(10)]
 
 
+def saddle_start(params: PotentialParams, offset: float) -> PlanarConfig:
+    """Four equal masses, three at the corners of an equilateral triangle
+    about the fourth: a CC of index 2, so a saddle of f.  Moved `offset` times
+    its diameter along the twist-Hessian eigenvector of most negative
+    curvature, from where Newton candidates climb back up to the saddle."""
+    half = np.sqrt(3.0) / 2.0
+    cc = rescale_to_cc_size(PlanarConfig.from_points(
+        [(0.0, 0.0), (1.0, 0.0), (-0.5, half), (-0.5, -half)], (1, 1, 1, 1)), params)
+    table = build_pair_table(cc, params)
+    basis, _ = twist_span_basis(table)
+    E = np.linalg.eigh(assemble_twist_hessian(table, basis).matrix)[1]
+    d = np.vstack([twist_vector(cc, p) for p in basis]).T @ E[:, 0]
+    return cc.with_positions(cc.positions + offset * cc.diameter() / np.linalg.norm(d) * d)
+
+
 @pytest.fixture(scope="module")
 def suite_runs():
-    """{start: (report, number of `_newton_step` calls)} over the suite."""
+    """{start: (report, number of `_newton_step` calls, number of curvature
+    steps taken)} over the suite; a curvature step is taken when the line
+    search along a `_curvature_step` direction finds a step."""
     from twistcc import solver
     params = PotentialParams(3.0)
     runs = {}
     calls = []
+    directions = []
+    taken = []
+
+    def curvature(*args, step=solver._curvature_step):
+        directions.append(step(*args))
+        return directions[-1]
+
+    def armijo(cfg, params, d, *args, search=solver._armijo_step):
+        found = search(cfg, params, d, *args)
+        taken.append(found is not None and any(d is p for p in directions))
+        return found
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_newton_step",
                    lambda *args, step=solver._newton_step: calls.append(1) or step(*args))
+        mp.setattr(solver, "_curvature_step", curvature)
+        mp.setattr(solver, "_armijo_step", armijo)
         for n, s in SUITE:
-            calls.clear()
+            for seen in (calls, directions, taken):
+                seen.clear()
             report = descend(cli_random_start(n, s), params, record=True)
-            runs[n, s] = report, len(calls)
+            runs[n, s] = report, len(calls), sum(taken)
     return runs
 
 
 @pytest.fixture(scope="module")
 def suite_reports(suite_runs):
-    return {k: report for k, (report, _) in suite_runs.items()}
+    return {k: report for k, (report, *_) in suite_runs.items()}
 
 
 def test_newton_rejected_counts_every_refused_candidate(monkeypatch, suite_runs, newton):
-    for k, (report, calls) in suite_runs.items():
+    for k, (report, calls, _) in suite_runs.items():
         assert report.newton_steps + report.newton_rejected == calls, k
-    # the start whose Newton candidates mostly lower the residual but raise f
-    assert suite_runs[6, 3][0].newton_rejected == 2573
+    # thousands of refusals on this start would mean the slow path is back
+    assert suite_runs[6, 3][0].newton_rejected == 1
     # candidates that fail to build count too
-    newton_phase = descend(cli_random_start(6, 3), newton, max_iter=100).config
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond:
                         (np.full(b.shape, 1e300),) + lstsq(a, b, rcond=rcond)[1:])
     with np.errstate(all="ignore"):
-        report = descend(newton_phase, newton, max_iter=5)
+        report = descend(saddle_start(newton, 1e-6), newton, max_iter=5)
     assert report.iterations == 5
     assert report.newton_steps == 0 and report.newton_rejected == 5
 
 
+def test_every_iteration_is_a_newton_curvature_or_first_order_step(suite_runs, newton,
+                                                                   monkeypatch):
+    for k, (report, _, curvature) in suite_runs.items():
+        assert report.newton_steps + report.first_order_steps + curvature == report.iterations, k
+        assert report.first_order_steps == 0, k
+    # without a curvature direction every step that is not Newton's is first order
+    from twistcc import solver
+    monkeypatch.setattr(solver, "_curvature_step", lambda V, g, H: None)
+    report = descend(cli_random_start(5, 0), newton, max_iter=20)
+    assert report.iterations == 20 and report.newton_steps == 0
+    assert report.first_order_steps == 20
+
+
 def test_descend_start_suite_converges(suite_reports, newton):
     converged = [k for k, r in suite_reports.items() if r.converged]
-    assert len(converged) >= 38
+    assert len(converged) == 40
+    # the two slow starts of the first-order descent (2,643 and 5,541 iterations)
+    assert suite_reports[6, 3].iterations <= 100 and suite_reports[4, 4].iterations <= 100
     for k in converged:
         fixed = rescale_to_cc_size(suite_reports[k].config, newton)
         assert cc_residual(fixed, newton, tol=1e-10).is_cc, k
@@ -190,8 +239,8 @@ def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton)
     tried = []
     newton_step = solver._newton_step
 
-    def recorded(table, x, basis):
-        cand = newton_step(table, x, basis)
+    def recorded(table, x, *derivatives):
+        cand = newton_step(table, x, *derivatives)
         tried.append((x, cand.config))
         return cand
 
@@ -202,7 +251,7 @@ def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton)
         return max_laura_andoyer(build_pair_table(cfg, newton)) * max(1.0, ratio)
 
     kinds = set()
-    for start in ((6, 4), (6, 7)):
+    for start in ((5, 4), (8, 4)):
         tried.clear()
         report = descend(cli_random_start(*start), newton, record=True)
         assert report.converged
@@ -245,17 +294,52 @@ def test_newton_polish_from_perturbed_lagrange():
         assert all(b < a for a, b in zip(resid, resid[1:]))
 
 
-def test_descend_is_first_order_until_newton(newton):
-    # the 13 starts of the benchmark's descend workload, at its cap
-    starts = [load_config(DATA / "square_1135.json")[0]]
-    starts += [cli_random_start(n, s) for n in (4, 5, 6, 8) for s in (0, 1, 2)]
-    for cfg in starts:
-        report = descend(cfg, newton, max_iter=300, record=True)
-        ref, switched = first_order_descent_ref(cfg, newton, 300)
-        assert switched and report.newton_steps > 0
-        assert len(report.history) >= len(ref)
-        for (_, pos, _, _), want in zip(report.history, ref):
-            assert pos.tobytes() == want.tobytes()
+def test_descend_leaves_a_saddle(newton):
+    # the curvature step scales by |lam|, so it moves away from a saddle of f
+    # along its negative curvature while the Newton polish is refused
+    saddle = saddle_start(newton, 0.0)
+    report = descend(saddle_start(newton, 1e-6), newton, record=True)
+    assert report.converged and report.first_order_steps == 0
+    assert report.newton_rejected > 0
+    # a CC other than the saddle, below it
+    assert report.f_value < f_value(saddle, newton) - 1e-6
+    fs = [h[2] for h in report.history]
+    assert all(b <= a for a, b in zip(fs, fs[1:]))
+
+
+def test_curvature_step_matches_loop(rng, newton):
+    # the direction of the loop reference, in the twist span and downhill; its
+    # line search from the full step accepts the sequential search's row
+    floored = 0
+    for n in (3, 4, 8, 20):
+        for _ in range(3):
+            cfg = random_config(rng, n)
+            table = build_pair_table(cfg, newton)
+            basis, _ = twist_span_basis(table)
+            V, g, H = _span_derivatives(table, basis)
+            p = _curvature_step(V, g, H)
+            ref, mags = curvature_step_loop(cfg, newton, basis)
+            assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref), n
+            twists = np.vstack([twist_vector(cfg, (i, j))
+                                for i in range(n) for j in range(i + 1, n)])
+            inside = twists.T @ np.linalg.lstsq(twists.T, p, rcond=None)[0]
+            assert np.linalg.norm(p - inside) <= 1e-10 * np.linalg.norm(p), n
+            slope = float(g @ p)
+            assert slope > 0.0
+            fcur = f_value(cfg, newton)
+            got = _armijo_step(cfg, newton, p, 1.0, fcur, slope)
+            want = armijo_step_loop(cfg, newton, p, 1.0, fcur, slope)
+            assert got.config.positions.tobytes() == want[0].tobytes() and got.f == want[1]
+            floored += sum(m == CURVATURE_FLOOR * max(mags) for m in mags)
+    assert floored > 0      # some curvatures were raised to the floor
+    # at a CC the rotation's curvature vanishes and is dropped
+    cc = saddle_start(newton, 0.0)
+    table = build_pair_table(cc, newton)
+    basis, _ = twist_span_basis(table)
+    ref, mags = curvature_step_loop(cc, newton, basis)
+    assert mags.count(0.0) == 1
+    p = _curvature_step(*_span_derivatives(table, basis))
+    assert np.linalg.norm(p - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_armijo_step_matches_sequential_loop(rng, newton):
@@ -316,6 +400,18 @@ def test_descend_iteration_builds_one_pair_table(monkeypatch, rng, newton):
     assert len(calls) == report.iterations + 1  # the start, then one per accepted step
 
 
+def test_descend_iteration_builds_one_hessian(monkeypatch, newton):
+    # the Newton polish and the curvature step share V, g and H, so a refused
+    # candidate costs no second Hessian
+    from twistcc import solver
+    calls = []
+    monkeypatch.setattr(solver, "_cartesian_hessian",
+                        lambda t, hessian=solver._cartesian_hessian: calls.append(1) or hessian(t))
+    report = descend(saddle_start(newton, 1e-6), newton, max_iter=12)
+    assert report.newton_rejected == 12 and report.first_order_steps == 0
+    assert len(calls) == 12
+
+
 def newton_step_ref(cfg, params, basis, c):
     """(candidate, f) of the Newton step x + V^T c through the public
     constructors, or None where one of them raises."""
@@ -350,7 +446,7 @@ def test_newton_step_matches_public_constructors(monkeypatch, rng, newton):
 
             monkeypatch.setattr(np.linalg, "lstsq", solve)
             with np.errstate(all="ignore"):
-                got = _newton_step(table, cfg.positions, basis)
+                got = _newton_step(table, cfg.positions, *_span_derivatives(table, basis))
             monkeypatch.setattr(np.linalg, "lstsq", lstsq)
             with np.errstate(all="ignore"):
                 ref = newton_step_ref(cfg, newton, basis, used[0])
@@ -371,9 +467,8 @@ def test_newton_step_matches_public_constructors(monkeypatch, rng, newton):
 def test_descend_validates_a_bounded_number_of_configurations(monkeypatch, newton):
     # accepted steps and Newton candidates are carried from their row passes,
     # so the number of validations does not grow with the iterations
-    newton_phase = descend(cli_random_start(6, 3), newton, max_iter=100).config
     post_init = PlanarConfig.__post_init__
-    for start in (cli_random_start(4, 4), newton_phase):
+    for start in (cli_random_start(4, 4), saddle_start(newton, 1e-6)):
         counts = []
         for max_iter in (6, 12):
             calls = []

@@ -24,13 +24,15 @@ a decided certificate holds for *every* shape in the input box:
 of an `intervals.IntervalArray`, in batches of at most BATCH_LANES lanes
 (memory stays bounded however fine the subdivision).  Admissibility is
 kite's rule on boxes (`kite._class_codes`, `kite._mass_boundaries`);
-only admissible lanes enter the scale enclosure, whose bracket search
-and quarter-point probing run in lockstep, each lane with its own
-bracket, signs and stop state; only lanes with a scale enter the
-interval `KiteTable` and the two blocks.  Every lane rounds exactly as
-scalar `Interval` arithmetic on that box alone would, so a box's
-enclosures and certificates do not depend on the other boxes of its
-batch.  The result is arrays (`Certificates`): per lane and block, a
+a batch encloses the admissible lanes' side powers once, for that rule,
+the scale enclosure and the mass ratios.  Only admissible lanes enter
+the scale enclosure, whose bracket search and quarter-point probing run
+in lockstep, each lane with its own bracket, signs and stop state, and
+skip the scales where the residual's sign is known to be undecidable;
+only lanes with a scale enter the interval `KiteTable` and the two
+blocks.  Every lane rounds exactly as scalar `Interval` arithmetic on
+that box alone would, so a box's enclosures and certificates do not
+depend on the other boxes of its batch.  The result is arrays (`Certificates`): per lane and block, a
 code into OUTCOMES, the closed table of every `CertifiedIndex` a block
 can get.  `certify_box` is the one-lane call.  A `None` value means
 Unknown, always a sound answer and the expected one on boxes straddling
@@ -60,13 +62,20 @@ import numpy as np
 
 from .geometry import PotentialParams
 from .intervals import Interval, IntervalArray
-from .kite import (KiteTable, _class_codes, _mass_boundaries, dziobek_coefficients,
-                   ha_explicit, hs_explicit, kite_scales, mass_ratio_terms, side_powers)
+from .kite import (KiteTable, _class_codes, _mass_boundaries, _mass_ratios,
+                   dziobek_coefficients, ha_explicit, hs_explicit, kite_scales, side_powers)
 # unused here; perfbench/tracing.py install() looks both names up on this module
 from .kite import build_kite, kite_blocks  # noqa: F401
 
 # cap on the quarter-point probing rounds of `certify_kite_scale`
 MAX_PROBE_ROUNDS = 200
+# A float root's relative error is at most about eps * cond (`kite_scales`'
+# cancellation; 0.52 eps * cond at most on 72,000 sampled shapes at A from
+# 2.1 to 50, against 40-digit roots), so at cond <= ROOT_COND it is below a
+# ninth of HULL_RTOL, and a scale more than HULL_RTOL inside two such roots
+# lies strictly between the real ones.
+ROOT_COND = 1e3
+HULL_RTOL = 1e-12
 # boxes certified together as the lanes of one batch
 BATCH_LANES = 4096
 
@@ -123,42 +132,88 @@ OUTCOMES = (NOT_ADMISSIBLE, NO_SCALE, MASSES_NOT_POSITIVE, QUANTITIES_FAILED, HS
 
 @dataclass(frozen=True, eq=False)
 class Certificates:
-    """Per lane k, the box z3[k] x z4[k] and the codes into OUTCOMES of H_s and H_a."""
+    """Per lane k, the box z3[k] x z4[k] and the codes into OUTCOMES of H_s
+    and H_a; `scale_sign_lanes` counts the lane residual signs that the
+    scale enclosure evaluated, over all lanes."""
 
     z3: IntervalArray
     z4: IntervalArray
     hs: np.ndarray
     ha: np.ndarray
+    scale_sign_lanes: int
 
 
-def certify_kite_scale(z3: IntervalArray, z4: IntervalArray,
-                       params: PotentialParams) -> IntervalArray:
-    """Enclosures of the Dziobek scale valid for every shape in each box.
+def _root_hulls(z3: IntervalArray, z4: IntervalArray, A: float):
+    """(x2c, no_root, r_lo, r_hi) per lane: `kite_scales` at the box's
+    midpoint, and the open hull (r_lo, r_hi) of the box's known roots,
+    shrunk by HULL_RTOL at both ends (empty where fewer than two are known).
+
+    The known roots are the float roots at the midpoint and the four
+    corners, from one `kite_scales` pass (midpoints first, so x2c is the
+    midpoint-only call's bit for bit), whose shape has a root, whose
+    cancellation is at most ROOT_COND (its root then lies within HULL_RTOL
+    of the real one) and whose D has the midpoint's sign.
+    """
+    n = len(z3)
+    x2, failed, D, cond = (v.reshape(5, n) for v in kite_scales(
+        np.concatenate([z3.mid, z3.lo, z3.lo, z3.hi, z3.hi]),
+        np.concatenate([z4.mid, z4.lo, z4.hi, z4.lo, z4.hi]), A))
+    known = ~failed & (cond <= ROOT_COND) & (np.sign(D) == np.sign(D[0]))
+    known &= known[0]
+    r_lo = np.where(known, x2, np.inf).min(axis=0) * (1.0 + HULL_RTOL)
+    r_hi = np.where(known, x2, -np.inf).max(axis=0) * (1.0 - HULL_RTOL)
+    return x2[0], failed[0], r_lo, r_hi
+
+
+def certify_kite_scale(z3: IntervalArray, z4: IntervalArray, params: PotentialParams,
+                       powers=None) -> tuple[IntervalArray, int]:
+    """Enclosures of the Dziobek scale valid for every shape in each box,
+    and the number of lane residual signs the search evaluated.
 
     Brackets the residual with verified constant signs at both endpoints,
-    widening a relative bracket around the float scale at the box midpoint
-    until the signs differ.  Then it probes the bracket's quarter points
-    and moves an endpoint to each probe whose sign is decided, until the
-    bracket is 1e-14 relative wide, no probe decides, or MAX_PROBE_ROUNDS
-    rounds have run.  The box's side powers are enclosed once, for every
-    probe (the residual in t = x^(-A)) and for the closed form
-    x2 = (D/N)^(1/A) the result is intersected with.  A lane fails when
-    no verified bracket exists (e.g. a box straddling the symmetric shape,
-    where the residual is identically zero).
+    widening a relative bracket x2c*(1 -+ w) around the float scale x2c at
+    the box midpoint, w = 1e-8, 2e-8, ... below 0.8, until the signs
+    differ.  Then it probes the bracket's quarter points and moves an
+    endpoint to each probe whose sign is decided, until the bracket is
+    1e-14 relative wide, no probe decides, or MAX_PROBE_ROUNDS rounds have
+    run.  The box's side powers (`side_powers(z3, z4, A)`, or `powers`
+    when the caller has them) are enclosed once, for every probe (the
+    residual in t = x^(-A)) and for the closed form x2 = (D/N)^(1/A) the
+    result is intersected with.  A lane fails when no verified bracket
+    exists (e.g. a box straddling the symmetric shape, where the residual
+    is identically zero).
 
-    z3 and z4 are IntervalArray lanes, and so is the result; a lane with
+    The residual is g(x; s) = t*D(s)*(t - t*(s)) at shape s: it has D's
+    sign below s's root and the other sign above it.  So at a scale x
+    strictly between the roots of two shapes of the box with one sign of
+    D, the real g takes both signs over the box, and so does its interval
+    enclosure: the sign there is never decided.  Such scales, those inside
+    the lane's hull of known roots (`_root_hulls`), are not evaluated: a
+    bracket round skips a lane with a trial end inside its hull (it moves
+    on to the next w), and a probe inside the hull counts as undecided.
+    Every evaluated sign, bracket and enclosure is the one that evaluating
+    every lane at every round would give, bit for bit.
+
+    z3 and z4 are IntervalArray lanes, and so is the enclosure; a lane with
     no enclosure is a failed lane.
     """
     A = params.A
+    sign_lanes = 0
     with np.errstate(all="ignore"):
-        x2c, no_root = kite_scales(z3.mid, z4.mid, A)
-        powers = side_powers(z3, z4, A)
+        x2c, no_root, r_lo, r_hi = _root_hulls(z3, z4, A)
+        powers = side_powers(z3, z4, A) if powers is None else powers
         p2, pd, p3, p4 = powers
         ok = ((z3.lo > z4.hi) & (z4.lo > 0.0) & ~no_root
               & ~(pd.failed | p3.failed | p4.failed))
 
+        def outside(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+            """Mask of the scales x[k] not inside lane lanes[k]'s hull of known roots."""
+            return ~((r_lo[lanes] < x) & (x < r_hi[lanes]))
+
         def signs(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
             """Sign of the residual at scale x[k] over lane lanes[k]'s box, 0 if undecided."""
+            nonlocal sign_lanes
+            sign_lanes += x.size
             t = IntervalArray(x) ** -A
             g = ((t * p2 - 1.0) * (t * pd[lanes] - 1.0)
                  - (t * p3[lanes] - 1.0) * (t * p4[lanes] - 1.0))
@@ -171,12 +226,16 @@ def certify_kite_scale(z3: IntervalArray, z4: IntervalArray,
         w = 1e-8
         while w < 0.8 and search.size:
             clo, chi = x2c[search] * (1.0 - w), x2c[search] * (1.0 + w)
-            s = signs(np.concatenate([clo, chi]), np.concatenate([search, search]))
-            s_lo, s_hi = s[:search.size], s[search.size:]
-            found = (s_lo != 0) & (s_hi != 0) & (s_lo != s_hi)
-            got = search[found]
-            lo[got], hi[got], slo[got], shi[got] = clo[found], chi[found], s_lo[found], s_hi[found]
-            search = search[~found]
+            ev = np.flatnonzero(outside(clo, search) & outside(chi, search))
+            if ev.size:
+                s = signs(np.concatenate([clo[ev], chi[ev]]),
+                          np.concatenate([search[ev], search[ev]]))
+                s_lo, s_hi = s[:ev.size], s[ev.size:]
+                found = (s_lo != 0) & (s_hi != 0) & (s_lo != s_hi)
+                k = ev[found]
+                got = search[k]
+                lo[got], hi[got], slo[got], shi[got] = clo[k], chi[k], s_lo[found], s_hi[found]
+                search = np.delete(search, k)
             w *= 2.0
 
         # Quarter-point probing instead of midpoint bisection: the sign right at
@@ -192,8 +251,11 @@ def certify_kite_scale(z3: IntervalArray, z4: IntervalArray,
             probe, l, h, m1, m2 = probe[go], l[go], h[go], m1[go], m2[go]
             if not probe.size:
                 break
-            s = signs(np.concatenate([m1, m2]), np.concatenate([probe, probe]))
-            s1, s2 = s[:probe.size], s[probe.size:]
+            s1, s2 = np.zeros(probe.size, dtype=int), np.zeros(probe.size, dtype=int)
+            e1, e2 = outside(m1, probe), outside(m2, probe)
+            s = signs(np.concatenate([m1[e1], m2[e2]]), np.concatenate([probe[e1], probe[e2]]))
+            n1 = np.count_nonzero(e1)
+            s1[e1], s2[e2] = s[:n1], s[n1:]
             sl, sh = slo[probe], shi[probe]
             lo1, hi1 = s1 == sl, s1 == sh
             l, h = np.where(lo1, m1, l), np.where(hi1, m1, h)
@@ -211,18 +273,20 @@ def certify_kite_scale(z3: IntervalArray, z4: IntervalArray,
         tight = enclosure.intersect((D / N) ** (1.0 / A))
     keep = tight.failed
     return IntervalArray(np.where(keep, enclosure.lo, tight.lo),
-                         np.where(keep, enclosure.hi, tight.hi))
+                         np.where(keep, enclosure.hi, tight.hi)), sign_lanes
 
 
-def interval_kite_quantities(z3, z4, x2, params: PotentialParams) -> KiteTable:
+def interval_kite_quantities(z3, z4, x2, params: PotentialParams, powers=None) -> KiteTable:
     """The interval KiteTable of the boxes z3 x z4 at scale x2, including
     mass-ratio enclosures.
 
     The mass ratios are evaluated in their shape-only form (x2 cancels
-    exactly), which keeps their enclosures free of the scale enclosure's
+    exactly) from the boxes' side powers (`powers` when the caller has
+    them), which keeps their enclosures free of the scale enclosure's
     width.  Whether they are strictly positive is left to the caller.
     """
-    mu31, mu41 = mass_ratio_terms(z3, z4, params.A)
+    powers = side_powers(z3, z4, params.A) if powers is None else powers
+    mu31, mu41 = _mass_ratios(z3, z4, powers)
     return KiteTable(z3, z4, x2, mu31, mu41, params.A)
 
 
@@ -278,32 +342,46 @@ def certify_boxes(z3: IntervalArray, z4: IntervalArray,
     """Certified H_s and H_a indices over the boxes z3[k] x z4[k].
 
     The lanes are certified in batches of at most BATCH_LANES; within a
-    batch, admissibility, the scale enclosure and the interval kite table
-    are evaluated once per lane and shared by both blocks.
+    batch, admissibility, the side powers, the scale enclosure and the
+    interval kite table are evaluated once per lane and shared by both
+    blocks.
     """
     hs, ha = np.empty(len(z3), dtype=int), np.empty(len(z3), dtype=int)
+    sign_lanes = 0
     for start in range(0, len(z3), BATCH_LANES):
         batch = slice(start, start + BATCH_LANES)
-        hs[batch], ha[batch] = _certify_batch(z3[batch], z4[batch], params)
-    return Certificates(z3, z4, hs, ha)
+        hs[batch], ha[batch], n = _certify_batch(z3[batch], z4[batch], params)
+        sign_lanes += n
+    return Certificates(z3, z4, hs, ha, sign_lanes)
+
+
+def _lanes(powers, keep):
+    """The side powers of the lanes `keep`; 2^-A is one float for all lanes."""
+    p2, *rest = powers
+    return (p2, *(p[keep] for p in rest))
 
 
 def _certify_batch(z3: IntervalArray, z4: IntervalArray,
-                   params: PotentialParams) -> tuple[np.ndarray, np.ndarray]:
-    """Codes into OUTCOMES of H_s and H_a over one batch of lanes."""
+                   params: PotentialParams) -> tuple[np.ndarray, np.ndarray, int]:
+    """Codes into OUTCOMES of H_s and H_a over one batch of lanes, and the
+    scale search's count of evaluated residual signs."""
     hs = np.full(len(z3), OUTCOMES.index(NOT_ADMISSIBLE))
     ha = hs.copy()
+    sign_lanes = 0
     lanes = np.flatnonzero(np.isin(_class_codes(z3, z4, 0.0), (1, 2)))
     with np.errstate(all="ignore"):
-        mu31_at, mu41_at = _mass_boundaries(side_powers(z3[lanes], z4[lanes], params.A), 0.0)
-    lanes = lanes[~(mu31_at | mu41_at)]
+        powers = side_powers(z3[lanes], z4[lanes], params.A)
+        mu31_at, mu41_at = _mass_boundaries(powers, 0.0)
+    keep = ~(mu31_at | mu41_at)
+    lanes, powers = lanes[keep], _lanes(powers, keep)
     if lanes.size:
-        x2 = certify_kite_scale(z3[lanes], z4[lanes], params)
+        x2, sign_lanes = certify_kite_scale(z3[lanes], z4[lanes], params, powers)
         hs[lanes[x2.failed]] = ha[lanes[x2.failed]] = OUTCOMES.index(NO_SCALE)
-        lanes, x2 = lanes[~x2.failed], x2[~x2.failed]
+        keep = ~x2.failed
+        lanes, x2, powers = lanes[keep], x2[keep], _lanes(powers, keep)
     if lanes.size:
         with np.errstate(all="ignore"):
-            t = interval_kite_quantities(z3[lanes], z4[lanes], x2, params)
+            t = interval_kite_quantities(z3[lanes], z4[lanes], x2, params, powers)
             hs_t, ha_t = certify_hs_index(t), certify_ha_index(t)
         # the order of the per-box evaluation: mass ratios, their signs, the
         # powers (a distance's failure fails its power too)
@@ -313,7 +391,7 @@ def _certify_batch(z3: IntervalArray, z4: IntervalArray,
         reasons = [mu31.failed | mu41.failed | (positive & powers_failed), ~positive]
         codes = [OUTCOMES.index(QUANTITIES_FAILED), OUTCOMES.index(MASSES_NOT_POSITIVE)]
         hs[lanes], ha[lanes] = np.select(reasons, codes, hs_t), np.select(reasons, codes, ha_t)
-    return hs, ha
+    return hs, ha, sign_lanes
 
 
 def certify_box(z3: Interval, z4: Interval, params: PotentialParams) -> BoxCertificate:

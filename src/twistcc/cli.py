@@ -311,7 +311,8 @@ def cmd_descend(args) -> tuple[int, RunManifest]:
                                    "newton_rejected": report.newton_rejected,
                                    "first_order_steps": report.first_order_steps,
                                    "reason": report.reason,
-                                   "i_drift": report.i_drift})
+                                   "i_drift": report.i_drift,
+                                   "max_step_i_drift": report.max_step_i_drift})
     return (0 if report.converged else 1), manifest
 
 
@@ -467,7 +468,8 @@ def cmd_certify(args) -> tuple[int, RunManifest]:
                                 "idx_Ha", "cert_Ha", "idx_total"], _certify_lines(certs, total))
     decided = int((total >= 0).sum())
     print(f"boxes = {total.size}, certified = {decided}, coverage = {decided / total.size:.3f}")
-    counts = {"boxes": total.size, "decided": {}, "unknown": {}}
+    counts = {"boxes": total.size, "decided": {}, "unknown": {},
+              "scale_sign_lanes": certs.scale_sign_lanes}
     for block, codes in (("Hs", certs.hs), ("Ha", certs.ha)):
         n = np.bincount(codes, minlength=len(OUTCOMES))
         unknown = Counter()

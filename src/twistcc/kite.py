@@ -153,9 +153,9 @@ def _kite_error(check: str, z3: float, z4: float,
 # call agrees bit for bit with the index map's cell.
 
 def _kite_terms(z3, z4, A: float):
-    """(x2, mu31, mu41, failed) for arrays of shapes, from one set of side
-    powers; `failed` maps each check `build_kite` applies, in `_CHECKS`
-    order, to its mask.
+    """(x2, mu31, mu41, failed, powers) for arrays of shapes, from one set
+    of side powers (`side_powers`, returned too); `failed` maps each check
+    `build_kite` applies, in `_CHECKS` order, to its mask.
 
     Substituting t = x2^(-A) makes the Dziobek equation linear in t, so
     the root t = N/D is exact up to rounding and x2 = t^(-1/A).  At the
@@ -174,7 +174,7 @@ def _kite_terms(z3, z4, A: float):
         "infeasible": (D == 0.0) | (t <= 0.0),
         **dict(zip(("mu31_boundary", "mu41_boundary"), _mass_boundaries(powers, 1e-13))),
         "nonpositive": (mu31 <= 0.0) | (mu41 <= 0.0),
-    }
+    }, powers
 
 
 def _ends(x):
@@ -195,7 +195,7 @@ def _one(shape: KiteShape, A: float, checks) -> tuple[float, float, float]:
     """(x2, mu31, mu41) of one shape as floats; raises the first of
     `checks` that the shape fails."""
     with np.errstate(all="ignore"):
-        *values, failed = _kite_terms(np.array([shape.z3]), np.array([shape.z4]), A)
+        *values, failed, _ = _kite_terms(np.array([shape.z3]), np.array([shape.z4]), A)
     x2, mu31, mu41 = (float(v[0]) for v in values)
     for check in checks:
         if failed[check][0]:
@@ -213,12 +213,19 @@ def kite_scale(shape: KiteShape, params: PotentialParams) -> float:
 
 
 def kite_scales(z3: np.ndarray, z4: np.ndarray, A: float):
-    """(x2, failed) for arrays of shapes z3 > z4 > 0: each shape's
-    `kite_scale` (bit for bit, from the same array code) and the mask of
-    shapes where `kite_scale` raises."""
+    """(x2, failed, D, cond) for arrays of shapes z3 > z4 > 0: each shape's
+    `kite_scale` (bit for bit, from the same array code), the mask of
+    shapes where `kite_scale` raises, the Dziobek coefficient D and the
+    cancellation cond in D and N, the sums of their terms' magnitudes
+    over |D| and |N|: x2's relative rounding error is about eps times
+    cond.  The residual t*(t*D - N) in t = x^(-A) has D's sign at scales
+    x below the root and the other sign above it."""
     with np.errstate(all="ignore"):
-        x2, _, _, failed = _kite_terms(z3, z4, A)
-    return x2, failed["indeterminate"] | failed["infeasible"]
+        x2, _, _, failed, powers = _kite_terms(z3, z4, A)
+        p2, pd, p3, p4 = powers
+        D, N = dziobek_coefficients(powers)
+        cond = (p2 * pd + p3 * p4) / np.abs(D) + (p2 + pd + p3 + p4) / np.abs(N)
+    return x2, failed["indeterminate"] | failed["infeasible"], D, cond
 
 
 @dataclass(frozen=True)
@@ -575,7 +582,7 @@ def _admissible_cells(z3: np.ndarray, z4: np.ndarray, A: float):
     that pass every check, from their stacked closed-form blocks.
     """
     with np.errstate(all="ignore"):
-        x2, mu31, mu41, failed = _kite_terms(z3, z4, A)
+        x2, mu31, mu41, failed = _kite_terms(z3, z4, A)[:4]
         t = KiteTable(z3, z4, x2, mu31, mu41, A)
         hs11, hs22, hs12 = hs_explicit(t)
         a11, a22, a33, a12, a13, a23 = ha_explicit(t)

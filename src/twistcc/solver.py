@@ -146,10 +146,15 @@ class DescentReport:
     `iterations`, `newton_rejected` the Newton candidates that failed or
     were refused, and `first_order_steps` the iterations that fell back to
     the first-order step; every other iteration is a curvature step.
-    `i_drift` is |I/I0 - 1| of the final configuration
-    against the start, before any final rescale.  With `record`, `history`
-    is the whole trajectory, start to `config`: one (step, positions, f,
-    Laura-Andoyer residual) row per configuration, `iterations + 1` rows.
+    `i_drift` is |I/I0 - 1| of the final configuration against the start:
+    after a Newton polish, which rescales to U = M*I, that is the final
+    rescaled CC's size against the start's, not the drift of the steps.
+    `max_step_i_drift` is the largest |I'/I - 1| of one accepted step that
+    is not a Newton step (a curvature or first-order step), 0 if there is
+    none: the drift that twist steps without retraction cause.  With
+    `record`, `history` is the whole trajectory, start to `config`: one
+    (step, positions, f, Laura-Andoyer residual) row per configuration,
+    `iterations + 1` rows.
     """
 
     config: PlanarConfig
@@ -163,6 +168,7 @@ class DescentReport:
     i_drift: float
     newton_rejected: int
     first_order_steps: int
+    max_step_i_drift: float
     history: tuple = field(default=(), repr=False)
 
 
@@ -346,6 +352,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     reason = "max_iter"
     degenerate_run = 0
     iterations = newton_steps = newton_rejected = first_order_steps = 0
+    max_step_i_drift = 0.0
     start = cur = _Iterate(config, f_value(config, params), moment_of_inertia(config),
                            potential_u(config, params))
     table = build_pair_table(config, params)
@@ -395,6 +402,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
                 reason = "line_search_exhausted"
                 break
             first_order_steps += 1
+        max_step_i_drift = max(max_step_i_drift, abs(step.inertia / cur.inertia - 1.0))
         cur = step
         table = build_pair_table(cur.config, params)
         iterations = it + 1
@@ -412,4 +420,4 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     i_drift = abs(cur.inertia / start.inertia - 1.0)
     return DescentReport(cfg, iterations, resid, cur.f, reason == "converged", collapse,
                          reason, newton_steps, i_drift, newton_rejected, first_order_steps,
-                         tuple(history))
+                         max_step_i_drift, tuple(history))

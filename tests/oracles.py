@@ -468,6 +468,74 @@ def certify_kite_scale_ref(z3, z4, params: PotentialParams):
     return enclosure
 
 
+def certify_kite_scale_doubling_ref(z3, z4, params: PotentialParams):
+    """(enclosure, signs) of `certify.certify_kite_scale` on IntervalArray
+    lanes, evaluating every searching lane at every doubling of the bracket
+    and both probes of every probing lane, also where the box's known roots
+    show that the sign cannot be decided.  signs counts the lane residual
+    signs evaluated."""
+    from twistcc.certify import MAX_PROBE_ROUNDS
+    from twistcc.intervals import IntervalArray
+    from twistcc.kite import dziobek_coefficients, kite_scales, side_powers
+    A = params.A
+    evaluated = 0
+    with np.errstate(all="ignore"):
+        x2c, no_root, _, _ = kite_scales(z3.mid, z4.mid, A)
+        powers = side_powers(z3, z4, A)
+        p2, pd, p3, p4 = powers
+        ok = ((z3.lo > z4.hi) & (z4.lo > 0.0) & ~no_root
+              & ~(pd.failed | p3.failed | p4.failed))
+
+        def signs(x, lanes):
+            nonlocal evaluated
+            evaluated += x.size
+            t = IntervalArray(x) ** -A
+            g = ((t * p2 - 1.0) * (t * pd[lanes] - 1.0)
+                 - (t * p3[lanes] - 1.0) * (t * p4[lanes] - 1.0))
+            return np.where(g.is_positive(), 1, np.where(g.is_negative(), -1, 0))
+
+        n = len(z3)
+        lo, hi = np.full(n, np.nan), np.full(n, np.nan)
+        slo, shi = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        search = np.flatnonzero(ok)
+        w = 1e-8
+        while w < 0.8 and search.size:
+            clo, chi = x2c[search] * (1.0 - w), x2c[search] * (1.0 + w)
+            s = signs(np.concatenate([clo, chi]), np.concatenate([search, search]))
+            s_lo, s_hi = s[:search.size], s[search.size:]
+            found = (s_lo != 0) & (s_hi != 0) & (s_lo != s_hi)
+            got = search[found]
+            lo[got], hi[got], slo[got], shi[got] = clo[found], chi[found], s_lo[found], s_hi[found]
+            search = search[~found]
+            w *= 2.0
+        probe = np.flatnonzero(~np.isnan(lo))
+        for _ in range(MAX_PROBE_ROUNDS):
+            l, h = lo[probe], hi[probe]
+            width = h - l
+            m1 = l + 0.25 * width
+            m2 = l + 0.75 * width
+            go = (width > 1e-14 * l) & (l < m1) & (m1 < m2) & (m2 < h)
+            probe, l, h, m1, m2 = probe[go], l[go], h[go], m1[go], m2[go]
+            if not probe.size:
+                break
+            s = signs(np.concatenate([m1, m2]), np.concatenate([probe, probe]))
+            s1, s2 = s[:probe.size], s[probe.size:]
+            sl, sh = slo[probe], shi[probe]
+            lo1, hi1 = s1 == sl, s1 == sh
+            l, h = np.where(lo1, m1, l), np.where(hi1, m1, h)
+            second = (h - l > 1e-14 * l) & (m2 < h)
+            hi2, lo2 = second & (s2 == sh), second & (s2 == sl)
+            l, h = np.where(lo2, m2, l), np.where(hi2, m2, h)
+            lo[probe], hi[probe] = l, h
+            probe = probe[lo1 | hi1 | lo2 | hi2]
+        enclosure = IntervalArray(lo, hi)
+        D, N = dziobek_coefficients(powers)
+        tight = enclosure.intersect((D / N) ** (1.0 / A))
+    keep = tight.failed
+    return IntervalArray(np.where(keep, enclosure.lo, tight.lo),
+                         np.where(keep, enclosure.hi, tight.hi)), evaluated
+
+
 def _decide_2x2_ref(h11, h22, h12, name):
     from twistcc.certify import CertifiedIndex
     det = h11 * h22 - h12.sq()

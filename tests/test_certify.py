@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twistcc.certify as certify
 from twistcc.certify import (OUTCOMES, BoxCertificate, _decide_2x2, certify_box,
@@ -15,7 +17,8 @@ from twistcc.kite import (ROTATION_ZERO_RTOL, KiteShape, KiteTable, _class_codes
                           _mass_boundaries, build_kite, circumcenter_z4, ha_explicit,
                           hs_explicit, kite_blocks, kite_scale, side_powers)
 
-from oracles import bisect_dziso, certify_box_ref, certify_kite_scale_ref, dziso_residual
+from oracles import (bisect_dziso, certify_box_ref, certify_kite_scale_doubling_ref,
+                     certify_kite_scale_ref, dziso_residual)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -38,7 +41,7 @@ def box_class(z3, z4):
 def box_scale(z3, z4, params):
     """Scale enclosure of the box z3 x z4 as one lane: an Interval, or None
     where the lane failed."""
-    x2 = certify_kite_scale(*box_lanes([(z3, z4)]), params)
+    x2, _ = certify_kite_scale(*box_lanes([(z3, z4)]), params)
     return None if x2.failed[0] else x2.lane(0)
 
 
@@ -179,6 +182,112 @@ def test_scale_enclosure_encloses_side_powers_once(monkeypatch, newton):
                         raising=False)
     assert box_scale(*point_box(2.0, 0.8, 1e-4), newton) is not None
     assert calls == {"side_powers": 1}
+
+
+def test_certify_batch_encloses_side_powers_once(monkeypatch, newton):
+    # the mass-boundary test, the scale search and the mass ratios share one
+    # enclosure of the batch's side powers
+    calls = Counter()
+    monkeypatch.setattr(certify, "side_powers",
+                        lambda *a: calls.update(["side_powers"]) or side_powers(*a))
+    monkeypatch.setattr(certify, "BATCH_LANES", 7)
+    certs = certify_boxes(*box_lanes(window_boxes((1.99, 2.01), (0.79, 0.81), 2)), newton)
+    assert (certs.hs != certify.OUTCOMES.index(certify.NOT_ADMISSIBLE)).all()
+    assert calls == {"side_powers": 3}      # 16 boxes, batches of 7, 7 and 2
+
+
+# --- scales skipped inside a box's known roots ----------------------------------------
+
+def residual_enclosure(z3: Interval, z4: Interval, x: float, A: float) -> Interval:
+    """The scalar interval residual at scale x over the box z3 x z4."""
+    p2, pd, p3, p4 = side_powers(z3, z4, A)
+    t = Interval(x) ** -A
+    return (t * p2 - 1.0) * (t * pd - 1.0) - (t * p3 - 1.0) * (t * p4 - 1.0)
+
+
+def sampled_boxes(rng, n):
+    """n boxes of random widths 1e-7 to 0.1 inside 1.0-2.2 x 0.01-0.87, a
+    third of them around the symmetric shape, where the roots are worst
+    conditioned, and a third on the circumcenter curve."""
+    w3, w4 = 10.0 ** rng.uniform(-7, -1, n), 10.0 ** rng.uniform(-7, -1, n)
+    c3 = rng.uniform(1.0, 2.2, n)
+    c3[: n // 3] = SQRT3 + rng.uniform(-0.05, 0.05, n // 3)
+    c4 = rng.uniform(0.01, 0.87, n)
+    c4[: n // 3] = 1 / SQRT3 + rng.uniform(-0.05, 0.05, n // 3)
+    c4[n // 3: 2 * (n // 3)] = circumcenter_z4(c3[n // 3: 2 * (n // 3)])
+    lo3 = np.clip(c3 - w3 / 2, 1.0, 2.2 - w3)
+    lo4 = np.clip(c4 - w4 / 2, 0.01, 0.87 - w4)
+    return IntervalArray(lo3, lo3 + w3), IntervalArray(lo4, lo4 + w4)
+
+
+@pytest.mark.parametrize("A", [2.5, 3.0, 6.0, 12.0])
+def test_scales_inside_known_roots_are_undecided(rng, A):
+    # the skip rule: at every scale strictly inside a lane's hull of known
+    # roots, the interval residual over the box has no decided sign
+    z3, z4 = sampled_boxes(rng, 300)
+    _, _, r_lo, r_hi = certify._root_hulls(z3, z4, A)
+    hulls = np.flatnonzero(r_lo < r_hi)
+    assert hulls.size > 150
+    for k in hulls.tolist():
+        a, b = float(r_lo[k]), float(r_hi[k])
+        box = z3.lane(k), z4.lane(k)
+        for x in (math.nextafter(a, b), math.nextafter(b, a), 0.5 * (a + b),
+                  *rng.uniform(a, b, 4)):
+            g = residual_enclosure(*box, float(x), A)
+            assert g.contains_zero(), (box, A, x, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(-7.0, -1.0), st.floats(-7.0, -1.0),
+                          st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+       st.floats(2.0, 12.0, exclude_min=True))
+@example([(-3.0, -3.0, (SQRT3 - 1.0) / 1.2, (1 / SQRT3 - 0.01) / 0.86)], 3.0)
+@example([(-2.0, -2.0, 0.5, 0.9), (-7.0, -7.0, 0.83, 0.91), (-1.0, -1.0, 1.0, 0.0)], 6.0)
+def test_scale_enclosure_matches_doubling_search(boxes, A):
+    # boxes of widths 10^e3 x 10^e4 at relative places u3, u4 in the window:
+    # skipping scales inside the known roots leaves every enclosure bit for
+    # bit the one of the search that evaluates every lane at every round
+    w3, w4 = 10.0 ** np.array([b[0] for b in boxes]), 10.0 ** np.array([b[1] for b in boxes])
+    lo3 = 1.0 + np.array([b[2] for b in boxes]) * (1.2 - w3)
+    lo4 = 0.01 + np.array([b[3] for b in boxes]) * (0.86 - w4)
+    z3, z4 = IntervalArray(lo3, lo3 + w3), IntervalArray(lo4, lo4 + w4)
+    params = PotentialParams(A)
+    got, evaluated = certify_kite_scale(z3, z4, params)
+    want, ref_evaluated = certify_kite_scale_doubling_ref(z3, z4, params)
+    assert got.lo.tobytes() == want.lo.tobytes() and got.hi.tobytes() == want.hi.tobytes()
+    assert evaluated <= ref_evaluated
+
+
+def test_scale_sign_lanes_recount(monkeypatch, newton):
+    # every residual sign the scale search evaluates is one lane of a point
+    # interval raised to -A; on the benchmark window the skip saves over 90%
+    # of the 40,114 signs that evaluating every lane at every round takes
+    lanes = box_lanes(window_boxes((1.99, 2.01), (0.79, 0.81), 5))
+    _, ref_evaluated = certify_kite_scale_doubling_ref(*lanes, newton)
+    assert ref_evaluated == 40114
+    counted, searching = [], []
+    pow_real, scale = IntervalArray.pow_real, certify.certify_kite_scale
+
+    def counting_pow(x, p):
+        if searching and p == -newton.A and (x.lo == x.hi).all():
+            counted.append(len(x))
+        return pow_real(x, p)
+
+    def counting_scale(*args):
+        searching.append(True)
+        try:
+            return scale(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(IntervalArray, "pow_real", counting_pow)
+    monkeypatch.setattr(certify, "certify_kite_scale", counting_scale)
+    monkeypatch.setattr(certify, "BATCH_LANES", 300)
+    certs = certify_boxes(*lanes, newton)
+    assert certs.scale_sign_lanes == sum(counted)
+    assert 0 < certs.scale_sign_lanes < ref_evaluated / 10
+    # inadmissible boxes search no scale
+    assert certify_boxes(*box_lanes([point_box(2.0, 0.75, 1e-3)]), newton).scale_sign_lanes == 0
 
 
 # --- quantity enclosures ----------------------------------------------------------
@@ -445,7 +554,7 @@ def all_boxes():
 def assert_scales_match_reference(boxes, params):
     """Each lane's enclosure is bit for bit the per-box enclosure, and a lane
     fails exactly where the reference has none."""
-    x2 = certify_kite_scale(*box_lanes(boxes), params)
+    x2, _ = certify_kite_scale(*box_lanes(boxes), params)
     for k, box in enumerate(boxes):
         want = certify_kite_scale_ref(*box, params)
         if want is None:
@@ -581,20 +690,20 @@ def forced(name, change):
 
 
 def _no_root(out):
-    x2c, no_root = out
+    x2c, no_root, *rest = out
     no_root = no_root.copy()
     no_root[1] = True
-    return [x2c, no_root]
+    return [x2c, no_root, *rest]
 
 
 # (patched name, change, lane 1's expected (hs, ha) certificates, or None where a
 # block keeps its unforced certificate)
 FORCED = {
     "no scale": ("kite_scales", _no_root, (certify.NO_SCALE, certify.NO_SCALE)),
-    "masses not positive": ("mass_ratio_terms",
+    "masses not positive": ("_mass_ratios",
                             lambda o: [set_lane(o[0], 1, -o[0].hi[1], -o[0].lo[1]), o[1]],
                             (certify.MASSES_NOT_POSITIVE, certify.MASSES_NOT_POSITIVE)),
-    "mass ratio failed": ("mass_ratio_terms", lambda o: [o[0], fail_lane(o[1], 1)],
+    "mass ratio failed": ("_mass_ratios", lambda o: [o[0], fail_lane(o[1], 1)],
                           (certify.QUANTITIES_FAILED, certify.QUANTITIES_FAILED)),
     # the signs of the mass ratios are checked before the other quantities
     "masses not positive, r34 failed": (

@@ -211,9 +211,13 @@ def test_descend_reports_stop_reason(tmp_path, capsys):
     manifest = json.loads((tmp_path / "d6.json.manifest.json").read_text())
     assert manifest["seed"] == 1
     assert manifest["arguments"] == {"config": None, "random": 6, "A": 3.0}
+    # max_step_i_drift is not printed: the in-process run of the same start recounts it
+    report = descend(cli._random_start(6, 1), PotentialParams(3.0))
+    assert report.max_step_i_drift > 0.0
     assert manifest["counts"] == {"iterations": int(out["iterations"]), "newton_steps": 4,
                                   "newton_rejected": 0, "first_order_steps": 0,
-                                  "reason": "converged", "i_drift": float(out["i_drift"])}
+                                  "reason": "converged", "i_drift": float(out["i_drift"]),
+                                  "max_step_i_drift": report.max_step_i_drift}
 
 
 @pytest.mark.parametrize("stop", ["collapse", "line_search_exhausted"])
@@ -580,6 +584,8 @@ def test_certify_manifest_counts(z3, z4, subdivide, A, tmp_path):
         "unknown": {b: dict(Counter(r[f"cert_{b}"].split(":")[0]
                                     for r in rows if r[f"idx_{b}"] == "Unknown"))
                     for b in ("Hs", "Ha")},
+        "scale_sign_lanes": certify_boxes(*box_lanes(window_boxes(z3, z4, subdivide)),
+                                          PotentialParams(A)).scale_sign_lanes,
     }
     if (z3, z4, subdivide) == ((1.725, 1.745), (0.695, 0.705), 3):
         # straddles z3 = sqrt3, so the boxes mix decided, inadmissible and undecided

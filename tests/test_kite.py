@@ -72,7 +72,7 @@ def test_kite_scales_is_kite_scale_per_shape(rng, A):
     params = PotentialParams(A)
     z3 = np.concatenate([rng.uniform(1.0, 2.3, 2000), [SQRT3]])
     z4 = np.concatenate([z3[:-1] * rng.uniform(0.01, 0.99, 2000), [1 / SQRT3]])
-    x2, failed = kite_scales(z3, z4, A)
+    x2, failed, _, _ = kite_scales(z3, z4, A)
     assert failed[-1]
     for k in range(z3.size):
         try:

@@ -294,6 +294,34 @@ def test_newton_polish_from_perturbed_lagrange():
         assert all(b < a for a, b in zip(resid, resid[1:]))
 
 
+def test_max_step_i_drift_is_the_largest_non_newton_step(monkeypatch, newton):
+    # every accepted step that is not a Newton step is an Armijo point of a
+    # curvature or first-order line search: recount |I'/I - 1| over those
+    from twistcc import solver
+    drifts = []
+
+    def armijo(cfg, params, d, *args, search=solver._armijo_step):
+        found = search(cfg, params, d, *args)
+        if found is not None:
+            drifts.append(abs(moment_of_inertia(found.config) / moment_of_inertia(cfg) - 1.0))
+        return found
+
+    monkeypatch.setattr(solver, "_armijo_step", armijo)
+    for n, s in ((4, 4), (6, 1), (6, 3), (8, 0)):
+        drifts.clear()
+        report = descend(cli_random_start(n, s), newton)
+        assert report.iterations > report.newton_steps and drifts
+        assert report.max_step_i_drift == pytest.approx(max(drifts), rel=1e-9)
+    # the Newton polish alone moves no step along the twists
+    cfg, params = load_config(DATA / "lagrange_123.json")
+    step = 1e-4 * np.random.default_rng(3).standard_normal(6)
+    drifts.clear()
+    report = descend(rescale_to_cc_size(cfg.with_positions(cfg.positions + step), params),
+                     params, tol=1e-13, max_iter=4)
+    assert report.newton_steps == report.iterations > 0 and not drifts
+    assert report.max_step_i_drift == 0.0 < report.i_drift
+
+
 def test_descend_leaves_a_saddle(newton):
     # the curvature step scales by |lam|, so it moves away from a saddle of f
     # along its negative curvature while the Newton polish is refused

@@ -3,8 +3,9 @@
 All quantities are enclosed with outward-rounded interval arithmetic, so
 a decided certificate holds for *every* shape in the input box:
 
-  * the Dziobek scale is enclosed by a bracket with verified sign
-    changes of the residual at its endpoints, narrowed at quarter points;
+  * the Dziobek scale is enclosed as the hull of the residual's root at
+    the eight corners of the box of the side powers' enclosures, exact
+    over that box up to outward rounding (`certify_kite_scale`);
   * the 2x2 block H_s is enclosed through its closed-form entries,
     `kite.hs_explicit`: the normalized twist entries on the interval
     `kite.KiteTable`, whose angles are enclosed from the shape box alone
@@ -26,17 +27,15 @@ of an `intervals.IntervalArray`, in batches of at most BATCH_LANES lanes
 kite's rule on boxes (`kite._class_codes`, `kite._mass_boundaries`);
 a batch encloses the admissible lanes' side powers once, for that rule,
 the scale enclosure and the mass ratios.  Only admissible lanes enter
-the scale enclosure, whose bracket search and quarter-point probing run
-in lockstep, each lane with its own bracket, signs and stop state, and
-skip the scales where the residual's sign is known to be undecidable;
-only lanes with a scale enter the interval `KiteTable` and the two
-blocks.  Every lane rounds exactly as scalar `Interval` arithmetic on
-that box alone would, so a box's enclosures and certificates do not
-depend on the other boxes of its batch.  The result is arrays (`Certificates`): per lane and block, a
-code into OUTCOMES, the closed table of every `CertifiedIndex` a block
-can get.  `certify_box` is the one-lane call.  A `None` value means
-Unknown, always a sound answer and the expected one on boxes straddling
-a bifurcation.  A box's reason is the first that applies, in this order:
+the scale enclosure, and only lanes with a scale enter the interval
+`KiteTable` and the two blocks.  Every lane rounds exactly as scalar
+`Interval` arithmetic on that box alone would, so a box's enclosures and
+certificates do not depend on the other boxes of its batch.  The result
+is arrays (`Certificates`): per lane and block, a code into OUTCOMES,
+the closed table of every `CertifiedIndex` a block can get.
+`certify_box` is the one-lane call.  A `None` value means Unknown,
+always a sound answer and the expected one on boxes straddling a
+bifurcation.  A box's reason is the first that applies, in this order:
 
   1. "box not verified inside one admissible class", also given to a box
      inside one class where a mass ratio's denominator encloses zero;
@@ -63,19 +62,10 @@ import numpy as np
 from .geometry import PotentialParams
 from .intervals import Interval, IntervalArray
 from .kite import (KiteTable, _class_codes, _mass_boundaries, _mass_ratios,
-                   dziobek_coefficients, ha_explicit, hs_explicit, kite_scales, side_powers)
+                   dziobek_coefficients, ha_explicit, hs_explicit, side_powers)
 # unused here; perfbench/tracing.py install() looks both names up on this module
 from .kite import build_kite, kite_blocks  # noqa: F401
 
-# cap on the quarter-point probing rounds of `certify_kite_scale`
-MAX_PROBE_ROUNDS = 200
-# A float root's relative error is at most about eps * cond (`kite_scales`'
-# cancellation; 0.52 eps * cond at most on 72,000 sampled shapes at A from
-# 2.1 to 50, against 40-digit roots), so at cond <= ROOT_COND it is below a
-# ninth of HULL_RTOL, and a scale more than HULL_RTOL inside two such roots
-# lies strictly between the real ones.
-ROOT_COND = 1e3
-HULL_RTOL = 1e-12
 # boxes certified together as the lanes of one batch
 BATCH_LANES = 4096
 
@@ -133,147 +123,51 @@ OUTCOMES = (NOT_ADMISSIBLE, NO_SCALE, MASSES_NOT_POSITIVE, QUANTITIES_FAILED, HS
 @dataclass(frozen=True, eq=False)
 class Certificates:
     """Per lane k, the box z3[k] x z4[k] and the codes into OUTCOMES of H_s
-    and H_a; `scale_sign_lanes` counts the lane residual signs that the
-    scale enclosure evaluated, over all lanes."""
+    and H_a."""
 
     z3: IntervalArray
     z4: IntervalArray
     hs: np.ndarray
     ha: np.ndarray
-    scale_sign_lanes: int
-
-
-def _root_hulls(z3: IntervalArray, z4: IntervalArray, A: float):
-    """(x2c, no_root, r_lo, r_hi) per lane: `kite_scales` at the box's
-    midpoint, and the open hull (r_lo, r_hi) of the box's known roots,
-    shrunk by HULL_RTOL at both ends (empty where fewer than two are known).
-
-    The known roots are the float roots at the midpoint and the four
-    corners, from one `kite_scales` pass (midpoints first, so x2c is the
-    midpoint-only call's bit for bit), whose shape has a root, whose
-    cancellation is at most ROOT_COND (its root then lies within HULL_RTOL
-    of the real one) and whose D has the midpoint's sign.
-    """
-    n = len(z3)
-    x2, failed, D, cond = (v.reshape(5, n) for v in kite_scales(
-        np.concatenate([z3.mid, z3.lo, z3.lo, z3.hi, z3.hi]),
-        np.concatenate([z4.mid, z4.lo, z4.hi, z4.lo, z4.hi]), A))
-    known = ~failed & (cond <= ROOT_COND) & (np.sign(D) == np.sign(D[0]))
-    known &= known[0]
-    r_lo = np.where(known, x2, np.inf).min(axis=0) * (1.0 + HULL_RTOL)
-    r_hi = np.where(known, x2, -np.inf).max(axis=0) * (1.0 - HULL_RTOL)
-    return x2[0], failed[0], r_lo, r_hi
 
 
 def certify_kite_scale(z3: IntervalArray, z4: IntervalArray, params: PotentialParams,
-                       powers=None) -> tuple[IntervalArray, int]:
-    """Enclosures of the Dziobek scale valid for every shape in each box,
-    and the number of lane residual signs the search evaluated.
+                       powers=None) -> IntervalArray:
+    """Enclosures of the Dziobek scale valid for every shape in each box.
 
-    Brackets the residual with verified constant signs at both endpoints,
-    widening a relative bracket x2c*(1 -+ w) around the float scale x2c at
-    the box midpoint, w = 1e-8, 2e-8, ... below 0.8, until the signs
-    differ.  Then it probes the bracket's quarter points and moves an
-    endpoint to each probe whose sign is decided, until the bracket is
-    1e-14 relative wide, no probe decides, or MAX_PROBE_ROUNDS rounds have
-    run.  The box's side powers (`side_powers(z3, z4, A)`, or `powers`
-    when the caller has them) are enclosed once, for every probe (the
-    residual in t = x^(-A)) and for the closed form x2 = (D/N)^(1/A) the
-    result is intersected with.  A lane fails when no verified bracket
-    exists (e.g. a box straddling the symmetric shape, where the residual
-    is identically zero).
+    In t = x2^(-A) the residual is t*(t*D - N) (`dziobek_coefficients`),
+    whose root t = N/D is a Moebius function of each side power with the
+    others held fixed.  So where D keeps one sign over the box of the
+    power enclosures (`side_powers(z3, z4, A)`, or `powers` when the caller
+    has them), t is monotone along every edge of that box, and its range
+    there is the hull of its values at the 8 corners, where d^-A,
+    (1+z3^2)^(-A/2) and (1+z4^2)^(-A/2) each take an end (2^-A is one
+    value, or its enclosure, at every corner).  The corners are evaluated
+    as 8 point lanes per box with outward rounding, and x2 = t^(-1/A).
+    D's enclosure is its range, as each power appears in it once; a lane
+    fails where it contains zero (as on a box around the symmetric shape,
+    where the residual vanishes identically) or where the hull of t is not
+    strictly positive.
 
-    The residual is g(x; s) = t*D(s)*(t - t*(s)) at shape s: it has D's
-    sign below s's root and the other sign above it.  So at a scale x
-    strictly between the roots of two shapes of the box with one sign of
-    D, the real g takes both signs over the box, and so does its interval
-    enclosure: the sign there is never decided.  Such scales, those inside
-    the lane's hull of known roots (`_root_hulls`), are not evaluated: a
-    bracket round skips a lane with a trial end inside its hull (it moves
-    on to the next w), and a probe inside the hull counts as undecided.
-    Every evaluated sign, bracket and enclosure is the one that evaluating
-    every lane at every round would give, bit for bit.
+    No bracket with verified residual signs is tighter: at a scale whose t
+    lies strictly between two corner roots, the residual has both signs at
+    those corners, so its enclosure over the box contains zero.
 
     z3 and z4 are IntervalArray lanes, and so is the enclosure; a lane with
     no enclosure is a failed lane.
     """
-    A = params.A
-    sign_lanes = 0
+    n = len(z3)
     with np.errstate(all="ignore"):
-        x2c, no_root, r_lo, r_hi = _root_hulls(z3, z4, A)
-        powers = side_powers(z3, z4, A) if powers is None else powers
+        powers = side_powers(z3, z4, params.A) if powers is None else powers
         p2, pd, p3, p4 = powers
-        ok = ((z3.lo > z4.hi) & (z4.lo > 0.0) & ~no_root
-              & ~(pd.failed | p3.failed | p4.failed))
-
-        def outside(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            """Mask of the scales x[k] not inside lane lanes[k]'s hull of known roots."""
-            return ~((r_lo[lanes] < x) & (x < r_hi[lanes]))
-
-        def signs(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-            """Sign of the residual at scale x[k] over lane lanes[k]'s box, 0 if undecided."""
-            nonlocal sign_lanes
-            sign_lanes += x.size
-            t = IntervalArray(x) ** -A
-            g = ((t * p2 - 1.0) * (t * pd[lanes] - 1.0)
-                 - (t * p3[lanes] - 1.0) * (t * p4[lanes] - 1.0))
-            return np.where(g.is_positive(), 1, np.where(g.is_negative(), -1, 0))
-
-        n = len(z3)
-        lo, hi = np.full(n, np.nan), np.full(n, np.nan)
-        slo, shi = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-        search = np.flatnonzero(ok)
-        w = 1e-8
-        while w < 0.8 and search.size:
-            clo, chi = x2c[search] * (1.0 - w), x2c[search] * (1.0 + w)
-            ev = np.flatnonzero(outside(clo, search) & outside(chi, search))
-            if ev.size:
-                s = signs(np.concatenate([clo[ev], chi[ev]]),
-                          np.concatenate([search[ev], search[ev]]))
-                s_lo, s_hi = s[:ev.size], s[ev.size:]
-                found = (s_lo != 0) & (s_hi != 0) & (s_lo != s_hi)
-                k = ev[found]
-                got = search[k]
-                lo[got], hi[got], slo[got], shi[got] = clo[k], chi[k], s_lo[found], s_hi[found]
-                search = np.delete(search, k)
-            w *= 2.0
-
-        # Quarter-point probing instead of midpoint bisection: the sign right at
-        # the root is never decidable, but both bracket ends can still close in
-        # until the undecidable core (a few ulps wide) is reached.
-        probe = np.flatnonzero(~np.isnan(lo))
-        for _ in range(MAX_PROBE_ROUNDS):
-            l, h = lo[probe], hi[probe]
-            width = h - l
-            m1 = l + 0.25 * width
-            m2 = l + 0.75 * width
-            go = (width > 1e-14 * l) & (l < m1) & (m1 < m2) & (m2 < h)
-            probe, l, h, m1, m2 = probe[go], l[go], h[go], m1[go], m2[go]
-            if not probe.size:
-                break
-            s1, s2 = np.zeros(probe.size, dtype=int), np.zeros(probe.size, dtype=int)
-            e1, e2 = outside(m1, probe), outside(m2, probe)
-            s = signs(np.concatenate([m1[e1], m2[e2]]), np.concatenate([probe[e1], probe[e2]]))
-            n1 = np.count_nonzero(e1)
-            s1[e1], s2[e2] = s[:n1], s[n1:]
-            sl, sh = slo[probe], shi[probe]
-            lo1, hi1 = s1 == sl, s1 == sh
-            l, h = np.where(lo1, m1, l), np.where(hi1, m1, h)
-            second = (h - l > 1e-14 * l) & (m2 < h)
-            hi2, lo2 = second & (s2 == sh), second & (s2 == sl)
-            l, h = np.where(lo2, m2, l), np.where(hi2, m2, h)
-            lo[probe], hi[probe] = l, h
-            probe = probe[lo1 | hi1 | lo2 | hi2]
-        enclosure = IntervalArray(lo, hi)
-        # The substitution t = x2^(-A) solves the residual equation exactly:
-        # x2 = (D/N)^(1/A); its direct interval evaluation is a second valid
-        # enclosure, so intersecting can only tighten the bracket (lanes where
-        # it fails or the intersection is empty keep the bracket).
-        D, N = dziobek_coefficients(powers)
-        tight = enclosure.intersect((D / N) ** (1.0 / A))
-    keep = tight.failed
-    return IntervalArray(np.where(keep, enclosure.lo, tight.lo),
-                         np.where(keep, enclosure.hi, tight.hi)), sign_lanes
+        D, _ = dziobek_coefficients(powers)
+        # corner c takes the ends of d^-A, p3 and p4 named by bits 0, 1 and 2 of c
+        ends = [IntervalArray(np.concatenate([(p.lo, p.hi)[c >> k & 1] for c in range(8)]))
+                for k, p in enumerate((pd, p3, p4))]
+        Dc, Nc = dziobek_coefficients((p2, *ends))
+        t = Nc / Dc
+        lo = np.where(D.contains_zero(), np.nan, t.lo.reshape(8, n).min(axis=0))
+        return IntervalArray(lo, t.hi.reshape(8, n).max(axis=0)) ** (-1.0 / params.A)
 
 
 def interval_kite_quantities(z3, z4, x2, params: PotentialParams, powers=None) -> KiteTable:
@@ -347,27 +241,23 @@ def certify_boxes(z3: IntervalArray, z4: IntervalArray,
     blocks.
     """
     hs, ha = np.empty(len(z3), dtype=int), np.empty(len(z3), dtype=int)
-    sign_lanes = 0
     for start in range(0, len(z3), BATCH_LANES):
         batch = slice(start, start + BATCH_LANES)
-        hs[batch], ha[batch], n = _certify_batch(z3[batch], z4[batch], params)
-        sign_lanes += n
-    return Certificates(z3, z4, hs, ha, sign_lanes)
+        hs[batch], ha[batch] = _certify_batch(z3[batch], z4[batch], params)
+    return Certificates(z3, z4, hs, ha)
 
 
 def _lanes(powers, keep):
-    """The side powers of the lanes `keep`; 2^-A is one float for all lanes."""
+    """The side powers of the lanes `keep`; 2^-A is one value for all lanes."""
     p2, *rest = powers
     return (p2, *(p[keep] for p in rest))
 
 
 def _certify_batch(z3: IntervalArray, z4: IntervalArray,
-                   params: PotentialParams) -> tuple[np.ndarray, np.ndarray, int]:
-    """Codes into OUTCOMES of H_s and H_a over one batch of lanes, and the
-    scale search's count of evaluated residual signs."""
+                   params: PotentialParams) -> tuple[np.ndarray, np.ndarray]:
+    """Codes into OUTCOMES of H_s and H_a over one batch of lanes."""
     hs = np.full(len(z3), OUTCOMES.index(NOT_ADMISSIBLE))
     ha = hs.copy()
-    sign_lanes = 0
     lanes = np.flatnonzero(np.isin(_class_codes(z3, z4, 0.0), (1, 2)))
     with np.errstate(all="ignore"):
         powers = side_powers(z3[lanes], z4[lanes], params.A)
@@ -375,7 +265,7 @@ def _certify_batch(z3: IntervalArray, z4: IntervalArray,
     keep = ~(mu31_at | mu41_at)
     lanes, powers = lanes[keep], _lanes(powers, keep)
     if lanes.size:
-        x2, sign_lanes = certify_kite_scale(z3[lanes], z4[lanes], params, powers)
+        x2 = certify_kite_scale(z3[lanes], z4[lanes], params, powers)
         hs[lanes[x2.failed]] = ha[lanes[x2.failed]] = OUTCOMES.index(NO_SCALE)
         keep = ~x2.failed
         lanes, x2, powers = lanes[keep], x2[keep], _lanes(powers, keep)
@@ -391,7 +281,7 @@ def _certify_batch(z3: IntervalArray, z4: IntervalArray,
         reasons = [mu31.failed | mu41.failed | (positive & powers_failed), ~positive]
         codes = [OUTCOMES.index(QUANTITIES_FAILED), OUTCOMES.index(MASSES_NOT_POSITIVE)]
         hs[lanes], ha[lanes] = np.select(reasons, codes, hs_t), np.select(reasons, codes, ha_t)
-    return hs, ha, sign_lanes
+    return hs, ha
 
 
 def certify_box(z3: Interval, z4: Interval, params: PotentialParams) -> BoxCertificate:

@@ -468,8 +468,7 @@ def cmd_certify(args) -> tuple[int, RunManifest]:
                                 "idx_Ha", "cert_Ha", "idx_total"], _certify_lines(certs, total))
     decided = int((total >= 0).sum())
     print(f"boxes = {total.size}, certified = {decided}, coverage = {decided / total.size:.3f}")
-    counts = {"boxes": total.size, "decided": {}, "unknown": {},
-              "scale_sign_lanes": certs.scale_sign_lanes}
+    counts = {"boxes": total.size, "decided": {}, "unknown": {}}
     for block, codes in (("Hs", certs.hs), ("Ha", certs.ha)):
         n = np.bincount(codes, minlength=len(OUTCOMES))
         unknown = Counter()

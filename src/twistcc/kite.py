@@ -20,10 +20,10 @@ a kite's quantities, and both blocks are the normalized twist entries of
 they come from the shape alone, and only the powers R = r^-A and
 S = R - 1 carry x2.  `_kite_terms` makes one pass over arrays of shapes
 for the scale, the mass ratios and the masks of `build_kite`'s checks.
-`kite_scales` and `kite_index_map` read it on arrays, and `kite_scale`,
-`kite_masses` and `build_kite` on one-element arrays, so they agree bit
-for bit.  `kite_index_map` returns the flat per-cell arrays of an
-`IndexMap`; `cli` writes them as CSV rows and a PGM raster (`write_pgm`).
+`kite_index_map` reads it on arrays, and `kite_scale`, `kite_masses` and
+`build_kite` on one-element arrays, so they agree bit for bit.
+`kite_index_map` returns the flat per-cell arrays of an `IndexMap`;
+`cli` writes them as CSV rows and a PGM raster (`write_pgm`).
 `kite_blocks` (the 5x5 `V^T H V` assembly) is the independent float
 cross-check of the closed-form blocks.  `_class_codes` and
 `_mass_boundaries` are the one admissibility rule, also for `certify`'s
@@ -39,6 +39,7 @@ import numpy as np
 
 from .geometry import PairTable, PlanarConfig, PotentialParams, build_pair_table
 from .hessian import MORSE_ZERO_RTOL, TwistDirection, assemble_twist_hessian, generic_entry
+from .intervals import Interval
 
 SQRT3 = math.sqrt(3.0)
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -102,8 +103,14 @@ def side_powers(z3, z4, A: float):
 
     These are the side lengths r12, r34, r13, r14 over x2, raised to -A.
     Generic over the scalar type (floats, numpy arrays or intervals).
+    2^-A is one float for all shapes, except on intervals where that float
+    is not exact (A is not an integer, or 2^-A underflows): there it is an
+    `Interval` enclosing 2^-A.
     """
-    return (2.0 ** -A, (z3 - z4) ** -A,
+    p2 = 2.0 ** -A
+    if hasattr(z3, "lo") and not (float(A).is_integer() and p2 > 0.0):
+        p2 = Interval(2.0) ** -float(A)
+    return (p2, (z3 - z4) ** -A,
             (1.0 + z3 * z3) ** (-A / 2.0), (1.0 + z4 * z4) ** (-A / 2.0))
 
 
@@ -119,9 +126,10 @@ def kite_distances(z3, z4, x2):
 def dziobek_coefficients(powers):
     """(D, N) from the side powers: in t = x2^(-A) the Dziobek residual is
     (t*p2 - 1)(t*pd - 1) - (t*p3 - 1)(t*p4 - 1) = t*(t*D - N), so x2 = (D/N)^(1/A).
-    Generic over the scalar type (floats, numpy arrays or intervals)."""
+    Generic over the scalar type (floats, numpy arrays or intervals); 2^-A,
+    which may be a scalar `Interval` among interval lanes, is the right operand."""
     p2, pd, p3, p4 = powers
-    return p2 * pd - p3 * p4, p2 + pd - p3 - p4
+    return pd * p2 - p3 * p4, pd + p2 - p3 - p4
 
 
 # The checks a kite shape must pass, in the order build_kite and then
@@ -153,9 +161,9 @@ def _kite_error(check: str, z3: float, z4: float,
 # call agrees bit for bit with the index map's cell.
 
 def _kite_terms(z3, z4, A: float):
-    """(x2, mu31, mu41, failed, powers) for arrays of shapes, from one set
-    of side powers (`side_powers`, returned too); `failed` maps each check
-    `build_kite` applies, in `_CHECKS` order, to its mask.
+    """(x2, mu31, mu41, failed) for arrays of shapes, from one set of side
+    powers (`side_powers`); `failed` maps each check `build_kite` applies,
+    in `_CHECKS` order, to its mask.
 
     Substituting t = x2^(-A) makes the Dziobek equation linear in t, so
     the root t = N/D is exact up to rounding and x2 = t^(-1/A).  At the
@@ -174,7 +182,7 @@ def _kite_terms(z3, z4, A: float):
         "infeasible": (D == 0.0) | (t <= 0.0),
         **dict(zip(("mu31_boundary", "mu41_boundary"), _mass_boundaries(powers, 1e-13))),
         "nonpositive": (mu31 <= 0.0) | (mu41 <= 0.0),
-    }, powers
+    }
 
 
 def _ends(x):
@@ -195,7 +203,7 @@ def _one(shape: KiteShape, A: float, checks) -> tuple[float, float, float]:
     """(x2, mu31, mu41) of one shape as floats; raises the first of
     `checks` that the shape fails."""
     with np.errstate(all="ignore"):
-        *values, failed, _ = _kite_terms(np.array([shape.z3]), np.array([shape.z4]), A)
+        *values, failed = _kite_terms(np.array([shape.z3]), np.array([shape.z4]), A)
     x2, mu31, mu41 = (float(v[0]) for v in values)
     for check in checks:
         if failed[check][0]:
@@ -210,22 +218,6 @@ def kite_scale(shape: KiteShape, params: PotentialParams) -> float:
     InfeasibleShapeError where no positive root exists.
     """
     return _one(shape, params.A, ("indeterminate", "infeasible"))[0]
-
-
-def kite_scales(z3: np.ndarray, z4: np.ndarray, A: float):
-    """(x2, failed, D, cond) for arrays of shapes z3 > z4 > 0: each shape's
-    `kite_scale` (bit for bit, from the same array code), the mask of
-    shapes where `kite_scale` raises, the Dziobek coefficient D and the
-    cancellation cond in D and N, the sums of their terms' magnitudes
-    over |D| and |N|: x2's relative rounding error is about eps times
-    cond.  The residual t*(t*D - N) in t = x^(-A) has D's sign at scales
-    x below the root and the other sign above it."""
-    with np.errstate(all="ignore"):
-        x2, _, _, failed, powers = _kite_terms(z3, z4, A)
-        p2, pd, p3, p4 = powers
-        D, N = dziobek_coefficients(powers)
-        cond = (p2 * pd + p3 * p4) / np.abs(D) + (p2 + pd + p3 + p4) / np.abs(N)
-    return x2, failed["indeterminate"] | failed["infeasible"], D, cond
 
 
 @dataclass(frozen=True)
@@ -582,7 +574,7 @@ def _admissible_cells(z3: np.ndarray, z4: np.ndarray, A: float):
     that pass every check, from their stacked closed-form blocks.
     """
     with np.errstate(all="ignore"):
-        x2, mu31, mu41, failed = _kite_terms(z3, z4, A)[:4]
+        x2, mu31, mu41, failed = _kite_terms(z3, z4, A)
         t = KiteTable(z3, z4, x2, mu31, mu41, A)
         hs11, hs22, hs12 = hs_explicit(t)
         a11, a22, a33, a12, a13, a23 = ha_explicit(t)

@@ -274,8 +274,8 @@ def test_criterion_09_dziobek_scale(rng, newton):
         agree = Counter()
         for shape in sample_admissible_shapes(rng, 100):
             oracle = bisect_dziso(shape, newton)
-            x2, _ = certify_kite_scale(IntervalArray([shape.z3]), IntervalArray([shape.z4]),
-                                       newton)
+            x2 = certify_kite_scale(IntervalArray([shape.z3]), IntervalArray([shape.z4]),
+                                    newton)
             assert not x2.failed[0]
             enc = x2.lane(0)
             assert abs(enc.mid - oracle) < 1e-10

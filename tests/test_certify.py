@@ -14,11 +14,11 @@ from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
 from twistcc.intervals import Interval, IntervalArray
 from twistcc.kite import (ROTATION_ZERO_RTOL, KiteShape, KiteTable, _class_codes,
-                          _mass_boundaries, build_kite, circumcenter_z4, ha_explicit,
-                          hs_explicit, kite_blocks, kite_scale, side_powers)
+                          _kite_terms, _mass_boundaries, build_kite, circumcenter_z4,
+                          ha_explicit, hs_explicit, kite_blocks, kite_scale, side_powers)
 
-from oracles import (bisect_dziso, certify_box_ref, certify_kite_scale_doubling_ref,
-                     certify_kite_scale_ref, dziso_residual)
+from oracles import (bisect_dziso, certify_box_ref, certify_kite_scale_ref,
+                     dziobek_corner_roots_ref, dziso_residual, kite_scale_corners_ref)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -41,7 +41,7 @@ def box_class(z3, z4):
 def box_scale(z3, z4, params):
     """Scale enclosure of the box z3 x z4 as one lane: an Interval, or None
     where the lane failed."""
-    x2, _ = certify_kite_scale(*box_lanes([(z3, z4)]), params)
+    x2 = certify_kite_scale(*box_lanes([(z3, z4)]), params)
     return None if x2.failed[0] else x2.lane(0)
 
 
@@ -170,8 +170,8 @@ def test_scale_enclosure_refinement(newton):
 
 
 def test_scale_enclosure_encloses_side_powers_once(monkeypatch, newton):
-    # the probes reuse one enclosure of the box's side powers instead of
-    # re-enclosing the kite's distances through dziso_residual
+    # the corners are the ends of one enclosure of the box's side powers,
+    # not re-enclosed from the kite's distances through dziso_residual
     calls = Counter()
 
     def counted(name, fn):
@@ -185,7 +185,7 @@ def test_scale_enclosure_encloses_side_powers_once(monkeypatch, newton):
 
 
 def test_certify_batch_encloses_side_powers_once(monkeypatch, newton):
-    # the mass-boundary test, the scale search and the mass ratios share one
+    # the mass-boundary test, the scale enclosure and the mass ratios share one
     # enclosure of the batch's side powers
     calls = Counter()
     monkeypatch.setattr(certify, "side_powers",
@@ -196,7 +196,7 @@ def test_certify_batch_encloses_side_powers_once(monkeypatch, newton):
     assert calls == {"side_powers": 3}      # 16 boxes, batches of 7, 7 and 2
 
 
-# --- scales skipped inside a box's known roots ----------------------------------------
+# --- the scale enclosure against float roots and the bracket search -----------------
 
 def residual_enclosure(z3: Interval, z4: Interval, x: float, A: float) -> Interval:
     """The scalar interval residual at scale x over the box z3 x z4."""
@@ -222,19 +222,60 @@ def sampled_boxes(rng, n):
 
 @pytest.mark.parametrize("A", [2.5, 3.0, 6.0, 12.0])
 def test_scales_inside_known_roots_are_undecided(rng, A):
-    # the skip rule: at every scale strictly inside a lane's hull of known
-    # roots, the interval residual over the box has no decided sign
+    # no bracket is tighter than the corner hull: at every scale whose t =
+    # x^-A lies strictly between two corner roots, the interval residual
+    # over the box has no decided sign
     z3, z4 = sampled_boxes(rng, 300)
-    _, _, r_lo, r_hi = certify._root_hulls(z3, z4, A)
-    hulls = np.flatnonzero(r_lo < r_hi)
-    assert hulls.size > 150
-    for k in hulls.tolist():
-        a, b = float(r_lo[k]), float(r_hi[k])
+    checked = 0
+    for k in range(len(z3)):
         box = z3.lane(k), z4.lane(k)
-        for x in (math.nextafter(a, b), math.nextafter(b, a), 0.5 * (a + b),
-                  *rng.uniform(a, b, 4)):
-            g = residual_enclosure(*box, float(x), A)
-            assert g.contains_zero(), (box, A, x, g)
+        if box_scale(*box, PotentialParams(A)) is None:
+            continue
+        _, roots = dziobek_corner_roots_ref(*box, A)
+        # the real roots of the corners are inside their enclosures, so
+        # (inner_lo, inner_hi) lies between the smallest and largest of them
+        inner_lo, inner_hi = min(r.hi for r in roots), max(r.lo for r in roots)
+        if not inner_lo < inner_hi:
+            continue
+        a, b = inner_hi ** (-1.0 / A), inner_lo ** (-1.0 / A)
+        for x in (0.5 * (a + b), *rng.uniform(a, b, 4)):
+            t = Interval(float(x)) ** -A
+            if inner_lo < t.lo and t.hi < inner_hi:
+                g = residual_enclosure(*box, float(x), A)
+                assert g.contains_zero(), (box, A, x, g)
+                checked += 1
+    assert checked > 300
+
+
+def assert_scales_hold_roots_and_bracket(z3, z4, params, samples):
+    """Each lane's enclosure holds the float roots of `samples` inner
+    shapes (the box's corners among them) and lies inside the bracket
+    search's enclosure, and a lane fails only where the bracket fails too.
+    Returns the number of float roots checked."""
+    x2 = certify_kite_scale(z3, z4, params)
+    rng = np.random.default_rng(7)
+    u = rng.uniform(0.0, 1.0, (2, samples, len(z3)))
+    u[:, :4] = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])[:, :, None]
+    s3 = np.minimum(z3.lo + u[0] * (z3.hi - z3.lo), z3.hi)
+    s4 = np.minimum(z4.lo + u[1] * (z4.hi - z4.lo), z4.hi)
+    with np.errstate(all="ignore"):
+        roots, _, _, failed = _kite_terms(s3, s4, params.A)
+    has_root = ~(failed["indeterminate"] | failed["infeasible"]) & (s3 > s4) & (s4 > 0.0)
+    inside = (x2.lo <= roots) & (roots <= x2.hi)
+    assert (inside | ~has_root | x2.failed).all()
+    for k in range(len(z3)):
+        bracket = certify_kite_scale_ref(z3.lane(k), z4.lane(k), params)
+        if bracket is not None:
+            assert not x2.failed[k], (z3.lane(k), z4.lane(k), bracket)
+            assert bracket.lo <= x2.lo[k] and x2.hi[k] <= bracket.hi, \
+                (z3.lane(k), z4.lane(k), bracket, x2.lane(k))
+    return int(np.count_nonzero(has_root & ~x2.failed))
+
+
+@pytest.mark.parametrize("A", [2.5, 3.0, 6.0, 12.0])
+def test_scale_enclosure_holds_roots_inside_bracket_on_sampled_boxes(rng, A):
+    z3, z4 = sampled_boxes(rng, 300)
+    assert assert_scales_hold_roots_and_bracket(z3, z4, PotentialParams(A), 12) > 1000
 
 
 @settings(max_examples=100, deadline=None)
@@ -243,51 +284,13 @@ def test_scales_inside_known_roots_are_undecided(rng, A):
        st.floats(2.0, 12.0, exclude_min=True))
 @example([(-3.0, -3.0, (SQRT3 - 1.0) / 1.2, (1 / SQRT3 - 0.01) / 0.86)], 3.0)
 @example([(-2.0, -2.0, 0.5, 0.9), (-7.0, -7.0, 0.83, 0.91), (-1.0, -1.0, 1.0, 0.0)], 6.0)
-def test_scale_enclosure_matches_doubling_search(boxes, A):
-    # boxes of widths 10^e3 x 10^e4 at relative places u3, u4 in the window:
-    # skipping scales inside the known roots leaves every enclosure bit for
-    # bit the one of the search that evaluates every lane at every round
+def test_scale_enclosure_holds_roots_inside_bracket(boxes, A):
+    # boxes of widths 10^e3 x 10^e4 at relative places u3, u4 in the window
     w3, w4 = 10.0 ** np.array([b[0] for b in boxes]), 10.0 ** np.array([b[1] for b in boxes])
     lo3 = 1.0 + np.array([b[2] for b in boxes]) * (1.2 - w3)
     lo4 = 0.01 + np.array([b[3] for b in boxes]) * (0.86 - w4)
-    z3, z4 = IntervalArray(lo3, lo3 + w3), IntervalArray(lo4, lo4 + w4)
-    params = PotentialParams(A)
-    got, evaluated = certify_kite_scale(z3, z4, params)
-    want, ref_evaluated = certify_kite_scale_doubling_ref(z3, z4, params)
-    assert got.lo.tobytes() == want.lo.tobytes() and got.hi.tobytes() == want.hi.tobytes()
-    assert evaluated <= ref_evaluated
-
-
-def test_scale_sign_lanes_recount(monkeypatch, newton):
-    # every residual sign the scale search evaluates is one lane of a point
-    # interval raised to -A; on the benchmark window the skip saves over 90%
-    # of the 40,114 signs that evaluating every lane at every round takes
-    lanes = box_lanes(window_boxes((1.99, 2.01), (0.79, 0.81), 5))
-    _, ref_evaluated = certify_kite_scale_doubling_ref(*lanes, newton)
-    assert ref_evaluated == 40114
-    counted, searching = [], []
-    pow_real, scale = IntervalArray.pow_real, certify.certify_kite_scale
-
-    def counting_pow(x, p):
-        if searching and p == -newton.A and (x.lo == x.hi).all():
-            counted.append(len(x))
-        return pow_real(x, p)
-
-    def counting_scale(*args):
-        searching.append(True)
-        try:
-            return scale(*args)
-        finally:
-            searching.pop()
-
-    monkeypatch.setattr(IntervalArray, "pow_real", counting_pow)
-    monkeypatch.setattr(certify, "certify_kite_scale", counting_scale)
-    monkeypatch.setattr(certify, "BATCH_LANES", 300)
-    certs = certify_boxes(*lanes, newton)
-    assert certs.scale_sign_lanes == sum(counted)
-    assert 0 < certs.scale_sign_lanes < ref_evaluated / 10
-    # inadmissible boxes search no scale
-    assert certify_boxes(*box_lanes([point_box(2.0, 0.75, 1e-3)]), newton).scale_sign_lanes == 0
+    assert_scales_hold_roots_and_bracket(IntervalArray(lo3, lo3 + w3),
+                                         IntervalArray(lo4, lo4 + w4), PotentialParams(A), 8)
 
 
 # --- quantity enclosures ----------------------------------------------------------
@@ -552,11 +555,11 @@ def all_boxes():
 
 
 def assert_scales_match_reference(boxes, params):
-    """Each lane's enclosure is bit for bit the per-box enclosure, and a lane
-    fails exactly where the reference has none."""
-    x2, _ = certify_kite_scale(*box_lanes(boxes), params)
+    """Each lane's enclosure is bit for bit the per-box corner enclosure,
+    and a lane fails exactly where the reference has none."""
+    x2 = certify_kite_scale(*box_lanes(boxes), params)
     for k, box in enumerate(boxes):
-        want = certify_kite_scale_ref(*box, params)
+        want = kite_scale_corners_ref(*box, params)
         if want is None:
             assert x2.failed[k], (box, x2.lo[k], x2.hi[k])
         else:
@@ -570,12 +573,48 @@ def test_batched_scale_matches_per_box_reference(z3, z4, subdivide, A):
 
 
 def test_batched_scale_matches_per_box_reference_on_point_boxes(rng, newton):
-    # narrow boxes probe down to the 1e-14 relative width, where a round's
-    # second probe is skipped
+    # narrow boxes, down to points, whose 8 corners coincide
     from test_kite import sample_admissible_shapes
     assert_scales_match_reference([point_box(s.z3, s.z4, w)
                                    for s in sample_admissible_shapes(rng, 40)
                                    for w in (0.0, 1e-12, 1e-9)], newton)
+
+
+def bracket_scales(z3, z4, params, powers=None):
+    """`certify_kite_scale`'s lanes from the per-box bracket search."""
+    scales = [certify_kite_scale_ref(z3.lane(k), z4.lane(k), params) for k in range(len(z3))]
+    return IntervalArray([math.nan if x is None else x.lo for x in scales],
+                         [math.nan if x is None else x.hi for x in scales])
+
+
+@pytest.mark.parametrize("z3, z4, subdivide, A, bracket_decided", (
+    ((1.99, 2.01), (0.79, 0.81), 5, 3.0, (1024, 1024)),
+    ((1.79, 1.81), (0.69, 0.71), 5, 3.0, (1024, 1024)),
+    ((1.0, 2.2), (0.01, 0.87), 6, 3.0, (367, 257)),
+    ((1.0, 2.2), (0.01, 0.87), 6, 6.0, (207, 72)),
+))
+def test_decisions_only_grow_over_the_bracket(z3, z4, subdivide, A, bracket_decided,
+                                              monkeypatch):
+    # on the windows the command-line runs certify, the bracket search's
+    # scales decide these many H_s and H_a blocks; the corner hull decides
+    # every one of them with the same index (a certificate may name an
+    # earlier H_a minor), and more besides on the full window
+    lanes, params = box_lanes(window_boxes(z3, z4, subdivide)), PotentialParams(A)
+    value = np.array([-1 if o.value is None else o.value for o in OUTCOMES])
+    certs = certify_boxes(*lanes, params)
+    monkeypatch.setattr(certify, "certify_kite_scale", bracket_scales)
+    bracket = certify_boxes(*lanes, params)
+    for block, want in zip(("hs", "ha"), bracket_decided):
+        old, new = value[getattr(bracket, block)], value[getattr(certs, block)]
+        assert np.count_nonzero(old >= 0) == want
+        assert ((old < 0) | (new == old)).all(), block
+        assert np.count_nonzero(new >= 0) >= want
+
+
+@pytest.mark.parametrize("z3, z4, subdivide, A", WINDOWS)
+def test_scale_enclosure_holds_roots_inside_bracket_on_windows(z3, z4, subdivide, A):
+    assert_scales_hold_roots_and_bracket(*box_lanes(window_boxes(z3, z4, subdivide)),
+                                         PotentialParams(A), 12)
 
 
 def assert_matches_reference(got, want):
@@ -689,17 +728,11 @@ def forced(name, change):
     return changed
 
 
-def _no_root(out):
-    x2c, no_root, *rest = out
-    no_root = no_root.copy()
-    no_root[1] = True
-    return [x2c, no_root, *rest]
-
-
 # (patched name, change, lane 1's expected (hs, ha) certificates, or None where a
 # block keeps its unforced certificate)
 FORCED = {
-    "no scale": ("kite_scales", _no_root, (certify.NO_SCALE, certify.NO_SCALE)),
+    "no scale": ("certify_kite_scale", lambda x2: fail_lane(x2, 1),
+                 (certify.NO_SCALE, certify.NO_SCALE)),
     "masses not positive": ("_mass_ratios",
                             lambda o: [set_lane(o[0], 1, -o[0].hi[1], -o[0].lo[1]), o[1]],
                             (certify.MASSES_NOT_POSITIVE, certify.MASSES_NOT_POSITIVE)),

@@ -584,8 +584,6 @@ def test_certify_manifest_counts(z3, z4, subdivide, A, tmp_path):
         "unknown": {b: dict(Counter(r[f"cert_{b}"].split(":")[0]
                                     for r in rows if r[f"idx_{b}"] == "Unknown"))
                     for b in ("Hs", "Ha")},
-        "scale_sign_lanes": certify_boxes(*box_lanes(window_boxes(z3, z4, subdivide)),
-                                          PotentialParams(A)).scale_sign_lanes,
     }
     if (z3, z4, subdivide) == ((1.725, 1.745), (0.695, 0.705), 3):
         # straddles z3 = sqrt3, so the boxes mix decided, inadmissible and undecided

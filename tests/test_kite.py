@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from twistcc.geometry import (PairTable, PotentialParams, build_pair_table, euler_residual,
                               moment_of_inertia)
 from twistcc.hessian import cartesian_hessian
-from twistcc.intervals import Interval
+from twistcc.intervals import Interval, IntervalArray
 from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, InfeasibleShapeError,
-                          InapplicableShapeError, KiteConfig, KiteError, KiteShape, KiteTable,
+                          InapplicableShapeError, KiteConfig, KiteShape, KiteTable,
                           MassBoundaryError, build_kite, circumcenter_z4, classify_shape,
                           coorbital_identity_check, dzsub_report, euler_precursor,
                           ha_explicit, hs_explicit, kite_blocks, kite_index_map,
-                          kite_masses, kite_scale, kite_scales, _BLOCK_LABELS, KITE_CLASSES)
+                          kite_masses, kite_scale, side_powers, _BLOCK_LABELS, KITE_CLASSES)
 from twistcc.cli import write_pgm
 from twistcc.twist import cc_residual, laura_andoyer
 
@@ -65,23 +66,26 @@ def test_kite_scale_random_shapes(rng, newton):
         assert x2 == pytest.approx(oracle, rel=1e-12)
 
 
-@pytest.mark.parametrize("A", [2.5, 3.0, 1000.0])
-def test_kite_scales_is_kite_scale_per_shape(rng, A):
-    # the array scale of `certify`'s midpoints is each shape's kite_scale bit
-    # for bit, and fails exactly where kite_scale raises
-    params = PotentialParams(A)
-    z3 = np.concatenate([rng.uniform(1.0, 2.3, 2000), [SQRT3]])
-    z4 = np.concatenate([z3[:-1] * rng.uniform(0.01, 0.99, 2000), [1 / SQRT3]])
-    x2, failed, _, _ = kite_scales(z3, z4, A)
-    assert failed[-1]
-    for k in range(z3.size):
-        try:
-            want = kite_scale(KiteShape(z3[k], z4[k]), params)
-        except KiteError:
-            assert failed[k]
-            continue
-        assert not failed[k]
-        assert x2[k] == want, (z3[k], z4[k])
+def test_side_powers_enclose_two_power():
+    # 2^-2.5 = 1/sqrt(32) as a float lies above the real value, so interval
+    # shapes get an Interval enclosing it: lo^2 <= 1/32 <= hi^2, exactly
+    real = Fraction(1, 32)
+    assert Fraction(2.0 ** -2.5) ** 2 > real
+    for z3, z4 in ((Interval(2.0), Interval(0.8)),
+                   (IntervalArray([2.0, 1.5]), IntervalArray([0.8, 0.1]))):
+        p2 = side_powers(z3, z4, 2.5)[0]
+        assert isinstance(p2, Interval)
+        assert Fraction(p2.lo) ** 2 <= real <= Fraction(p2.hi) ** 2
+        # an integer A whose power does not underflow keeps the exact float
+        for A, exact in ((3.0, 0.125), (6.0, 0.015625), (1000.0, math.ldexp(1.0, -1000))):
+            p2 = side_powers(z3, z4, A)[0]
+            assert type(p2) is float and p2 == exact
+        # an underflowing power is enclosed too
+        p2 = side_powers(z3, z4, 1100.0)[0]
+        assert isinstance(p2, Interval) and p2.lo <= 0.0 < p2.hi
+    # floats and numpy arrays keep the float
+    assert side_powers(2.0, 0.8, 2.5)[0] == 2.0 ** -2.5
+    assert side_powers(np.array([2.0]), np.array([0.8]), 2.5)[0] == 2.0 ** -2.5
 
 
 def test_dzsub_report(rng, newton):

@@ -523,9 +523,9 @@ def _decide_2x2_ref(h11, h22, h12, name):
     return None
 
 
-def certify_box_ref(z3, z4, params: PotentialParams, scale=kite_scale_corners_ref):
-    """BoxCertificate of one box, on the scale enclosure `scale` gives; a
-    failed interval evaluation quotes the scalar exception."""
+def certify_box_ref(z3, z4, params: PotentialParams):
+    """BoxCertificate of one box; a failed interval evaluation quotes the
+    scalar exception."""
     from twistcc.certify import BoxCertificate, CertifiedIndex
     from twistcc.intervals import IntervalDomainError, IntervalError
     from twistcc.kite import KiteTable, ha_explicit, hs_explicit, mass_ratio_terms
@@ -538,7 +538,7 @@ def certify_box_ref(z3, z4, params: PotentialParams, scale=kite_scale_corners_re
 
     if box_admissible_ref(z3, z4) is None or straddles_mass_boundary_ref(z3, z4, params.A):
         return unknown("box not verified inside one admissible class")
-    x2 = scale(z3, z4, params)
+    x2 = kite_scale_corners_ref(z3, z4, params)
     if x2 is None:
         return unknown("no verified scale enclosure")
     try:

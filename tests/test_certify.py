@@ -524,7 +524,8 @@ def test_ha_decides_at_box_half_width_6p25e_4(newton):
 
 # (z3, z4, subdivide, A): decided and H_s-undecided boxes; decided, inadmissible and
 # undecided boxes straddling z3 = sqrt 3; mostly inadmissible boxes over the whole
-# map; large A; and one box whose mass-ratio denominator encloses zero
+# map; large A; one box whose mass-ratio denominator encloses zero; and a
+# non-integer A
 WINDOWS = (
     ((1.99, 2.01), (0.79, 0.81), 3, 3.0),
     ((1.725, 1.745), (0.695, 0.705), 3, 3.0),
@@ -535,6 +536,8 @@ WINDOWS = (
     # a box whose interval kite quantities fail
     ((1.7406127072681559, 1.7509831295763238), (0.765636660675358, 0.7760070829835257),
      0, 1000.0),
+    # 2^-2.5 is no double: the scale and the mass ratios read its enclosure
+    ((1.99, 2.01), (0.79, 0.81), 3, 2.5),
 )
 
 

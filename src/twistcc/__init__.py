@@ -4,7 +4,8 @@ Library layout:
   geometry  — configurations, pair tables, f = M*I/2 + U/(A-2) and its gradient
   twist     — twist vectors, span basis, Laura-Andoyer / Albouy-Chenciner residuals
   hessian   — Cartesian Hessian, twist matrices V^T H V, closed forms, Morse indices
-  solver    — twist flows (RK4) and gradient descent (keeps I to first order)
+  solver    — twist flows (RK4) and curvature-scaled Newton descent in the
+              twist span (keeps I to first order), Newton-polished
   kite      — 4-body concave isosceles kites, block Hessians, index maps
   intervals — outward-rounded interval arithmetic
   certify   — rigorous index certification over shape boxes

@@ -309,7 +309,6 @@ def cmd_descend(args) -> tuple[int, RunManifest]:
                            counts={"iterations": report.iterations,
                                    "newton_steps": report.newton_steps,
                                    "newton_rejected": report.newton_rejected,
-                                   "first_order_steps": report.first_order_steps,
                                    "reason": report.reason,
                                    "i_drift": report.i_drift,
                                    "max_step_i_drift": report.max_step_i_drift})

@@ -10,26 +10,25 @@ enforcing U = M*I.
 A descent iteration is a few array passes over one pair table: the
 residual, the span basis, the raw twists V of the basis, the gradient g
 and the Cartesian Hessian H all read it, the residual and the span basis
-through the table's one array of signed areas lam_ijk.  With a full-rank
-span the iteration takes a curvature-scaled Newton step in the twist
-span (`_curvature_step`): the Hessian projected on an orthonormal basis
-of the span, with each curvature replaced by its absolute value, the
-rotation's dropped and the others floored, so the step descends at any
-configuration, saddles included.  The first-order step along
-d = sum (g . u_k) u_k over the unit twists is the fallback, for
-rank-deficient spans and where the curvature step fails.  Each
-backtracking line search evaluates all of its candidate steps in one
-row pass (`geometry._row_pass`), accepting the same step as backtracking
-one trial at a time would.  The accepted row carries its validity, f, I
-and U into the next iteration, so it is neither validated nor evaluated
-again.
+through the table's one array of signed areas lam_ijk.  Its step is a
+curvature-scaled Newton step in the twist span (`_curvature_step`): the
+Hessian projected on an orthonormal basis of the span, with each
+curvature replaced by its absolute value, the rotation's dropped and the
+others floored, so the step descends at any configuration, saddles
+included.  The backtracking line search evaluates all of its candidate
+steps in one row pass (`geometry._row_pass`), accepting the same step as
+backtracking one trial at a time would.  The accepted row carries its
+validity, f, I and U into the next iteration, so it is neither validated
+nor evaluated again.  A rank-deficient span (a collinear configuration,
+which the twists keep collinear) stops the descent.
 
 Near a central configuration the descent first tries a Newton polish
 from the same V, g and H: the derivatives of f along the raw twists v_k
 are the Laura-Andoyer residuals, and their Jacobian is the twist-basis
 Hessian V H V^T.  A Newton candidate is rescaled to U = M*I, checked and
 evaluated in two row passes, and kept only when it lowers both f and the
-residual; otherwise the iteration takes its curvature step.
+residual, or lowers the residual onto a CC with f at most NEWTON_F_ULPS
+ulp higher; otherwise the iteration takes its curvature step.
 """
 
 from __future__ import annotations
@@ -43,19 +42,19 @@ from .geometry import (PairTable, PlanarConfig, PotentialParams, _center,
                        _gradient_f, _row_check, _row_pass, build_pair_table, f_value,
                        moment_of_inertia, potential_u)
 from .hessian import MORSE_ZERO_RTOL, _cartesian_hessian
-from .twist import (TwistPair, _twist_rows, _unit_twists, canon_pair, cc_residual,
-                    max_laura_andoyer, twist_span_basis)
+from .twist import (TwistPair, _twist_rows, canon_pair, cc_residual, max_laura_andoyer,
+                    twist_span_basis)
 
-# Backtracking line-search constants.
-ETA0_FRACTION = 1e-2     # initial step length as a fraction of the diameter
+# Backtracking line-search constants; the first trial is the full step.
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 MAX_BACKTRACKS = 40
-COLLAPSE_RUN = 3         # consecutive rank-deficient iterations before flagging
 # Newton polish: tried once the post-rescale residual is below NEWTON_SWITCH;
 # NEWTON_RCOND is the least-squares cutoff that absorbs the rotational zero.
+# A candidate onto a CC may raise f by rounding, by at most NEWTON_F_ULPS ulp.
 NEWTON_SWITCH = 1e-3
 NEWTON_RCOND = 1e-9
+NEWTON_F_ULPS = 4
 # Curvature step: twist-span curvatures |lam| below MORSE_ZERO_RTOL * max|lam|
 # (the rotation) are dropped, the others raised to at least CURVATURE_FLOOR *
 # max|lam|, which bounds the step where f is nearly flat.
@@ -140,17 +139,16 @@ class DescentReport:
     """Outcome of `descend`.
 
     `reason` says why the iteration stopped: "converged" (exactly when
-    `converged` is true), "collapse" (a run of rank-deficient spans),
-    "zero_direction" (no descent direction), "line_search_exhausted" or
+    `converged` is true), "collapse" (a rank-deficient span),
+    "zero_direction" (no curvature step), "line_search_exhausted" or
     "max_iter".  `newton_steps` counts the accepted Newton steps among
-    `iterations`, `newton_rejected` the Newton candidates that failed or
-    were refused, and `first_order_steps` the iterations that fell back to
-    the first-order step; every other iteration is a curvature step.
+    `iterations`, and `newton_rejected` the Newton candidates that failed or
+    were refused; every other iteration is a curvature step.
     `i_drift` is |I/I0 - 1| of the final configuration against the start:
     after a Newton polish, which rescales to U = M*I, that is the final
     rescaled CC's size against the start's, not the drift of the steps.
     `max_step_i_drift` is the largest |I'/I - 1| of one accepted step that
-    is not a Newton step (a curvature or first-order step), 0 if there is
+    is not a Newton step (a curvature step), 0 if there is
     none: the drift that twist steps without retraction cause.  With
     `record`, `history` is the whole trajectory, start to `config`: one
     (step, positions, f, Laura-Andoyer residual) row per configuration,
@@ -167,7 +165,6 @@ class DescentReport:
     newton_steps: int
     i_drift: float
     newton_rejected: int
-    first_order_steps: int
     max_step_i_drift: float
     history: tuple = field(default=(), repr=False)
 
@@ -188,29 +185,16 @@ def _carried(rows: np.ndarray, k: int, masses: np.ndarray, passed) -> _Iterate:
                     float(f[k]), float(inertia[k]), float(potential[k]))
 
 
-def _descent_direction(table: PairTable,
-                       basis: list[TwistPair]) -> tuple[np.ndarray, np.ndarray]:
-    """(grad f, d) with d = sum_k (grad f . u_k) u_k over the unit twists of `basis`."""
-    g = _gradient_f(table)
-    u = _unit_twists(table, basis)
-    gu = np.matmul(u[:, None, :], g[:, None])[:, 0]  # each row summed as g @ u_k is
-    # accumulate adds the terms in basis order onto a zero row, as a loop does
-    d = np.add.accumulate(np.vstack([np.zeros_like(g), gu * u]))[-1]
-    return g, d
-
-
 def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
-                 eta: float, fcur: float, slope: float) -> _Iterate | None:
-    """Backtrack along -d from step eta; the first Armijo point, or None.
+                 fcur: float, slope: float) -> _Iterate | None:
+    """Backtrack along -d from the full step; the first Armijo point, or None.
 
-    All MAX_BACKTRACKS steps eta*SHRINK^k are evaluated at once in one row
+    All MAX_BACKTRACKS steps SHRINK^k are evaluated at once in one row
     pass.  A step is skipped when it brings two bodies together or leaves
     the finite range, and the first remaining one that decreases f enough
     is accepted, carrying the f, I and U its row pass computed.
     """
-    etas = np.full(MAX_BACKTRACKS, SHRINK)
-    etas[0] = eta
-    np.cumprod(etas, out=etas)  # repeats `eta *= SHRINK` exactly
+    etas = SHRINK ** np.arange(MAX_BACKTRACKS)  # exact powers of two, as `eta *= SHRINK`
     trials = cfg.positions - etas[:, None] * d
     passed = _row_pass(trials, cfg.masses, params.A)
     valid, f = passed[:2]
@@ -290,30 +274,28 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     """Descent of f in the twist span by curvature-scaled Newton steps,
     Newton-polished.
 
-    Each iteration re-selects an independent twist set.  When the span has
-    full rank, it takes the `_curvature_step` direction p, from the raw
-    twists V of the set, the gradient g and the Cartesian Hessian H, and
-    an Armijo backtracking step along -p whose first trial is the full
-    step.  Since p scales by the absolute curvatures, it is a descent
-    direction also where H is indefinite, and a start near a saddle of f
-    leaves it.  The
-    first-order step, Armijo backtracking along d = sum (g . u_k) u_k over
-    the unit twists u_k from 1e-2 * diameter / |d|, is taken when the span
-    is rank-deficient, when p is None (a decomposition that is not finite,
-    or g . p <= 0) or when the line search along p finds no step; such
-    iterations are counted in `first_order_steps`.  All backtracking steps
-    of a search are evaluated at once, and the first that is admissible
-    and passes the Armijo test is accepted, as in a one-at-a-time search.
-    Twists are tangent to the level sets of I, so a step keeps I only to
-    first order: there is no retraction, and I drifts, the more the
-    longer the step.
+    Each iteration re-selects an independent twist set.  It takes the
+    `_curvature_step` direction p, from the raw twists V of the set, the
+    gradient g and the Cartesian Hessian H, and an Armijo backtracking step
+    along -p whose first trial is the full step.  Since p scales by the
+    absolute curvatures, it is a descent direction also where H is
+    indefinite, and a start near a saddle of f leaves it.  All backtracking
+    steps of a search are evaluated at once, and the first that is
+    admissible and passes the Armijo test is accepted, as in a one-at-a-time
+    search.  Where p is None (a decomposition that is not finite, or
+    g . p <= 0) the descent stops with "zero_direction", and where the line
+    search finds no step with "line_search_exhausted".  Twists are tangent
+    to the level sets of I, so a step keeps I only to first order: there is
+    no retraction, and I drifts, the more the longer the step.
 
-    Once the post-rescale residual is below NEWTON_SWITCH and the span has
-    full rank, the iteration first tries the twist-span Newton step of
-    `_newton_step` from the same V, g and H.  Its candidate is accepted,
-    and counts as an iteration, only if its post-rescale residual is below
-    the current one and its f is not above the current f, so f never
-    increases; otherwise the iteration takes the curvature step.
+    Once the post-rescale residual is below NEWTON_SWITCH, the iteration
+    first tries the twist-span Newton step of `_newton_step` from the same
+    V, g and H.  Its candidate is accepted, and counts as an iteration,
+    only if its post-rescale residual is below the current one and its f is
+    not above the current f, or is at most NEWTON_F_ULPS ulp of |f| above it
+    while the candidate is a CC (the rounding floor of f at a CC); otherwise
+    the iteration takes the curvature step.  So f never increases, except by
+    at most NEWTON_F_ULPS ulp on a Newton step onto a CC.
 
     The residual, the span basis, V, g, H and the twists share one pair
     table per iteration, and the residual and the span basis read its one
@@ -328,11 +310,14 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     U = M*I that `rescale_to_cc_size` gives, are below `tol`.  That test
     runs on every iterate whose Laura-Andoyer residual, normalized as in
     `cc_residual` and amplified to its post-rescale value (never below
-    the rescaled residual), is below `tol`, and on the final
-    configuration after `max_iter` iterations.  A run of rank-deficient
-    twist spans is reported as a suspected collinear collapse, not an
-    error.
+    the rescaled residual), is below `tol`, the last one after `max_iter`
+    iterations included.  A rank-deficient twist span stops the descent as
+    a suspected collinear collapse, not an error; Laura-Andoyer residuals
+    vanish identically on collinear configurations, so `collinear_collapse`
+    reports a rank-deficient final span also when the run converged.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     M = float(config.masses.sum())
     full_dim = 2 * config.n - 3
 
@@ -348,76 +333,53 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
                                               params, tol).is_cc
 
     history = []
-    collapse = False
     reason = "max_iter"
-    degenerate_run = 0
-    iterations = newton_steps = newton_rejected = first_order_steps = 0
+    newton_steps = newton_rejected = 0
     max_step_i_drift = 0.0
     start = cur = _Iterate(config, f_value(config, params), moment_of_inertia(config),
                            potential_u(config, params))
     table = build_pair_table(config, params)
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         cfg = cur.config
         resid, resid_cc = residuals(cur, table)
         if record:
             history.append((it, cfg.positions, cur.f, resid))
+        basis, dim = twist_span_basis(table)
         if is_cc(cfg, resid_cc):
             reason = "converged"
             break
-        basis, dim = twist_span_basis(table)
-        step = None
+        if it == max_iter:
+            break
         if dim < full_dim:
-            degenerate_run += 1
-            if degenerate_run >= COLLAPSE_RUN:
-                collapse = True
-                reason = "collapse"
-                break
-        else:
-            degenerate_run = 0
-            V, g, H = _span_derivatives(table, basis)
-            if resid_cc < NEWTON_SWITCH:
-                cand = _newton_step(table, cfg.positions, V, g, H)
-                if cand is not None:
-                    cand_table = build_pair_table(cand.config, params)
-                    if residuals(cand, cand_table)[1] < resid_cc and cand.f <= cur.f:
-                        cur, table = cand, cand_table
-                        newton_steps += 1
-                        iterations = it + 1
-                        continue
-                newton_rejected += 1
-            p = _curvature_step(V, g, H)
-            if p is not None:
-                step = _armijo_step(cfg, params, p, 1.0, cur.f, float(g @ p))
-
-        if step is None:    # the first-order fallback
-            g, d = _descent_direction(table, basis)
-            slope = float(g @ d)
-            dn = float(np.linalg.norm(d))
-            if dn == 0.0 or slope <= 0.0:
-                reason = "zero_direction"
-                break
-            eta = ETA0_FRACTION * cfg.diameter() / dn
-            step = _armijo_step(cfg, params, d, eta, cur.f, slope)
-            if step is None:
-                reason = "line_search_exhausted"
-                break
-            first_order_steps += 1
+            reason = "collapse"
+            break
+        V, g, H = _span_derivatives(table, basis)
+        if resid_cc < NEWTON_SWITCH:
+            cand = _newton_step(table, cfg.positions, V, g, H)
+            if cand is not None:
+                cand_table = build_pair_table(cand.config, params)
+                cand_resid_cc = residuals(cand, cand_table)[1]
+                if cand_resid_cc < resid_cc and (
+                        cand.f <= cur.f
+                        or (cand.f - cur.f <= NEWTON_F_ULPS * np.spacing(abs(cur.f))
+                            and is_cc(cand.config, cand_resid_cc))):
+                    cur, table = cand, cand_table
+                    newton_steps += 1
+                    continue
+            newton_rejected += 1
+        p = _curvature_step(V, g, H)
+        if p is None:
+            reason = "zero_direction"
+            break
+        step = _armijo_step(cfg, params, p, cur.f, float(g @ p))
+        if step is None:
+            reason = "line_search_exhausted"
+            break
         max_step_i_drift = max(max_step_i_drift, abs(step.inertia / cur.inertia - 1.0))
         cur = step
         table = build_pair_table(cur.config, params)
-        iterations = it + 1
 
-    cfg = cur.config
-    resid, resid_cc = residuals(cur, table)
-    if record and reason == "max_iter":  # the loop ran out: no iteration recorded cfg
-        history.append((iterations, cfg.positions, cur.f, resid))
-    if reason == "max_iter" and is_cc(cfg, resid_cc):  # the last step reached a CC
-        reason = "converged"
-    # Laura-Andoyer residuals vanish identically on collinear configurations,
-    # so a rank-deficient final span is a collapse even when "converged".
-    _, final_dim = twist_span_basis(table)
-    collapse = collapse or final_dim < full_dim
     i_drift = abs(cur.inertia / start.inertia - 1.0)
-    return DescentReport(cfg, iterations, resid, cur.f, reason == "converged", collapse,
-                         reason, newton_steps, i_drift, newton_rejected, first_order_steps,
+    return DescentReport(cfg, it, resid, cur.f, reason == "converged", dim < full_dim,
+                         reason, newton_steps, i_drift, newton_rejected,
                          max_step_i_drift, tuple(history))

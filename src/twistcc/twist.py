@@ -61,14 +61,6 @@ def _twist_rows(masses: np.ndarray, i: np.ndarray, j: np.ndarray, dx, dy) -> np.
     return v
 
 
-def _unit_twists(table: PairTable, pairs) -> np.ndarray:
-    """v_ij / |v_ij| for canonical `pairs`, one row each, from the table's differences."""
-    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    v = _twist_rows(table.masses, i, j, table.dx[i, j], table.dy[i, j])
-    # the stacked matmul sums each row as np.linalg.norm(v[r]) does
-    return v / np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0])
-
-
 def normalized_twist(table: PairTable, pair) -> np.ndarray:
     """v_ij / (m_i * m_j * r_ij), the mass- and length-normalized twist."""
     i, j = canon_pair(table.n, pair)

@@ -240,9 +240,11 @@ def f_value_ref(points: np.ndarray, masses: np.ndarray, A: float) -> float:
 
 
 def armijo_step_loop(config: PlanarConfig, params: PotentialParams, d: np.ndarray,
-                     eta: float, fcur: float, slope: float):
-    """Sequential backtracking: (positions, f) of the first Armijo trial, or None."""
+                     fcur: float, slope: float):
+    """Sequential backtracking from the full step: (positions, f) of the
+    first Armijo trial, or None."""
     from twistcc.solver import ARMIJO_C, MAX_BACKTRACKS, SHRINK
+    eta = 1.0
     for _ in range(MAX_BACKTRACKS):
         pos = config.positions - eta * d
         pts = pos.reshape(-1, 2)
@@ -275,17 +277,6 @@ def flow_loop(config: PlanarConfig, spec) -> list[PlanarConfig]:
             except GeometryError:
                 break
     return traj
-
-
-def descent_direction_loop(config: PlanarConfig, g: np.ndarray) -> np.ndarray:
-    """d = sum (g . u) u over the unit twists of the span basis, one at a time."""
-    from twistcc.twist import twist_vector
-    d = np.zeros_like(g)
-    for pair in twist_span_basis_loop(config)[0]:
-        u = twist_vector(config, pair)
-        u /= np.linalg.norm(u)
-        d += (g @ u) * u
-    return d
 
 
 def _lam_points(p, i, j, k):

@@ -9,19 +9,26 @@ from twistcc.geometry import (GeometryError, PlanarConfig, PotentialParams,
                               euler_residual, f_value, load_config, moment_of_inertia,
                               potential_u)
 from twistcc.hessian import assemble_twist_hessian
-from twistcc.solver import (CURVATURE_FLOOR, DescentReport, FlowSpec, _armijo_step,
-                            _curvature_step, _descent_direction, _newton_step,
-                            _span_derivatives, descend, flow_fixed_combo,
-                            rescale_to_cc_size)
+from twistcc.solver import (CURVATURE_FLOOR, NEWTON_F_ULPS, DescentReport, FlowSpec,
+                            _armijo_step, _curvature_step, _newton_step, _span_derivatives,
+                            descend, flow_fixed_combo, rescale_to_cc_size)
 from twistcc.twist import cc_residual, max_laura_andoyer, twist_span_basis, twist_vector
 
 from oracles import (armijo_step_loop, coincident_ref, curvature_step_loop,
-                     descent_direction_loop, equilateral_config, flow_loop, random_config,
-                     square_config)
+                     equilateral_config, flow_loop, random_config, square_config)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 STOP_REASONS = {"converged", "collapse", "zero_direction", "line_search_exhausted",
                 "max_iter"}
+
+
+def assert_f_never_increases(report: DescentReport):
+    """f never increases along the history, except by at most NEWTON_F_ULPS
+    ulp on the last step of a converged run: a Newton step onto a CC."""
+    fs = [h[2] for h in report.history]
+    assert all(b <= a for a, b in zip(fs, fs[1:-1]))
+    if len(fs) > 1 and fs[-1] > fs[-2]:
+        assert report.converged and fs[-1] - fs[-2] <= NEWTON_F_ULPS * np.spacing(abs(fs[-2]))
 
 
 def drift(traj):
@@ -99,6 +106,11 @@ def test_descend_already_critical(newton):
     assert report.iterations == 0
 
 
+def test_descend_refuses_a_negative_max_iter(newton):
+    with pytest.raises(ValueError, match="max_iter"):
+        descend(equilateral_config((1, 2, 3)), newton, max_iter=-1)
+
+
 def test_descend_square_1135(newton):
     report = descend(square_config((1.0, 1.0, 3.0, 5.0)), newton,
                      tol=1e-10, max_iter=50000, record=True)
@@ -117,8 +129,11 @@ def test_descend_square_1135(newton):
 
 def test_descend_collinear_start_flags_collapse(newton):
     cfg = PlanarConfig.from_points([(-1.0, 0.0), (0.2, 0.0), (1.1, 0.0)], (1, 2, 3))
-    report = descend(cfg, newton, tol=1e-30, max_iter=50)
+    report = descend(cfg, newton, tol=1e-30, max_iter=50, record=True)
     assert report.collinear_collapse
+    # the twists keep a collinear configuration collinear: no step is taken
+    assert report.reason == "collapse" and report.iterations == 0
+    assert len(report.history) == 1 and report.config is cfg
 
 
 def cli_random_start(n: int, seed: int) -> PlanarConfig:
@@ -204,23 +219,21 @@ def test_newton_rejected_counts_every_refused_candidate(monkeypatch, suite_runs,
     assert report.newton_steps == 0 and report.newton_rejected == 5
 
 
-def test_every_iteration_is_a_newton_curvature_or_first_order_step(suite_runs, newton,
-                                                                   monkeypatch):
+def test_every_iteration_is_a_newton_or_curvature_step(suite_runs, newton, monkeypatch):
     for k, (report, _, curvature) in suite_runs.items():
-        assert report.newton_steps + report.first_order_steps + curvature == report.iterations, k
-        assert report.first_order_steps == 0, k
-    # without a curvature direction every step that is not Newton's is first order
+        assert report.newton_steps + curvature == report.iterations, k
+    # without a curvature direction the run stops where it starts
     from twistcc import solver
     monkeypatch.setattr(solver, "_curvature_step", lambda V, g, H: None)
     report = descend(cli_random_start(5, 0), newton, max_iter=20)
-    assert report.iterations == 20 and report.newton_steps == 0
-    assert report.first_order_steps == 20
+    assert report.reason == "zero_direction" and report.iterations == 0
+    assert not report.converged and not report.collinear_collapse
 
 
 def test_descend_start_suite_converges(suite_reports, newton):
     converged = [k for k, r in suite_reports.items() if r.converged]
     assert len(converged) == 40
-    # the two slow starts of the first-order descent (2,643 and 5,541 iterations)
+    # the two slow starts of the former first-order descent (2,643 and 5,541 iterations)
     assert suite_reports[6, 3].iterations <= 100 and suite_reports[4, 4].iterations <= 100
     for k in converged:
         fixed = rescale_to_cc_size(suite_reports[k].config, newton)
@@ -231,10 +244,34 @@ def test_descend_start_suite_converges(suite_reports, newton):
         assert 0 <= r.newton_steps <= r.iterations
         fs = [h[2] for h in r.history]
         assert len(fs) == r.iterations + 1 and fs[-1] == r.f_value
-        assert all(b <= a for a, b in zip(fs, fs[1:]))
+        assert_f_never_increases(r)
+    # two starts end on a Newton step onto a CC whose f is one and two ulp
+    # above the iterate's, at the rounding floor of f
+    raised = {k for k, r in suite_reports.items()
+              if r.history[-1][2] > r.history[-2][2]}
+    assert raised == {(5, 4), (8, 7)}
+
+
+# Beyond A = 3: the potential exponent in {2.5, 6, 10} x n in {3, 4, 6} x seeds 0-4.
+WIDE = [(A, n, s) for A in (2.5, 6.0, 10.0) for n in (3, 4, 6) for s in range(5)]
+
+
+def test_descend_converges_beyond_a_equal_3():
+    # on (A 10, n 3, seed 1) the Newton candidates reach a CC one ulp of f
+    # above the iterate, where curvature steps leave f and the residual
+    # unchanged: it converges only if such a candidate is kept
+    for A, n, s in WIDE:
+        params = PotentialParams(A)
+        report = descend(cli_random_start(n, s), params, record=True)
+        assert report.converged and report.reason == "converged", (A, n, s)
+        fixed = rescale_to_cc_size(report.config, params)
+        assert cc_residual(fixed, params, tol=1e-10).is_cc, (A, n, s)
+        assert_f_never_increases(report)
 
 
 def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton):
+    # kept iff it lowers the residual and does not raise f, or raises f by at
+    # most NEWTON_F_ULPS ulp onto a CC
     from twistcc import solver
     tried = []
     newton_step = solver._newton_step
@@ -250,6 +287,10 @@ def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton)
         ratio = cfg.masses.sum() * moment_of_inertia(cfg) / potential_u(cfg, newton)
         return max_laura_andoyer(build_pair_table(cfg, newton)) * max(1.0, ratio)
 
+    def onto_cc(cfg):
+        return resid_cc(cfg) < 1e-10 and cc_residual(rescale_to_cc_size(cfg, newton),
+                                                     newton).is_cc
+
     kinds = set()
     for start in ((5, 4), (8, 4)):
         tried.clear()
@@ -260,12 +301,18 @@ def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton)
         for x, cand in tried:
             cfg = PlanarConfig(x, cand.masses)
             k = positions.index(x.tobytes())
-            kind = (resid_cc(cand) < resid_cc(cfg), f_value(cand, newton) <= f_value(cfg, newton))
-            assert (positions[k + 1] == cand.positions.tobytes()) == all(kind), (start, k)
+            f, fcand = f_value(cfg, newton), f_value(cand, newton)
+            rounding = fcand - f <= NEWTON_F_ULPS * np.spacing(abs(f)) and onto_cc(cand)
+            kind = (resid_cc(cand) < resid_cc(cfg), fcand <= f, rounding)
+            keep = kind[0] and (kind[1] or kind[2])
+            assert (positions[k + 1] == cand.positions.tobytes()) == keep, (start, k)
             kinds.add(kind)
-            kept += all(kind)
+            kept += keep
         assert report.newton_steps == kept
-    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert {kind[:2] for kind in kinds} == {(True, True), (True, False), (False, True),
+                                            (False, False)}
+    assert (True, False, True) in kinds     # kept: f one ulp up, onto a CC
+    assert (True, False, False) in kinds    # refused: f up, not onto a CC
 
 
 def test_descend_converged_means_cc_at_rescaled_size(suite_reports, newton):
@@ -296,7 +343,7 @@ def test_newton_polish_from_perturbed_lagrange():
 
 def test_max_step_i_drift_is_the_largest_non_newton_step(monkeypatch, newton):
     # every accepted step that is not a Newton step is an Armijo point of a
-    # curvature or first-order line search: recount |I'/I - 1| over those
+    # curvature line search: recount |I'/I - 1| over those
     from twistcc import solver
     drifts = []
 
@@ -327,12 +374,10 @@ def test_descend_leaves_a_saddle(newton):
     # along its negative curvature while the Newton polish is refused
     saddle = saddle_start(newton, 0.0)
     report = descend(saddle_start(newton, 1e-6), newton, record=True)
-    assert report.converged and report.first_order_steps == 0
-    assert report.newton_rejected > 0
+    assert report.converged and report.newton_rejected > 0
     # a CC other than the saddle, below it
     assert report.f_value < f_value(saddle, newton) - 1e-6
-    fs = [h[2] for h in report.history]
-    assert all(b <= a for a, b in zip(fs, fs[1:]))
+    assert_f_never_increases(report)
 
 
 def test_curvature_step_matches_loop(rng, newton):
@@ -355,8 +400,8 @@ def test_curvature_step_matches_loop(rng, newton):
             slope = float(g @ p)
             assert slope > 0.0
             fcur = f_value(cfg, newton)
-            got = _armijo_step(cfg, newton, p, 1.0, fcur, slope)
-            want = armijo_step_loop(cfg, newton, p, 1.0, fcur, slope)
+            got = _armijo_step(cfg, newton, p, fcur, slope)
+            want = armijo_step_loop(cfg, newton, p, fcur, slope)
             assert got.config.positions.tobytes() == want[0].tobytes() and got.f == want[1]
             floored += sum(m == CURVATURE_FLOOR * max(mags) for m in mags)
     assert floored > 0      # some curvatures were raised to the floor
@@ -380,18 +425,21 @@ def test_armijo_step_matches_sequential_loop(rng, newton):
             slope = float(g @ g)
             collide = np.zeros(2 * n)
             collide[0:2] = cfg.points[0] - cfg.points[1]  # at eta = 1 body 0 lands on body 1
-            huge = g * (1e300 / np.abs(g).max())
+            # the full step makes pair differences beyond the largest double
+            huge = g / np.abs(g).max() * np.finfo(float).max
+            # each step length folded into d and the slope g . d
+            eta = 1e-2 * cfg.diameter() / np.linalg.norm(g)
             cases = [
-                ("descent", g, 1e-2 * cfg.diameter() / np.linalg.norm(g), slope),
-                ("long", g, 1e3, slope),
-                ("ascent", -g, 1e-2, slope),
-                ("collide", collide, 1.0, -1e6),
-                ("overflow", huge, 1e10, -np.inf),
+                ("descent", eta * g, eta * slope),
+                ("long", 1e3 * g, 1e3 * slope),
+                ("ascent", -1e-2 * g, 1e-2 * slope),
+                ("collide", collide, -1e6),
+                ("overflow", huge, -np.inf),
             ]
-            for name, d, eta, sl in cases:
+            for name, d, sl in cases:
                 with np.errstate(all="ignore"):
-                    ref = armijo_step_loop(cfg, newton, d, eta, fcur, sl)
-                    got = _armijo_step(cfg, newton, d, eta, fcur, sl)
+                    ref = armijo_step_loop(cfg, newton, d, fcur, sl)
+                    got = _armijo_step(cfg, newton, d, fcur, sl)
                 assert (got is None) == (ref is None), name
                 if ref is not None:
                     assert got[0].positions.tobytes() == ref[0].tobytes(), name
@@ -406,15 +454,6 @@ def test_armijo_step_matches_sequential_loop(rng, newton):
             assert coincident_ref(first.reshape(-1, 2))
     # the collision and overflow cases reject their first trials, then accept one
     assert {"descent", "long", "collide", "overflow"} <= seen
-
-
-def test_descent_direction_matches_loop(rng, newton):
-    for n in (3, 4, 8, 20):
-        cfg = random_config(rng, n)
-        table = build_pair_table(cfg, newton)
-        g, d = _descent_direction(table, twist_span_basis(table)[0])
-        assert g.tobytes() == cartesian_gradient_f(cfg, newton).tobytes()
-        assert d.tobytes() == descent_direction_loop(cfg, g).tobytes()
 
 
 def test_descend_iteration_builds_one_pair_table(monkeypatch, rng, newton):
@@ -436,7 +475,7 @@ def test_descend_iteration_builds_one_hessian(monkeypatch, newton):
     monkeypatch.setattr(solver, "_cartesian_hessian",
                         lambda t, hessian=solver._cartesian_hessian: calls.append(1) or hessian(t))
     report = descend(saddle_start(newton, 1e-6), newton, max_iter=12)
-    assert report.newton_rejected == 12 and report.first_order_steps == 0
+    assert report.newton_rejected == 12
     assert len(calls) == 12
 
 

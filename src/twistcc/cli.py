@@ -121,10 +121,12 @@ class RunManifest:
     def write(self, path: str) -> None:
         self.timestamp_utc = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         # wall_s in fixed-width exponent form, so the manifest of a rerun
-        # has the same size (a float's repr varies in length)
+        # has the same size (a float's repr varies in length); json escapes
+        # newlines and quotes, so no string value holds the top-level line
         doc = asdict(self)
         doc["wall_s"] = "<wall_s>"
-        text = json.dumps(doc, indent=2).replace('"<wall_s>"', f"{self.wall_s:.6e}", 1)
+        text = json.dumps(doc, indent=2).replace('\n  "wall_s": "<wall_s>"',
+                                                  f'\n  "wall_s": {self.wall_s:.6e}')
         write_atomic(path, text + "\n")
 
 

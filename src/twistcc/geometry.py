@@ -241,15 +241,9 @@ class PairTable:
                          computed once per ordered triple and kept on the table
       cos3(i, j, k)    — q_ij . q_ik/(r_ij*r_ik), its cosine
       cos4(i, j, k, l) — q_ij . q_kl/(r_ij*r_kl)
-
-    Per-pair array, built on first use and kept on the table:
-      pair_lams()      — the (P, n) array lam(i, j, k) of every pair i < j,
-                         in `np.triu_indices(n, 1)` order, and every k; the
-                         Laura-Andoyer residuals and the twist span basis
-                         both read it
     """
 
-    __slots__ = ("n", "A", "masses", "dx", "dy", "r", "R", "S", "T", "zero", "sines", "lams")
+    __slots__ = ("n", "A", "masses", "dx", "dy", "r", "R", "S", "T", "zero", "sines")
 
     def __init__(self, config: PlanarConfig, params: PotentialParams):
         p = config.points
@@ -269,16 +263,9 @@ class PairTable:
         self.dx, self.dy, self.r, self.R, self.S, self.T = dx, dy, r, R, S, T
         self.zero = 0.0
         self.sines = {}
-        self.lams = None
 
     def lam(self, i: int, j: int, k: int) -> float:
         return self.dx[i, j] * self.dy[i, k] - self.dx[i, k] * self.dy[i, j]
-
-    def pair_lams(self) -> np.ndarray:
-        if self.lams is None:
-            i, j = _pair_indices(self.n)
-            self.lams = self.lam(i[:, None], j[:, None], np.arange(self.n))
-        return self.lams
 
     def a_triple(self, i: int, j: int, k: int) -> float:
         return self.r[i, j] ** 2 + self.r[i, k] ** 2 - self.r[j, k] ** 2

@@ -7,12 +7,11 @@ searches for central configurations; its finite steps keep I only to
 first order.  The size itself is fixed afterwards by a single rescale
 enforcing U = M*I.
 
-A descent iteration is a few array passes over one pair table: the
-residual, the span basis, the raw twists V of the basis, the gradient g
-and the Cartesian Hessian H all read it, the residual and the span basis
-through the table's one array of signed areas lam_ijk.  Its step is a
-curvature-scaled Newton step in the twist span (`_curvature_step`): the
-Hessian projected on an orthonormal basis of the span, with each
+A descent iteration is a few O(n^2) array passes over one pair table:
+the residual (from the gradient), the span basis, the raw twists V of
+the basis, the gradient g and the Cartesian Hessian H all read it.  Its
+step is a curvature-scaled Newton step in the twist span (`_span_steps`):
+the Hessian projected on an orthonormal basis of the span, with each
 curvature replaced by its absolute value, the rotation's dropped and the
 others floored, so the step descends at any configuration, saddles
 included.  The backtracking line search evaluates all of its candidate
@@ -23,12 +22,11 @@ nor evaluated again.  A rank-deficient span (a collinear configuration,
 which the twists keep collinear) stops the descent.
 
 Near a central configuration the descent first tries a Newton polish
-from the same V, g and H: the derivatives of f along the raw twists v_k
-are the Laura-Andoyer residuals, and their Jacobian is the twist-basis
-Hessian V H V^T.  A Newton candidate is rescaled to U = M*I, checked and
-evaluated in two row passes, and kept only when it lowers both f and the
-residual, or lowers the residual onto a CC with f at most NEWTON_F_ULPS
-ulp higher; otherwise the iteration takes its curvature step.
+from the same decomposition, with signed curvatures.  A Newton candidate
+is rescaled to U = M*I, checked and evaluated in two row passes, and
+kept only when it lowers both f and the residual, or lowers the residual
+onto a CC with f at most NEWTON_F_ULPS ulp higher; otherwise the
+iteration takes its curvature step.
 """
 
 from __future__ import annotations
@@ -49,15 +47,13 @@ from .twist import (TwistPair, _twist_rows, canon_pair, cc_residual, max_laura_a
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 MAX_BACKTRACKS = 40
-# Newton polish: tried once the post-rescale residual is below NEWTON_SWITCH;
-# NEWTON_RCOND is the least-squares cutoff that absorbs the rotational zero.
+# Newton polish: tried once the post-rescale residual is below NEWTON_SWITCH.
 # A candidate onto a CC may raise f by rounding, by at most NEWTON_F_ULPS ulp.
 NEWTON_SWITCH = 1e-3
-NEWTON_RCOND = 1e-9
 NEWTON_F_ULPS = 4
-# Curvature step: twist-span curvatures |lam| below MORSE_ZERO_RTOL * max|lam|
-# (the rotation) are dropped, the others raised to at least CURVATURE_FLOOR *
-# max|lam|, which bounds the step where f is nearly flat.
+# Both steps drop the twist-span curvatures |lam| at most MORSE_ZERO_RTOL *
+# max|lam| (the rotation); the curvature step raises the others to at least
+# CURVATURE_FLOOR * max|lam|, which bounds the step where f is nearly flat.
 CURVATURE_FLOOR = 1e-2
 
 
@@ -213,50 +209,47 @@ def _span_derivatives(table: PairTable,
     return V, _gradient_f(table), _cartesian_hessian(table)
 
 
-def _curvature_step(V: np.ndarray, g: np.ndarray, H: np.ndarray) -> np.ndarray | None:
-    """The curvature-scaled Newton step p in the span of the rows of V, or
-    None; the full step moves x to x - p.
+def _span_steps(V: np.ndarray, g: np.ndarray,
+                H: np.ndarray) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(newton, curvature): the Newton and curvature-scaled Newton steps p
+    in the span of the rows of V, which depend on the span alone; the full
+    step moves x to x - p.  Both are None where the decomposition fails.
 
     With Q an orthonormal basis of the span and Q^T H Q = E diag(lam) E^T,
-    p = Q E diag(1/|lam|) E^T Q^T g, where each |lam| at most
-    MORSE_ZERO_RTOL * max|lam| (the rotation) is dropped and every other one
-    raised to at least CURVATURE_FLOOR * max|lam|.  Taking |lam| makes the
-    scaling positive definite, so p is a descent direction at any
-    configuration: None where the decomposition is not finite or g . p <= 0.
+    p = Q E diag(w) E^T Q^T g: w = 1/lam for the Newton step and 1/|lam|,
+    |lam| raised to at least CURVATURE_FLOOR * max|lam|, for the curvature
+    step, and w = 0 for both where |lam| <= MORSE_ZERO_RTOL * max|lam| (the
+    rotation).  Taking |lam| makes the curvature step descend at any
+    configuration: it is None where it is not finite or g . p <= 0.
     """
     with np.errstate(all="ignore"):
         try:
             Q = np.linalg.qr(V.T)[0]
             lam, E = np.linalg.eigh(Q.T @ H @ Q)
         except np.linalg.LinAlgError:
-            return None
+            return None, None
         mag = np.abs(lam)
         top = mag.max()
-        inv = np.where(mag > MORSE_ZERO_RTOL * top,
-                       1.0 / np.maximum(mag, CURVATURE_FLOOR * top), 0.0)
-        p = Q @ (E @ (inv * (E.T @ (Q.T @ g))))
+        kept = mag > MORSE_ZERO_RTOL * top
+        coords = E.T @ (Q.T @ g)
+        newton = Q @ (E @ (np.where(kept, 1.0 / lam, 0.0) * coords))
+        p = Q @ (E @ (np.where(kept, 1.0 / np.maximum(mag, CURVATURE_FLOOR * top), 0.0)
+                      * coords))
         descends = np.isfinite(p).all() and g @ p > 0.0
-    return p if descends else None
+    return newton, (p if descends else None)
 
 
-def _newton_step(table: PairTable, x: np.ndarray, V: np.ndarray, g: np.ndarray,
-                 H: np.ndarray) -> _Iterate | None:
-    """The twist-span Newton candidate from the table's configuration cfg,
-    at flat positions x, rescaled to U = M*I, or None.
+def _newton_step(table: PairTable, x: np.ndarray, p: np.ndarray) -> _Iterate | None:
+    """The candidate x - p of the Newton step p from the table's
+    configuration cfg, at flat positions x, rescaled to U = M*I, or None.
 
-    Solves (V H V^T) c = -V grad f in least squares, with V, grad f and H
-    from `_span_derivatives`, and moves to x + V^T c.
-    One row pass on x + V^T c checks it and gives the I and U of the
-    rescale, a second one checks the rescaled row and gives its f, I and U:
-    the result is `rescale_to_cc_size(cfg.with_positions(x + V^T c))` and
-    its f, bit for bit, and None where either construction would raise.
+    One row pass on x - p checks it and gives the I and U of the rescale, a
+    second one checks the rescaled row and gives its f, I and U: the result
+    is `rescale_to_cc_size(cfg.with_positions(x - p))` and its f, bit for
+    bit, and None where either construction would raise.
     """
     m, A = table.masses, table.A
-    try:
-        c = np.linalg.lstsq(V @ H @ V.T, -(V @ g), rcond=NEWTON_RCOND)[0]
-    except np.linalg.LinAlgError:
-        return None
-    moved = (x + V.T @ c)[None]
+    moved = (x - p)[None]
     valid, _, _, inertia, potential = _row_pass(moved, m, A)
     if not valid[0]:
         return None
@@ -275,32 +268,32 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     Newton-polished.
 
     Each iteration re-selects an independent twist set.  It takes the
-    `_curvature_step` direction p, from the raw twists V of the set, the
+    curvature step p of `_span_steps`, from the raw twists V of the set, the
     gradient g and the Cartesian Hessian H, and an Armijo backtracking step
     along -p whose first trial is the full step.  Since p scales by the
     absolute curvatures, it is a descent direction also where H is
     indefinite, and a start near a saddle of f leaves it.  All backtracking
     steps of a search are evaluated at once, and the first that is
     admissible and passes the Armijo test is accepted, as in a one-at-a-time
-    search.  Where p is None (a decomposition that is not finite, or
-    g . p <= 0) the descent stops with "zero_direction", and where the line
-    search finds no step with "line_search_exhausted".  Twists are tangent
+    search.  Where p is None (a decomposition that fails or is not finite,
+    or g . p <= 0) the descent stops with "zero_direction", and where the
+    line search finds no step with "line_search_exhausted".  Twists are tangent
     to the level sets of I, so a step keeps I only to first order: there is
     no retraction, and I drifts, the more the longer the step.
 
     Once the post-rescale residual is below NEWTON_SWITCH, the iteration
-    first tries the twist-span Newton step of `_newton_step` from the same
-    V, g and H.  Its candidate is accepted, and counts as an iteration,
-    only if its post-rescale residual is below the current one and its f is
-    not above the current f, or is at most NEWTON_F_ULPS ulp of |f| above it
-    while the candidate is a CC (the rounding floor of f at a CC); otherwise
-    the iteration takes the curvature step.  So f never increases, except by
-    at most NEWTON_F_ULPS ulp on a Newton step onto a CC.
+    first tries the Newton step of `_span_steps`, from the same
+    decomposition, through `_newton_step`.  Its candidate is accepted, and
+    counts as an iteration, only if its post-rescale residual is below the
+    current one and its f is not above the current f, or is at most
+    NEWTON_F_ULPS ulp of |f| above it while the candidate is a CC (the
+    rounding floor of f at a CC); otherwise the iteration takes the
+    curvature step.  So f never increases, except by at most NEWTON_F_ULPS
+    ulp on a Newton step onto a CC.
 
     The residual, the span basis, V, g, H and the twists share one pair
-    table per iteration, and the residual and the span basis read its one
-    lam array; a Newton candidate builds its own, which becomes the
-    iteration's table when the candidate is accepted (a rejected candidate
+    table per iteration; a Newton candidate builds its own, which becomes
+    the iteration's table when the candidate is accepted (a rejected candidate
     has built one too).  The accepted step's row carries its validity, f,
     I and U from the row pass that found it, so no iterate is validated or
     evaluated twice.
@@ -354,8 +347,9 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
             reason = "collapse"
             break
         V, g, H = _span_derivatives(table, basis)
+        newton, p = _span_steps(V, g, H)
         if resid_cc < NEWTON_SWITCH:
-            cand = _newton_step(table, cfg.positions, V, g, H)
+            cand = None if newton is None else _newton_step(table, cfg.positions, newton)
             if cand is not None:
                 cand_table = build_pair_table(cand.config, params)
                 cand_resid_cc = residuals(cand, cand_table)[1]
@@ -367,7 +361,6 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
                     newton_steps += 1
                     continue
             newton_rejected += 1
-        p = _curvature_step(V, g, H)
         if p is None:
             reason = "zero_direction"
             break

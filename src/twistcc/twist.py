@@ -9,7 +9,8 @@ inertia, and they span the whole admissible tangent space: dimension
 Directional derivatives of f along the v_ij are the Laura-Andoyer
 residuals; dotted with difference vectors they give the asymmetric
 Albouy-Chenciner residuals.  Both vanish exactly at central
-configurations.
+configurations.  Since v_ij moves only bodies i and j, the residuals and
+the span basis cost O(n^2).
 
 Body indices are 0-based throughout the Python API.
 """
@@ -17,13 +18,11 @@ Body indices are 0-based throughout the Python API.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, combinations
 
 import numpy as np
 
-from .geometry import (PairTable, PlanarConfig, PotentialParams, _pair_indices,
-                       build_pair_table)
+from .geometry import (PairTable, PlanarConfig, PotentialParams, _gradient_f,
+                       _pair_indices, build_pair_table)
 
 # A triple is collinear when |lam| <= COLLINEAR_RTOL * diameter^2.
 COLLINEAR_RTOL = 1e-10
@@ -69,73 +68,49 @@ def normalized_twist(table: PairTable, pair) -> np.ndarray:
     return v / (m[i] * m[j] * table.r[i, j])
 
 
-@lru_cache(maxsize=64)
-def _triple_indices(n: int) -> np.ndarray:
-    """Read-only (3, C(n,3)) index array of the triples a < b < c, in
-    `itertools.combinations` order."""
-    flat = np.fromiter(chain.from_iterable(combinations(range(n), 3)), dtype=np.intp)
-    t = flat.reshape(-1, 3).T
-    t.setflags(write=False)
-    return t
-
-
 def _pair_row(n: int, i, j):
     """Row of the pair i < j in `np.triu_indices(n, 1)` order."""
     return i * (2 * n - i - 1) // 2 + j - i - 1
-
-
-@lru_cache(maxsize=64)
-def _triple_rows(n: int) -> np.ndarray:
-    """Read-only `pair_lams` rows of the pairs (a, b) of the triples a < b < c."""
-    a, b, _ = _triple_indices(n)
-    rows = _pair_row(n, a, b)
-    rows.setflags(write=False)
-    return rows
 
 
 def twist_span_basis(table: PairTable) -> tuple[list[TwistPair], int]:
     """Independent twist pairs spanning the full twist space of the table's
     configuration.
 
-    Seeds the three pairs of the least-collinear triple, then adds two
-    pairs per remaining body, switching anchor when a triple degenerates.
-    Returns (pairs, dimension) with dimension 2n - 3, or n - 1 with basis
-    {(0, j)} when all bodies are collinear.  The area of the triple
-    a < b < c is |lam_abc|, the entry (pair (a, b), c) of the table's
-    `pair_lams`, and the anchor test reads the same row.
+    Seeds the pairs of the triple (a, b, c): the farthest pair a < b and
+    the body c farthest from its line, by the one row |lam_abk| over k.
+    Then adds (a, k) and (b, k) per remaining body k, or (c, k) in place of
+    (b, k) when k lies on the line ab.  Returns (pairs, dimension) with
+    dimension 2n - 3, or n - 1 with basis {(0, j)} when all bodies are
+    collinear: then every body lies within the D x 2h box around the
+    segment ab, so every triple has |lam| <= 2 * COLLINEAR_RTOL * D^2.
     """
     n = table.n
     thresh = COLLINEAR_RTOL * float(table.r.max()) ** 2
-    lams = table.pair_lams()
-    triples = _triple_indices(n)
-    areas = np.abs(lams[_triple_rows(n), triples[2]])
-    # argmax takes the first largest area, in combinations order
-    best = int(np.argmax(areas)) if areas.size else -1
-    if best < 0 or areas[best] <= thresh:
+    # argmax takes the first largest distance in row-major order, so a < b
+    a, b = divmod(int(np.argmax(table.r)), n)
+    areas = np.abs(table.lam(a, b, np.arange(n)))
+    c = int(np.argmax(areas))
+    if areas[c] <= thresh:
         # all collinear (or n == 2): v_0j for j > 0 are independent
         return [(0, j) for j in range(1, n)], n - 1
 
-    a, b, c = (int(v) for v in triples[:, best])
-    pairs: list[TwistPair] = [(a, b), (a, c), (b, c)]
-    others = np.ones(n, dtype=bool)
-    others[[a, b, c]] = False
-    ks = np.flatnonzero(others)
-    anchored = np.abs(lams[_pair_row(n, a, b), ks]) > thresh
-    for k, ok in zip(ks.tolist(), anchored.tolist()):
-        pairs.append((min(a, k), max(a, k)))
-        other = b if ok else c
-        pairs.append((min(other, k), max(other, k)))
+    pairs: list[TwistPair] = [(a, b), (min(a, c), max(a, c)), (min(b, c), max(b, c))]
+    for k in range(n):
+        if k not in (a, b, c):
+            other = b if areas[k] > thresh else c
+            pairs += [(min(a, k), max(a, k)), (min(other, k), max(other, k))]
     return pairs, 2 * n - 3
 
 
 def laura_andoyer_pairs(table: PairTable) -> np.ndarray:
-    """Laura-Andoyer residuals of every pair i < j, in `np.triu_indices(n, 1)` order."""
+    """Laura-Andoyer residuals g . v_ij of every pair i < j, g the gradient
+    of f, in `np.triu_indices(n, 1)` order."""
     m = table.masses
     i, j = _pair_indices(table.n)
-    w = m * (table.R[i] - table.R[j])
-    # row r of pair_lams is lam_ijk; the stacked matmul sums each row as
-    # np.dot(w[r], lam[r]) does
-    return m[i] * m[j] * np.matmul(w[:, None, :], table.pair_lams()[:, :, None])[:, 0, 0]
+    g = _gradient_f(table).reshape(-1, 2)
+    dx, dy = table.dx[i, j], table.dy[i, j]
+    return m[j] * (dy * g[i, 0] - dx * g[i, 1]) - m[i] * (dy * g[j, 0] - dx * g[j, 1])
 
 
 def laura_andoyer(table: PairTable, pair) -> float:

@@ -285,22 +285,26 @@ def _lam_points(p, i, j, k):
 
 
 def twist_span_basis_loop(config: PlanarConfig):
-    """The span basis from a scan of all triples in combinations order."""
-    from itertools import combinations
-
+    """The span basis from a scan of the pairs for the first largest distance,
+    then of the bodies for the largest |lam| against that pair."""
     from twistcc.twist import COLLINEAR_RTOL
     p = config.points
     n = config.n
     thresh = COLLINEAR_RTOL * config.diameter() ** 2
-    best, best_lam = None, -1.0
-    for a, b, c in combinations(range(n), 3):
-        val = abs(_lam_points(p, a, b, c))
-        if val > best_lam:
-            best_lam, best = val, (a, b, c)
-    if best is None or best_lam <= thresh:
+    far, (a, b) = -1.0, (0, 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = np.hypot(p[i, 0] - p[j, 0], p[i, 1] - p[j, 1])
+            if d > far:
+                far, (a, b) = d, (i, j)
+    top, c = -1.0, None
+    for k in range(n):
+        val = abs(_lam_points(p, a, b, k))
+        if val > top:
+            top, c = val, k
+    if top <= thresh:
         return [(0, j) for j in range(1, n)], n - 1
-    a, b, c = best
-    pairs = [(a, b), (a, c), (b, c)]
+    pairs = [(a, b), tuple(sorted((a, c))), tuple(sorted((b, c)))]
     for k in range(n):
         if k in (a, b, c):
             continue

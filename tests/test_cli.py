@@ -137,6 +137,15 @@ def test_every_manifest_lists_its_outputs_and_wall_time(argv, outputs, tmp_path,
         assert manifest["counts"] == {"steps_completed": 10}
 
 
+def test_manifest_keeps_wall_s_when_an_output_is_named_like_its_placeholder(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", str(DATA / "square_1135.json"), "--csv", "<wall_s>"]) == 1
+    manifest = json.loads((tmp_path / "<wall_s>.manifest.json").read_text())
+    assert manifest["outputs"] == ["<wall_s>"]
+    assert isinstance(manifest["wall_s"], float) and manifest["wall_s"] > 0.0
+
+
 @pytest.mark.parametrize("argv", [
     KITE_MAP_4 + ["--csv", "x", "--pgm", "x"],
     ["descend", "{sq}", "--traj", "x", "--final", "x"],

@@ -1,9 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from twistcc.geometry import (PlanarConfig, PotentialParams, build_pair_table,
                               cartesian_gradient_f, center_of_mass)
-from twistcc.twist import (albouy_chenciner_asym, albouy_chenciner_pairs,
+from twistcc.twist import (COLLINEAR_RTOL, albouy_chenciner_asym, albouy_chenciner_pairs,
                            albouy_chenciner_sym, cc_residual, laura_andoyer,
                            laura_andoyer_pairs, max_laura_andoyer, normalized_twist,
                            twist_span_basis, twist_vector)
@@ -79,17 +81,29 @@ def test_normalized_twist_mass_scaling(newton):
     assert np.abs(cross).max() < 1e-12 * np.linalg.norm(va) * np.linalg.norm(vb)
 
 
+def near_collinear_config(rng, n: int) -> PlanarConfig:
+    """Every body on a line except one, at 1e-3 times the diameter from it."""
+    cfg = random_config(rng, n, collinear=True)
+    p = cfg.points.copy()
+    u = (p[1] - p[0]) / np.linalg.norm(p[1] - p[0])
+    p[int(rng.integers(n))] += 1e-3 * cfg.diameter() * np.array([-u[1], u[0]])
+    return PlanarConfig.from_points(p, cfg.masses)
+
+
 def test_span_basis_generic(rng, newton):
-    for _ in range(20):
-        n = int(rng.integers(3, 7))
-        cfg = random_config(rng, n)
+    # the selected twists have the rank of all twists, 2n - 3, also where the
+    # farthest pair and every other body but one are nearly collinear
+    for k in range(40):
+        # bodies 0.2 apart are rarely drawn on a line beyond n = 6
+        cfg = (random_config(rng, int(rng.integers(3, 13))) if k % 2
+               else near_collinear_config(rng, int(rng.integers(3, 7))))
+        n = cfg.n
         basis, dim = twist_span_basis(build_pair_table(cfg, newton))
         assert dim == 2 * n - 3
         assert len(basis) == dim
         assert all_twist_rank(cfg) == dim
         # the selected subset itself must be independent
-        from twistcc.twist import twist_vector as tv
-        M = np.vstack([tv(cfg, p) for p in basis])
+        M = np.vstack([twist_vector(cfg, p) for p in basis])
         s = np.linalg.svd(M, compute_uv=False)
         assert (s > 1e-10 * s[0]).sum() == dim
 
@@ -114,10 +128,10 @@ def test_span_basis_three_bodies(rng, newton):
 def span_basis_cases(rng) -> list[PlanarConfig]:
     t = np.arange(6) * np.pi / 3
     hexagon = PlanarConfig.from_points(np.column_stack([np.cos(t), np.sin(t)]), np.ones(6))
-    cfgs = [square_config(), hexagon]  # exact and near ties among the triple areas
-    # bodies 3 and 4 lie on the line through the anchor pair (0, 1) of the best
-    # triple, so their second pair switches from body 1 to body 2
-    cfgs.append(PlanarConfig.from_points([(0, 0), (4, 0), (0, 3), (1, 0), (2, 0)],
+    cfgs = [square_config(), hexagon]  # exact and near ties among distances and areas
+    # bodies 3 and 4 lie on the line through the farthest pair (0, 1), so their
+    # second pair switches from body 1 to body 2
+    cfgs.append(PlanarConfig.from_points([(0, 0), (4, 0), (2, 1), (1, 0), (3, 0)],
                                          np.ones(5)))
     cfgs += [random_config(rng, n) for n in (2, 3, 4, 5, 8, 12) for _ in range(4)]
     cfgs += [random_config(rng, n, collinear=True) for n in (2, 3, 4, 7)]
@@ -129,46 +143,65 @@ def test_span_basis_matches_loop(rng, newton):
         assert twist_span_basis(build_pair_table(cfg, newton)) == twist_span_basis_loop(cfg)
 
 
-def test_span_basis_core_reads_one_lam_array(rng, newton):
-    # the basis of the loop, with the triple areas and the anchor test read off
-    # the table's one lam array
-    for cfg in span_basis_cases(rng):
-        table = build_pair_table(cfg, newton)
-        lams = table.pair_lams()
-        assert twist_span_basis(table) == twist_span_basis_loop(cfg)
-        assert table.pair_lams() is lams
+def test_span_basis_collinear_only_below_twice_the_threshold(rng, newton):
+    # every body lies in the D x 2h box around the farthest pair, h the largest
+    # distance from its line, so a configuration is taken as collinear only
+    # when every triple has |lam| <= 2 * COLLINEAR_RTOL * D^2
+    ratios = []
+    for _ in range(100):
+        n = int(rng.integers(3, 7))
+        line = random_config(rng, n, collinear=True)
+        p = line.points
+        u = (p[1] - p[0]) / np.linalg.norm(p[1] - p[0])
+        # each body within COLLINEAR_RTOL * D of the line, on either side
+        h = COLLINEAR_RTOL * line.diameter() * rng.uniform(-1.0, 1.0, n)
+        cfg = PlanarConfig.from_points(p + h[:, None] * np.array([-u[1], u[0]]), line.masses)
+        q = cfg.points
+        top = max(abs((q[j, 0] - q[i, 0]) * (q[k, 1] - q[i, 1])
+                      - (q[k, 0] - q[i, 0]) * (q[j, 1] - q[i, 1]))
+                  for i, j, k in combinations(range(n), 3))
+        _, dim = twist_span_basis(build_pair_table(cfg, newton))
+        ratio = top / (COLLINEAR_RTOL * cfg.diameter() ** 2)
+        if dim == n - 1:
+            assert ratio <= 2.0
+            ratios.append(ratio)
+    # both branches are taken, and some collinear ones have triples above the threshold
+    assert 0 < len(ratios) < 100 and max(ratios) > 1.0
 
 
-def test_pair_lams_are_the_table_lam(rng, newton):
-    for n in (2, 3, 5, 8):
-        t = build_pair_table(random_config(rng, n), newton)
-        lams = t.pair_lams()
-        pairs = list(zip(*np.triu_indices(n, 1)))
-        assert lams.shape == (len(pairs), n)
-        for row, (i, j) in enumerate(pairs):
-            for k in range(n):
-                assert lams[row, k].tobytes() == np.float64(t.lam(i, j, k)).tobytes()
+# The gradient's blocks G_i = sum_k m_i m_k |S_ik| r_ik bound the rounding of
+# g . v_ij against the triple sum: at most 8e-15 * max r_ij (m_j G_i + m_i G_j)
+# over 1,350 random configurations (n 2-40, A 2.1-10, scales 1e-3 to 1e3).
+LA_ROUNDING = 3e-14
 
 
-def test_pair_residuals_match_loops(rng, newton):
-    for n in (2, 3, 5, 8, 20):
-        cfg = random_config(rng, n)
-        t = build_pair_table(cfg, newton)
-        m = cfg.masses
-        pairs = list(zip(*np.triu_indices(n, 1)))
-        la = [laura_andoyer_loop(t, m, i, j) for i, j in pairs]
-        b = np.array([[albouy_chenciner_loop(t, m, i, j) if i != j else 0.0
-                       for j in range(n)] for i in range(n)])
-        res = cc_residual(cfg, newton)
-        assert res.la.tolist() == la == laura_andoyer_pairs(t).tolist()
-        assert res.b.tobytes() == b.tobytes() == albouy_chenciner_pairs(t).tobytes()
-        norm = float(m.sum()) ** 2 * float(t.r.max()) ** 2
-        assert res.max_la == max_laura_andoyer(t) == max(abs(v) for v in la) / norm
-        assert res.max_ac == float(np.abs(b).max()) / norm
-        for k, (i, j) in enumerate(pairs):
-            assert laura_andoyer(t, (j, i)) == la[k]
-            assert albouy_chenciner_asym(t, i, j) == b[i, j]
-            assert albouy_chenciner_asym(t, j, i) == b[j, i]
+def test_pair_residuals_match_loops(rng):
+    for A, scale in ((3.0, 1.0), (2.1, 1e-3), (10.0, 1e3)):
+        params = PotentialParams(A)
+        for n in (2, 3, 5, 8, 20):
+            base = random_config(rng, n)
+            cfg = PlanarConfig.from_points(scale * base.points, base.masses)
+            t = build_pair_table(cfg, params)
+            m = cfg.masses
+            iu = np.triu_indices(n, 1)
+            pairs = list(zip(*iu))
+            loop = np.array([laura_andoyer_loop(t, m, i, j) for i, j in pairs])
+            G = (m[:, None] * m * np.abs(t.S) * t.r).sum(axis=1)
+            bound = LA_ROUNDING * (t.r[iu] * (m[iu[1]] * G[iu[0]] + m[iu[0]] * G[iu[1]])).max()
+            la = laura_andoyer_pairs(t)
+            assert np.abs(la - loop).max() <= bound, (A, scale, n)
+            b = np.array([[albouy_chenciner_loop(t, m, i, j) if i != j else 0.0
+                           for j in range(n)] for i in range(n)])
+            res = cc_residual(cfg, params)
+            assert res.la.tobytes() == la.tobytes()
+            assert res.b.tobytes() == b.tobytes() == albouy_chenciner_pairs(t).tobytes()
+            norm = float(m.sum()) ** 2 * float(t.r.max()) ** 2
+            assert res.max_la == max_laura_andoyer(t) == float(np.abs(la).max()) / norm
+            assert res.max_ac == float(np.abs(b).max()) / norm
+            for k, (i, j) in enumerate(pairs):
+                assert laura_andoyer(t, (j, i)) == la[k]
+                assert albouy_chenciner_asym(t, i, j) == b[i, j]
+                assert albouy_chenciner_asym(t, j, i) == b[j, i]
 
 
 def test_laura_andoyer_equilateral(newton):

@@ -62,12 +62,15 @@ import numpy as np
 from .geometry import PotentialParams
 from .intervals import Interval, IntervalArray
 from .kite import (KiteTable, _class_codes, _mass_boundaries, _mass_ratios,
-                   dziobek_coefficients, ha_explicit, hs_explicit, side_powers)
+                   dziobek_coefficients, dziobek_residual, ha_explicit, hs_explicit,
+                   side_powers)
 # unused here; perfbench/tracing.py install() looks both names up on this module
 from .kite import build_kite, kite_blocks  # noqa: F401
 
 # boxes certified together as the lanes of one batch
 BATCH_LANES = 4096
+# floats each end of a scale enclosure may move inward onto a verified sign
+END_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -149,9 +152,14 @@ def certify_kite_scale(z3: IntervalArray, z4: IntervalArray, params: PotentialPa
     where the residual vanishes identically) or where the hull of t is not
     strictly positive.
 
-    No bracket with verified residual signs is tighter: at a scale whose t
-    lies strictly between two corner roots, the residual has both signs at
-    those corners, so its enclosure over the box contains zero.
+    Outward rounding leaves each end a few floats outside the hull of the
+    roots, so an end then steps inward, one float at a time and at most
+    END_STEPS times, while the residual's verified sign over the box keeps
+    it on its side of every root (`_verified_ends`).  No bracket with
+    verified residual signs is tighter, up to the floats the ends do not
+    reach: at a scale whose t lies strictly between two corner roots, the
+    residual has both signs at those corners, so its enclosure over the
+    box contains zero.
 
     z3 and z4 are IntervalArray lanes, and so is the enclosure; a lane with
     no enclosure is a failed lane.
@@ -167,7 +175,39 @@ def certify_kite_scale(z3: IntervalArray, z4: IntervalArray, params: PotentialPa
         Dc, Nc = dziobek_coefficients((p2, *ends))
         t = Nc / Dc
         lo = np.where(D.contains_zero(), np.nan, t.lo.reshape(8, n).min(axis=0))
-        return IntervalArray(lo, t.hi.reshape(8, n).max(axis=0)) ** (-1.0 / params.A)
+        x2 = IntervalArray(lo, t.hi.reshape(8, n).max(axis=0)) ** (-1.0 / params.A)
+        return _verified_ends(x2, powers, D.is_positive(), params.A)
+
+
+def _verified_ends(x2: IntervalArray, powers, d_positive: np.ndarray, A) -> IntervalArray:
+    """x2 with each end stepped inward one float at a time, at most
+    END_STEPS times, while the residual's verified sign over the box keeps
+    the end on its side of every root (`_sides`)."""
+    n = len(x2)
+    ends, box = np.concatenate([x2.lo, x2.hi]), np.tile(np.arange(n), 2)
+    # +1 below every root (the low ends), -1 above them (the high ends)
+    side = np.repeat([1, -1], n)
+    lane = np.arange(2 * n)
+    for _ in range(END_STEPS):
+        step = np.nextafter(ends[lane], side[lane] * np.inf)
+        ok = _sides(step, box[lane], powers, d_positive, A) == side[lane]
+        lane = lane[ok]
+        if not lane.size:
+            break
+        ends[lane] = step[ok]
+    return IntervalArray(ends[:n], ends[n:])
+
+
+def _sides(x: np.ndarray, box: np.ndarray, powers, d_positive: np.ndarray, A) -> np.ndarray:
+    """Per scale x of the box with lane index `box`: +1 where the residual
+    (`kite.dziobek_residual`) over the box has D's sign, so x lies below
+    every root (t D - N has D's sign for t = x^(-A) above every root N/D),
+    -1 where it has the other sign (x above every root), 0 where neither
+    sign is verified."""
+    p2, *rest = powers
+    g = dziobek_residual(IntervalArray(x) ** -A, (p2, *(p[box] for p in rest)))
+    sign = g.is_positive().astype(int) - g.is_negative()
+    return np.where(d_positive[box], sign, -sign)
 
 
 def interval_kite_quantities(z3, z4, x2, params: PotentialParams, powers=None) -> KiteTable:

@@ -396,7 +396,8 @@ class IntervalArray:
         """x^p for real p; lanes that are not strictly positive fail."""
         ok = self.lo > 0.0
         a = _libm_pow(np.where(ok, self.lo, 1.0), p)
-        b = _libm_pow(np.where(ok, self.hi, 1.0), p)
+        # point lanes made from one array share it: one pow serves both ends
+        b = a if self.hi is self.lo else _libm_pow(np.where(ok, self.hi, 1.0), p)
         lo, hi = (a, b) if p >= 0.0 else (b, a)
         return IntervalArray(np.where(ok, _adown(_adown(lo)), math.nan), _aup(_aup(hi)))
 

@@ -132,6 +132,14 @@ def dziobek_coefficients(powers):
     return pd * p2 - p3 * p4, pd + p2 - p3 - p4
 
 
+def dziobek_residual(t, powers):
+    """The Dziobek residual (t*p2 - 1)(t*pd - 1) - (t*p3 - 1)(t*p4 - 1) at
+    t = x2^(-A), each side power appearing once.  Generic over the scalar
+    type, with t the left operand of every product."""
+    p2, pd, p3, p4 = powers
+    return (t * p2 - 1.0) * (t * pd - 1.0) - (t * p3 - 1.0) * (t * p4 - 1.0)
+
+
 # The checks a kite shape must pass, in the order build_kite and then
 # kite_blocks apply them: name -> (error class, message template).
 _CHECKS = {

@@ -408,17 +408,50 @@ def dziobek_corner_roots_ref(z3, z4, A: float):
 
 def kite_scale_corners_ref(z3, z4, params: PotentialParams):
     """Scale enclosure of one box: the hull of the corner roots of
-    `dziobek_corner_roots_ref`, raised to -1/A, as an Interval; None where
-    D contains zero or an evaluation fails (a corner's D contains zero,
-    the hull is not strictly positive, a power overflows)."""
+    `dziobek_corner_roots_ref`, raised to -1/A, its ends then moved inward
+    by `verified_ends_ref`, as an Interval; None where D contains zero or
+    an evaluation fails (a corner's D contains zero, the hull is not
+    strictly positive, a power overflows)."""
     from twistcc.intervals import IntervalError, hull
+    from twistcc.kite import side_powers
     try:
         D, roots = dziobek_corner_roots_ref(z3, z4, params.A)
         if D.contains_zero():
             return None
-        return hull(*roots) ** (-1.0 / params.A)
+        x2 = hull(*roots) ** (-1.0 / params.A)
     except IntervalError:
         return None
+    return verified_ends_ref(x2, side_powers(z3, z4, params.A), D.is_positive(), params.A)
+
+
+def verified_ends_ref(x2, powers, d_positive: bool, A: float):
+    """x2 with each end stepped inward one float at a time, at most
+    END_STEPS times, while the residual's sign over the box places it on
+    its side of every root (below them for the low end, above for the
+    high end)."""
+    from twistcc.certify import END_STEPS
+    from twistcc.intervals import Interval, IntervalError
+    p2, pd, p3, p4 = powers
+
+    def side(x: float) -> int:
+        """+1 below every root of the box, -1 above them, 0 unverified."""
+        try:
+            t = Interval(x) ** -A
+            g = (t * p2 - 1.0) * (t * pd - 1.0) - (t * p3 - 1.0) * (t * p4 - 1.0)
+        except IntervalError:
+            return 0
+        sign = 1 if g.is_positive() else -1 if g.is_negative() else 0
+        return sign if d_positive else -sign
+
+    ends = []
+    for end, want in ((x2.lo, 1), (x2.hi, -1)):
+        for _ in range(END_STEPS):
+            step = math.nextafter(end, want * math.inf)
+            if side(step) != want:
+                break
+            end = step
+        ends.append(end)
+    return Interval(*ends)
 
 
 # cap on the quarter-point probing rounds of `certify_kite_scale_ref`

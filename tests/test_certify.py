@@ -284,6 +284,7 @@ def test_scale_enclosure_holds_roots_inside_bracket_on_sampled_boxes(rng, A):
        st.floats(2.0, 12.0, exclude_min=True))
 @example([(-3.0, -3.0, (SQRT3 - 1.0) / 1.2, (1 / SQRT3 - 0.01) / 0.86)], 3.0)
 @example([(-2.0, -2.0, 0.5, 0.9), (-7.0, -7.0, 0.83, 0.91), (-1.0, -1.0, 1.0, 0.0)], 6.0)
+@example([(-7.0, -5.060546875, 0.0, 0.999)], 10.12109375)
 def test_scale_enclosure_holds_roots_inside_bracket(boxes, A):
     # boxes of widths 10^e3 x 10^e4 at relative places u3, u4 in the window
     w3, w4 = 10.0 ** np.array([b[0] for b in boxes]), 10.0 ** np.array([b[1] for b in boxes])

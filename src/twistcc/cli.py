@@ -13,14 +13,17 @@ status 2), like bad input, and takes back the run's outputs already
 written: none is left without its manifest.
 Body and pair indices are 1-based on the command line.
 
-Each CSV row is built as one string (numbers from `.tolist()` values,
-formatted with `.17g`) and the table is written in one piece by
-`write_csv_atomic`.  Kite-map cell coordinates, mass ratios and scales
-and certify box edges repeat across rows, so each distinct value is
-formatted once (`_formatted`, NaN as an empty field) and its rows paste
-the string.  Free-text fields (certificates, kite-map errors and labels)
-go through `csv_field`, which quotes them as the csv module's minimal
-quoting does, so any CSV reader parses them back.
+Each CSV table is built as columns of field texts, and `write_csv_atomic`
+joins them row by row and writes the table in one piece.  Numbers are
+formatted with `.17g` from `.tolist()` values.  Kite-map cell
+coordinates, mass ratios and scales and certify box edges repeat across
+rows, so each distinct value is formatted once (`_formatted`, NaN as an
+empty field); columns of all-distinct values (residuals, trajectories)
+are formatted value by value (`_texts`).  Columns of codes (classes,
+flags, block labels, certify outcomes, indices) look their texts up in a
+short table.  Free-text fields (certificates, kite-map errors and
+labels) go through `csv_field`, which quotes them as the csv module's
+minimal quoting does, so any CSV reader parses them back.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -72,6 +76,25 @@ def _formatted(values) -> list[str]:
     return text[inverse].tolist()
 
 
+def _texts(values):
+    """`f"{v:.17g}"` of each element of the 1-D float array `values` ("nan"
+    for a NaN), formatted as the rows are joined, so that no column of a
+    long trajectory is held as texts.  For columns whose values are all
+    distinct, where `_formatted`'s sort costs more than it saves."""
+    return map("{:.17g}".format, values.tolist())
+
+
+def _coded(texts, codes) -> list[str]:
+    """`texts[c]` for each element c of the 1-D int array `codes`."""
+    return np.array(texts, dtype=object)[codes].tolist()
+
+
+def _indices(values, missing: str) -> list[str]:
+    """The decimal text of each element of the 1-D array `values` of
+    integers >= -1, and `missing` for -1."""
+    return _coded([missing, *map(str, range(int(values.max(initial=-1)) + 1))], values + 1)
+
+
 def write_atomic(path: str, data: str | bytes) -> None:
     """Write `data` to `path.tmp` and rename it to `path`.  A failure removes
     the `.tmp` and raises an OSError that names `path`."""
@@ -99,10 +122,22 @@ def csv_field(text: str) -> str:
     return text
 
 
-def write_csv_atomic(path: str, header, lines) -> None:
-    """Write the header fields and then `lines`, each a row already joined
-    with commas, one row per line."""
-    write_atomic(path, "\n".join([",".join(map(csv_field, header)), *lines, ""]))
+def write_csv_atomic(path: str, header, columns) -> None:
+    """Write the header fields and then the rows of `columns`, joined with
+    commas, one row per line.  `columns` is an iterable of columns, each an
+    iterable of texts of one field, or of adjacent fields already joined
+    with commas (free text already quoted by `csv_field`).  Columns of
+    different lengths raise ValueError before anything is written.  Given
+    as a generator, each column is freed once its rows are joined, before
+    the table's text is built."""
+    rows = map(",".join, zip(*columns, strict=True))
+    write_atomic(path, "\n".join([",".join(map(csv_field, header)), *rows, ""]))
+
+
+def _stacked(*tables) -> list[list[str]]:
+    """The columns of `tables`, each a list of columns, with the rows of each
+    table under those of the one before."""
+    return [list(chain(*parts)) for parts in zip(*tables, strict=True)]
 
 
 @dataclass
@@ -194,10 +229,6 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
     _check_tol(args.tol)
     config, params = _load(args.config)
     res = cc_residual(config, params, tol=args.tol)
-    i, j = np.triu_indices(config.n, 1)
-    lines = [f"{a},{b},{la:.17g},{bij:.17g},{bji:.17g}"
-             for a, b, la, bij, bji in zip((i + 1).tolist(), (j + 1).tolist(), res.la.tolist(),
-                                           res.b[i, j].tolist(), res.b[j, i].tolist())]
     U = potential_u(config, params)
     I = moment_of_inertia(config)
     print(f"f = {fmt(f_value(config, params))}")
@@ -208,17 +239,23 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
     print(f"max_ac = {fmt(res.max_ac)}")
     print(f"is_cc = {res.is_cc} (tol = {fmt(args.tol)})")
     if args.csv:
-        write_csv_atomic(args.csv, ["i", "j", "la", "b_ij", "b_ji"], lines)
+        write_csv_atomic(args.csv, ["i", "j", "la", "b_ij", "b_ji"], _eval_columns(config.n, res))
     manifest = RunManifest("eval", {"config": args.config}, [args.config],
                            tolerances={"tol": args.tol})
     return (0 if res.is_cc else 1), manifest
 
 
-def _trajectory_lines(positions, masses, params):
-    """Trajectory CSV rows of the (K, 2n) stacked positions, I and f from one row pass."""
+def _eval_columns(n: int, res) -> list:
+    """The residual CSV columns of `n` bodies, one row per pair i < j."""
+    i, j = np.triu_indices(n, 1)
+    return [_indices(i + 1, ""), _indices(j + 1, ""),
+            *map(_texts, (res.la, res.b[i, j], res.b[j, i]))]
+
+
+def _trajectory_columns(positions, masses, params) -> list:
+    """Trajectory CSV columns of the (K, 2n) stacked positions, I and f from one row pass."""
     _, f, _, inertia, _ = _row_pass(positions, masses, params.A)
-    for step, values in enumerate(np.column_stack([positions, inertia, f]).tolist()):
-        yield ",".join([str(step), *map("{:.17g}".format, values)])
+    return [map(str, range(f.size)), *map(_texts, np.column_stack([positions, inertia, f]).T)]
 
 
 def _trajectory_header(n):
@@ -300,7 +337,7 @@ def cmd_descend(args) -> tuple[int, RunManifest]:
     if args.traj:
         positions = np.array([pos for _, pos, _, _ in report.history])
         write_csv_atomic(args.traj, _trajectory_header(config.n),
-                         _trajectory_lines(positions, config.masses, params))
+                         _trajectory_columns(positions, config.masses, params))
     if args.final:
         write_atomic(args.final, config_to_json(final, params) + "\n")
     drawn = args.random is not None
@@ -327,7 +364,7 @@ def cmd_flow(args) -> tuple[int, RunManifest]:
     traj = flow_fixed_combo(config, spec)
     positions = np.array([c.positions for c in traj])
     write_csv_atomic(args.traj, _trajectory_header(config.n),
-                     _trajectory_lines(positions, config.masses, params))
+                     _trajectory_columns(positions, config.masses, params))
     completed = len(traj) - 1
     print(f"steps_completed = {completed}")
     return 0, RunManifest("flow", {"config": args.config, "pairs": args.pairs,
@@ -338,21 +375,27 @@ def cmd_flow(args) -> tuple[int, RunManifest]:
 MATRIX_CSV_COLUMNS = ["kind", "row", "col", "dir_row", "dir_col", "value"]
 
 
-def _matrix_lines(tm, eigenvalues) -> list[str]:
-    """The "entry" rows of a twist matrix, then one "eigenvalue" row each.
+def _matrix_columns(tm, eigenvalues) -> list[list[str]]:
+    """The columns of the "entry" rows of a twist matrix, then of one
+    "eigenvalue" row each.
 
     `assemble_twist_hessian` makes the matrix exactly symmetric, so each
     entry of the upper triangle is formatted once and mirrored.
     """
+    k = len(tm.directions)
     names = [csv_field(d.name) for d in tm.directions]
-    k = len(names)
-    text = [[""] * k for _ in range(k)]
-    for a, row in enumerate(tm.matrix.tolist()):
-        for b in range(a, k):
-            text[a][b] = text[b][a] = f"{row[b]:.17g}"
-    lines = [f"entry,{a},{b},{names[a]},{names[b]},{text[a][b]}"
-             for a in range(k) for b in range(k)]
-    return lines + [f"eigenvalue,{k},,,,{v:.17g}" for k, v in enumerate(eigenvalues.tolist())]
+    numbers = list(map(str, range(k)))
+    upper = np.triu_indices(k)
+    # entry (a, b) and its mirror (b, a) read the text of the same upper entry
+    twin = np.empty((k, k), np.intp)
+    twin[upper] = twin[upper[::-1]] = np.arange(upper[0].size)
+    values = _coded(list(_texts(tm.matrix[upper])), twin.ravel())
+    a, b = np.divmod(np.arange(k * k), k)
+    entries = [["entry"] * (k * k), _coded(numbers, a), _coded(numbers, b),
+               _coded(names, a), _coded(names, b), values]
+    blank = [""] * k
+    return _stacked(entries, [["eigenvalue"] * k, numbers, blank, blank, blank,
+                              _texts(eigenvalues)])
 
 
 def cmd_hessian(args) -> tuple[int, RunManifest]:
@@ -365,7 +408,7 @@ def cmd_hessian(args) -> tuple[int, RunManifest]:
     print(f"span_dimension = {dim}")
     print(f"signature = ({neg} neg, {zero} zero, {pos} pos)")
     if args.csv:
-        write_csv_atomic(args.csv, MATRIX_CSV_COLUMNS, _matrix_lines(tm, w))
+        write_csv_atomic(args.csv, MATRIX_CSV_COLUMNS, _matrix_columns(tm, w))
     return 0, RunManifest("hessian", {"config": args.config, "normalized": args.normalized},
                           [args.config])
 
@@ -380,17 +423,21 @@ MAP_CSV_COLUMNS = ["z3", "z4", "class", "mu31", "mu41", "x2", "idx_Hs", "idx_Ha"
                    "idx_total", "degenerate_flag", "which_block_changed", "error"]
 
 
-def _map_lines(m: IndexMap):
-    """The kite-map CSV rows, one per cell; mu31, mu41 and x2 are empty where
-    NaN, and the indices unless the cell passes every check."""
-    labels = [csv_field(label) for label in _BLOCK_LABELS]
-    for z3, z4, klass, mu31, mu41, x2, hs, ha, degenerate, changed, error in zip(
-            _formatted(m.z3), _formatted(m.z4), m.klass.tolist(),
-            *(_formatted(v) for v in (m.mu31, m.mu41, m.x2)), m.idx_hs.tolist(),
-            m.idx_ha.tolist(), m.degenerate.tolist(), m.changed.tolist(), m.errors):
-        idx = f"{hs},{ha},{hs + ha}" if hs >= 0 else ",,"
-        yield (f"{z3},{z4},{KITE_CLASSES[klass]},{mu31},{mu41},{x2},{idx},{int(degenerate)},"
-               f"{labels[changed]},{error and csv_field(error)}")
+def _map_columns(m: IndexMap):
+    """The kite-map CSV columns in turn, one row per cell; mu31, mu41 and x2
+    are empty where NaN, and the indices unless the cell passes every check.
+    One column holds the three index fields, idx_Hs,idx_Ha,idx_total."""
+    yield from map(_formatted, (m.z3, m.z4))
+    yield _coded(KITE_CLASSES, m.klass)
+    yield from map(_formatted, (m.mu31, m.mu41, m.x2))
+    hs, ha = m.idx_hs + 1, m.idx_ha + 1     # -1 (unchecked) to 0
+    width = int(ha.max(initial=0)) + 1
+    yield _coded([f"{a - 1},{b - 1},{a + b - 2}" if a else ",,"
+                  for a in range(int(hs.max(initial=0)) + 1) for b in range(width)],
+                 hs * width + ha)
+    yield _coded(("0", "1"), m.degenerate.astype(np.intp))
+    yield _coded([csv_field(label) for label in _BLOCK_LABELS], m.changed)
+    yield [error and csv_field(error) for error in m.errors]
 
 
 def write_pgm(index_map: IndexMap, n3: int, n4: int, path) -> None:
@@ -417,7 +464,7 @@ def cmd_kite_map(args) -> tuple[int, RunManifest]:
             f"limit of {MAX_CELLS} per run")
     params = PotentialParams(args.A)
     m = kite_index_map(z3_lo, z3_hi, n3, z4_lo, z4_hi, n4, params)
-    write_csv_atomic(args.csv, MAP_CSV_COLUMNS, _map_lines(m))
+    write_csv_atomic(args.csv, MAP_CSV_COLUMNS, _map_columns(m))
     if args.pgm:
         write_pgm(m, n3, n4, args.pgm)
     computed = int(m.computed.sum())
@@ -435,15 +482,16 @@ def cmd_kite_map(args) -> tuple[int, RunManifest]:
                           counts=counts)
 
 
-def _certify_lines(certs: Certificates, total: np.ndarray):
-    """The certify CSV rows in lane order; total is -1 where a block is Unknown."""
-    cells = [f"{'Unknown' if o.value is None else o.value},{csv_field(o.certificate)}"
-             for o in OUTCOMES]
-    for a, b, c, d, s, t, v in zip(_formatted(certs.z3.lo), _formatted(certs.z3.hi),
-                                   _formatted(certs.z4.lo), _formatted(certs.z4.hi),
-                                   certs.hs.tolist(), certs.ha.tolist(), total.tolist()):
-        yield (f"{a},{b},{c},{d},{cells[s]},{cells[t]},"
-               f"{'Unknown' if v < 0 else v}")
+def _certify_columns(certs: Certificates, total: np.ndarray):
+    """The certify CSV columns in turn, one row per box in lane order; total
+    is -1 where a block is Unknown.  One column holds a block's two fields,
+    its index and its certificate."""
+    yield from map(_formatted, (certs.z3.lo, certs.z3.hi, certs.z4.lo, certs.z4.hi))
+    outcomes = [f"{'Unknown' if o.value is None else o.value},{csv_field(o.certificate)}"
+                for o in OUTCOMES]
+    yield _coded(outcomes, certs.hs)
+    yield _coded(outcomes, certs.ha)
+    yield _indices(total, "Unknown")
 
 
 def cmd_certify(args) -> tuple[int, RunManifest]:
@@ -466,7 +514,7 @@ def cmd_certify(args) -> tuple[int, RunManifest]:
     hs, ha = value[certs.hs], value[certs.ha]
     total = np.where((hs >= 0) & (ha >= 0), hs + ha, -1)
     write_csv_atomic(args.csv, ["z3_lo", "z3_hi", "z4_lo", "z4_hi", "idx_Hs", "cert_Hs",
-                                "idx_Ha", "cert_Ha", "idx_total"], _certify_lines(certs, total))
+                                "idx_Ha", "cert_Ha", "idx_total"], _certify_columns(certs, total))
     decided = int((total >= 0).sum())
     print(f"boxes = {total.size}, certified = {decided}, coverage = {decided / total.size:.3f}")
     counts = {"boxes": total.size, "decided": {}, "unknown": {}}
@@ -500,11 +548,12 @@ def cmd_lagrange(args) -> tuple[int, RunManifest]:
     print(f"signature = ({neg} neg, {zero} zero, {pos} pos)")
     print(f"eigenvalues = {', '.join(fmt(v) for v in w)}")
     print(f"char_poly_coeffs (a0, a1, a2) = {fmt(a0)}, {fmt(a1)}, {fmt(a2)}")
-    lines = _matrix_lines(tm, w)
-    lines += [f"charpoly,{name},,,,{val:.17g}"
-              for name, val in (("a0", a0), ("a1", a1), ("a2", a2))]
     if args.csv:
-        write_csv_atomic(args.csv, MATRIX_CSV_COLUMNS, lines)
+        blank = [""] * 3
+        charpoly = [["charpoly"] * 3, ["a0", "a1", "a2"], blank, blank, blank,
+                    [fmt(a0), fmt(a1), fmt(a2)]]
+        write_csv_atomic(args.csv, MATRIX_CSV_COLUMNS,
+                         _stacked(_matrix_columns(tm, w), charpoly))
     return 0, RunManifest("lagrange", {"masses": args.masses, "A": args.A})
 
 

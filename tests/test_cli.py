@@ -725,10 +725,10 @@ def test_lagrange_table_matches_csv_writer(tmp_path):
 
 
 def test_written_twist_matrices_are_exactly_symmetric(monkeypatch, rng, tmp_path):
-    # `_matrix_lines` formats the upper triangle once and mirrors it
+    # `_matrix_columns` formats the upper triangle once and mirrors it
     seen = []
-    lines = cli._matrix_lines
-    monkeypatch.setattr(cli, "_matrix_lines", lambda tm, w: seen.append(tm) or lines(tm, w))
+    columns = cli._matrix_columns
+    monkeypatch.setattr(cli, "_matrix_columns", lambda tm, w: seen.append(tm) or columns(tm, w))
     files = [str(DATA / "square_1135.json"), str(DATA / "lagrange_123.json")]
     for n in (5, 12):
         files.append(str(tmp_path / f"r{n}.json"))
@@ -816,3 +816,65 @@ def test_csv_field_round_trips(fields):
 def test_csv_field_quotes_carriage_return():
     assert csv_field("a\rb") == '"a\rb"'
     assert csv_field("") == "" and csv_field("Ha+Hs") == "Ha+Hs"
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, rows, columns): a table of 1-6 columns and 0-40 rows, each
+    column either free text, quoted through `csv_field` as callers quote it,
+    or floats through `_formatted`.  A one-column table has no empty field:
+    csv.writer writes a row of one empty field as "", which an empty line
+    would not read back as."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(0, 40))
+    text = TEXT if width > 1 else TEXT.filter(bool)
+    floats = st.sampled_from(SPECIAL_FLOATS) | st.floats()
+    if width == 1:
+        floats = floats.filter(lambda x: x == x)
+    header, fields, columns = draw(st.lists(text, min_size=width, max_size=width)), [], []
+    for _ in range(width):
+        if draw(st.booleans()):
+            texts = draw(st.lists(text, min_size=height, max_size=height))
+            columns.append([csv_field(t) for t in texts])
+        else:
+            values = draw(st.lists(floats, min_size=height, max_size=height))
+            columns.append(cli._formatted(np.array(values, dtype=np.float64)))
+            texts = ["" if x != x else f"{x:.17g}" for x in values]
+        fields.append(texts)
+    return header, [list(row) for row in zip(*fields)], columns
+
+
+@given(table=csv_tables())
+def test_csv_writer_matches_csv_module(table, tmp_path_factory):
+    header, rows, columns = table
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    cli.write_csv_atomic(str(path), header, columns)
+    text = path.read_bytes().decode()
+    assert list(csv.reader(io.StringIO(text))) == [header, *rows]
+    if "\r" not in text:        # csv.writer leaves \r unquoted; csv_field quotes it
+        assert text == csv_text_ref(header, rows)
+
+
+@pytest.mark.parametrize("columns", [
+    [["1", "2"], ["3"]],
+    [["1"], ["2", "3"]],
+    [iter(["1", "2"]), map(str, range(3))],
+    (column for column in (["1", "2"], ["3", "4"], ["5"])),
+])
+def test_write_csv_atomic_refuses_a_ragged_table(columns, tmp_path):
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError):
+        cli.write_csv_atomic(str(path), ["a", "b"], columns)
+    assert list(tmp_path.iterdir()) == []       # neither the table nor its .tmp
+
+
+def test_tables_are_formatted_only_when_written(monkeypatch, tmp_path, capsys):
+    # eval and lagrange print their summaries; rows are formatted for --csv only
+    calls = []
+    texts = cli._texts
+    monkeypatch.setattr(cli, "_texts", lambda values: calls.append(values) or texts(values))
+    assert main(["eval", str(DATA / "lagrange_123.json")]) == 0
+    assert main(["lagrange", "--masses", "1,2,3"]) == 0
+    assert calls == []
+    assert main(["eval", str(DATA / "lagrange_123.json"), "--csv", str(tmp_path / "e.csv")]) == 0
+    assert main(["lagrange", "--masses", "1,2,3", "--csv", str(tmp_path / "l.csv")]) == 0
+    assert len(calls) == 3 + 2

@@ -189,6 +189,7 @@ def _verified_ends(x2: IntervalArray, powers, d_positive: np.ndarray, A) -> Inte
     side = np.repeat([1, -1], n)
     lane = np.arange(2 * n)
     for _ in range(END_STEPS):
+        # nextafter, not intervals' rounding bound: a step is exactly one float
         step = np.nextafter(ends[lane], side[lane] * np.inf)
         ok = _sides(step, box[lane], powers, d_positive, A) == side[lane]
         lane = lane[ok]

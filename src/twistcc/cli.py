@@ -44,7 +44,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .certify import OUTCOMES, Certificates, certify_boxes
+from .certify import NOT_ADMISSIBLE, OUTCOMES, Certificates, certify_boxes
 # unused here; perfbench/tracing.py install() looks the name up on this module
 from .certify import certify_box  # noqa: F401
 from .geometry import (ExponentRangeError, GeometryError, PlanarConfig, PotentialParams,
@@ -517,7 +517,11 @@ def cmd_certify(args) -> tuple[int, RunManifest]:
                                 "idx_Ha", "cert_Ha", "idx_total"], _certify_columns(certs, total))
     decided = int((total >= 0).sum())
     print(f"boxes = {total.size}, certified = {decided}, coverage = {decided / total.size:.3f}")
-    counts = {"boxes": total.size, "decided": {}, "unknown": {}}
+    # both blocks get NOT_ADMISSIBLE or neither; nan when no box is admissible
+    admissible = int((certs.hs != OUTCOMES.index(NOT_ADMISSIBLE)).sum())
+    print(f"admissible = {admissible}, "
+          f"admissible_coverage = {decided / admissible if admissible else math.nan:.3f}")
+    counts = {"boxes": total.size, "admissible": admissible, "decided": {}, "unknown": {}}
     for block, codes in (("Hs", certs.hs), ("Ha", certs.ha)):
         n = np.bincount(codes, minlength=len(OUTCOMES))
         unknown = Counter()

@@ -1,11 +1,20 @@
 """Closed-interval arithmetic with outward rounding.
 
 Every operation returns an interval guaranteed to contain the exact real
-result for any members of the operand intervals.  Outward rounding is
-done with math.nextafter: one ulp for correctly rounded primitives
-(+, -, *, /, sqrt), two ulps for libm-backed powers, which are only
-faithfully rounded.  No hardware rounding-mode control is needed, so the
-arithmetic is portable and thread-safe.
+result for any members of the operand intervals.  Each endpoint is
+rounded outward by the error bound of Rump, Zimmermann, Boldo &
+Melquiond ("Computing predecessor and successor in rounding to nearest",
+BIT 49, 2009): in round-to-nearest, with e = fl(fl(phi |x|) + eta),
+phi = 2^-53 (1 + 2^-52) and eta = 2^-1074 the smallest subnormal,
+fl(x + e) >= succ(x) and fl(x - e) <= pred(x).  It is the neighbouring
+float itself, except for |x| in [2^-1022, 2^-1020], where it may be the
+second float out.  An infinite end is clamped first: the lower end
+rounds min(x, max) and the upper end max(x, -max), so +inf rounds down
+to pred(max) and -inf up to -pred(max) rather than to inf - inf = NaN.
+Correctly rounded primitives (+, -, *, /, sqrt) get the bound once,
+libm-backed powers, which are only faithfully rounded, twice.  Only
++, *, abs and comparisons are used, so no hardware rounding-mode control
+is needed and the arithmetic is portable and thread-safe.
 
 `x ** p` follows the type of the exponent: an int p multiplies
 repeatedly (any interval; a negative p divides into 1), a float p is
@@ -14,8 +23,9 @@ integral, e.g. `x ** -3.0`).  Scalar-generic formulas can thus write
 `r ** -A` for floats and intervals alike.
 
 `IntervalArray` holds many intervals ("lanes") as float64 arrays `lo`
-and `hi` and rounds every lane exactly as `Interval` does, with
-np.nextafter, so each lane is bit for bit the `Interval` result.  Powers
+and `hi` and rounds every lane exactly as `Interval` does: the same
+bound in the same IEEE double operations, as in-place numpy passes, so
+each lane is bit for bit the `Interval` result.  Powers
 go through libm per lane (`math.pow`, as `Interval.pow_real`), because
 numpy's vectorized power can differ from libm in the last ulp.  Where
 `Interval` raises (a zero-containing divisor, a real power of a
@@ -28,18 +38,28 @@ failed lane is neither positive nor negative: it can never decide a sign.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-_INF = math.inf
+# the outward-rounding bound of the module docstring
+_MAX = sys.float_info.max
+_PHI = 2.0 ** -53 * (1.0 + 2.0 ** -52)
+_ETA = 2.0 ** -1074
 
 
 def _down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+    """A float <= pred(x); pred(max) for +inf, NaN for NaN."""
+    if x > _MAX:
+        x = _MAX
+    return x - (abs(x) * _PHI + _ETA)
 
 
 def _up(x: float) -> float:
-    return math.nextafter(x, _INF)
+    """A float >= succ(x); -pred(max) for -inf, NaN for NaN."""
+    if x < -_MAX:
+        x = -_MAX
+    return x + (abs(x) * _PHI + _ETA)
 
 
 def _down2(x: float) -> float:
@@ -208,11 +228,23 @@ _LIBM_POW = np.frompyfunc(math.pow, 2, 1)
 
 
 def _adown(x):
-    return np.nextafter(x, -_INF)
+    """_down per lane, bit for bit; x is left as it is."""
+    x = np.minimum(x, _MAX)
+    e = np.abs(x)
+    e *= -_PHI          # -e: rounding to nearest is symmetric, so x + (-e) is x - e
+    e -= _ETA
+    e += x
+    return e
 
 
 def _aup(x):
-    return np.nextafter(x, _INF)
+    """_up per lane, bit for bit; x is left as it is."""
+    x = np.maximum(x, -_MAX)
+    e = np.abs(x)
+    e *= _PHI
+    e += _ETA
+    e += x
+    return e
 
 
 def _pow_or_nan(x: float, p: float) -> float:

@@ -576,7 +576,7 @@ def test_certify_overflow_midpoint_is_unknown(tmp_path):
 
 
 @pytest.mark.parametrize("z3, z4, subdivide, A", WINDOWS)
-def test_certify_manifest_counts(z3, z4, subdivide, A, tmp_path):
+def test_certify_manifest_counts(z3, z4, subdivide, A, tmp_path, capsys):
     # inadmissible, undecided, decided and failed boxes, at A = 3 and 1000
     out = tmp_path / "cert.csv"
     assert main(["certify", "--z3", f"{z3[0]!r},{z3[1]!r}", "--z4", f"{z4[0]!r},{z4[1]!r}",
@@ -586,6 +586,8 @@ def test_certify_manifest_counts(z3, z4, subdivide, A, tmp_path):
     manifest = json.loads((tmp_path / "cert.csv.manifest.json").read_text())
     assert manifest["counts"] == {
         "boxes": len(rows),
+        "admissible": sum(1 for r in rows
+                          if r["cert_Hs"] != "box not verified inside one admissible class"),
         "decided": {b: sum(1 for r in rows if r[f"idx_{b}"] != "Unknown")
                     for b in ("Hs", "Ha")},
         "unknown": {b: dict(Counter(r[f"cert_{b}"].split(":")[0]
@@ -596,6 +598,22 @@ def test_certify_manifest_counts(z3, z4, subdivide, A, tmp_path):
         # straddles z3 = sqrt3, so the boxes mix decided, inadmissible and undecided
         assert 0 < manifest["counts"]["decided"]["Ha"] < len(rows)
     assert manifest["wall_s"] > 0.0
+    # coverage over every box, then over the admissible ones
+    decided = sum(1 for r in rows if r["idx_total"] != "Unknown")
+    admissible = manifest["counts"]["admissible"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"boxes = {len(rows)}, certified = {decided}, coverage = {decided / len(rows):.3f}",
+        f"admissible = {admissible}, admissible_coverage = "
+        f"{decided / admissible if admissible else math.nan:.3f}",
+    ]
+
+
+def test_certify_admissible_coverage_without_admissible_boxes(tmp_path, capsys):
+    # the full window as one box is neither tall nor wide throughout
+    out = tmp_path / "cert.csv"
+    assert main(["certify", "--z3", "1.0,2.2", "--z4", "0.01,0.87", "--csv", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "admissible = 0, admissible_coverage = nan"
+    assert json.loads((tmp_path / "cert.csv.manifest.json").read_text())["counts"]["admissible"] == 0
 
 
 @pytest.mark.parametrize("dt, pairs", [

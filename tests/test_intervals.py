@@ -1,13 +1,15 @@
 import math
 import operator
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcc.intervals import Interval, IntervalArray, IntervalDomainError, IntervalError, hull
+from twistcc.intervals import (Interval, IntervalArray, IntervalDomainError, IntervalError,
+                               _adown, _aup, _down, _down2, _up, _up2, hull)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -133,6 +135,94 @@ def test_scalar_mixing(x, c, t):
     assert (c * x).contains(c * a)
     if not x.contains_zero() and x.mag > 1e-300:
         assert (c / x).contains(c / a)
+
+
+# --- outward rounding -------------------------------------------------------------
+
+BIG, TINY = sys.float_info.max, sys.float_info.min
+# normals, subnormals, signed zeros, the ends of the normal range, both sides
+# of the powers of two where the float spacing changes, and the infinities
+ROUNDING_CASES = [s * v for s in (1.0, -1.0) for v in (
+    0.0, 5e-324, 1e-310, math.nextafter(TINY, 0.0), TINY, 2.0 ** -1021, 2.0 ** -1020,
+    math.nextafter(2.0 ** -1020, 1.0), 0.1, 1.0, math.nextafter(1.0, 0.0), 3.0, 2.0 ** 600,
+    math.nextafter(BIG, 0.0), BIG, math.inf)]
+# where the bound may be the second float out
+band = st.builds(operator.mul, st.sampled_from([1.0, -1.0]),
+                 st.floats(min_value=2.0 ** -1022, max_value=2.0 ** -1020))
+rounded = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(ROUNDING_CASES), band)
+
+
+def rounded_lane(fn, x: float) -> float:
+    lane = np.array([x, x])
+    with np.errstate(over="ignore"):
+        out = fn(lane)
+    assert bits(lane[0]) == bits(x)     # the operand is left as it is
+    return out[0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=rounded)
+def test_rounding_is_outward(x):
+    with np.errstate(over="ignore"):
+        up, down = np.nextafter(x, math.inf), np.nextafter(x, -math.inf)
+        up2, down2 = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+    assert _up(x) >= up and _down(x) <= down
+    # libm powers get two steps of the bound: at or beyond two floats out
+    assert _up2(x) >= up2 and _down2(x) <= down2
+    # every lane is the scalar result bit for bit
+    for scalar, lanes in ((_up, _aup), (_down, _adown), (_up2, lambda a: _aup(_aup(a))),
+                          (_down2, lambda a: _adown(_adown(a)))):
+        assert bits(rounded_lane(lanes, x)) == bits(scalar(x)), (scalar, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=rounded)
+def test_rounding_is_the_neighbour_off_the_band(x):
+    # outside |x| in [2^-1022, 2^-1020] the bound is the neighbouring float (up
+    # to the sign of a zero: -5e-324 rounds up to 0.0, not -0.0), inside it at
+    # most the second float out; an infinite end is clamped to +-max first, one
+    # float looser than nextafter
+    up = -math.nextafter(BIG, 0.0) if x == -math.inf else math.nextafter(x, math.inf)
+    down = math.nextafter(BIG, 0.0) if x == math.inf else math.nextafter(x, -math.inf)
+    if 2.0 ** -1022 <= abs(x) <= 2.0 ** -1020:
+        assert up <= _up(x) <= math.nextafter(up, math.inf)
+        assert math.nextafter(down, -math.inf) <= _down(x) <= down
+    else:
+        assert (_up(x), _down(x)) == (up, down)
+
+
+def test_rounding_on_random_bit_patterns():
+    # 200,000 finite floats drawn uniformly over their bit patterns, so every
+    # binade about equally often, as lanes: outward, the neighbour off the band
+    # and at most two floats out in it
+    x = np.random.default_rng(0).integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64)
+    x = x[np.isfinite(x)]
+    with np.errstate(over="ignore"):
+        up, down = _aup(x), _adown(x)
+        succ, pred = np.nextafter(x, math.inf), np.nextafter(x, -math.inf)
+        succ2, pred2 = np.nextafter(succ, math.inf), np.nextafter(pred, -math.inf)
+    assert (up >= succ).all() and (down <= pred).all()
+    in_band = (2.0 ** -1022 <= np.abs(x)) & (np.abs(x) <= 2.0 ** -1020)
+    assert in_band.any()
+    assert (up[~in_band] == succ[~in_band]).all() and (down[~in_band] == pred[~in_band]).all()
+    assert (up[in_band] <= succ2[in_band]).all() and (down[in_band] >= pred2[in_band]).all()
+
+
+def test_rounding_keeps_nan():
+    assert math.isnan(_up(math.nan)) and math.isnan(_down(math.nan))
+    assert np.isnan(_aup(np.array([math.nan]))).all()
+    assert np.isnan(_adown(np.array([math.nan]))).all()
+
+
+def test_overflowing_product_stays_an_interval():
+    # every candidate product is +inf: the lower end clamps to max first, so it
+    # rounds to a finite float rather than to inf - inf
+    for p in (Interval(1e200) * Interval(1e200), Interval(1.34e154) ** 4):
+        assert p.lo <= BIG and p.hi == math.inf
+    with np.errstate(over="ignore"):
+        lanes = IntervalArray([1e200]) * IntervalArray([1e200])
+    assert_lanes(lanes, [Interval(1e200) * Interval(1e200)])
 
 
 # --- IntervalArray: lanes that round as Interval does ---------------------------

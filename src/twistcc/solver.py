@@ -4,8 +4,8 @@ Because every twist vector is tangent to the level sets of I and of the
 center of mass, flows generated by fixed combinations of twists conserve
 both (up to integrator error).  Descent in the span of a twist basis
 searches for central configurations; its finite steps keep I only to
-first order.  The size itself is fixed afterwards by a single rescale
-enforcing U = M*I.
+first order, so each accepted step is rescaled back to the CC size
+U = M*I, where f is least along the scaling ray.
 
 A descent iteration is a few O(n^2) array passes over one pair table:
 the residual (from the gradient), the span basis, the raw twists V of
@@ -14,19 +14,21 @@ step is a curvature-scaled Newton step in the twist span (`_span_steps`):
 the Hessian projected on an orthonormal basis of the span, with each
 curvature replaced by its absolute value, the rotation's dropped and the
 others floored, so the step descends at any configuration, saddles
-included.  The backtracking line search evaluates all of its candidate
-steps in one row pass (`geometry._row_pass`), accepting the same step as
-backtracking one trial at a time would.  The accepted row carries its
-validity, f, I and U into the next iteration, so it is neither validated
-nor evaluated again.  A rank-deficient span (a collinear configuration,
-which the twists keep collinear) stops the descent.
+included.  The backtracking line search evaluates the full step in one
+row pass (`geometry._row_pass`) and, only where it fails, every shorter
+step in a second one, accepting the same step as backtracking one trial
+at a time would.  The accepted row is rescaled to U = M*I in one more row
+pass, and the row kept carries its validity, f, I and U into the next
+iteration, so it is neither validated nor evaluated again.  A
+rank-deficient span (a collinear configuration, which the twists keep
+collinear) stops the descent.
 
 Near a central configuration the descent first tries a Newton polish
 from the same decomposition, with signed curvatures.  A Newton candidate
 is rescaled to U = M*I, checked and evaluated in two row passes, and
-kept only when it lowers both f and the residual, or lowers the residual
-onto a CC with f at most NEWTON_F_ULPS ulp higher; otherwise the
-iteration takes its curvature step.
+kept when it lowers f, or lowers the residual without raising f, or
+lowers the residual onto a CC with f at most NEWTON_F_ULPS ulp higher;
+otherwise the iteration takes its curvature step.
 """
 
 from __future__ import annotations
@@ -141,11 +143,11 @@ class DescentReport:
     `iterations`, and `newton_rejected` the Newton candidates that failed or
     were refused; every other iteration is a curvature step.
     `i_drift` is |I/I0 - 1| of the final configuration against the start:
-    after a Newton polish, which rescales to U = M*I, that is the final
-    rescaled CC's size against the start's, not the drift of the steps.
-    `max_step_i_drift` is the largest |I'/I - 1| of one accepted step that
-    is not a Newton step (a curvature step), 0 if there is
-    none: the drift that twist steps without retraction cause.  With
+    every step ends rescaled to U = M*I, so that is the final size against
+    the start's, not the drift of the steps.  `max_step_i_drift` is the
+    largest |I'/I - 1| of one accepted step that is not a Newton step (a
+    curvature step), before its rescale, 0 if there is none: the drift of
+    a twist step that the rescale undoes.  With
     `record`, `history` is the whole trajectory, start to `config`: one
     (step, positions, f, Laura-Andoyer residual) row per configuration,
     `iterations + 1` rows.
@@ -185,19 +187,21 @@ def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
                  fcur: float, slope: float) -> _Iterate | None:
     """Backtrack along -d from the full step; the first Armijo point, or None.
 
-    All MAX_BACKTRACKS steps SHRINK^k are evaluated at once in one row
-    pass.  A step is skipped when it brings two bodies together or leaves
-    the finite range, and the first remaining one that decreases f enough
-    is accepted, carrying the f, I and U its row pass computed.
+    One row pass evaluates the full step alone and, only where it fails, a
+    second one the other MAX_BACKTRACKS - 1 steps SHRINK^k at once.  A step
+    is skipped when it brings two bodies together or leaves the finite
+    range, and the first remaining one that decreases f enough is accepted,
+    carrying the f, I and U its row pass computed.
     """
     etas = SHRINK ** np.arange(MAX_BACKTRACKS)  # exact powers of two, as `eta *= SHRINK`
     trials = cfg.positions - etas[:, None] * d
-    passed = _row_pass(trials, cfg.masses, params.A)
-    valid, f = passed[:2]
-    ok = valid & (f <= fcur - ARMIJO_C * etas * slope)
-    if not ok.any():
-        return None
-    return _carried(trials, int(np.argmax(ok)), cfg.masses, passed)
+    for rows in (slice(0, 1), slice(1, None)):
+        passed = _row_pass(trials[rows], cfg.masses, params.A)
+        valid, f = passed[:2]
+        ok = valid & (f <= fcur - ARMIJO_C * etas[rows] * slope)
+        if ok.any():
+            return _carried(trials[rows], int(np.argmax(ok)), cfg.masses, passed)
+    return None
 
 
 def _span_derivatives(table: PairTable,
@@ -239,26 +243,37 @@ def _span_steps(V: np.ndarray, g: np.ndarray,
     return newton, (p if descends else None)
 
 
+def _at_cc_size(row: np.ndarray, masses: np.ndarray, inertia: float, potential: float,
+               A: float) -> _Iterate | None:
+    """A valid row of flat positions, with its I and U, rescaled to U = M*I,
+    or None where the rescaled row is not valid.
+
+    One row pass checks the rescaled row and gives its f, I and U: the
+    result is `rescale_to_cc_size` of the row's configuration and its f,
+    bit for bit.
+    """
+    y = _cc_size_points(row.reshape(-1, 2), masses, inertia, potential, A).reshape(1, -1)
+    passed = _row_pass(y, masses, A)
+    if not passed[0][0]:
+        return None
+    return _carried(y, 0, masses, passed)
+
+
 def _newton_step(table: PairTable, x: np.ndarray, p: np.ndarray) -> _Iterate | None:
     """The candidate x - p of the Newton step p from the table's
     configuration cfg, at flat positions x, rescaled to U = M*I, or None.
 
-    One row pass on x - p checks it and gives the I and U of the rescale, a
-    second one checks the rescaled row and gives its f, I and U: the result
-    is `rescale_to_cc_size(cfg.with_positions(x - p))` and its f, bit for
-    bit, and None where either construction would raise.
+    One row pass on x - p checks it and gives the I and U of the rescale,
+    and `_at_cc_size` rescales it: the result is
+    `rescale_to_cc_size(cfg.with_positions(x - p))` and its f, bit for bit,
+    and None where either construction would raise.
     """
     m, A = table.masses, table.A
     moved = (x - p)[None]
     valid, _, _, inertia, potential = _row_pass(moved, m, A)
     if not valid[0]:
         return None
-    y = _cc_size_points(moved.reshape(-1, 2), m, float(inertia[0]), float(potential[0]),
-                        A).reshape(1, -1)
-    passed = _row_pass(y, m, A)
-    if not passed[0][0]:
-        return None
-    return _carried(y, 0, m, passed)
+    return _at_cc_size(moved, m, float(inertia[0]), float(potential[0]), A)
 
 
 def descend(config: PlanarConfig, params: PotentialParams, *,
@@ -278,24 +293,29 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     search.  Where p is None (a decomposition that fails or is not finite,
     or g . p <= 0) the descent stops with "zero_direction", and where the
     line search finds no step with "line_search_exhausted".  Twists are tangent
-    to the level sets of I, so a step keeps I only to first order: there is
-    no retraction, and I drifts, the more the longer the step.
+    to the level sets of I, so a step keeps I only to first order.  The
+    accepted step is retracted to the CC size: rescaled about the center of
+    mass to U = M*I, and kept rescaled unless the rescaled row is invalid
+    or its f is above the step's.  For A > 2, f along the scaling ray has
+    its only minimum at U = M*I, so the rescale lowers f and the guard acts
+    at the rounding level only.
 
     Once the post-rescale residual is below NEWTON_SWITCH, the iteration
     first tries the Newton step of `_span_steps`, from the same
     decomposition, through `_newton_step`.  Its candidate is accepted, and
-    counts as an iteration, only if its post-rescale residual is below the
-    current one and its f is not above the current f, or is at most
-    NEWTON_F_ULPS ulp of |f| above it while the candidate is a CC (the
-    rounding floor of f at a CC); otherwise the iteration takes the
-    curvature step.  So f never increases, except by at most NEWTON_F_ULPS
-    ulp on a Newton step onto a CC.
+    counts as an iteration, if its f is below the current f, whatever its
+    residual, or if its post-rescale residual is below the current one and
+    its f is not above the current f, or is at most NEWTON_F_ULPS ulp of
+    |f| above it while the candidate is a CC (the rounding floor of f at a
+    CC); otherwise the iteration takes the curvature step.  So f never
+    increases, except by at most NEWTON_F_ULPS ulp on a Newton step onto a
+    CC.
 
     The residual, the span basis, V, g, H and the twists share one pair
     table per iteration; a Newton candidate builds its own, which becomes
     the iteration's table when the candidate is accepted (a rejected candidate
-    has built one too).  The accepted step's row carries its validity, f,
-    I and U from the row pass that found it, so no iterate is validated or
+    has built one too).  The kept row carries its validity, f, I and U from
+    the row pass that found or rescaled it, so no iterate is validated or
     evaluated twice.
 
     `converged` means what `eval`'s `is_cc` means: the Laura-Andoyer and
@@ -353,10 +373,10 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
             if cand is not None:
                 cand_table = build_pair_table(cand.config, params)
                 cand_resid_cc = residuals(cand, cand_table)[1]
-                if cand_resid_cc < resid_cc and (
+                if cand.f < cur.f or (cand_resid_cc < resid_cc and (
                         cand.f <= cur.f
                         or (cand.f - cur.f <= NEWTON_F_ULPS * np.spacing(abs(cur.f))
-                            and is_cc(cand.config, cand_resid_cc))):
+                            and is_cc(cand.config, cand_resid_cc)))):
                     cur, table = cand, cand_table
                     newton_steps += 1
                     continue
@@ -369,7 +389,11 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
             reason = "line_search_exhausted"
             break
         max_step_i_drift = max(max_step_i_drift, abs(step.inertia / cur.inertia - 1.0))
-        cur = step
+        # the retraction: f along the scaling ray is least at U = M*I (A > 2),
+        # so the rescaled row is kept unless rounding puts it above the step
+        rescaled = _at_cc_size(step.config.positions, cfg.masses, step.inertia,
+                               step.potential, params.A)
+        cur = step if rescaled is None or rescaled.f > step.f else rescaled
         table = build_pair_table(cur.config, params)
 
     i_drift = abs(cur.inertia / start.inertia - 1.0)

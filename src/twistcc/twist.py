@@ -9,8 +9,10 @@ inertia, and they span the whole admissible tangent space: dimension
 Directional derivatives of f along the v_ij are the Laura-Andoyer
 residuals; dotted with difference vectors they give the asymmetric
 Albouy-Chenciner residuals.  Both vanish exactly at central
-configurations.  Since v_ij moves only bodies i and j, the residuals and
-the span basis cost O(n^2).
+configurations.  Since v_ij moves only bodies i and j, the Laura-Andoyer
+residuals and the span basis cost O(n^2); so do the Albouy-Chenciner
+residuals, whose row of a body i reads one weighted sum of its pair
+differences.
 
 Body indices are 0-based throughout the Python API.
 """
@@ -134,17 +136,23 @@ def max_laura_andoyer(table: PairTable) -> float:
     return float(np.abs(laura_andoyer_pairs(table)).max()) / _residual_norm(table)
 
 
+def _albouy_chenciner_rows(table: PairTable, i) -> np.ndarray:
+    """b_ij over every j for the body i (an index, or a slice of bodies).
+
+    A_ijk = 2 (x_j - x_i) . (x_k - x_i), so b_ij = 2 (x_i - x_j) . G_i with
+    G_i = sum_k m_k S_ik (x_i - x_k): O(n) per row instead of O(n^2).
+    """
+    w = table.masses * table.S[i]
+    dx, dy = table.dx[i], table.dy[i]
+    gx = (w * dx).sum(axis=-1, keepdims=True)
+    gy = (w * dy).sum(axis=-1, keepdims=True)
+    # + 0.0 turns an exact -0.0 into 0.0, which the triple sum gives
+    return 2.0 * (dx * gx + dy * gy) + 0.0
+
+
 def albouy_chenciner_pairs(table: PairTable) -> np.ndarray:
     """n x n array of every b_ij (`albouy_chenciner_asym`), zero on the diagonal."""
-    n = table.n
-    r2 = table.r ** 2
-    w = table.masses * table.S
-    # row by row, so the temporaries are n x n rather than n^2 x n: row j of
-    # a is A_ijk, and w[i] is tiled so that the stacked matmul sums each row
-    # as np.dot does (a matrix-vector product may round differently)
-    b = np.array([np.matmul(np.tile(w[i], (n, 1))[:, None, :],
-                            (r2[i][:, None] + r2[i] - r2)[:, :, None])[:, 0, 0]
-                  for i in range(n)])
+    b = _albouy_chenciner_rows(table, slice(None))
     np.fill_diagonal(b, 0.0)
     return b
 
@@ -156,7 +164,7 @@ def albouy_chenciner_asym(table: PairTable, i: int, j: int) -> float:
     """
     if i == j:
         raise ValueError("asymmetric residual needs i != j")
-    return float(albouy_chenciner_pairs(table)[i, j])
+    return float(_albouy_chenciner_rows(table, i)[j])
 
 
 def albouy_chenciner_sym(table: PairTable, i: int, j: int) -> float:

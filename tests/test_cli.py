@@ -195,7 +195,7 @@ def test_descend_cli(square_file, tmp_path, capsys):
     assert traj.read_bytes() == first
 
 
-@pytest.mark.parametrize("max_iter", ["50000", "5"])
+@pytest.mark.parametrize("max_iter", ["50000", "4"])
 def test_descend_trajectory_has_one_row_per_configuration(square_file, max_iter, tmp_path,
                                                           capsys):
     # a converged run and a --max-iter stop: the start and each iterate once
@@ -216,14 +216,14 @@ def test_descend_reports_stop_reason(tmp_path, capsys):
     assert main(["descend", "--random", "6", "--seed", "1", "--final", str(final)]) == 0
     out = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
     assert list(out)[4:] == ["collinear_collapse", "reason", "newton_steps", "i_drift"]
-    assert out["reason"] == "converged" and out["newton_steps"] == "4"
+    assert out["reason"] == "converged" and out["newton_steps"] == "2"
     manifest = json.loads((tmp_path / "d6.json.manifest.json").read_text())
     assert manifest["seed"] == 1
     assert manifest["arguments"] == {"config": None, "random": 6, "A": 3.0}
     # max_step_i_drift is not printed: the in-process run of the same start recounts it
     report = descend(cli._random_start(6, 1), PotentialParams(3.0))
     assert report.max_step_i_drift > 0.0
-    assert manifest["counts"] == {"iterations": int(out["iterations"]), "newton_steps": 4,
+    assert manifest["counts"] == {"iterations": int(out["iterations"]), "newton_steps": 2,
                                   "newton_rejected": 0, "reason": "converged", "i_drift": float(out["i_drift"]),
                                   "max_step_i_drift": report.max_step_i_drift}
 

@@ -209,7 +209,7 @@ def test_newton_rejected_counts_every_refused_candidate(monkeypatch, suite_runs,
     for k, (report, calls, _) in suite_runs.items():
         assert report.newton_steps + report.newton_rejected == calls, k
     # thousands of refusals on this start would mean the slow path is back
-    assert suite_runs[6, 3][0].newton_rejected == 1
+    assert suite_runs[6, 4][0].newton_rejected == 1
     # candidates that fail to build count too: a Newton step that is not finite
     from twistcc import solver
     monkeypatch.setattr(solver, "_span_steps", lambda V, g, H, span_steps=solver._span_steps:
@@ -246,11 +246,31 @@ def test_descend_start_suite_converges(suite_reports, newton):
         fs = [h[2] for h in r.history]
         assert len(fs) == r.iterations + 1 and fs[-1] == r.f_value
         assert_f_never_increases(r)
-    # two starts end on a Newton step onto a CC whose f is one ulp above the
+    # three starts end on a Newton step onto a CC whose f is one ulp above the
     # iterate's, at the rounding floor of f
     raised = {k for k, r in suite_reports.items()
               if r.history[-1][2] > r.history[-2][2]}
-    assert raised == {(5, 4), (6, 5)}
+    assert raised == {(8, 1), (8, 4), (8, 7)}
+
+
+def test_descent_iterates_sit_at_the_cc_size(suite_reports, newton):
+    # each curvature step is retracted to U = M*I and each Newton candidate is
+    # built there, so only the start is off the CC size
+    for k, r in suite_reports.items():
+        for _, x, *_ in r.history[1:]:
+            cfg = PlanarConfig(x, r.config.masses)
+            ratio = cfg.masses.sum() * moment_of_inertia(cfg) / potential_u(cfg, newton)
+            assert abs(ratio - 1.0) <= 1e-12, k
+
+
+def test_descend_at_a_equal_10_converges_in_few_iterations():
+    # the retraction keeps M*I/U = 1, so the Newton switch reads the residual
+    # itself, not one amplified by M*I/U (361 iterations without it)
+    params = PotentialParams(10.0)
+    report = descend(cli_random_start(3, 0), params, record=True)
+    assert report.converged and report.iterations <= 20
+    assert cc_residual(rescale_to_cc_size(report.config, params), params).is_cc
+    assert_f_never_increases(report)
 
 
 # Beyond A = 3: the potential exponent in {2.5, 6, 10} x n in {3, 4, 6} x seeds 0-4.
@@ -271,8 +291,8 @@ def test_descend_converges_beyond_a_equal_3():
 
 
 def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton):
-    # kept iff it lowers the residual and does not raise f, or raises f by at
-    # most NEWTON_F_ULPS ulp onto a CC
+    # kept iff it lowers f, or it lowers the residual and does not raise f, or
+    # it lowers the residual and raises f by at most NEWTON_F_ULPS ulp onto a CC
     from twistcc import solver
     tried = []
     newton_step = solver._newton_step
@@ -293,7 +313,7 @@ def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton)
                                                      newton).is_cc
 
     kinds = set()
-    for start in ((5, 4), (8, 4)):
+    for start in ((8, 4), (8, 8)):
         tried.clear()
         report = descend(cli_random_start(*start), newton, record=True)
         assert report.converged
@@ -304,16 +324,17 @@ def test_newton_candidate_kept_iff_it_lowers_f_and_residual(monkeypatch, newton)
             k = positions.index(x.tobytes())
             f, fcand = f_value(cfg, newton), f_value(cand, newton)
             rounding = fcand - f <= NEWTON_F_ULPS * np.spacing(abs(f)) and onto_cc(cand)
-            kind = (resid_cc(cand) < resid_cc(cfg), fcand <= f, rounding)
-            keep = kind[0] and (kind[1] or kind[2])
+            kind = (resid_cc(cand) < resid_cc(cfg), fcand < f, fcand <= f, rounding)
+            keep = kind[1] or (kind[0] and (kind[2] or kind[3]))
             assert (positions[k + 1] == cand.positions.tobytes()) == keep, (start, k)
             kinds.add(kind)
             kept += keep
         assert report.newton_steps == kept
     assert {kind[:2] for kind in kinds} == {(True, True), (True, False), (False, True),
                                             (False, False)}
-    assert (True, False, True) in kinds     # kept: f one ulp up, onto a CC
-    assert (True, False, False) in kinds    # refused: f up, not onto a CC
+    assert (True, False, False, True) in kinds     # kept: f one ulp up, onto a CC
+    assert (True, False, False, False) in kinds    # refused: f up, not onto a CC
+    assert (False, True, True, False) in kinds     # kept: f down, the residual up
 
 
 def test_descend_converged_means_cc_at_rescaled_size(suite_reports, newton):
@@ -547,7 +568,7 @@ def test_descend_validates_a_bounded_number_of_configurations(monkeypatch, newto
     # accepted steps and Newton candidates are carried from their row passes,
     # so the number of validations does not grow with the iterations
     post_init = PlanarConfig.__post_init__
-    for start in (cli_random_start(4, 4), saddle_start(newton, 1e-6)):
+    for start in (cli_random_start(6, 7), saddle_start(newton, 1e-6)):
         counts = []
         for max_iter in (6, 11):
             calls = []

@@ -48,8 +48,10 @@ from .certify import NOT_ADMISSIBLE, OUTCOMES, Certificates, certify_boxes
 # unused here; perfbench/tracing.py install() looks the name up on this module
 from .certify import certify_box  # noqa: F401
 from .geometry import (ExponentRangeError, GeometryError, PlanarConfig, PotentialParams,
-                       _row_pass, build_pair_table, config_to_json, euler_residual,
-                       f_value, load_config, moment_of_inertia, potential_u)
+                       _row_pass, build_pair_table, config_to_json, load_config)
+# unused here (eval reads f, I and U from one row pass); perfbench/tracing.py
+# counts calls through these names on this module
+from .geometry import moment_of_inertia, potential_u  # noqa: F401
 from .hessian import assemble_twist_hessian, lagrange_char_poly_coeffs, signature
 # unused here (the subcommands count their own eigenvalues); perfbench/tracing.py
 # looks the name up on this module
@@ -229,12 +231,14 @@ def cmd_eval(args) -> tuple[int, RunManifest]:
     _check_tol(args.tol)
     config, params = _load(args.config)
     res = cc_residual(config, params, tol=args.tol)
-    U = potential_u(config, params)
-    I = moment_of_inertia(config)
-    print(f"f = {fmt(f_value(config, params))}")
+    # one row pass: f, I and U bit for bit those of f_value, moment_of_inertia
+    # and potential_u, so U - M*I is euler_residual's
+    _, f, _, I, U = _row_pass(config.positions[None], config.masses, params.A)
+    f, I, U = float(f[0]), float(I[0]), float(U[0])
+    print(f"f = {fmt(f)}")
     print(f"U = {fmt(U)}")
     print(f"I = {fmt(I)}")
-    print(f"euler_residual = {fmt(euler_residual(config, params))}")
+    print(f"euler_residual = {fmt(U - float(config.masses.sum()) * I)}")
     print(f"max_la = {fmt(res.max_la)}")
     print(f"max_ac = {fmt(res.max_ac)}")
     print(f"is_cc = {res.is_cc} (tol = {fmt(args.tol)})")

@@ -25,14 +25,15 @@ integral, e.g. `x ** -3.0`).  Scalar-generic formulas can thus write
 `IntervalArray` holds many intervals ("lanes") as float64 arrays `lo`
 and `hi` and rounds every lane exactly as `Interval` does: the same
 bound in the same IEEE double operations, as in-place numpy passes, so
-each lane is bit for bit the `Interval` result.  Powers
-go through libm per lane (`math.pow`, as `Interval.pow_real`), because
-numpy's vectorized power can differ from libm in the last ulp.  Where
-`Interval` raises (a zero-containing divisor, a real power of a
-non-positive interval, sqrt of a negative one, a NaN endpoint such as
-inf - inf, or a libm overflow) the lane becomes NaN instead, and NaN
-propagates through every later operation.  NaN compares false, so a
-failed lane is neither positive nor negative: it can never decide a sign.
+each lane is bit for bit the `Interval` result.  Powers are libm's
+`pow` per lane, as `math.pow` in `Interval.pow_real`: `np.float_power`'s
+float64 loop calls it, where `np.power`'s SIMD loop can differ from libm
+in the last ulp.  Where `Interval` raises (a zero-containing divisor, a
+real power of a non-positive interval, sqrt of a negative one, a NaN
+endpoint such as inf - inf, or a libm overflow) the lane becomes NaN
+instead, and NaN propagates through every later operation.  NaN compares
+false, so a failed lane is neither positive nor negative: it can never
+decide a sign.
 """
 
 from __future__ import annotations
@@ -224,9 +225,6 @@ def hull(*vals: Interval) -> Interval:
 
 # --- lanes of intervals ---------------------------------------------------------
 
-_LIBM_POW = np.frompyfunc(math.pow, 2, 1)
-
-
 def _adown(x):
     """_down per lane, bit for bit; x is left as it is."""
     x = np.minimum(x, _MAX)
@@ -247,20 +245,14 @@ def _aup(x):
     return e
 
 
-def _pow_or_nan(x: float, p: float) -> float:
-    try:
-        return math.pow(x, p)
-    except OverflowError:
-        return math.nan
-
-
 def _libm_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """math.pow per element; NaN where libm overflows (Interval raises there)."""
-    try:
-        return _LIBM_POW(x, p).astype(np.float64)
-    except OverflowError:
-        vals = [_pow_or_nan(v, p) for v in x.ravel().tolist()]
-        return np.array(vals, dtype=np.float64).reshape(x.shape)
+    """math.pow per element (libm's pow, through np.float_power); NaN where
+    math.pow raises, a finite x whose power overflows (Interval raises there)."""
+    with np.errstate(over="ignore"):
+        y = np.float_power(x, p)
+    if math.isfinite(p):    # math.pow(2.0, inf) is inf, no overflow
+        y[np.isinf(y) & np.isfinite(x)] = math.nan
+    return y
 
 
 def _py_min(first, *rest):
@@ -425,7 +417,10 @@ class IntervalArray:
         return self * self.__pow__(n - 1)
 
     def pow_real(self, p: float) -> "IntervalArray":
-        """x^p for real p; lanes that are not strictly positive fail."""
+        """x^p for real p; lanes that are not strictly positive fail, and so
+        do lanes where libm overflows.  The powers are libm's `pow` per lane
+        (`np.float_power`'s float64 loop), as `Interval`'s `math.pow`; not
+        `np.power`, whose SIMD loop can differ from libm in the last ulp."""
         ok = self.lo > 0.0
         a = _libm_pow(np.where(ok, self.lo, 1.0), p)
         # point lanes made from one array share it: one pow serves both ends

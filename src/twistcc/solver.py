@@ -8,8 +8,8 @@ first order, so each accepted step is rescaled back to the CC size
 U = M*I, where f is least along the scaling ray.
 
 A descent iteration is a few O(n^2) array passes over one pair table:
-the residual (from the gradient), the span basis, the raw twists V of
-the basis, the gradient g and the Cartesian Hessian H all read it.  Its
+the residual and the step (from one gradient g), the span basis, the
+raw twists V of the basis and the Cartesian Hessian H all read it.  Its
 step is a curvature-scaled Newton step in the twist span (`_span_steps`):
 the Hessian projected on an orthonormal basis of the span, with each
 curvature replaced by its absolute value, the rotation's dropped and the
@@ -204,13 +204,14 @@ def _armijo_step(cfg: PlanarConfig, params: PotentialParams, d: np.ndarray,
     return None
 
 
-def _span_derivatives(table: PairTable,
-                      basis: list[TwistPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _span_derivatives(table: PairTable, basis: list[TwistPair],
+                      g: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(V, grad f, H): the raw twists of `basis` as rows and the Cartesian
-    gradient and Hessian of f, all from the one pair table."""
+    gradient and Hessian of f, all from the one pair table; the gradient
+    is g when the caller has it."""
     i, j = np.array(basis, dtype=np.intp).T
     V = _twist_rows(table.masses, i, j, table.dx[i, j], table.dy[i, j])
-    return V, _gradient_f(table), _cartesian_hessian(table)
+    return V, _gradient_f(table) if g is None else g, _cartesian_hessian(table)
 
 
 def _span_steps(V: np.ndarray, g: np.ndarray,
@@ -312,11 +313,12 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     CC.
 
     The residual, the span basis, V, g, H and the twists share one pair
-    table per iteration; a Newton candidate builds its own, which becomes
-    the iteration's table when the candidate is accepted (a rejected candidate
-    has built one too).  The kept row carries its validity, f, I and U from
-    the row pass that found or rescaled it, so no iterate is validated or
-    evaluated twice.
+    table per iteration, whose gradient g is computed once; a Newton
+    candidate builds its own table, gradient and residual, which become
+    the next iteration's when the candidate is accepted (a rejected
+    candidate has built them too).  The kept row carries its validity, f,
+    I and U from the row pass that found or rescaled it, so no iterate is
+    validated or evaluated twice.
 
     `converged` means what `eval`'s `is_cc` means: the Laura-Andoyer and
     Albouy-Chenciner residuals of `cc_residual`, evaluated at the size
@@ -334,11 +336,14 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     M = float(config.masses.sum())
     full_dim = 2 * config.n - 3
 
-    def residuals(cur: _Iterate, table: PairTable) -> tuple[float, float]:
-        # The normalized residual is amplified by MI/U under the final
+    def measured(cur: _Iterate) -> tuple[PairTable, np.ndarray, float, float]:
+        # The iterate's pair table, gradient and residual, each computed
+        # once.  The normalized residual is amplified by MI/U under the final
         # rescale to U = M*I, so converge on the post-rescale value.
-        resid = max_laura_andoyer(table)
-        return resid, resid * max(1.0, M * cur.inertia / cur.potential)
+        table = build_pair_table(cur.config, params)
+        g = _gradient_f(table)
+        resid = max_laura_andoyer(table, g)
+        return table, g, resid, resid * max(1.0, M * cur.inertia / cur.potential)
 
     def is_cc(cfg: PlanarConfig, resid_cc: float) -> bool:
         # resid_cc bounds the rescaled LA residual, so only then run `eval`'s test
@@ -351,10 +356,9 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
     max_step_i_drift = 0.0
     start = cur = _Iterate(config, f_value(config, params), moment_of_inertia(config),
                            potential_u(config, params))
-    table = build_pair_table(config, params)
+    table, g, resid, resid_cc = measured(cur)
     for it in range(max_iter + 1):
         cfg = cur.config
-        resid, resid_cc = residuals(cur, table)
         if record:
             history.append((it, cfg.positions, cur.f, resid))
         basis, dim = twist_span_basis(table)
@@ -366,18 +370,18 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
         if dim < full_dim:
             reason = "collapse"
             break
-        V, g, H = _span_derivatives(table, basis)
-        newton, p = _span_steps(V, g, H)
+        newton, p = _span_steps(*_span_derivatives(table, basis, g))
         if resid_cc < NEWTON_SWITCH:
             cand = None if newton is None else _newton_step(table, cfg.positions, newton)
             if cand is not None:
-                cand_table = build_pair_table(cand.config, params)
-                cand_resid_cc = residuals(cand, cand_table)[1]
+                cand_measured = measured(cand)
+                cand_resid_cc = cand_measured[3]
                 if cand.f < cur.f or (cand_resid_cc < resid_cc and (
                         cand.f <= cur.f
                         or (cand.f - cur.f <= NEWTON_F_ULPS * np.spacing(abs(cur.f))
                             and is_cc(cand.config, cand_resid_cc)))):
-                    cur, table = cand, cand_table
+                    cur = cand
+                    table, g, resid, resid_cc = cand_measured
                     newton_steps += 1
                     continue
             newton_rejected += 1
@@ -394,7 +398,7 @@ def descend(config: PlanarConfig, params: PotentialParams, *,
         rescaled = _at_cc_size(step.config.positions, cfg.masses, step.inertia,
                                step.potential, params.A)
         cur = step if rescaled is None or rescaled.f > step.f else rescaled
-        table = build_pair_table(cur.config, params)
+        table, g, resid, resid_cc = measured(cur)
 
     i_drift = abs(cur.inertia / start.inertia - 1.0)
     return DescentReport(cfg, it, resid, cur.f, reason == "converged", dim < full_dim,

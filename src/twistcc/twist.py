@@ -105,12 +105,13 @@ def twist_span_basis(table: PairTable) -> tuple[list[TwistPair], int]:
     return pairs, 2 * n - 3
 
 
-def laura_andoyer_pairs(table: PairTable) -> np.ndarray:
+def laura_andoyer_pairs(table: PairTable, g: np.ndarray | None = None) -> np.ndarray:
     """Laura-Andoyer residuals g . v_ij of every pair i < j, g the gradient
-    of f, in `np.triu_indices(n, 1)` order."""
+    of f (`_gradient_f(table)`, computed unless given), in
+    `np.triu_indices(n, 1)` order."""
     m = table.masses
     i, j = _pair_indices(table.n)
-    g = _gradient_f(table).reshape(-1, 2)
+    g = (_gradient_f(table) if g is None else g).reshape(-1, 2)
     dx, dy = table.dx[i, j], table.dy[i, j]
     return m[j] * (dy * g[i, 0] - dx * g[i, 1]) - m[i] * (dy * g[j, 0] - dx * g[j, 1])
 
@@ -130,10 +131,11 @@ def _residual_norm(table: PairTable) -> float:
     return float(table.masses.sum()) ** 2 * float(table.r.max()) ** 2
 
 
-def max_laura_andoyer(table: PairTable) -> float:
+def max_laura_andoyer(table: PairTable, g: np.ndarray | None = None) -> float:
     """Largest |Laura-Andoyer residual| over all pairs, normalized by
-    (sum m)^2 * diameter^2 like `CCResidual.max_la`."""
-    return float(np.abs(laura_andoyer_pairs(table)).max()) / _residual_norm(table)
+    (sum m)^2 * diameter^2 like `CCResidual.max_la`; g as in
+    `laura_andoyer_pairs`."""
+    return float(np.abs(laura_andoyer_pairs(table, g)).max()) / _residual_norm(table)
 
 
 def _albouy_chenciner_rows(table: PairTable, i) -> np.ndarray:

@@ -289,7 +289,8 @@ def test_array_binary_ops_match_interval(pair, c):
 
 @settings(max_examples=300, deadline=None)
 @given(xs=st.integers(1, 8).flatmap(lane_lists), n=st.integers(-4, 5),
-       p=st.one_of(st.floats(-5, 5), st.sampled_from([-3.0, -0.5, 0.0, 0.5, 2.0])))
+       p=st.one_of(st.floats(-5, 5),
+                   st.sampled_from([-3.0, -0.5, 0.0, 0.5, 2.0, math.inf, -math.inf])))
 def test_array_unary_ops_match_interval(xs, n, p):
     X = lanes(xs)
     with np.errstate(all="ignore"):
@@ -341,6 +342,29 @@ def test_array_products_skip_later_nans_as_interval_does():
             assert_lanes(op(X, Y), want)
     assert want[1] is not None      # inf / inf in last position is skipped
     assert interval_or_none(operator.mul, xs[0], ys[0]) is not None
+
+
+def test_array_powers_are_libm_per_lane():
+    # certify's exponents on positive floats drawn uniformly over their bit
+    # patterns, subnormal to max: every lane is Interval.pow_real (math.pow,
+    # libm) bit for bit, and fails exactly where the scalar power overflows.
+    # A SIMD power such as np.power's differs from libm in the last ulp on
+    # some of these inputs.
+    rng = np.random.default_rng(0)
+    patterns = rng.integers(1, 0x7FEFFFFFFFFFFFFF, 3000, dtype=np.int64, endpoint=True)
+    xs = np.concatenate([patterns.view(np.float64), [1.0, BIG, math.inf]])
+    point, wide = IntervalArray(xs), IntervalArray(xs, xs.copy())
+    for A in (2.5, 3.0, 6.0, 10.0, 1000.0):
+        for p in (-A, -A / 2, -1.0 / A, 0.5):
+            want = [interval_or_none(Interval.pow_real, Interval(x), p) for x in xs.tolist()]
+            failed = np.array([w is None for w in want])
+            lo = np.array([math.nan if w is None else w.lo for w in want])
+            hi = np.array([math.nan if w is None else w.hi for w in want])
+            for got in (point.pow_real(p), wide.pow_real(p)):
+                assert (got.failed == failed).all(), (p, xs[got.failed != failed])
+                assert (got.lo.view(np.int64) == lo.view(np.int64))[~failed].all(), p
+                assert (got.hi.view(np.int64) == hi.view(np.int64))[~failed].all(), p
+            assert failed.any() == (p < -1.0), p    # only -A and -A/2 overflow here
 
 
 finite_pairs = st.integers(1, 6).flatmap(

@@ -523,6 +523,24 @@ def test_descend_iteration_builds_one_hessian(monkeypatch, newton):
     assert len(calls) == 12
 
 
+def test_descend_computes_one_gradient_per_pair_table(monkeypatch, newton):
+    # the residual, the steps and the Newton keep test share the gradient of
+    # their table: every pair table the descent builds (iterates, Newton
+    # candidates kept or refused, and `is_cc`'s) has its gradient computed once
+    from twistcc import solver, twist
+    built, gradients = [], []
+    for mod in (solver, twist):
+        monkeypatch.setattr(mod, "build_pair_table",
+                            lambda c, p, build=mod.build_pair_table: built.append(build(c, p))
+                            or built[-1])
+        monkeypatch.setattr(mod, "_gradient_f",
+                            lambda t, grad=mod._gradient_f: gradients.append(t) or grad(t))
+    square = descend(square_config((1.0, 1.0, 3.0, 5.0)), newton)
+    saddle = descend(saddle_start(newton, 1e-6), newton, max_iter=12)
+    assert square.converged and square.newton_steps > 0 and saddle.newton_rejected == 12
+    assert sorted(map(id, gradients)) == sorted(map(id, built))
+
+
 def newton_step_ref(cfg, params, p):
     """(candidate, f) of the Newton step x - p through the public
     constructors, or None where one of them raises."""

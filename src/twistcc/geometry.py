@@ -241,9 +241,16 @@ class PairTable:
                          computed once per ordered triple and kept on the table
       cos3(i, j, k)    — q_ij . q_ik/(r_ij*r_ik), its cosine
       cos4(i, j, k, l) — q_ij . q_kl/(r_ij*r_kl)
+
+    Mass accessors, also generic over the scalar type:
+      ratio(k, i)      — m_k/m_i
+      row_sum(i)       — sum over l != i, in order of l, of ratio(l, i)*S_il
+
+    sin3, ratio and row_sum are computed once per index tuple and kept in
+    the table's `memo`.
     """
 
-    __slots__ = ("n", "A", "masses", "dx", "dy", "r", "R", "S", "T", "zero", "sines")
+    __slots__ = ("n", "A", "masses", "dx", "dy", "r", "R", "S", "T", "zero", "memo")
 
     def __init__(self, config: PlanarConfig, params: PotentialParams):
         p = config.points
@@ -262,7 +269,7 @@ class PairTable:
         self.masses = config.masses
         self.dx, self.dy, self.r, self.R, self.S, self.T = dx, dy, r, R, S, T
         self.zero = 0.0
-        self.sines = {}
+        self.memo = {}
 
     def lam(self, i: int, j: int, k: int) -> float:
         return self.dx[i, j] * self.dy[i, k] - self.dx[i, k] * self.dy[i, j]
@@ -274,9 +281,10 @@ class PairTable:
         return self.dx[i, j] * self.dx[k, l] + self.dy[i, j] * self.dy[k, l]
 
     def sin3(self, i: int, j: int, k: int) -> float:
-        s = self.sines.get((i, j, k))
+        key = ("sin3", i, j, k)
+        s = self.memo.get(key)
         if s is None:
-            s = self.sines[i, j, k] = self.lam(i, j, k) / (self.r[i, j] * self.r[i, k])
+            s = self.memo[key] = self.lam(i, j, k) / (self.r[i, j] * self.r[i, k])
         return s
 
     def cos3(self, i: int, j: int, k: int) -> float:
@@ -284,6 +292,24 @@ class PairTable:
 
     def cos4(self, i: int, j: int, k: int, l: int) -> float:
         return self.dot(i, j, k, l) / (self.r[i, j] * self.r[k, l])
+
+    def ratio(self, k: int, i: int) -> float:
+        key = ("ratio", k, i)
+        q = self.memo.get(key)
+        if q is None:
+            q = self.memo[key] = self.masses[k] / self.masses[i]
+        return q
+
+    def row_sum(self, i: int) -> float:
+        key = ("row_sum", i)
+        s = self.memo.get(key)
+        if s is None:
+            s = self.zero
+            for l in range(len(self.masses)):
+                if l != i:
+                    s = s + self.ratio(l, i) * self.S[i, l]
+            self.memo[key] = s
+        return s
 
 
 def build_pair_table(config: PlanarConfig, params: PotentialParams) -> PairTable:

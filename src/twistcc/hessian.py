@@ -14,8 +14,11 @@ holds for every orientation.
 Every function here that reads pair data takes one `geometry.PairTable`,
 which carries the masses and A.  The closed forms are generic over the
 scalar type: they only use +, -, *, /, ** on values pulled from the table,
-whose r, R, S are indexed by [i, j] and whose sin3, cos3 and cos4 are
-written once on dx, dy and r; they read no T.  So `kite.KiteTable`, the
+whose r, R, S are indexed by [i, j], whose sin3, cos3 and cos4 are
+written once on dx, dy and r, and whose mass ratios m_k/m_i (`ratio`) and
+row sums sum_{l != i} (m_l/m_i) S_il (`row_sum`) are written once on the
+masses and S; sin3, the ratios and the row sums are computed once per
+table.  They read no T.  So `kite.KiteTable`, the
 PairTable that is a kite's one record, in floats, numpy arrays or
 intervals, feeds them too: they are the only closed forms of both kite
 blocks (`kite.hs_explicit` for H_s, `kite.ha_explicit` for H_a), in the
@@ -75,30 +78,24 @@ def _cartesian_hessian(t: PairTable) -> np.ndarray:
 # --- generic twist-basis entries ---------------------------------------------
 
 def _norm_diag(t, i, j):
-    m = t.masses
-    acc = -(2 + m[i] / m[j] + m[j] / m[i]) * t.S[i, j]
-    for k in range(len(m)):
+    acc = -(2 + t.ratio(i, j) + t.ratio(j, i)) * t.S[i, j]
+    for k in range(len(t.masses)):
         if k == i or k == j:
             continue
-        acc = acc + (-(m[k] / m[i]) * t.S[i, k] - (m[k] / m[j]) * t.S[j, k]
-                     + t.A * ((m[k] / m[i]) * t.R[i, k] * t.sin3(i, j, k) ** 2
-                            + (m[k] / m[j]) * t.R[j, k] * t.sin3(j, i, k) ** 2))
+        ki, kj = t.ratio(k, i), t.ratio(k, j)
+        acc = acc + (-ki * t.S[i, k] - kj * t.S[j, k]
+                     + t.A * (ki * t.R[i, k] * t.sin3(i, j, k) ** 2
+                            + kj * t.R[j, k] * t.sin3(j, i, k) ** 2))
     return acc
 
 
 def _norm_share(t, i, j, k):
-    m = t.masses
-    n = len(m)
-    ssum = t.zero
-    for l in range(n):
-        if l != i:
-            ssum = ssum + (m[l] / m[i]) * t.S[i, l]
-    acc = t.cos3(i, j, k) * (t.S[k, j] - t.S[i, j] - t.S[i, k] - ssum)
+    acc = t.cos3(i, j, k) * (t.S[k, j] - t.S[i, j] - t.S[i, k] - t.row_sum(i))
     acc = acc - t.A * t.R[j, k] * t.sin3(j, i, k) * t.sin3(k, j, i)
-    for l in range(n):
+    for l in range(len(t.masses)):
         if l in (i, j, k):
             continue
-        acc = acc + t.A * (m[l] / m[i]) * t.R[i, l] * t.sin3(i, j, l) * t.sin3(i, k, l)
+        acc = acc + t.A * t.ratio(l, i) * t.R[i, l] * t.sin3(i, j, l) * t.sin3(i, k, l)
     return acc
 
 

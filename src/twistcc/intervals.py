@@ -16,6 +16,13 @@ libm-backed powers, which are only faithfully rounded, twice.  Only
 +, *, abs and comparisons are used, so no hardware rounding-mode control
 is needed and the arithmetic is portable and thread-safe.
 
+Some operations with a number (a Python int or float) are exact for
+every real member of x and are not rounded at all: x + 0, x - 0, x * 1,
+x / 1 and x ** 1 are x; x * -1, x / -1 and 0 - x are -x (float negation
+is exact); x * 0 is [0, 0].  Each holds in real arithmetic, so the
+result contains every exact value, and skipping the bound costs no
+soundness and saves an ulp of width per end.
+
 `x ** p` follows the type of the exponent: an int p multiplies
 repeatedly (any interval; a negative p divides into 1), a float p is
 `x.pow_real(p)` (strictly positive intervals only, even when p is
@@ -25,7 +32,8 @@ integral, e.g. `x ** -3.0`).  Scalar-generic formulas can thus write
 `IntervalArray` holds many intervals ("lanes") as float64 arrays `lo`
 and `hi` and rounds every lane exactly as `Interval` does: the same
 bound in the same IEEE double operations, as in-place numpy passes, so
-each lane is bit for bit the `Interval` result.  Powers are libm's
+each lane is bit for bit the `Interval` result; the exact operations
+above take the same paths in both types.  Powers are libm's
 `pow` per lane, as `math.pow` in `Interval.pow_real`: `np.float_power`'s
 float64 loop calls it, where `np.power`'s SIMD loop can differ from libm
 in the last ulp.  Where `Interval` raises (a zero-containing divisor, a
@@ -141,19 +149,29 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __add__(self, other) -> "Interval":
+        if _is_zero(other):
+            return self
         o = _coerce(other)
         return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
+        if _is_zero(other):
+            return self
         o = _coerce(other)
         return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
 
     def __rsub__(self, other) -> "Interval":
+        if _is_zero(other):
+            return -self
         return _coerce(other).__sub__(self)
 
     def __mul__(self, other) -> "Interval":
+        if _is_zero(other):
+            return Interval(0.0)
+        if _is_unit(other):
+            return self if other > 0 else -self
         o = _coerce(other)
         p = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return Interval(_down(min(p)), _up(max(p)))
@@ -161,6 +179,8 @@ class Interval:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
+        if _is_unit(other):
+            return self if other > 0 else -self
         o = _coerce(other)
         if o.contains_zero():
             raise IntervalDomainError(f"division by zero-containing interval {o}")
@@ -183,6 +203,8 @@ class Interval:
         n = int(n)
         if n == 0:
             return Interval(1.0, 1.0)
+        if n == 1:
+            return self
         if n < 0:
             return Interval(1.0, 1.0) / self.__pow__(-n)
         if n % 2 == 0:
@@ -208,6 +230,16 @@ class Interval:
         if self.lo < 0.0:
             raise IntervalDomainError(f"sqrt of negative interval {self}")
         return Interval(_down(math.sqrt(self.lo)), _up(math.sqrt(self.hi)))
+
+
+def _is_zero(x) -> bool:
+    """x is the number 0 (an int or float, either sign), not an interval."""
+    return isinstance(x, (int, float)) and x == 0
+
+
+def _is_unit(x) -> bool:
+    """x is the number 1 or -1 (an int or float), not an interval."""
+    return isinstance(x, (int, float)) and abs(x) == 1
 
 
 def _coerce(x) -> Interval:
@@ -344,6 +376,10 @@ class IntervalArray:
     def __repr__(self) -> str:
         return f"IntervalArray(lo={self.lo!r}, hi={self.hi!r})"
 
+    def _point(self, c: float) -> "IntervalArray":
+        """[c, c] in every lane that has not failed."""
+        return IntervalArray(np.where(self.failed, math.nan, c))
+
     # --- set operations -------------------------------------------------------
     def intersect(self, other) -> "IntervalArray":
         """Lane-wise intersection; a lane is failed where it is empty."""
@@ -357,20 +393,30 @@ class IntervalArray:
         return IntervalArray(-self.hi, -self.lo)
 
     def __add__(self, other) -> "IntervalArray":
+        if _is_zero(other):
+            return self
         olo, ohi = _bounds(other)
         return IntervalArray(_adown(self.lo + olo), _aup(self.hi + ohi))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "IntervalArray":
+        if _is_zero(other):
+            return self
         olo, ohi = _bounds(other)
         return IntervalArray(_adown(self.lo - ohi), _aup(self.hi - olo))
 
     def __rsub__(self, other) -> "IntervalArray":
+        if _is_zero(other):
+            return -self
         olo, ohi = _bounds(other)
         return IntervalArray(_adown(olo - self.hi), _aup(ohi - self.lo))
 
     def __mul__(self, other) -> "IntervalArray":
+        if _is_zero(other):
+            return self._point(0.0)
+        if _is_unit(other):
+            return self if other > 0 else -self
         if _finite_nonzero(other):
             # the four products of Interval.__mul__ pair up; their min and
             # max are the two below (equal values may differ only in the
@@ -385,6 +431,8 @@ class IntervalArray:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "IntervalArray":
+        if _is_unit(other):
+            return self if other > 0 else -self
         if _finite_nonzero(other):
             c = float(other)
             a, b = self.lo / c, self.hi / c
@@ -406,12 +454,11 @@ class IntervalArray:
             return self.pow_real(n)
         n = int(n)
         if n == 0:
-            return IntervalArray(np.where(self.failed, math.nan, 1.0))
+            return self._point(1.0)
+        if n == 1:
+            return self
         if n < 0:
             return 1.0 / self.__pow__(-n)
-        if n == 1:
-            # Interval computes self * [1, 1]: both endpoints rounded outward
-            return self * 1.0
         if n % 2 == 0:
             return self.__pow__(n // 2).sq()
         return self * self.__pow__(n - 1)

@@ -391,8 +391,8 @@ class KiteTable(PairTable):
     scale x2 and mass ratios mu31, mu41, built by field arithmetic only.
 
     dx, dy, r, R and S are dicts over body pairs [i, j], i != j, holding
-    floats, numpy arrays or intervals alike; the angle accessors are
-    inherited.  dx, dy and r are those of the unit-scale kite, with bodies
+    floats, numpy arrays or intervals alike; the angle and mass accessors
+    are inherited.  dx, dy and r are those of the unit-scale kite, with bodies
     at (-1, 0), (1, 0), (0, z3), (0, z4): they depend on the shape alone,
     so the angles sin3, cos3 and cos4, which do not depend on the scale,
     carry none of an x2 enclosure's width, while lam and dot are the
@@ -415,7 +415,7 @@ class KiteTable(PairTable):
         self.z3, self.z4, self.x2, self.A = z3, z4, x2, A
         self.masses = (1.0, 1.0, mu31, mu41)
         self.zero = z3 * 0.0
-        self.sines = {}
+        self.memo = {}
         self._shared = None
         self.dx, self.dy, self.r, self.R, self.S = {}, {}, {}, {}, {}
         # kite_distances' order: r12, r13, r14, r34

@@ -212,6 +212,39 @@ def raw_twist_entry(table, masses, params: PotentialParams, p, q) -> float:
     return float(_raw_disjoint(table, masses, A, i, j, k, l))
 
 
+# --- normalized closed forms with inline mass ratios ------------------------------
+#
+# `hessian._norm_diag` and `_norm_share` with every mass ratio m_k/m_i and the
+# row sum evaluated in place, where the library reads them from the table.
+
+def norm_diag_inline(t, i, j):
+    m = t.masses
+    acc = -(2 + m[i] / m[j] + m[j] / m[i]) * t.S[i, j]
+    for k in range(len(m)):
+        if k == i or k == j:
+            continue
+        acc = acc + (-(m[k] / m[i]) * t.S[i, k] - (m[k] / m[j]) * t.S[j, k]
+                     + t.A * ((m[k] / m[i]) * t.R[i, k] * t.sin3(i, j, k) ** 2
+                            + (m[k] / m[j]) * t.R[j, k] * t.sin3(j, i, k) ** 2))
+    return acc
+
+
+def norm_share_inline(t, i, j, k):
+    m = t.masses
+    n = len(m)
+    ssum = t.zero
+    for l in range(n):
+        if l != i:
+            ssum = ssum + (m[l] / m[i]) * t.S[i, l]
+    acc = t.cos3(i, j, k) * (t.S[k, j] - t.S[i, j] - t.S[i, k] - ssum)
+    acc = acc - t.A * t.R[j, k] * t.sin3(j, i, k) * t.sin3(k, j, i)
+    for l in range(n):
+        if l in (i, j, k):
+            continue
+        acc = acc + t.A * (m[l] / m[i]) * t.R[i, l] * t.sin3(i, j, l) * t.sin3(i, k, l)
+    return acc
+
+
 # --- loop references for the array code paths --------------------------------
 #
 # One configuration, one pair or one trial at a time, written as the library

@@ -220,7 +220,9 @@ def test_overflowing_product_stays_an_interval():
 # (zeros, infinities, the largest finite floats) drawn often
 endpoints = st.one_of(st.floats(allow_nan=False),
                       st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf]))
-scalars = st.one_of(st.floats(allow_nan=False), st.integers(-3, 3))
+# 0, -0, 1 and -1 take the exact paths (x + 0, x * 1, x * -1, x * 0, ...)
+scalars = st.one_of(st.floats(allow_nan=False), st.integers(-3, 3),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0]))
 
 
 @st.composite
@@ -320,7 +322,8 @@ def test_array_failed_lanes_stay_failed(pair, dead, n, p):
     assert (F.failed == dead).all()
     with np.errstate(all="ignore"):
         results = [op(F, Y) for op in BINARY] + [op(Y, F) for op in BINARY]
-        results += [op(F, 2.0) for op in BINARY] + [op(2.0, F) for op in BINARY]
+        for c in (2.0, 0.0, -0.0, 1.0, -1.0):
+            results += [op(F, c) for op in BINARY] + [op(c, F) for op in BINARY]
         results += [-F, F.sq(), F.sqrt(), F ** n, F ** p, F.intersect(Y), Y.intersect(F)]
     for out in results:
         assert out.failed[dead].all()
@@ -328,6 +331,47 @@ def test_array_failed_lanes_stay_failed(pair, dead, n, p):
     if dead.any():
         with pytest.raises(IntervalError):
             F.lane(int(np.argmax(dead)))
+
+
+def _same(x):
+    return x.lo, x.hi
+
+
+def _negated(x):
+    return -x.hi, -x.lo
+
+
+def _zero(x):
+    return 0.0, 0.0
+
+
+# (operation, the numbers c it takes, its exact result's endpoints)
+EXACT = [(op, cs, ends) for ops, cs, ends in (
+    ((operator.mul, lambda x, c: c * x, operator.truediv), (1, 1.0), _same),
+    ((operator.add, lambda x, c: c + x, operator.sub), (0, 0.0, -0.0), _same),
+    ((operator.pow,), (1,), _same),
+    ((operator.mul, lambda x, c: c * x, operator.truediv), (-1, -1.0), _negated),
+    ((lambda x, c: c - x,), (0, 0.0, -0.0), _negated),
+    ((operator.mul, lambda x, c: c * x), (0, 0.0, -0.0), _zero)) for op in ops]
+
+
+@settings(max_examples=100, deadline=None)
+@given(xs=st.integers(1, 8).flatmap(lane_lists),
+       dead=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_exact_operands_are_not_rounded(xs, dead):
+    # x * 1, x / 1, x + 0, x - 0 and x ** 1 are x, x * -1, x / -1 and 0 - x are
+    # -x, and x * 0 is [0, 0], bit for bit and infinite ends included; lanes
+    # are the scalar result, and a failed lane stays failed
+    dead = np.array(dead[:len(xs)])
+    X = lanes(xs)
+    F = IntervalArray(np.where(dead, math.nan, X.lo), X.hi)
+    for op, cs, ends in EXACT:
+        for c in cs:
+            want = [op(x, c) for x in xs]
+            for x, w in zip(xs, want):
+                assert tuple(map(bits, (w.lo, w.hi))) == tuple(map(bits, ends(x))), (op, c, x)
+            assert_lanes(op(X, c), want)
+            assert_lanes(op(F, c), [None if d else w for d, w in zip(dead, want)])
 
 
 def test_array_products_skip_later_nans_as_interval_does():

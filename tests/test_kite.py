@@ -19,7 +19,9 @@ from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, Infeasible
 from twistcc.cli import write_pgm
 from twistcc.twist import cc_residual, laura_andoyer
 
-from oracles import bisect_dziso, index_map_cell, pgm_pixels_ref
+from twistcc import hessian, intervals
+from oracles import (bisect_dziso, index_map_cell, norm_diag_inline, norm_share_inline,
+                     pgm_pixels_ref)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -274,6 +276,63 @@ def test_ha_explicit_computes_each_sin3_once(monkeypatch, newton):
     assert len(calls) == 2 * 40
     assert cached[0] == uncached[0]
     assert [(v.lo, v.hi) for v in cached[1]] == [(v.lo, v.hi) for v in uncached[1]]
+
+
+class CountingMemo(dict):
+    """A table memo that counts its writes, one per accessor miss."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, value):
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_closed_forms_compute_each_mass_ratio_and_row_sum_once(monkeypatch, newton):
+    # the table keeps m_k/m_i per ordered pair and the row sum per body: one
+    # hs_explicit plus ha_explicit on an interval table divides by a mass lane
+    # once per ratio it reads (m_k/m_2 and m_k/m_3, three each), and reads the
+    # row sums of the three shared vertices 0, 2 and 3.  On floats, arrays and
+    # intervals, the nine entries equal the closed forms with inline ratios.
+    kites = [build_kite(KiteShape(z3, z4), newton)
+             for z3, z4 in ((2.0, 0.8), (1.5, 0.2), (1.9, 0.78))]
+
+    arrays = [np.array(v) for v in zip(*((k.shape.z3, k.shape.z4, k.x2, k.mu31, k.mu41)
+                                          for k in kites))]
+
+    def tables():
+        # fresh ones each time: a KiteTable keeps its memo and shared entries
+        return (KiteTable.of(kites[0], newton), KiteTable(*arrays, newton.A),
+                KiteTable(*(IntervalArray(a) for a in arrays), newton.A))
+
+    def entries(t):
+        return [np.asarray(v).tobytes() if not isinstance(v, IntervalArray)
+                else (v.lo.tobytes(), v.hi.tobytes()) for v in hs_explicit(t) + ha_explicit(t)]
+
+    cached = tables()
+    it = cached[2]
+    it.memo = CountingMemo()
+    masses = {id(it.masses[2].lo): 2, id(it.masses[3].lo): 3}
+    divisors = []
+    divide = intervals._divide
+
+    def counted(alo, ahi, blo, bhi):
+        divisors.append(masses.get(id(blo)))
+        return divide(alo, ahi, blo, bhi)
+
+    monkeypatch.setattr(intervals, "_divide", counted)
+    cached = [entries(t) for t in cached]
+    monkeypatch.undo()
+    writes = it.memo.writes
+    assert set(writes.values()) == {1}
+    assert Counter(d for d in divisors if d is not None) == {2: 3, 3: 3}
+    assert Counter(key[2] for key in writes if key[0] == "ratio" and key[2] > 1) == {2: 3, 3: 3}
+    assert sorted(key[1] for key in writes if key[0] == "row_sum") == [0, 2, 3]
+    monkeypatch.setattr(hessian, "_norm_diag", norm_diag_inline)
+    monkeypatch.setattr(hessian, "_norm_share", norm_share_inline)
+    assert [entries(t) for t in tables()] == cached
 
 
 # --- coorbital identity -----------------------------------------------------------

@@ -14,12 +14,14 @@ written: none is left without its manifest.
 Body and pair indices are 1-based on the command line.
 
 Each CSV table is built as columns of field texts, and `write_csv_atomic`
-joins them row by row and writes the table in one piece.  Numbers are
-formatted with `.17g` from `.tolist()` values.  Kite-map cell
-coordinates, mass ratios and scales and certify box edges repeat across
-rows, so each distinct value is formatted once (`_formatted`, NaN as an
-empty field); columns of all-distinct values (residuals, trajectories)
-are formatted value by value (`_texts`).  Columns of codes (classes,
+joins them row by row and writes the table in one piece; the twist-matrix
+table of `hessian` and `lagrange` is instead one text, joined once from a
+flat list of row pieces (`_matrix_table`).  Numbers are formatted with
+`.17g` from `.tolist()` values.  Kite-map cell coordinates, mass ratios
+and scales and certify box edges repeat across rows, so each distinct
+value is formatted once (`_formatted`, NaN as an empty field); columns of
+all-distinct values (residuals, trajectories, matrix entries) are
+formatted value by value (`_texts`).  Columns of codes (classes,
 flags, block labels, certify outcomes, indices) look their texts up in a
 short table.  Free-text fields (certificates, kite-map errors and
 labels) go through `csv_field`, which quotes them as the csv module's
@@ -37,9 +39,8 @@ import re
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -136,12 +137,6 @@ def write_csv_atomic(path: str, header, columns) -> None:
     write_atomic(path, "\n".join([",".join(map(csv_field, header)), *rows, ""]))
 
 
-def _stacked(*tables) -> list[list[str]]:
-    """The columns of `tables`, each a list of columns, with the rows of each
-    table under those of the one before."""
-    return [list(chain(*parts)) for parts in zip(*tables, strict=True)]
-
-
 @dataclass
 class RunManifest:
     subcommand: str
@@ -160,7 +155,7 @@ class RunManifest:
         # wall_s in fixed-width exponent form, so the manifest of a rerun
         # has the same size (a float's repr varies in length); json escapes
         # newlines and quotes, so no string value holds the top-level line
-        doc = asdict(self)
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["wall_s"] = "<wall_s>"
         text = json.dumps(doc, indent=2).replace('\n  "wall_s": "<wall_s>"',
                                                   f'\n  "wall_s": {self.wall_s:.6e}')
@@ -376,30 +371,35 @@ def cmd_flow(args) -> tuple[int, RunManifest]:
                           [args.config], counts={"steps_completed": completed})
 
 
-MATRIX_CSV_COLUMNS = ["kind", "row", "col", "dir_row", "dir_col", "value"]
+MATRIX_CSV_HEADER = "kind,row,col,dir_row,dir_col,value\n"
 
 
-def _matrix_columns(tm, eigenvalues) -> list[list[str]]:
-    """The columns of the "entry" rows of a twist matrix, then of one
-    "eigenvalue" row each.
+def _matrix_table(tm, eigenvalues) -> str:
+    """The twist-matrix CSV table as text: the header, the "entry" rows of
+    the matrix in row-major order, then one "eigenvalue" row each.
 
-    `assemble_twist_hessian` makes the matrix exactly symmetric, so each
-    entry of the upper triangle is formatted once and mirrored.
+    The entry rows are one flat list of pieces, six a row, filled by slice:
+    "entry,a,", "b,", the direction names of a and b each with its comma,
+    the value and the line break.  `assemble_twist_hessian` makes the
+    matrix exactly symmetric, so each entry of the upper triangle is
+    formatted once and mirrored.
     """
     k = len(tm.directions)
-    names = [csv_field(d.name) for d in tm.directions]
-    numbers = list(map(str, range(k)))
+    names = [csv_field(d.name) + "," for d in tm.directions]
     upper = np.triu_indices(k)
     # entry (a, b) and its mirror (b, a) read the text of the same upper entry
     twin = np.empty((k, k), np.intp)
     twin[upper] = twin[upper[::-1]] = np.arange(upper[0].size)
-    values = _coded(list(_texts(tm.matrix[upper])), twin.ravel())
-    a, b = np.divmod(np.arange(k * k), k)
-    entries = [["entry"] * (k * k), _coded(numbers, a), _coded(numbers, b),
-               _coded(names, a), _coded(names, b), values]
-    blank = [""] * k
-    return _stacked(entries, [["eigenvalue"] * k, numbers, blank, blank, blank,
-                              _texts(eigenvalues)])
+    row = np.arange(k).repeat(k)
+    pieces = ["\n"] * (1 + 6 * k * k)
+    pieces[0] = MATRIX_CSV_HEADER
+    pieces[1::6] = _coded([f"entry,{a}," for a in range(k)], row)
+    pieces[2::6] = [f"{b}," for b in range(k)] * k
+    pieces[3::6] = _coded(names, row)
+    pieces[4::6] = names * k
+    pieces[5::6] = _coded(list(_texts(tm.matrix[upper])), twin.ravel())
+    pieces += [f"eigenvalue,{a},,,,{v}\n" for a, v in enumerate(_texts(eigenvalues))]
+    return "".join(pieces)
 
 
 def cmd_hessian(args) -> tuple[int, RunManifest]:
@@ -412,7 +412,7 @@ def cmd_hessian(args) -> tuple[int, RunManifest]:
     print(f"span_dimension = {dim}")
     print(f"signature = ({neg} neg, {zero} zero, {pos} pos)")
     if args.csv:
-        write_csv_atomic(args.csv, MATRIX_CSV_COLUMNS, _matrix_columns(tm, w))
+        write_atomic(args.csv, _matrix_table(tm, w))
     return 0, RunManifest("hessian", {"config": args.config, "normalized": args.normalized},
                           [args.config])
 
@@ -557,11 +557,8 @@ def cmd_lagrange(args) -> tuple[int, RunManifest]:
     print(f"eigenvalues = {', '.join(fmt(v) for v in w)}")
     print(f"char_poly_coeffs (a0, a1, a2) = {fmt(a0)}, {fmt(a1)}, {fmt(a2)}")
     if args.csv:
-        blank = [""] * 3
-        charpoly = [["charpoly"] * 3, ["a0", "a1", "a2"], blank, blank, blank,
-                    [fmt(a0), fmt(a1), fmt(a2)]]
-        write_csv_atomic(args.csv, MATRIX_CSV_COLUMNS,
-                         _stacked(_matrix_columns(tm, w), charpoly))
+        charpoly = "".join(f"charpoly,a{c},,,,{fmt(v)}\n" for c, v in enumerate((a0, a1, a2)))
+        write_atomic(args.csv, _matrix_table(tm, w) + charpoly)
     return 0, RunManifest("lagrange", {"masses": args.masses, "A": args.A})
 
 
@@ -643,8 +640,21 @@ def _run_files(args) -> list[str]:
     none the `.tmp` file that `write_atomic` writes another one through."""
     files = [path for path in (getattr(args, name) for name in args.outputs) if path]
     files += [files[0] + ".manifest.json"] if files else []
-    real = {os.path.realpath(path) for path in files}
-    if len(real) < len(files) or real & {os.path.realpath(f"{path}.tmp") for path in files}:
+    dirs = {}
+
+    def resolved(path: str) -> str:
+        # os.path.realpath(path), which is the real directory joined with the
+        # last name unless that is empty, ".", ".." or a link (or the path
+        # holds a NUL, on which realpath may raise): each directory once
+        head, name = os.path.split(path)
+        if name in ("", os.curdir, os.pardir) or "\0" in path or os.path.islink(path):
+            return os.path.realpath(path)
+        if head not in dirs:
+            dirs[head] = os.path.realpath(head or os.curdir)
+        return os.path.join(dirs[head], name)
+
+    real = {resolved(path) for path in files}
+    if len(real) < len(files) or real & {resolved(f"{path}.tmp") for path in files}:
         raise SystemExitError("outputs must name distinct files, none another's .tmp file: "
                               + ", ".join(files))
     return files

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -242,9 +243,12 @@ class PairTable:
       cos3(i, j, k)    — q_ij . q_ik/(r_ij*r_ik), its cosine
       cos4(i, j, k, l) — q_ij . q_kl/(r_ij*r_kl)
 
+    distance(i, j)     — r_ij at the configuration's scale, r[i, j] here
+
     Mass accessors, also generic over the scalar type:
       ratio(k, i)      — m_k/m_i
-      row_sum(i)       — sum over l != i, in order of l, of ratio(l, i)*S_il
+      row_sum(i)       — sum over l != i, in order of l, of ratio(l, i)*S_il,
+                         from its first term
 
     sin3, ratio and row_sum are computed once per index tuple and kept in
     the table's `memo`.
@@ -293,6 +297,9 @@ class PairTable:
     def cos4(self, i: int, j: int, k: int, l: int) -> float:
         return self.dot(i, j, k, l) / (self.r[i, j] * self.r[k, l])
 
+    def distance(self, i: int, j: int) -> float:
+        return self.r[i, j]
+
     def ratio(self, k: int, i: int) -> float:
         key = ("ratio", k, i)
         q = self.memo.get(key)
@@ -304,11 +311,9 @@ class PairTable:
         key = ("row_sum", i)
         s = self.memo.get(key)
         if s is None:
-            s = self.zero
-            for l in range(len(self.masses)):
-                if l != i:
-                    s = s + self.ratio(l, i) * self.S[i, l]
-            self.memo[key] = s
+            # from the first term: on intervals, no rounded pass adds it to zero
+            s = self.memo[key] = reduce(operator.add, (self.ratio(l, i) * self.S[i, l]
+                                                       for l in range(len(self.masses)) if l != i))
         return s
 
 

@@ -134,7 +134,8 @@ def twist_hessian_entry(table: PairTable, pair1, pair2, normalized: bool = False
         return float(value)
     (i, j), (k, l) = p, q
     m = table.masses
-    return float(value * (m[i] * m[j] * table.r[i, j]) * (m[k] * m[l] * table.r[k, l]))
+    return float(value * (m[i] * m[j] * table.distance(i, j))
+                 * (m[k] * m[l] * table.distance(k, l)))
 
 
 # --- assembled matrices --------------------------------------------------------

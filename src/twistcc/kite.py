@@ -398,8 +398,9 @@ class KiteTable(PairTable):
     carry none of an x2 enclosure's width, while lam and dot are the
     kite's over x2^2.  Values from the fixed coordinates alone (r12 = 2,
     dx = -2, 0, ...) are exact floats, also in an interval table.  The
-    powers R = r^-A and S = R - 1 are at scale x2.  There is no T: the
-    normalized entries read none.  The masses are (1, 1, mu31, mu41), and
+    powers R = r^-A and S = R - 1 are at scale x2, and so is `distance`,
+    x2 * r, which scales raw twist entries.  There is no T: the normalized
+    entries read none.  The masses are (1, 1, mu31, mu41), and
     `shared_entries` are the six normalized twist entries that both blocks
     read, evaluated once.
     """
@@ -412,7 +413,7 @@ class KiteTable(PairTable):
         S = tuple(v - 1.0 for v in R)
         qx = (-1.0, 1.0, 0.0, 0.0)
         qy = (0.0, 0.0, z3, z4)
-        self.z3, self.z4, self.x2, self.A = z3, z4, x2, A
+        self.n, self.z3, self.z4, self.x2, self.A = 4, z3, z4, x2, A
         self.masses = (1.0, 1.0, mu31, mu41)
         self.zero = z3 * 0.0
         self.memo = {}
@@ -424,6 +425,9 @@ class KiteTable(PairTable):
             for a, b in ((i, j), (j, i)):
                 self.dx[a, b], self.dy[a, b] = qx[a] - qx[b], qy[a] - qy[b]
                 self.r[a, b], self.R[a, b], self.S[a, b] = r[k], R[k], S[k]
+
+    def distance(self, i: int, j: int):
+        return self.x2 * self.r[i, j]
 
     @classmethod
     def of(cls, kite: KiteConfig, params: PotentialParams) -> "KiteTable":

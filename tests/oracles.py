@@ -232,10 +232,11 @@ def norm_diag_inline(t, i, j):
 def norm_share_inline(t, i, j, k):
     m = t.masses
     n = len(m)
-    ssum = t.zero
+    ssum = None
     for l in range(n):
         if l != i:
-            ssum = ssum + (m[l] / m[i]) * t.S[i, l]
+            term = (m[l] / m[i]) * t.S[i, l]
+            ssum = term if ssum is None else ssum + term
     acc = t.cos3(i, j, k) * (t.S[k, j] - t.S[i, j] - t.S[i, k] - ssum)
     acc = acc - t.A * t.R[j, k] * t.sin3(j, i, k) * t.sin3(k, j, i)
     for l in range(n):

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -158,18 +159,55 @@ def test_manifest_keeps_wall_s_when_an_output_is_named_like_its_placeholder(
     KITE_MAP_4 + ["--csv", "m.tmp", "--pgm", "m"],
     ["descend", "{sq}", "--traj", "t.csv.tmp", "--final", "t.csv"],
     KITE_MAP_4 + ["--csv", "a", "--pgm", "a.manifest.json.tmp"],
+    # a file linked to another output, an output whose .tmp file is such a
+    # link, and one file by a path through a directory and back
+    KITE_MAP_4 + ["--csv", "a.csv", "--pgm", "alias.csv"],
+    KITE_MAP_4 + ["--csv", "t.csv", "--pgm", "u.pgm"],
+    KITE_MAP_4 + ["--csv", "sub/../a.csv", "--pgm", "a.csv"],
+    # one directory by paths whose last name is ".", empty or ".."
+    KITE_MAP_4 + ["--csv", "sub/.", "--pgm", "sub/"],
+    ["descend", "{sq}", "--traj", "sub/..", "--final", "."],
 ], ids=["kite-map", "descend", "kite-map-manifest", "kite-map-absolute", "kite-map-link",
-        "kite-map-tmp", "descend-tmp", "kite-map-manifest-tmp"])
+        "kite-map-tmp", "descend-tmp", "kite-map-manifest-tmp", "kite-map-file-link",
+        "kite-map-tmp-link", "kite-map-parent", "kite-map-dot", "descend-dot-dot"])
 def test_outputs_must_name_distinct_files(argv, tmp_path, capsys, monkeypatch):
     # refused before any input is read or anything computed, with no file written
     for name in ("_load", "descend", "kite_index_map", "_random_start"):
         monkeypatch.setattr(cli, name, lambda *a, name=name, **kw: pytest.fail(name))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "link").symlink_to(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "alias.csv").symlink_to("a.csv")
+    (tmp_path / "t.csv.tmp").symlink_to("u.pgm")
     assert main([a.format(sq=DATA / "square_1135.json", tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: outputs must name distinct files") and "Traceback" not in err
-    assert [p.name for p in tmp_path.iterdir()] == ["link"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["alias.csv", "link", "sub",
+                                                          "t.csv.tmp"]
+    assert not list((tmp_path / "sub").iterdir())
+
+
+def test_distinct_outputs_through_a_linked_directory_are_accepted(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to("real")
+    for csv_out, pgm in (("link/m.csv", "link/m.pgm"), ("link/n.csv", "real/n.pgm")):
+        assert main(KITE_MAP_4 + ["--csv", csv_out, "--pgm", pgm]) == 0
+    assert sorted(p.name for p in (tmp_path / "real").iterdir()) == [
+        "m.csv", "m.csv.manifest.json", "m.pgm", "n.csv", "n.csv.manifest.json", "n.pgm"]
+
+
+def test_manifest_text_is_the_json_of_its_fields(tmp_path):
+    m = cli.RunManifest("descend", {"config": None, "random": 4, "A": 3.0}, [],
+                        outputs=["d.csv", "d.json"], tolerances={"tol": 1e-10, "max_iter": 5},
+                        seed=3, wall_s=0.125,
+                        counts={"iterations": 7, "reason": "converged", "i_drift": 1e-17,
+                                "unknown": {"Hs": {"a, \"b\"": 2}}})
+    m.write(str(tmp_path / "m.json"))
+    text = (tmp_path / "m.json").read_text()
+    doc = dict(asdict(m), wall_s="<wall_s>")
+    assert text == json.dumps(doc, indent=2).replace('"<wall_s>"', "1.250000e-01") + "\n"
+    assert json.loads(text) == asdict(m)
 
 
 def test_eval_unknown_flag(triangle_file):
@@ -717,15 +755,22 @@ def assert_table(path, ref):
     assert "\r" not in text        # csv.writer leaves \r unquoted; csv_field quotes it
 
 
-@pytest.mark.parametrize("name", ["square_1135.json", "lagrange_123.json"])
-def test_eval_and_hessian_tables_match_csv_writer(name, tmp_path):
-    config, params = load_config(DATA / name)
-    main(["eval", str(DATA / name), "--csv", str(tmp_path / "e.csv")])
+# the bundled configurations, and seeded random ones of the benchmark's sizes
+@pytest.mark.parametrize("name", ["square_1135.json", "lagrange_123.json", 10, 20, 40])
+def test_eval_and_hessian_tables_match_csv_writer(name, rng, tmp_path):
+    path = DATA / str(name)
+    if isinstance(name, int):
+        path = tmp_path / f"random_{name}.json"
+        path.write_text(config_to_json(random_config(rng, name, min_sep=0.05),
+                                       PotentialParams(3.0)))
+    config, params = load_config(path)
+    main(["eval", str(path), "--csv", str(tmp_path / "e.csv")])
     assert_table(tmp_path / "e.csv", eval_table_ref(config, params))
     table = build_pair_table(config, params)
-    basis, _ = twist_span_basis(table)
+    basis, dim = twist_span_basis(table)
+    assert dim == 2 * config.n - 3
     for normalized in (False, True):
-        main(["hessian", str(DATA / name), "--csv", str(tmp_path / "h.csv")]
+        main(["hessian", str(path), "--csv", str(tmp_path / "h.csv")]
              + ["--normalized"] * normalized)
         tm = assemble_twist_hessian(table, basis, normalized=normalized)
         assert_table(tmp_path / "h.csv", matrix_table_ref(tm))
@@ -743,10 +788,10 @@ def test_lagrange_table_matches_csv_writer(tmp_path):
 
 
 def test_written_twist_matrices_are_exactly_symmetric(monkeypatch, rng, tmp_path):
-    # `_matrix_columns` formats the upper triangle once and mirrors it
+    # `_matrix_table` formats the upper triangle once and mirrors it
     seen = []
-    columns = cli._matrix_columns
-    monkeypatch.setattr(cli, "_matrix_columns", lambda tm, w: seen.append(tm) or columns(tm, w))
+    table = cli._matrix_table
+    monkeypatch.setattr(cli, "_matrix_table", lambda tm, w: seen.append(tm) or table(tm, w))
     files = [str(DATA / "square_1135.json"), str(DATA / "lagrange_123.json")]
     for n in (5, 12):
         files.append(str(tmp_path / f"r{n}.json"))

@@ -1,14 +1,14 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
 
 from twistcc.geometry import (PairTable, PotentialParams, build_pair_table, euler_residual,
                               moment_of_inertia)
-from twistcc.hessian import cartesian_hessian
+from twistcc.hessian import cartesian_hessian, twist_hessian_entry
 from twistcc.intervals import Interval, IntervalArray
 from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, InfeasibleShapeError,
                           InapplicableShapeError, KiteConfig, KiteShape, KiteTable,
@@ -251,6 +251,22 @@ def test_kite_table_matches_pair_table(rng, newton):
                 got = getattr(kt, name)[pair]
                 assert got == pytest.approx(getattr(pt, name)[pair], rel=1e-13), (name, pair)
                 assert getattr(it, name)[pair].contains(got), (name, pair)
+
+
+def test_kite_table_twist_entries_match_pair_table(rng, newton):
+    # the entry of any two of the kite's six pairs (21 combinations), raw and
+    # normalized, equals that of the kite's own pair table: the raw rescale
+    # reads the distances at scale x2, where the table's r is the unit-scale kite's
+    pairs = list(combinations(range(4), 2))
+    for shape in [KiteShape(2.0, 0.8), *sample_admissible_shapes(rng, 5)]:
+        kite = build_kite(shape, newton)
+        tables = (KiteTable.of(kite, newton), build_pair_table(kite.config, newton))
+        for normalized in (False, True):
+            got, want = (np.array([twist_hessian_entry(t, p, q, normalized)
+                                   for p, q in combinations_with_replacement(pairs, 2)])
+                         for t in tables)
+            assert got.size == 21
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (shape, normalized)
 
 
 def test_ha_explicit_computes_each_sin3_once(monkeypatch, newton):

@@ -7,7 +7,8 @@ Library layout:
   solver    — twist flows (RK4) and curvature-scaled Newton descent in the
               twist span (keeps I to first order), Newton-polished
   kite      — 4-body concave isosceles kites, block Hessians, index maps
-  intervals — outward-rounded interval arithmetic
+  intervals — outward-rounded interval arithmetic on lanes (IntervalArray);
+              Interval is a checked one-lane box
   certify   — rigorous index certification over shape boxes
   cli       — command-line interface (eval, descend, flow, hessian,
               kite-map, certify, lagrange)
@@ -31,6 +32,6 @@ from .kite import (IndexMap, KiteBlocks, KiteConfig, KiteError, KiteShape,
                    build_kite, circumcenter_z4, classify_shape,
                    coorbital_identity_check, kite_blocks, kite_index_map,
                    kite_masses, kite_scale)
-from .intervals import Interval, IntervalDomainError, IntervalError
+from .intervals import Interval, IntervalError
 from .certify import (OUTCOMES, BoxCertificate, CertifiedIndex, certify_box,
                       certify_ha_index, certify_hs_index, certify_kite_scale)

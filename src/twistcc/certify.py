@@ -28,12 +28,13 @@ kite's rule on boxes (`kite._class_codes`, `kite._mass_boundaries`);
 a batch encloses the admissible lanes' side powers once, for that rule,
 the scale enclosure and the mass ratios.  Only admissible lanes enter
 the scale enclosure, and only lanes with a scale enter the interval
-`KiteTable` and the two blocks.  Every lane rounds exactly as scalar
-`Interval` arithmetic on that box alone would, so a box's enclosures and
-certificates do not depend on the other boxes of its batch.  The result
-is arrays (`Certificates`): per lane and block, a code into OUTCOMES,
-the closed table of every `CertifiedIndex` a block can get.
-`certify_box` is the one-lane call.  A `None` value means Unknown,
+`KiteTable` and the two blocks.  Lane arithmetic involves no other lane,
+so a box's enclosures and certificates do not depend on the other boxes
+of its batch; each equals, bit for bit, the scalar reference arithmetic
+of `tests/oracles.py` on that box alone.  The result is arrays
+(`Certificates`): per lane and block, a code into OUTCOMES, the closed
+table of every `CertifiedIndex` a block can get.  `certify_box` is the
+one-lane call, on `intervals.Interval` boxes.  A `None` value means Unknown,
 always a sound answer and the expected one on boxes straddling a
 bifurcation.  A box's reason is the first that applies, in this order:
 
@@ -43,7 +44,7 @@ bifurcation.  A box's reason is the first that applies, in this order:
   3. "interval evaluation failed: mass-ratio enclosures not strictly
      positive";
   4. "interval evaluation failed: <stage>", where the lane's interval
-     arithmetic failed (a NaN lane, where `Interval` would raise): the
+     arithmetic failed (a NaN lane, where the reference raises): the
      kite quantities, or per block "Hs", "Ha" (its entries) or the first
      H_a minor reached that failed.  The text names that stage, not the
      scalar exception and its endpoints.  Such boxes are rare: none in
@@ -328,6 +329,5 @@ def _certify_batch(z3: IntervalArray, z4: IntervalArray,
 def certify_box(z3: Interval, z4: Interval, params: PotentialParams) -> BoxCertificate:
     """Certified H_s and H_a indices over the box z3 x z4: the one-lane
     call of `certify_boxes`."""
-    certs = certify_boxes(IntervalArray.from_intervals([z3]),
-                          IntervalArray.from_intervals([z4]), params)
+    certs = certify_boxes(z3, z4, params)
     return BoxCertificate(z3, z4, OUTCOMES[certs.hs[0]], OUTCOMES[certs.ha[0]])

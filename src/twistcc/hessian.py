@@ -122,20 +122,20 @@ def generic_entry(t, p: TwistPair, q: TwistPair):
     return _norm_disjoint(t, i, j, k, l)
 
 
-def twist_hessian_entry(table: PairTable, pair1, pair2, normalized: bool = False) -> float:
+def twist_hessian_entry(table: PairTable, pair1, pair2, normalized: bool = False):
     """v_p^T H v_q for the twist vectors of pair1 and pair2, or for the
     normalized vectors v_ij / (m_i m_j r_ij); any pair kind, at the table's
     masses and exponent.  The raw entry is the normalized one times
-    (m_i m_j r_ij)(m_k m_l r_kl)."""
+    (m_i m_j r_ij)(m_k m_l r_kl).  A float, or an interval on an interval
+    table (`kite.KiteTable` of intervals)."""
     p = canon_pair(table.n, pair1)
     q = canon_pair(table.n, pair2)
     value = generic_entry(table, p, q)
-    if normalized:
-        return float(value)
-    (i, j), (k, l) = p, q
-    m = table.masses
-    return float(value * (m[i] * m[j] * table.distance(i, j))
-                 * (m[k] * m[l] * table.distance(k, l)))
+    if not normalized:
+        (i, j), (k, l) = p, q
+        m = table.masses
+        value = value * (m[i] * m[j] * table.distance(i, j)) * (m[k] * m[l] * table.distance(k, l))
+    return value if hasattr(value, "lo") else float(value)
 
 
 # --- assembled matrices --------------------------------------------------------

@@ -39,7 +39,6 @@ import numpy as np
 
 from .geometry import PairTable, PlanarConfig, PotentialParams, build_pair_table
 from .hessian import MORSE_ZERO_RTOL, TwistDirection, assemble_twist_hessian, generic_entry
-from .intervals import Interval
 
 SQRT3 = math.sqrt(3.0)
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -104,12 +103,13 @@ def side_powers(z3, z4, A: float):
     These are the side lengths r12, r34, r13, r14 over x2, raised to -A.
     Generic over the scalar type (floats, numpy arrays or intervals).
     2^-A is one float for all shapes, except on intervals where that float
-    is not exact (A is not an integer, or 2^-A underflows): there it is an
-    `Interval` enclosing 2^-A.
+    is not exact (A is not an integer, or 2^-A underflows): there it is
+    enclosed from the point [2, 2] in z3's own type, as one interval (one
+    lane that broadcasts, on `IntervalArray` lanes).
     """
     p2 = 2.0 ** -A
     if hasattr(z3, "lo") and not (float(A).is_integer() and p2 > 0.0):
-        p2 = Interval(2.0) ** -float(A)
+        p2 = type(z3)(2.0) ** -float(A)
     return (p2, (z3 - z4) ** -A,
             (1.0 + z3 * z3) ** (-A / 2.0), (1.0 + z4 * z4) ** (-A / 2.0))
 
@@ -126,8 +126,8 @@ def kite_distances(z3, z4, x2):
 def dziobek_coefficients(powers):
     """(D, N) from the side powers: in t = x2^(-A) the Dziobek residual is
     (t*p2 - 1)(t*pd - 1) - (t*p3 - 1)(t*p4 - 1) = t*(t*D - N), so x2 = (D/N)^(1/A).
-    Generic over the scalar type (floats, numpy arrays or intervals); 2^-A,
-    which may be a scalar `Interval` among interval lanes, is the right operand."""
+    Generic over the scalar type (floats, numpy arrays or intervals); 2^-A
+    may be one interval lane among many."""
     p2, pd, p3, p4 = powers
     return pd * p2 - p3 * p4, pd + p2 - p3 - p4
 
@@ -458,11 +458,12 @@ def ha_explicit(t: KiteTable):
 
     The reduced combinations use the kite's reflection symmetry
     (v23^T H v24 = v13^T H v14 etc.), which holds exactly for the
-    mirror-symmetric coordinates.  sqrt 2 is computed in t's scalar type,
-    so for intervals it is an enclosure.
+    mirror-symmetric coordinates.  sqrt 2 is computed in t's scalar type;
+    for intervals it is the enclosure of the point [2, 2]'s root (one lane,
+    on `IntervalArray` lanes).
     """
     d02, s201, d03, s301, s023, j0213 = t.shared_entries
-    sqrt2 = (t.zero + 2.0) ** 0.5
+    sqrt2 = (type(t.zero)(2.0) if hasattr(t.zero, "lo") else t.zero + 2.0) ** 0.5
     return (d02 + s201, d03 + s301, generic_entry(t, (2, 3), (2, 3)), s023 + j0213,
             sqrt2 * generic_entry(t, (0, 2), (2, 3)), sqrt2 * generic_entry(t, (0, 3), (2, 3)))
 

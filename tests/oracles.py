@@ -4,7 +4,9 @@ These deliberately avoid the closed-form code paths they validate:
 finite differences for derivatives, dense matrix sandwiches for twist
 entries, blind bisection for the Dziobek scale, and SVD rank for span
 dimensions.  The CSV tables are rebuilt from library values as lists of
-fields and written with `csv.writer`.
+fields and written with `csv.writer`.  The scalar `Interval`, which raises
+where an operation is undefined, is the reference for the library's
+interval lanes; `lanes` and `lane` convert between the two.
 """
 
 import csv
@@ -14,6 +16,7 @@ import math
 import numpy as np
 
 from twistcc.geometry import PlanarConfig, PotentialParams, f_value
+from twistcc.intervals import _ETA, _MAX, _PHI, IntervalArray, IntervalError, _is_unit, _is_zero
 
 
 def fd_gradient(config: PlanarConfig, params: PotentialParams, h=None) -> np.ndarray:
@@ -395,6 +398,213 @@ def albouy_chenciner_loop(table, m: np.ndarray, i: int, j: int) -> float:
     return float(np.dot(m * table.S[i], ri2[j] + ri2 - table.r[j] ** 2))
 
 
+# --- scalar interval reference -----------------------------------------------------
+#
+# One interval at a time, raising where an operation is undefined, with the
+# library's rounding bound applied per endpoint in Python floats: the scalar
+# arithmetic the library kept before `intervals.IntervalArray` became its only
+# one.  Every lane must equal it bit for bit, and fail (NaN) where it raises.
+
+def _down(x: float) -> float:
+    """A float <= pred(x); pred(max) for +inf, NaN for NaN."""
+    if x > _MAX:
+        x = _MAX
+    return x - (abs(x) * _PHI + _ETA)
+
+
+def _up(x: float) -> float:
+    """A float >= succ(x); -pred(max) for -inf, NaN for NaN."""
+    if x < -_MAX:
+        x = -_MAX
+    return x + (abs(x) * _PHI + _ETA)
+
+
+def _down2(x: float) -> float:
+    return _down(_down(x))
+
+
+def _up2(x: float) -> float:
+    return _up(_up(x))
+
+
+class IntervalDomainError(IntervalError):
+    """Operand interval outside the operation's domain (e.g. 0 in a divisor)."""
+
+
+class Interval:
+    """Closed interval [lo, hi] of reals with containment-safe arithmetic."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float | None = None):
+        lo = float(lo)
+        hi = lo if hi is None else float(hi)
+        if math.isnan(lo) or math.isnan(hi):
+            raise IntervalError("interval endpoints must not be NaN")
+        if lo > hi:
+            raise IntervalError(f"invalid interval [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
+
+    # --- inspection -----------------------------------------------------
+    @property
+    def mid(self) -> float:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
+
+    @property
+    def mag(self) -> float:
+        return max(abs(self.lo), abs(self.hi))
+
+    def contains(self, x: float) -> bool:
+        return self.lo <= x <= self.hi
+
+    def contains_zero(self) -> bool:
+        return self.lo <= 0.0 <= self.hi
+
+    def is_positive(self) -> bool:
+        return self.lo > 0.0
+
+    def is_negative(self) -> bool:
+        return self.hi < 0.0
+
+    def __repr__(self) -> str:
+        return f"[{self.lo!r}, {self.hi!r}]"
+
+    # --- set operations ---------------------------------------------------
+    def hull(self, other: "Interval") -> "Interval":
+        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
+
+    def intersect(self, other: "Interval") -> "Interval":
+        lo = max(self.lo, other.lo)
+        hi = min(self.hi, other.hi)
+        if lo > hi:
+            raise IntervalError(f"empty intersection of {self} and {other}")
+        return Interval(lo, hi)
+
+    def widened(self, pad: float) -> "Interval":
+        return Interval(_down(self.lo - pad), _up(self.hi + pad))
+
+    # --- arithmetic ---------------------------------------------------------
+    def __neg__(self) -> "Interval":
+        return Interval(-self.hi, -self.lo)
+
+    def __add__(self, other) -> "Interval":
+        if _is_zero(other):
+            return self
+        o = _coerce(other)
+        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Interval":
+        if _is_zero(other):
+            return self
+        o = _coerce(other)
+        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
+
+    def __rsub__(self, other) -> "Interval":
+        if _is_zero(other):
+            return -self
+        return _coerce(other).__sub__(self)
+
+    def __mul__(self, other) -> "Interval":
+        if _is_zero(other):
+            return Interval(0.0)
+        if _is_unit(other):
+            return self if other > 0 else -self
+        o = _coerce(other)
+        return _outward((self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "Interval":
+        if _is_unit(other):
+            return self if other > 0 else -self
+        o = _coerce(other)
+        if o.contains_zero():
+            raise IntervalDomainError(f"division by zero-containing interval {o}")
+        return _outward((self.lo / o.lo, self.lo / o.hi, self.hi / o.lo, self.hi / o.hi))
+
+    def __rtruediv__(self, other) -> "Interval":
+        return _coerce(other).__truediv__(self)
+
+    def sq(self) -> "Interval":
+        lo, hi = abs(self.lo), abs(self.hi)
+        lo, hi = min(lo, hi), max(lo, hi)
+        if self.contains_zero():
+            lo = 0.0
+        return Interval(_down(lo * lo), _up(hi * hi))
+
+    def __pow__(self, n) -> "Interval":
+        if isinstance(n, float):
+            return self.pow_real(n)
+        n = int(n)
+        if n == 0:
+            return Interval(1.0, 1.0)
+        if n == 1:
+            return self
+        if n < 0:
+            return Interval(1.0, 1.0) / self.__pow__(-n)
+        if n % 2 == 0:
+            half = self.__pow__(n // 2)
+            return half.sq()
+        return self * self.__pow__(n - 1)
+
+    def pow_real(self, p: float) -> "Interval":
+        """x^p for real p; requires a strictly positive interval and a
+        result libm can represent."""
+        if self.lo <= 0.0:
+            raise IntervalDomainError(f"real power of non-positive interval {self}")
+        try:
+            a = math.pow(self.lo, p)
+            b = math.pow(self.hi, p)
+        except OverflowError:
+            raise IntervalDomainError(f"real power {p!r} of {self} overflows") from None
+        if p >= 0.0:
+            return Interval(_down2(a), _up2(b))
+        return Interval(_down2(b), _up2(a))
+
+    def sqrt(self) -> "Interval":
+        if self.lo < 0.0:
+            raise IntervalDomainError(f"sqrt of negative interval {self}")
+        return Interval(_down(math.sqrt(self.lo)), _up(math.sqrt(self.hi)))
+
+
+def _outward(p) -> Interval:
+    """Outward hull of candidate products or quotients; a NaN among them
+    (0 * inf, inf / inf) fails the operation, as it fails a lane."""
+    if any(map(math.isnan, p)):
+        raise IntervalError(f"NaN among the candidate ends {p}")
+    return Interval(_down(min(p)), _up(max(p)))
+
+
+def _coerce(x) -> Interval:
+    if isinstance(x, Interval):
+        return x
+    return Interval(float(x))
+
+
+def hull(*vals: Interval) -> Interval:
+    out = vals[0]
+    for v in vals[1:]:
+        out = out.hull(v)
+    return out
+
+def lanes(ivs) -> IntervalArray:
+    """The reference intervals ivs as the lanes of one IntervalArray."""
+    ivs = list(ivs)
+    return IntervalArray([iv.lo for iv in ivs], [iv.hi for iv in ivs])
+
+
+def lane(x: IntervalArray, k: int) -> Interval:
+    """Lane k of x as a reference Interval; IntervalError for a failed lane."""
+    return Interval(x.lo[k], x.hi[k])
+
+
 # --- per-box interval certification -------------------------------------------
 #
 # One box at a time on scalar `Interval` arithmetic, written as the library
@@ -402,7 +612,6 @@ def albouy_chenciner_loop(table, m: np.ndarray, i: int, j: int) -> float:
 # lane of the batched certification must reproduce it bit for bit.
 
 def box_admissible_ref(z3, z4):
-    from twistcc.intervals import Interval
     SQRT3_I = Interval(3.0).sqrt()
     if z4.lo <= 0.0 or z3.lo <= z4.hi:
         return None
@@ -429,7 +638,6 @@ def dziobek_corner_roots_ref(z3, z4, A: float):
     box's 8 corners.  Raises IntervalError where an evaluation fails."""
     from itertools import product
 
-    from twistcc.intervals import Interval
     from twistcc.kite import dziobek_coefficients, side_powers
     p2, pd, p3, p4 = powers = side_powers(z3, z4, A)
     D, _ = dziobek_coefficients(powers)
@@ -446,7 +654,6 @@ def kite_scale_corners_ref(z3, z4, params: PotentialParams):
     by `verified_ends_ref`, as an Interval; None where D contains zero or
     an evaluation fails (a corner's D contains zero, the hull is not
     strictly positive, a power overflows)."""
-    from twistcc.intervals import IntervalError, hull
     from twistcc.kite import side_powers
     try:
         D, roots = dziobek_corner_roots_ref(z3, z4, params.A)
@@ -464,7 +671,6 @@ def verified_ends_ref(x2, powers, d_positive: bool, A: float):
     its side of every root (below them for the low end, above for the
     high end)."""
     from twistcc.certify import END_STEPS
-    from twistcc.intervals import Interval, IntervalError
     p2, pd, p3, p4 = powers
 
     def side(x: float) -> int:
@@ -501,7 +707,6 @@ def certify_kite_scale_ref(z3, z4, params: PotentialParams):
     has verified opposite signs at its ends, then moves an end to each
     quarter point whose sign is decided, and intersects the result with
     the direct evaluation of (D/N)^(1/A)."""
-    from twistcc.intervals import Interval, IntervalDomainError, IntervalError
     from twistcc.kite import KiteError, KiteShape, dziobek_coefficients, kite_scale, side_powers
     A = params.A
     if z3.lo <= z4.hi or z4.lo <= 0.0:
@@ -589,7 +794,6 @@ def certify_box_ref(z3, z4, params: PotentialParams):
     """BoxCertificate of one box; a failed interval evaluation quotes the
     scalar exception."""
     from twistcc.certify import BoxCertificate, CertifiedIndex
-    from twistcc.intervals import IntervalDomainError, IntervalError
     from twistcc.kite import KiteTable, ha_explicit, hs_explicit, mass_ratio_terms
 
     failures = (IntervalError, IntervalDomainError)

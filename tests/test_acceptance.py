@@ -26,7 +26,7 @@ from twistcc.solver import FlowSpec, descend, flow_fixed_combo, rescale_to_cc_si
 from twistcc.twist import (cc_residual, laura_andoyer, normalized_twist,
                            twist_span_basis, twist_vector)
 
-from oracles import (all_twist_rank, bisect_dziso, equilateral_config, fd_gradient,
+from oracles import (all_twist_rank, bisect_dziso, equilateral_config, fd_gradient, lane,
                      fd_hessian, random_config, square_config)
 from test_kite import sample_admissible_shapes
 
@@ -277,7 +277,7 @@ def test_criterion_09_dziobek_scale(rng, newton):
             x2 = certify_kite_scale(IntervalArray([shape.z3]), IntervalArray([shape.z4]),
                                     newton)
             assert not x2.failed[0]
-            enc = x2.lane(0)
+            enc = lane(x2, 0)
             assert abs(enc.mid - oracle) < 1e-10
             assert enc.lo - 1e-13 <= oracle <= enc.hi + 1e-13
             rep = dzsub_report(shape, newton)
@@ -291,7 +291,11 @@ def test_criterion_09_dziobek_scale(rng, newton):
 
 def test_criterion_10_certification(rng, newton):
     with criterion(10, "interval containment; certified Hs matches float", 60):
-        # 1e5 randomized elementary-operation containment checks
+        # 1e5 randomized elementary-operation containment checks on boxes,
+        # whose results are one-lane IntervalArrays
+        def contains(iv, v):
+            return iv.lo[0] <= v <= iv.hi[0]
+
         ops = 0
         while ops < 100000:
             a, b = sorted(rng.uniform(-10, 10, 2))
@@ -300,17 +304,17 @@ def test_criterion_10_certification(rng, newton):
             t, u = rng.uniform(0, 1, 2)
             va = a + t * (b - a)
             vb = c + u * (d - c)
-            assert (x + y).contains(va + vb)
-            assert (x - y).contains(va - vb)
-            assert (x * y).contains(va * vb)
+            assert contains(x + y, va + vb)
+            assert contains(x - y, va - vb)
+            assert contains(x * y, va * vb)
             ops += 3
-            if not y.contains_zero():
-                assert (x / y).contains(va / vb)
+            if not y.contains_zero()[0]:
+                assert contains(x / y, va / vb)
                 ops += 1
             if a > 0:
                 p = float(rng.uniform(-4, 4))
-                assert x.pow_real(p).contains(va ** p)
-                assert x.sqrt().contains(math.sqrt(va))
+                assert contains(x.pow_real(p), va ** p)
+                assert contains(x.sqrt(), math.sqrt(va))
                 ops += 2
 
         # certified Hs indices match floating-point indices at interior points

@@ -12,13 +12,15 @@ from twistcc.certify import (OUTCOMES, BoxCertificate, _decide_2x2, certify_box,
                              interval_kite_quantities)
 from twistcc.geometry import PotentialParams
 from twistcc.hessian import morse_index
-from twistcc.intervals import Interval, IntervalArray
+from twistcc.intervals import Interval as Box
+from twistcc.intervals import IntervalArray
 from twistcc.kite import (ROTATION_ZERO_RTOL, KiteShape, KiteTable, _class_codes,
                           _kite_terms, _mass_boundaries, build_kite, circumcenter_z4,
                           ha_explicit, hs_explicit, kite_blocks, kite_scale, side_powers)
 
-from oracles import (bisect_dziso, certify_box_ref, certify_kite_scale_ref,
-                     dziobek_corner_roots_ref, dziso_residual, kite_scale_corners_ref)
+from oracles import (Interval, bisect_dziso, certify_box_ref, certify_kite_scale_ref,
+                     dziobek_corner_roots_ref, dziso_residual, kite_scale_corners_ref, lane,
+                     lanes)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -28,8 +30,13 @@ def point_box(z3, z4, w=0.0):
 
 
 def box_lanes(boxes):
-    return (IntervalArray.from_intervals(b[0] for b in boxes),
-            IntervalArray.from_intervals(b[1] for b in boxes))
+    return lanes(b[0] for b in boxes), lanes(b[1] for b in boxes)
+
+
+def certified(z3, z4, params):
+    """`certify_box` on the library boxes with the ends of the reference
+    intervals z3 and z4."""
+    return certify_box(Box(z3.lo, z3.hi), Box(z4.lo, z4.hi), params)
 
 
 def box_class(z3, z4):
@@ -42,7 +49,7 @@ def box_scale(z3, z4, params):
     """Scale enclosure of the box z3 x z4 as one lane: an Interval, or None
     where the lane failed."""
     x2 = certify_kite_scale(*box_lanes([(z3, z4)]), params)
-    return None if x2.failed[0] else x2.lane(0)
+    return None if x2.failed[0] else lane(x2, 0)
 
 
 def box_certificates(certs):
@@ -82,7 +89,7 @@ def test_box_straddling_mu31_boundary_is_not_admissible(newton):
     assert box_class(z3, z4) == "wide"
     _, pd, p3, _ = side_powers(z3, z4, newton.A)
     assert (pd - p3).contains_zero()
-    box = certify_box(z3, z4, newton)
+    box = certified(z3, z4, newton)
     assert box.hs == box.ha == certify.NOT_ADMISSIBLE
 
 
@@ -228,7 +235,7 @@ def test_scales_inside_known_roots_are_undecided(rng, A):
     z3, z4 = sampled_boxes(rng, 300)
     checked = 0
     for k in range(len(z3)):
-        box = z3.lane(k), z4.lane(k)
+        box = lane(z3, k), lane(z4, k)
         if box_scale(*box, PotentialParams(A)) is None:
             continue
         _, roots = dziobek_corner_roots_ref(*box, A)
@@ -264,11 +271,12 @@ def assert_scales_hold_roots_and_bracket(z3, z4, params, samples):
     inside = (x2.lo <= roots) & (roots <= x2.hi)
     assert (inside | ~has_root | x2.failed).all()
     for k in range(len(z3)):
-        bracket = certify_kite_scale_ref(z3.lane(k), z4.lane(k), params)
+        box = lane(z3, k), lane(z4, k)
+        bracket = certify_kite_scale_ref(*box, params)
         if bracket is not None:
-            assert not x2.failed[k], (z3.lane(k), z4.lane(k), bracket)
+            assert not x2.failed[k], (box, bracket)
             assert bracket.lo <= x2.lo[k] and x2.hi[k] <= bracket.hi, \
-                (z3.lane(k), z4.lane(k), bracket, x2.lane(k))
+                (box, bracket, lane(x2, k))
     return int(np.count_nonzero(has_root & ~x2.failed))
 
 
@@ -340,7 +348,7 @@ def test_hs_certificates_match_float(rng, newton):
     checked = 0
     for shape in sample_admissible_shapes(rng, 30):
         z3, z4 = point_box(shape.z3, shape.z4, 1e-12)
-        cert = certify_box(z3, z4, newton).hs
+        cert = certified(z3, z4, newton).hs
         if not cert.known:
             continue  # legitimately near a bifurcation
         idx_hs, _ = float_indices(shape, newton)
@@ -352,7 +360,7 @@ def test_hs_certificates_match_float(rng, newton):
 def test_certified_box_containment_spot_check(rng, newton):
     # a decided box is never contradicted by float evaluation at member shapes
     z3, z4 = point_box(2.0, 0.8, 1e-4)
-    cert = certify_box(z3, z4, newton).hs
+    cert = certified(z3, z4, newton).hs
     assert cert.known
     for _ in range(1000):
         shape = KiteShape(rng.uniform(z3.lo, z3.hi), rng.uniform(z4.lo, z4.hi))
@@ -362,14 +370,14 @@ def test_certified_box_containment_spot_check(rng, newton):
 
 def test_certified_signs_in_known_regions(newton):
     # interior of the index-0 region: both deflated H_a eigenvalues positive
-    assert certify_box(*point_box(1.78, 0.70, 1e-6), newton).ha.value == 0
-    assert certify_box(*point_box(1.78, 0.70, 1e-6), newton).hs.value == 0
+    assert certified(*point_box(1.78, 0.70, 1e-6), newton).ha.value == 0
+    assert certified(*point_box(1.78, 0.70, 1e-6), newton).hs.value == 0
     # one negative eigenvalue from H_a while H_s stays positive definite
-    assert certify_box(*point_box(2.0, 0.8, 1e-6), newton).ha.value == 1
-    assert certify_box(*point_box(2.0, 0.8, 1e-6), newton).hs.value == 0
+    assert certified(*point_box(2.0, 0.8, 1e-6), newton).ha.value == 1
+    assert certified(*point_box(2.0, 0.8, 1e-6), newton).hs.value == 0
     # index-2 interior: one negative from each block
-    assert certify_box(*point_box(1.92975, 0.71275, 1e-6), newton).ha.value == 1
-    assert certify_box(*point_box(1.92975, 0.71275, 1e-6), newton).hs.value == 1
+    assert certified(*point_box(1.92975, 0.71275, 1e-6), newton).ha.value == 1
+    assert certified(*point_box(1.92975, 0.71275, 1e-6), newton).hs.value == 1
 
 
 def test_hs_unknown_across_boundary(newton):
@@ -388,7 +396,7 @@ def test_hs_unknown_across_boundary(newton):
         prev = (z4v, idx_hs)
     assert crossing is not None
     z3, z4 = Interval(z3v - 1e-4, z3v + 1e-4), Interval(*crossing)
-    cert = certify_box(z3, z4, newton).hs
+    cert = certified(z3, z4, newton).hs
     assert not cert.known
 
 
@@ -399,7 +407,7 @@ def test_ha_certificates_match_float(rng, newton):
     checked = 0
     for shape in sample_admissible_shapes(rng, 20):
         z3, z4 = point_box(shape.z3, shape.z4, 1e-9)
-        cert = certify_box(z3, z4, newton).ha
+        cert = certified(z3, z4, newton).ha
         if not cert.known:
             continue
         _, idx_ha = float_indices(shape, newton)
@@ -411,13 +419,13 @@ def test_ha_certificates_match_float(rng, newton):
 def test_ha_unknown_near_symmetric_point(newton):
     z3 = Interval(SQRT3 - 1e-2, SQRT3 + 1e-2)
     z4 = Interval(1 / SQRT3 - 1e-2, 1 / SQRT3 + 1e-2)
-    cert = certify_box(z3, z4, newton).ha
+    cert = certified(z3, z4, newton).ha
     assert not cert.known
 
 
 def test_certify_box_total(newton):
     z3, z4 = point_box(2.0, 0.8, 1e-6)
-    box = certify_box(z3, z4, newton)
+    box = certified(z3, z4, newton)
     assert box.hs.known and box.ha.known
     idx_hs, idx_ha = float_indices(KiteShape(2.0, 0.8), newton)
     assert box.total == idx_hs + idx_ha
@@ -429,10 +437,10 @@ def test_certify_box_one_scale_enclosure(monkeypatch, newton):
     scale = certify.certify_kite_scale
     monkeypatch.setattr(certify, "certify_kite_scale",
                         lambda *a, **kw: calls.append(a) or scale(*a, **kw))
-    box = certify_box(*point_box(2.0, 0.8, 1e-6), newton)
+    box = certified(*point_box(2.0, 0.8, 1e-6), newton)
     assert box.hs.known and box.ha.known
     assert len(calls) == 1
-    box = certify_box(*point_box(2.0, 0.75, 1e-3), newton)
+    box = certified(*point_box(2.0, 0.75, 1e-3), newton)
     assert not box.hs.known and not box.ha.known
     assert len(calls) == 1
 
@@ -441,12 +449,12 @@ def test_split_consistency(rng, newton):
     # children of a decided box must agree with the parent
     for (c3, c4, w) in ((2.0, 0.8, 2e-4), (1.3, 0.1, 2e-4), (1.45, 0.3, 1e-4)):
         z3, z4 = point_box(c3, c4, w)
-        parent = certify_box(z3, z4, newton)
+        parent = certified(z3, z4, newton)
         for i in (0, 1):
             for j in (0, 1):
                 c3box = Interval(z3.lo + i * w, z3.lo + (i + 1) * w)
                 c4box = Interval(z4.lo + j * w, z4.lo + (j + 1) * w)
-                child = certify_box(c3box, c4box, newton)
+                child = certified(c3box, c4box, newton)
                 if parent.hs.known and child.hs.known:
                     assert child.hs.value == parent.hs.value
                 if parent.ha.known and child.ha.known:
@@ -463,8 +471,7 @@ def test_hs_decision_soundness(rng):
         h11 = Interval(a - w, a + w)
         h22 = Interval(b - w, b + w)
         h12 = Interval(c - w, c + w)
-        code = _decide_2x2(*(IntervalArray.from_intervals([h]) for h in (h11, h22, h12)),
-                           "Hs")[0]
+        code = _decide_2x2(*(lanes([h]) for h in (h11, h22, h12)), "Hs")[0]
         if code < 0:
             continue
         cert = OUTCOMES[code]
@@ -490,10 +497,10 @@ def test_ha_minor_decision_soundness(rng, monkeypatch):
         H = P @ np.diag([0.0, a, b]) @ P.T
         w = 10.0 ** rng.uniform(-6, -1)
         box = [[Interval(H[i, j] - w, H[i, j] + w) for j in range(3)] for i in range(3)]
-        lanes = [[IntervalArray.from_intervals([iv]) for iv in row] for row in box]
-        monkeypatch.setattr(certify, "interval_ha_matrix", lambda q: lanes)
+        entries = [[lanes([iv]) for iv in row] for row in box]
+        monkeypatch.setattr(certify, "interval_ha_matrix", lambda q: entries)
         cert = OUTCOMES[certify_ha_index(None)[0]]
-        minors = [_decide_2x2(lanes[i][i], lanes[j][j], lanes[i][j], name)[0]
+        minors = [_decide_2x2(entries[i][i], entries[j][j], entries[i][j], name)[0]
                   for i, j, name in certify._HA_MINORS]
         assert {OUTCOMES[m].value for m in minors if m >= 0} <= {cert.value}
         if not cert.known:
@@ -516,7 +523,7 @@ def test_ha_decides_at_box_half_width_6p25e_4(newton):
     # boxes as wide as the default certify window's subdivide-5 boxes
     # decide H_a, in the index-1 and the index-0 region
     for (c3, c4), idx in (((2.0, 0.8), 1), ((1.8, 0.7), 0)):
-        box = certify_box(*point_box(c3, c4, 6.25e-4), newton)
+        box = certified(*point_box(c3, c4, 6.25e-4), newton)
         assert box.ha.value == idx, box.ha
         assert box.ha.value == float_indices(KiteShape(c3, c4), newton)[1]
 
@@ -586,7 +593,7 @@ def test_batched_scale_matches_per_box_reference_on_point_boxes(rng, newton):
 
 def bracket_scales(z3, z4, params, powers=None):
     """`certify_kite_scale`'s lanes from the per-box bracket search."""
-    scales = [certify_kite_scale_ref(z3.lane(k), z4.lane(k), params) for k in range(len(z3))]
+    scales = [certify_kite_scale_ref(lane(z3, k), lane(z4, k), params) for k in range(len(z3))]
     return IntervalArray([math.nan if x is None else x.lo for x in scales],
                          [math.nan if x is None else x.hi for x in scales])
 
@@ -603,11 +610,11 @@ def test_decisions_only_grow_over_the_bracket(z3, z4, subdivide, A, bracket_deci
     # scales decide these many H_s and H_a blocks; the corner hull decides
     # every one of them with the same index (a certificate may name an
     # earlier H_a minor), and more besides on the full window
-    lanes, params = box_lanes(window_boxes(z3, z4, subdivide)), PotentialParams(A)
+    z34, params = box_lanes(window_boxes(z3, z4, subdivide)), PotentialParams(A)
     value = np.array([-1 if o.value is None else o.value for o in OUTCOMES])
-    certs = certify_boxes(*lanes, params)
+    certs = certify_boxes(*z34, params)
     monkeypatch.setattr(certify, "certify_kite_scale", bracket_scales)
-    bracket = certify_boxes(*lanes, params)
+    bracket = certify_boxes(*z34, params)
     for block, want in zip(("hs", "ha"), bracket_decided):
         old, new = value[getattr(bracket, block)], value[getattr(certs, block)]
         assert np.count_nonzero(old >= 0) == want
@@ -775,12 +782,12 @@ def test_forced_lane_failure(case, monkeypatch, newton):
     # lane 1 of four fails at one stage: it gets that stage's reason with
     # today's precedence, and the other lanes keep their certificates
     boxes = window_boxes((1.99, 2.01), (0.79, 0.81), 1)
-    lanes = box_lanes(boxes)
-    before = box_certificates(certify_boxes(*lanes, newton))
+    z34 = box_lanes(boxes)
+    before = box_certificates(certify_boxes(*z34, newton))
     name, change, want = FORCED[case]
     monkeypatch.setattr(certify, name, forced(name, change))
     with np.errstate(all="ignore"):
-        after = box_certificates(certify_boxes(*lanes, newton))
+        after = box_certificates(certify_boxes(*z34, newton))
     assert outcomes(after[:1] + after[2:]) == outcomes(before[:1] + before[2:])
     assert after[1].hs == (want[0] or before[1].hs)
     assert after[1].ha == (want[1] or before[1].ha)

@@ -2,14 +2,18 @@ import math
 import operator
 import struct
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcc.intervals import (Interval, IntervalArray, IntervalDomainError, IntervalError,
-                               _adown, _aup, _down, _down2, _up, _up2, hull)
+from twistcc.intervals import Interval as Box
+from twistcc.intervals import IntervalArray, IntervalError, _adown, _aup
+
+from oracles import (Interval, IntervalDomainError, _down, _down2, _up, _up2, hull, lane,
+                     lanes)
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
@@ -72,7 +76,7 @@ def test_pow_overflow_is_a_domain_error():
     x = Interval(0.4823, 0.4927)
     with pytest.raises(IntervalDomainError, match="overflows"):
         x ** -1000.0
-    X = IntervalArray.from_intervals([x, Interval(0.9, 1.1)])
+    X = lanes([x, Interval(0.9, 1.1)])
     assert X.pow_real(-1000.0).failed.tolist() == [True, False]
 
 
@@ -214,7 +218,7 @@ def test_overflowing_product_stays_an_interval():
     assert_lanes(lanes, [Interval(1e200) * Interval(1e200)])
 
 
-# --- IntervalArray: lanes that round as Interval does ---------------------------
+# --- IntervalArray: lanes that round as the reference Interval does -------------
 
 # any non-NaN endpoint, with the values where Interval raises or overflows
 # (zeros, infinities, the largest finite floats) drawn often
@@ -238,10 +242,6 @@ def lane_lists(size, element=None):
 lane_pairs = st.integers(1, 8).flatmap(lambda n: st.tuples(lane_lists(n), lane_lists(n)))
 
 BINARY = (operator.add, operator.sub, operator.mul, operator.truediv)
-
-
-def lanes(ivs):
-    return IntervalArray.from_intervals(ivs)
 
 
 def interval_or_none(fn, *args):
@@ -284,7 +284,8 @@ def test_array_binary_ops_match_interval(pair, c):
             assert_lanes(op(X, Y), [interval_or_none(op, x, y) for x, y in zip(xs, ys)])
             assert_lanes(op(X, c), [interval_or_none(op, x, c) for x in xs])
             assert_lanes(op(c, X), [interval_or_none(op, c, x) for x in xs])
-            assert_lanes(op(X, ys[0]), [interval_or_none(op, x, ys[0]) for x in xs])
+            # one lane broadcasts against every lane
+            assert_lanes(op(X, lanes(ys[:1])), [interval_or_none(op, x, ys[0]) for x in xs])
         assert_lanes(X.intersect(Y), [interval_or_none(Interval.intersect, x, y)
                                       for x, y in zip(xs, ys)])
 
@@ -308,7 +309,7 @@ def test_array_unary_ops_match_interval(xs, n, p):
         assert X.is_positive()[k] == x.is_positive()
         assert X.is_negative()[k] == x.is_negative()
         assert X.contains_zero()[k] == x.contains_zero()
-        assert (X.lane(k).lo, X.lane(k).hi) == (x.lo, x.hi)
+        assert (lane(X, k).lo, lane(X, k).hi) == (x.lo, x.hi)
 
 
 @settings(max_examples=100, deadline=None)
@@ -330,7 +331,7 @@ def test_array_failed_lanes_stay_failed(pair, dead, n, p):
         assert not (out.is_positive()[dead].any() or out.is_negative()[dead].any())
     if dead.any():
         with pytest.raises(IntervalError):
-            F.lane(int(np.argmax(dead)))
+            lane(F, int(np.argmax(dead)))
 
 
 def _same(x):
@@ -374,18 +375,21 @@ def test_exact_operands_are_not_rounded(xs, dead):
             assert_lanes(op(F, c), [None if d else w for d, w in zip(dead, want)])
 
 
-def test_array_products_skip_later_nans_as_interval_does():
-    # Interval takes Python's min and max of the four products or quotients:
-    # a NaN (0 * inf, inf / inf) decides only in first position
+def test_array_products_fail_on_any_nan_as_the_reference_does():
+    # a NaN among the four products or quotients (0 * inf, inf / inf) fails
+    # the operation in any position: the reference raises, the lane fails
     xs = [Interval(0.0, 1.0), Interval(1.0, math.inf), Interval(0.0), Interval(-math.inf, 0.0)]
     ys = [Interval(1.0, math.inf), Interval(1.0, math.inf), Interval(math.inf), Interval(-2.0, -1.0)]
     X, Y = lanes(xs), lanes(ys)
+    failed = {}
     with np.errstate(all="ignore"):
         for op in (operator.mul, operator.truediv):
             want = [interval_or_none(op, x, y) for x, y in zip(xs, ys)]
             assert_lanes(op(X, Y), want)
-    assert want[1] is not None      # inf / inf in last position is skipped
-    assert interval_or_none(operator.mul, xs[0], ys[0]) is not None
+            failed[op] = [w is None for w in want]
+    # 0 * inf second of four, 0 * inf first; inf / inf last of four
+    assert failed == {operator.mul: [True, False, True, False],
+                      operator.truediv: [False, True, False, False]}
 
 
 def test_array_powers_are_libm_per_lane():
@@ -433,3 +437,59 @@ def test_array_containment(pair, t, u, p):
         for k, v in enumerate(exact):
             if v is not None and not got.failed[k]:
                 assert got.lo[k] <= v <= got.hi[k], (k, got, v)
+
+
+# --- intervals.Interval: a checked one-lane box ----------------------------------
+
+def test_box_refuses_nan_and_inverted_ends():
+    for ends in ((2.0, 1.0), (math.nan,), (1.0, math.nan), (math.nan, 1.0), (math.inf, -math.inf)):
+        with pytest.raises(IntervalError):
+            Box(*ends)
+    box = Box(1.0, 2.0)
+    assert isinstance(box, IntervalArray) and len(box) == 1
+    assert (box.lo.tolist(), box.hi.tolist()) == ([1.0], [2.0])
+    assert len(Box(3.0)) == 1 and len(IntervalArray(3.0)) == 1
+
+
+def one_lane(x: IntervalArray) -> tuple:
+    assert len(x) == 1
+    return bits(x.lo[0]), bits(x.hi[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=any_intervals(), y=any_intervals(), c=scalars, n=st.integers(-3, 4),
+       p=st.floats(-5, 5))
+def test_box_operations_equal_lanes(x, y, c, n, p):
+    # the box's arithmetic is IntervalArray's: every result is the one lane
+    # of the same operation on lanes, bit for bit, failed where it fails
+    bx, by = Box(x.lo, x.hi), Box(y.lo, y.hi)
+    X, Y = lanes([x]), lanes([y])
+    with np.errstate(all="ignore"):
+        pairs = [(op(bx, by), op(X, Y)) for op in BINARY]
+        pairs += [(op(bx, c), op(X, c)) for op in BINARY]
+        pairs += [(op(c, bx), op(c, X)) for op in BINARY]
+        pairs += [(-bx, -X), (bx.sq(), X.sq()), (bx.sqrt(), X.sqrt()), (bx ** n, X ** n),
+                  (bx ** p, X ** p), (bx.pow_real(p), X.pow_real(p)),
+                  (bx.intersect(by), X.intersect(Y))]
+        mids = bx.mid, X.mid
+    for got, want in pairs:
+        assert one_lane(got) == one_lane(want), (x, y, c)
+    assert bits(mids[0][0]) == bits(mids[1][0])
+    for name in ("is_positive", "is_negative", "contains_zero"):
+        assert getattr(bx, name)()[0] == getattr(X, name)()[0] == getattr(x, name)()
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=intervals(), y=intervals(), pad=st.floats(0.0, 1e6))
+def test_box_hull_and_widened_contain_their_operands(x, y, pad):
+    bx, by = Box(x.lo, x.hi), Box(y.lo, y.hi)
+    h = bx.hull(by)
+    assert isinstance(h, Box)
+    assert h.lo[0] == min(x.lo, y.lo) and h.hi[0] == max(x.hi, y.hi)
+    w = bx.widened(pad)
+    assert isinstance(w, Box)
+    # [lo - pad, hi + pad] in exact arithmetic
+    assert Fraction(w.lo[0]) <= Fraction(x.lo) - Fraction(pad)
+    assert Fraction(x.hi) + Fraction(pad) <= Fraction(w.hi[0])
+    with pytest.raises(IntervalError):
+        bx.hull(IntervalArray([math.nan], [1.0]))

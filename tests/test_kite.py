@@ -9,7 +9,8 @@ import pytest
 from twistcc.geometry import (PairTable, PotentialParams, build_pair_table, euler_residual,
                               moment_of_inertia)
 from twistcc.hessian import cartesian_hessian, twist_hessian_entry
-from twistcc.intervals import Interval, IntervalArray
+from twistcc.intervals import Interval as Box
+from twistcc.intervals import IntervalArray
 from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, InfeasibleShapeError,
                           InapplicableShapeError, KiteConfig, KiteShape, KiteTable,
                           MassBoundaryError, build_kite, circumcenter_z4, classify_shape,
@@ -19,8 +20,8 @@ from twistcc.kite import (ADMISSIBLE_MARGIN, IndeterminateScaleError, Infeasible
 from twistcc.cli import write_pgm
 from twistcc.twist import cc_residual, laura_andoyer
 
-from twistcc import hessian, intervals
-from oracles import (bisect_dziso, index_map_cell, norm_diag_inline, norm_share_inline,
+from twistcc import hessian, intervals, kite as kite_module
+from oracles import (Interval, bisect_dziso, index_map_cell, norm_diag_inline, norm_share_inline,
                      pgm_pixels_ref)
 
 SQRT3 = math.sqrt(3.0)
@@ -68,23 +69,38 @@ def test_kite_scale_random_shapes(rng, newton):
         assert x2 == pytest.approx(oracle, rel=1e-12)
 
 
+def ends(x) -> tuple[float, float]:
+    """(lo, hi) of a reference Interval or of a one-lane IntervalArray."""
+    (lo,), (hi,) = np.ravel(x.lo), np.ravel(x.hi)
+    return float(lo), float(hi)
+
+
+def in_type_of(x, value) -> bool:
+    """value is one reference Interval for a reference x, one lane for lanes."""
+    return isinstance(value, Interval) if isinstance(x, Interval) else \
+        type(value) is IntervalArray and len(value) == 1
+
+
 def test_side_powers_enclose_two_power():
     # 2^-2.5 = 1/sqrt(32) as a float lies above the real value, so interval
-    # shapes get an Interval enclosing it: lo^2 <= 1/32 <= hi^2, exactly
+    # shapes get an interval enclosing it, in their own type (one lane that
+    # broadcasts on lanes and boxes), the reference's bits:
+    # lo^2 <= 1/32 <= hi^2, exactly
     real = Fraction(1, 32)
     assert Fraction(2.0 ** -2.5) ** 2 > real
-    for z3, z4 in ((Interval(2.0), Interval(0.8)),
+    want = Interval(2.0) ** -2.5
+    assert Fraction(want.lo) ** 2 <= real <= Fraction(want.hi) ** 2
+    for z3, z4 in ((Interval(2.0), Interval(0.8)), (Box(2.0), Box(0.8)),
                    (IntervalArray([2.0, 1.5]), IntervalArray([0.8, 0.1]))):
         p2 = side_powers(z3, z4, 2.5)[0]
-        assert isinstance(p2, Interval)
-        assert Fraction(p2.lo) ** 2 <= real <= Fraction(p2.hi) ** 2
+        assert in_type_of(z3, p2) and ends(p2) == (want.lo, want.hi)
         # an integer A whose power does not underflow keeps the exact float
         for A, exact in ((3.0, 0.125), (6.0, 0.015625), (1000.0, math.ldexp(1.0, -1000))):
             p2 = side_powers(z3, z4, A)[0]
             assert type(p2) is float and p2 == exact
         # an underflowing power is enclosed too
         p2 = side_powers(z3, z4, 1100.0)[0]
-        assert isinstance(p2, Interval) and p2.lo <= 0.0 < p2.hi
+        assert in_type_of(z3, p2) and ends(p2)[0] <= 0.0 < ends(p2)[1]
     # floats and numpy arrays keep the float
     assert side_powers(2.0, 0.8, 2.5)[0] == 2.0 ** -2.5
     assert side_powers(np.array([2.0]), np.array([0.8]), 2.5)[0] == 2.0 ** -2.5
@@ -267,6 +283,50 @@ def test_kite_table_twist_entries_match_pair_table(rng, newton):
                          for t in tables)
             assert got.size == 21
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (shape, normalized)
+
+
+def interval_tables(kite, A):
+    """The interval KiteTables of a float kite's point: reference Intervals, and
+    one-lane IntervalArrays."""
+    values = kite.shape.z3, kite.shape.z4, kite.x2, kite.mu31, kite.mu41
+    return (KiteTable(*map(Interval, values), A),
+            KiteTable(*(IntervalArray(v) for v in values), A))
+
+
+def test_twist_entries_on_interval_tables_are_intervals(newton):
+    # twist_hessian_entry returns the entry in the table's own type: on an
+    # interval table at shape (2.0, 0.8) each of the 21 entries, raw and
+    # normalized, is an enclosure holding the float table's entry, and the
+    # lanes equal the reference bit for bit
+    pairs = list(combinations(range(4), 2))
+    kite = build_kite(KiteShape(2.0, 0.8), newton)
+    ft = KiteTable.of(kite, newton)
+    ref, lanes = interval_tables(kite, newton.A)
+    for normalized in (False, True):
+        for p, q in combinations_with_replacement(pairs, 2):
+            want = twist_hessian_entry(ft, p, q, normalized)
+            assert type(want) is float
+            r, x = (twist_hessian_entry(t, p, q, normalized) for t in (ref, lanes))
+            assert in_type_of(ref.z3, r) and in_type_of(lanes.z3, x), (p, q)
+            assert r.lo <= want <= r.hi, (p, q, normalized, r, want)
+            assert ends(x) == ends(r), (p, q, normalized)
+
+
+def test_ha_explicit_encloses_sqrt2_from_the_point_two(monkeypatch, newton):
+    # with every normalized entry the number 1, a13 = sqrt2 * 1 is
+    # ha_explicit's sqrt 2 itself: on interval tables the reference's
+    # enclosure of the root of the point [2, 2] (one lane on lanes), not that
+    # of [0, 0] + 2, which rounds outward first; floats keep 2.0 ** 0.5
+    monkeypatch.setattr(kite_module, "generic_entry", lambda t, p, q: 1)
+    kite = build_kite(KiteShape(2.0, 0.8), newton)
+    want = Interval(2.0) ** 0.5
+    for t in interval_tables(kite, newton.A):
+        sqrt2 = ha_explicit(t)[4]
+        assert in_type_of(t.z3, sqrt2) and ends(sqrt2) == (want.lo, want.hi)
+    assert ha_explicit(KiteTable.of(kite, newton))[4] == 2.0 ** 0.5
+    arrays = KiteTable(*(np.array([v, v]) for v in (2.0, 0.8, kite.x2, kite.mu31, kite.mu41)),
+                       newton.A)
+    assert (ha_explicit(arrays)[4] == 2.0 ** 0.5).all()
 
 
 def test_ha_explicit_computes_each_sin3_once(monkeypatch, newton):
